@@ -65,6 +65,12 @@ class Gf2m:
     poly: int
     _exp: tuple = field(default=None, repr=False, compare=False)
     _log: tuple = field(default=None, repr=False, compare=False)
+    # Size of the multiplicative group, 2^m - 1, stored once for the hot
+    # mul/inv/pow paths.
+    _units: int = field(default=0, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_units", (1 << self.m) - 1)
 
     @property
     def order(self) -> int:
@@ -93,8 +99,7 @@ class Gf2m:
         if self._exp is not None:
             if a == 0 or b == 0:
                 return 0
-            n = self.order - 1
-            return self._exp[(self._log[a] + self._log[b]) % n]
+            return self._exp[(self._log[a] + self._log[b]) % self._units]
         return self._mul_slow(a, b)
 
     def pow(self, a: int, e: int) -> int:
@@ -104,10 +109,9 @@ class Gf2m:
             if e < 0:
                 raise ZeroDivisionError("negative power of zero")
             return 0
-        n = self.order - 1
         if self._log is not None:
-            return self._exp[(self._log[a] * e) % n]
-        e %= n
+            return self._exp[(self._log[a] * e) % self._units]
+        e %= self._units
         result = 1
         base = a
         while e:
@@ -120,7 +124,11 @@ class Gf2m:
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("zero has no multiplicative inverse")
-        return self.pow(a, self.order - 2)
+        if self._log is not None:
+            # alpha^-l == alpha^(2^m - 1 - l); a negative index reads exactly
+            # that entry of the length 2^m - 1 exp table (and exp[0] for a=1).
+            return self._exp[-self._log[a]]
+        return self.pow(a, self._units - 1)
 
     def alpha_pow(self, e: int) -> int:
         return self.pow(self.alpha, e)

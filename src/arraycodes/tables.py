@@ -25,10 +25,6 @@ def _ceil_log2(x: int) -> int:
     return (x - 1).bit_length()
 
 
-def is_power_of_two(x: int) -> bool:
-    return x > 0 and (x & (x - 1)) == 0
-
-
 @dataclass(frozen=True)
 class TableRow:
     table: str

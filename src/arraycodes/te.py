@@ -16,7 +16,8 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .arrays import BitArray, ErasedArray
 from .basecodes import claim5_base_pcm
-from .errors import AmbiguousErasureError, NotACodewordError
+from .errors import (AmbiguousErasureError, InconsistentSystemError,
+                     NotACodewordError)
 from .field import Gf2m, field_make
 from .gf2 import BitMatrix, gf2_rank, gf2_row_reduce, gf2_solve
 
@@ -106,6 +107,9 @@ class TeParityCheck:
     @classmethod
     def from_bytes(cls, blob: bytes) -> "TeParityCheck":
         head = struct.calcsize(">4sHIIIiH")
+        if len(blob) < head:
+            raise ValueError(f"parity-check blob of {len(blob)} bytes is shorter "
+                             f"than its {head}-byte header")
         magic, version, r, n, L, fm, plen = struct.unpack(">4sHIIIiH", blob[:head])
         if magic != cls.MAGIC:
             raise ValueError("not a parity-check blob")
@@ -114,8 +118,13 @@ class TeParityCheck:
         prov = blob[head:head + plen].decode()
         nbytes = (r + 7) // 8
         body = blob[head + plen:]
+        if len(body) != n * L * nbytes:
+            raise ValueError(f"parity-check body has {len(body)} bytes; "
+                             f"n*L*ceil(r/8) = {n * L * nbytes} expected")
         flat = [int.from_bytes(body[k * nbytes:(k + 1) * nbytes], "little")
                 for k in range(n * L)]
+        if any(c >> r for c in flat):
+            raise ValueError(f"parity-check column wider than r = {r} bits")
         cols = tuple(tuple(flat[i * L:(i + 1) * L]) for i in range(n))
         return cls(n, L, r, cols, prov, None if fm < 0 else fm)
 
@@ -510,7 +519,7 @@ def te_decode(H: TeParityCheck, received: ErasedArray) -> BitArray:
         target.append((syndrome >> b) & 1)
     try:
         solution, unique = gf2_solve(sys_rows, len(unknown), target)
-    except Exception as exc:
+    except InconsistentSystemError as exc:
         raise NotACodewordError("surviving entries match no codeword") from exc
     if not unique:
         raise AmbiguousErasureError(

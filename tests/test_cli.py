@@ -108,3 +108,13 @@ def test_usage_errors(capsys, tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["bogus-command"])
     assert exc.value.code == 2
+
+
+def test_truncated_code_file_exits_2(tmp_path, capsys):
+    code_file = tmp_path / "ham.bin"
+    run(capsys, "construct", "--code", "construction-1", "--n", "7", "--d", "3",
+        "--out", str(code_file))
+    code_file.write_bytes(code_file.read_bytes()[:-3])
+    rc, _, err = run(capsys, "verify", "--code-file", str(code_file), "--d", "3")
+    assert rc == 2
+    assert err.startswith("usage error:") and err.count("\n") == 1

@@ -51,6 +51,18 @@ def test_char_two_and_inverses():
         f.inv(0)
 
 
+@pytest.mark.parametrize("m", [1, 2, 5, 16, 17])
+def test_inverse_matches_fermat_power(m):
+    """a^-1 == a^(2^m - 2), through the log tables (2 <= m <= 16) and
+    without them (m = 1, m = 17)."""
+    f = field_make(m)
+    rng = random.Random(m)
+    elements = [1, f.order - 1] + [rng.randrange(1, f.order) for _ in range(50)]
+    for a in elements:
+        assert f.inv(a) == f.pow(a, f.order - 2)
+        assert f._mul_slow(a, f.inv(a)) == 1
+
+
 def test_field_arith_dispatch():
     f = field_make(3)
     assert field_arith(f, 3, 5, "add") == 6

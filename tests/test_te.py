@@ -280,6 +280,34 @@ def test_serialization_roundtrip():
         assert "te-parity-check" in H.dump_text()
 
 
+def _hamming_blob():
+    H = construct_1(hamming_pcm(7), 7, 1)
+    assert H.r == 3
+    return H.to_bytes()
+
+
+def test_from_bytes_rejects_blob_shorter_than_header():
+    with pytest.raises(ValueError, match="header"):
+        TeParityCheck.from_bytes(_hamming_blob()[:10])
+
+
+def test_from_bytes_rejects_truncated_body():
+    with pytest.raises(ValueError, match="body"):
+        TeParityCheck.from_bytes(_hamming_blob()[:-1])
+
+
+def test_from_bytes_rejects_trailing_bytes():
+    with pytest.raises(ValueError, match="body"):
+        TeParityCheck.from_bytes(_hamming_blob() + b"\x00")
+
+
+def test_from_bytes_rejects_column_wider_than_r():
+    blob = bytearray(_hamming_blob())
+    blob[-1] = 0b1000
+    with pytest.raises(ValueError, match="wider"):
+        TeParityCheck.from_bytes(bytes(blob))
+
+
 def test_theorem1_both_directions_small():
     """A set of arrays corrects every e-TE iff its brute minimum distance
     exceeds e, checked for a real code and a deliberately bad set."""
