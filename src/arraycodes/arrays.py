@@ -11,12 +11,24 @@ from dataclasses import dataclass
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 
+# byte b -> the digit of its low bit, and back
+_PACK = bytes(b"01"[b & 1] for b in range(256))
+_UNPACK = bytes.maketrans(b"01", b"\x00\x01")
+
+
 def _row_to_int(bits: Sequence[int]) -> int:
-    return sum((int(b) & 1) << j for j, b in enumerate(bits))
+    """Pack bits (ints or bools; only the low bit of each counts) into a
+    row int, bits[0] lowest."""
+    try:
+        packed = bytes(reversed(bits))
+    except ValueError:      # an entry outside 0..255
+        packed = bytes(map((1).__and__, reversed(bits)))
+    return int(packed.translate(_PACK) or b"0", 2)
 
 
 def _int_to_row(value: int, length: int) -> List[int]:
-    return [(value >> j) & 1 for j in range(length)]
+    """The low `length` bits of value as a list, lowest first."""
+    return list(f"{value:0{length}b}"[::-1][:length].encode().translate(_UNPACK))
 
 
 @dataclass(frozen=True)
@@ -55,10 +67,10 @@ class BitArray:
 
     def flat_bits(self) -> List[int]:
         """Row-major flattening, position (i-1)*L + (j-1)."""
-        out: List[int] = []
-        for r in self.rows:
-            out.extend(_int_to_row(r, self.L))
-        return out
+        flat = 0
+        for i, r in enumerate(self.rows):
+            flat |= r << (i * self.L)
+        return _int_to_row(flat, self.n * self.L)
 
     def xor(self, other: "BitArray") -> "BitArray":
         if (self.n, self.L) != (other.n, other.L):

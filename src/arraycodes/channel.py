@@ -21,6 +21,9 @@ TeInstance = Tuple[int, ...]                 # erasure counts per row
 DelInstance = Tuple[Tuple[int, Tuple[int, ...]], ...]   # (row, positions), 1-indexed
 TedInstance = Tuple[TeInstance, DelInstance]
 
+# Cap on the instances one exhaustive enumeration may yield.
+DEFAULT_MAX_WORK = 2_000_000
+
 
 @dataclass(frozen=True)
 class ChannelSpec:
@@ -38,35 +41,31 @@ class ChannelSpec:
             raise ValueError("t and s must be non-negative")
 
 
-def apply_deletions(x: BitArray, instance: DelInstance) -> RaggedArray:
-    rows = [x.row_bits(i) for i in range(1, x.n + 1)]
-    for row, positions in instance:
-        if not 1 <= row <= x.n:
+def _delete(rows: List[Tuple[int, int]], deletions: DelInstance, L: int) -> RaggedArray:
+    """Delete 1-indexed positions from the (bits, length) rows."""
+    for row, positions in deletions:
+        if not 1 <= row <= len(rows):
             raise ValueError(f"row {row} out of range")
-        bits = rows[row - 1]
+        bits, length = rows[row - 1]
         for pos in sorted(positions, reverse=True):
-            if not 1 <= pos <= len(bits):
+            if not 1 <= pos <= length:
                 raise ValueError(f"deletion position {pos} out of range")
-            del bits[pos - 1]
-        rows[row - 1] = bits
-    return RaggedArray.from_lists(rows, x.L)
+            bits = (bits & ((1 << (pos - 1)) - 1)) | ((bits >> pos) << (pos - 1))
+            length -= 1
+        rows[row - 1] = (bits, length)
+    return RaggedArray(len(rows), L, tuple(rows))
+
+
+def apply_deletions(x: BitArray, instance: DelInstance) -> RaggedArray:
+    return _delete([(r, x.L) for r in x.rows], instance, x.L)
 
 
 def apply_ted(x: BitArray, instance: TedInstance) -> RaggedArray:
+    """Tail erasures first, then deletions indexed into the truncated rows."""
     pattern, deletions = instance
     erased = apply_te_pattern(x, pattern)
-    rows = []
-    for i in range(1, x.n + 1):
-        known = erased.known_length(i)
-        rows.append([(erased.rows[i - 1] >> (j - 1)) & 1 for j in range(1, known + 1)])
-    for row, positions in deletions:
-        bits = rows[row - 1]
-        for pos in sorted(positions, reverse=True):
-            if not 1 <= pos <= len(bits):
-                raise ValueError(f"deletion position {pos} beyond truncated row")
-            del bits[pos - 1]
-        rows[row - 1] = bits
-    return RaggedArray.from_lists(rows, x.L)
+    return _delete([(r, x.L - p) for r, p in zip(erased.rows, erased.erased)],
+                   deletions, x.L)
 
 
 def apply_channel(x: BitArray, spec: ChannelSpec, instance):
@@ -137,7 +136,7 @@ def enumerate_deletion_instances(row_lengths: Sequence[int], t: int, s: int,
 
 
 def enumerate_channel_instances(spec: ChannelSpec, n: int, L: int,
-                                max_work: Optional[int] = 2_000_000) -> Iterator:
+                                max_work: Optional[int] = DEFAULT_MAX_WORK) -> Iterator:
     """Deterministic stream of all distinct instances of a channel.
 
     TE instances delegate to the pattern enumerator (zero pattern included);
@@ -233,9 +232,11 @@ class RunRecord:
 
 def roundtrip_harness(codec, spec: ChannelSpec, *, messages: int = 20,
                       exhaustive: bool = True, seed: int = 0,
-                      instances: Optional[int] = None) -> RunRecord:
+                      instances: Optional[int] = None,
+                      max_work: Optional[int] = DEFAULT_MAX_WORK) -> RunRecord:
     """Encode random messages, push them through every (or `instances`
-    sampled) channel instance, decode, compare.
+    sampled) channel instance, decode, compare.  An exhaustive run whose
+    enumeration exceeds `max_work` instances raises RuntimeError.
 
     Failures are recorded, not raised; the first counterexample keeps the
     full (message, instance, received) triple for replay.
@@ -248,7 +249,7 @@ def roundtrip_harness(codec, spec: ChannelSpec, *, messages: int = 20,
             for _ in range(messages)]
     arrays = [(m, codec.encode(m)) for m in msgs]
     if exhaustive:
-        stream = list(enumerate_channel_instances(spec, n, L))
+        stream = list(enumerate_channel_instances(spec, n, L, max_work=max_work))
     else:
         stream = [random_instance(spec, n, L, rng) for _ in range(instances or 100)]
     for message, x in arrays:

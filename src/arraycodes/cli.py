@@ -21,7 +21,8 @@ from .bounds import (a_n_d_brute, ball_count_brute, claim8_bound,
                      dc_bound_part1, dc_bound_part2_part3, m_s_brute,
                      singleton_te, te_sphere_packing, ted_upper_bound,
                      v_te_general, v_te_small)
-from .channel import ChannelSpec, apply_channel, random_instance, roundtrip_harness
+from .channel import (DEFAULT_MAX_WORK, ChannelSpec, apply_channel,
+                      random_instance, roundtrip_harness)
 from .dc import DcCode
 from .errors import ArrayCodeError
 from .tables import render_rows, table_i, table_ii, table_iii
@@ -86,16 +87,33 @@ def _mu_for(length: int) -> int:
     return mu
 
 
+# The integer parameters each JSON codec descriptor must carry.
+_DESCRIPTOR_KEYS = {"dc": ("n", "L", "t"), "ted": ("n", "L", "t", "e")}
+
+
 def load_codec(path: str):
+    """A TE parity-check blob, or a validated dc/ted JSON descriptor."""
     blob = Path(path).read_bytes()
-    if blob[:1] == b"{":
+    if blob.startswith(TeParityCheck.MAGIC):
+        return TeCodec(TeParityCheck.from_bytes(blob))
+    try:
         desc = json.loads(blob)
-        if desc["kind"] == "dc":
-            return DcCode(desc["n"], desc["L"], desc["t"])
-        if desc["kind"] == "ted":
-            return TedCode(desc["n"], desc["L"], desc["t"], desc["e"])
-        raise UsageError(f"unknown codec kind {desc['kind']!r}")
-    return TeCodec(TeParityCheck.from_bytes(blob))
+    except ValueError:
+        raise UsageError(f"{path} is neither a parity-check blob nor a JSON "
+                         f"codec descriptor") from None
+    if not isinstance(desc, dict):
+        raise UsageError(f"codec descriptor in {path} must be a JSON object")
+    kind = desc.get("kind")
+    if not isinstance(kind, str) or kind not in _DESCRIPTOR_KEYS:
+        raise UsageError(f"unknown codec kind {kind!r}")
+    params = []
+    for key in _DESCRIPTOR_KEYS[kind]:
+        value = desc.get(key)
+        if type(value) is not int:
+            raise UsageError(f"{kind} descriptor needs an integer {key!r}, "
+                             f"got {value!r}")
+        params.append(value)
+    return DcCode(*params) if kind == "dc" else TedCode(*params)
 
 
 def _write(args, text: str) -> None:
@@ -190,9 +208,12 @@ def cmd_verify(args) -> int:
     if args.roundtrip:
         codec = load_codec(args.code_file)
         spec = _channel_spec(args)
+        # --max-work caps the exhaustive enumeration and sets the number of
+        # random instances.
+        cap = DEFAULT_MAX_WORK if args.max_work is None else args.max_work
         record = roundtrip_harness(codec, spec, messages=args.messages,
                                    exhaustive=args.exhaustive, seed=args.seed,
-                                   instances=args.max_work)
+                                   instances=args.max_work, max_work=cap)
         sys.stdout.write(record.summary() + "\n")
         if record.first_counterexample:
             sys.stdout.write(f"counterexample: {record.first_counterexample}\n")

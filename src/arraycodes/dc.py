@@ -5,143 +5,36 @@ A deletion shortens its row, so damaged row indices are visible from the
 lengths alone; the outer code recovers their VT syndromes as erasures and
 the VT decoder repairs each short row.  With an MDS outer code the
 redundancy is t * ceil(log2(L+1)) bits for up to t single-deletion rows.
+That is the combined code with no tail bits in its symbols, so the codec
+is `TedCode` with e = 0.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
-from typing import List, Sequence
-
-from .arrays import BitArray, RaggedArray
-from .errors import (CapacityExceededError, ChannelContractError,
-                     CorruptInputError, NotACodewordError)
-from .field import field_make
-from .rs import ReedSolomon
-from .vt import (data_positions, vt_decode, vt_modulus_exponent, vt_syndrome,
-                 vt_systematic_encode)
+from .ted import TedCode
 
 
-@dataclass(frozen=True)
-class DcCode:
+class DcCode(TedCode):
     """(t,1)-deletion-correcting code over n x L arrays.
 
     phi, the bijection between syndrome residues and field elements, is the
     binary-representation map; any other bijection gives an equivalent code.
     """
 
-    n: int
-    L: int
-    t: int
-
-    def __post_init__(self):
-        if self.n < 1 or self.L < 1:
-            raise ValueError("n and L must be positive")
-        if not (1 <= self.t < self.n):
+    def __init__(self, n: int, L: int, t: int):
+        if not (1 <= t < n):
             raise ValueError("need 1 <= t < n")
-        if self.n > (1 << self.h) - 1:
-            raise ValueError(
-                f"outer Reed-Solomon code over GF(2^{self.h}) supports at most "
-                f"{(1 << self.h) - 1} rows, got n={self.n}")
-
-    @property
-    def h(self) -> int:
-        return vt_modulus_exponent(self.L)
+        super().__init__(n, L, t, 0)
 
     @property
     def redundancy_rows(self) -> int:
         return self.t
 
-    @property
-    def message_bits(self) -> int:
-        """K = n*L - t*h."""
-        return self.n * self.L - self.t * self.h
-
-    @cached_property
-    def outer(self) -> ReedSolomon:
-        return ReedSolomon(field_make(self.h), self.n, self.n - self.t)
-
-    def sigma(self, row_bits: Sequence[int]) -> int:
-        """VT syndrome of a full-length row as a field element."""
-        return vt_syndrome(row_bits, 1 << self.h)
-
-    def membership(self, x: BitArray) -> bool:
-        if (x.n, x.L) != (self.n, self.L):
-            raise ValueError("array shape mismatch")
-        symbols = [self.sigma(x.row_bits(i)) for i in range(1, self.n + 1)]
-        return self.outer.is_codeword(symbols)
-
-    def encode(self, message: Sequence[int]) -> BitArray:
-        """Systematic layout: the first n-t rows carry message bits verbatim;
-        each redundancy row is a VT codeword whose syndrome the outer code
-        dictates and whose non-power positions carry the leftover bits."""
-        K = self.message_bits
-        if len(message) != K:
-            raise ValueError(f"message must have {K} bits")
-        n, L, t, h = self.n, self.L, self.t, self.h
-        R = t
-        rows: List[List[int]] = []
-        for i in range(n - R):
-            rows.append([int(b) & 1 for b in message[i * L:(i + 1) * L]])
-        syndromes = self.outer.encode([self.sigma(r) for r in rows])
-        rest = message[(n - R) * L:]
-        per_row = L - h
-        for i in range(R):
-            data = [int(b) & 1 for b in rest[i * per_row:(i + 1) * per_row]]
-            a = syndromes[n - R + i]
-            rows.append(vt_systematic_encode(data, a, L))
-        return BitArray.from_lists(rows)
-
-    def message_of(self, x: BitArray) -> List[int]:
-        out: List[int] = []
-        for i in range(1, self.n - self.t + 1):
-            out.extend(x.row_bits(i))
-        slots = data_positions(self.L)
-        for i in range(self.n - self.t + 1, self.n + 1):
-            bits = x.row_bits(i)
-            out.extend(bits[j - 1] for j in slots)
-        return out
-
-    def decode(self, received: RaggedArray) -> BitArray:
-        """Repair up to t rows that each lost one bit."""
-        if (received.n, received.L) != (self.n, self.L):
-            raise ValueError("array shape mismatch")
-        short = []
-        for i in range(1, self.n + 1):
-            length = received.row_length(i)
-            if length == self.L:
-                continue
-            if length == self.L - 1:
-                short.append(i)
-            else:
-                raise ChannelContractError(
-                    f"row {i} has length {length}; the (t,1) channel only "
-                    f"removes one bit per row")
-        if len(short) > self.t:
-            raise CapacityExceededError(
-                f"{len(short)} damaged rows exceed capacity t={self.t}")
-        symbols: List[int] = []
-        for i in range(1, self.n + 1):
-            if i in short:
-                symbols.append(None)
-            else:
-                symbols.append(self.sigma(received.row_bits(i)))
-        try:
-            codeword = self.outer.decode_erasures(symbols)
-        except NotACodewordError as exc:
-            raise CorruptInputError("intact rows disagree with the outer code") from exc
-        rows: List[List[int]] = []
-        for i in range(1, self.n + 1):
-            bits = received.row_bits(i)
-            if i in short:
-                rows.append(vt_decode(bits, codeword[i - 1], self.L))
-            else:
-                rows.append(bits)
-        out = BitArray.from_lists(rows)
-        if not self.membership(out):
-            raise CorruptInputError("decoded array fails the membership rule")
-        return out
+    # With e = 0 a row's symbol is its VT syndrome, a field element.
+    sigma = TedCode.theta
 
     def descriptor(self) -> dict:
-        return {"kind": "dc", "n": self.n, "L": self.L, "t": self.t,
-                "outer": {"q": 1 << self.h, "n": self.n, "k": self.n - self.t}}
+        desc = super().descriptor()
+        desc["kind"] = "dc"
+        del desc["e"]
+        return desc

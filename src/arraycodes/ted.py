@@ -6,6 +6,10 @@ Reed-Solomon code of distance t+e+1.  Any row shortened by the channel is
 an outer erasure; once its tuple is back, a row missing k >= 2 bits gets
 its known tail re-attached and the one remaining gap is a plain VT
 deletion, whatever mix of tail loss and deletion actually occurred.
+
+With e = 0 the symbol is the VT syndrome alone: that is the (t,1)
+deletion-correcting code, `arraycodes.dc.DcCode`.  Rows stay bitset ints
+from the message to the decoded array.
 """
 
 from __future__ import annotations
@@ -14,13 +18,13 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import List, Sequence
 
-from .arrays import BitArray, RaggedArray
+from .arrays import BitArray, RaggedArray, _int_to_row, _row_to_int
 from .errors import (CapacityExceededError, ChannelContractError,
                      CorruptInputError, NotACodewordError)
 from .field import field_make
 from .rs import ReedSolomon
-from .vt import (data_positions, vt_decode, vt_modulus_exponent, vt_syndrome,
-                 vt_systematic_encode)
+from .vt import (position_sum, vt_data_int, vt_decode_int, vt_encode_int,
+                 vt_modulus_exponent)
 
 
 def theta_symbol(row_bits: Sequence[int], e: int, h: int) -> int:
@@ -28,11 +32,9 @@ def theta_symbol(row_bits: Sequence[int], e: int, h: int) -> int:
     GF(2^(h+e)): syndrome in the low h bits, tail above it (earliest tail
     bit lowest)."""
     L = len(row_bits)
-    s = vt_syndrome(row_bits, 1 << h)
-    tail = 0
-    for k in range(e):
-        tail |= (int(row_bits[L - e + k]) & 1) << k
-    return s | (tail << h)
+    row = _row_to_int(row_bits)
+    s = position_sum(row, L.bit_length()) & ((1 << h) - 1)
+    return s | (row >> (L - e)) << h
 
 
 @dataclass(frozen=True)
@@ -52,8 +54,8 @@ class TedCode:
     def __post_init__(self):
         if self.n < 1 or self.L < 1:
             raise ValueError("n and L must be positive")
-        if self.t < 0 or self.e < 1:
-            raise ValueError("need t >= 0 and e >= 1")
+        if self.t < 0 or self.e < 0:
+            raise ValueError("need t >= 0 and e >= 0")
         if self.R >= self.n:
             raise ValueError("t + e must be smaller than n")
         h = self.h
@@ -65,9 +67,9 @@ class TedCode:
         if self.n > (1 << (h + self.e)) - 1:
             raise ValueError(
                 f"outer Reed-Solomon code over GF(2^{h + self.e}) supports at "
-                f"most {(1 << (h + self.e)) - 1} rows")
+                f"most {(1 << (h + self.e)) - 1} rows, got n={self.n}")
 
-    @property
+    @cached_property
     def h(self) -> int:
         return vt_modulus_exponent(self.L)
 
@@ -85,103 +87,105 @@ class TedCode:
     def outer(self) -> ReedSolomon:
         return ReedSolomon(field_make(self.h + self.e), self.n, self.n - self.R)
 
+    def _symbol(self, row: int) -> int:
+        """theta of a full-length row int."""
+        h = self.h
+        return (position_sum(row, h) & ((1 << h) - 1)) | (row >> (self.L - self.e)) << h
+
     def theta(self, row_bits: Sequence[int]) -> int:
         """Pack (syndrome, last e bits) into one GF(2^(h+e)) element."""
         if len(row_bits) != self.L:
             raise ValueError("row must have full length")
-        return theta_symbol(row_bits, self.e, self.h)
-
-    def _unpack(self, symbol: int):
-        s = symbol & ((1 << self.h) - 1)
-        tail = [(symbol >> (self.h + k)) & 1 for k in range(self.e)]
-        return s, tail
+        return self._symbol(_row_to_int(row_bits))
 
     def membership(self, x: BitArray) -> bool:
         if (x.n, x.L) != (self.n, self.L):
             raise ValueError("array shape mismatch")
-        symbols = [self.theta(x.row_bits(i)) for i in range(1, self.n + 1)]
-        return self.outer.is_codeword(symbols)
+        return self.outer.is_codeword([self._symbol(r) for r in x.rows])
 
     def encode(self, message: Sequence[int]) -> BitArray:
         K = self.message_bits
         if len(message) != K:
             raise ValueError(f"message must have {K} bits")
         n, L, R, h, e = self.n, self.L, self.R, self.h, self.e
-        rows: List[List[int]] = []
-        for i in range(n - R):
-            rows.append([int(b) & 1 for b in message[i * L:(i + 1) * L]])
-        symbols = self.outer.encode([self.theta(r) for r in rows])
-        rest = message[(n - R) * L:]
+        k = n - R
+        m = _row_to_int(message)
+        full = (1 << L) - 1
+        rows = [(m >> (i * L)) & full for i in range(k)]
+        symbols = self.outer.encode([self._symbol(r) for r in rows])
+        rest = m >> (k * L)
         per_row = L - e - h
         for i in range(R):
-            data = [int(b) & 1 for b in rest[i * per_row:(i + 1) * per_row]]
-            s, tail = self._unpack(symbols[n - R + i])
+            data = (rest >> (i * per_row)) & ((1 << per_row) - 1)
+            symbol = symbols[k + i]
+            tail = symbol >> h
             # The feasibility precondition keeps the last e positions out of
             # the power positions, so appending the tail to the data lands
             # the tail bits exactly at positions L-e+1 .. L.
-            row = vt_systematic_encode(data + tail, s, L)
-            if row[L - e:] != tail:
+            row = vt_encode_int(data | tail << per_row, symbol & ((1 << h) - 1), L)
+            if row >> (L - e) != tail:
                 raise AssertionError("tail placement violated; encoder bug")
             rows.append(row)
-        return BitArray.from_lists(rows)
+        return BitArray(n, L, tuple(rows))
 
     def message_of(self, x: BitArray) -> List[int]:
-        out: List[int] = []
-        for i in range(1, self.n - self.R + 1):
-            out.extend(x.row_bits(i))
-        slots = data_positions(self.L)[: self.L - self.e - self.h]
-        for i in range(self.n - self.R + 1, self.n + 1):
-            bits = x.row_bits(i)
-            out.extend(bits[j - 1] for j in slots)
-        return out
+        if (x.n, x.L) != (self.n, self.L):
+            raise ValueError("array shape mismatch")
+        L, k = self.L, self.n - self.R
+        per_row = L - self.e - self.h
+        m = shift = 0
+        for i, row in enumerate(x.rows):
+            if i < k:
+                m |= row << shift
+                shift += L
+            else:
+                m |= (vt_data_int(row, L) & ((1 << per_row) - 1)) << shift
+                shift += per_row
+        return _int_to_row(m, shift)
 
     def decode(self, received: RaggedArray) -> BitArray:
         if (received.n, received.L) != (self.n, self.L):
             raise ValueError("array shape mismatch")
-        n, L, e = self.n, self.L, self.e
-        short = {}
-        for i in range(1, n + 1):
-            length = received.row_length(i)
+        L, e, h = self.L, self.e, self.h
+        symbols: List = []
+        damaged = 0
+        for i, (bits, length) in enumerate(received.rows, start=1):
             missing = L - length
             if missing == 0:
+                symbols.append(self._symbol(bits))
                 continue
             if missing > e + 1:
                 raise ChannelContractError(
                     f"row {i} lost {missing} bits; at most e+1 = {e + 1} can "
                     f"disappear from one row of this channel")
-            short[i] = missing
-        if len(short) > self.R:
+            symbols.append(None)
+            damaged += 1
+        if damaged > self.R:
             raise CapacityExceededError(
-                f"{len(short)} damaged rows exceed capacity t+e = {self.R}")
-        symbols: List[int] = []
-        for i in range(1, n + 1):
-            if i in short:
-                symbols.append(None)
-            else:
-                symbols.append(self.theta(received.row_bits(i)))
+                f"{damaged} damaged rows exceed capacity t+e = {self.R}")
         try:
             codeword = self.outer.decode_erasures(symbols)
         except NotACodewordError as exc:
             raise CorruptInputError("intact rows disagree with the outer code") from exc
-        rows: List[List[int]] = []
-        for i in range(1, n + 1):
-            bits = received.row_bits(i)
-            if i not in short:
+        rows: List[int] = []
+        for i, (bits, length) in enumerate(received.rows, start=1):
+            if length == L:
                 rows.append(bits)
                 continue
-            s, tail = self._unpack(codeword[i - 1])
-            k = short[i]
+            symbol = codeword[i - 1]
+            tail = symbol >> h
+            k = L - length
             if k > 1:
                 # Re-attach the k-1 known trailing bits; whatever mix of tail
                 # loss and deletion occurred, the result is the original row
                 # minus exactly one bit.
-                bits = bits + tail[e - (k - 1):]
-            full = vt_decode(bits, s, L)
-            if full[L - e:] != tail:
+                bits |= (tail >> (e - k + 1)) << length
+            full = vt_decode_int(bits, symbol & ((1 << h) - 1), L)
+            if full >> (L - e) != tail:
                 raise CorruptInputError(
                     f"row {i} decodes with the wrong tail; input out of contract")
             rows.append(full)
-        out = BitArray.from_lists(rows)
+        out = BitArray(self.n, L, tuple(rows))
         if not self.membership(out):
             raise CorruptInputError("decoded array fails the membership rule")
         return out

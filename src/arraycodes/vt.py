@@ -5,12 +5,18 @@ sum_j j*x_j is congruent to a modulo 2^h, h = ceil(log2(L+1)).  Every coset
 corrects a single deletion with the classic VT reinsertion rule, and the
 power-of-two modulus admits a systematic encoder whose redundancy sits at
 the positions {1, 2, 4, ..., 2^(h-1)}.
+
+The kernels work on rows as bitset ints, bit j-1 holding position j, as
+the array types store them.  The list-taking functions are adapters for
+callers at the API boundary.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from functools import lru_cache
+from typing import List, Sequence, Tuple
 
+from .arrays import _int_to_row, _row_to_int
 from .errors import CorruptInputError
 
 
@@ -21,9 +27,26 @@ def vt_modulus_exponent(L: int) -> int:
     return L.bit_length()
 
 
+@lru_cache(maxsize=None)
+def _position_masks(h: int) -> Tuple[Tuple[int, int], ...]:
+    """(k, M_k) for k < h, M_k holding the positions j in 1 .. 2^h - 1
+    with bit k set."""
+    return tuple((k, sum(1 << (j - 1) for j in range(1, 1 << h) if j >> k & 1))
+                 for k in range(h))
+
+
+def position_sum(x: int, h: int) -> int:
+    """sum_j j*x_j of a row int with no position beyond 2^h - 1, as
+    sum_k popcount(x & M_k) * 2^k."""
+    s = 0
+    for k, mask in _position_masks(h):
+        s += (x & mask).bit_count() << k
+    return s
+
+
 def vt_syndrome(bits: Sequence[int], q: int) -> int:
     """Weighted position sum sum_j j*x_j modulo q (positions 1-indexed)."""
-    return sum(j * b for j, b in enumerate(bits, start=1)) % q
+    return position_sum(_row_to_int(bits), len(bits).bit_length()) % q
 
 
 def power_positions(L: int) -> List[int]:
@@ -37,6 +60,50 @@ def data_positions(L: int) -> List[int]:
     return [j for j in range(1, L + 1) if j not in powers]
 
 
+@lru_cache(maxsize=None)
+def _data_runs(L: int) -> Tuple[Tuple[int, int], ...]:
+    """(first bit, width) of each run 2^i+1 .. min(2^(i+1)-1, L) of data
+    positions; bit 2^i holds position 2^i + 1."""
+    h = vt_modulus_exponent(L)
+    return tuple((1 << i, min((1 << i) - 1, L - (1 << i))) for i in range(1, h))
+
+
+def _kth_lowest_one(v: int, k: int) -> int:
+    """Bit index of the k-th lowest set bit of v (k >= 1, v has k ones)."""
+    for _ in range(k - 1):
+        v &= v - 1
+    return (v & -v).bit_length() - 1
+
+
+def vt_decode_int(y: int, a: int, L: int) -> int:
+    """Row-int form of `vt_decode`: y holds the L-1 received bits."""
+    h = L.bit_length()
+    q = 1 << h
+    w = y.bit_count()
+    deficiency = (a - position_sum(y, h)) % q
+    if deficiency > L:
+        raise CorruptInputError("syndrome deficiency exceeds any insertion weight")
+    if deficiency <= w:
+        # insert a 0 just left of the deficiency-th highest one (at the end
+        # when the deficiency is 0)
+        bit = 0
+        pos = L - 1 if deficiency == 0 else _kth_lowest_one(y, w - deficiency + 1)
+    else:
+        # insert a 1 just right of the (deficiency - w - 1)-th lowest zero
+        bit = 1
+        zeros_needed = deficiency - w - 1
+        pos = 0
+        if zeros_needed:
+            zeros = ~y & ((1 << (L - 1)) - 1)
+            if zeros.bit_count() < zeros_needed:
+                raise CorruptInputError("not enough zeros for the required reinsertion")
+            pos = _kth_lowest_one(zeros, zeros_needed) + 1
+    out = (y & ((1 << pos) - 1)) | ((y >> pos) << (pos + 1)) | (bit << pos)
+    if position_sum(out, h) & (q - 1) != a % q:
+        raise CorruptInputError("reinsertion does not reach the target syndrome")
+    return out
+
+
 def vt_decode(y: Sequence[int], a: int, L: int) -> List[int]:
     """Recover the VT_a(L) codeword from which one bit of y was deleted.
 
@@ -47,37 +114,30 @@ def vt_decode(y: Sequence[int], a: int, L: int) -> List[int]:
     """
     if len(y) != L - 1:
         raise ValueError("input must be one bit short of the codeword length")
-    q = 1 << vt_modulus_exponent(L)
-    w = sum(y)
-    deficiency = (a - vt_syndrome(y, q)) % q
-    if deficiency > L:
-        raise CorruptInputError("syndrome deficiency exceeds any insertion weight")
-    out = list(y)
-    if deficiency <= w:
-        # insert a 0 with `deficiency` ones to its right
-        ones_seen = 0
-        pos = len(y)
-        while pos > 0 and ones_seen < deficiency:
-            if y[pos - 1] == 1:
-                ones_seen += 1
-            pos -= 1
-        if ones_seen != deficiency:
-            raise CorruptInputError("not enough ones for the required reinsertion")
-        out.insert(pos, 0)
-    else:
-        zeros_needed = deficiency - w - 1
-        zeros_seen = 0
-        pos = 0
-        while pos < len(y) and zeros_seen < zeros_needed:
-            if y[pos] == 0:
-                zeros_seen += 1
-            pos += 1
-        if zeros_seen != zeros_needed:
-            raise CorruptInputError("not enough zeros for the required reinsertion")
-        out.insert(pos, 1)
-    if vt_syndrome(out, q) != a % q:
-        raise CorruptInputError("reinsertion does not reach the target syndrome")
-    return out
+    return _int_to_row(vt_decode_int(_row_to_int(y), a, L), L)
+
+
+def vt_encode_int(data: int, a: int, L: int) -> int:
+    """Row-int form of `vt_systematic_encode`: data holds the L-h data bits."""
+    h = L.bit_length()
+    x = 0
+    for first, width in _data_runs(L):
+        x |= (data & ((1 << width) - 1)) << first
+        data >>= width
+    deficiency = (a - position_sum(x, h)) % (1 << h)
+    for i in range(h):
+        x |= (deficiency >> i & 1) << ((1 << i) - 1)
+    return x
+
+
+def vt_data_int(x: int, L: int) -> int:
+    """The data bits of a row int, in data-position order (inverse of the
+    scatter in `vt_encode_int`)."""
+    data = shift = 0
+    for first, width in _data_runs(L):
+        data |= ((x >> first) & ((1 << width) - 1)) << shift
+        shift += width
+    return data
 
 
 def vt_systematic_encode(data: Sequence[int], a: int, L: int) -> List[int]:
@@ -87,25 +147,16 @@ def vt_systematic_encode(data: Sequence[int], a: int, L: int) -> List[int]:
     the deficiency (a - partial syndrome) mod 2^h; the weights 1, 2, ...,
     2^(h-1) represent every residue exactly once, so one pass suffices.
     """
-    h = vt_modulus_exponent(L)
-    q = 1 << h
-    slots = data_positions(L)
-    if len(data) != len(slots):
-        raise ValueError(f"expected {len(slots)} data bits for L={L}, got {len(data)}")
-    x = [0] * (L + 1)   # 1-indexed
-    for j, bit in zip(slots, data):
-        x[j] = int(bit) & 1
-    deficiency = (a - vt_syndrome(x[1:], q)) % q
-    for i in range(h):
-        if (deficiency >> i) & 1:
-            x[1 << i] = 1
-    return x[1:]
+    slots = L - vt_modulus_exponent(L)
+    if len(data) != slots:
+        raise ValueError(f"expected {slots} data bits for L={L}, got {len(data)}")
+    return _int_to_row(vt_encode_int(_row_to_int(data), a, L), L)
 
 
 def vt_codewords(L: int, a: int):
     """Yield every codeword of VT_a(L) (exponential; for exhaustive tests)."""
-    q = 1 << vt_modulus_exponent(L)
+    h = vt_modulus_exponent(L)
+    target = a % (1 << h)
     for value in range(1 << L):
-        bits = [(value >> j) & 1 for j in range(L)]
-        if vt_syndrome(bits, q) == a % q:
-            yield bits
+        if position_sum(value, h) & ((1 << h) - 1) == target:
+            yield _int_to_row(value, L)

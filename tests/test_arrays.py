@@ -2,7 +2,7 @@ import random
 import pytest
 
 from arraycodes.arrays import (INF, BitArray, ErasedArray, RaggedArray,
-                               apply_te_pattern, count_patterns,
+                               _int_to_row, _row_to_int, apply_te_pattern, count_patterns,
                                d1_dc_distance, d_sdc_distance,
                                enumerate_patterns, fll_distance,
                                format_bit_array, format_erased, format_ragged,
@@ -175,3 +175,10 @@ def test_parse_rejects_bad_input():
 def test_erased_array_invariants():
     with pytest.raises(ValueError):
         ErasedArray(1, 3, (0b111,), (1,))   # bit set inside erased suffix
+
+
+@pytest.mark.parametrize("bits", ([], [1], [True, False, True], [2], [-1], [257],
+                                  [0, 1, 1, 0, 1, 0, 0, 1, 1]))
+def test_row_to_int_keeps_low_bits(bits):
+    assert _row_to_int(bits) == sum((int(b) & 1) << j for j, b in enumerate(bits))
+    assert _int_to_row(_row_to_int(bits), len(bits)) == [int(b) & 1 for b in bits]

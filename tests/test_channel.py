@@ -99,3 +99,21 @@ def test_failure_record_contains_replay_data():
     ce = rec.first_counterexample
     assert set(ce) == {"message", "instance", "received", "detail"}
     assert len(ce["message"]) == code.message_bits
+
+
+@pytest.mark.parametrize("row", (0, 3))
+def test_ted_channel_rejects_rows_out_of_range(row):
+    x = BitArray.from_lists([[1, 0, 1], [0, 1, 1]])
+    spec = ChannelSpec("ted", t=1, s=1, e=1)
+    with pytest.raises(ValueError, match="out of range"):
+        apply_channel(x, spec, ((0, 0), ((row, (1,)),)))
+    with pytest.raises(ValueError, match="out of range"):
+        apply_channel(x, ChannelSpec("del", t=1, s=1), ((row, (1,)),))
+
+
+def test_deletion_splices_row_ints():
+    x = BitArray.from_lists([[1, 0, 1, 1, 0], [0, 1, 1, 0, 1]])
+    out = apply_deletions(x, ((1, (2, 5)), (2, (1,))))
+    assert out.to_lists() == [[1, 1, 1], [1, 1, 0, 1]]
+    out = apply_ted(x, ((1, 2), ((1, (1,)), (2, (3,)))))
+    assert out.to_lists() == [[0, 1, 1], [0, 1]]

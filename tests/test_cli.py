@@ -118,3 +118,52 @@ def test_truncated_code_file_exits_2(tmp_path, capsys):
     rc, _, err = run(capsys, "verify", "--code-file", str(code_file), "--d", "3")
     assert rc == 2
     assert err.startswith("usage error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("text, fragment", [
+    ('{"kind": "dc", "n": 7}', "'L'"),                                   # missing key
+    ('{"kind": "ted", "n": 5, "L": 7, "t": "2", "e": 1}', "'t'"),        # mistyped key
+    ('{"kind": "dc", "n": 7, "L": 5, "t": true}', "'t'"),                # bool is no int
+    ('{"kind": "rs", "n": 7, "L": 5, "t": 2}', "unknown codec kind"),    # unknown kind
+    ('{"kind": ["dc"], "n": 7, "L": 5, "t": 2}', "unknown codec kind"),
+    ('[7, 5, 2]', "JSON object"),                                         # not an object
+    ('"dc"', "JSON object"),
+    ('{"kind": "dc", "n": 7, "L": 5, ', "neither"),                      # not JSON
+])
+def test_bad_codec_descriptor_exits_2(tmp_path, capsys, text, fragment):
+    codec_file = tmp_path / "codec.json"
+    codec_file.write_text(text)
+    rc, _, err = run(capsys, "encode", "--code-file", str(codec_file))
+    assert rc == 2
+    assert err.startswith("usage error:") and err.count("\n") == 1
+    assert fragment in err
+
+
+def test_ted_descriptor_loads(tmp_path, capsys):
+    codec_file = tmp_path / "ted.json"
+    rc, _, _ = run(capsys, "construct", "--code", "ted", "--n", "5", "--L", "7",
+                   "--t", "1", "--e", "1", "--out", str(codec_file))
+    assert rc == 0
+    msg_file = tmp_path / "msg.txt"
+    msg_file.write_text("0" * json.loads(codec_file.read_text())["message_bits"])
+    rc, out, _ = run(capsys, "encode", "--code-file", str(codec_file),
+                     "--in", str(msg_file))
+    assert rc == 0 and out == "0000000\n" * 5
+
+
+def test_exhaustive_roundtrip_over_work_cap_exits_2(tmp_path, capsys):
+    codec_file = tmp_path / "dc.json"
+    run(capsys, "construct", "--code", "dc", "--n", "5", "--L", "4", "--t", "1",
+        "--out", str(codec_file))
+    # del t=1 s=1 on 5 x 4 has 20 instances
+    args = ("verify", "--code-file", str(codec_file), "--roundtrip", "--kind", "del",
+            "--t", "1", "--s", "1", "--messages", "1", "--exhaustive")
+    rc, _, err = run(capsys, *args, "--max-work", "19")
+    assert rc == 2 and "work cap" in err
+    rc, out, _ = run(capsys, *args, "--max-work", "20")
+    assert rc == 0 and "trials=20" in out
+    # random mode draws --max-work instances
+    rc, out, _ = run(capsys, "verify", "--code-file", str(codec_file), "--roundtrip",
+                     "--kind", "del", "--t", "1", "--s", "1", "--messages", "1",
+                     "--max-work", "7")
+    assert rc == 0 and "trials=7" in out

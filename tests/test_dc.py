@@ -3,11 +3,13 @@ import random
 import pytest
 
 from arraycodes.arrays import BitArray, RaggedArray
-from arraycodes.channel import (ChannelSpec, apply_deletions,
-                                enumerate_deletion_instances, roundtrip_harness)
+from arraycodes.channel import (ChannelSpec, apply_channel, apply_deletions,
+                                enumerate_deletion_instances, random_instance,
+                                roundtrip_harness)
 from arraycodes.dc import DcCode
-from arraycodes.errors import (CapacityExceededError, ChannelContractError,
-                               CorruptInputError)
+from arraycodes.ted import TedCode
+from arraycodes.errors import (ArrayCodeError, CapacityExceededError,
+                               ChannelContractError, CorruptInputError)
 
 
 def test_flagship_parameters():
@@ -146,3 +148,42 @@ def test_roundtrip_harness_capacity_probe():
                                messages=3, exhaustive=True)
     assert record.failures > 0
     assert record.first_counterexample is not None
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ArrayCodeError as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("n, L, t", ((7, 5, 2), (5, 4, 1), (6, 6, 3), (31, 31, 8)))
+def test_dc_equals_ted_without_tail(n, L, t):
+    """DcCode(n, L, t) is TedCode(n, L, t, 0): same codewords, messages and
+    decode results (including which error is raised) on a seeded sample."""
+    dc, ted = DcCode(n, L, t), TedCode(n, L, t, 0)
+    assert dc.message_bits == ted.message_bits
+    rng = random.Random(n * L + t)
+    spec = ChannelSpec("del", t=t + 1, s=2)
+    for _ in range(20):
+        msg = [rng.randrange(2) for _ in range(dc.message_bits)]
+        x = dc.encode(msg)
+        assert x == ted.encode(msg)
+        assert dc.message_of(x) == ted.message_of(x) == msg
+        for _ in range(5):
+            received = apply_channel(x, spec, random_instance(spec, n, L, rng))
+            assert outcome(dc.decode, received) == outcome(ted.decode, received)
+
+
+def test_dc_descriptor_format_unchanged():
+    assert DcCode(7, 5, 2).descriptor() == {
+        "kind": "dc", "n": 7, "L": 5, "t": 2, "outer": {"q": 8, "n": 7, "k": 5}}
+    with pytest.raises(ValueError):
+        DcCode(7, 5, 0)
+
+
+def test_message_of_rejects_other_shapes():
+    code = DcCode(7, 5, 2)
+    for x in (BitArray(3, 5, (1, 2, 3)), BitArray(7, 4, (1,) * 7)):
+        with pytest.raises(ValueError):
+            code.message_of(x)

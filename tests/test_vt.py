@@ -4,8 +4,9 @@ from itertools import combinations
 import pytest
 
 from arraycodes.errors import CorruptInputError
-from arraycodes.vt import (data_positions, power_positions, vt_codewords,
-                           vt_decode, vt_modulus_exponent, vt_syndrome,
+from arraycodes.vt import (data_positions, position_sum, power_positions,
+                           vt_codewords, vt_data_int, vt_decode, vt_decode_int,
+                           vt_encode_int, vt_modulus_exponent, vt_syndrome,
                            vt_systematic_encode)
 
 
@@ -103,3 +104,132 @@ def test_encoder_image_size():
 def test_encoder_wrong_data_length():
     with pytest.raises(ValueError):
         vt_systematic_encode([0, 1, 1], 0, 5)
+
+
+# --- list reference oracle ---------------------------------------------------
+#
+# The list-based bodies the row-int kernels replaced, kept verbatim in
+# behaviour as the reference for the differential tests below.
+
+def oracle_syndrome(bits, q):
+    return sum(j * b for j, b in enumerate(bits, start=1)) % q
+
+
+def oracle_decode(y, a, L):
+    q = 1 << vt_modulus_exponent(L)
+    w = sum(y)
+    deficiency = (a - oracle_syndrome(y, q)) % q
+    if deficiency > L:
+        raise CorruptInputError("syndrome deficiency exceeds any insertion weight")
+    out = list(y)
+    if deficiency <= w:
+        ones_seen = 0
+        pos = len(y)
+        while pos > 0 and ones_seen < deficiency:
+            if y[pos - 1] == 1:
+                ones_seen += 1
+            pos -= 1
+        if ones_seen != deficiency:
+            raise CorruptInputError("not enough ones for the required reinsertion")
+        out.insert(pos, 0)
+    else:
+        zeros_needed = deficiency - w - 1
+        zeros_seen = 0
+        pos = 0
+        while pos < len(y) and zeros_seen < zeros_needed:
+            if y[pos] == 0:
+                zeros_seen += 1
+            pos += 1
+        if zeros_seen != zeros_needed:
+            raise CorruptInputError("not enough zeros for the required reinsertion")
+        out.insert(pos, 1)
+    if oracle_syndrome(out, q) != a % q:
+        raise CorruptInputError("reinsertion does not reach the target syndrome")
+    return out
+
+
+def oracle_encode(data, a, L):
+    h = vt_modulus_exponent(L)
+    q = 1 << h
+    slots = data_positions(L)
+    x = [0] * (L + 1)
+    for j, bit in zip(slots, data):
+        x[j] = int(bit) & 1
+    deficiency = (a - oracle_syndrome(x[1:], q)) % q
+    for i in range(h):
+        if (deficiency >> i) & 1:
+            x[1 << i] = 1
+    return x[1:]
+
+
+def to_int(bits):
+    return sum(b << j for j, b in enumerate(bits))
+
+
+def to_bits(value, length):
+    return [(value >> j) & 1 for j in range(length)]
+
+
+def outcome(fn, *args):
+    """The result of fn, or the exception class it raised."""
+    try:
+        return fn(*args)
+    except CorruptInputError:
+        return CorruptInputError
+
+
+def check_syndrome(value, L):
+    h = vt_modulus_exponent(L)
+    bits = to_bits(value, L)
+    assert position_sum(value, h) % (1 << h) == oracle_syndrome(bits, 1 << h)
+    assert vt_syndrome(bits, 1 << h) == oracle_syndrome(bits, 1 << h)
+
+
+def check_decode(value, a, L):
+    y = to_bits(value, L - 1)
+    want = outcome(oracle_decode, y, a, L)
+    got = outcome(vt_decode_int, value, a, L)
+    if want is CorruptInputError:
+        assert got is CorruptInputError, (L, a, y)
+        assert outcome(vt_decode, y, a, L) is CorruptInputError
+    else:
+        assert got == to_int(want), (L, a, y)
+        assert vt_decode(y, a, L) == want
+
+
+def check_encode(value, a, L):
+    data = to_bits(value, L - vt_modulus_exponent(L))
+    want = oracle_encode(data, a, L)
+    row = vt_encode_int(value, a, L)
+    assert row == to_int(want), (L, a, data)
+    assert vt_data_int(row, L) == value
+    assert vt_systematic_encode(data, a, L) == want
+
+
+@pytest.mark.parametrize("L", range(1, 11))
+def test_int_kernels_match_oracle_exhaustively(L):
+    q = 1 << vt_modulus_exponent(L)
+    for value in range(1 << L):
+        check_syndrome(value, L)
+    for a in range(q):
+        for value in range(1 << (L - 1)):
+            check_decode(value, a, L)
+        for value in range(1 << (L - vt_modulus_exponent(L))):
+            check_encode(value, a, L)
+
+
+@pytest.mark.parametrize("L", (31, 63, 127))
+def test_int_kernels_match_oracle_random(L):
+    rng = random.Random(L)
+    q = 1 << vt_modulus_exponent(L)
+    for _ in range(300):
+        a = rng.randrange(q)
+        check_syndrome(rng.getrandbits(L), L)
+        check_decode(rng.getrandbits(L - 1), a, L)
+        check_encode(rng.getrandbits(L - vt_modulus_exponent(L)), a, L)
+        # a true single deletion from a codeword decodes back to it
+        row = vt_encode_int(rng.getrandbits(L - vt_modulus_exponent(L)), a, L)
+        pos = rng.randrange(L)
+        y = (row & ((1 << pos) - 1)) | ((row >> (pos + 1)) << pos)
+        check_decode(y, a, L)
+        assert vt_decode_int(y, a, L) == row
