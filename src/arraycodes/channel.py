@@ -184,11 +184,14 @@ def random_instance(spec: ChannelSpec, n: int, L: int, rng: random.Random):
             budget -= take
         return tuple(p)
     if spec.kind == "del":
-        nrows = rng.randint(0, spec.t)
+        # At most n rows and L deletions per row exist; within those caps
+        # the draws are the same as uncapped.
+        nrows = rng.randint(0, min(spec.t, n))
         chosen = rng.sample(range(1, n + 1), nrows)
+        most = min(spec.s, L)
         inst = []
         for row in sorted(chosen):
-            count = rng.randint(1, spec.s)
+            count = rng.randint(1, most)
             inst.append((row, tuple(sorted(rng.sample(range(1, L + 1), count)))))
         return tuple(inst)
     pattern = random_instance(ChannelSpec("te", e=spec.e), n, L, rng)

@@ -155,19 +155,6 @@ def field_make(m: int) -> Gf2m:
     return f
 
 
-def field_arith(f: Gf2m, a: int, b: int, op: str) -> int:
-    """Dispatch wrapper: op in {'add', 'mul', 'inv', 'pow'} (inv ignores b)."""
-    if op == "add":
-        return f.add(a, b)
-    if op == "mul":
-        return f.mul(a, b)
-    if op == "inv":
-        return f.inv(a)
-    if op == "pow":
-        return f.pow(a, b)
-    raise ValueError(f"unknown field operation {op!r}")
-
-
 def binary_expand(entries: List[List[int]], f: Gf2m) -> BitMatrix:
     """Expand a matrix over GF(2^m) into its binary image.
 

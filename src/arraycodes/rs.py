@@ -15,27 +15,45 @@ of the first k points.  Only erasures occur in this package: the decoder
 takes the syndromes of the surviving symbols, builds the erasure locator
 and fills each erased symbol by Forney's formula.  The modified syndromes
 beyond the erasure count must vanish, or the survivors match no codeword.
-H, P and the Forney scale factors depend only on (field, n, k) and are
-built once per code.
+
+The three products that touch every symbol are GF(2)-linear in the bits of
+each input symbol, so each is an XOR of table rows, one per input symbol
+(per chunk of at most 8 bits, for m > 8).  A row packs all of its output
+symbols into one int, m bits apiece, the first output lowest:
+
+    syndromes   XOR_i syn[i][w_i]     the n-k syndromes of a word w
+    encoding    XOR_i par[i][u_i]     the n-k parity symbols of a message u
+    evaluation  XOR_d ev[d][c_d]      sum_d c_d z^d at z = 1/x_j for every j
+
+The tables depend only on (field, n, k) and are built once per code, each
+row from the images of the m basis bits of its input symbol.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from operator import xor
+from operator import getitem, xor
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import CapacityExceededError, NotACodewordError
 from .field import Gf2m
 
+# Widest chunk of a symbol's bits that indexes one table row.
+_CHUNK_BITS = 8
+
+_Rows = Tuple[Tuple[int, ...], ...]
+
 
 class _Tables(NamedTuple):
-    points: Tuple[int, ...]                  # x_i = alpha^i
-    inv_points: Tuple[int, ...]              # 1 / x_i
-    h_rows: Tuple[Tuple[int, ...], ...]      # H[r][i] = v_i x_i^r
-    parity_rows: Tuple[Tuple[int, ...], ...]  # parity_rows[p][i] = P[i][p]
-    forney_scale: Tuple[int, ...]            # x_i / v_i
+    points: Tuple[int, ...]          # x_i = alpha^i
+    forney_scale: Tuple[int, ...]    # x_i / v_i
+    shifts: Tuple[int, ...]          # lowest bit of each chunk of a symbol
+    mask: int                        # bits of one chunk
+    lanes: Tuple[int, ...]           # lowest bit of each packed output symbol
+    syn: _Rows                       # syn[i*c + b]: column i of H, chunk b
+    par: _Rows                       # par[i*c + b]: row i of P, chunk b
+    ev: _Rows                        # ev[d*c + b]: (1/x_j)^d for every j, chunk b
 
 
 @dataclass(frozen=True)
@@ -65,49 +83,102 @@ class ReedSolomon:
     @cached_property
     def _tables(self) -> _Tables:
         f, n, k = self.field, self.n, self.k
-        mul = f.mul
+        m, mul = f.m, f.mul
         x = [f.alpha_pow(i) for i in range(n)]
 
         def prod_diff(z: int, indices) -> int:
             """prod over j in indices of (z - x_j); minus is xor in GF(2^m)."""
             return reduce(mul, (z ^ x[j] for j in indices), 1)
 
+        def powers(z: int) -> List[int]:
+            """z^0 .. z^(n-k-1)."""
+            out, p = [], 1
+            for _ in range(n - k):
+                out.append(p)
+                p = mul(p, z)
+            return out
+
+        # Split a symbol into equal chunks of at most _CHUNK_BITS bits.
+        chunks = -(-m // _CHUNK_BITS)
+        width = -(-m // chunks)
+        shifts = tuple(range(0, m, width))
+        low = f.poly ^ (1 << m)     # x^m reduced: its low terms
+
+        def rows(coeffs: Sequence[int]) -> List[Tuple[int, ...]]:
+            """Table rows, one per chunk, of a -> the products c * a packed."""
+            # images[b] is the packed c * x^b, the image of bit b of a.  Each
+            # step multiplies every m-bit lane by x: shift, then reduce the
+            # lanes whose top bit overflowed.
+            image = sum(c << (m * j) for j, c in enumerate(coeffs))
+            top = sum(1 << (m * j + m - 1) for j in range(len(coeffs)))
+            images = []
+            for _ in range(m):
+                images.append(image)
+                carry = image & top
+                image = (image ^ carry) << 1 ^ (carry >> (m - 1)) * low
+            out = []
+            for s in shifts:
+                row = [0]
+                for bit_image in images[s:s + width]:
+                    row += [v ^ bit_image for v in row]
+                out.append(tuple(row))
+            return out
+
         inv_v = [prod_diff(x[i], (j for j in range(n) if j != i)) for i in range(n)]
-        row = [f.inv(u) for u in inv_v]
-        h_rows = []
-        for _ in range(n - k):
-            h_rows.append(tuple(row))
-            row = [mul(h, xi) for h, xi in zip(row, x)]
-        inv_denom = [f.inv(prod_diff(x[i], (j for j in range(k) if j != i)))
-                     for i in range(k)]
-        parity_rows = tuple(
-            tuple(mul(inv_denom[i], prod_diff(x[p], (j for j in range(k) if j != i)))
-                  for i in range(k))
-            for p in range(k, n))
+        syn = []
+        for xi, u in zip(x, inv_v):
+            v = f.inv(u)
+            syn += rows([mul(v, p) for p in powers(xi)])
+        # P[i][p] = L_i(z) at z = x_{k+p}, in barycentric form:
+        # w_i prod_{j<k} (z - x_j) / (z - x_i), w_i = 1 / prod_{j<k, j!=i} (x_i - x_j).
+        ell = [prod_diff(z, range(k)) for z in x[k:]]
+        par = []
+        for i in range(k):
+            w = f.inv(prod_diff(x[i], (j for j in range(k) if j != i)))
+            par += rows([mul(mul(w, lz), f.inv(z ^ x[i])) for z, lz in zip(x[k:], ell)])
+        inv_powers = [powers(f.inv(xi)) for xi in x]
+        ev = [row for d in range(n - k) for row in rows([p[d] for p in inv_powers])]
         return _Tables(points=tuple(x),
-                       inv_points=tuple(f.inv(xi) for xi in x),
-                       h_rows=tuple(h_rows),
-                       parity_rows=parity_rows,
-                       forney_scale=tuple(mul(xi, u) for xi, u in zip(x, inv_v)))
+                       forney_scale=tuple(mul(xi, u) for xi, u in zip(x, inv_v)),
+                       shifts=shifts, mask=(1 << width) - 1,
+                       lanes=tuple(range(0, m * (n - k), m)),
+                       syn=tuple(syn), par=tuple(par), ev=tuple(ev))
+
+    def _lookup(self, table: _Rows, symbols: Sequence[int]) -> int:
+        """XOR over i and b of table[i*c + b][chunk b of symbols[i]], with
+        c chunks per symbol."""
+        t = self._tables
+        shifts, mask = t.shifts, t.mask
+        digits = [s >> b & mask for s in symbols for b in shifts]
+        return reduce(xor, map(getitem, table, digits), 0)
 
     def _syndromes(self, word: Sequence[int]) -> List[int]:
-        mul = self.field.mul
-        return [reduce(xor, map(mul, row, word), 0) for row in self._tables.h_rows]
+        return self._unpack(self._lookup(self._tables.syn, word))
+
+    def _unpack(self, packed: int) -> List[int]:
+        """The n-k symbols of a packed syndrome or parity int."""
+        full = self.field.order - 1
+        return [packed >> s & full for s in self._tables.lanes]
+
+    def _in_range(self, word: Sequence[int]) -> bool:
+        return 0 <= min(word) and not max(word) >> self.field.m
 
     def encode(self, message: Sequence[int]) -> List[int]:
-        """Systematic encoding: output[0:k] equals the message."""
+        """Systematic encoding: output[0:k] equals the message.  Raises
+        ValueError for a symbol outside [0, 2^m)."""
         if len(message) != self.k:
             raise ValueError(f"message must have {self.k} symbols")
         msg = [int(m) for m in message]
-        mul = self.field.mul
-        return msg + [reduce(xor, map(mul, row, msg), 0)
-                      for row in self._tables.parity_rows]
+        if not self._in_range(msg):
+            raise ValueError(f"message symbols must lie in [0, {self.field.order})")
+        return msg + self._unpack(self._lookup(self._tables.par, msg))
 
     def decode_erasures(self, received: Sequence[Optional[int]]) -> List[int]:
         """Fill in erased symbols (None entries); returns the full codeword.
 
-        Raises CapacityExceededError with more than n - k erasures and
-        NotACodewordError when the survivors are mutually inconsistent.
+        Raises CapacityExceededError with more than n - k erasures,
+        NotACodewordError when the survivors are mutually inconsistent and
+        ValueError for a survivor outside [0, 2^m).
         """
         if len(received) != self.n:
             raise ValueError("received word has the wrong length")
@@ -119,6 +190,8 @@ class ReedSolomon:
         mul = f.mul
         tables = self._tables
         word = [0 if v is None else int(v) for v in received]
+        if not self._in_range(word):
+            raise ValueError(f"received symbols must lie in [0, {f.order})")
         syn = self._syndromes(word)
         # Erasure locator Lambda(z) = prod_{j erased} (1 + x_j z), low first.
         lam = [1]
@@ -129,27 +202,24 @@ class ReedSolomon:
         # form the evaluator Omega, the rest are zero exactly when some
         # codeword agrees with every surviving symbol.
         eps = len(erased)
-        modified = [reduce(xor, (mul(lam[a], syn[d - a]) for a in range(min(d, eps) + 1)))
-                    for d in range(self.n - self.k)]
+        modified = [reduce(xor, map(mul, lam, syn[d::-1])) for d in range(self.n - self.k)]
         if any(modified[eps:]):
             raise NotACodewordError("surviving symbols are not consistent with any codeword")
-        omega = modified[:eps]
-        # Formal derivative: only odd powers of Lambda survive in char 2.
-        lam_prime = [lam[d + 1] if d % 2 == 0 else 0 for d in range(eps)]
+        # Omega and the formal derivative Lambda' (only odd powers of Lambda
+        # survive in char 2), each evaluated at every 1/x_j.
+        num = self._lookup(tables.ev, modified[:eps])
+        den = self._lookup(tables.ev, [lam[d + 1] if d % 2 == 0 else 0 for d in range(eps)])
+        m, full = f.m, f.order - 1
         for j in erased:
-            z = tables.inv_points[j]
-            num = den = 0
-            for w, l in zip(reversed(omega), reversed(lam_prime)):
-                num = mul(num, z) ^ w
-                den = mul(den, z) ^ l
             # Forney: v_j c_j = x_j Omega(1/x_j) / Lambda'(1/x_j).
-            word[j] = mul(mul(num, tables.forney_scale[j]), f.inv(den))
+            word[j] = mul(mul(num >> (m * j) & full, tables.forney_scale[j]),
+                          f.inv(den >> (m * j) & full))
         return word
 
     def message_of(self, codeword: Sequence[int]) -> List[int]:
         return [int(v) for v in codeword[: self.k]]
 
     def is_codeword(self, word: Sequence[int]) -> bool:
-        if len(word) != self.n:
+        if len(word) != self.n or not self._in_range(word):
             return False
-        return not any(self._syndromes(word))
+        return not self._lookup(self._tables.syn, word)

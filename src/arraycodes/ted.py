@@ -167,6 +167,8 @@ class TedCode:
             codeword = self.outer.decode_erasures(symbols)
         except NotACodewordError as exc:
             raise CorruptInputError("intact rows disagree with the outer code") from exc
+        # Intact rows are returned as received, so their symbols stand; the
+        # membership re-check below only needs those of the repaired rows.
         rows: List[int] = []
         for i, (bits, length) in enumerate(received.rows, start=1):
             if length == L:
@@ -185,10 +187,10 @@ class TedCode:
                 raise CorruptInputError(
                     f"row {i} decodes with the wrong tail; input out of contract")
             rows.append(full)
-        out = BitArray(self.n, L, tuple(rows))
-        if not self.membership(out):
+            symbols[i - 1] = self._symbol(full)
+        if not self.outer.is_codeword(symbols):
             raise CorruptInputError("decoded array fails the membership rule")
-        return out
+        return BitArray(self.n, L, tuple(rows))
 
     def descriptor(self) -> dict:
         return {"kind": "ted", "n": self.n, "L": self.L, "t": self.t, "e": self.e,

@@ -117,3 +117,39 @@ def test_deletion_splices_row_ints():
     assert out.to_lists() == [[1, 1, 1], [1, 1, 0, 1]]
     out = apply_ted(x, ((1, 2), ((1, (1,)), (2, (3,)))))
     assert out.to_lists() == [[0, 1, 1], [0, 1]]
+
+
+def test_random_del_instance_caps_rows_and_deletions():
+    """s > L and t > n draw valid instances on every seed."""
+    x = BitArray.from_lists([[1, 0, 1, 1, 0], [0, 1, 1, 0, 1], [1, 1, 0, 0, 0]])
+    for spec in (ChannelSpec("del", t=1, s=7), ChannelSpec("del", t=5, s=9)):
+        for seed in range(40):
+            inst = random_instance(spec, 3, 5, random.Random(seed))
+            assert len(inst) <= min(spec.t, 3)
+            assert all(1 <= len(positions) <= 5 for _, positions in inst)
+            out = apply_channel(x, spec, inst)
+            assert [length for _, length in out.rows] == [
+                5 - sum(len(p) for r, p in inst if r == i) for i in (1, 2, 3)]
+
+
+def _uncapped_del_instance(spec, n, L, rng):
+    """The deletion draw as it was before the caps on t and s."""
+    nrows = rng.randint(0, spec.t)
+    chosen = rng.sample(range(1, n + 1), nrows)
+    inst = []
+    for row in sorted(chosen):
+        count = rng.randint(1, spec.s)
+        inst.append((row, tuple(sorted(rng.sample(range(1, L + 1), count)))))
+    return tuple(inst)
+
+
+@pytest.mark.parametrize("t,s,n,L", [(8, 1, 31, 31), (2, 2, 4, 5), (3, 5, 3, 5),
+                                     (1, 1, 1, 1)])
+def test_random_del_instance_unchanged_within_caps(t, s, n, L):
+    """With t <= n and s <= L the capped draw consumes the generator as the
+    uncapped one did, so seeded instance pools stay the same."""
+    spec = ChannelSpec("del", t=t, s=s)
+    for seed in range(5):
+        new, old = random.Random(seed), random.Random(seed)
+        for _ in range(200):
+            assert random_instance(spec, n, L, new) == _uncapped_del_instance(spec, n, L, old)

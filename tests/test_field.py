@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from arraycodes.field import binary_expand, field_arith, field_make
+from arraycodes.field import binary_expand, field_make
 
 
 def test_gf2_trivial_field():
@@ -61,16 +61,6 @@ def test_inverse_matches_fermat_power(m):
     for a in elements:
         assert f.inv(a) == f.pow(a, f.order - 2)
         assert f._mul_slow(a, f.inv(a)) == 1
-
-
-def test_field_arith_dispatch():
-    f = field_make(3)
-    assert field_arith(f, 3, 5, "add") == 6
-    assert field_arith(f, f.alpha, f.alpha_pow(2), "mul") == f.alpha_pow(3)
-    assert field_arith(f, f.alpha, 0, "inv") == f.alpha_pow(6)
-    assert field_arith(f, f.alpha, 9, "pow") == f.alpha_pow(9)
-    with pytest.raises(ValueError):
-        field_arith(f, 1, 1, "sub")
 
 
 def test_pow_matches_repeated_mul():

@@ -208,3 +208,78 @@ def test_parity_check_form_matches_lagrange_oracle(m, n, k):
             word[pos] ^= rng.randrange(1, f.order)
             assert rs.is_codeword(word) == _oracle_is_codeword(rs, word)
             assert rs.is_codeword(word) == (k == n)
+
+
+# --- packed table kernels against the per-entry products ---------------------
+
+def _reference_matrices(rs):
+    """H[r][i] = v_i x_i^r and P[i][p] = L_i(x_{k+p}), entry by entry."""
+    f, n, k = rs.field, rs.n, rs.k
+    pts = [f.alpha_pow(i) for i in range(n)]
+
+    def prod_diff(z, indices):
+        acc = 1
+        for j in indices:
+            acc = f.mul(acc, z ^ pts[j])
+        return acc
+
+    h = []
+    for i in range(n):
+        v = f.inv(prod_diff(pts[i], [j for j in range(n) if j != i]))
+        h.append([f.mul(v, f.pow(pts[i], r)) for r in range(n - k)])
+    p = [[f.mul(f.inv(prod_diff(pts[i], [j for j in range(k) if j != i])),
+                prod_diff(pts[k + q], [j for j in range(k) if j != i]))
+          for q in range(n - k)] for i in range(k)]
+    return pts, h, p
+
+
+def _products(f, columns, word):
+    """XOR_i columns[i][r] * word[i] for every r, one Gf2m.mul per entry."""
+    out = [0] * len(columns[0])
+    for column, w in zip(columns, word):
+        for r, c in enumerate(column):
+            out[r] ^= f.mul(c, w)
+    return out
+
+
+@pytest.mark.parametrize("m,n,k", [(4, 5, 2), (3, 7, 1), (3, 7, 7), (5, 31, 23),
+                                   (5, 31, 30), (6, 40, 30), (17, 20, 12)])
+def test_packed_kernels_match_entrywise_products(m, n, k):
+    """Syndrome, parity and evaluation tables agree with Gf2m.mul products
+    and Horner's rule; GF(2^17) splits each symbol into three chunks."""
+    f = field_make(m)
+    rs = ReedSolomon(f, n, k)
+    pts, h, p = _reference_matrices(rs)
+    tables = rs._tables
+    assert max(map(len, tables.syn + tables.par + tables.ev)) <= 256
+    rng = random.Random(7 * m + n + k)
+    for _ in range(10):
+        word = [rng.randrange(f.order) for _ in range(n)]
+        word[rng.randrange(n)] = f.order - 1
+        assert rs._syndromes(word) == _products(f, h, word)
+        msg = word[:k]
+        assert rs.encode(msg) == msg + _products(f, p, msg)
+        coeffs = [rng.randrange(f.order) for _ in range(rng.randint(0, n - k))]
+        packed = rs._lookup(tables.ev, coeffs)
+        for j, xj in enumerate(pts):
+            value = packed >> (m * j) & (f.order - 1)
+            assert value == _poly_eval(f, coeffs, f.inv(xj))
+
+
+@pytest.mark.parametrize("m,n,k", [(3, 7, 5), (17, 20, 12)])
+def test_symbols_out_of_range_rejected(m, n, k):
+    """No symbol outside [0, 2^m) reaches the tables, where a high bit would
+    be masked away or index past a row."""
+    f = field_make(m)
+    rs = ReedSolomon(f, n, k)
+    cw = rs.encode([1] * k)
+    for bad in (-1, -f.order, f.order, cw[0] | f.order, cw[0] ^ (1 << (m + 8))):
+        with pytest.raises(ValueError):
+            rs.encode([bad] + cw[1:k])
+        word = [bad] + cw[1:]
+        assert not rs.is_codeword(word)
+        with pytest.raises(ValueError):
+            rs.decode_erasures(word)
+        with pytest.raises(ValueError):
+            rs.decode_erasures(word[:n - 1] + [None])
+    assert not ReedSolomon(field_make(3), 7, 5).is_codeword([8, 0, 0, 0, 0, 0, 0])
