@@ -226,7 +226,7 @@ def cmd_verify(args) -> int:
     exact = "exactly" if result.exact else "at least"
     sys.stdout.write(f"minimum TE distance {exact} {result.distance}"
                      + (f" (witness pattern {result.witness})" if result.witness else "")
-                     + "\n")
+                     + f"; {result.patterns} patterns examined\n")
     ok = result.distance >= args.d
     return 0 if ok else 1
 

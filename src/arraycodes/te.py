@@ -10,16 +10,24 @@ decoder and the exhaustive minimum-distance verifier.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
 from functools import cached_property
 from typing import Iterator, List, Optional, Sequence, Tuple
 
-from .arrays import BitArray, ErasedArray
+from .arrays import BitArray, ErasedArray, _row_to_int
 from .basecodes import claim5_base_pcm
-from .errors import (AmbiguousErasureError, InconsistentSystemError,
-                     NotACodewordError)
+from .errors import AmbiguousErasureError, NotACodewordError
 from .field import Gf2m, field_make
-from .gf2 import BitMatrix, gf2_rank, gf2_row_reduce, gf2_solve
+from .gf2 import BitMatrix, gf2_rank, gf2_row_reduce
+
+
+def _xor_table(vectors: Sequence[int]) -> List[int]:
+    """table[v] = XOR of vectors[b] over the set bits b of v, one XOR per
+    entry (2^len(vectors) entries)."""
+    table = [0]
+    for vec in vectors:
+        table += [t ^ vec for t in table]
+    return table
 
 
 @dataclass(frozen=True)
@@ -53,18 +61,32 @@ class TeParityCheck:
     def dimension(self) -> int:
         return self.n * self.L - self.redundancy
 
+    @cached_property
+    def _syndrome_tables(self) -> List[Tuple[int, int, List[int]]]:
+        """(row, shift, table) for each chunk of at most 8 cells of a row;
+        table[v] is the syndrome of chunk value v."""
+        return [(i, shift, _xor_table(row[shift:shift + 8]))
+                for i, row in enumerate(self.cols)
+                for shift in range(0, self.L, 8)]
+
+    def _row_syndrome(self, rows: Sequence[int]) -> int:
+        """Syndrome of row ints below 2^L: one table entry per chunk."""
+        s = 0
+        for i, shift, table in self._syndrome_tables:
+            s ^= table[rows[i] >> shift & 255]
+        return s
+
+    @cached_property
+    def _tagged_cells(self) -> List[List[Tuple[int, int]]]:
+        """(column, tag) per cell, row by row; the tag is the cell's bit in
+        the row-major flat array, bit i*L + j."""
+        return [[(c, 1 << (i * self.L + j)) for j, c in enumerate(row)]
+                for i, row in enumerate(self.cols)]
+
     def syndrome(self, x: BitArray) -> int:
         if (x.n, x.L) != (self.n, self.L):
             raise ValueError("array shape mismatch")
-        s = 0
-        for i in range(self.n):
-            row_bits = x.rows[i]
-            row_cols = self.cols[i]
-            while row_bits:
-                low = row_bits & -row_bits
-                s ^= row_cols[low.bit_length() - 1]
-                row_bits ^= low
-        return s
+        return self._row_syndrome(x.rows)
 
     def contains(self, x: BitArray) -> bool:
         return self.syndrome(x) == 0
@@ -115,6 +137,11 @@ class TeParityCheck:
             raise ValueError("not a parity-check blob")
         if version != cls.VERSION:
             raise ValueError(f"unsupported version {version}")
+        # With r, n, L >= 1 the exact body-length check below bounds the
+        # work by the blob's size.
+        if not (r and n and L):
+            raise ValueError(f"parity-check header declares r={r}, n={n}, L={L}; "
+                             f"each must be at least 1")
         prov = blob[head:head + plen].decode()
         nbytes = (r + 7) // 8
         body = blob[head + plen:]
@@ -136,19 +163,6 @@ class TeParityCheck:
             lines.append(" ".join(format(self.column(i, j), f"0{self.r}b")[::-1]
                                   for j in range(1, self.L + 1)))
         return "\n".join(lines) + "\n"
-
-
-@dataclass(frozen=True)
-class TeCodeSpec:
-    """Summary of a constructed code; validated means verify_min_distance
-    confirmed the claimed distance exactly."""
-
-    n: int
-    L: int
-    claimed_distance: int
-    redundancy: int
-    provenance: str
-    validated: bool = False
 
 
 def _compact_rows(rows: Sequence[int]) -> List[int]:
@@ -436,7 +450,9 @@ class TeEncoder:
 
     Message bits occupy the non-pivot array cells (in flat row-major order);
     pivot cells are filled from the reduced parity rows, so every output
-    satisfies the membership rule.
+    satisfies the membership rule.  Encoding is linear, so it XORs one
+    generator-table entry per 8 message bits: the flat codeword image of
+    those bits.
     """
 
     def __init__(self, H: TeParityCheck):
@@ -448,28 +464,30 @@ class TeEncoder:
             rows.append(sum(((H.cols[i][j] >> b) & 1) << (i * L + j)
                             for i in range(n) for j in range(L)))
         reduced, pivots = gf2_row_reduce(rows, ncols)
-        self._reduced = reduced
-        self._pivots = pivots
         pivot_set = set(pivots)
         self.message_cells = [c for c in range(ncols) if c not in pivot_set]
         self.k = len(self.message_cells)
+        # A reduced row has no other pivot, so a message bit's image is its
+        # cell plus the pivot of every row that touches that cell.
+        images = [sum(1 << pivot for row, pivot in zip(reduced, pivots)
+                      if row >> cell & 1) | 1 << cell
+                  for cell in self.message_cells]
+        self._tables = [_xor_table(images[b:b + 8]) for b in range(0, self.k, 8)]
 
     def encode(self, message: Sequence[int]) -> BitArray:
         if len(message) != self.k:
             raise ValueError(f"message must have {self.k} bits")
         flat = 0
-        for cell, bit in zip(self.message_cells, message):
-            if bit & 1:
-                flat |= 1 << cell
-        for row, pivot in zip(self._reduced, self._pivots):
-            free_part = row & ~(1 << pivot)
-            if bin(free_part & flat).count("1") & 1:
-                flat |= 1 << pivot
-        L = self.H.L
-        rows = tuple((flat >> (i * L)) & ((1 << L) - 1) for i in range(self.H.n))
-        return BitArray(self.H.n, L, rows)
+        chunks = _row_to_int(message).to_bytes(len(self._tables), "little")
+        for table, chunk in zip(self._tables, chunks):
+            flat ^= table[chunk]
+        n, L = self.H.n, self.H.L
+        full = (1 << L) - 1
+        return BitArray(n, L, tuple(flat >> (i * L) & full for i in range(n)))
 
     def message_of(self, x: BitArray) -> List[int]:
+        if (x.n, x.L) != (self.H.n, self.H.L):
+            raise ValueError("array shape mismatch")
         flat_bits = x.flat_bits()
         return [flat_bits[c] for c in self.message_cells]
 
@@ -479,82 +497,59 @@ class TeEncoder:
             yield self.encode([(value >> b) & 1 for b in range(self.k)])
 
 
-def derive_generator(H: TeParityCheck) -> TeEncoder:
-    return TeEncoder(H)
-
-
 def te_decode(H: TeParityCheck, received: ErasedArray) -> BitArray:
     """Fill the erased suffixes of `received` with the unique consistent
     codeword values.
 
-    Raises AmbiguousErasureError when the erased columns are dependent
-    (pattern beyond the code's distance) and NotACodewordError when the
-    surviving entries match no codeword.
+    The erased cells' columns are reduced to an echelon basis, each basis
+    vector tagged with the erased cells it sums; the syndrome of the
+    surviving bits (erased bits read 0) reduced against that basis leaves
+    the tags of the solution.  Raises NotACodewordError when the surviving
+    entries match no codeword, else AmbiguousErasureError when the erased
+    columns are dependent (pattern beyond the code's distance).
     """
     if (received.n, received.L) != (H.n, H.L):
         raise ValueError("shape mismatch")
-    syndrome = 0
-    unknown: List[Tuple[int, int]] = []
-    for i in range(1, H.n + 1):
-        known = received.known_length(i)
-        bits = received.rows[i - 1]
-        for j in range(1, known + 1):
-            if (bits >> (j - 1)) & 1:
-                syndrome ^= H.column(i, j)
-        for j in range(known + 1, H.L + 1):
-            unknown.append((i, j))
-    if not unknown:
-        out = BitArray(H.n, H.L, received.rows)
-        if not H.contains(out):
-            raise NotACodewordError("array fails the parity check")
-        return out
-    # Rows of the erasure system: bit b of each unknown column.
-    sys_rows = []
-    target = []
-    for b in range(H.r):
-        row = 0
-        for idx, (i, j) in enumerate(unknown):
-            row |= ((H.column(i, j) >> b) & 1) << idx
-        sys_rows.append(row)
-        target.append((syndrome >> b) & 1)
-    try:
-        solution, unique = gf2_solve(sys_rows, len(unknown), target)
-    except InconsistentSystemError as exc:
-        raise NotACodewordError("surviving entries match no codeword") from exc
-    if not unique:
+    L = H.L
+    syndrome = H._row_syndrome(received.rows)
+    erased = [(i, p) for i, p in enumerate(received.erased) if p]
+    basis: List[Tuple[int, int, int]] = []   # (pivot bit, column, tag)
+    dependent = False
+    for i, p in erased:
+        for c, tag in H._tagged_cells[i][L - p:]:
+            for low, b, t in basis:
+                if c & low:
+                    c ^= b
+                    tag ^= t
+            if c:
+                basis.append((c & -c, c, tag))
+            else:
+                dependent = True
+    solution = 0
+    for low, b, t in basis:
+        if syndrome & low:
+            syndrome ^= b
+            solution ^= t
+    if syndrome:
+        raise NotACodewordError("surviving entries match no codeword")
+    if dependent:
         raise AmbiguousErasureError(
             "erasure pattern exceeds the code's correction capability")
     rows = list(received.rows)
-    for idx, (i, j) in enumerate(unknown):
-        if (solution >> idx) & 1:
-            rows[i - 1] |= 1 << (j - 1)
-    return BitArray(H.n, H.L, tuple(rows))
+    full = (1 << L) - 1
+    for i, _ in erased:
+        rows[i] |= solution >> (i * L) & full
+    return BitArray(H.n, L, tuple(rows))
 
 
 # --- verification -----------------------------------------------------------
-
-def _patterns_with_sum(total: int, L: int, n: int) -> Iterator[Tuple[int, ...]]:
-    cap = min(total, L)
-
-    def rec(prefix: Tuple[int, ...], budget: int) -> Iterator[Tuple[int, ...]]:
-        remaining = n - len(prefix)
-        if remaining == 0:
-            if budget == 0:
-                yield prefix
-            return
-        if budget > cap * remaining:
-            return
-        for v in range(min(cap, budget), -1, -1):
-            yield from rec(prefix + (v,), budget - v)
-
-    yield from rec((), total)
-
 
 @dataclass(frozen=True)
 class MinDistanceResult:
     distance: int
     exact: bool                      # False means "at least `distance`"
     witness: Optional[Tuple[int, ...]] = None
+    patterns: int = dataclass_field(default=0, compare=False)   # full patterns examined
 
     def at_least(self, d: int) -> bool:
         return self.distance >= d
@@ -568,13 +563,79 @@ def verify_min_distance(H: TeParityCheck, max_e: int) -> MinDistanceResult:
     multiset is linearly dependent (duplicates count).  If every pattern up
     to max_e is independent the result is the lower bound max_e + 1 with
     exact=False.
+
+    Patterns of each weight are walked depth first over their nonzero rows,
+    in decreasing lexicographic order.  The search carries an echelon basis
+    of the columns touched so far and adds the tail columns of one row at
+    a time, last cell first, so the bases for tails of 1, 2, ... cells of
+    a row are nested.  Weights are searched in increasing order, so every
+    lighter pattern is independent when a pattern of weight e is reached:
+    only a full pattern can be dependent, never a proper prefix.
     """
+    n = H.n
+    if not H.L:      # no cell to erase
+        return MinDistanceResult(max_e + 1, False)
+    # tails[i][v-1] is the column v cells from the end of row i.
+    tails = [row[::-1] for row in H.cols]
+    lasts = [row[-1] for row in H.cols]
+    basis: List[Tuple[int, int]] = []    # (pivot bit, vector), insertion order
+    pattern = [0] * n
+    examined = 0
+
+    def search(first: int, budget: int, cap: int) -> bool:
+        """Extend the pattern by rows first.. with total `budget`; True when
+        a dependent pattern is found (left in `pattern`)."""
+        nonlocal examined
+        if budget == 1:      # every extension adds one row's last column
+            for i in range(first, n):
+                c = lasts[i]
+                for low, b in basis:
+                    if c & low:
+                        c ^= b
+                if not c:
+                    examined += i - first + 1
+                    pattern[i] = 1
+                    return True
+            examined += n - first
+            return False
+        depth = len(basis)
+        top = min(cap, budget)
+        for i in range(first, n):
+            room = cap * (n - 1 - i)     # the most weight rows after i can take
+            if budget > room + cap:
+                break
+            del basis[depth:]
+            independent = 0      # the row's longest tail independent of the basis
+            for c in tails[i][:top]:
+                for low, b in basis:
+                    if c & low:
+                        c ^= b
+                if not c:
+                    break
+                basis.append((c & -c, c))
+                independent += 1
+            for v in range(top, 0, -1):
+                rest = budget - v
+                if rest > room:
+                    break
+                if v > independent:      # so rest is 0: see the docstring
+                    examined += 1
+                    pattern[i] = v
+                    return True
+                if rest == 0:
+                    examined += 1
+                else:
+                    del basis[depth + v:]
+                    if search(i + 1, rest, cap):
+                        pattern[i] = v
+                        return True
+        return False
+
     for e in range(1, max_e + 1):
-        for p in _patterns_with_sum(e, H.L, H.n):
-            cols = H.pattern_multiset(p)
-            if gf2_rank(cols) < len(cols):
-                return MinDistanceResult(e, True, p)
-    return MinDistanceResult(max_e + 1, False)
+        basis.clear()
+        if search(0, e, min(e, H.L)):
+            return MinDistanceResult(e, True, tuple(pattern), examined)
+    return MinDistanceResult(max_e + 1, False, None, examined)
 
 
 def brute_force_min_distance(H: TeParityCheck) -> int:
@@ -592,15 +653,6 @@ def brute_force_min_distance(H: TeParityCheck) -> int:
     if best is None:
         raise ValueError("code has a single codeword")
     return best
-
-
-def code_spec(H: TeParityCheck, claimed_distance: int,
-              validate: bool = True) -> TeCodeSpec:
-    validated = False
-    if validate:
-        result = verify_min_distance(H, claimed_distance)
-        validated = result.exact and result.distance == claimed_distance
-    return TeCodeSpec(H.n, H.L, claimed_distance, H.redundancy, H.provenance, validated)
 
 
 class TeCodec:

@@ -1,5 +1,6 @@
 import json
 import random
+import struct
 
 import pytest
 
@@ -115,6 +116,15 @@ def test_truncated_code_file_exits_2(tmp_path, capsys):
     run(capsys, "construct", "--code", "construction-1", "--n", "7", "--d", "3",
         "--out", str(code_file))
     code_file.write_bytes(code_file.read_bytes()[:-3])
+    rc, _, err = run(capsys, "verify", "--code-file", str(code_file), "--d", "3")
+    assert rc == 2
+    assert err.startswith("usage error:") and err.count("\n") == 1
+
+
+def test_zero_size_code_header_exits_2(tmp_path, capsys):
+    # r = 0 with n = L = 1000: the header alone, no body.
+    code_file = tmp_path / "empty.bin"
+    code_file.write_bytes(struct.pack(">4sHIIIiH", b"TEPC", 1, 0, 1000, 1000, -1, 0))
     rc, _, err = run(capsys, "verify", "--code-file", str(code_file), "--d", "3")
     assert rc == 2
     assert err.startswith("usage error:") and err.count("\n") == 1

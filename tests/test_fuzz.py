@@ -1,14 +1,20 @@
-"""Seeded fuzz test of the DC/TED decoders: whatever ragged array comes in,
-decode returns a member of the code or raises an ArrayCodeError."""
+"""Seeded fuzz tests: whatever array comes in, the DC/TED and TE decoders
+return a member of the code or raise an ArrayCodeError, and the TE
+parity-check loader returns a parity check or raises ValueError."""
 
 import random
+import struct
 
 import pytest
 
-from arraycodes.arrays import RaggedArray
+from arraycodes.arrays import ErasedArray, RaggedArray
+from arraycodes.basecodes import extended_hamming_pcm, hamming_pcm
 from arraycodes.channel import ChannelSpec, apply_channel, random_instance
 from arraycodes.dc import DcCode
 from arraycodes.errors import ArrayCodeError
+from arraycodes.te import (TeCodec, TeParityCheck, construct_1,
+                           construct_claim5, construct_claim7, construct_even,
+                           construct_hasse)
 from arraycodes.ted import TedCode
 
 CODES = [DcCode(5, 7, 2), DcCode(9, 15, 3), TedCode(4, 5, 1, 0),
@@ -86,3 +92,111 @@ def test_decode_returns_member_or_array_code_error(code):
     assert {("valid", "decoded"), ("over capacity", "raised"),
             ("out of contract", "raised"), ("flipped intact rows", "raised"),
             ("flipped, no damage", "raised"), ("random", "raised")} <= outcomes
+
+
+# (builder, TE distance)
+TE_CODES = {
+    "c1-ham7": (lambda: construct_1(hamming_pcm(7), 7, 1), 3),
+    "even-ham7": (lambda: construct_even(extended_hamming_pcm(7), 7, 1), 4),
+    "claim5-6": (lambda: construct_claim5(6), 5),
+    "claim7-8": (lambda: construct_claim7(8), 6),
+    "hasse-16-4-4": (lambda: construct_hasse(16, 4, 4), 6),
+}
+
+
+def _erase(rng, x, weight):
+    """Erase `weight` tail cells of x, one at a time in random rows."""
+    p = [0] * x.n
+    for _ in range(weight):
+        p[rng.choice([i for i in range(x.n) if p[i] < x.L])] += 1
+    full = (1 << x.L) - 1
+    return [(row & full >> pi, pi) for row, pi in zip(x.rows, p)]
+
+
+def _te_inputs(rng, codec, d):
+    """One erased array of each kind for a fresh codeword."""
+    n, L = codec.n, codec.L
+    x = codec.encode([rng.randrange(2) for _ in range(codec.message_bits)])
+    yield "within", x, _erase(rng, x, rng.randint(0, d - 1))
+    yield "beyond", x, _erase(rng, x, rng.randint(d, min(n * L, d + 3)))
+    rows = _erase(rng, x, rng.randint(0, d - 1))
+    for _ in range(rng.randint(1, 3)):
+        i = rng.choice([i for i, (_, pi) in enumerate(rows) if pi < L])
+        bits, pi = rows[i]
+        rows[i] = (bits ^ 1 << rng.randrange(L - pi), pi)
+    yield "flipped", x, rows
+    yield "random", x, [(rng.getrandbits(L - pi), pi)
+                        for pi in (rng.randint(0, L) for _ in range(n))]
+
+
+@pytest.mark.parametrize("name", sorted(TE_CODES))
+def test_te_decode_returns_member_or_array_code_error(name):
+    build, d = TE_CODES[name]
+    codec = TeCodec(build())
+    H = codec.H
+    rng = random.Random(name)
+    outcomes = set()
+    for _ in range(300):
+        for kind, x, rows in _te_inputs(rng, codec, d):
+            received = ErasedArray(H.n, H.L, tuple(r for r, _ in rows),
+                                   tuple(pi for _, pi in rows))
+            try:
+                out = codec.decode(received)
+            except ArrayCodeError:
+                outcomes.add((kind, "raised"))
+                assert kind != "within"
+                continue
+            outcomes.add((kind, "decoded"))
+            assert (out.n, out.L) == (H.n, H.L)
+            assert H.contains(out), kind
+            if kind == "within":
+                assert out == x
+            # The surviving bits come back as they were received.
+            for row, got, pi in zip(received.rows, out.rows, received.erased):
+                assert got & ((1 << (H.L - pi)) - 1) == row
+    assert {("within", "decoded"), ("beyond", "raised"), ("flipped", "raised"),
+            ("random", "raised")} <= outcomes
+
+
+# Byte offsets and formats of the header fields after the magic (header
+# ">4sHIIIiH"): version, r, n, L, field_m, provenance length.
+HEADER_FIELDS = ((4, "H"), (6, "I"), (10, "I"), (14, "I"), (18, "i"), (22, "H"))
+
+
+def _mutations(rng, blob):
+    yield "truncated", blob[:rng.randrange(len(blob))]
+    yield "extended", blob + bytes(rng.randrange(256) for _ in range(rng.randint(1, 8)))
+    flipped = bytearray(blob)
+    for _ in range(rng.randint(1, 3)):
+        flipped[rng.randrange(len(blob))] ^= rng.randint(1, 255)
+    yield "byte flip", bytes(flipped)
+    offset, fmt = rng.choice(HEADER_FIELDS)
+    size = struct.calcsize(">" + fmt)
+    old = struct.unpack(">" + fmt, blob[offset:offset + size])[0]
+    bits = 8 * size
+    value = rng.choice([0, 1, old + 1, max(old - 1, 0), rng.getrandbits(bits)])
+    if fmt == "i":
+        value = (value + (1 << 31)) % (1 << 32) - (1 << 31)
+    else:
+        value %= 1 << bits
+    yield "header field", blob[:offset] + struct.pack(">" + fmt, value) + blob[offset + size:]
+
+
+def test_te_loader_returns_parity_check_or_value_error():
+    rng = random.Random(20)
+    outcomes = set()
+    for build, _ in TE_CODES.values():
+        blob = build().to_bytes()
+        for _ in range(200):
+            for kind, mutated in _mutations(rng, blob):
+                try:
+                    H = TeParityCheck.from_bytes(mutated)
+                except ValueError:
+                    outcomes.add((kind, "rejected"))
+                    continue
+                outcomes.add((kind, "loaded"))
+                assert isinstance(H, TeParityCheck)
+                assert TeParityCheck.from_bytes(H.to_bytes()) == H
+    assert {("truncated", "rejected"), ("extended", "rejected"),
+            ("byte flip", "rejected"), ("byte flip", "loaded"),
+            ("header field", "rejected"), ("header field", "loaded")} <= outcomes

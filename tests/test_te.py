@@ -1,18 +1,21 @@
 import random
+import struct
 
 import pytest
 
-from arraycodes.arrays import (BitArray, apply_te_pattern, enumerate_patterns,
-                               rho_te_distance)
-from arraycodes.basecodes import bch_pcm, extended_hamming_pcm, hamming_pcm
-from arraycodes.errors import AmbiguousErasureError, NotACodewordError
+from arraycodes.arrays import (BitArray, ErasedArray, apply_te_pattern,
+                               enumerate_patterns, rho_te_distance)
+from arraycodes.basecodes import (bch_generator, bch_pcm, cyclic_pcm,
+                                  extended_hamming_pcm, hamming_pcm)
+from arraycodes.errors import (AmbiguousErasureError, ArrayCodeError,
+                               InconsistentSystemError, NotACodewordError)
 from arraycodes.field import field_make
-from arraycodes.gf2 import gf2_rank
-from arraycodes.te import (TeCodec, TeEncoder, TeParityCheck,
-                           brute_force_min_distance, code_spec, construct_1,
-                           construct_claim5, construct_claim7, construct_even,
-                           construct_hasse, construct_hasse_raw,
-                           construct_parity, derive_generator, te_decode,
+from arraycodes.gf2 import gf2_rank, gf2_solve
+from arraycodes.te import (MinDistanceResult, TeCodec, TeEncoder,
+                           TeParityCheck, brute_force_min_distance,
+                           construct_1, construct_claim5, construct_claim7,
+                           construct_even, construct_hasse,
+                           construct_hasse_raw, construct_parity, te_decode,
                            verify_min_distance)
 
 
@@ -205,7 +208,7 @@ def test_hasse_raw_redundancy_at_most_em():
 
 def test_generator_membership_and_injectivity():
     H = construct_1(hamming_pcm(3), 3, 1)
-    enc = derive_generator(H)
+    enc = TeEncoder(H)
     assert enc.k == H.dimension == 4
     seen = set()
     for value in range(1 << enc.k):
@@ -264,14 +267,6 @@ def test_prepend_clean_columns():
         assert te_decode(wide, apply_te_pattern(x, p)) == x
 
 
-def test_code_spec_validation():
-    H = construct_1(hamming_pcm(7), 7, 1)
-    spec = code_spec(H, 3)
-    assert spec.validated
-    assert spec.redundancy == 3
-    assert not code_spec(H, 4).validated
-
-
 def test_serialization_roundtrip():
     for H in (construct_1(hamming_pcm(7), 7, 1), construct_claim7(4),
               construct_hasse(3, 3, 3)):
@@ -308,6 +303,29 @@ def test_from_bytes_rejects_column_wider_than_r():
         TeParityCheck.from_bytes(bytes(blob))
 
 
+@pytest.mark.parametrize("field_name", ["r", "n", "L"])
+def test_from_bytes_rejects_zero_size_header(field_name):
+    # A zero r would make the body-length check vacuous: n*L*0 = 0 bytes
+    # for any n and L.
+    blob = bytearray(_hamming_blob())
+    offset = {"r": 6, "n": 10, "L": 14}[field_name]
+    blob[offset:offset + 4] = struct.pack(">I", 0)
+    with pytest.raises(ValueError, match="at least 1"):
+        TeParityCheck.from_bytes(bytes(blob))
+    header = struct.pack(">4sHIIIiH", b"TEPC", 1, 0, 1000, 1000, -1, 0)
+    with pytest.raises(ValueError, match="at least 1"):
+        TeParityCheck.from_bytes(header)
+
+
+def test_message_of_rejects_other_shapes():
+    enc = TeEncoder(construct_hasse(16, 4, 4))
+    x = enc.encode([1] * enc.k)
+    assert enc.message_of(x) == [1] * enc.k
+    for n, L in ((16, 5), (15, 4), (17, 4), (16, 3)):
+        with pytest.raises(ValueError, match="shape"):
+            enc.message_of(BitArray(n, L, (0,) * n))
+
+
 def test_theorem1_both_directions_small():
     """A set of arrays corrects every e-TE iff its brute minimum distance
     exceeds e, checked for a real code and a deliberately bad set."""
@@ -325,3 +343,182 @@ def test_theorem1_both_directions_small():
            BitArray.from_lists([[0, 0], [0, 0], [0, 1]])]
     assert not code_corrects_all_te(bad, 1, 2, 3)
     assert min(rho_te_distance(bad[0], bad[1]) for _ in (0,)) < 2
+
+
+# --- oracles: the gf2_solve erasure decoder and the per-pattern rank
+# verifier, kept as the reference for the column-basis implementations ---
+
+def oracle_te_decode(H, received):
+    """Solve for the erased cells with gf2_solve, one bit-row per parity bit."""
+    if (received.n, received.L) != (H.n, H.L):
+        raise ValueError("shape mismatch")
+    syndrome = 0
+    unknown = []
+    for i in range(1, H.n + 1):
+        known = received.known_length(i)
+        bits = received.rows[i - 1]
+        for j in range(1, known + 1):
+            if (bits >> (j - 1)) & 1:
+                syndrome ^= H.column(i, j)
+        for j in range(known + 1, H.L + 1):
+            unknown.append((i, j))
+    if not unknown:
+        out = BitArray(H.n, H.L, received.rows)
+        if not H.contains(out):
+            raise NotACodewordError("array fails the parity check")
+        return out
+    sys_rows = []
+    target = []
+    for b in range(H.r):
+        row = 0
+        for idx, (i, j) in enumerate(unknown):
+            row |= ((H.column(i, j) >> b) & 1) << idx
+        sys_rows.append(row)
+        target.append((syndrome >> b) & 1)
+    try:
+        solution, unique = gf2_solve(sys_rows, len(unknown), target)
+    except InconsistentSystemError as exc:
+        raise NotACodewordError("surviving entries match no codeword") from exc
+    if not unique:
+        raise AmbiguousErasureError("erasure pattern exceeds the code's "
+                                    "correction capability")
+    rows = list(received.rows)
+    for idx, (i, j) in enumerate(unknown):
+        if (solution >> idx) & 1:
+            rows[i - 1] |= 1 << (j - 1)
+    return BitArray(H.n, H.L, tuple(rows))
+
+
+def oracle_patterns_with_sum(total, L, n):
+    cap = min(total, L)
+
+    def rec(prefix, budget):
+        remaining = n - len(prefix)
+        if remaining == 0:
+            if budget == 0:
+                yield prefix
+            return
+        if budget > cap * remaining:
+            return
+        for v in range(min(cap, budget), -1, -1):
+            yield from rec(prefix + (v,), budget - v)
+
+    yield from rec((), total)
+
+
+def oracle_verify_min_distance(H, max_e):
+    """gf2_rank of every pattern's column multiset, weight by weight."""
+    examined = 0
+    for e in range(1, max_e + 1):
+        for p in oracle_patterns_with_sum(e, H.L, H.n):
+            examined += 1
+            cols = H.pattern_multiset(p)
+            if gf2_rank(cols) < len(cols):
+                return MinDistanceResult(e, True, p, examined)
+    return MinDistanceResult(max_e + 1, False, None, examined)
+
+
+# Every construction this file tests.
+DIFFERENTIAL_CODES = {
+    "example-7x2": hamming_example_pcm,
+    "c1-ham7": lambda: construct_1(hamming_pcm(7), 7, 1),
+    "c1-ham3": lambda: construct_1(hamming_pcm(3), 3, 1),
+    "c1-ham5-wide": lambda: construct_1(hamming_pcm(5), 5, 1).prepend_clean_columns(3),
+    "c1-ham9": lambda: construct_1(hamming_pcm(9), 9, 1),
+    "c1-bch10": lambda: construct_1(bch_pcm(10, 5)[0], 5, 2),
+    "c1-bch16": lambda: construct_1(bch_pcm(16, 5)[0], 8, 2),
+    "even-ham7": lambda: construct_even(extended_hamming_pcm(7), 7, 1),
+    "even-bch11": lambda: construct_even(
+        cyclic_pcm(bch_generator(4, 5, with_parity_factor=True), 11), 5, 2),
+    "parity-4x3": lambda: construct_parity(4, 3),
+    **{f"claim5-{n}": (lambda n=n: construct_claim5(n)) for n in (3, 6, 11)},
+    **{f"claim7-{n}": (lambda n=n: construct_claim7(n)) for n in (3, 4, 8)},
+    **{f"hasse-raw-{n}-{L}-{e}": (lambda a=(n, L, e): construct_hasse_raw(*a))
+       for n, L, e in ((3, 2, 3), (3, 2, 2), (2, 2, 3), (4, 3, 2), (5, 3, 4))},
+    **{f"hasse-{n}-{L}-{e}": (lambda a=(n, L, e): construct_hasse(*a))
+       for n, L, e in ((3, 2, 2), (4, 2, 2), (7, 2, 2), (8, 2, 2), (3, 2, 3),
+                       (4, 2, 3), (7, 2, 3), (3, 3, 3), (4, 3, 3), (7, 3, 3),
+                       (3, 2, 4), (4, 2, 5), (7, 2, 5), (4, 3, 4), (4, 4, 5),
+                       (8, 3, 5))},
+    # Rows of more than 8 cells: syndrome tables of 2 and 3 chunks.
+    "hasse-5-10-3": lambda: construct_hasse(5, 10, 3),
+    "hasse-raw-2-17-3": lambda: construct_hasse_raw(2, 17, 3),
+}
+
+# Deep enough for every code above: all but two have distance at most 6.
+DIFFERENTIAL_MAX_E = 6
+
+
+def _outcome(decode, H, received):
+    try:
+        return decode(H, received)
+    except ArrayCodeError as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("name", sorted(DIFFERENTIAL_CODES))
+def test_verifier_matches_oracle(name):
+    H = DIFFERENTIAL_CODES[name]()
+    for max_e in range(0, DIFFERENTIAL_MAX_E + 1):
+        want = oracle_verify_min_distance(H, max_e)
+        got = verify_min_distance(H, max_e)
+        assert (got.distance, got.exact, got.witness, got.patterns) == \
+            (want.distance, want.exact, want.witness, want.patterns), max_e
+
+
+@pytest.mark.parametrize("name", sorted(DIFFERENTIAL_CODES))
+def test_decoder_matches_oracle(name):
+    """Every pattern up to distance + 1 on a random codeword, and the same
+    pattern with one surviving bit flipped: same array or same exception."""
+    H = DIFFERENTIAL_CODES[name]()
+    d = verify_min_distance(H, DIFFERENTIAL_MAX_E).distance
+    enc = TeEncoder(H)
+    rng = random.Random(name)
+    x = enc.encode([rng.randrange(2) for _ in range(enc.k)])
+    outcomes = set()
+    for w in range(0, d + 2):
+        for p in enumerate_patterns(w, H.L, H.n):
+            received = apply_te_pattern(x, p)
+            want = _outcome(oracle_te_decode, H, received)
+            assert _outcome(te_decode, H, received) == want, p
+            outcomes.add(want if isinstance(want, type) else "decoded")
+            if w < d:
+                assert want == x
+            survivors = [(i, j) for i in range(H.n) for j in range(H.L - p[i])]
+            if survivors:
+                i, j = rng.choice(survivors)
+                rows = list(received.rows)
+                rows[i] ^= 1 << j
+                flipped = ErasedArray(H.n, H.L, tuple(rows), received.erased)
+                want = _outcome(oracle_te_decode, H, flipped)
+                assert _outcome(te_decode, H, flipped) == want, (p, i, j)
+                outcomes.add(want if isinstance(want, type) else "decoded")
+    assert {"decoded", NotACodewordError} <= outcomes
+    if d <= DIFFERENTIAL_MAX_E:
+        assert AmbiguousErasureError in outcomes
+
+
+def _column_sum(H, x):
+    """The syndrome as the XOR of the columns of x's one bits."""
+    s = 0
+    for i in range(1, H.n + 1):
+        for j in range(1, H.L + 1):
+            if x.bit(i, j):
+                s ^= H.column(i, j)
+    return s
+
+
+@pytest.mark.parametrize("name", sorted(DIFFERENTIAL_CODES))
+def test_tables_match_column_sums(name):
+    """Table syndromes against the column sum on random arrays; encoded
+    arrays have column sum 0 and give their message back."""
+    H = DIFFERENTIAL_CODES[name]()
+    enc = TeEncoder(H)
+    rng = random.Random(name)
+    for _ in range(50):
+        x = BitArray(H.n, H.L, tuple(rng.getrandbits(H.L) for _ in range(H.n)))
+        assert H.syndrome(x) == _column_sum(H, x)
+        msg = [rng.randrange(2) for _ in range(enc.k)]
+        c = enc.encode(msg)
+        assert _column_sum(H, c) == 0
+        assert enc.message_of(c) == msg
