@@ -42,8 +42,8 @@ class BitArray:
     def __post_init__(self):
         if len(self.rows) != self.n:
             raise ValueError("row count mismatch")
-        limit = 1 << self.L
-        if any(r < 0 or r >= limit for r in self.rows):
+        rows = self.rows
+        if rows and (min(rows) < 0 or max(rows) >> self.L):
             raise ValueError("row value exceeds declared length")
 
     @classmethod

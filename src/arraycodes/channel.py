@@ -35,7 +35,7 @@ class ChannelSpec:
     def __post_init__(self):
         if self.kind not in ("te", "del", "ted"):
             raise ValueError(f"unknown channel kind {self.kind!r}")
-        if self.kind == "te" and self.e < 0:
+        if self.kind in ("te", "ted") and self.e < 0:
             raise ValueError("e must be non-negative")
         if self.kind in ("del", "ted") and (self.t < 0 or self.s < 0):
             raise ValueError("t and s must be non-negative")

@@ -208,6 +208,10 @@ def cmd_verify(args) -> int:
     if args.roundtrip:
         codec = load_codec(args.code_file)
         spec = _channel_spec(args)
+        if isinstance(codec, TeCodec) != (spec.kind == "te"):
+            raise UsageError(f"a {codec.descriptor()['kind']} codec cannot "
+                             f"round-trip the {spec.kind} channel; TE codes take "
+                             f"--kind te, DC and TED codes --kind del or ted")
         # --max-work caps the exhaustive enumeration and sets the number of
         # random instances.
         cap = DEFAULT_MAX_WORK if args.max_work is None else args.max_work

@@ -96,11 +96,12 @@ class Gf2m:
         return result
 
     def mul(self, a: int, b: int) -> int:
-        if self._exp is not None:
-            if a == 0 or b == 0:
-                return 0
-            return self._exp[(self._log[a] + self._log[b]) % self._units]
-        return self._mul_slow(a, b)
+        log = self._log
+        if log is None:
+            return self._mul_slow(a, b)
+        # log[0] points past every sum of two nonzero logs, into the zero
+        # region of the extended exp table: no zero test, no modulo.
+        return self._exp[log[a] + log[b]]
 
     def pow(self, a: int, e: int) -> int:
         if a == 0:
@@ -125,9 +126,10 @@ class Gf2m:
         if a == 0:
             raise ZeroDivisionError("zero has no multiplicative inverse")
         if self._log is not None:
-            # alpha^-l == alpha^(2^m - 1 - l); a negative index reads exactly
-            # that entry of the length 2^m - 1 exp table (and exp[0] for a=1).
-            return self._exp[-self._log[a]]
+            # alpha^-l == alpha^(2^m - 1 - l), an index in 1 .. 2^m - 1 of
+            # the doubled exp table (a negative one would read the zero
+            # region).
+            return self._exp[self._units - self._log[a]]
         return self.pow(a, self._units - 1)
 
     def alpha_pow(self, e: int) -> int:
@@ -139,13 +141,16 @@ def field_make(m: int) -> Gf2m:
     if m not in PRIMITIVE_POLYS:
         raise ValueError(f"extension degree must be in 1..31, got {m}")
     f = Gf2m(m, PRIMITIVE_POLYS[m])
-    if m <= _LOG_TABLE_MAX_M and m > 1:
+    if 1 < m <= _LOG_TABLE_MAX_M:
+        # exp holds alpha^i for i < 2(2^m - 1), so that the sum of two logs
+        # needs no reduction, then zeros up to index 4(2^m - 1): log[0] is
+        # 2(2^m - 1), so any sum involving it lands among them.
         n = f.order - 1
-        exp = [0] * n
-        log = [0] * f.order
+        exp = [0] * (4 * n + 1)
+        log = [2 * n] * f.order
         x = 1
         for i in range(n):
-            exp[i] = x
+            exp[i] = exp[i + n] = x
             log[x] = i
             x = f._mul_slow(x, f.alpha)
         if x != 1:

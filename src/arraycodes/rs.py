@@ -146,11 +146,13 @@ class ReedSolomon:
 
     def _lookup(self, table: _Rows, symbols: Sequence[int]) -> int:
         """XOR over i and b of table[i*c + b][chunk b of symbols[i]], with
-        c chunks per symbol."""
+        c chunks per symbol.  A symbol of one chunk (m <= 8) is its own
+        index, so the symbols must lie in [0, 2^m)."""
         t = self._tables
-        shifts, mask = t.shifts, t.mask
-        digits = [s >> b & mask for s in symbols for b in shifts]
-        return reduce(xor, map(getitem, table, digits), 0)
+        if len(t.shifts) > 1:
+            shifts, mask = t.shifts, t.mask
+            symbols = [s >> b & mask for s in symbols for b in shifts]
+        return reduce(xor, map(getitem, table, symbols), 0)
 
     def _syndromes(self, word: Sequence[int]) -> List[int]:
         return self._unpack(self._lookup(self._tables.syn, word))
@@ -183,13 +185,21 @@ class ReedSolomon:
         if len(received) != self.n:
             raise ValueError("received word has the wrong length")
         erased = [i for i, v in enumerate(received) if v is None]
-        if len(erased) > self.erasure_capacity:
+        word = [0 if v is None else int(v) for v in received]
+        self._fill_erasures(word, erased)
+        return word
+
+    def _fill_erasures(self, word: List[int], erased: Sequence[int]) -> None:
+        """Write the erased symbols of `word` in place.  `word` holds n
+        symbols, 0 at the erased indices, listed in `erased`; raises as
+        `decode_erasures` does."""
+        eps = len(erased)
+        if eps > self.erasure_capacity:
             raise CapacityExceededError(
-                f"{len(erased)} erasures exceed capacity {self.erasure_capacity}")
+                f"{eps} erasures exceed capacity {self.erasure_capacity}")
         f = self.field
         mul = f.mul
         tables = self._tables
-        word = [0 if v is None else int(v) for v in received]
         if not self._in_range(word):
             raise ValueError(f"received symbols must lie in [0, {f.order})")
         syn = self._syndromes(word)
@@ -198,10 +208,9 @@ class ReedSolomon:
         for j in erased:
             xj = tables.points[j]
             lam = [a ^ mul(b, xj) for a, b in zip(lam + [0], [0] + lam)]
-        # Modified syndromes S(z) Lambda(z) mod z^(n-k): the first len(erased)
-        # form the evaluator Omega, the rest are zero exactly when some
-        # codeword agrees with every surviving symbol.
-        eps = len(erased)
+        # Modified syndromes S(z) Lambda(z) mod z^(n-k): the first eps form
+        # the evaluator Omega, the rest are zero exactly when some codeword
+        # agrees with every surviving symbol.
         modified = [reduce(xor, map(mul, lam, syn[d::-1])) for d in range(self.n - self.k)]
         if any(modified[eps:]):
             raise NotACodewordError("surviving symbols are not consistent with any codeword")
@@ -214,7 +223,6 @@ class ReedSolomon:
             # Forney: v_j c_j = x_j Omega(1/x_j) / Lambda'(1/x_j).
             word[j] = mul(mul(num >> (m * j) & full, tables.forney_scale[j]),
                           f.inv(den >> (m * j) & full))
-        return word
 
     def message_of(self, codeword: Sequence[int]) -> List[int]:
         return [int(v) for v in codeword[: self.k]]

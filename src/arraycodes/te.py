@@ -508,6 +508,9 @@ def te_decode(H: TeParityCheck, received: ErasedArray) -> BitArray:
     entries match no codeword, else AmbiguousErasureError when the erased
     columns are dependent (pattern beyond the code's distance).
     """
+    if not isinstance(received, ErasedArray):
+        raise ValueError(f"te_decode decodes an ErasedArray, got "
+                         f"{type(received).__name__}")
     if (received.n, received.L) != (H.n, H.L):
         raise ValueError("shape mismatch")
     L = H.L

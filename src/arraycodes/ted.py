@@ -23,8 +23,8 @@ from .errors import (CapacityExceededError, ChannelContractError,
                      CorruptInputError, NotACodewordError)
 from .field import field_make
 from .rs import ReedSolomon
-from .vt import (position_sum, vt_data_int, vt_decode_int, vt_encode_int,
-                 vt_modulus_exponent)
+from .vt import (position_sum, position_sums, vt_data_int, vt_decode_int,
+                 vt_encode_int, vt_modulus_exponent)
 
 
 def theta_symbol(row_bits: Sequence[int], e: int, h: int) -> int:
@@ -87,21 +87,23 @@ class TedCode:
     def outer(self) -> ReedSolomon:
         return ReedSolomon(field_make(self.h + self.e), self.n, self.n - self.R)
 
-    def _symbol(self, row: int) -> int:
-        """theta of a full-length row int."""
-        h = self.h
-        return (position_sum(row, h) & ((1 << h) - 1)) | (row >> (self.L - self.e)) << h
+    def _symbols(self, rows: Sequence[int]) -> List[int]:
+        """theta of each full-length row int."""
+        h, shift = self.h, self.L - self.e
+        mask = (1 << h) - 1
+        return [s & mask | (row >> shift) << h
+                for s, row in zip(position_sums(rows, h), rows)]
 
     def theta(self, row_bits: Sequence[int]) -> int:
         """Pack (syndrome, last e bits) into one GF(2^(h+e)) element."""
         if len(row_bits) != self.L:
             raise ValueError("row must have full length")
-        return self._symbol(_row_to_int(row_bits))
+        return self._symbols([_row_to_int(row_bits)])[0]
 
     def membership(self, x: BitArray) -> bool:
         if (x.n, x.L) != (self.n, self.L):
             raise ValueError("array shape mismatch")
-        return self.outer.is_codeword([self._symbol(r) for r in x.rows])
+        return self.outer.is_codeword(self._symbols(x.rows))
 
     def encode(self, message: Sequence[int]) -> BitArray:
         K = self.message_bits
@@ -112,7 +114,7 @@ class TedCode:
         m = _row_to_int(message)
         full = (1 << L) - 1
         rows = [(m >> (i * L)) & full for i in range(k)]
-        symbols = self.outer.encode([self._symbol(r) for r in rows])
+        symbols = self.outer.encode(self._symbols(rows))
         rest = m >> (k * L)
         per_row = L - e - h
         for i in range(R):
@@ -144,50 +146,50 @@ class TedCode:
         return _int_to_row(m, shift)
 
     def decode(self, received: RaggedArray) -> BitArray:
+        if not isinstance(received, RaggedArray):
+            raise ValueError(f"{type(self).__name__} decodes a RaggedArray, "
+                             f"got {type(received).__name__}")
         if (received.n, received.L) != (self.n, self.L):
             raise ValueError("array shape mismatch")
         L, e, h = self.L, self.e, self.h
-        symbols: List = []
-        damaged = 0
-        for i, (bits, length) in enumerate(received.rows, start=1):
-            missing = L - length
-            if missing == 0:
-                symbols.append(self._symbol(bits))
-                continue
-            if missing > e + 1:
-                raise ChannelContractError(
-                    f"row {i} lost {missing} bits; at most e+1 = {e + 1} can "
-                    f"disappear from one row of this channel")
-            symbols.append(None)
-            damaged += 1
-        if damaged > self.R:
+        bits, lengths = zip(*received.rows)
+        damaged = [i for i, length in enumerate(lengths) if length != L]
+        if min(lengths) < L - e - 1:
+            i = next(i for i in damaged if lengths[i] < L - e - 1)
+            raise ChannelContractError(
+                f"row {i + 1} lost {L - lengths[i]} bits; at most e+1 = {e + 1} "
+                f"can disappear from one row of this channel")
+        if len(damaged) > self.R:
             raise CapacityExceededError(
-                f"{damaged} damaged rows exceed capacity t+e = {self.R}")
+                f"{len(damaged)} damaged rows exceed capacity t+e = {self.R}")
+        # Damaged rows enter the outer code as erasures, 0 until filled.
+        symbols = self._symbols(bits)
+        for i in damaged:
+            symbols[i] = 0
         try:
-            codeword = self.outer.decode_erasures(symbols)
+            self.outer._fill_erasures(symbols, damaged)
         except NotACodewordError as exc:
             raise CorruptInputError("intact rows disagree with the outer code") from exc
         # Intact rows are returned as received, so their symbols stand; the
         # membership re-check below only needs those of the repaired rows.
-        rows: List[int] = []
-        for i, (bits, length) in enumerate(received.rows, start=1):
-            if length == L:
-                rows.append(bits)
-                continue
-            symbol = codeword[i - 1]
-            tail = symbol >> h
-            k = L - length
+        rows = list(bits)
+        hmask = (1 << h) - 1
+        for i in damaged:
+            tail = symbols[i] >> h
+            row = bits[i]
+            k = L - lengths[i]
             if k > 1:
                 # Re-attach the k-1 known trailing bits; whatever mix of tail
                 # loss and deletion occurred, the result is the original row
                 # minus exactly one bit.
-                bits |= (tail >> (e - k + 1)) << length
-            full = vt_decode_int(bits, symbol & ((1 << h) - 1), L)
+                row |= (tail >> (e - k + 1)) << lengths[i]
+            full = vt_decode_int(row, symbols[i] & hmask, L)
             if full >> (L - e) != tail:
                 raise CorruptInputError(
-                    f"row {i} decodes with the wrong tail; input out of contract")
-            rows.append(full)
-            symbols[i - 1] = self._symbol(full)
+                    f"row {i + 1} decodes with the wrong tail; input out of contract")
+            rows[i] = full
+        for i, symbol in zip(damaged, self._symbols([rows[i] for i in damaged])):
+            symbols[i] = symbol
         if not self.outer.is_codeword(symbols):
             raise CorruptInputError("decoded array fails the membership rule")
         return BitArray(self.n, L, tuple(rows))

@@ -7,13 +7,15 @@ power-of-two modulus admits a systematic encoder whose redundancy sits at
 the positions {1, 2, 4, ..., 2^(h-1)}.
 
 The kernels work on rows as bitset ints, bit j-1 holding position j, as
-the array types store them.  The list-taking functions are adapters for
-callers at the API boundary.
+the array types store them.  The weighted sum sum_j j*x_j is read from
+per-byte tables, one lookup per 8 positions of the row.  The list-taking
+functions are adapters for callers at the API boundary.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import getitem
 from typing import List, Sequence, Tuple
 
 from .arrays import _int_to_row, _row_to_int
@@ -27,21 +29,61 @@ def vt_modulus_exponent(L: int) -> int:
     return L.bit_length()
 
 
+# Rows are summed in blocks of at most this many bytes (512 positions), so
+# that the tables stay below 64 * 256 entries whatever the row length.
+_BLOCK_BYTES = 64
+
+
 @lru_cache(maxsize=None)
-def _position_masks(h: int) -> Tuple[Tuple[int, int], ...]:
-    """(k, M_k) for k < h, M_k holding the positions j in 1 .. 2^h - 1
-    with bit k set."""
-    return tuple((k, sum(1 << (j - 1) for j in range(1, 1 << h) if j >> k & 1))
-                 for k in range(h))
+def _byte_tables(h: int) -> Tuple[Tuple[int, ...], ...]:
+    """One table per byte of a row of 2^h - 1 positions, at most
+    _BLOCK_BYTES of them: entry v of table c is the position sum of byte
+    value v at bits 8c .. 8c+7, i.e. the sum of 8c + b + 1 over the set
+    bits b of v."""
+    base = [0] * 256
+    ones = [0] * 256
+    for v in range(1, 256):
+        low = (v & -v).bit_length()       # position of the lowest set bit
+        base[v] = base[v & (v - 1)] + low
+        ones[v] = ones[v & (v - 1)] + 1
+    width = min(-(-((1 << h) - 1) // 8), _BLOCK_BYTES)
+    return tuple(tuple(s + 8 * c * w for s, w in zip(base, ones))
+                 for c in range(width))
 
 
 def position_sum(x: int, h: int) -> int:
-    """sum_j j*x_j of a row int with no position beyond 2^h - 1, as
-    sum_k popcount(x & M_k) * 2^k."""
-    s = 0
-    for k, mask in _position_masks(h):
-        s += (x & mask).bit_count() << k
+    """sum_j j*x_j of a row int with no position beyond 2^h - 1: one table
+    lookup per byte, ceil((2^h - 1)/8) of them (ceil(L/8) for a row of
+    length L = 2^h - 1)."""
+    tables = _byte_tables(h)
+    width = len(tables)
+    if width == 1:
+        return tables[0][x]
+    if width < _BLOCK_BYTES:
+        return sum(map(getitem, tables, x.to_bytes(width, "little")))
+    # A block summed as if it came first, plus its offset for each of its
+    # set bits.
+    s = offset = 0
+    block_bits = 8 * _BLOCK_BYTES
+    mask = (1 << block_bits) - 1
+    while x:
+        block = x & mask
+        s += (sum(map(getitem, tables, block.to_bytes(_BLOCK_BYTES, "little")))
+              + offset * block.bit_count())
+        x >>= block_bits
+        offset += block_bits
     return s
+
+
+def position_sums(rows: Sequence[int], h: int) -> List[int]:
+    """`position_sum` of every row, in one pass."""
+    tables = _byte_tables(h)
+    width = len(tables)
+    if width == 1:
+        return [tables[0][x] for x in rows]
+    if width < _BLOCK_BYTES:
+        return [sum(map(getitem, tables, x.to_bytes(width, "little"))) for x in rows]
+    return [position_sum(x, h) for x in rows]
 
 
 def vt_syndrome(bits: Sequence[int], q: int) -> int:

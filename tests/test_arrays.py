@@ -182,3 +182,11 @@ def test_erased_array_invariants():
 def test_row_to_int_keeps_low_bits(bits):
     assert _row_to_int(bits) == sum((int(b) & 1) << j for j, b in enumerate(bits))
     assert _int_to_row(_row_to_int(bits), len(bits)) == [int(b) & 1 for b in bits]
+
+
+@pytest.mark.parametrize("rows", ((0, -1, 3), (8, 0, 0), (0, 0, 1 << 40)))
+def test_bit_array_rejects_rows_out_of_range(rows):
+    with pytest.raises(ValueError, match="row value exceeds declared length"):
+        BitArray(3, 3, rows)
+    assert BitArray(3, 3, (0, 7, 5)).rows == (0, 7, 5)
+    assert BitArray(0, 3, ()).rows == ()

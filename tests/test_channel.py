@@ -153,3 +153,9 @@ def test_random_del_instance_unchanged_within_caps(t, s, n, L):
         new, old = random.Random(seed), random.Random(seed)
         for _ in range(200):
             assert random_instance(spec, n, L, new) == _uncapped_del_instance(spec, n, L, old)
+
+
+@pytest.mark.parametrize("kind", ("te", "ted"))
+def test_negative_tail_budget_rejected(kind):
+    with pytest.raises(ValueError, match="e must be non-negative"):
+        ChannelSpec(kind, t=1, s=1, e=-1)

@@ -177,3 +177,25 @@ def test_exhaustive_roundtrip_over_work_cap_exits_2(tmp_path, capsys):
                      "--kind", "del", "--t", "1", "--s", "1", "--messages", "1",
                      "--max-work", "7")
     assert rc == 0 and "trials=7" in out
+
+
+def test_roundtrip_with_the_other_channel_family_exits_2(tmp_path, capsys):
+    """A DC/TED codec cannot take the te channel's erased arrays and a TE
+    codec cannot take ragged arrays: one usage line, exit 2, no trials."""
+    dc_file = tmp_path / "dc.json"
+    te_file = tmp_path / "ham.tepc"
+    run(capsys, "construct", "--code", "dc", "--n", "7", "--L", "5", "--t", "2",
+        "--out", str(dc_file))
+    run(capsys, "construct", "--code", "construction-1", "--n", "7", "--d", "3",
+        "--out", str(te_file))
+    cases = ((dc_file, ("--kind", "te", "--e", "2")),
+             (te_file, ("--kind", "del", "--t", "1", "--s", "1")),
+             (te_file, ("--kind", "ted", "--t", "1", "--s", "1", "--e", "1")))
+    for code_file, kind in cases:
+        rc, out, err = run(capsys, "verify", "--code-file", str(code_file),
+                           "--roundtrip", *kind, "--exhaustive", "--messages", "1")
+        assert rc == 2, (code_file.name, kind)
+        assert out == "" and err.count("\n") == 1 and "cannot round-trip" in err
+    rc, out, _ = run(capsys, "verify", "--code-file", str(te_file), "--roundtrip",
+                     "--kind", "te", "--e", "2", "--exhaustive", "--messages", "1")
+    assert rc == 0 and "failures=0" in out

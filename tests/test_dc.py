@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from arraycodes.arrays import BitArray, RaggedArray
+from arraycodes.arrays import BitArray, ErasedArray, RaggedArray
 from arraycodes.channel import (ChannelSpec, apply_channel, apply_deletions,
                                 enumerate_deletion_instances, random_instance,
                                 roundtrip_harness)
@@ -187,3 +187,12 @@ def test_message_of_rejects_other_shapes():
     for x in (BitArray(3, 5, (1, 2, 3)), BitArray(7, 4, (1,) * 7)):
         with pytest.raises(ValueError):
             code.message_of(x)
+
+
+def test_decode_rejects_an_erased_array():
+    """The TE channel's output is not a DC input: a ValueError naming the
+    array type, not a TypeError from unpacking its rows."""
+    code = DcCode(7, 5, 2)
+    erased = ErasedArray(7, 5, (0,) * 7, (1,) + (0,) * 6)
+    with pytest.raises(ValueError, match="DcCode decodes a RaggedArray, got ErasedArray"):
+        code.decode(erased)

@@ -86,3 +86,52 @@ def test_binary_expand_rank_example():
 
     H = construct_claim7(4)
     assert H.redundancy == 2 * (2 + 1) == 6
+
+
+# --- table paths against the shift-and-add product -----------------------------
+
+def slow_pow(f, a, e):
+    """a^e by square-and-multiply over `_mul_slow`, e reduced mod 2^m - 1."""
+    if a == 0:
+        return 1 if e == 0 else 0
+    e %= f.order - 1
+    result = 1
+    while e:
+        if e & 1:
+            result = f._mul_slow(result, a)
+        a = f._mul_slow(a, a)
+        e >>= 1
+    return result
+
+
+def check_against_slow(f, pairs):
+    for a, b in pairs:
+        assert f.mul(a, b) == f._mul_slow(a, b), (f.m, a, b)
+    for a in {a for a, _ in pairs}:
+        for e in (0, 1, 2, 3, f.order - 2, f.order - 1, f.order, -1, -5):
+            if a == 0 and e < 0:
+                with pytest.raises(ZeroDivisionError):
+                    f.pow(a, e)
+            else:
+                assert f.pow(a, e) == slow_pow(f, a, e), (f.m, a, e)
+        if a:
+            assert f.inv(a) == slow_pow(f, a, f.order - 2), (f.m, a)
+            assert f._mul_slow(a, f.inv(a)) == 1
+
+
+@pytest.mark.parametrize("m", range(2, 9))
+def test_table_arithmetic_matches_slow_on_every_pair(m):
+    f = field_make(m)
+    check_against_slow(f, [(a, b) for a in range(f.order) for b in range(f.order)])
+
+
+@pytest.mark.parametrize("m", range(9, 17))
+def test_table_arithmetic_matches_slow_on_seeded_pairs(m):
+    f = field_make(m)
+    rng = random.Random(m)
+    top = f.order - 1
+    pairs = [(0, 0), (0, 1), (1, 0), (0, top), (top, 0), (top, top), (1, 1)]
+    pairs += [(0, rng.randrange(f.order)) for _ in range(20)]
+    pairs += [(rng.randrange(f.order), 0) for _ in range(20)]
+    pairs += [(rng.randrange(f.order), rng.randrange(f.order)) for _ in range(400)]
+    check_against_slow(f, pairs)

@@ -176,7 +176,8 @@ def test_length_cap():
 
 
 @pytest.mark.parametrize("m,n,k", [(4, 5, 2), (3, 7, 1), (3, 7, 7), (5, 31, 23),
-                                   (5, 31, 30), (6, 40, 30), (17, 20, 12)])
+                                   (5, 31, 30), (6, 40, 30), (17, 20, 12),
+                                   (8, 40, 30), (12, 40, 30)])
 def test_parity_check_form_matches_lagrange_oracle(m, n, k):
     """Encode, erasure decode and membership agree with interpolation for
     every erasure count, for inconsistent survivors and past capacity.
@@ -243,7 +244,8 @@ def _products(f, columns, word):
 
 
 @pytest.mark.parametrize("m,n,k", [(4, 5, 2), (3, 7, 1), (3, 7, 7), (5, 31, 23),
-                                   (5, 31, 30), (6, 40, 30), (17, 20, 12)])
+                                   (5, 31, 30), (6, 40, 30), (17, 20, 12),
+                                   (8, 40, 30), (12, 40, 30)])
 def test_packed_kernels_match_entrywise_products(m, n, k):
     """Syndrome, parity and evaluation tables agree with Gf2m.mul products
     and Horner's rule; GF(2^17) splits each symbol into three chunks."""
@@ -266,7 +268,7 @@ def test_packed_kernels_match_entrywise_products(m, n, k):
             assert value == _poly_eval(f, coeffs, f.inv(xj))
 
 
-@pytest.mark.parametrize("m,n,k", [(3, 7, 5), (17, 20, 12)])
+@pytest.mark.parametrize("m,n,k", [(3, 7, 5), (17, 20, 12), (8, 20, 12), (12, 20, 12)])
 def test_symbols_out_of_range_rejected(m, n, k):
     """No symbol outside [0, 2^m) reaches the tables, where a high bit would
     be masked away or index past a row."""

@@ -3,8 +3,9 @@ import struct
 
 import pytest
 
-from arraycodes.arrays import (BitArray, ErasedArray, apply_te_pattern,
-                               enumerate_patterns, rho_te_distance)
+from arraycodes.arrays import (BitArray, ErasedArray, RaggedArray,
+                               apply_te_pattern, enumerate_patterns,
+                               rho_te_distance)
 from arraycodes.basecodes import (bch_generator, bch_pcm, cyclic_pcm,
                                   extended_hamming_pcm, hamming_pcm)
 from arraycodes.errors import (AmbiguousErasureError, ArrayCodeError,
@@ -522,3 +523,14 @@ def test_tables_match_column_sums(name):
         c = enc.encode(msg)
         assert _column_sum(H, c) == 0
         assert enc.message_of(c) == msg
+
+
+def test_decode_rejects_a_ragged_array():
+    """The deletion channel's output is not a TE input: a ValueError naming
+    the array type, not a TypeError from shifting its (bits, length) rows."""
+    H = construct_1(hamming_pcm(7), 7, 1)
+    ragged = RaggedArray(7, 1, ((0, 1),) * 7)
+    with pytest.raises(ValueError, match="decodes an ErasedArray, got RaggedArray"):
+        te_decode(H, ragged)
+    with pytest.raises(ValueError, match="got BitArray"):
+        TeCodec(H).decode(BitArray(7, 1, (0,) * 7))

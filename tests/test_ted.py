@@ -2,12 +2,17 @@ import random
 
 import pytest
 
-from arraycodes.arrays import RaggedArray
-from arraycodes.channel import (ChannelSpec, apply_ted,
-                                enumerate_channel_instances, roundtrip_harness)
-from arraycodes.errors import (CapacityExceededError, ChannelContractError,
-                               CorruptInputError)
+from arraycodes.arrays import BitArray, ErasedArray, RaggedArray
+from arraycodes.channel import (ChannelSpec, apply_channel, apply_ted,
+                                enumerate_channel_instances, random_instance,
+                                roundtrip_harness)
+from arraycodes.dc import DcCode
+from arraycodes.errors import (ArrayCodeError, CapacityExceededError,
+                               ChannelContractError, CorruptInputError,
+                               NotACodewordError)
 from arraycodes.ted import TedCode, theta_symbol
+from arraycodes.vt import vt_decode_int
+from test_fuzz import _damage
 
 
 def test_theta_packing():
@@ -147,3 +152,123 @@ def test_ted_instance_enumeration_counts():
     for p in ((0, 0), (1, 0), (0, 1)):
         expected += 1 + sum(3 - pi for pi in p)
     assert len(insts) == expected
+
+
+def test_decode_rejects_other_array_types():
+    code = TedCode(5, 7, 2, 1)
+    erased = ErasedArray(5, 7, (0,) * 5, (0,) * 5)
+    with pytest.raises(ValueError, match="decodes a RaggedArray, got ErasedArray"):
+        code.decode(erased)
+    with pytest.raises(ValueError, match="got BitArray"):
+        code.decode(BitArray(5, 7, (0,) * 5))
+
+
+# --- row-by-row reference decoder -----------------------------------------------
+#
+# The decoder body before the whole-array passes, one row at a time, with the
+# symbol computed from the plain weighted sum; the reference for
+# `test_decode_matches_row_by_row_oracle`.
+
+def oracle_symbol(code, row):
+    L, e, h = code.L, code.e, code.h
+    s = sum(j for j in range(1, L + 1) if row >> (j - 1) & 1)
+    return s & ((1 << h) - 1) | (row >> (L - e)) << h
+
+
+def oracle_decode(code, received):
+    if (received.n, received.L) != (code.n, code.L):
+        raise ValueError("array shape mismatch")
+    L, e, h = code.L, code.e, code.h
+    symbols = []
+    damaged = 0
+    for i, (bits, length) in enumerate(received.rows, start=1):
+        missing = L - length
+        if missing == 0:
+            symbols.append(oracle_symbol(code, bits))
+            continue
+        if missing > e + 1:
+            raise ChannelContractError(
+                f"row {i} lost {missing} bits; at most e+1 = {e + 1} can "
+                f"disappear from one row of this channel")
+        symbols.append(None)
+        damaged += 1
+    if damaged > code.R:
+        raise CapacityExceededError(
+            f"{damaged} damaged rows exceed capacity t+e = {code.R}")
+    try:
+        codeword = code.outer.decode_erasures(symbols)
+    except NotACodewordError as exc:
+        raise CorruptInputError("intact rows disagree with the outer code") from exc
+    rows = []
+    for i, (bits, length) in enumerate(received.rows, start=1):
+        if length == L:
+            rows.append(bits)
+            continue
+        symbol = codeword[i - 1]
+        tail = symbol >> h
+        k = L - length
+        if k > 1:
+            bits |= (tail >> (e - k + 1)) << length
+        full = vt_decode_int(bits, symbol & ((1 << h) - 1), L)
+        if full >> (L - e) != tail:
+            raise CorruptInputError(
+                f"row {i} decodes with the wrong tail; input out of contract")
+        rows.append(full)
+        symbols[i - 1] = oracle_symbol(code, full)
+    if not code.outer.is_codeword(symbols):
+        raise CorruptInputError("decoded array fails the membership rule")
+    return BitArray(code.n, L, tuple(rows))
+
+
+def _flip(rng, rows, pick):
+    """Flip one bit in one or two of the rows whose length passes `pick`."""
+    rows = list(rows)
+    chosen = [i for i, (_, length) in enumerate(rows) if length and pick(length)]
+    for i in rng.sample(chosen, min(len(chosen), rng.randint(1, 2))):
+        bits, length = rows[i]
+        rows[i] = (bits ^ 1 << rng.randrange(length), length)
+    return rows
+
+
+def _oracle_inputs(rng, code):
+    n, L, e, R = code.n, code.L, code.e, code.R
+    x = code.encode([rng.randrange(2) for _ in range(code.message_bits)])
+    spec = ChannelSpec("ted", t=code.t, s=1, e=e)
+    full = [(r, L) for r in x.rows]
+    yield "valid", apply_channel(x, spec, random_instance(spec, n, L, rng)).rows
+    yield "over capacity", _damage(rng, full, min(n, R + 1 + rng.randrange(2)),
+                                        (1, e + 1))
+    out = _damage(rng, full, rng.randint(0, R - 1), (1, e + 1))
+    yield "out of contract", _damage(rng, out, 2, (e + 2, e + 4))
+    damaged = _damage(rng, full, rng.randint(1, R), (1, e + 1))
+    yield "flipped intact", _flip(rng, damaged, lambda length: length == L)
+    yield "flipped damaged", _flip(rng, damaged, lambda length: length < L)
+
+
+def _outcome(decode, code, rows):
+    try:
+        return decode(code, RaggedArray(code.n, code.L, tuple(rows)))
+    except ArrayCodeError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("code", [TedCode(5, 7, 2, 1), TedCode(31, 31, 4, 2),
+                                  DcCode(31, 31, 8)],
+                         ids=lambda c: f"{c.n}x{c.L}-t{c.t}-e{c.e}")
+def test_decode_matches_row_by_row_oracle(code):
+    """Same array, or same exception class and message, as the reference."""
+    rng = random.Random(code.n * 1000 + code.L * 10 + code.e)
+    seen = set()
+    for _ in range(80):
+        for kind, rows in _oracle_inputs(rng, code):
+            want = _outcome(oracle_decode, code, rows)
+            got = _outcome(TedCode.decode, code, rows)
+            assert got == want, (kind, rows)
+            seen.add((kind, "decoded" if isinstance(want, BitArray) else want[0]))
+    # A flipped bit in a damaged row can repair to another member (with e = 0
+    # the symbol is the VT syndrome the repair enforces), so any outcome of
+    # that kind is allowed as long as both decoders agree.
+    assert {("valid", "decoded"), ("over capacity", CapacityExceededError),
+            ("out of contract", ChannelContractError),
+            ("flipped intact", CorruptInputError)} <= seen
+    assert any(kind == "flipped damaged" for kind, _ in seen)

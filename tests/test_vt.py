@@ -1,11 +1,12 @@
 import random
+from functools import lru_cache
 from itertools import combinations
 
 import pytest
 
 from arraycodes.errors import CorruptInputError
-from arraycodes.vt import (data_positions, position_sum, power_positions,
-                           vt_codewords, vt_data_int, vt_decode, vt_decode_int,
+from arraycodes.vt import (data_positions, position_sum, position_sums,
+                           power_positions, vt_codewords, vt_data_int, vt_decode, vt_decode_int,
                            vt_encode_int, vt_modulus_exponent, vt_syndrome,
                            vt_systematic_encode)
 
@@ -233,3 +234,43 @@ def test_int_kernels_match_oracle_random(L):
         y = (row & ((1 << pos) - 1)) | ((row >> (pos + 1)) << pos)
         check_decode(y, a, L)
         assert vt_decode_int(y, a, L) == row
+
+
+# --- byte-table position sums -------------------------------------------------
+#
+# The masked-popcount body the byte tables replaced, kept as their oracle:
+# sum_k popcount(x & M_k) * 2^k, M_k holding the positions with bit k set.
+
+@lru_cache(maxsize=None)
+def oracle_masks(h):
+    return tuple((k, sum(1 << (j - 1) for j in range(1, 1 << h) if j >> k & 1))
+                 for k in range(h))
+
+
+def oracle_position_sum(x, h):
+    s = 0
+    for k, mask in oracle_masks(h):
+        s += (x & mask).bit_count() << k
+    return s
+
+
+@pytest.mark.parametrize("L", range(1, 13))
+def test_position_sum_matches_popcount_oracle_exhaustively(L):
+    # every L-bit row; the (L-1)-bit rows vt_decode_int sums are among them
+    h = vt_modulus_exponent(L)
+    rows = range(1 << L)
+    want = [oracle_position_sum(x, h) for x in rows]
+    assert [position_sum(x, h) for x in rows] == want
+    assert position_sums(rows, h) == want
+
+
+@pytest.mark.parametrize("L", (31, 63, 64, 127, 255, 300, 1100))
+def test_position_sum_matches_popcount_oracle_random(L):
+    rng = random.Random(L)
+    h = vt_modulus_exponent(L)
+    rows = [rng.getrandbits(L) for _ in range(200)]
+    rows += [rng.getrandbits(L - 1) for _ in range(200)]
+    rows += [0, 1, (1 << L) - 1, (1 << (L - 1)) - 1, 1 << (L - 1)]
+    want = [oracle_position_sum(x, h) for x in rows]
+    assert [position_sum(x, h) for x in rows] == want
+    assert position_sums(rows, h) == want
