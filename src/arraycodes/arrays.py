@@ -140,9 +140,6 @@ class RaggedArray:
         rows = tuple((_row_to_int(r), len(r)) for r in entries)
         return cls(len(entries), L, rows)
 
-    def row_length(self, i: int) -> int:
-        return self.rows[i - 1][1]
-
     def row_bits(self, i: int) -> List[int]:
         bits, length = self.rows[i - 1]
         return _int_to_row(bits, length)

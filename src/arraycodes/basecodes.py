@@ -139,15 +139,19 @@ def cyclic_pcm(g: int, length: int) -> BitMatrix:
     return BitMatrix(r, length, tuple(rows))
 
 
+def bch_degree(length: int) -> int:
+    """Degree mu of the shortest BCH code, of length 2^mu - 1 with mu >= 2,
+    that has a window of `length` coordinates."""
+    return max(2, length.bit_length())
+
+
 def bch_pcm(length: int, designed_distance: int) -> Tuple[BitMatrix, int]:
     """Shortened narrow-sense BCH parity check for a given window length.
 
-    mu is the smallest degree with 2^mu - 1 >= length.  Returns (pcm, mu).
-    For designed distance 2t+1 the redundancy is at most t*mu.
+    mu = bch_degree(length).  Returns (pcm, mu).  For designed distance
+    2t+1 the redundancy is at most t*mu.
     """
-    mu = 2
-    while (1 << mu) - 1 < length:
-        mu += 1
+    mu = bch_degree(length)
     even = designed_distance % 2 == 0
     delta = designed_distance if not even else designed_distance - 1
     g = bch_generator(mu, delta, with_parity_factor=even)

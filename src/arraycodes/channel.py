@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, islice, product
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .arrays import (BitArray, RaggedArray, apply_te_pattern,
@@ -118,21 +118,7 @@ def enumerate_deletion_instances(row_lengths: Sequence[int], t: int, s: int,
 
     for nrows in range(1, t + 1):
         for rows in combinations(range(1, n + 1), nrows):
-            choice_lists = [row_choices(r) for r in rows]
-            if any(not c for c in choice_lists):
-                continue
-            idx = [0] * nrows
-            while True:
-                yield tuple(choice_lists[k][idx[k]] for k in range(nrows))
-                k = nrows - 1
-                while k >= 0:
-                    idx[k] += 1
-                    if idx[k] < len(choice_lists[k]):
-                        break
-                    idx[k] = 0
-                    k -= 1
-                if k < 0:
-                    break
+            yield from product(*(row_choices(r) for r in rows))
 
 
 def enumerate_channel_instances(spec: ChannelSpec, n: int, L: int,
@@ -142,31 +128,21 @@ def enumerate_channel_instances(spec: ChannelSpec, n: int, L: int,
     TE instances delegate to the pattern enumerator (zero pattern included);
     deletion instances exclude the empty one; combined instances pair every
     pattern with every deletion layout on the truncated rows (the empty
-    deletion layout included, so pure-TE damage is covered).
+    deletion layout included, so pure-TE damage is covered).  A stream of
+    more than `max_work` instances raises RuntimeError in place of instance
+    max_work + 1; None means no cap.
     """
-    count = 0
     if spec.kind == "te":
-        for p in enumerate_patterns(spec.e, L, n):
-            count += 1
-            if max_work is not None and count > max_work:
-                raise RuntimeError("instance enumeration exceeds the work cap")
-            yield p
-        return
-    if spec.kind == "del":
-        for inst in enumerate_deletion_instances([L] * n, spec.t, spec.s):
-            count += 1
-            if max_work is not None and count > max_work:
-                raise RuntimeError("instance enumeration exceeds the work cap")
-            yield inst
-        return
-    for p in enumerate_patterns(spec.e, L, n):
-        lengths = [L - pi for pi in p]
-        for inst in enumerate_deletion_instances(lengths, spec.t, spec.s,
-                                                 include_empty=True):
-            count += 1
-            if max_work is not None and count > max_work:
-                raise RuntimeError("instance enumeration exceeds the work cap")
-            yield (p, inst)
+        stream = enumerate_patterns(spec.e, L, n)
+    elif spec.kind == "del":
+        stream = enumerate_deletion_instances([L] * n, spec.t, spec.s)
+    else:
+        stream = ((p, inst) for p in enumerate_patterns(spec.e, L, n)
+                  for inst in enumerate_deletion_instances(
+                      [L - pi for pi in p], spec.t, spec.s, include_empty=True))
+    yield from islice(stream, max_work)
+    if next(stream, None) is not None:
+        raise RuntimeError("instance enumeration exceeds the work cap")
 
 
 def random_instance(spec: ChannelSpec, n: int, L: int, rng: random.Random):

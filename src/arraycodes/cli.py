@@ -64,9 +64,10 @@ def build_te_code(args) -> TeParityCheck:
         if args.d == 4:
             base = basecodes.extended_hamming_pcm(args.n)
         else:
-            g = basecodes.bch_generator(_mu_for(args.n * t + 1), args.d - 1,
+            length = args.n * t + 1
+            g = basecodes.bch_generator(basecodes.bch_degree(length), args.d - 1,
                                         with_parity_factor=True)
-            base = basecodes.cyclic_pcm(g, args.n * t + 1)
+            base = basecodes.cyclic_pcm(g, length)
         return construct_even(base, args.n, t)
     if kind == "claim-5":
         _need(args, "n")
@@ -78,13 +79,6 @@ def build_te_code(args) -> TeParityCheck:
         _need(args, "n", "L", "e")
         return construct_hasse(args.n, args.L, args.e, reduced=not args.raw)
     raise UsageError(f"unknown TE construction {kind!r}")
-
-
-def _mu_for(length: int) -> int:
-    mu = 2
-    while (1 << mu) - 1 < length:
-        mu += 1
-    return mu
 
 
 # The integer parameters each JSON codec descriptor must carry.

@@ -26,13 +26,6 @@ class DcCode(TedCode):
             raise ValueError("need 1 <= t < n")
         super().__init__(n, L, t, 0)
 
-    @property
-    def redundancy_rows(self) -> int:
-        return self.t
-
-    # With e = 0 a row's symbol is its VT syndrome, a field element.
-    sigma = TedCode.theta
-
     def descriptor(self) -> dict:
         desc = super().descriptor()
         desc["kind"] = "dc"

@@ -23,7 +23,3 @@ class AmbiguousErasureError(ArrayCodeError):
 
 class NotACodewordError(ArrayCodeError):
     """The unerased data is inconsistent with every codeword."""
-
-
-class InconsistentSystemError(ArrayCodeError):
-    """A linear system has no solution."""

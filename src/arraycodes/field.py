@@ -9,9 +9,6 @@ encoder in this package is bit-reproducible across runs and machines.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List
-
-from .gf2 import BitMatrix
 
 # Primitive polynomials over GF(2), one per extension degree.  Bit i is the
 # coefficient of x^i (the x^m term included).  Standard minimal-weight table
@@ -158,23 +155,3 @@ def field_make(m: int) -> Gf2m:
         object.__setattr__(f, "_exp", tuple(exp))
         object.__setattr__(f, "_log", tuple(log))
     return f
-
-
-def binary_expand(entries: List[List[int]], f: Gf2m) -> BitMatrix:
-    """Expand a matrix over GF(2^m) into its binary image.
-
-    Each field entry becomes an m-bit column block; the coefficient of x^0
-    lands in the first (topmost) of the m rows.  A matrix with r field rows
-    and c columns expands to an (r*m) x c binary matrix, whose GF(2) rank is
-    the redundancy in bits of the code the field matrix defines.
-    """
-    if not entries:
-        return BitMatrix(0, 0, ())
-    ncols = len(entries[0])
-    rows: List[int] = []
-    for frow in entries:
-        if len(frow) != ncols:
-            raise ValueError("ragged field matrix")
-        for bit in range(f.m):
-            rows.append(sum(((v >> bit) & 1) << j for j, v in enumerate(frow)))
-    return BitMatrix(len(entries) * f.m, ncols, tuple(rows))

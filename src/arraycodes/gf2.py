@@ -3,16 +3,14 @@
 A binary matrix is stored as a list of Python ints, one per row, where bit j
 of a row int is the entry in column j.  Python's arbitrary-precision ints act
 as bitsets, so elimination is a handful of XORs per row regardless of width.
-The exhaustive verifiers call rank/solve in tight loops, which is why
-everything here stays allocation-light.
+The constructions need the rank (a code's redundancy in bits) and the
+systematic TE encoder the reduced row-echelon form.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Iterable, List, Sequence, Tuple
-
-from .errors import InconsistentSystemError
 
 
 def gf2_rank(rows: Iterable[int]) -> int:
@@ -57,49 +55,6 @@ def gf2_row_reduce(rows: Sequence[int], ncols: int) -> Tuple[List[int], List[int
     return reduced, pivots
 
 
-def gf2_solve(rows: Sequence[int], ncols: int, b: Sequence[int]) -> Tuple[int, bool]:
-    """Solve A x = b over GF(2) for A given as row bitsets.
-
-    Returns (x, unique) where x is a solution packed as an int (bit j is
-    x_j) and unique says whether it is the only one.  Raises
-    InconsistentSystemError when no solution exists.
-    """
-    if len(b) != len(rows):
-        raise ValueError("right-hand side length does not match row count")
-    # Augment with b in column `ncols`.
-    aug = [row | (int(bit & 1) << ncols) for row, bit in zip(rows, b)]
-    reduced, pivots = gf2_row_reduce(aug, ncols + 1)
-    if ncols in pivots:
-        raise InconsistentSystemError("system has no solution")
-    x = 0
-    bmask = 1 << ncols
-    for row, col in zip(reduced, pivots):
-        if row & bmask:
-            x |= 1 << col
-    unique = len(pivots) == ncols
-    return x, unique
-
-
-def gf2_nullspace(rows: Sequence[int], ncols: int) -> List[int]:
-    """Basis of the right nullspace {x : A x = 0}, packed as ints."""
-    reduced, pivots = gf2_row_reduce(rows, ncols)
-    pivot_set = set(pivots)
-    free_cols = [c for c in range(ncols) if c not in pivot_set]
-    basis = []
-    for free in free_cols:
-        vec = 1 << free
-        for row, col in zip(reduced, pivots):
-            if row & (1 << free):
-                vec |= 1 << col
-        basis.append(vec)
-    return basis
-
-
-def gf2_mul_vec(rows: Sequence[int], x: int) -> List[int]:
-    """Matrix-vector product A x over GF(2); returns a 0/1 list per row."""
-    return [bin(row & x).count("1") & 1 for row in rows]
-
-
 @dataclass(frozen=True)
 class BitMatrix:
     """Immutable binary matrix; rows are bitset ints (bit j = column j)."""
@@ -129,9 +84,6 @@ class BitMatrix:
     def entry(self, i: int, j: int) -> int:
         return (self.rows[i] >> j) & 1
 
-    def to_lists(self) -> List[List[int]]:
-        return [[self.entry(i, j) for j in range(self.ncols)] for i in range(self.nrows)]
-
     def column(self, j: int) -> int:
         """Column j packed as an int (bit i = row i)."""
         return sum(self.entry(i, j) << i for i in range(self.nrows))
@@ -139,11 +91,5 @@ class BitMatrix:
     def columns(self) -> List[int]:
         return [self.column(j) for j in range(self.ncols)]
 
-    def transpose(self) -> "BitMatrix":
-        return BitMatrix(self.ncols, self.nrows, tuple(self.columns()))
-
     def rank(self) -> int:
         return gf2_rank(self.rows)
-
-    def solve(self, b: Sequence[int]) -> Tuple[int, bool]:
-        return gf2_solve(self.rows, self.ncols, b)

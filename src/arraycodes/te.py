@@ -91,14 +91,6 @@ class TeParityCheck:
     def contains(self, x: BitArray) -> bool:
         return self.syndrome(x) == 0
 
-    def pattern_multiset(self, p: Sequence[int]) -> List[int]:
-        """Columns touched by the TE pattern p (the last p_i cells of row i)."""
-        out: List[int] = []
-        for i, pi in enumerate(p):
-            if pi:
-                out.extend(self.cols[i][self.L - pi:])
-        return out
-
     def prepend_clean_columns(self, count: int) -> "TeParityCheck":
         """Widen each row on the left with unconstrained (all-zero) columns.
 
@@ -553,9 +545,6 @@ class MinDistanceResult:
     exact: bool                      # False means "at least `distance`"
     witness: Optional[Tuple[int, ...]] = None
     patterns: int = dataclass_field(default=0, compare=False)   # full patterns examined
-
-    def at_least(self, d: int) -> bool:
-        return self.distance >= d
 
 
 def verify_min_distance(H: TeParityCheck, max_e: int) -> MinDistanceResult:

@@ -94,12 +94,6 @@ class TedCode:
         return [s & mask | (row >> shift) << h
                 for s, row in zip(position_sums(rows, h), rows)]
 
-    def theta(self, row_bits: Sequence[int]) -> int:
-        """Pack (syndrome, last e bits) into one GF(2^(h+e)) element."""
-        if len(row_bits) != self.L:
-            raise ValueError("row must have full length")
-        return self._symbols([_row_to_int(row_bits)])[0]
-
     def membership(self, x: BitArray) -> bool:
         if (x.n, x.L) != (self.n, self.L):
             raise ValueError("array shape mismatch")

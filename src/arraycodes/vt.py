@@ -8,8 +8,9 @@ the positions {1, 2, 4, ..., 2^(h-1)}.
 
 The kernels work on rows as bitset ints, bit j-1 holding position j, as
 the array types store them.  The weighted sum sum_j j*x_j is read from
-per-byte tables, one lookup per 8 positions of the row.  The list-taking
-functions are adapters for callers at the API boundary.
+per-byte tables, one lookup per 8 positions of the row.  `vt_decode` and
+`vt_codewords` are the list forms left, for callers that hold rows as bit
+lists.
 """
 
 from __future__ import annotations
@@ -86,22 +87,6 @@ def position_sums(rows: Sequence[int], h: int) -> List[int]:
     return [position_sum(x, h) for x in rows]
 
 
-def vt_syndrome(bits: Sequence[int], q: int) -> int:
-    """Weighted position sum sum_j j*x_j modulo q (positions 1-indexed)."""
-    return position_sum(_row_to_int(bits), len(bits).bit_length()) % q
-
-
-def power_positions(L: int) -> List[int]:
-    """Redundancy positions {2^i} within 1..L for the systematic encoder."""
-    h = vt_modulus_exponent(L)
-    return [1 << i for i in range(h)]
-
-
-def data_positions(L: int) -> List[int]:
-    powers = set(power_positions(L))
-    return [j for j in range(1, L + 1) if j not in powers]
-
-
 @lru_cache(maxsize=None)
 def _data_runs(L: int) -> Tuple[Tuple[int, int], ...]:
     """(first bit, width) of each run 2^i+1 .. min(2^(i+1)-1, L) of data
@@ -160,7 +145,13 @@ def vt_decode(y: Sequence[int], a: int, L: int) -> List[int]:
 
 
 def vt_encode_int(data: int, a: int, L: int) -> int:
-    """Row-int form of `vt_systematic_encode`: data holds the L-h data bits."""
+    """Place the L-h data bits of `data` on the non-power positions and fix
+    the syndrome to a.
+
+    The power positions start at 0 and then position 2^i receives bit i of
+    the deficiency (a - partial syndrome) mod 2^h; the weights 1, 2, ...,
+    2^(h-1) represent every residue exactly once, so one pass suffices.
+    """
     h = L.bit_length()
     x = 0
     for first, width in _data_runs(L):
@@ -180,19 +171,6 @@ def vt_data_int(x: int, L: int) -> int:
         data |= ((x >> first) & ((1 << width) - 1)) << shift
         shift += width
     return data
-
-
-def vt_systematic_encode(data: Sequence[int], a: int, L: int) -> List[int]:
-    """Place data on the non-power positions and fix the syndrome to a.
-
-    The power positions start at 0 and then position 2^i receives bit i of
-    the deficiency (a - partial syndrome) mod 2^h; the weights 1, 2, ...,
-    2^(h-1) represent every residue exactly once, so one pass suffices.
-    """
-    slots = L - vt_modulus_exponent(L)
-    if len(data) != slots:
-        raise ValueError(f"expected {slots} data bits for L={L}, got {len(data)}")
-    return _int_to_row(vt_encode_int(_row_to_int(data), a, L), L)
 
 
 def vt_codewords(L: int, a: int):

@@ -6,7 +6,20 @@ from arraycodes.basecodes import (bch_generator, bch_pcm, claim5_base_pcm,
                                   cyclic_pcm, extended_hamming_pcm,
                                   hamming_pcm, minimal_polynomial)
 from arraycodes.field import field_make
-from arraycodes.gf2 import gf2_nullspace, gf2_rank
+from arraycodes.gf2 import gf2_rank, gf2_row_reduce
+
+
+def gf2_nullspace(rows, ncols):
+    """Basis of the right nullspace {x : A x = 0}, packed as ints."""
+    reduced, pivots = gf2_row_reduce(rows, ncols)
+    basis = []
+    for free in sorted(set(range(ncols)) - set(pivots)):
+        vec = 1 << free
+        for row, col in zip(reduced, pivots):
+            if row >> free & 1:
+                vec |= 1 << col
+        basis.append(vec)
+    return basis
 
 
 def min_hamming_distance(pcm) -> int:

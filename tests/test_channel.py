@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -43,8 +44,14 @@ def test_enumerate_del_count():
 
 def test_enumerate_del_two_rows():
     insts = list(enumerate_channel_instances(ChannelSpec("del", t=2, s=1), 3, 2))
-    # 3*2 single-row + C(3,2)*2*2 two-row layouts
+    # 3*2 single-row + C(3,2)*2*2 two-row layouts, the last row fastest
     assert len(insts) == len(set(insts)) == 6 + 12
+    assert insts == [
+        ((1, (1,)),), ((1, (2,)),), ((2, (1,)),), ((2, (2,)),), ((3, (1,)),), ((3, (2,)),),
+        ((1, (1,)), (2, (1,))), ((1, (1,)), (2, (2,))), ((1, (2,)), (2, (1,))),
+        ((1, (2,)), (2, (2,))), ((1, (1,)), (3, (1,))), ((1, (1,)), (3, (2,))),
+        ((1, (2,)), (3, (1,))), ((1, (2,)), (3, (2,))), ((2, (1,)), (3, (1,))),
+        ((2, (1,)), (3, (2,))), ((2, (2,)), (3, (1,))), ((2, (2,)), (3, (2,)))]
     for inst in insts:
         rows = [r for r, _ in inst]
         assert len(rows) == len(set(rows))
@@ -56,9 +63,28 @@ def test_enumerate_ted_count_product_rule():
     assert len(insts) == len(set(insts)) == expected
 
 
+def test_enumerate_ted_exhaustive_stream_pinned():
+    # the 3011 instances the ted-exhaustive benchmark decodes, in order
+    insts = list(enumerate_channel_instances(ChannelSpec("ted", t=2, s=1, e=1), 5, 7))
+    assert len(insts) == 3011
+    assert hashlib.sha256(repr(insts).encode()).hexdigest() == (
+        "cfcdc5fb292855604fc919f3f04079f5ef05de805f145c5452b24fb0e31109dc")
+
+
 def test_work_cap():
     with pytest.raises(RuntimeError):
         list(enumerate_channel_instances(ChannelSpec("te", e=4), 8, 8, max_work=10))
+
+
+@pytest.mark.parametrize("spec,n,L", [(ChannelSpec("del", t=2, s=1), 3, 2),
+                                      (ChannelSpec("ted", t=1, s=1, e=1), 2, 3)])
+def test_work_cap_raises_on_the_first_instance_past_it(spec, n, L):
+    insts = list(enumerate_channel_instances(spec, n, L, max_work=None))
+    assert list(enumerate_channel_instances(spec, n, L, max_work=len(insts))) == insts
+    stream = enumerate_channel_instances(spec, n, L, max_work=len(insts) - 1)
+    assert [next(stream) for _ in range(len(insts) - 1)] == insts[:-1]
+    with pytest.raises(RuntimeError, match="work cap"):
+        next(stream)
 
 
 def test_random_instance_within_budget():

@@ -25,6 +25,18 @@ def test_construct_and_verify_te(tmp_path, capsys):
     assert rc == 1
 
 
+def test_construct_even_ext_on_a_bch_base(tmp_path, capsys):
+    # d = 6 on 3 rows: the base is the window of n*t + 1 = 7 coordinates
+    # of the cyclic code generated by (x+1)m1(x)m3(x), of degree 7, a
+    # redundancy the degree check in bch_pcm rejects at this length
+    code_file = tmp_path / "even.tepc"
+    rc, out, _ = run(capsys, "construct", "--code", "even-ext",
+                     "--n", "3", "--d", "6", "--out", str(code_file))
+    assert rc == 0 and "n=3 L=5 redundancy=7" in out
+    rc, out, _ = run(capsys, "verify", "--code-file", str(code_file), "--d", "6")
+    assert rc == 0 and "exactly 6" in out
+
+
 def test_te_encode_channel_decode(tmp_path, capsys):
     code_file = tmp_path / "code.tepc"
     run(capsys, "construct", "--code", "construction-1", "--n", "7", "--d", "3",

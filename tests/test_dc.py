@@ -7,7 +7,7 @@ from arraycodes.channel import (ChannelSpec, apply_channel, apply_deletions,
                                 enumerate_deletion_instances, random_instance,
                                 roundtrip_harness)
 from arraycodes.dc import DcCode
-from arraycodes.ted import TedCode
+from arraycodes.ted import TedCode, theta_symbol
 from arraycodes.errors import (ArrayCodeError, CapacityExceededError,
                                ChannelContractError, CorruptInputError)
 
@@ -120,7 +120,7 @@ def test_coset_partition_small():
     buckets = {}
     for value in range(1 << 9):
         x = BitArray(3, 3, tuple((value >> (3 * i)) & 7 for i in range(3)))
-        sig = tuple(code.sigma(x.row_bits(i)) for i in range(1, 4))
+        sig = tuple(theta_symbol(x.row_bits(i), 0, code.h) for i in range(1, 4))
         # coset label: difference from the interpolation through first k symbols
         cw = outer.encode(list(sig[: outer.k]))
         label = tuple(a ^ b for a, b in zip(sig, cw))[outer.k:]

@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from arraycodes.field import binary_expand, field_make
+from arraycodes.field import field_make
+from arraycodes.te import _build_from_field_rows
 
 
 def test_gf2_trivial_field():
@@ -73,11 +74,11 @@ def test_pow_matches_repeated_mul():
 
 
 def test_binary_expand_basis_convention():
+    # a field entry expands to m binary rows, the coefficient of x^0 first,
+    # so 1, alpha and alpha^2 become the unit columns in that order
     f = field_make(3)
-    one = binary_expand([[1]], f)
-    assert one.to_lists() == [[1], [0], [0]]
-    alpha = binary_expand([[f.alpha]], f)
-    assert alpha.to_lists() == [[0], [1], [0]]
+    H = _build_from_field_rows(1, 3, f, [[1, f.alpha, f.alpha_pow(2)]], [], "test")
+    assert H.cols == ((0b001, 0b010, 0b100),)
 
 
 def test_binary_expand_rank_example():

@@ -9,9 +9,9 @@ from arraycodes.arrays import (BitArray, ErasedArray, RaggedArray,
 from arraycodes.basecodes import (bch_generator, bch_pcm, cyclic_pcm,
                                   extended_hamming_pcm, hamming_pcm)
 from arraycodes.errors import (AmbiguousErasureError, ArrayCodeError,
-                               InconsistentSystemError, NotACodewordError)
+                               NotACodewordError)
 from arraycodes.field import field_make
-from arraycodes.gf2 import gf2_rank, gf2_solve
+from arraycodes.gf2 import gf2_rank, gf2_row_reduce
 from arraycodes.te import (MinDistanceResult, TeCodec, TeEncoder,
                            TeParityCheck, brute_force_min_distance,
                            construct_1, construct_claim5, construct_claim7,
@@ -22,6 +22,11 @@ from arraycodes.te import (MinDistanceResult, TeCodec, TeEncoder,
 
 def ceil_log2(x):
     return (x - 1).bit_length()
+
+
+def pattern_multiset(H, p):
+    """Columns touched by the TE pattern p (the last p_i cells of row i)."""
+    return [c for row, pi in zip(H.cols, p) if pi for c in row[H.L - pi:]]
 
 
 def hamming_example_pcm():
@@ -35,7 +40,7 @@ def hamming_example_pcm():
 def test_example_multiset_dependency():
     H = hamming_example_pcm()
     p = (1, 0, 0, 0, 0, 0, 2)
-    multiset = H.pattern_multiset(p)
+    multiset = pattern_multiset(H, p)
     base_cols = hamming_pcm(7).columns()
     assert sorted(multiset) == sorted([base_cols[0], base_cols[0], base_cols[6]])
     assert gf2_rank(multiset) < len(multiset)
@@ -55,14 +60,14 @@ def test_construction1_theorem_pattern_is_dependent():
         H = construct_1(base, n, t)
         p = [0] * n
         p[0], p[-1] = 2 * t, 1
-        multiset = H.pattern_multiset(tuple(p))
+        multiset = pattern_multiset(H, tuple(p))
         assert gf2_rank(multiset) < len(multiset)
 
 
 def test_construction1_no_column_multiplicity_up_to_2t():
     H = construct_1(bch_pcm(10, 5)[0], 5, 2)
     for p in enumerate_patterns(4, 4, 5):
-        multiset = H.pattern_multiset(p)
+        multiset = pattern_multiset(H, p)
         assert len(multiset) == len(set(multiset))
 
 
@@ -349,6 +354,23 @@ def test_theorem1_both_directions_small():
 # --- oracles: the gf2_solve erasure decoder and the per-pattern rank
 # verifier, kept as the reference for the column-basis implementations ---
 
+def gf2_solve(rows, ncols, b):
+    """Solve A x = b over GF(2) for A given as row bitsets.
+
+    Returns (x, unique), x packed as an int (bit j is x_j) and unique saying
+    whether it is the only solution, or None when no solution exists.
+    """
+    aug = [row | (bit & 1) << ncols for row, bit in zip(rows, b)]
+    reduced, pivots = gf2_row_reduce(aug, ncols + 1)
+    if ncols in pivots:
+        return None
+    x = 0
+    for row, col in zip(reduced, pivots):
+        if row >> ncols & 1:
+            x |= 1 << col
+    return x, len(pivots) == ncols
+
+
 def oracle_te_decode(H, received):
     """Solve for the erased cells with gf2_solve, one bit-row per parity bit."""
     if (received.n, received.L) != (H.n, H.L):
@@ -376,10 +398,10 @@ def oracle_te_decode(H, received):
             row |= ((H.column(i, j) >> b) & 1) << idx
         sys_rows.append(row)
         target.append((syndrome >> b) & 1)
-    try:
-        solution, unique = gf2_solve(sys_rows, len(unknown), target)
-    except InconsistentSystemError as exc:
-        raise NotACodewordError("surviving entries match no codeword") from exc
+    solved = gf2_solve(sys_rows, len(unknown), target)
+    if solved is None:
+        raise NotACodewordError("surviving entries match no codeword")
+    solution, unique = solved
     if not unique:
         raise AmbiguousErasureError("erasure pattern exceeds the code's "
                                     "correction capability")
@@ -413,7 +435,7 @@ def oracle_verify_min_distance(H, max_e):
     for e in range(1, max_e + 1):
         for p in oracle_patterns_with_sum(e, H.L, H.n):
             examined += 1
-            cols = H.pattern_multiset(p)
+            cols = pattern_multiset(H, p)
             if gf2_rank(cols) < len(cols):
                 return MinDistanceResult(e, True, p, examined)
     return MinDistanceResult(max_e + 1, False, None, examined)

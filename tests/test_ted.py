@@ -116,7 +116,7 @@ def test_multi_bit_row_loss():
     msg = [rng.randrange(2) for _ in range(code.message_bits)]
     x = code.encode(msg)
     out = apply_ted(x, ((2, 0, 0, 0, 0), ((1, (2,)),)))
-    assert out.row_length(1) == 4
+    assert out.rows[0][1] == 4
     assert code.decode(out) == x
 
 

@@ -5,10 +5,9 @@ from itertools import combinations
 import pytest
 
 from arraycodes.errors import CorruptInputError
-from arraycodes.vt import (data_positions, position_sum, position_sums,
-                           power_positions, vt_codewords, vt_data_int, vt_decode, vt_decode_int,
-                           vt_encode_int, vt_modulus_exponent, vt_syndrome,
-                           vt_systematic_encode)
+from arraycodes.vt import (position_sum, position_sums, vt_codewords, vt_data_int,
+                           vt_decode, vt_decode_int, vt_encode_int,
+                           vt_modulus_exponent)
 
 
 def deletions(word):
@@ -19,21 +18,14 @@ def deletions(word):
 
 
 def test_syndrome_values():
-    assert vt_syndrome([0, 0, 0, 0], 8) == 0
-    assert vt_syndrome([1, 0, 0, 1], 8) == 5
+    assert position_sum(0b0000, 3) % 8 == 0
+    assert position_sum(0b1001, 3) % 8 == 5
     for j in range(1, 7):
-        e_j = [1 if k == j else 0 for k in range(1, 7)]
-        assert vt_syndrome(e_j, 8) == j % 8
+        assert position_sum(1 << (j - 1), 3) % 8 == j % 8
 
 
 def test_modulus_exponent():
     assert [vt_modulus_exponent(L) for L in (1, 2, 3, 4, 7, 8, 10)] == [1, 2, 2, 3, 3, 4, 4]
-
-
-def test_power_positions_within_length():
-    for L in range(2, 12):
-        assert all(1 <= p <= L for p in power_positions(L))
-        assert len(power_positions(L)) + len(data_positions(L)) == L
 
 
 def test_decode_all_zero():
@@ -70,7 +62,7 @@ def test_decode_corrupt_input():
 
 
 def test_systematic_zero():
-    assert vt_systematic_encode([0, 0], 0, 5) == [0] * 5
+    assert vt_encode_int(0, 0, 5) == 0
 
 
 @pytest.mark.parametrize("L", range(2, 11))
@@ -79,38 +71,35 @@ def test_systematic_encoder_roundtrip(L):
     q = 1 << h
     rng = random.Random(L)
     slots = data_positions(L)
-    images = set()
     for a in range(q):
         for _ in range(min(1 << (L - h), 16)):
-            d = [rng.randrange(2) for _ in range(L - h)]
-            x = vt_systematic_encode(d, a, L)
-            assert vt_syndrome(x, q) == a
-            assert [x[p - 1] for p in slots] == d
-            images.add((a, tuple(x)))
-            for y in deletions(x):
-                assert vt_decode(list(y), a, L) == x
+            d = rng.getrandbits(L - h)
+            x = vt_encode_int(d, a, L)
+            assert position_sum(x, h) % q == a
+            assert [x >> (p - 1) & 1 for p in slots] == to_bits(d, L - h)
+            assert vt_data_int(x, L) == d
+            for pos in range(L):
+                y = (x & ((1 << pos) - 1)) | ((x >> (pos + 1)) << pos)
+                assert vt_decode_int(y, a, L) == x
 
 
 def test_encoder_image_size():
     # exactly 2^(L-h) distinct codewords per coset
     L, a = 6, 3
     h = vt_modulus_exponent(L)
-    image = set()
-    for value in range(1 << (L - h)):
-        d = [(value >> k) & 1 for k in range(L - h)]
-        image.add(tuple(vt_systematic_encode(d, a, L)))
+    image = {vt_encode_int(d, a, L) for d in range(1 << (L - h))}
     assert len(image) == 1 << (L - h)
-
-
-def test_encoder_wrong_data_length():
-    with pytest.raises(ValueError):
-        vt_systematic_encode([0, 1, 1], 0, 5)
 
 
 # --- list reference oracle ---------------------------------------------------
 #
 # The list-based bodies the row-int kernels replaced, kept verbatim in
 # behaviour as the reference for the differential tests below.
+
+def data_positions(L):
+    """The positions 1..L that are not powers of two."""
+    return [j for j in range(1, L + 1) if j & (j - 1)]
+
 
 def oracle_syndrome(bits, q):
     return sum(j * b for j, b in enumerate(bits, start=1)) % q
@@ -183,7 +172,6 @@ def check_syndrome(value, L):
     h = vt_modulus_exponent(L)
     bits = to_bits(value, L)
     assert position_sum(value, h) % (1 << h) == oracle_syndrome(bits, 1 << h)
-    assert vt_syndrome(bits, 1 << h) == oracle_syndrome(bits, 1 << h)
 
 
 def check_decode(value, a, L):
@@ -204,7 +192,6 @@ def check_encode(value, a, L):
     row = vt_encode_int(value, a, L)
     assert row == to_int(want), (L, a, data)
     assert vt_data_int(row, L) == value
-    assert vt_systematic_encode(data, a, L) == want
 
 
 @pytest.mark.parametrize("L", range(1, 11))
