@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import List, Tuple
 
 from .field import Gf2m, field_make
-from .gf2 import BitMatrix
+from .gf2 import BitMatrix, transpose
 
 
 def hamming_pcm(n: int) -> BitMatrix:
@@ -26,11 +26,8 @@ def hamming_pcm(n: int) -> BitMatrix:
     """
     if n < 1:
         raise ValueError("n must be positive")
-    r = max(1, (n).bit_length())
-    rows = []
-    for bit in range(r):
-        rows.append(sum((((j >> bit) & 1) << (j - 1)) for j in range(1, n + 1)))
-    return BitMatrix(r, n, tuple(rows))
+    r = max(1, n.bit_length())
+    return BitMatrix(r, n, tuple(transpose(range(1, n + 1), r)))
 
 
 def extended_hamming_pcm(n: int) -> BitMatrix:
@@ -129,14 +126,10 @@ def cyclic_pcm(g: int, length: int) -> BitMatrix:
     r = g.bit_length() - 1
     if length < 1:
         raise ValueError("length must be positive")
-    rows = [0] * r
-    col = 1  # x^0
-    for j in range(length):
-        for bit in range(r):
-            if (col >> bit) & 1:
-                rows[bit] |= 1 << j
-        col = _poly_mod(col << 1, g)
-    return BitMatrix(r, length, tuple(rows))
+    cols = [_poly_mod(1, g)]     # x^0, which is 0 when g = 1
+    while len(cols) < length:
+        cols.append(_poly_mod(cols[-1] << 1, g))
+    return BitMatrix(r, length, tuple(transpose(cols, r)))
 
 
 def bch_degree(length: int) -> int:

@@ -14,11 +14,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from .arrays import (BitArray, d1_dc_distance, fll_distance,
-                     rho_te_distance, run_stats)
+from .arrays import BitArray, fll_distance, rho_te_distance, run_stats
 
 
 @dataclass(frozen=True)
@@ -156,42 +154,6 @@ def singleton_te(n: int, L: int, M: int) -> int:
 
 
 # --- deletion-side bounds -----------------------------------------------------
-
-def fll_ball(bits: Sequence[int], s: int) -> Set[Tuple[int, ...]]:
-    """All equal-length words within FLL distance s of the given word."""
-    L = len(bits)
-    out = set()
-    for value in range(1 << L):
-        y = tuple((value >> j) & 1 for j in range(L))
-        if fll_distance(list(bits), list(y)) <= s:
-            out.add(y)
-    return out
-
-
-def dc_sphere_exact(x: BitArray, s: int, t: int) -> int:
-    """|{Y : d_sDC(x, Y) = t}| from per-row FLL ball sizes."""
-    sizes = [len(fll_ball(x.row_bits(i), s)) - 1 for i in range(1, x.n + 1)]
-    total = 0
-    for rows in combinations(range(x.n), t):
-        prod = 1
-        for i in rows:
-            prod *= sizes[i]
-        total += prod
-    return total
-
-
-def v1_dc_ball_size(x: BitArray, r: int) -> int:
-    """|{Y : d1_DC(x, Y) <= r}| by enumerating first-column flips (any array
-    at finite d1 distance differs from x only there) and measuring the
-    distance, not assuming it."""
-    count = 0
-    for flips in range(1 << x.n):
-        rows = tuple(row ^ ((flips >> i) & 1) for i, row in enumerate(x.rows))
-        y = BitArray(x.n, x.L, rows)
-        if d1_dc_distance(x, y) <= r:
-            count += 1
-    return count
-
 
 def dc_bound_part1(n: int, L: int, t: int, s: int, m_s_L: int,
                    m_provenance: str = "supplied") -> BoundReport:

@@ -3,8 +3,9 @@
 A binary matrix is stored as a list of Python ints, one per row, where bit j
 of a row int is the entry in column j.  Python's arbitrary-precision ints act
 as bitsets, so elimination is a handful of XORs per row regardless of width.
-The constructions need the rank (a code's redundancy in bits) and the
-systematic TE encoder the reduced row-echelon form.
+The constructions need the rank (a code's redundancy in bits), the
+systematic TE encoder the reduced row-echelon form, and both the transpose
+between parity-check rows and per-coordinate columns.
 """
 
 from __future__ import annotations
@@ -24,6 +25,27 @@ def gf2_rank(rows: Iterable[int]) -> int:
         if row:
             basis.append(row)
     return len(basis)
+
+
+def transpose(vectors: Sequence[int], width: int) -> List[int]:
+    """The same bit matrix read the other way: bit k of output j is bit j of
+    vectors[k], for j < width (every vector is below 2^width)."""
+    out = [0] * width
+    for k, vec in enumerate(vectors):
+        while vec:
+            low = vec & -vec
+            out[low.bit_length() - 1] |= 1 << k
+            vec ^= low
+    return out
+
+
+def xor_table(vectors: Sequence[int]) -> List[int]:
+    """table[v] = XOR of vectors[b] over the set bits b of v, one XOR per
+    entry (2^len(vectors) entries)."""
+    table = [0]
+    for vec in vectors:
+        table += [t ^ vec for t in table]
+    return table
 
 
 def gf2_row_reduce(rows: Sequence[int], ncols: int) -> Tuple[List[int], List[int]]:
@@ -70,26 +92,9 @@ class BitMatrix:
         if any(r < 0 or r >= limit for r in self.rows):
             raise ValueError("row has bits outside the declared width")
 
-    @classmethod
-    def from_lists(cls, entries: Sequence[Sequence[int]]) -> "BitMatrix":
-        nrows = len(entries)
-        ncols = len(entries[0]) if entries else 0
-        rows = []
-        for row in entries:
-            if len(row) != ncols:
-                raise ValueError("ragged rows")
-            rows.append(sum((int(v) & 1) << j for j, v in enumerate(row)))
-        return cls(nrows, ncols, tuple(rows))
-
-    def entry(self, i: int, j: int) -> int:
-        return (self.rows[i] >> j) & 1
-
-    def column(self, j: int) -> int:
-        """Column j packed as an int (bit i = row i)."""
-        return sum(self.entry(i, j) << i for i in range(self.nrows))
-
     def columns(self) -> List[int]:
-        return [self.column(j) for j in range(self.ncols)]
+        """Column j packed as an int (bit i = row i), for every j."""
+        return transpose(self.rows, self.ncols)
 
     def rank(self) -> int:
         return gf2_rank(self.rows)

@@ -38,6 +38,7 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import CapacityExceededError, NotACodewordError
 from .field import Gf2m
+from .gf2 import xor_table
 
 # Widest chunk of a symbol's bits that indexes one table row.
 _CHUNK_BITS = 8
@@ -116,13 +117,7 @@ class ReedSolomon:
                 images.append(image)
                 carry = image & top
                 image = (image ^ carry) << 1 ^ (carry >> (m - 1)) * low
-            out = []
-            for s in shifts:
-                row = [0]
-                for bit_image in images[s:s + width]:
-                    row += [v ^ bit_image for v in row]
-                out.append(tuple(row))
-            return out
+            return [tuple(xor_table(images[s:s + width])) for s in shifts]
 
         inv_v = [prod_diff(x[i], (j for j in range(n) if j != i)) for i in range(n)]
         syn = []

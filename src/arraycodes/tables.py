@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .basecodes import bch_pcm, extended_hamming_pcm, hamming_pcm
 from .bounds import te_sphere_packing
@@ -99,29 +99,23 @@ def table_i(n_values: Iterable[int], d_values: Iterable[int]) -> List[TableRow]:
 
 # --- Table II: redundancy of the derivative-family constructions -------------
 
+def _table_ii_closed(L: int, e: int) -> Tuple[int, int]:
+    """(a, c) of the cell's closed form a*log2(n) + c."""
+    if e not in (2, 3, 4, 5):
+        raise ValueError("table covers e in 2..5")
+    return (1 if e <= 3 else 2), (1 if e == 2 else 2 if L == 2 else 3)
+
+
 def table_ii_formula(L: int, e: int) -> str:
-    if e == 2:
-        return "log2(n)+1"
-    if e == 3:
-        return "log2(n)+2" if L == 2 else "log2(n)+3"
-    if e in (4, 5):
-        return "2*log2(n)+2" if L == 2 else "2*log2(n)+3"
-    raise ValueError("table covers e in 2..5")
+    a, c = _table_ii_closed(L, e)
+    return f"{'' if a == 1 else f'{a}*'}log2(n)+{c}"
 
 
 def table_ii_cell(n: int, L: int, e: int) -> int:
     """Closed-form cell instantiated at n: exact for powers of two, the
     integer ceiling otherwise (redundancy is an integer)."""
-    lg = math.log2(n)
-    if e == 2:
-        value = lg + 1
-    elif e == 3:
-        value = lg + 2 if L == 2 else lg + 3
-    elif e in (4, 5):
-        value = 2 * lg + 2 if L == 2 else 2 * lg + 3
-    else:
-        raise ValueError("table covers e in 2..5")
-    return math.ceil(value - 1e-9)
+    a, c = _table_ii_closed(L, e)
+    return math.ceil(a * math.log2(n) + c - 1e-9)
 
 
 def table_ii(n_values: Iterable[int],

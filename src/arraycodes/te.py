@@ -18,16 +18,7 @@ from .arrays import BitArray, ErasedArray, _row_to_int
 from .basecodes import claim5_base_pcm
 from .errors import AmbiguousErasureError, NotACodewordError
 from .field import Gf2m, field_make
-from .gf2 import BitMatrix, gf2_rank, gf2_row_reduce
-
-
-def _xor_table(vectors: Sequence[int]) -> List[int]:
-    """table[v] = XOR of vectors[b] over the set bits b of v, one XOR per
-    entry (2^len(vectors) entries)."""
-    table = [0]
-    for vec in vectors:
-        table += [t ^ vec for t in table]
-    return table
+from .gf2 import BitMatrix, gf2_rank, gf2_row_reduce, transpose, xor_table
 
 
 @dataclass(frozen=True)
@@ -44,6 +35,10 @@ class TeParityCheck:
     def __post_init__(self):
         if len(self.cols) != self.n or any(len(row) != self.L for row in self.cols):
             raise ValueError("column grid does not match declared shape")
+        # c >> r is nonzero for a column of r+1 or more bits, and -1 for a
+        # negative one.
+        if any(c >> self.r for row in self.cols for c in row):
+            raise ValueError(f"parity-check column wider than r = {self.r} bits")
 
     def column(self, i: int, j: int) -> int:
         """Column of row i, position j (1-indexed)."""
@@ -65,7 +60,7 @@ class TeParityCheck:
     def _syndrome_tables(self) -> List[Tuple[int, int, List[int]]]:
         """(row, shift, table) for each chunk of at most 8 cells of a row;
         table[v] is the syndrome of chunk value v."""
-        return [(i, shift, _xor_table(row[shift:shift + 8]))
+        return [(i, shift, xor_table(row[shift:shift + 8]))
                 for i, row in enumerate(self.cols)
                 for shift in range(0, self.L, 8)]
 
@@ -142,8 +137,6 @@ class TeParityCheck:
                              f"n*L*ceil(r/8) = {n * L * nbytes} expected")
         flat = [int.from_bytes(body[k * nbytes:(k + 1) * nbytes], "little")
                 for k in range(n * L)]
-        if any(c >> r for c in flat):
-            raise ValueError(f"parity-check column wider than r = {r} bits")
         cols = tuple(tuple(flat[i * L:(i + 1) * L]) for i in range(n))
         return cls(n, L, r, cols, prov, None if fm < 0 else fm)
 
@@ -157,50 +150,38 @@ class TeParityCheck:
         return "\n".join(lines) + "\n"
 
 
-def _compact_rows(rows: Sequence[int]) -> List[int]:
-    return [r for r in rows if r]
-
-
-def _columns_from_rows(bin_rows: Sequence[int], n: int, L: int) -> Tuple[Tuple[int, ...], ...]:
-    """Repack matrix rows (bit index = i*L + j) into per-cell columns."""
-    r = len(bin_rows)
-    cols = []
-    for i in range(n):
-        row_cols = []
-        for j in range(L):
-            flat = i * L + j
-            row_cols.append(sum(((bin_rows[b] >> flat) & 1) << b for b in range(r)))
-        cols.append(tuple(row_cols))
-    return tuple(cols)
-
-
 def _build_from_field_rows(n: int, L: int, field: Gf2m,
                            fq_rows: Sequence[Sequence[int]],
-                           bin_rows: Sequence[Sequence[int]],
+                           bin_rows: Sequence[int],
                            provenance: str) -> TeParityCheck:
-    """Assemble a parity check from field-valued rows (each expanded into m
-    binary rows, coefficient of x^0 first) plus plain binary rows; all-zero
+    """Assemble a parity check from field-valued rows (one element per cell
+    in flat order i*L + j, each row expanded into m binary rows, coefficient
+    of x^0 first) plus binary rows (bit i*L + j = cell (i, j)); all-zero
     binary rows are dropped."""
-    ncells = n * L
-    rows: List[int] = []
-    for brow in bin_rows:
-        rows.append(sum((int(brow[c]) & 1) << c for c in range(ncells)))
-    for frow in fq_rows:
-        for bit in range(field.m):
-            rows.append(sum(((frow[c] >> bit) & 1) << c for c in range(ncells)))
-    rows = _compact_rows(rows)
-    return TeParityCheck(n, L, len(rows), _columns_from_rows(rows, n, L),
-                         provenance, field.m)
+    rows = [*bin_rows, *(b for frow in fq_rows for b in transpose(frow, field.m))]
+    rows = [row for row in rows if row]
+    flat = transpose(rows, n * L)
+    cols = tuple(tuple(flat[i * L:(i + 1) * L]) for i in range(n))
+    return TeParityCheck(n, L, len(rows), cols, provenance, field.m)
 
 
 # --- constructions ----------------------------------------------------------
 
-def construct_1(base: BitMatrix, n: int, t: int) -> TeParityCheck:
-    """Interleave a base [nt, k_B, 2t+1] parity check into an n x 2t layout.
+def _interleave(h: Sequence[int], n: int, t: int,
+                middle: Tuple[int, ...]) -> Tuple[Tuple[int, ...], ...]:
+    """Row i (1-based) holds the base columns (i-1)t+1 .. it, then `middle`,
+    then the next block reversed, (i+1)t down to it+1, indices wrapping past
+    nt."""
+    nt = n * t
+    return tuple(tuple(h[i * t:(i + 1) * t]) + middle
+                 + tuple(h[k % nt] for k in range((i + 2) * t - 1, (i + 1) * t - 1, -1))
+                 for i in range(n))
 
-    Row i holds the base columns (i-1)t+1 .. it followed by the next block
-    reversed, (i+1)t down to it+1, indices wrapping past nt.  The result
-    corrects 2t tail erasures with the base code's redundancy nt - k_B.
+
+def construct_1(base: BitMatrix, n: int, t: int) -> TeParityCheck:
+    """Interleave a base [nt, k_B, 2t+1] parity check into an n x 2t layout
+    (see `_interleave`).  The result corrects 2t tail erasures with the base
+    code's redundancy nt - k_B.
     """
     if n == 2:
         raise ValueError("the interleaved construction is degenerate for n = 2 "
@@ -209,16 +190,8 @@ def construct_1(base: BitMatrix, n: int, t: int) -> TeParityCheck:
         raise ValueError("n and t must be positive")
     if base.ncols != n * t:
         raise ValueError(f"base code must have n*t = {n * t} columns, has {base.ncols}")
-    h = base.columns()   # h[k-1] is base column k
-    nt = n * t
-    cols = []
-    for i in range(1, n + 1):
-        row = [h[(i - 1) * t + p - 1] for p in range(1, t + 1)]
-        for ell in range(1, t + 1):
-            k = (i + 1) * t - ell + 1
-            row.append(h[(k - 1) % nt])
-        cols.append(tuple(row))
-    return TeParityCheck(n, 2 * t, base.nrows, tuple(cols), "construction-1")
+    return TeParityCheck(n, 2 * t, base.nrows, _interleave(base.columns(), n, t, ()),
+                         "construction-1")
 
 
 def construct_even(base_star: BitMatrix, n: int, t: int) -> TeParityCheck:
@@ -230,17 +203,8 @@ def construct_even(base_star: BitMatrix, n: int, t: int) -> TeParityCheck:
     if base_star.ncols != n * t + 1:
         raise ValueError(f"base code must have n*t+1 = {n * t + 1} columns")
     h = base_star.columns()
-    nt = n * t
-    shared = h[nt]
-    cols = []
-    for i in range(1, n + 1):
-        row = [h[(i - 1) * t + p - 1] for p in range(1, t + 1)]
-        row.append(shared)
-        for ell in range(1, t + 1):
-            k = (i + 1) * t - ell + 1
-            row.append(h[(k - 1) % nt])
-        cols.append(tuple(row))
-    return TeParityCheck(n, 2 * t + 1, base_star.nrows, tuple(cols), "even-ext")
+    return TeParityCheck(n, 2 * t + 1, base_star.nrows, _interleave(h, n, t, (h[n * t],)),
+                         "even-ext")
 
 
 def construct_parity(n: int, L: int) -> TeParityCheck:
@@ -276,16 +240,40 @@ def construct_claim5(n: int) -> TeParityCheck:
     return TeParityCheck(n, 4, base.nrows, tuple(cols), "claim-5")
 
 
-def _evaluation_points(n: int, m: int, field: Gf2m, allow_zero: bool) -> List[int]:
-    """n distinct points: alpha^1, alpha^2, ...; zero fills in when n = 2^m."""
-    q = field.order
-    if n > q - 1:
-        if not (allow_zero and n == q):
-            raise ValueError("field too small for the requested point count")
-    pts = [field.alpha_pow(i) for i in range(1, min(n, q - 1) + 1)]
-    if n == q:
-        pts.append(0)
-    return pts
+def _hasse_points(n: int) -> Tuple[Gf2m, List[int]]:
+    """GF(2^m) with 2^m > n, and the n points b_i = alpha^i, i = 1..n."""
+    field = field_make(max(1, n.bit_length()))
+    return field, [field.alpha_pow(i) for i in range(1, n + 1)]
+
+
+def _derivative_row(field: Gf2m, pts: Sequence[int], L: int, k: int) -> List[int]:
+    """Degree-k row of the derivative stack: the cell d places from the end
+    of row i carries C(k, d) b_i^(k-d).  By Lucas, C(k, d) is odd iff the
+    bits of d are covered by k; an even binomial zeroes the cell, which also
+    removes every negative exponent."""
+    return [field.pow(b, k - d) if k & d == d else 0
+            for b in pts for d in range(L - 1, -1, -1)]
+
+
+def _tail_parity(n: int, L: int, *offsets: int) -> int:
+    """Binary row summing, in every array row, the cells `offsets` places
+    from its end (1 = the last cell); offsets beyond L are skipped."""
+    mask = sum(1 << (L - o) for o in offsets if o <= L)
+    return sum(mask << (i * L) for i in range(n))
+
+
+def _odd_degree_code(n: int, L: int, provenance: str) -> TeParityCheck:
+    """The 5-TE code on n x L arrays, 2 <= L <= 4: derivative rows of degree
+    1 and 3 over GF(2^m), m = ceil(log2 n), plus single-cell parities of the
+    last three cells.  Rows 2 and 4 are squares of row-1 combinations once
+    those parities are available; at L = 2 the third parity is empty."""
+    field = field_make(max(1, (n - 1).bit_length()))
+    pts = [field.alpha_pow(i) for i in range(1, n + 1)]
+    if n == field.order:     # every nonzero point is taken: zero fills in
+        pts[-1] = 0
+    return _build_from_field_rows(
+        n, L, field, [_derivative_row(field, pts, L, k) for k in (1, 3)],
+        [_tail_parity(n, L, o) for o in (3, 2, 1)], provenance)
 
 
 def construct_claim7(n: int) -> TeParityCheck:
@@ -295,34 +283,11 @@ def construct_claim7(n: int) -> TeParityCheck:
     h_{i,1} = (1, 0, 1, b_i^2) and h_{i,2} = (0, 1, b_i, b_i^3) for distinct
     points b_i (zero included when n = 2^m).  These four field rows are what
     survives of the degree-4 derivative stack after the rows recoverable by
-    squaring syndromes are dropped.
+    squaring syndromes are dropped: the odd-degree code at L = 2.
     """
     if n < 1:
         raise ValueError("n must be positive")
-    m = max(1, (n - 1).bit_length())
-    field = field_make(m)
-    pts = _evaluation_points(n, m, field, allow_zero=True)
-    L = 2
-    r1 = [0] * (n * L)
-    r2 = [0] * (n * L)
-    k1 = [0] * (n * L)
-    k3 = [0] * (n * L)
-    for i, b in enumerate(pts):
-        r1[i * L + 0] = 1
-        r2[i * L + 1] = 1
-        k1[i * L + 0] = 1
-        k1[i * L + 1] = b
-        k3[i * L + 0] = field.mul(b, b)
-        k3[i * L + 1] = field.mul(field.mul(b, b), b)
-    H = _build_from_field_rows(n, L, field, [k1, k3], [r1, r2], "claim-7")
-    return H
-
-
-def _binom_odd(a: int, b: int) -> bool:
-    """C(a, b) mod 2 by Lucas: odd iff the bits of b are covered by a."""
-    if b < 0 or b > a:
-        return False
-    return (a & b) == b
+    return _odd_degree_code(n, 2, "claim-7")
 
 
 def construct_hasse_raw(n: int, L: int, e: int) -> TeParityCheck:
@@ -336,20 +301,9 @@ def construct_hasse_raw(n: int, L: int, e: int) -> TeParityCheck:
     """
     if n < 1 or L < 1 or e < 1:
         raise ValueError("n, L, e must be positive")
-    m = max(1, n.bit_length())          # smallest m with 2^m > n
-    field = field_make(m)
-    pts = [field.alpha_pow(i) for i in range(1, n + 1)]
-    fq_rows = []
-    for k in range(e):
-        row = [0] * (n * L)
-        for j in range(1, L + 1):
-            if not _binom_odd(k, L - j):
-                continue
-            exp = k - L + j
-            for i, b in enumerate(pts):
-                row[i * L + (j - 1)] = field.pow(b, exp)
-        fq_rows.append(row)
-    return _build_from_field_rows(n, L, field, fq_rows, [], "hasse")
+    field, pts = _hasse_points(n)
+    return _build_from_field_rows(
+        n, L, field, [_derivative_row(field, pts, L, k) for k in range(e)], [], "hasse")
 
 
 def construct_hasse(n: int, L: int, e: int, reduced: bool = True) -> TeParityCheck:
@@ -369,9 +323,7 @@ def construct_hasse(n: int, L: int, e: int, reduced: bool = True) -> TeParityChe
     if e == 2 and L >= 2:
         # One field row: (c_i, b_i) on the last two cells, c_i independent
         # of b_i over GF(2); both 2-patterns are then invertible.
-        m = max(1, n.bit_length())
-        field = field_make(m)
-        pts = [field.alpha_pow(i) for i in range(1, n + 1)]
+        field, pts = _hasse_points(n)
         row = [0] * (n * L)
         for i, b in enumerate(pts):
             row[i * L + (L - 2)] = 1 if b != 1 else field.alpha
@@ -379,58 +331,24 @@ def construct_hasse(n: int, L: int, e: int, reduced: bool = True) -> TeParityChe
         return _build_from_field_rows(n, L, field, [row], [], "hasse")
 
     if e == 3 and L == 2:
-        m = max(1, n.bit_length())
-        field = field_make(m)
-        pts = [field.alpha_pow(i) for i in range(1, n + 1)]
-        ones = [1] * (n * L)
-        k1 = [0] * (n * L)
-        for i, b in enumerate(pts):
-            k1[i * L + 1] = b
-        return _build_from_field_rows(n, L, field, [k1], [ones], "hasse")
+        field, pts = _hasse_points(n)
+        k1 = [c for b in pts for c in (0, b)]
+        return _build_from_field_rows(n, L, field, [k1], [_tail_parity(n, L, 2, 1)],
+                                      "hasse")
 
     if e == 3 and L >= 3:
         # Keep the degree-0 and degree-1 rows; the degree-2 row's syndrome
         # equals (degree-1)^2 plus a parity over columns L-2, L-1.
-        m = max(1, n.bit_length())
-        field = field_make(m)
-        pts = [field.alpha_pow(i) for i in range(1, n + 1)]
-        k0 = [0] * (n * L)
-        k1 = [0] * (n * L)
-        pair = [0] * (n * L)
-        for i, b in enumerate(pts):
-            k0[i * L + (L - 1)] = 1
-            k1[i * L + (L - 2)] = 1
-            k1[i * L + (L - 1)] = b
-            pair[i * L + (L - 3)] = 1
-            pair[i * L + (L - 2)] = 1
-        return _build_from_field_rows(n, L, field, [k1], [k0, pair], "hasse")
+        field, pts = _hasse_points(n)
+        return _build_from_field_rows(
+            n, L, field, [_derivative_row(field, pts, L, 1)],
+            [_tail_parity(n, L, 1), _tail_parity(n, L, 3, 2)], "hasse")
 
     if e in (4, 5) and L == 2:
         return construct_claim7(n)
 
     if e in (4, 5) and L in (3, 4):
-        # Degree rows 0, 1, 3 survive; rows 2 and 4 are squares of row-1
-        # combinations once single-column parities are available.
-        m = max(1, (n - 1).bit_length())
-        field = field_make(m)
-        pts = _evaluation_points(n, m, field, allow_zero=True)
-        k0 = [0] * (n * L)
-        k1 = [0] * (n * L)
-        k3 = [0] * (n * L)
-        pa = [0] * (n * L)
-        pb = [0] * (n * L)
-        for i, b in enumerate(pts):
-            k0[i * L + (L - 1)] = 1
-            k1[i * L + (L - 2)] = 1
-            k1[i * L + (L - 1)] = b
-            if L >= 4:
-                k3[i * L + (L - 4)] = 1
-            k3[i * L + (L - 3)] = b
-            k3[i * L + (L - 2)] = field.mul(b, b)
-            k3[i * L + (L - 1)] = field.mul(field.mul(b, b), b)
-            pa[i * L + (L - 3)] = 1
-            pb[i * L + (L - 2)] = 1
-        return _build_from_field_rows(n, L, field, [k1, k3], [pa, pb, k0], "hasse")
+        return _odd_degree_code(n, L, "hasse")
 
     return construct_hasse_raw(n, L, e)
 
@@ -449,13 +367,8 @@ class TeEncoder:
 
     def __init__(self, H: TeParityCheck):
         self.H = H
-        n, L, r = H.n, H.L, H.r
-        ncols = n * L
-        rows = []
-        for b in range(r):
-            rows.append(sum(((H.cols[i][j] >> b) & 1) << (i * L + j)
-                            for i in range(n) for j in range(L)))
-        reduced, pivots = gf2_row_reduce(rows, ncols)
+        ncols = H.n * H.L
+        reduced, pivots = gf2_row_reduce(transpose(H.all_columns(), H.r), ncols)
         pivot_set = set(pivots)
         self.message_cells = [c for c in range(ncols) if c not in pivot_set]
         self.k = len(self.message_cells)
@@ -464,7 +377,7 @@ class TeEncoder:
         images = [sum(1 << pivot for row, pivot in zip(reduced, pivots)
                       if row >> cell & 1) | 1 << cell
                   for cell in self.message_cells]
-        self._tables = [_xor_table(images[b:b + 8]) for b in range(0, self.k, 8)]
+        self._tables = [xor_table(images[b:b + 8]) for b in range(0, self.k, 8)]
 
     def encode(self, message: Sequence[int]) -> BitArray:
         if len(message) != self.k:
@@ -647,28 +560,24 @@ def brute_force_min_distance(H: TeParityCheck) -> int:
     return best
 
 
-class TeCodec:
-    """Adapter giving a TE code the encode/decode interface the round-trip
-    harness expects (messages in, erased arrays back)."""
+class TeCodec(TeEncoder):
+    """A TE code with the encode/decode interface the round-trip harness
+    expects (messages in, erased arrays back)."""
 
-    def __init__(self, H: TeParityCheck):
-        self.H = H
-        self.encoder = TeEncoder(H)
-        self.n = H.n
-        self.L = H.L
+    @property
+    def n(self) -> int:
+        return self.H.n
+
+    @property
+    def L(self) -> int:
+        return self.H.L
 
     @property
     def message_bits(self) -> int:
-        return self.encoder.k
-
-    def encode(self, message: Sequence[int]) -> BitArray:
-        return self.encoder.encode(message)
+        return self.k
 
     def decode(self, received: ErasedArray) -> BitArray:
         return te_decode(self.H, received)
-
-    def message_of(self, x: BitArray) -> List[int]:
-        return self.encoder.message_of(x)
 
     def descriptor(self) -> dict:
         return {"kind": "te", "n": self.n, "L": self.L,

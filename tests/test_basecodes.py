@@ -72,12 +72,13 @@ def test_bch_generator_degrees():
 def test_cyclic_pcm_membership_is_divisibility():
     g = bch_generator(3, 5, with_parity_factor=True)   # degree 7 over length 7
     pcm = cyclic_pcm(g, 7)
+    columns = pcm.columns()
     # membership: syndrome zero iff g | c(x)
     for value in range(1 << 7):
         syndrome = 0
         for j in range(7):
             if (value >> j) & 1:
-                syndrome ^= pcm.column(j)
+                syndrome ^= columns[j]
         divisible = _poly_mod(value, g) == 0
         assert (syndrome == 0) == divisible
 

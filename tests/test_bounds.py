@@ -1,16 +1,52 @@
 import math
 import random
 from fractions import Fraction
+from itertools import combinations
 import pytest
 
-from arraycodes.arrays import BitArray
+from arraycodes.arrays import BitArray, d1_dc_distance, fll_distance
 from arraycodes.bounds import (a_n_d_brute, ball_count_brute, claim8_bound,
                                dc_bound_part1, dc_bound_part2, dc_bound_part3,
-                               dc_sphere_exact, delete_append_ball, fll_ball,
-                               m_s_brute, singleton_te, te_sphere_packing,
-                               ted_ball, ted_upper_bound, v1_dc_ball_size,
+                               delete_append_ball, m_s_brute, singleton_te,
+                               te_sphere_packing, ted_ball, ted_upper_bound,
                                v_te_general, v_te_small)
 from conftest import random_array
+
+
+def fll_ball(bits, s):
+    """All equal-length words within FLL distance s of the given word."""
+    L = len(bits)
+    out = set()
+    for value in range(1 << L):
+        y = tuple((value >> j) & 1 for j in range(L))
+        if fll_distance(list(bits), list(y)) <= s:
+            out.add(y)
+    return out
+
+
+def dc_sphere_exact(x, s, t):
+    """|{Y : d_sDC(x, Y) = t}| from per-row FLL ball sizes."""
+    sizes = [len(fll_ball(x.row_bits(i), s)) - 1 for i in range(1, x.n + 1)]
+    total = 0
+    for rows in combinations(range(x.n), t):
+        prod = 1
+        for i in rows:
+            prod *= sizes[i]
+        total += prod
+    return total
+
+
+def v1_dc_ball_size(x, r):
+    """|{Y : d1_DC(x, Y) <= r}| by enumerating first-column flips (any array
+    at finite d1 distance differs from x only there) and measuring the
+    distance, not assuming it."""
+    count = 0
+    for flips in range(1 << x.n):
+        rows = tuple(row ^ ((flips >> i) & 1) for i, row in enumerate(x.rows))
+        y = BitArray(x.n, x.L, rows)
+        if d1_dc_distance(x, y) <= r:
+            count += 1
+    return count
 
 
 def test_volume_closed_forms():

@@ -1,0 +1,76 @@
+"""Pin every TE construction, base-code matrix and systematic encoder layout
+to one sha256, so a refactor of the construction code shows any change in
+its output.  A call that raises ValueError contributes its message."""
+
+import hashlib
+
+from arraycodes.basecodes import (bch_pcm, claim5_base_pcm, cyclic_pcm,
+                                  extended_hamming_pcm, hamming_pcm)
+from arraycodes.tables import table_i_construct
+from arraycodes.te import (TeEncoder, construct_1, construct_claim5,
+                           construct_claim7, construct_even, construct_hasse,
+                           construct_hasse_raw, construct_parity)
+
+PINNED = "1a4a382698a422edb70a430d08cbb44ba599d746d7bde91f54fb89678c87c5a9"
+
+
+def _matrix_bytes(M):
+    return repr((M.nrows, M.ncols, M.rows, M.columns())).encode()
+
+
+def _code_bytes(H, with_encoder):
+    out = H.to_bytes()
+    if with_encoder:
+        enc = TeEncoder(H)
+        ones = enc.encode([1] * enc.k)
+        out += repr((enc.message_cells, ones.rows)).encode()
+    return out
+
+
+def _entries():
+    """(label, thunk) for every call of the pinned grid; a thunk returns bytes."""
+    for n in range(1, 40):
+        enc = n <= 12
+        builds = []
+        for L in range(1, 6):
+            for e in range(1, 7):
+                builds.append((f"hasse {n} {L} {e}",
+                               lambda n=n, L=L, e=e: construct_hasse(n, L, e)))
+                builds.append((f"hasse-raw {n} {L} {e}",
+                               lambda n=n, L=L, e=e: construct_hasse_raw(n, L, e)))
+        builds.append((f"claim5 {n}", lambda n=n: construct_claim5(n)))
+        builds.append((f"claim7 {n}", lambda n=n: construct_claim7(n)))
+        for L in (1, 2, 3):
+            builds.append((f"parity {n} {L}", lambda n=n, L=L: construct_parity(n, L)))
+        for t in (1, 2):
+            builds.append((f"c1 {n} {t}",
+                           lambda n=n, t=t: construct_1(hamming_pcm(n * t), n, t)))
+            builds.append((f"even {n} {t}",
+                           lambda n=n, t=t: construct_even(
+                               extended_hamming_pcm(n * t), n, t)))
+        for label, build in builds:
+            yield label, lambda build=build, enc=enc: _code_bytes(build(), enc)
+        yield f"hamming {n}", lambda n=n: _matrix_bytes(hamming_pcm(n))
+        yield f"ext-hamming {n}", lambda n=n: _matrix_bytes(extended_hamming_pcm(n))
+        yield f"cyclic-1 {n}", lambda n=n: _matrix_bytes(cyclic_pcm(1, n))
+        yield f"claim5-base {n}", lambda n=n: _matrix_bytes(claim5_base_pcm(n)[0])
+        for d in range(3, 7):
+            yield f"bch {n} {d}", lambda n=n, d=d: _matrix_bytes(bch_pcm(n, d)[0])
+    for n in range(3, 17):
+        for d in range(2, 6):
+            yield f"table-i {n} {d}", lambda n=n, d=d: table_i_construct(n, d).to_bytes()
+
+
+def construction_digest():
+    digest = hashlib.sha256()
+    for label, thunk in _entries():
+        try:
+            body = thunk()
+        except ValueError as exc:
+            body = f"ValueError: {exc}".encode()
+        digest.update(label.encode() + b"\0" + body + b"\0")
+    return digest.hexdigest()
+
+
+def test_constructions_match_pinned_digest():
+    assert construction_digest() == PINNED

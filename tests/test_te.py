@@ -309,6 +309,16 @@ def test_from_bytes_rejects_column_wider_than_r():
         TeParityCheck.from_bytes(bytes(blob))
 
 
+@pytest.mark.parametrize("cols", [((4, 1), (1, 2)),      # 3 bits with r = 1
+                                  ((-1, 1), (1, 1)),
+                                  ((1 << 8, 1), (1, 1))])  # past the byte width
+def test_parity_check_rejects_columns_outside_r_bits(cols):
+    # Such a column used to raise the redundancy above r, or leak
+    # OverflowError from to_bytes, instead of failing at construction.
+    with pytest.raises(ValueError, match="wider than r = 1 bits"):
+        TeParityCheck(2, 2, 1, cols)
+
+
 @pytest.mark.parametrize("field_name", ["r", "n", "L"])
 def test_from_bytes_rejects_zero_size_header(field_name):
     # A zero r would make the body-length check vacuous: n*L*0 = 0 bytes
