@@ -8,22 +8,35 @@ symbol of a row, position L the last; tail erasures remove a suffix).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 
-# byte b -> the digit of its low bit, and back
-_PACK = bytes(b"01"[b & 1] for b in range(256))
+# bytes 0 and 1 -> the digits "0" and "1", and back
+_PACK = bytes.maketrans(b"\x00\x01", b"01")
 _UNPACK = bytes.maketrans(b"01", b"\x00\x01")
 
 
 def _row_to_int(bits: Sequence[int]) -> int:
-    """Pack bits (ints or bools; only the low bit of each counts) into a
-    row int, bits[0] lowest."""
+    """Pack bits (0/1 ints or bools) into a row int, bits[0] lowest; any
+    other entry raises ValueError."""
     try:
-        packed = bytes(reversed(bits))
-    except ValueError:      # an entry outside 0..255
-        packed = bytes(map((1).__and__, reversed(bits)))
+        packed = bytes(reversed(bits))     # ValueError outside 0..255
+        if packed.translate(None, b"\x00\x01"):
+            raise ValueError
+    except ValueError:
+        raise ValueError("row entries must be 0 or 1") from None
     return int(packed.translate(_PACK) or b"0", 2)
+
+
+def _trusted(cls, **fields):
+    """An instance of one of the array classes below with its fields set
+    as given, skipping `__post_init__`.  Internal only: the library uses it
+    where it builds rows valid by construction; every public path (the
+    constructors, `from_lists`, the text parsers) keeps its checks."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
 
 
 def _int_to_row(value: int, length: int) -> List[int]:
@@ -64,13 +77,6 @@ class BitArray:
 
     def row_bits(self, i: int) -> List[int]:
         return _int_to_row(self.rows[i - 1], self.L)
-
-    def flat_bits(self) -> List[int]:
-        """Row-major flattening, position (i-1)*L + (j-1)."""
-        flat = 0
-        for i, r in enumerate(self.rows):
-            flat |= r << (i * self.L)
-        return _int_to_row(flat, self.n * self.L)
 
     def xor(self, other: "BitArray") -> "BitArray":
         if (self.n, self.L) != (other.n, other.L):
@@ -148,17 +154,22 @@ class RaggedArray:
         return [self.row_bits(i) for i in range(1, self.n + 1)]
 
 
+@lru_cache(maxsize=None)
+def _prefix_masks(L: int) -> Tuple[int, ...]:
+    """masks[p] keeps the first L - p positions of a row, p = 0..L."""
+    return tuple((1 << (L - p)) - 1 for p in range(L + 1))
+
+
 def apply_te_pattern(x: BitArray, p: Sequence[int]) -> ErasedArray:
     """Erase the last p_i positions of each row of x."""
     if len(p) != x.n:
         raise ValueError("pattern length does not match row count")
-    rows = []
-    for r, pi in zip(x.rows, p):
-        if pi < 0 or pi > x.L:
-            raise ValueError("per-row erasure count out of range")
-        keep = x.L - pi
-        rows.append(r & ((1 << keep) - 1))
-    return ErasedArray(x.n, x.L, tuple(rows), tuple(int(v) for v in p))
+    if x.n and (min(p) < 0 or max(p) > x.L):
+        raise ValueError("per-row erasure count out of range")
+    masks = _prefix_masks(x.L)
+    return _trusted(ErasedArray, n=x.n, L=x.L,
+                    rows=tuple([r & masks[pi] for r, pi in zip(x.rows, p)]),
+                    erased=tuple(map(int, p)))
 
 
 def rho_te_row(x: int, y: int, L: int) -> int:

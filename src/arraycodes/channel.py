@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from itertools import combinations, islice, product
 from typing import Iterator, List, Optional, Sequence, Tuple
 
-from .arrays import (BitArray, RaggedArray, apply_te_pattern,
+from .arrays import (BitArray, RaggedArray, _trusted, apply_te_pattern,
                      enumerate_patterns)
 
 TeInstance = Tuple[int, ...]                 # erasure counts per row
@@ -42,7 +42,9 @@ class ChannelSpec:
 
 
 def _delete(rows: List[Tuple[int, int]], deletions: DelInstance, L: int) -> RaggedArray:
-    """Delete 1-indexed positions from the (bits, length) rows."""
+    """Delete 1-indexed positions from the (bits, length) rows, each of
+    `length` <= L positions; every index is checked, so the rows stay
+    valid."""
     for row, positions in deletions:
         if not 1 <= row <= len(rows):
             raise ValueError(f"row {row} out of range")
@@ -53,7 +55,7 @@ def _delete(rows: List[Tuple[int, int]], deletions: DelInstance, L: int) -> Ragg
             bits = (bits & ((1 << (pos - 1)) - 1)) | ((bits >> pos) << (pos - 1))
             length -= 1
         rows[row - 1] = (bits, length)
-    return RaggedArray(len(rows), L, tuple(rows))
+    return _trusted(RaggedArray, n=len(rows), L=L, rows=tuple(rows))
 
 
 def apply_deletions(x: BitArray, instance: DelInstance) -> RaggedArray:

@@ -12,9 +12,10 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass, field as dataclass_field
 from functools import cached_property
+from itertools import groupby
 from typing import Iterator, List, Optional, Sequence, Tuple
 
-from .arrays import BitArray, ErasedArray, _row_to_int
+from .arrays import BitArray, ErasedArray, _row_to_int, _trusted
 from .basecodes import claim5_base_pcm
 from .errors import AmbiguousErasureError, NotACodewordError
 from .field import Gf2m, field_make
@@ -378,6 +379,16 @@ class TeEncoder:
                       if row >> cell & 1) | 1 << cell
                   for cell in self.message_cells]
         self._tables = [xor_table(images[b:b + 8]) for b in range(0, self.k, 8)]
+        # (row, shift, table) per chunk of at most 8 cells of a row that
+        # holds message cells, in message order; table[v] is the tuple of
+        # the message bits at those cells when the chunk reads v.
+        L = H.L
+        self._gather = []
+        for (i, shift), cells in groupby(self.message_cells,
+                                         lambda c: (c // L, c % L & ~7)):
+            offsets = [c % L - shift for c in cells]
+            self._gather.append((i, shift, [tuple(v >> o & 1 for o in offsets)
+                                            for v in range(1 << min(8, L - shift))]))
 
     def encode(self, message: Sequence[int]) -> BitArray:
         if len(message) != self.k:
@@ -388,13 +399,17 @@ class TeEncoder:
             flat ^= table[chunk]
         n, L = self.H.n, self.H.L
         full = (1 << L) - 1
-        return BitArray(n, L, tuple(flat >> (i * L) & full for i in range(n)))
+        return _trusted(BitArray, n=n, L=L,
+                        rows=tuple([flat >> (i * L) & full for i in range(n)]))
 
     def message_of(self, x: BitArray) -> List[int]:
         if (x.n, x.L) != (self.H.n, self.H.L):
             raise ValueError("array shape mismatch")
-        flat_bits = x.flat_bits()
-        return [flat_bits[c] for c in self.message_cells]
+        rows = x.rows
+        message: List[int] = []
+        for i, shift, table in self._gather:
+            message += table[rows[i] >> shift & 255]
+        return message
 
     def codewords(self) -> Iterator[BitArray]:
         """All codewords (2^k of them; only for small codes)."""
@@ -447,7 +462,7 @@ def te_decode(H: TeParityCheck, received: ErasedArray) -> BitArray:
     full = (1 << L) - 1
     for i, _ in erased:
         rows[i] |= solution >> (i * L) & full
-    return BitArray(H.n, L, tuple(rows))
+    return _trusted(BitArray, n=H.n, L=L, rows=tuple(rows))
 
 
 # --- verification -----------------------------------------------------------

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import List, Sequence
 
-from .arrays import BitArray, RaggedArray, _int_to_row, _row_to_int
+from .arrays import BitArray, RaggedArray, _int_to_row, _row_to_int, _trusted
 from .errors import (CapacityExceededError, ChannelContractError,
                      CorruptInputError, NotACodewordError)
 from .field import field_make
@@ -122,7 +122,7 @@ class TedCode:
             if row >> (L - e) != tail:
                 raise AssertionError("tail placement violated; encoder bug")
             rows.append(row)
-        return BitArray(n, L, tuple(rows))
+        return _trusted(BitArray, n=n, L=L, rows=tuple(rows))
 
     def message_of(self, x: BitArray) -> List[int]:
         if (x.n, x.L) != (self.n, self.L):
@@ -186,7 +186,7 @@ class TedCode:
             symbols[i] = symbol
         if not self.outer.is_codeword(symbols):
             raise CorruptInputError("decoded array fails the membership rule")
-        return BitArray(self.n, L, tuple(rows))
+        return _trusted(BitArray, n=self.n, L=L, rows=tuple(rows))
 
     def descriptor(self) -> dict:
         return {"kind": "ted", "n": self.n, "L": self.L, "t": self.t, "e": self.e,

@@ -179,9 +179,32 @@ def test_erased_array_invariants():
 
 @pytest.mark.parametrize("bits", ([], [1], [True, False, True], [2], [-1], [257],
                                   [0, 1, 1, 0, 1, 0, 0, 1, 1]))
-def test_row_to_int_keeps_low_bits(bits):
-    assert _row_to_int(bits) == sum((int(b) & 1) << j for j, b in enumerate(bits))
-    assert _int_to_row(_row_to_int(bits), len(bits)) == [int(b) & 1 for b in bits]
+def test_row_to_int_accepts_only_bits(bits):
+    """0/1 ints and bools round-trip; any other entry is an error, not its
+    low bit."""
+    if all(b in (0, 1) for b in bits):
+        assert _row_to_int(bits) == sum(int(b) << j for j, b in enumerate(bits))
+        assert _int_to_row(_row_to_int(bits), len(bits)) == [int(b) for b in bits]
+    else:
+        with pytest.raises(ValueError, match="must be 0 or 1"):
+            _row_to_int(bits)
+        with pytest.raises(ValueError, match="must be 0 or 1"):
+            _row_to_int([0, 1] + bits + [1])
+
+
+def test_from_lists_rejects_non_binary_entries():
+    with pytest.raises(ValueError, match="must be 0 or 1"):
+        BitArray.from_lists([[2, 0], [1, 3]])
+    with pytest.raises(ValueError, match="must be 0 or 1"):
+        RaggedArray.from_lists([[1, 0], [0, -1, 1]], 3)
+    assert BitArray.from_lists([[True, 0], [1, False]]).rows == (1, 1)
+
+
+def test_apply_pattern_on_empty_array():
+    empty = BitArray(0, 3, ())
+    assert apply_te_pattern(empty, ()) == ErasedArray(0, 3, (), ())
+    with pytest.raises(ValueError):
+        apply_te_pattern(empty, (0,))
 
 
 @pytest.mark.parametrize("rows", ((0, -1, 3), (8, 0, 0), (0, 0, 1 << 40)))

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from arraycodes.arrays import BitArray, count_patterns
+from arraycodes.arrays import BitArray, RaggedArray, count_patterns
 from arraycodes.channel import (ChannelSpec, apply_channel, apply_deletions,
                                 apply_ted, enumerate_channel_instances,
                                 random_instance, roundtrip_harness)
@@ -137,6 +137,18 @@ def test_ted_channel_rejects_rows_out_of_range(row):
         apply_channel(x, ChannelSpec("del", t=1, s=1), ((row, (1,)),))
 
 
+@pytest.mark.parametrize("del_pos,ted_pos", ((0, 0), (4, 3)))
+def test_channels_reject_deletion_positions_out_of_range(del_pos, ted_pos):
+    """Positions index the row as it stands: 1..3 here, and 1..2 once the
+    ted channel has erased the row's last bit."""
+    x = BitArray.from_lists([[1, 0, 1], [0, 1, 1]])
+    with pytest.raises(ValueError, match="deletion position"):
+        apply_channel(x, ChannelSpec("del", t=1, s=1), ((1, (del_pos,)),))
+    spec = ChannelSpec("ted", t=1, s=1, e=1)
+    with pytest.raises(ValueError, match="deletion position"):
+        apply_channel(x, spec, ((1, 0), ((1, (ted_pos,)),)))
+
+
 def test_deletion_splices_row_ints():
     x = BitArray.from_lists([[1, 0, 1, 1, 0], [0, 1, 1, 0, 1]])
     out = apply_deletions(x, ((1, (2, 5)), (2, (1,))))
@@ -185,3 +197,18 @@ def test_random_del_instance_unchanged_within_caps(t, s, n, L):
 def test_negative_tail_budget_rejected(kind):
     with pytest.raises(ValueError, match="e must be non-negative"):
         ChannelSpec(kind, t=1, s=1, e=-1)
+
+
+@pytest.mark.parametrize("spec,n,L", [(ChannelSpec("del", t=8, s=1), 31, 31),
+                                      (ChannelSpec("del", t=3, s=4), 4, 5),
+                                      (ChannelSpec("ted", t=2, s=1, e=1), 5, 7),
+                                      (ChannelSpec("ted", t=3, s=2, e=4), 6, 9)])
+def test_deletion_outputs_rebuild_through_the_public_constructor(spec, n, L):
+    """The channel builds its RaggedArray without re-checking the rows; the
+    checked constructor accepts every one of them unchanged."""
+    rng = random.Random(repr(spec))
+    for _ in range(300):
+        x = BitArray(n, L, tuple(rng.getrandbits(L) for _ in range(n)))
+        out = apply_channel(x, spec, random_instance(spec, n, L, rng))
+        assert type(out) is RaggedArray and type(out.rows) is tuple
+        assert RaggedArray(out.n, out.L, out.rows) == out

@@ -566,3 +566,93 @@ def test_decode_rejects_a_ragged_array():
         te_decode(H, ragged)
     with pytest.raises(ValueError, match="got BitArray"):
         TeCodec(H).decode(BitArray(7, 1, (0,) * 7))
+
+
+def oracle_apply_te_pattern(x, p):
+    """The row-by-row channel: range-check and mask one row at a time."""
+    if len(p) != x.n:
+        raise ValueError("pattern length does not match row count")
+    rows = []
+    for r, pi in zip(x.rows, p):
+        if pi < 0 or pi > x.L:
+            raise ValueError("per-row erasure count out of range")
+        keep = x.L - pi
+        rows.append(r & ((1 << keep) - 1))
+    return ErasedArray(x.n, x.L, tuple(rows), tuple(int(v) for v in p))
+
+
+def oracle_message_of(enc, x):
+    """The message bits read one cell at a time from the row-major flat
+    bit list."""
+    flat = 0
+    for i, r in enumerate(x.rows):
+        flat |= r << (i * x.L)
+    flat_bits = [flat >> c & 1 for c in range(x.n * x.L)]
+    return [flat_bits[c] for c in enc.message_cells]
+
+
+def _assert_rebuilds(obj):
+    """An array built by the library equals its public-constructor rebuild,
+    which runs every check."""
+    if isinstance(obj, ErasedArray):
+        rebuilt = ErasedArray(obj.n, obj.L, obj.rows, obj.erased)
+        assert all(type(v) is int for v in obj.erased)
+    else:
+        rebuilt = type(obj)(obj.n, obj.L, obj.rows)
+    assert rebuilt == obj and type(rebuilt) is type(obj)
+    assert type(obj.rows) is tuple
+
+
+def _check_channel_and_messages(H, patterns, seed):
+    """Channel, decoder and message_of against the oracles on every
+    pattern, for a few random codewords; every array the library builds
+    rebuilds through its public constructor."""
+    enc = TeEncoder(H)
+    rng = random.Random(seed)
+    for _ in range(3):
+        msg = [rng.randrange(2) for _ in range(enc.k)]
+        x = enc.encode(msg)
+        _assert_rebuilds(x)
+        assert enc.message_of(x) == oracle_message_of(enc, x) == msg
+        for p in patterns:
+            received = apply_te_pattern(x, p)
+            assert received == oracle_apply_te_pattern(x, p), p
+            _assert_rebuilds(received)
+            try:
+                decoded = te_decode(H, received)
+            except ArrayCodeError:
+                continue
+            _assert_rebuilds(decoded)
+            assert enc.message_of(decoded) == oracle_message_of(enc, decoded)
+    for _ in range(20):
+        y = BitArray(H.n, H.L, tuple(rng.getrandbits(H.L) for _ in range(H.n)))
+        assert enc.message_of(y) == oracle_message_of(enc, y)
+    for bad in ((0,) * (H.n + 1), (-1,) + (0,) * (H.n - 1),
+                (H.L + 1,) + (0,) * (H.n - 1), (0,) * (H.n - 1) + (H.L + 1,)):
+        for apply in (apply_te_pattern, oracle_apply_te_pattern):
+            with pytest.raises(ValueError):
+                apply(x, bad)
+
+
+@pytest.mark.parametrize("name", sorted(DIFFERENTIAL_CODES))
+def test_channel_and_message_of_match_oracles(name):
+    H = DIFFERENTIAL_CODES[name]()
+    patterns = list(enumerate_patterns(min(4, H.n * H.L), H.L, H.n))
+    _check_channel_and_messages(H, patterns, name)
+
+
+def test_channel_and_message_of_match_oracles_hasse_16_4_4():
+    """Every one of the 4,845 patterns of at most 4 tail erasures."""
+    H = construct_hasse(16, 4, 4)
+    patterns = list(enumerate_patterns(4, H.L, H.n))
+    assert len(patterns) == 4845
+    _check_channel_and_messages(H, patterns, "hasse-16-4-4")
+
+
+def test_encoders_reject_non_binary_messages():
+    enc = TeCodec(construct_hasse(16, 4, 4))
+    for bad in (2, -1, 257):
+        msg = [bad] + [0] * (enc.k - 1)
+        with pytest.raises(ValueError, match="must be 0 or 1"):
+            enc.encode(msg)
+    assert enc.encode([True] + [0] * (enc.k - 1)) == enc.encode([1] + [0] * (enc.k - 1))

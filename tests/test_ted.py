@@ -272,3 +272,32 @@ def test_decode_matches_row_by_row_oracle(code):
             ("out of contract", ChannelContractError),
             ("flipped intact", CorruptInputError)} <= seen
     assert any(kind == "flipped damaged" for kind, _ in seen)
+
+
+@pytest.mark.parametrize("code", [TedCode(5, 7, 2, 1), TedCode(9, 11, 2, 2),
+                                  DcCode(31, 31, t=8)],
+                         ids=lambda c: f"{c.n}x{c.L}-t{c.t}-e{c.e}")
+def test_codec_outputs_rebuild_through_the_public_constructor(code):
+    """encode and decode build their BitArray without re-checking the rows;
+    the checked constructor accepts every one of them unchanged."""
+    rng = random.Random(repr(code.descriptor()))
+    spec = ChannelSpec("ted", t=code.t, s=1, e=code.e)
+    for _ in range(100):
+        x = code.encode([rng.randrange(2) for _ in range(code.message_bits)])
+        assert BitArray(x.n, x.L, x.rows) == x and type(x.rows) is tuple
+        decoded = code.decode(apply_channel(x, spec, random_instance(spec, code.n, code.L, rng)))
+        assert BitArray(decoded.n, decoded.L, decoded.rows) == decoded == x
+        assert type(decoded.rows) is tuple
+
+
+def test_non_binary_entries_rejected():
+    """A 2 used to be read as its low bit, 0; now it is an error."""
+    for code in (TedCode(5, 7, 2, 1), DcCode(5, 7, t=2)):
+        for bad in (2, -1, 257):
+            with pytest.raises(ValueError, match="must be 0 or 1"):
+                code.encode([bad] + [0] * (code.message_bits - 1))
+        assert code.encode([True] + [0] * (code.message_bits - 1)) == \
+            code.encode([1] + [0] * (code.message_bits - 1))
+    with pytest.raises(ValueError, match="must be 0 or 1"):
+        theta_symbol([2, 0, 0, 1, 0], 1, 3)
+    assert theta_symbol([True, 0, 0, 1, 0], 1, 3) == 5
