@@ -21,11 +21,14 @@ def _row_to_int(bits: Sequence[int]) -> int:
     """Pack bits (0/1 ints or bools) into a row int, bits[0] lowest; any
     other entry raises ValueError."""
     try:
-        packed = bytes(reversed(bits))     # ValueError outside 0..255
+        # ValueError outside 0..255.  bytearray() would read a buffer such
+        # as array.array as raw bytes, so only lists and tuples go in as is.
+        packed = bytearray(bits if isinstance(bits, (list, tuple)) else list(bits))
         if packed.translate(None, b"\x00\x01"):
             raise ValueError
     except ValueError:
         raise ValueError("row entries must be 0 or 1") from None
+    packed.reverse()
     return int(packed.translate(_PACK) or b"0", 2)
 
 
@@ -164,12 +167,15 @@ def apply_te_pattern(x: BitArray, p: Sequence[int]) -> ErasedArray:
     """Erase the last p_i positions of each row of x."""
     if len(p) != x.n:
         raise ValueError("pattern length does not match row count")
-    if x.n and (min(p) < 0 or max(p) > x.L):
-        raise ValueError("per-row erasure count out of range")
     masks = _prefix_masks(x.L)
-    return _trusted(ErasedArray, n=x.n, L=x.L,
-                    rows=tuple([r & masks[pi] for r, pi in zip(x.rows, p)]),
-                    erased=tuple(map(int, p)))
+    try:
+        if x.n and (min(p) < 0 or max(p) > x.L):
+            raise ValueError("per-row erasure count out of range")
+        rows = tuple([r & masks[pi] for r, pi in zip(x.rows, p)])
+    except TypeError:
+        # an entry that does not compare with ints or index the masks
+        raise ValueError("per-row erasure counts must be ints") from None
+    return _trusted(ErasedArray, n=x.n, L=x.L, rows=rows, erased=tuple(map(int, p)))
 
 
 def rho_te_row(x: int, y: int, L: int) -> int:
@@ -219,7 +225,6 @@ def enumerate_patterns(e: int, L: int, n: int) -> Iterator[Tuple[int, ...]]:
 def count_patterns(e: int, L: int, n: int) -> int:
     """|P(e, L, n)| by direct recursion with memoisation."""
     cap = min(e, L)
-    from functools import lru_cache
 
     @lru_cache(maxsize=None)
     def count(rows_left: int, budget: int) -> int:

@@ -21,10 +21,13 @@ from typing import List, Sequence
 from .arrays import BitArray, RaggedArray, _int_to_row, _row_to_int, _trusted
 from .errors import (CapacityExceededError, ChannelContractError,
                      CorruptInputError, NotACodewordError)
-from .field import field_make
+from .field import PRIMITIVE_POLYS, field_make
 from .rs import ReedSolomon
 from .vt import (position_sum, position_sums, vt_data_int, vt_decode_int,
                  vt_encode_int, vt_modulus_exponent)
+
+# The largest extension degree m that `field_make` builds GF(2^m) for.
+_WIDEST_FIELD = max(PRIMITIVE_POLYS)
 
 
 def theta_symbol(row_bits: Sequence[int], e: int, h: int) -> int:
@@ -64,6 +67,10 @@ class TedCode:
                 f"systematic encoding needs e < (L+1) - 2^(h-1) = "
                 f"{self.L + 1 - (1 << (h - 1))}; the last e positions would "
                 f"collide with the VT redundancy positions")
+        if h + self.e > _WIDEST_FIELD:
+            raise ValueError(
+                f"outer field GF(2^{h + self.e}) is not supported: h + e = "
+                f"{h + self.e} exceeds {_WIDEST_FIELD}, the widest field")
         if self.n > (1 << (h + self.e)) - 1:
             raise ValueError(
                 f"outer Reed-Solomon code over GF(2^{h + self.e}) supports at "

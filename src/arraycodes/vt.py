@@ -7,10 +7,11 @@ power-of-two modulus admits a systematic encoder whose redundancy sits at
 the positions {1, 2, 4, ..., 2^(h-1)}.
 
 The kernels work on rows as bitset ints, bit j-1 holding position j, as
-the array types store them.  The weighted sum sum_j j*x_j is read from
-per-byte tables, one lookup per 8 positions of the row.  `vt_decode` and
-`vt_codewords` are the list forms left, for callers that hold rows as bit
-lists.
+the array types store them.  The weighted sum sum_j j*x_j is read from one
+table of all 16-bit values for rows of at most 32 positions (h <= 5), and
+from per-byte tables, one lookup per 8 positions, for longer rows.
+`vt_decode` and `vt_codewords` are the list forms left, for callers that
+hold rows as bit lists.
 """
 
 from __future__ import annotations
@@ -30,8 +31,28 @@ def vt_modulus_exponent(L: int) -> int:
     return L.bit_length()
 
 
-# Rows are summed in blocks of at most this many bytes (512 positions), so
-# that the tables stay below 64 * 256 entries whatever the row length.
+def _low_byte_sums() -> bytes:
+    """Entry v: the position sum of byte value v at positions 1..8."""
+    sums = [0] * 256
+    for v in range(1, 256):
+        # the lowest set bit's position plus the sum of the others
+        sums[v] = sums[v & (v - 1)] + (v & -v).bit_length()
+    return bytes(sums)
+
+
+_BYTE_SUM = _low_byte_sums()
+
+# Entry v: the position sum of the 16-bit value v, at most 1 + ... + 16 =
+# 136, so one byte each.  The entries sharing the high byte b are the byte
+# sums of the low byte shifted up by b's own sum at positions 9..16, which
+# one `translate` through a rotated identity adds.
+_ROTATE = bytes(range(256)) * 2
+_SUM16 = b"".join(_BYTE_SUM.translate(_ROTATE[c:c + 256])
+                  for c in (s + 8 * b.bit_count() for b, s in enumerate(_BYTE_SUM)))
+
+# Rows longer than 31 positions are summed in blocks of at most this many
+# bytes (512 positions), so that the tables stay below 64 * 256 entries
+# whatever the row length.
 _BLOCK_BYTES = 64
 
 
@@ -41,25 +62,23 @@ def _byte_tables(h: int) -> Tuple[Tuple[int, ...], ...]:
     _BLOCK_BYTES of them: entry v of table c is the position sum of byte
     value v at bits 8c .. 8c+7, i.e. the sum of 8c + b + 1 over the set
     bits b of v."""
-    base = [0] * 256
-    ones = [0] * 256
-    for v in range(1, 256):
-        low = (v & -v).bit_length()       # position of the lowest set bit
-        base[v] = base[v & (v - 1)] + low
-        ones[v] = ones[v & (v - 1)] + 1
     width = min(-(-((1 << h) - 1) // 8), _BLOCK_BYTES)
-    return tuple(tuple(s + 8 * c * w for s, w in zip(base, ones))
+    return tuple(tuple(s + 8 * c * v.bit_count() for v, s in enumerate(_BYTE_SUM))
                  for c in range(width))
 
 
 def position_sum(x: int, h: int) -> int:
-    """sum_j j*x_j of a row int with no position beyond 2^h - 1: one table
-    lookup per byte, ceil((2^h - 1)/8) of them (ceil(L/8) for a row of
-    length L = 2^h - 1)."""
+    """sum_j j*x_j of a row int with no position beyond 2^h - 1: one lookup
+    of the 16-bit table up to h = 4, two up to h = 5 (the high half's
+    positions offset by 16 each), and one byte-table lookup per byte,
+    ceil((2^h - 1)/8) of them, beyond."""
+    if h <= 5:
+        if h <= 4:
+            return _SUM16[x]
+        hi = x >> 16
+        return _SUM16[x & 0xFFFF] + _SUM16[hi] + 16 * hi.bit_count()
     tables = _byte_tables(h)
     width = len(tables)
-    if width == 1:
-        return tables[0][x]
     if width < _BLOCK_BYTES:
         return sum(map(getitem, tables, x.to_bytes(width, "little")))
     # A block summed as if it came first, plus its offset for each of its
@@ -78,13 +97,34 @@ def position_sum(x: int, h: int) -> int:
 
 def position_sums(rows: Sequence[int], h: int) -> List[int]:
     """`position_sum` of every row, in one pass."""
+    if h <= 5:
+        if h <= 3:
+            # every row fits in a byte, so one translate sums them all
+            return list(bytes(rows).translate(_BYTE_SUM))
+        if h == 4:
+            return [_SUM16[x] for x in rows]
+        return [_SUM16[x & 0xFFFF] + _SUM16[hi := x >> 16] + 16 * hi.bit_count()
+                for x in rows]
     tables = _byte_tables(h)
     width = len(tables)
-    if width == 1:
-        return [tables[0][x] for x in rows]
     if width < _BLOCK_BYTES:
         return [sum(map(getitem, tables, x.to_bytes(width, "little"))) for x in rows]
     return [position_sum(x, h) for x in rows]
+
+
+def _low_power_bits() -> Tuple[int, ...]:
+    """Entry d < 256: the row int with bit i of d at position 2^i, i < 8."""
+    table = [0]
+    for i in range(8):
+        # the entries with bit i set are those without it plus position 2^i
+        table += [p | 1 << ((1 << i) - 1) for p in table]
+    return tuple(table)
+
+
+# A table over all 2^h deficiencies would hold 2^h ints of up to 2^(h-1)
+# bits, so this one stops at 8 bits and longer rows place the rest one at a
+# time.
+_POWER_BITS = _low_power_bits()
 
 
 @lru_cache(maxsize=None)
@@ -151,6 +191,8 @@ def vt_encode_int(data: int, a: int, L: int) -> int:
     The power positions start at 0 and then position 2^i receives bit i of
     the deficiency (a - partial syndrome) mod 2^h; the weights 1, 2, ...,
     2^(h-1) represent every residue exactly once, so one pass suffices.
+    The low 8 bits are placed by one `_POWER_BITS` entry, which is all of
+    them for rows of at most 255 positions.
     """
     h = L.bit_length()
     x = 0
@@ -158,7 +200,8 @@ def vt_encode_int(data: int, a: int, L: int) -> int:
         x |= (data & ((1 << width) - 1)) << first
         data >>= width
     deficiency = (a - position_sum(x, h)) % (1 << h)
-    for i in range(h):
+    x |= _POWER_BITS[deficiency & 0xFF]
+    for i in range(8, h):
         x |= (deficiency >> i & 1) << ((1 << i) - 1)
     return x
 

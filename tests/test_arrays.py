@@ -1,3 +1,4 @@
+import array
 import random
 import pytest
 
@@ -213,3 +214,39 @@ def test_bit_array_rejects_rows_out_of_range(rows):
         BitArray(3, 3, rows)
     assert BitArray(3, 3, (0, 7, 5)).rows == (0, 7, 5)
     assert BitArray(0, 3, ()).rows == ()
+
+
+def reversed_bytes_row_to_int(bits):
+    """The `bytes(reversed(bits))` body `_row_to_int` had before it packed
+    through a bytearray, kept as its oracle."""
+    try:
+        packed = bytes(reversed(bits))
+        if packed.translate(None, b"\x00\x01"):
+            raise ValueError
+    except ValueError:
+        raise ValueError("row entries must be 0 or 1") from None
+    return int(packed.translate(bytes.maketrans(b"\x00\x01", b"01")) or b"0", 2)
+
+
+def test_row_to_int_matches_reversed_bytes_body():
+    rng = random.Random(2000)
+    for length in list(range(65)) + list(range(65, 2000, 29)) + [2000]:
+        bits = [rng.getrandbits(1) for _ in range(length)]
+        want = reversed_bytes_row_to_int(bits)
+        assert _row_to_int(bits) == want, length
+        assert _row_to_int(tuple(bits)) == want, length
+        assert _row_to_int([b == 1 for b in bits]) == want, length
+        # a buffer whose items are wider than a byte is read item by item
+        assert _row_to_int(array.array("i", bits)) == want, length
+    for bad in ([2], [-1], [257]):
+        for bits in (bad, tuple(bad), [1] * 1000 + bad + [0]):
+            with pytest.raises(ValueError, match="must be 0 or 1"):
+                _row_to_int(bits)
+
+
+@pytest.mark.parametrize("p", [(1.0, 0), ("1", 0), (None, 0), (0, 1.5), ("1", "0")])
+def test_apply_te_pattern_rejects_non_int_entries(p):
+    x = BitArray(2, 3, (0b101, 0b111))
+    with pytest.raises(ValueError, match="must be ints"):
+        apply_te_pattern(x, p)
+    assert apply_te_pattern(x, (True, False)) == apply_te_pattern(x, (1, 0))

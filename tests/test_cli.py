@@ -211,3 +211,14 @@ def test_roundtrip_with_the_other_channel_family_exits_2(tmp_path, capsys):
     rc, out, _ = run(capsys, "verify", "--code-file", str(te_file), "--roundtrip",
                      "--kind", "te", "--e", "2", "--exhaustive", "--messages", "1")
     assert rc == 0 and "failures=0" in out
+
+
+@pytest.mark.parametrize("desc", [{"kind": "dc", "n": 31, "L": 2**40, "t": 8},
+                                  {"kind": "ted", "n": 4, "L": 2**29 + 100, "t": 1, "e": 2}])
+def test_descriptor_without_outer_field_exits_2(tmp_path, capsys, desc):
+    codec_file = tmp_path / "codec.json"
+    codec_file.write_text(json.dumps(desc))
+    rc, out, err = run(capsys, "encode", "--code-file", str(codec_file))
+    assert rc == 2 and out == ""
+    assert err.startswith("usage error:") and err.count("\n") == 1
+    assert "h + e" in err

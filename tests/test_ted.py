@@ -301,3 +301,23 @@ def test_non_binary_entries_rejected():
     with pytest.raises(ValueError, match="must be 0 or 1"):
         theta_symbol([2, 0, 0, 1, 0], 1, 3)
     assert theta_symbol([True, 0, 0, 1, 0], 1, 3) == 5
+
+
+@pytest.mark.parametrize("n, L, t, e", [(31, 2**40, 8, 0), (3, 2**31, 1, 0),
+                                        (3, 2**30 + 100, 1, 1), (4, 2**29 + 100, 1, 2)])
+def test_shape_without_outer_field_rejected(n, L, t, e):
+    """h + e above 31 names no field `field_make` builds; the constructor
+    says so, instead of the first `.outer` access."""
+    h = L.bit_length()
+    with pytest.raises(ValueError, match=rf"h \+ e = {h + e} exceeds 31"):
+        TedCode(n, L, t, e)
+    if e == 0:
+        with pytest.raises(ValueError, match=rf"h \+ e = {h} exceeds 31"):
+            DcCode(n, L, t)
+
+
+def test_widest_outer_field_accepted():
+    # h + e = 31 exactly; the outer code itself is not built here
+    assert TedCode(3, 2**30 - 1, 1, 1).h == 30
+    assert TedCode(4, 2**29 + 100, 1, 1).h == 30
+    assert DcCode(3, 2**31 - 1, 1).h == 31

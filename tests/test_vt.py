@@ -5,8 +5,8 @@ from itertools import combinations
 import pytest
 
 from arraycodes.errors import CorruptInputError
-from arraycodes.vt import (position_sum, position_sums, vt_codewords, vt_data_int,
-                           vt_decode, vt_decode_int, vt_encode_int,
+from arraycodes.vt import (_SUM16, position_sum, position_sums, vt_codewords,
+                           vt_data_int, vt_decode, vt_decode_int, vt_encode_int,
                            vt_modulus_exponent)
 
 
@@ -261,3 +261,39 @@ def test_position_sum_matches_popcount_oracle_random(L):
     want = [oracle_position_sum(x, h) for x in rows]
     assert [position_sum(x, h) for x in rows] == want
     assert position_sums(rows, h) == want
+
+
+# --- 16-bit position-sum table and table-placed redundancy --------------------
+
+def test_sum16_table_matches_popcount_oracle_on_every_value():
+    assert len(_SUM16) == 1 << 16
+    assert list(_SUM16) == [oracle_position_sum(x, 5) for x in range(1 << 16)]
+
+
+@pytest.mark.parametrize("L", (15, 16, 17, 32, 33))
+def test_position_sum_at_table_chunk_boundaries(L):
+    """Rows either side of 16 positions (one table lookup) and of 32 (two
+    lookups, then the byte tables), including rows as wide as h allows."""
+    h = vt_modulus_exponent(L)
+    widest = (1 << h) - 1
+    rng = random.Random(1000 + L)
+    rows = [rng.getrandbits(L) for _ in range(300)]
+    rows += [rng.getrandbits(widest) for _ in range(300)]
+    rows += [1 << j for j in range(widest)]
+    rows += [(1 << j) - 1 for j in range(widest + 1)]
+    rows += [((1 << widest) - 1) ^ (1 << j) for j in range(widest)]
+    want = [oracle_position_sum(x, h) for x in rows]
+    assert [position_sum(x, h) for x in rows] == want
+    assert position_sums(rows, h) == want
+
+
+@pytest.mark.parametrize("L", (31, 63, 255, 256, 300))
+def test_vt_encode_int_matches_oracle_for_every_deficiency(L):
+    """Every target a against a fixed data word runs every deficiency
+    residue, so every `_POWER_BITS` entry (and, past L = 255, the bits
+    placed one at a time) is checked against the list encoder."""
+    h = vt_modulus_exponent(L)
+    rng = random.Random(3000 + L)
+    for value in (0, (1 << (L - h)) - 1, rng.getrandbits(L - h)):
+        for a in range(1 << h):
+            check_encode(value, a, L)
