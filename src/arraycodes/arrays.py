@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import islice
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 
@@ -197,42 +198,93 @@ def rho_te_distance(x: BitArray, y: BitArray) -> int:
     return sum(rho_te_row(a, b, x.L) for a, b in zip(x.rows, y.rows))
 
 
-def te_weight(x: BitArray) -> int:
-    zero = BitArray(x.n, x.L, tuple(0 for _ in range(x.n)))
-    return rho_te_distance(x, zero)
+# Most patterns one block table may hold.  It sets the block width of
+# `enumerate_patterns`, and so bounds its tables for any (e, L, n).
+_BLOCK_PATTERNS = 512
+
+
+def _check_pattern_args(e: int, L: int, n: int) -> None:
+    if e < 0 or L < 0 or n < 0:
+        raise ValueError("parameters must be non-negative")
 
 
 def enumerate_patterns(e: int, L: int, n: int) -> Iterator[Tuple[int, ...]]:
     """Yield every pattern p with ||p||_1 <= e and ||p||_inf <= L exactly once.
 
     Order is lexicographic in (p_1, ..., p_n), which keeps exhaustive runs
-    reproducible.
+    reproducible.  The rows are walked in blocks of w, the widest block
+    whose patterns of total at most e number at most _BLOCK_PATTERNS
+    (table-driven bounded compositions, Knuth, TAOCP 4A 7.2.1.3).  A table
+    lists the block patterns per budget, in lexicographic order, so every
+    pattern is one tuple concatenation of a prefix with an entry of the
+    last block's table.  A short block of n mod w rows comes first and
+    reads its own table, so that the last block is always a full one.
     """
-    if e < 0 or L < 0 or n < 0:
-        raise ValueError("parameters must be non-negative")
+    _check_pattern_args(e, L, n)
+    if n == 0:
+        yield ()
+        return
     cap = min(e, L)
+    e = min(e, n * cap)             # no pattern has a larger total
+    counts = islice(_pattern_counts(e, cap), 2, None)     # of 2, 3, ... rows
+    width = 1
+    while width < n and next(counts) <= _BLOCK_PATTERNS:
+        width += 1
+    full, rem = divmod(n, width)
+    # tables[b] = (the block patterns of total at most b in lexicographic
+    # order, their totals) at the width built so far.  Each width is built
+    # from the one before; budgets past the largest total share one entry.
+    tables = [([()], [0])] * (e + 1)
+    for k in range(1, width + 1):
+        blocks, totals = [], []
+        for v in range(cap + 1):
+            prev_blocks, prev_totals = tables[e - v]
+            blocks += [(v,) + b for b in prev_blocks]
+            totals += [v + t for t in prev_totals]
+        top = min(e, k * cap)
+        tables = [([b for b, t in zip(blocks, totals) if t <= budget],
+                   [t for t in totals if t <= budget]) for budget in range(top)]
+        tables += [(blocks, totals)] * (e + 1 - top)
+        if k == rem:
+            short = tables
+    tails = [table[0] for table in tables]
+    heads = [tables] * (full - 1)   # the block tables before the last block
+    if rem:
+        heads.insert(0, short)
+    if not heads:
+        yield from tails[e]
+        return
+    # An odometer over the blocks before the last: (block iterator, prefix
+    # before the block, budget before the block) per block.
+    stack = [(zip(*heads[0][e]), (), e)]
+    while stack:
+        it, prefix, left = stack[-1]
+        if len(stack) < len(heads):
+            for block, used in it:
+                stack.append((zip(*heads[len(stack)][left - used]),
+                              prefix + block, left - used))
+                break
+            else:
+                stack.pop()
+        else:
+            for block, used in it:
+                yield from map((prefix + block).__add__, tails[left - used])
+            stack.pop()
 
-    def rec(prefix: Tuple[int, ...], budget: int) -> Iterator[Tuple[int, ...]]:
-        if len(prefix) == n:
-            yield prefix
-            return
-        for v in range(0, min(cap, budget) + 1):
-            yield from rec(prefix + (v,), budget - v)
 
-    yield from rec((), e)
+def _pattern_counts(e: int, cap: int) -> Iterator[int]:
+    """|P(e, cap, k)| for k = 0, 1, 2, ... rows."""
+    ways = [1] + [0] * e            # ways[b]: patterns of the rows so far of total b
+    while True:
+        yield sum(ways)
+        ways = [sum(ways[max(0, b - cap):b + 1]) for b in range(e + 1)]
 
 
 def count_patterns(e: int, L: int, n: int) -> int:
-    """|P(e, L, n)| by direct recursion with memoisation."""
+    """|P(e, L, n)|, the length of `enumerate_patterns(e, L, n)`."""
+    _check_pattern_args(e, L, n)
     cap = min(e, L)
-
-    @lru_cache(maxsize=None)
-    def count(rows_left: int, budget: int) -> int:
-        if rows_left == 0:
-            return 1
-        return sum(count(rows_left - 1, budget - v) for v in range(0, min(cap, budget) + 1))
-
-    return count(n, e)
+    return next(islice(_pattern_counts(min(e, n * cap), cap), n, None))
 
 
 def lcs_length(x: Sequence[int], y: Sequence[int]) -> int:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import combinations, islice, product
+from itertools import chain, combinations, islice, product, repeat
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .arrays import (BitArray, RaggedArray, _trusted, apply_te_pattern,
@@ -104,23 +104,18 @@ def enumerate_deletion_instances(row_lengths: Sequence[int], t: int, s: int,
 
     Row positions refer to the current row lengths (after any earlier
     truncation).  The empty instance is excluded unless requested, matching
-    the instance counts used by the exhaustive harnesses.
+    the instance counts used by the exhaustive harnesses.  Each row
+    length's position choices, then each row's (row, positions) list, are
+    built once per call; the instances are products over row combinations.
     """
-    n = len(row_lengths)
-    if include_empty:
-        yield ()
-
-    def row_choices(row: int) -> List[Tuple[int, Tuple[int, ...]]]:
-        length = row_lengths[row - 1]
-        out = []
-        for count in range(1, min(s, length) + 1):
-            for positions in combinations(range(1, length + 1), count):
-                out.append((row, positions))
-        return out
-
-    for nrows in range(1, t + 1):
-        for rows in combinations(range(1, n + 1), nrows):
-            yield from product(*(row_choices(r) for r in rows))
+    choices = {length: [c for count in range(1, min(s, length) + 1)
+                        for c in combinations(range(1, length + 1), count)]
+               for length in set(row_lengths)}
+    per_row = [[(row, c) for c in choices[length]]
+               for row, length in enumerate(row_lengths, 1)]
+    stream = chain.from_iterable(product(*rows) for nrows in range(1, t + 1)
+                                 for rows in combinations(per_row, nrows))
+    return chain([()], stream) if include_empty else stream
 
 
 def enumerate_channel_instances(spec: ChannelSpec, n: int, L: int,
@@ -132,16 +127,19 @@ def enumerate_channel_instances(spec: ChannelSpec, n: int, L: int,
     pattern with every deletion layout on the truncated rows (the empty
     deletion layout included, so pure-TE damage is covered).  A stream of
     more than `max_work` instances raises RuntimeError in place of instance
-    max_work + 1; None means no cap.
+    max_work + 1; None means no cap, and a negative cap raises ValueError.
     """
+    if max_work is not None and max_work < 0:
+        raise ValueError(f"max_work must be None or at least 0, got {max_work}")
     if spec.kind == "te":
         stream = enumerate_patterns(spec.e, L, n)
     elif spec.kind == "del":
         stream = enumerate_deletion_instances([L] * n, spec.t, spec.s)
     else:
-        stream = ((p, inst) for p in enumerate_patterns(spec.e, L, n)
-                  for inst in enumerate_deletion_instances(
-                      [L - pi for pi in p], spec.t, spec.s, include_empty=True))
+        stream = chain.from_iterable(
+            zip(repeat(p), enumerate_deletion_instances(
+                [L - pi for pi in p], spec.t, spec.s, include_empty=True))
+            for p in enumerate_patterns(spec.e, L, n))
     yield from islice(stream, max_work)
     if next(stream, None) is not None:
         raise RuntimeError("instance enumeration exceeds the work cap")
@@ -216,12 +214,17 @@ def roundtrip_harness(codec, spec: ChannelSpec, *, messages: int = 20,
                       instances: Optional[int] = None,
                       max_work: Optional[int] = DEFAULT_MAX_WORK) -> RunRecord:
     """Encode random messages, push them through every (or `instances`
-    sampled) channel instance, decode, compare.  An exhaustive run whose
-    enumeration exceeds `max_work` instances raises RuntimeError.
+    sampled, 100 when None) channel instance, decode, compare.  An
+    exhaustive run whose enumeration exceeds `max_work` instances raises
+    RuntimeError; `instances` below 1 raises ValueError.
 
     Failures are recorded, not raised; the first counterexample keeps the
     full (message, instance, received) triple for replay.
     """
+    if instances is None:
+        instances = 100
+    elif instances < 1:
+        raise ValueError(f"instances must be at least 1, got {instances}")
     rng = random.Random(seed)
     n, L = codec.n, codec.L
     record = RunRecord(codec.descriptor(), spec,
@@ -232,7 +235,7 @@ def roundtrip_harness(codec, spec: ChannelSpec, *, messages: int = 20,
     if exhaustive:
         stream = list(enumerate_channel_instances(spec, n, L, max_work=max_work))
     else:
-        stream = [random_instance(spec, n, L, rng) for _ in range(instances or 100)]
+        stream = [random_instance(spec, n, L, rng) for _ in range(instances)]
     for message, x in arrays:
         for inst in stream:
             received = apply_channel(x, spec, inst)

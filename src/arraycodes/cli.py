@@ -200,6 +200,8 @@ def cmd_channel(args) -> int:
 
 def cmd_verify(args) -> int:
     if args.roundtrip:
+        if args.max_work is not None and args.max_work < 1:
+            raise UsageError(f"--max-work must be at least 1, got {args.max_work}")
         codec = load_codec(args.code_file)
         spec = _channel_spec(args)
         if isinstance(codec, TeCodec) != (spec.kind == "te"):

@@ -95,6 +95,3 @@ class BitMatrix:
     def columns(self) -> List[int]:
         """Column j packed as an int (bit i = row i), for every j."""
         return transpose(self.rows, self.ncols)
-
-    def rank(self) -> int:
-        return gf2_rank(self.rows)

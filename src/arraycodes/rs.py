@@ -46,8 +46,27 @@ _CHUNK_BITS = 8
 _Rows = Tuple[Tuple[int, ...], ...]
 
 
+def _lane_tops(m: int, lanes: int) -> int:
+    """The top bit of each of `lanes` packed m-bit lanes."""
+    return sum(1 << (m * j + m - 1) for j in range(lanes))
+
+
+def _times_x_images(packed: int, m: int, tops: int, low: int) -> List[int]:
+    """packed * x^b for b = 0 .. m-1, in every m-bit lane at once.  Each
+    step shifts every lane up by one and reduces the lanes whose top bit
+    overflowed; `tops` marks the lanes' top bits and `low` is x^m reduced."""
+    images = []
+    for _ in range(m):
+        images.append(packed)
+        carry = packed & tops
+        packed = (packed ^ carry) << 1 ^ (carry >> (m - 1)) * low
+    return images
+
+
 class _Tables(NamedTuple):
     points: Tuple[int, ...]          # x_i = alpha^i
+    low: int                         # x^m reduced: its low terms
+    tops: int                        # the top bit of each of n-k packed lanes
     forney_scale: Tuple[int, ...]    # x_i / v_i
     shifts: Tuple[int, ...]          # lowest bit of each chunk of a symbol
     mask: int                        # bits of one chunk
@@ -107,16 +126,9 @@ class ReedSolomon:
 
         def rows(coeffs: Sequence[int]) -> List[Tuple[int, ...]]:
             """Table rows, one per chunk, of a -> the products c * a packed."""
-            # images[b] is the packed c * x^b, the image of bit b of a.  Each
-            # step multiplies every m-bit lane by x: shift, then reduce the
-            # lanes whose top bit overflowed.
-            image = sum(c << (m * j) for j, c in enumerate(coeffs))
-            top = sum(1 << (m * j + m - 1) for j in range(len(coeffs)))
-            images = []
-            for _ in range(m):
-                images.append(image)
-                carry = image & top
-                image = (image ^ carry) << 1 ^ (carry >> (m - 1)) * low
+            # images[b] is the packed c * x^b, the image of bit b of a.
+            images = _times_x_images(sum(c << (m * j) for j, c in enumerate(coeffs)),
+                                     m, _lane_tops(m, len(coeffs)), low)
             return [tuple(xor_table(images[s:s + width])) for s in shifts]
 
         inv_v = [prod_diff(x[i], (j for j in range(n) if j != i)) for i in range(n)]
@@ -133,7 +145,7 @@ class ReedSolomon:
             par += rows([mul(mul(w, lz), f.inv(z ^ x[i])) for z, lz in zip(x[k:], ell)])
         inv_powers = [powers(f.inv(xi)) for xi in x]
         ev = [row for d in range(n - k) for row in rows([p[d] for p in inv_powers])]
-        return _Tables(points=tuple(x),
+        return _Tables(points=tuple(x), low=low, tops=_lane_tops(m, n - k),
                        forney_scale=tuple(mul(xi, u) for xi, u in zip(x, inv_v)),
                        shifts=shifts, mask=(1 << width) - 1,
                        lanes=tuple(range(0, m * (n - k), m)),
@@ -148,9 +160,6 @@ class ReedSolomon:
             shifts, mask = t.shifts, t.mask
             symbols = [s >> b & mask for s in symbols for b in shifts]
         return reduce(xor, map(getitem, table, symbols), 0)
-
-    def _syndromes(self, word: Sequence[int]) -> List[int]:
-        return self._unpack(self._lookup(self._tables.syn, word))
 
     def _unpack(self, packed: int) -> List[int]:
         """The n-k symbols of a packed syndrome or parity int."""
@@ -193,27 +202,34 @@ class ReedSolomon:
             raise CapacityExceededError(
                 f"{eps} erasures exceed capacity {self.erasure_capacity}")
         f = self.field
-        mul = f.mul
+        m, mul, full = f.m, f.mul, f.order - 1
         tables = self._tables
         if not self._in_range(word):
             raise ValueError(f"received symbols must lie in [0, {f.order})")
-        syn = self._syndromes(word)
         # Erasure locator Lambda(z) = prod_{j erased} (1 + x_j z), low first.
-        lam = [1]
-        for j in erased:
+        lam = [1] + [0] * eps
+        for degree, j in enumerate(erased, 1):
             xj = tables.points[j]
-            lam = [a ^ mul(b, xj) for a, b in zip(lam + [0], [0] + lam)]
-        # Modified syndromes S(z) Lambda(z) mod z^(n-k): the first eps form
-        # the evaluator Omega, the rest are zero exactly when some codeword
+            for d in range(degree, 0, -1):
+                lam[d] ^= mul(lam[d - 1], xj)
+        # Modified syndromes S(z) Lambda(z) mod z^(n-k), packed m bits per
+        # coefficient: XOR of the lane-parallel x^b S over the set bits b
+        # of each lambda_l, shifted up by l lanes.  The first eps form the
+        # evaluator Omega; the rest are zero exactly when some codeword
         # agrees with every surviving symbol.
-        modified = [reduce(xor, map(mul, lam, syn[d::-1])) for d in range(self.n - self.k)]
-        if any(modified[eps:]):
+        images = _times_x_images(self._lookup(tables.syn, word), m, tables.tops, tables.low)
+        modified = 0
+        for shift, c in zip(range(0, m * (eps + 1), m), lam):
+            while c:
+                bit = c & -c
+                modified ^= images[bit.bit_length() - 1] << shift
+                c ^= bit
+        if modified >> (m * eps) & ((1 << m * (self.n - self.k - eps)) - 1):
             raise NotACodewordError("surviving symbols are not consistent with any codeword")
         # Omega and the formal derivative Lambda' (only odd powers of Lambda
         # survive in char 2), each evaluated at every 1/x_j.
-        num = self._lookup(tables.ev, modified[:eps])
+        num = self._lookup(tables.ev, [modified >> s & full for s in tables.lanes[:eps]])
         den = self._lookup(tables.ev, [lam[d + 1] if d % 2 == 0 else 0 for d in range(eps)])
-        m, full = f.m, f.order - 1
         for j in erased:
             # Forney: v_j c_j = x_j Omega(1/x_j) / Lambda'(1/x_j).
             word[j] = mul(mul(num >> (m * j) & full, tables.forney_scale[j]),

@@ -87,18 +87,6 @@ class TeParityCheck:
     def contains(self, x: BitArray) -> bool:
         return self.syndrome(x) == 0
 
-    def prepend_clean_columns(self, count: int) -> "TeParityCheck":
-        """Widen each row on the left with unconstrained (all-zero) columns.
-
-        Valid as long as erasures cannot reach the new columns, i.e. the
-        code is used for e <= original L.
-        """
-        if count < 0:
-            raise ValueError("count must be non-negative")
-        cols = tuple((0,) * count + row for row in self.cols)
-        return TeParityCheck(self.n, self.L + count, self.r, cols,
-                             self.provenance, self.field_m)
-
     # -- serialization --------------------------------------------------
 
     MAGIC = b"TEPC"
@@ -556,23 +544,6 @@ def verify_min_distance(H: TeParityCheck, max_e: int) -> MinDistanceResult:
         if search(0, e, min(e, H.L)):
             return MinDistanceResult(e, True, tuple(pattern), examined)
     return MinDistanceResult(max_e + 1, False, None, examined)
-
-
-def brute_force_min_distance(H: TeParityCheck) -> int:
-    """Minimum TE weight over nonzero codewords (the code is linear, so this
-    equals the pairwise minimum).  Exponential in the dimension."""
-    from .arrays import te_weight
-
-    enc = TeEncoder(H)
-    best = None
-    for value in range(1, 1 << enc.k):
-        x = enc.encode([(value >> b) & 1 for b in range(enc.k)])
-        w = te_weight(x)
-        if best is None or w < best:
-            best = w
-    if best is None:
-        raise ValueError("code has a single codeword")
-    return best
 
 
 class TeCodec(TeEncoder):

@@ -14,6 +14,23 @@ def all_arrays(n: int, L: int):
                                    for i in range(n)))
 
 
+def recursive_patterns(e, L, n):
+    """The per-row recursive enumerator the block tables replaced: the
+    oracle for their stream and its order."""
+    if e < 0 or L < 0 or n < 0:
+        raise ValueError("parameters must be non-negative")
+    cap = min(e, L)
+
+    def rec(prefix, budget):
+        if len(prefix) == n:
+            yield prefix
+            return
+        for v in range(0, min(cap, budget) + 1):
+            yield from rec(prefix + (v,), budget - v)
+
+    yield from rec((), e)
+
+
 def min_pattern_erasures(x: BitArray, y: BitArray, patterns_by_weight) -> int:
     """Independent oracle for the distance: the lightest pattern whose
     erasure makes the two arrays identical (direct masked comparison)."""

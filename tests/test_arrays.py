@@ -1,5 +1,8 @@
 import array
 import random
+import tracemalloc
+from math import comb
+
 import pytest
 
 from arraycodes.arrays import (INF, BitArray, ErasedArray, RaggedArray,
@@ -8,12 +11,17 @@ from arraycodes.arrays import (INF, BitArray, ErasedArray, RaggedArray,
                                enumerate_patterns, fll_distance,
                                format_bit_array, format_erased, format_ragged,
                                parse_bit_array, parse_erased, parse_ragged,
-                               rho_te_distance, run_count, run_stats,
-                               te_weight)
+                               rho_te_distance, run_count, run_stats)
 from conftest import (fll_oracle, min_pattern_erasures,
-                      patterns_grouped_by_weight, random_array)
+                      patterns_grouped_by_weight, random_array,
+                      recursive_patterns)
 
 X23 = BitArray.from_lists([[1, 0, 1], [0, 0, 1]])
+
+
+def te_weight(x):
+    """TE distance to the zero array."""
+    return rho_te_distance(x, BitArray(x.n, x.L, (0,) * x.n))
 
 
 def test_apply_pattern_example():
@@ -98,6 +106,52 @@ def test_enumerate_patterns_counts():
 def test_enumerate_patterns_lexicographic():
     seq = list(enumerate_patterns(2, 2, 2))
     assert seq == sorted(seq)
+
+
+# Grid cells of more patterns than this are left to the shapes below: the
+# 183 larger cells hold 5.9M patterns, about 20 s in the recursive oracle.
+ORACLE_CELL_PATTERNS = 2000
+
+
+def test_enumerate_patterns_matches_recursive_oracle():
+    """Every (e, L, n) in 0..6 x 0..6 x 0..20 of at most 2000 patterns
+    (n = 0, L = 0, one short block, n a multiple of the block width or
+    not), then shapes of two to four blocks beyond it."""
+    cells = [(e, L, n) for e in range(7) for L in range(7) for n in range(21)
+             if count_patterns(e, L, n) <= ORACLE_CELL_PATTERNS]
+    assert len(cells) == 846
+    shapes = [(4, 4, 16), (5, 2, 8), (2, 2, 64), (6, 1, 19), (5, 5, 13),
+              (6, 6, 11), (3, 3, 20), (40, 40, 2)]
+    for args in cells + shapes:
+        want = list(recursive_patterns(*args))
+        assert list(enumerate_patterns(*args)) == want, args
+        assert count_patterns(*args) == len(want), args
+
+
+def test_count_patterns_closed_form():
+    # With L >= e no entry reaches L, so the count is C(n + e, e).
+    for e in range(7):
+        for n in range(21):
+            assert count_patterns(e, e + 1, n) == count_patterns(e, e, n) == comb(n + e, e)
+    assert count_patterns(2, 1, 64) == 1 + 64 + comb(64, 2)
+
+
+@pytest.mark.parametrize("args", [(2, 2, -1), (-1, 2, 2), (2, -1, 2)])
+def test_negative_pattern_parameters_rejected(args):
+    with pytest.raises(ValueError, match="non-negative"):
+        count_patterns(*args)
+    with pytest.raises(ValueError, match="non-negative"):
+        next(enumerate_patterns(*args))
+
+
+def test_enumerate_patterns_is_lazy_and_bounded():
+    tracemalloc.start()
+    try:
+        assert next(enumerate_patterns(40, 40, 200)) == (0,) * 200
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_fll_distance():

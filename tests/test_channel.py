@@ -1,13 +1,16 @@
 import hashlib
 import random
+from itertools import combinations, product
 
 import pytest
 
 from arraycodes.arrays import BitArray, RaggedArray, count_patterns
 from arraycodes.channel import (ChannelSpec, apply_channel, apply_deletions,
                                 apply_ted, enumerate_channel_instances,
-                                random_instance, roundtrip_harness)
+                                enumerate_deletion_instances, random_instance,
+                                roundtrip_harness)
 from arraycodes.dc import DcCode
+from conftest import recursive_patterns
 
 
 def test_te_channel_instance():
@@ -71,6 +74,53 @@ def test_enumerate_ted_exhaustive_stream_pinned():
         "cfcdc5fb292855604fc919f3f04079f5ef05de805f145c5452b24fb0e31109dc")
 
 
+def recursive_deletion_instances(row_lengths, t, s, include_empty=False):
+    """The deletion enumerator that built each row's position choices once
+    per row combination: the oracle for the stream and its order."""
+    n = len(row_lengths)
+    if include_empty:
+        yield ()
+
+    def row_choices(row):
+        length = row_lengths[row - 1]
+        out = []
+        for count in range(1, min(s, length) + 1):
+            for positions in combinations(range(1, length + 1), count):
+                out.append((row, positions))
+        return out
+
+    for nrows in range(1, t + 1):
+        for rows in combinations(range(1, n + 1), nrows):
+            yield from product(*(row_choices(r) for r in rows))
+
+
+@pytest.mark.parametrize("spec,n,L", [(ChannelSpec("del", t=1, s=1), 4, 5),
+                                      (ChannelSpec("del", t=2, s=3), 4, 3),
+                                      (ChannelSpec("del", t=3, s=2), 5, 4),
+                                      (ChannelSpec("del", t=6, s=1), 3, 2),
+                                      (ChannelSpec("ted", t=2, s=1, e=1), 5, 7),
+                                      (ChannelSpec("ted", t=1, s=2, e=3), 4, 3),
+                                      (ChannelSpec("ted", t=2, s=2, e=2), 3, 4),
+                                      (ChannelSpec("ted", t=0, s=0, e=2), 3, 2)])
+def test_deletion_streams_match_the_oracle(spec, n, L):
+    if spec.kind == "del":
+        want = list(recursive_deletion_instances([L] * n, spec.t, spec.s))
+    else:
+        want = [(p, inst) for p in recursive_patterns(spec.e, L, n)
+                for inst in recursive_deletion_instances(
+                    [L - pi for pi in p], spec.t, spec.s, include_empty=True)]
+    assert list(enumerate_channel_instances(spec, n, L, max_work=None)) == want
+
+
+def test_deletion_instances_on_mixed_row_lengths():
+    for lengths in ([3, 0, 2, 5], [], [1, 1], [4, 2, 0, 7, 3]):
+        for t in range(4):
+            for s in range(4):
+                for empty in (False, True):
+                    assert list(enumerate_deletion_instances(lengths, t, s, empty)) == \
+                        list(recursive_deletion_instances(lengths, t, s, empty))
+
+
 def test_work_cap():
     with pytest.raises(RuntimeError):
         list(enumerate_channel_instances(ChannelSpec("te", e=4), 8, 8, max_work=10))
@@ -85,6 +135,22 @@ def test_work_cap_raises_on_the_first_instance_past_it(spec, n, L):
     assert [next(stream) for _ in range(len(insts) - 1)] == insts[:-1]
     with pytest.raises(RuntimeError, match="work cap"):
         next(stream)
+
+
+def test_work_cap_on_a_long_te_stream():
+    """The stream is lazy: a cap of 1000 on a stream far too long to list
+    stops after 1000 instances."""
+    stream = enumerate_channel_instances(ChannelSpec("te", e=40), 200, 40, max_work=1000)
+    assert sum(1 for _ in zip(range(1000), stream)) == 1000
+    with pytest.raises(RuntimeError, match="work cap"):
+        next(stream)
+
+
+@pytest.mark.parametrize("spec", [ChannelSpec("te", e=1), ChannelSpec("del", t=1, s=1),
+                                  ChannelSpec("ted", t=1, s=1, e=1)])
+def test_negative_work_cap_rejected(spec):
+    with pytest.raises(ValueError, match="max_work"):
+        next(enumerate_channel_instances(spec, 2, 3, max_work=-1))
 
 
 def test_random_instance_within_budget():
@@ -115,6 +181,15 @@ def test_harness_random_mode():
                             seed=7, instances=25)
     assert rec.failures == 0
     assert rec.trials == 3 * 25
+    rec = roundtrip_harness(code, spec, messages=2, exhaustive=False, seed=7)
+    assert rec.trials == 2 * 100
+
+
+@pytest.mark.parametrize("instances", [0, -1])
+def test_harness_rejects_fewer_than_one_instance(instances):
+    with pytest.raises(ValueError, match="instances"):
+        roundtrip_harness(DcCode(5, 4, 1), ChannelSpec("del", t=1, s=1),
+                          messages=1, exhaustive=False, instances=instances)
 
 
 def test_failure_record_contains_replay_data():

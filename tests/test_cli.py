@@ -191,6 +191,21 @@ def test_exhaustive_roundtrip_over_work_cap_exits_2(tmp_path, capsys):
     assert rc == 0 and "trials=7" in out
 
 
+@pytest.mark.parametrize("cap", ["0", "-1"])
+@pytest.mark.parametrize("mode", [(), ("--exhaustive",)])
+def test_roundtrip_work_cap_below_one_exits_2(tmp_path, capsys, cap, mode):
+    """--max-work 0 once ran 100 random instances and -1 passed with no
+    trials; both are usage errors in either mode."""
+    te_file = tmp_path / "h.tepc"
+    run(capsys, "construct", "--code", "hasse", "--n", "16", "--L", "4", "--e", "4",
+        "--out", str(te_file))
+    rc, out, err = run(capsys, "verify", "--roundtrip", "--code-file", str(te_file),
+                       "--kind", "te", "--e", "2", "--messages", "1", *mode,
+                       "--max-work", cap)
+    assert rc == 2 and out == ""
+    assert err.count("\n") == 1 and "--max-work must be at least 1" in err
+
+
 def test_roundtrip_with_the_other_channel_family_exits_2(tmp_path, capsys):
     """A DC/TED codec cannot take the te channel's erased arrays and a TE
     codec cannot take ragged arrays: one usage line, exit 2, no trials."""

@@ -1,5 +1,5 @@
 import random
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -136,6 +136,29 @@ def test_exhaustive_erasure_supports(n, k):
             assert rs.decode_erasures(received) == cw
 
 
+@pytest.mark.parametrize("m,n,k", [(2, 3, 1), (2, 3, 2), (3, 4, 1)])
+def test_every_received_word_fills_or_is_rejected(m, n, k):
+    """Every word and every erasure set within capacity: the fill is the
+    one codeword that agrees with the survivors, or NotACodewordError when
+    none does, whichever modified syndrome at or above the erasure count
+    is the nonzero one."""
+    f = field_make(m)
+    rs = ReedSolomon(f, n, k)
+    codewords = [rs.encode(list(msg)) for msg in product(range(f.order), repeat=k)]
+    for eps in range(n - k + 1):
+        for erased in combinations(range(n), eps):
+            kept = [i for i in range(n) if i not in erased]
+            # n - k >= eps erasures: at most one codeword per survivor set
+            by_survivors = {tuple(cw[i] for i in kept): cw for cw in codewords}
+            assert len(by_survivors) == len(codewords)
+            for survivors in product(range(f.order), repeat=len(kept)):
+                received = [None] * n
+                for i, c in zip(kept, survivors):
+                    received[i] = c
+                expected = by_survivors.get(survivors, NotACodewordError)
+                assert _outcome(rs.decode_erasures, received) == expected
+
+
 @pytest.mark.parametrize("n,k", [(5, 3), (7, 4), (8, 2)])
 def test_mds_every_k_columns_invertible(n, k):
     """Any k codeword positions determine the message: the k x k submatrix
@@ -258,7 +281,7 @@ def test_packed_kernels_match_entrywise_products(m, n, k):
     for _ in range(10):
         word = [rng.randrange(f.order) for _ in range(n)]
         word[rng.randrange(n)] = f.order - 1
-        assert rs._syndromes(word) == _products(f, h, word)
+        assert rs._unpack(rs._lookup(tables.syn, word)) == _products(f, h, word)
         msg = word[:k]
         assert rs.encode(msg) == msg + _products(f, p, msg)
         coeffs = [rng.randrange(f.order) for _ in range(rng.randint(0, n - k))]

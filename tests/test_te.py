@@ -13,9 +13,8 @@ from arraycodes.errors import (AmbiguousErasureError, ArrayCodeError,
 from arraycodes.field import field_make
 from arraycodes.gf2 import gf2_rank, gf2_row_reduce
 from arraycodes.te import (MinDistanceResult, TeCodec, TeEncoder,
-                           TeParityCheck, brute_force_min_distance,
-                           construct_1, construct_claim5, construct_claim7,
-                           construct_even, construct_hasse,
+                           TeParityCheck, construct_1, construct_claim5,
+                           construct_claim7, construct_even, construct_hasse,
                            construct_hasse_raw, construct_parity, te_decode,
                            verify_min_distance)
 
@@ -27,6 +26,29 @@ def ceil_log2(x):
 def pattern_multiset(H, p):
     """Columns touched by the TE pattern p (the last p_i cells of row i)."""
     return [c for row, pi in zip(H.cols, p) if pi for c in row[H.L - pi:]]
+
+
+def prepend_clean_columns(H, count):
+    """H with each row widened on the left by `count` unconstrained
+    (all-zero) columns; valid while erasures cannot reach the new columns,
+    i.e. for e <= H.L."""
+    cols = tuple((0,) * count + row for row in H.cols)
+    return TeParityCheck(H.n, H.L + count, H.r, cols, H.provenance, H.field_m)
+
+
+def brute_force_min_distance(H):
+    """Minimum TE weight over nonzero codewords (the code is linear, so this
+    equals the pairwise minimum).  Exponential in the dimension."""
+    enc = TeEncoder(H)
+    best = None
+    for value in range(1, 1 << enc.k):
+        x = enc.encode([(value >> b) & 1 for b in range(enc.k)])
+        w = rho_te_distance(x, BitArray(x.n, x.L, (0,) * x.n))
+        if best is None or w < best:
+            best = w
+    if best is None:
+        raise ValueError("code has a single codeword")
+    return best
 
 
 def hamming_example_pcm():
@@ -79,7 +101,7 @@ def test_construction1_rejects_n2():
 def test_construction1_d5_base():
     base, mu = bch_pcm(10, 5)
     H = construct_1(base, 5, 2)
-    assert H.redundancy == 10 - (10 - base.rank())   # nt - k_B
+    assert H.redundancy == 10 - (10 - gf2_rank(base.rows))   # nt - k_B
     result = verify_min_distance(H, 5)
     assert result.exact and result.distance == 5
 
@@ -112,7 +134,7 @@ def test_even_extension_distance_6():
 
     base = cyclic_pcm(bch_generator(4, 5, with_parity_factor=True), 11)
     H = construct_even(base, 5, 2)
-    assert H.redundancy == 10 - (11 - base.rank()) + 1   # nt - k_b + 1
+    assert H.redundancy == 10 - (11 - gf2_rank(base.rows)) + 1   # nt - k_b + 1
     result = verify_min_distance(H, 6)
     assert result.exact and result.distance == 6
 
@@ -262,7 +284,7 @@ def test_corollary1_redundancy_inequality():
 
 def test_prepend_clean_columns():
     H = construct_1(hamming_pcm(5), 5, 1)
-    wide = H.prepend_clean_columns(3)
+    wide = prepend_clean_columns(H, 3)
     assert (wide.n, wide.L) == (5, 5)
     assert wide.redundancy == H.redundancy
     enc = TeEncoder(wide)
@@ -456,7 +478,7 @@ DIFFERENTIAL_CODES = {
     "example-7x2": hamming_example_pcm,
     "c1-ham7": lambda: construct_1(hamming_pcm(7), 7, 1),
     "c1-ham3": lambda: construct_1(hamming_pcm(3), 3, 1),
-    "c1-ham5-wide": lambda: construct_1(hamming_pcm(5), 5, 1).prepend_clean_columns(3),
+    "c1-ham5-wide": lambda: prepend_clean_columns(construct_1(hamming_pcm(5), 5, 1), 3),
     "c1-ham9": lambda: construct_1(hamming_pcm(9), 9, 1),
     "c1-bch10": lambda: construct_1(bch_pcm(10, 5)[0], 5, 2),
     "c1-bch16": lambda: construct_1(bch_pcm(16, 5)[0], 8, 2),
