@@ -10,6 +10,7 @@ truncated rows.
 from __future__ import annotations
 
 import random
+from collections import deque
 from dataclasses import dataclass
 from itertools import chain, combinations, islice, product, repeat
 from typing import Iterator, List, Optional, Sequence, Tuple
@@ -215,8 +216,10 @@ def roundtrip_harness(codec, spec: ChannelSpec, *, messages: int = 20,
                       max_work: Optional[int] = DEFAULT_MAX_WORK) -> RunRecord:
     """Encode random messages, push them through every (or `instances`
     sampled, 100 when None) channel instance, decode, compare.  An
-    exhaustive run whose enumeration exceeds `max_work` instances raises
-    RuntimeError; `instances` below 1 raises ValueError.
+    exhaustive run streams the instances, so its memory does not grow with
+    their number; one whose enumeration exceeds `max_work` instances raises
+    RuntimeError before it decodes anything.  `instances` below 1 raises
+    ValueError.
 
     Failures are recorded, not raised; the first counterexample keeps the
     full (message, instance, received) triple for replay.
@@ -233,10 +236,15 @@ def roundtrip_harness(codec, spec: ChannelSpec, *, messages: int = 20,
             for _ in range(messages)]
     arrays = [(m, codec.encode(m)) for m in msgs]
     if exhaustive:
-        stream = list(enumerate_channel_instances(spec, n, L, max_work=max_work))
+        # The deterministic stream is made again for each message, not held:
+        # a counting pass that stores nothing raises past the cap before any
+        # trial is decoded.
+        deque(enumerate_channel_instances(spec, n, L, max_work=max_work), maxlen=0)
     else:
-        stream = [random_instance(spec, n, L, rng) for _ in range(instances)]
+        sampled = [random_instance(spec, n, L, rng) for _ in range(instances)]
     for message, x in arrays:
+        stream = (enumerate_channel_instances(spec, n, L, max_work=max_work)
+                  if exhaustive else sampled)
         for inst in stream:
             received = apply_channel(x, spec, inst)
             record.trials += 1

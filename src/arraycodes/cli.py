@@ -326,8 +326,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("text", "records"), default="text")
         p.add_argument("--in", dest="infile")
         p.add_argument("--out")
-        p.add_argument("--exhaustive", action="store_true")
-        p.add_argument("--max-work", type=int)
 
     p = sub.add_parser("construct", help="build a code and emit its descriptor")
     common(p)
@@ -362,6 +360,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--roundtrip", action="store_true")
     p.add_argument("--kind", choices=("te", "del", "ted"))
     p.add_argument("--messages", type=int, default=20)
+    p.add_argument("--exhaustive", action="store_true")
+    p.add_argument("--max-work", type=int)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("bounds", help="evaluate a bound or regenerate a table")

@@ -15,6 +15,11 @@ of the first k points.  Only erasures occur in this package: the decoder
 takes the syndromes of the surviving symbols, builds the erasure locator
 and fills each erased symbol by Forney's formula.  The modified syndromes
 beyond the erasure count must vanish, or the survivors match no codeword.
+Past the survivors' syndrome, a fill's work grows with the erasure count
+eps, not with n.  On fields with log tables (m <= 16) each product in it is
+one exp read: log x_j = j, so a locator step is exp[log lambda + j].  The
+fill returns the survivors' syndrome; a caller re-checks a repaired word
+from it with one syndrome row per repaired symbol (`_syndrome_at`).
 
 The three products that touch every symbol are GF(2)-linear in the bits of
 each input symbol, so each is an XOR of table rows, one per input symbol
@@ -25,8 +30,9 @@ symbols into one int, m bits apiece, the first output lowest:
     encoding    XOR_i par[i][u_i]     the n-k parity symbols of a message u
     evaluation  XOR_d ev[d][c_d]      sum_d c_d z^d at z = 1/x_j for every j
 
-The tables depend only on (field, n, k) and are built once per code, each
-row from the images of the m basis bits of its input symbol.
+The tables, and the fill's per-code constants beside them, depend only on
+(field, n, k) and are built once per code, each row from the images of the
+m basis bits of its input symbol.
 """
 
 from __future__ import annotations
@@ -34,7 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from operator import getitem, xor
-from typing import List, NamedTuple, Optional, Sequence, Tuple
+from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import CapacityExceededError, NotACodewordError
 from .field import Gf2m
@@ -64,16 +70,22 @@ def _times_x_images(packed: int, m: int, tops: int, low: int) -> List[int]:
 
 
 class _Tables(NamedTuple):
+    capacity: int                    # n-k, the erasures the code can fill
+    consistency: Tuple[int, ...]     # [eps]: modified-syndrome lanes eps .. n-k-1
     points: Tuple[int, ...]          # x_i = alpha^i
     low: int                         # x^m reduced: its low terms
     tops: int                        # the top bit of each of n-k packed lanes
     forney_scale: Tuple[int, ...]    # x_i / v_i
+    exp: Optional[Tuple[int, ...]]   # the field's log tables, None for m > 16
+    log: Optional[Tuple[int, ...]]
+    scale_log: Tuple[int, ...]       # log(x_i / v_i), empty without log tables
     shifts: Tuple[int, ...]          # lowest bit of each chunk of a symbol
     mask: int                        # bits of one chunk
     lanes: Tuple[int, ...]           # lowest bit of each packed output symbol
     syn: _Rows                       # syn[i*c + b]: column i of H, chunk b
     par: _Rows                       # par[i*c + b]: row i of P, chunk b
     ev: _Rows                        # ev[d*c + b]: (1/x_j)^d for every j, chunk b
+    ev_even: _Rows                   # the rows of ev at even d only
 
 
 @dataclass(frozen=True)
@@ -95,10 +107,6 @@ class ReedSolomon:
     @property
     def distance(self) -> int:
         return self.n - self.k + 1
-
-    @property
-    def erasure_capacity(self) -> int:
-        return self.n - self.k
 
     @cached_property
     def _tables(self) -> _Tables:
@@ -145,13 +153,21 @@ class ReedSolomon:
             par += rows([mul(mul(w, lz), f.inv(z ^ x[i])) for z, lz in zip(x[k:], ell)])
         inv_powers = [powers(f.inv(xi)) for xi in x]
         ev = [row for d in range(n - k) for row in rows([p[d] for p in inv_powers])]
-        return _Tables(points=tuple(x), low=low, tops=_lane_tops(m, n - k),
-                       forney_scale=tuple(mul(xi, u) for xi, u in zip(x, inv_v)),
+        forney_scale = tuple(mul(xi, u) for xi, u in zip(x, inv_v))
+        log = f._log
+        return _Tables(capacity=n - k,
+                       consistency=tuple((1 << m * (n - k)) - (1 << m * eps)
+                                         for eps in range(n - k + 1)),
+                       points=tuple(x), low=low, tops=_lane_tops(m, n - k),
+                       forney_scale=forney_scale, exp=f._exp, log=log,
+                       scale_log=() if log is None else tuple(log[s] for s in forney_scale),
                        shifts=shifts, mask=(1 << width) - 1,
                        lanes=tuple(range(0, m * (n - k), m)),
-                       syn=tuple(syn), par=tuple(par), ev=tuple(ev))
+                       syn=tuple(syn), par=tuple(par), ev=tuple(ev),
+                       ev_even=tuple(row for d in range(0, n - k, 2)
+                                     for row in ev[d * chunks:(d + 1) * chunks]))
 
-    def _lookup(self, table: _Rows, symbols: Sequence[int]) -> int:
+    def _lookup(self, table: Iterable[Tuple[int, ...]], symbols: Sequence[int]) -> int:
         """XOR over i and b of table[i*c + b][chunk b of symbols[i]], with
         c chunks per symbol.  A symbol of one chunk (m <= 8) is its own
         index, so the symbols must lie in [0, 2^m)."""
@@ -160,6 +176,16 @@ class ReedSolomon:
             shifts, mask = t.shifts, t.mask
             symbols = [s >> b & mask for s in symbols for b in shifts]
         return reduce(xor, map(getitem, table, symbols), 0)
+
+    def _syndrome_at(self, positions: Sequence[int], symbols: Sequence[int]) -> int:
+        """The packed syndrome of the word holding `symbols` at `positions`
+        and 0 elsewhere: one table row per symbol (per chunk), so the cost
+        follows len(positions), not n.  The symbols must lie in [0, 2^m)."""
+        t = self._tables
+        c = len(t.shifts)
+        if c > 1:
+            positions = [i * c + b for i in positions for b in range(c)]
+        return self._lookup(map(t.syn.__getitem__, positions), symbols)
 
     def _unpack(self, packed: int) -> List[int]:
         """The n-k symbols of a packed syndrome or parity int."""
@@ -193,47 +219,67 @@ class ReedSolomon:
         self._fill_erasures(word, erased)
         return word
 
-    def _fill_erasures(self, word: List[int], erased: Sequence[int]) -> None:
-        """Write the erased symbols of `word` in place.  `word` holds n
-        symbols, 0 at the erased indices, listed in `erased`; raises as
-        `decode_erasures` does."""
-        eps = len(erased)
-        if eps > self.erasure_capacity:
-            raise CapacityExceededError(
-                f"{eps} erasures exceed capacity {self.erasure_capacity}")
-        f = self.field
-        m, mul, full = f.m, f.mul, f.order - 1
+    def _fill_erasures(self, word: List[int], erased: Sequence[int]) -> int:
+        """Write the erased symbols of `word` in place and return the packed
+        syndrome of the survivors.  `word` holds n symbols, 0 at the erased
+        indices, listed in `erased`; raises as `decode_erasures` does."""
         tables = self._tables
+        eps = len(erased)
+        if eps > tables.capacity:
+            raise CapacityExceededError(f"{eps} erasures exceed capacity {tables.capacity}")
         if not self._in_range(word):
-            raise ValueError(f"received symbols must lie in [0, {f.order})")
-        # Erasure locator Lambda(z) = prod_{j erased} (1 + x_j z), low first.
+            raise ValueError(f"received symbols must lie in [0, {self.field.order})")
+        m = self.field.m
+        full = (1 << m) - 1
+        exp, log = tables.exp, tables.log
+        # Erasure locator Lambda(z) = prod_{j erased} (1 + x_j z), low first;
+        # log x_j = j.
         lam = [1] + [0] * eps
-        for degree, j in enumerate(erased, 1):
-            xj = tables.points[j]
-            for d in range(degree, 0, -1):
-                lam[d] ^= mul(lam[d - 1], xj)
+        if log is None:
+            mul = self.field.mul
+            for degree, j in enumerate(erased, 1):
+                xj = tables.points[j]
+                for d in range(degree, 0, -1):
+                    lam[d] ^= mul(lam[d - 1], xj)
+        else:
+            # A zero lambda has log 2(2^m - 1): the sum reads exp's zero region.
+            for degree, j in enumerate(erased, 1):
+                for d in range(degree, 0, -1):
+                    lam[d] ^= exp[log[lam[d - 1]] + j]
         # Modified syndromes S(z) Lambda(z) mod z^(n-k), packed m bits per
         # coefficient: XOR of the lane-parallel x^b S over the set bits b
         # of each lambda_l, shifted up by l lanes.  The first eps form the
         # evaluator Omega; the rest are zero exactly when some codeword
         # agrees with every surviving symbol.
-        images = _times_x_images(self._lookup(tables.syn, word), m, tables.tops, tables.low)
+        syndrome = self._lookup(tables.syn, word)
+        images = _times_x_images(syndrome, m, tables.tops, tables.low)
         modified = 0
         for shift, c in zip(range(0, m * (eps + 1), m), lam):
             while c:
                 bit = c & -c
                 modified ^= images[bit.bit_length() - 1] << shift
                 c ^= bit
-        if modified >> (m * eps) & ((1 << m * (self.n - self.k - eps)) - 1):
+        if modified & tables.consistency[eps]:
             raise NotACodewordError("surviving symbols are not consistent with any codeword")
-        # Omega and the formal derivative Lambda' (only odd powers of Lambda
-        # survive in char 2), each evaluated at every 1/x_j.
+        # Omega and the formal derivative Lambda' (only the odd-degree
+        # coefficients of Lambda survive in char 2, at the even powers),
+        # each evaluated at every 1/x_j.
         num = self._lookup(tables.ev, [modified >> s & full for s in tables.lanes[:eps]])
-        den = self._lookup(tables.ev, [lam[d + 1] if d % 2 == 0 else 0 for d in range(eps)])
-        for j in erased:
-            # Forney: v_j c_j = x_j Omega(1/x_j) / Lambda'(1/x_j).
-            word[j] = mul(mul(num >> (m * j) & full, tables.forney_scale[j]),
-                          f.inv(den >> (m * j) & full))
+        den = self._lookup(tables.ev_even, lam[1::2])
+        # Forney: v_j c_j = x_j Omega(1/x_j) / Lambda'(1/x_j), and Lambda'
+        # has no zero at an erased point.
+        if log is None:
+            f = self.field
+            for j in erased:
+                word[j] = f.mul(f.mul(num >> (m * j) & full, tables.forney_scale[j]),
+                                f.inv(den >> (m * j) & full))
+        else:
+            scale_log = tables.scale_log
+            for j in erased:
+                # A zero Omega reads exp's zero region too.
+                word[j] = exp[log[num >> (m * j) & full]
+                              + (scale_log[j] - log[den >> (m * j) & full]) % full]
+        return syndrome
 
     def message_of(self, codeword: Sequence[int]) -> List[int]:
         return [int(v) for v in codeword[: self.k]]

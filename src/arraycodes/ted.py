@@ -10,6 +10,12 @@ deletion, whatever mix of tail loss and deletion actually occurred.
 With e = 0 the symbol is the VT syndrome alone: that is the (t,1)
 deletion-correcting code, `arraycodes.dc.DcCode`.  Rows stay bitset ints
 from the message to the decoded array.
+
+Decoding checks its own output: the outer fill returns the syndrome of the
+intact rows' symbols, and since syndromes are linear, that syndrome XOR the
+syndrome rows of the repaired rows' own symbols is the syndrome of the
+returned array, so the membership re-check costs O(eps) in the number eps
+of damaged rows, not O(n).
 """
 
 from __future__ import annotations
@@ -168,12 +174,11 @@ class TedCode:
         for i in damaged:
             symbols[i] = 0
         try:
-            self.outer._fill_erasures(symbols, damaged)
+            syndrome = self.outer._fill_erasures(symbols, damaged)
         except NotACodewordError as exc:
             raise CorruptInputError("intact rows disagree with the outer code") from exc
-        # Intact rows are returned as received, so their symbols stand; the
-        # membership re-check below only needs those of the repaired rows.
         rows = list(bits)
+        repaired = []     # theta of each repaired row, from its own bits
         hmask = (1 << h) - 1
         for i in damaged:
             tail = symbols[i] >> h
@@ -185,13 +190,15 @@ class TedCode:
                 # minus exactly one bit.
                 row |= (tail >> (e - k + 1)) << lengths[i]
             full = vt_decode_int(row, symbols[i] & hmask, L)
-            if full >> (L - e) != tail:
+            own_tail = full >> (L - e)
+            if own_tail != tail:
                 raise CorruptInputError(
                     f"row {i + 1} decodes with the wrong tail; input out of contract")
             rows[i] = full
-        for i, symbol in zip(damaged, self._symbols([rows[i] for i in damaged])):
-            symbols[i] = symbol
-        if not self.outer.is_codeword(symbols):
+            repaired.append(position_sum(full, h) & hmask | own_tail << h)
+        # Intact rows are returned as received: with the repaired rows' own
+        # symbols this is the returned array's syndrome.
+        if syndrome ^ self.outer._syndrome_at(damaged, repaired):
             raise CorruptInputError("decoded array fails the membership rule")
         return _trusted(BitArray, n=self.n, L=L, rows=tuple(rows))
 

@@ -1,15 +1,19 @@
 import hashlib
 import random
+import tracemalloc
 from itertools import combinations, product
 
 import pytest
 
 from arraycodes.arrays import BitArray, RaggedArray, count_patterns
-from arraycodes.channel import (ChannelSpec, apply_channel, apply_deletions,
-                                apply_ted, enumerate_channel_instances,
+from arraycodes.channel import (DEFAULT_MAX_WORK, ChannelSpec, RunRecord,
+                                apply_channel, apply_deletions, apply_ted,
+                                enumerate_channel_instances,
                                 enumerate_deletion_instances, random_instance,
                                 roundtrip_harness)
 from arraycodes.dc import DcCode
+from arraycodes.te import TeCodec, construct_hasse
+from arraycodes.ted import TedCode
 from conftest import recursive_patterns
 
 
@@ -183,6 +187,77 @@ def test_harness_random_mode():
     assert rec.trials == 3 * 25
     rec = roundtrip_harness(code, spec, messages=2, exhaustive=False, seed=7)
     assert rec.trials == 2 * 100
+
+
+def listed_harness(codec, spec, messages, seed, max_work):
+    """The exhaustive harness that listed the whole stream before the first
+    trial: the oracle for trial order, count and first counterexample."""
+    rng = random.Random(seed)
+    record = RunRecord(codec.descriptor(), spec, "exhaustive", seed)
+    msgs = [[rng.randrange(2) for _ in range(codec.message_bits)]
+            for _ in range(messages)]
+    stream = list(enumerate_channel_instances(spec, codec.n, codec.L, max_work=max_work))
+    for message in msgs:
+        x = codec.encode(message)
+        for inst in stream:
+            received = apply_channel(x, spec, inst)
+            record.trials += 1
+            try:
+                decoded = codec.decode(received)
+            except Exception as exc:
+                record.note_failure(message, inst, received, f"decoder raised {exc!r}")
+                continue
+            if decoded != x:
+                record.note_failure(message, inst, received, "wrong codeword")
+    return record
+
+
+@pytest.mark.parametrize("code,spec", [(DcCode(5, 4, 1), ChannelSpec("del", t=2, s=1)),
+                                       (DcCode(5, 4, 1), ChannelSpec("del", t=1, s=1)),
+                                       (TedCode(4, 7, 1, 1), ChannelSpec("ted", t=2, s=1, e=1))])
+def test_streamed_harness_matches_the_listed_stream(code, spec):
+    got = roundtrip_harness(code, spec, messages=3, seed=5)
+    want = listed_harness(code, spec, messages=3, seed=5, max_work=DEFAULT_MAX_WORK)
+    assert vars(got) == vars(want)
+    assert got.trials == 3 * len(list(enumerate_channel_instances(spec, code.n, code.L)))
+
+
+def test_harness_over_the_cap_decodes_nothing():
+    decodes = []
+
+    class Counting(DcCode):
+        def decode(self, received):
+            decodes.append(received)
+            return super().decode(received)
+
+    # del t=1 s=1 on 5 x 4 has 20 instances
+    with pytest.raises(RuntimeError, match="work cap"):
+        roundtrip_harness(Counting(5, 4, 1), ChannelSpec("del", t=1, s=1),
+                          messages=2, max_work=19)
+    assert decodes == []
+    assert roundtrip_harness(Counting(5, 4, 1), ChannelSpec("del", t=1, s=1),
+                             messages=2, max_work=20).trials == 40 == len(decodes)
+
+
+def test_exhaustive_harness_does_not_hold_the_stream():
+    """Peak memory of a 4845-instance run stays far below the memory the
+    listed stream takes."""
+    codec = TeCodec(construct_hasse(16, 4, 4))
+    spec = ChannelSpec("te", e=4)
+    # Build the codec's and the enumerator's tables before measuring.
+    roundtrip_harness(codec, spec, messages=1, exhaustive=False, instances=5)
+    list(enumerate_channel_instances(spec, 16, 4))
+    tracemalloc.start()
+    try:
+        record = roundtrip_harness(codec, spec, messages=1)
+        harness_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        held = list(enumerate_channel_instances(spec, 16, 4))
+        listed_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert record.trials == len(held) == 4845 and record.failures == 0
+    assert harness_peak < listed_peak / 4
 
 
 @pytest.mark.parametrize("instances", [0, -1])

@@ -123,6 +123,25 @@ def test_usage_errors(capsys, tmp_path):
     assert exc.value.code == 2
 
 
+def test_roundtrip_options_only_on_verify(tmp_path, capsys):
+    """--exhaustive and --max-work mean something to verify alone; any other
+    subcommand rejects them as unknown arguments."""
+    out = tmp_path / "x.json"
+    with pytest.raises(SystemExit) as exc:
+        main(["construct", "--code", "dc", "--n", "7", "--L", "5", "--t", "2",
+              "--max-work", "-3", "--exhaustive", "--out", str(out)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --max-work -3 --exhaustive" in capsys.readouterr().err
+    assert not out.exists()
+    rc, _, _ = run(capsys, "construct", "--code", "dc", "--n", "7", "--L", "5", "--t", "2",
+                   "--out", str(out))
+    assert rc == 0
+    for flag in (("--exhaustive",), ("--max-work", "5")):
+        with pytest.raises(SystemExit) as exc:
+            main(["encode", "--code-file", str(out), *flag])
+        assert exc.value.code == 2
+
+
 def test_truncated_code_file_exits_2(tmp_path, capsys):
     code_file = tmp_path / "ham.bin"
     run(capsys, "construct", "--code", "construction-1", "--n", "7", "--d", "3",

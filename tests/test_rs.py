@@ -3,9 +3,11 @@ from itertools import combinations, product
 
 import pytest
 
+from arraycodes.channel import ChannelSpec, apply_channel, random_instance
 from arraycodes.errors import CapacityExceededError, NotACodewordError
 from arraycodes.field import field_make
-from arraycodes.rs import ReedSolomon
+from arraycodes.rs import ReedSolomon, _times_x_images
+from arraycodes.ted import TedCode
 
 
 # --- reference oracle: the code by evaluation and Lagrange interpolation ----
@@ -308,3 +310,93 @@ def test_symbols_out_of_range_rejected(m, n, k):
         with pytest.raises(ValueError):
             rs.decode_erasures(word[:n - 1] + [None])
     assert not ReedSolomon(field_make(3), 7, 5).is_codeword([8, 0, 0, 0, 0, 0, 0])
+
+
+# --- the erasure fill core against its mul/inv form ----------------------------
+
+def _mul_inv_fill(rs, word, erased):
+    """The fill core with one Gf2m.mul or Gf2m.inv per product, as it was
+    before the log-domain locator and Forney step: the reference for
+    `ReedSolomon._fill_erasures` on every field."""
+    eps = len(erased)
+    if eps > rs.n - rs.k:
+        raise CapacityExceededError(f"{eps} erasures exceed capacity {rs.n - rs.k}")
+    f = rs.field
+    m, mul, full = f.m, f.mul, f.order - 1
+    tables = rs._tables
+    if not rs._in_range(word):
+        raise ValueError(f"received symbols must lie in [0, {f.order})")
+    lam = [1] + [0] * eps
+    for degree, j in enumerate(erased, 1):
+        xj = tables.points[j]
+        for d in range(degree, 0, -1):
+            lam[d] ^= mul(lam[d - 1], xj)
+    images = _times_x_images(rs._lookup(tables.syn, word), m, tables.tops, tables.low)
+    modified = 0
+    for shift, c in zip(range(0, m * (eps + 1), m), lam):
+        while c:
+            bit = c & -c
+            modified ^= images[bit.bit_length() - 1] << shift
+            c ^= bit
+    if modified >> (m * eps) & ((1 << m * (rs.n - rs.k - eps)) - 1):
+        raise NotACodewordError("surviving symbols are not consistent with any codeword")
+    num = rs._lookup(tables.ev, [modified >> s & full for s in tables.lanes[:eps]])
+    den = rs._lookup(tables.ev, [lam[d + 1] if d % 2 == 0 else 0 for d in range(eps)])
+    for j in erased:
+        word[j] = mul(mul(num >> (m * j) & full, tables.forney_scale[j]),
+                      f.inv(den >> (m * j) & full))
+
+
+def _fill_outcome(fill, rs, word, erased):
+    try:
+        result = fill(rs, word, erased)
+    except (CapacityExceededError, NotACodewordError) as exc:
+        return type(exc), str(exc)
+    return word, result
+
+
+@pytest.mark.parametrize("m,n,k", [(2, 3, 1), (4, 15, 9), (5, 31, 23), (8, 40, 30),
+                                   (12, 40, 30), (16, 40, 30), (17, 20, 12)])
+def test_fill_core_matches_the_mul_inv_form(m, n, k):
+    """Same filled word, or same exception, as the mul/inv form, for every
+    erasure count up to one past capacity, on codewords and on random
+    (mostly inconsistent) survivors.  m = 8 | 12 straddles the one-chunk
+    boundary of the tables, 16 | 17 the last field with log tables; the
+    fill also returns the survivors' packed syndrome."""
+    f = field_make(m)
+    rs = ReedSolomon(f, n, k)
+    assert (rs._tables.log is None) == (m > 16)
+    rng = random.Random(31 * m + n)
+    seen = set()
+    for trial in range(40):
+        if trial % 2:
+            word = [rng.randrange(f.order) for _ in range(n)]
+        else:
+            word = rs.encode([rng.randrange(f.order) for _ in range(k)])
+        for eps in range(n - k + 2):
+            erased = rng.sample(range(n), eps)
+            received = [0 if i in erased else c for i, c in enumerate(word)]
+            want = _fill_outcome(_mul_inv_fill, rs, list(received), erased)
+            got = _fill_outcome(ReedSolomon._fill_erasures, rs, list(received), erased)
+            if isinstance(want[0], list):
+                want = (want[0], rs._lookup(rs._tables.syn, received))
+            assert got == want, (trial, erased)
+            seen.add(want[0] if isinstance(want[0], type) else "filled")
+    assert seen == {"filled", NotACodewordError, CapacityExceededError}
+
+
+def test_ted_round_trips_over_a_field_without_log_tables():
+    """TED(6, 8191, t=1, e=4): h + e = 17, so the outer code's fill takes the
+    mul/inv branch inside a full decode."""
+    code = TedCode(6, 8191, t=1, e=4)
+    assert code.outer.field.m == 17 and code.outer._tables.log is None
+    spec = ChannelSpec("ted", t=1, s=1, e=4)
+    rng = random.Random(17)
+    damaged = 0
+    for _ in range(5):
+        x = code.encode([rng.randrange(2) for _ in range(code.message_bits)])
+        for _ in range(3):
+            received = apply_channel(x, spec, random_instance(spec, code.n, code.L, rng))
+            damaged += any(length < code.L for _, length in received.rows)
+            assert code.decode(received) == x
+    assert damaged >= 10

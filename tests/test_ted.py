@@ -10,6 +10,8 @@ from arraycodes.dc import DcCode
 from arraycodes.errors import (ArrayCodeError, CapacityExceededError,
                                ChannelContractError, CorruptInputError,
                                NotACodewordError)
+from arraycodes import ted as ted_module
+from arraycodes.rs import ReedSolomon
 from arraycodes.ted import TedCode, theta_symbol
 from arraycodes.vt import vt_decode_int
 from test_fuzz import _damage
@@ -272,6 +274,46 @@ def test_decode_matches_row_by_row_oracle(code):
             ("out of contract", ChannelContractError),
             ("flipped intact", CorruptInputError)} <= seen
     assert any(kind == "flipped damaged" for kind, _ in seen)
+
+
+@pytest.mark.parametrize("fault", ["fill", "repair"])
+@pytest.mark.parametrize("code", [TedCode(5, 7, 2, 1), TedCode(31, 31, 4, 2),
+                                  DcCode(7, 5, 2), DcCode(31, 31, 8)],
+                         ids=lambda c: f"{c.n}x{c.L}-t{c.t}-e{c.e}")
+def test_membership_recheck_catches_a_wrong_repair(code, fault, monkeypatch):
+    """Every decode of a damaged array raises CorruptInputError when one
+    filled symbol is off by 1 ("fill"), or when the VT repair returns its
+    row with the first bit flipped ("repair", which keeps the tail).  The
+    membership re-check reads the repaired rows' own bits, so it catches
+    every wrong repair and some of the wrong fills."""
+    if fault == "fill":
+        fill = ReedSolomon._fill_erasures
+
+        def wrong_fill(rs, word, erased):
+            syndrome = fill(rs, word, erased)
+            if erased:
+                word[erased[0]] ^= 1
+            return syndrome
+
+        monkeypatch.setattr(ReedSolomon, "_fill_erasures", wrong_fill)
+    else:
+        monkeypatch.setattr(ted_module, "vt_decode_int",
+                            lambda y, a, L: vt_decode_int(y, a, L) ^ 1)
+    rng = random.Random(code.n * 100 + code.L)
+    spec = ChannelSpec("ted", t=code.t, s=1, e=code.e)
+    messages = set()
+    for _ in range(60):
+        x = code.encode([rng.randrange(2) for _ in range(code.message_bits)])
+        received = apply_channel(x, spec, random_instance(spec, code.n, code.L, rng))
+        if all(length == code.L for _, length in received.rows):
+            assert code.decode(received) == x
+            continue
+        with pytest.raises(CorruptInputError) as exc:
+            code.decode(received)
+        messages.add(str(exc.value))
+    assert "decoded array fails the membership rule" in messages
+    if fault == "repair":
+        assert messages == {"decoded array fails the membership rule"}
 
 
 @pytest.mark.parametrize("code", [TedCode(5, 7, 2, 1), TedCode(9, 11, 2, 2),
