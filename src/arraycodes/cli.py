@@ -1,6 +1,8 @@
 """Command-line interface.
 
 Subcommands: construct, encode, decode, channel, verify, bounds, oracle.
+Each subcommand registers only the options it reads, so any other option
+is an argparse error (exit 2).
 Array I/O uses the shared text format (rows over {0,1,?}, '#' comments,
 '# L=<int>' declares the full length for ragged input).  Exit status: 0 on
 success, 1 when a verification finds a failure, 2 on usage errors.
@@ -145,7 +147,12 @@ def cmd_construct(args) -> int:
 def cmd_encode(args) -> int:
     codec = load_codec(args.code_file)
     text = Path(args.infile).read_text() if args.infile else sys.stdin.read()
-    bits = [int(ch) for tok in text.split() for ch in tok if ch in "01"]
+    digits = "".join(text.split())
+    bad = digits.lstrip("01")
+    if bad:
+        raise UsageError(f"message text may hold only 0, 1 and whitespace, "
+                         f"found {bad[0]!r}")
+    bits = [int(ch) for ch in digits]
     if len(bits) != codec.message_bits:
         raise UsageError(f"codec expects {codec.message_bits} message bits, got {len(bits)}")
     x = codec.encode(bits)
@@ -278,14 +285,12 @@ def cmd_bounds(args) -> int:
         info = dc_bound_part2_part3(args.n, args.L, args.t, args.s)
         _write(args, info["report"].record() + "\n")
         return 0
-    if name == "ted-upper":
-        _need(args, "n", "L")
-        info = ted_upper_bound(args.n, args.L)
-        _write(args, info["report"].record()
-               + f" finite={float(info['finite']):.6g}"
-               + f" asymptotic={float(info['asymptotic']):.6g}\n")
-        return 0
-    raise UsageError(f"unknown bound {name!r}")
+    _need(args, "n", "L")   # ted-upper, the last choice
+    info = ted_upper_bound(args.n, args.L)
+    _write(args, info["report"].record()
+           + f" finite={float(info['finite']):.6g}"
+           + f" asymptotic={float(info['asymptotic']):.6g}\n")
+    return 0
 
 
 def cmd_oracle(args) -> int:
@@ -302,11 +307,9 @@ def cmd_oracle(args) -> int:
     elif which == "m-s":
         _need(args, "L", "s")
         lines.append(f"oracle=m-s L={args.L} s={args.s} value={m_s_brute(args.L, args.s)}")
-    elif which == "a-n-d":
+    else:   # a-n-d
         _need(args, "n", "d")
         lines.append(f"oracle=a-n-d n={args.n} d={args.d} value={a_n_d_brute(args.n, args.d)}")
-    else:
-        raise UsageError(f"unknown oracle {which!r}")
     _write(args, "\n".join(lines) + "\n")
     return 0
 
@@ -315,20 +318,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="arraycodes")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--n", type=int)
-        p.add_argument("--L", type=int)
-        p.add_argument("--e", type=int)
-        p.add_argument("--t", type=int)
-        p.add_argument("--s", type=int)
-        p.add_argument("--d", type=int)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--format", choices=("text", "records"), default="text")
-        p.add_argument("--in", dest="infile")
-        p.add_argument("--out")
+    def ints(p, *names):
+        for name in names:
+            p.add_argument(f"--{name}", type=int)
 
     p = sub.add_parser("construct", help="build a code and emit its descriptor")
-    common(p)
+    ints(p, "n", "L", "e", "t", "d")
+    p.add_argument("--out")
     p.add_argument("--code", required=True,
                    choices=("construction-1", "even-ext", "claim-5", "claim-7",
                             "hasse", "dc", "ted"))
@@ -338,24 +334,30 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_construct)
 
     p = sub.add_parser("encode", help="message bits -> array")
-    common(p)
+    p.add_argument("--in", dest="infile")
+    p.add_argument("--out")
     p.add_argument("--code-file", required=True)
     p.set_defaults(func=cmd_encode)
 
     p = sub.add_parser("decode", help="received array -> codeword (or message)")
-    common(p)
+    p.add_argument("--in", dest="infile")
+    p.add_argument("--out")
     p.add_argument("--code-file", required=True)
     p.add_argument("--emit-message", action="store_true")
     p.set_defaults(func=cmd_decode)
 
     p = sub.add_parser("channel", help="apply a channel instance to an array")
-    common(p)
+    ints(p, "e", "t", "s")
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--in", dest="infile")
+    p.add_argument("--out")
     p.add_argument("--kind", required=True, choices=("te", "del", "ted"))
     p.add_argument("--pattern", help="explicit te pattern, comma-separated")
     p.set_defaults(func=cmd_channel)
 
     p = sub.add_parser("verify", help="min-distance or round-trip verification")
-    common(p)
+    ints(p, "e", "t", "s", "d")
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--code-file", required=True)
     p.add_argument("--roundtrip", action="store_true")
     p.add_argument("--kind", choices=("te", "del", "ted"))
@@ -365,22 +367,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("bounds", help="evaluate a bound or regenerate a table")
-    common(p)
-    p.add_argument("--bound", choices=("v-te", "sphere", "column-split",
-                                       "singleton", "dc-1", "dc-23", "ted-upper"))
-    p.add_argument("--table", choices=("I", "II", "III"))
+    ints(p, "n", "L", "t", "s", "d")
+    p.add_argument("--format", choices=("text", "records"), default="text")
+    p.add_argument("--out")
+    which = p.add_mutually_exclusive_group(required=True)
+    which.add_argument("--bound", choices=("v-te", "sphere", "column-split",
+                                           "singleton", "dc-1", "dc-23", "ted-upper"))
+    which.add_argument("--table", choices=("I", "II", "III"))
     p.add_argument("--n-min", type=int, default=3)
     p.add_argument("--n-max", type=int, default=16)
-    p.add_argument("--r", type=int)
-    p.add_argument("--a-nd", type=int)
-    p.add_argument("--m-s", type=int)
-    p.add_argument("--m-size", type=int)
+    ints(p, "r", "a-nd", "m-s", "m-size")
     p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("oracle", help="run a brute-force oracle, freeze the value")
-    common(p)
+    ints(p, "n", "L", "s", "d", "r")
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--out")
     p.add_argument("--which", required=True, choices=("ball", "m-s", "a-n-d"))
-    p.add_argument("--r", type=int)
     p.set_defaults(func=cmd_oracle)
 
     return parser
@@ -391,10 +394,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, FileNotFoundError, RuntimeError) as exc:
+    except (UsageError, ValueError, FileNotFoundError, RuntimeError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except ArrayCodeError as exc:

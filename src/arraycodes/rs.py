@@ -104,10 +104,6 @@ class ReedSolomon:
                 f"length {self.n} exceeds 2^m - 1 = {self.field.order - 1}; "
                 "extended evaluation points are not supported")
 
-    @property
-    def distance(self) -> int:
-        return self.n - self.k + 1
-
     @cached_property
     def _tables(self) -> _Tables:
         f, n, k = self.field, self.n, self.k
@@ -280,9 +276,6 @@ class ReedSolomon:
                 word[j] = exp[log[num >> (m * j) & full]
                               + (scale_log[j] - log[den >> (m * j) & full]) % full]
         return syndrome
-
-    def message_of(self, codeword: Sequence[int]) -> List[int]:
-        return [int(v) for v in codeword[: self.k]]
 
     def is_codeword(self, word: Sequence[int]) -> bool:
         if len(word) != self.n or not self._in_range(word):

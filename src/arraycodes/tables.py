@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from .basecodes import bch_pcm, extended_hamming_pcm, hamming_pcm
 from .bounds import te_sphere_packing
@@ -118,13 +118,14 @@ def table_ii_cell(n: int, L: int, e: int) -> int:
     return math.ceil(a * math.log2(n) + c - 1e-9)
 
 
-def table_ii(n_values: Iterable[int],
-             cells: Optional[Sequence] = None) -> List[TableRow]:
-    if cells is None:
-        cells = [(L, e) for e in (2, 3, 4, 5) for L in (2, 3, 4)]
+# The (L, e) cells of each n, in the paper's order.
+_TABLE_II_CELLS = tuple((L, e) for e in (2, 3, 4, 5) for L in (2, 3, 4))
+
+
+def table_ii(n_values: Iterable[int]) -> List[TableRow]:
     rows = []
     for n in n_values:
-        for L, e in cells:
+        for L, e in _TABLE_II_CELLS:
             H = construct_hasse(n, L, e)
             rows.append(TableRow(
                 "II", {"n": n, "L": L, "e": e},

@@ -9,7 +9,7 @@ the positions {1, 2, 4, ..., 2^(h-1)}.
 The kernels work on rows as bitset ints, bit j-1 holding position j, as
 the array types store them.  The weighted sum sum_j j*x_j is read from one
 table of all 16-bit values for rows of at most 32 positions (h <= 5), and
-from per-byte tables, one lookup per 8 positions, for longer rows.
+as h masked popcounts, sum_k popcount(x & M_k) * 2^k, for longer rows.
 `vt_decode` and `vt_codewords` are the list forms left, for callers that
 hold rows as bit lists.
 """
@@ -17,7 +17,6 @@ hold rows as bit lists.
 from __future__ import annotations
 
 from functools import lru_cache
-from operator import getitem
 from typing import List, Sequence, Tuple
 
 from .arrays import _int_to_row, _row_to_int
@@ -50,48 +49,31 @@ _ROTATE = bytes(range(256)) * 2
 _SUM16 = b"".join(_BYTE_SUM.translate(_ROTATE[c:c + 256])
                   for c in (s + 8 * b.bit_count() for b, s in enumerate(_BYTE_SUM)))
 
-# Rows longer than 31 positions are summed in blocks of at most this many
-# bytes (512 positions), so that the tables stay below 64 * 256 entries
-# whatever the row length.
-_BLOCK_BYTES = 64
-
 
 @lru_cache(maxsize=None)
-def _byte_tables(h: int) -> Tuple[Tuple[int, ...], ...]:
-    """One table per byte of a row of 2^h - 1 positions, at most
-    _BLOCK_BYTES of them: entry v of table c is the position sum of byte
-    value v at bits 8c .. 8c+7, i.e. the sum of 8c + b + 1 over the set
-    bits b of v."""
-    width = min(-(-((1 << h) - 1) // 8), _BLOCK_BYTES)
-    return tuple(tuple(s + 8 * c * v.bit_count() for v, s in enumerate(_BYTE_SUM))
-                 for c in range(width))
+def _position_masks(h: int) -> Tuple[Tuple[int, int], ...]:
+    """(k, M_k) for k < h, M_k the row int of the positions j in
+    1 .. 2^h - 1 with bit k set.  Over j = 0 .. 2^h - 1 bit k of j runs in
+    blocks of 2^k zeros then 2^k ones; the string drops j = 0 and puts the
+    highest position first, as `int(..., 2)` reads it."""
+    return tuple((k, int((("0" * (1 << k) + "1" * (1 << k))
+                          * (1 << (h - k - 1)))[:0:-1], 2))
+                 for k in range(h))
 
 
 def position_sum(x: int, h: int) -> int:
     """sum_j j*x_j of a row int with no position beyond 2^h - 1: one lookup
     of the 16-bit table up to h = 4, two up to h = 5 (the high half's
-    positions offset by 16 each), and one byte-table lookup per byte,
-    ceil((2^h - 1)/8) of them, beyond."""
+    positions offset by 16 each), and sum_k popcount(x & M_k) * 2^k
+    beyond."""
     if h <= 5:
         if h <= 4:
             return _SUM16[x]
         hi = x >> 16
         return _SUM16[x & 0xFFFF] + _SUM16[hi] + 16 * hi.bit_count()
-    tables = _byte_tables(h)
-    width = len(tables)
-    if width < _BLOCK_BYTES:
-        return sum(map(getitem, tables, x.to_bytes(width, "little")))
-    # A block summed as if it came first, plus its offset for each of its
-    # set bits.
-    s = offset = 0
-    block_bits = 8 * _BLOCK_BYTES
-    mask = (1 << block_bits) - 1
-    while x:
-        block = x & mask
-        s += (sum(map(getitem, tables, block.to_bytes(_BLOCK_BYTES, "little")))
-              + offset * block.bit_count())
-        x >>= block_bits
-        offset += block_bits
+    s = 0
+    for k, mask in _position_masks(h):
+        s += (x & mask).bit_count() << k
     return s
 
 
@@ -105,10 +87,6 @@ def position_sums(rows: Sequence[int], h: int) -> List[int]:
             return [_SUM16[x] for x in rows]
         return [_SUM16[x & 0xFFFF] + _SUM16[hi := x >> 16] + 16 * hi.bit_count()
                 for x in rows]
-    tables = _byte_tables(h)
-    width = len(tables)
-    if width < _BLOCK_BYTES:
-        return [sum(map(getitem, tables, x.to_bytes(width, "little"))) for x in rows]
     return [position_sum(x, h) for x in rows]
 
 

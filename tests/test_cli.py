@@ -4,7 +4,7 @@ import struct
 
 import pytest
 
-from arraycodes.cli import main
+from arraycodes.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -256,3 +256,135 @@ def test_descriptor_without_outer_field_exits_2(tmp_path, capsys, desc):
     assert rc == 2 and out == ""
     assert err.startswith("usage error:") and err.count("\n") == 1
     assert "h + e" in err
+
+
+# --- per-subcommand options ---------------------------------------------------
+
+# The option strings each subcommand registers: exactly the ones its
+# command reads.
+OPTIONS = {
+    "construct": "--n --L --e --t --d --out --code --raw --dump",
+    "encode": "--in --out --code-file",
+    "decode": "--in --out --code-file --emit-message",
+    "channel": "--e --t --s --seed --in --out --kind --pattern",
+    "verify": "--e --t --s --d --seed --code-file --roundtrip --kind --messages "
+              "--exhaustive --max-work",
+    "bounds": "--n --L --t --s --d --format --out --bound --table --n-min --n-max "
+              "--r --a-nd --m-s --m-size",
+    "oracle": "--n --L --s --d --seed --out --which --r",
+}
+
+# The options that were once registered on every subcommand.
+SHARED = ("--n", "--L", "--e", "--t", "--s", "--d", "--seed", "--format", "--in", "--out")
+
+# A command line each subcommand parses, to which one unread option is added.
+BASE = {
+    "construct": ("--code", "dc", "--n", "5", "--L", "4", "--t", "1"),
+    "encode": ("--code-file", "codec.json"),
+    "decode": ("--code-file", "codec.json"),
+    "channel": ("--kind", "te", "--e", "1"),
+    "verify": ("--code-file", "te.tepc", "--d", "4"),
+    "bounds": ("--bound", "sphere", "--n", "7", "--L", "2", "--d", "3"),
+    "oracle": ("--which", "m-s", "--L", "4", "--s", "1"),
+}
+
+
+def subparsers():
+    return next(a for a in build_parser()._actions if a.dest == "command").choices
+
+
+def registered(p):
+    return {a.option_strings[0] for a in p._actions if a.dest != "help"}
+
+
+def test_each_subcommand_registers_exactly_its_options():
+    parsers = subparsers()
+    assert set(parsers) == set(OPTIONS)
+    for name, options in OPTIONS.items():
+        assert registered(parsers[name]) == set(options.split()), name
+    assert sum(len(registered(p)) for p in parsers.values()) == 58
+
+
+DROPPED = [(name, opt) for name in OPTIONS for opt in SHARED
+           if opt not in OPTIONS[name].split()]
+
+
+def test_dropped_option_count():
+    assert len(DROPPED) == 36
+
+
+@pytest.mark.parametrize("command, option", DROPPED)
+def test_unread_option_exits_2(tmp_path, capsys, command, option):
+    base = (command, *BASE[command])
+    build_parser().parse_args(base)     # the base line alone parses
+    value = {"--format": "text", "--in": str(tmp_path / "in.txt"),
+             "--out": str(tmp_path / "out.txt")}.get(option, "1")
+    with pytest.raises(SystemExit) as exc:
+        main([*base, option, value])
+    assert exc.value.code == 2
+    # decode reads "--e" as an abbreviation of --emit-message, so there
+    # only the value is left over
+    leftover = value if (command, option) == ("decode", "--e") else f"{option} {value}"
+    assert f"unrecognized arguments: {leftover}" in capsys.readouterr().err
+    assert not (tmp_path / "out.txt").exists()
+
+
+def test_verify_with_out_exits_2_and_writes_nothing(tmp_path, capsys):
+    te_file = tmp_path / "te.tepc"
+    run(capsys, "construct", "--code", "construction-1", "--n", "7", "--d", "3",
+        "--out", str(te_file))
+    report = tmp_path / "r.txt"
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--code-file", str(te_file), "--d", "4", "--out", str(report)])
+    assert exc.value.code == 2
+    assert not report.exists()
+
+
+@pytest.mark.parametrize("extra", [("--table", "I"), ()])
+def test_bounds_takes_exactly_one_of_bound_and_table(capsys, extra):
+    with pytest.raises(SystemExit) as exc:
+        main(["bounds", *extra, *(("--bound", "sphere") if extra else ()),
+              "--n", "7", "--L", "2", "--d", "3"])
+    assert exc.value.code == 2
+    assert "--bound" in capsys.readouterr().err
+
+
+# --- message text --------------------------------------------------------------
+
+@pytest.mark.parametrize("text, bad", [("hello 1010101 world", "'h'"),
+                                       ("1010101,", "','"),
+                                       ("10101\n01x", "'x'"),
+                                       ("1 0 1 0 1 0 1 2", "'2'")])
+def test_encode_rejects_message_text_other_than_bits(tmp_path, capsys, text, bad):
+    codec_file = tmp_path / "ted.json"
+    run(capsys, "construct", "--code", "ted", "--n", "5", "--L", "7",
+        "--t", "1", "--e", "1", "--out", str(codec_file))
+    msg_file = tmp_path / "msg.txt"
+    msg_file.write_text(text)
+    rc, out, err = run(capsys, "encode", "--code-file", str(codec_file),
+                       "--in", str(msg_file))
+    assert rc == 2 and out == ""
+    assert err.startswith("usage error:") and err.count("\n") == 1
+    assert bad in err
+
+
+def test_emitted_message_encodes_again(tmp_path, capsys):
+    """Bits split by any whitespace encode; decode --emit-message output
+    feeds back into encode and gives the same array."""
+    codec_file = tmp_path / "dc.json"
+    run(capsys, "construct", "--code", "dc", "--n", "7", "--L", "5", "--t", "2",
+        "--out", str(codec_file))
+    bits = "".join(str(random.Random(8).randrange(2)) for _ in range(29))
+    msg_file = tmp_path / "msg.txt"
+    msg_file.write_text(" ".join(bits[:10]) + "\n\t" + bits[10:20] + "\r\n" + bits[20:])
+    arr_file = tmp_path / "arr.txt"
+    rc, _, _ = run(capsys, "encode", "--code-file", str(codec_file),
+                   "--in", str(msg_file), "--out", str(arr_file))
+    assert rc == 0
+    emitted = tmp_path / "emitted.txt"
+    rc, _, _ = run(capsys, "decode", "--code-file", str(codec_file),
+                   "--in", str(arr_file), "--emit-message", "--out", str(emitted))
+    assert rc == 0 and emitted.read_text() == bits + "\n"
+    rc, out, _ = run(capsys, "encode", "--code-file", str(codec_file),
+                     "--in", str(emitted))
+    assert rc == 0 and out == arr_file.read_text()

@@ -91,7 +91,6 @@ def test_systematic_prefix():
         cw = rs.encode(msg)
         assert cw[:5] == msg
         assert rs.is_codeword(cw)
-        assert rs.message_of(cw) == msg
 
 
 def test_753_all_two_erasure_supports():

@@ -223,10 +223,12 @@ def test_int_kernels_match_oracle_random(L):
         assert vt_decode_int(y, a, L) == row
 
 
-# --- byte-table position sums -------------------------------------------------
+# --- position sums against the popcount oracle and the definition ------------
 #
-# The masked-popcount body the byte tables replaced, kept as their oracle:
+# The masked-popcount body, kept as the oracle of the 16-bit table paths:
 # sum_k popcount(x & M_k) * 2^k, M_k holding the positions with bit k set.
+# Rows longer than 31 positions run the same formula with masks built
+# another way, so they are also checked against sum_j j*x_j bit by bit.
 
 @lru_cache(maxsize=None)
 def oracle_masks(h):
@@ -263,6 +265,21 @@ def test_position_sum_matches_popcount_oracle_random(L):
     assert position_sums(rows, h) == want
 
 
+def definitional_position_sum(x, L):
+    return sum(j for j in range(1, L + 1) if x >> (j - 1) & 1)
+
+
+@pytest.mark.parametrize("L", (32, 63, 64, 1100))
+def test_position_sum_matches_definition(L):
+    rng = random.Random(2000 + L)
+    h = vt_modulus_exponent(L)
+    rows = [rng.getrandbits(L) for _ in range(100)]
+    rows += [0, (1 << L) - 1, 1 << (L - 1)] + [1 << j for j in range(L)]
+    want = [definitional_position_sum(x, L) for x in rows]
+    assert [position_sum(x, h) for x in rows] == want
+    assert position_sums(rows, h) == want
+
+
 # --- 16-bit position-sum table and table-placed redundancy --------------------
 
 def test_sum16_table_matches_popcount_oracle_on_every_value():
@@ -273,7 +290,7 @@ def test_sum16_table_matches_popcount_oracle_on_every_value():
 @pytest.mark.parametrize("L", (15, 16, 17, 32, 33))
 def test_position_sum_at_table_chunk_boundaries(L):
     """Rows either side of 16 positions (one table lookup) and of 32 (two
-    lookups, then the byte tables), including rows as wide as h allows."""
+    lookups, then the masked popcounts), including rows as wide as h allows."""
     h = vt_modulus_exponent(L)
     widest = (1 << h) - 1
     rng = random.Random(1000 + L)
