@@ -146,40 +146,64 @@ def enumerate_channel_instances(spec: ChannelSpec, n: int, L: int,
         raise RuntimeError("instance enumeration exceeds the work cap")
 
 
+def _te_draw(e: int, n: int, L: int, rng: random.Random) -> TeInstance:
+    """Visit the rows in shuffled order, each taking a uniform share of
+    what is left of the e budget (at most L)."""
+    p = [0] * n
+    rows = list(range(n))
+    rng.shuffle(rows)
+    randrange = rng.randrange
+    for row in rows:
+        if e == 0:
+            break
+        take = randrange(0, min(e, L) + 1)
+        p[row] = take
+        e -= take
+    return tuple(p)
+
+
 def random_instance(spec: ChannelSpec, n: int, L: int, rng: random.Random):
-    """Uniform rows without replacement, then uniform positions."""
+    """Uniform rows without replacement, then uniform positions.
+
+    The draw sequence is a contract: the same seeded generator gives the
+    same instance across releases and supported Pythons, so seeded pools
+    and `channel --seed` outputs do not change.  `randrange(a, b + 1)` is
+    what `randint(a, b)` draws, and for one position it is what
+    `sample(range(1, L + 1), 1)` draws; the count draw stays even when it
+    can only be 1, because it still consumes generator bits.
+    """
     if spec.kind == "te":
-        budget = spec.e
-        p = [0] * n
-        rows = list(range(n))
-        rng.shuffle(rows)
-        for row in rows:
-            if budget == 0:
-                break
-            take = rng.randint(0, min(budget, L))
-            p[row] = take
-            budget -= take
-        return tuple(p)
+        return _te_draw(spec.e, n, L, rng)
+    randrange = rng.randrange
     if spec.kind == "del":
         # At most n rows and L deletions per row exist; within those caps
         # the draws are the same as uncapped.
-        nrows = rng.randint(0, min(spec.t, n))
-        chosen = rng.sample(range(1, n + 1), nrows)
-        most = min(spec.s, L)
+        chosen = rng.sample(range(1, n + 1), randrange(0, min(spec.t, n) + 1))
+        chosen.sort()
+        most = min(spec.s, L) + 1
+        positions = range(1, L + 1)
         inst = []
-        for row in sorted(chosen):
-            count = rng.randint(1, most)
-            inst.append((row, tuple(sorted(rng.sample(range(1, L + 1), count)))))
+        for row in chosen:
+            count = randrange(1, most)
+            if count == 1:
+                inst.append((row, (randrange(1, L + 1),)))
+            else:
+                inst.append((row, tuple(sorted(rng.sample(positions, count)))))
         return tuple(inst)
-    pattern = random_instance(ChannelSpec("te", e=spec.e), n, L, rng)
-    lengths = [L - pi for pi in pattern]
-    nrows = rng.randint(0, spec.t)
-    candidates = [r for r in range(1, n + 1) if lengths[r - 1] >= spec.s]
+    s = spec.s
+    pattern = _te_draw(spec.e, n, L, rng)
+    nrows = randrange(0, spec.t + 1)
+    candidates = [r for r, p in enumerate(pattern, 1) if L - p >= s]
     chosen = rng.sample(candidates, min(nrows, len(candidates)))
+    chosen.sort()
     inst = []
-    for row in sorted(chosen):
-        count = rng.randint(1, spec.s)
-        inst.append((row, tuple(sorted(rng.sample(range(1, lengths[row - 1] + 1), count)))))
+    for row in chosen:
+        length = L - pattern[row - 1]
+        count = randrange(1, s + 1)
+        if count == 1:
+            inst.append((row, (randrange(1, length + 1),)))
+        else:
+            inst.append((row, tuple(sorted(rng.sample(range(1, length + 1), count)))))
     return (pattern, tuple(inst))
 
 

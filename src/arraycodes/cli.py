@@ -2,7 +2,8 @@
 
 Subcommands: construct, encode, decode, channel, verify, bounds, oracle.
 Each subcommand registers only the options it reads, so any other option
-is an argparse error (exit 2).
+is an argparse error (exit 2); options must be spelled in full, as no
+parser takes abbreviations.
 Array I/O uses the shared text format (rows over {0,1,?}, '#' comments,
 '# L=<int>' declares the full length for ragged input).  Exit status: 0 on
 success, 1 when a verification finds a failure, 2 on usage errors.
@@ -11,6 +12,7 @@ success, 1 when a verification finds a failure, 2 on usage errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -176,6 +178,7 @@ def cmd_decode(args) -> int:
 
 
 def _channel_spec(args) -> ChannelSpec:
+    _need(args, "kind")
     if args.kind == "te":
         _need(args, "e")
         return ChannelSpec("te", e=args.e)
@@ -315,14 +318,15 @@ def cmd_oracle(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="arraycodes")
+    parser = argparse.ArgumentParser(prog="arraycodes", allow_abbrev=False)
     sub = parser.add_subparsers(dest="command", required=True)
+    add = functools.partial(sub.add_parser, allow_abbrev=False)
 
     def ints(p, *names):
         for name in names:
             p.add_argument(f"--{name}", type=int)
 
-    p = sub.add_parser("construct", help="build a code and emit its descriptor")
+    p = add("construct", help="build a code and emit its descriptor")
     ints(p, "n", "L", "e", "t", "d")
     p.add_argument("--out")
     p.add_argument("--code", required=True,
@@ -333,20 +337,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dump", action="store_true")
     p.set_defaults(func=cmd_construct)
 
-    p = sub.add_parser("encode", help="message bits -> array")
+    p = add("encode", help="message bits -> array")
     p.add_argument("--in", dest="infile")
     p.add_argument("--out")
     p.add_argument("--code-file", required=True)
     p.set_defaults(func=cmd_encode)
 
-    p = sub.add_parser("decode", help="received array -> codeword (or message)")
+    p = add("decode", help="received array -> codeword (or message)")
     p.add_argument("--in", dest="infile")
     p.add_argument("--out")
     p.add_argument("--code-file", required=True)
     p.add_argument("--emit-message", action="store_true")
     p.set_defaults(func=cmd_decode)
 
-    p = sub.add_parser("channel", help="apply a channel instance to an array")
+    p = add("channel", help="apply a channel instance to an array")
     ints(p, "e", "t", "s")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--in", dest="infile")
@@ -355,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pattern", help="explicit te pattern, comma-separated")
     p.set_defaults(func=cmd_channel)
 
-    p = sub.add_parser("verify", help="min-distance or round-trip verification")
+    p = add("verify", help="min-distance or round-trip verification")
     ints(p, "e", "t", "s", "d")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--code-file", required=True)
@@ -366,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-work", type=int)
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("bounds", help="evaluate a bound or regenerate a table")
+    p = add("bounds", help="evaluate a bound or regenerate a table")
     ints(p, "n", "L", "t", "s", "d")
     p.add_argument("--format", choices=("text", "records"), default="text")
     p.add_argument("--out")
@@ -379,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
     ints(p, "r", "a-nd", "m-s", "m-size")
     p.set_defaults(func=cmd_bounds)
 
-    p = sub.add_parser("oracle", help="run a brute-force oracle, freeze the value")
+    p = add("oracle", help="run a brute-force oracle, freeze the value")
     ints(p, "n", "L", "s", "d", "r")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")

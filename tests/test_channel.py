@@ -362,3 +362,96 @@ def test_deletion_outputs_rebuild_through_the_public_constructor(spec, n, L):
         out = apply_channel(x, spec, random_instance(spec, n, L, rng))
         assert type(out) is RaggedArray and type(out.rows) is tuple
         assert RaggedArray(out.n, out.L, out.rows) == out
+
+
+def _reference_random_instance(spec, n, L, rng):
+    """The random_instance body before its draws were hoisted: randint,
+    sample for every position count, a ChannelSpec built per ted draw."""
+    if spec.kind == "te":
+        budget = spec.e
+        p = [0] * n
+        rows = list(range(n))
+        rng.shuffle(rows)
+        for row in rows:
+            if budget == 0:
+                break
+            take = rng.randint(0, min(budget, L))
+            p[row] = take
+            budget -= take
+        return tuple(p)
+    if spec.kind == "del":
+        # At most n rows and L deletions per row exist; within those caps
+        # the draws are the same as uncapped.
+        nrows = rng.randint(0, min(spec.t, n))
+        chosen = rng.sample(range(1, n + 1), nrows)
+        most = min(spec.s, L)
+        inst = []
+        for row in sorted(chosen):
+            count = rng.randint(1, most)
+            inst.append((row, tuple(sorted(rng.sample(range(1, L + 1), count)))))
+        return tuple(inst)
+    pattern = _reference_random_instance(ChannelSpec("te", e=spec.e), n, L, rng)
+    lengths = [L - pi for pi in pattern]
+    nrows = rng.randint(0, spec.t)
+    candidates = [r for r in range(1, n + 1) if lengths[r - 1] >= spec.s]
+    chosen = rng.sample(candidates, min(nrows, len(candidates)))
+    inst = []
+    for row in sorted(chosen):
+        count = rng.randint(1, spec.s)
+        inst.append((row, tuple(sorted(rng.sample(range(1, lengths[row - 1] + 1), count)))))
+    return (pattern, tuple(inst))
+
+
+# Rows at or below and above the 21 positions where Random.sample switches
+# its internal method, s > 1, and t > n.
+STREAM_CASES = (
+    [(ChannelSpec("del", t=t, s=s), n, L)
+     for t, s, n, L in ((8, 1, 31, 31), (2, 2, 4, 5), (3, 5, 3, 5), (9, 1, 40, 12),
+                        (4, 3, 30, 30))]
+    + [(ChannelSpec("ted", t=t, s=s, e=e), n, L)
+       for t, s, e, n, L in ((2, 1, 1, 5, 7), (4, 1, 2, 31, 31), (3, 2, 4, 6, 9))]
+    + [(ChannelSpec("te", e=e), n, L) for e, n, L in ((4, 16, 4), (9, 3, 2))])
+
+# sha256 of the repr of the STREAM_CASES draws (2,000 per case and seed,
+# seeds 0-4, in that order) as the reference body makes them on Python
+# 3.10 to 3.13.  A Python whose Random.sample stops drawing what randrange
+# draws for one element changes this digest and every seeded pool with it.
+STREAM_DIGEST = "ae850e4e71e5038cb4a55e49e27d7eeae363fd1022019ed545467c0bf40f9c30"
+
+
+def _stream(draw, spec, n, L, seed):
+    rng = random.Random(seed)
+    return [draw(spec, n, L, rng) for _ in range(2000)]
+
+
+# Tail erasures that leave rows of exactly s positions, and of none.
+@pytest.mark.parametrize("spec,n,L", STREAM_CASES
+                         + [(ChannelSpec("ted", t=3, s=2, e=6), 4, 3)])
+def test_random_instance_matches_the_reference_draws(spec, n, L):
+    for seed in range(5):
+        assert (_stream(random_instance, spec, n, L, seed)
+                == _stream(_reference_random_instance, spec, n, L, seed))
+
+
+def test_random_instance_stream_digest_pinned():
+    digest = hashlib.sha256()
+    for spec, n, L in STREAM_CASES:
+        for seed in range(5):
+            digest.update(repr(_stream(random_instance, spec, n, L, seed)).encode())
+    assert digest.hexdigest() == STREAM_DIGEST
+
+
+@pytest.mark.parametrize("spec", (ChannelSpec("del", t=3, s=0),
+                                  ChannelSpec("ted", t=3, s=0, e=2)))
+def test_zero_deletions_per_row_raise_as_the_reference(spec):
+    raised = 0
+    for seed in range(20):
+        outcomes = []
+        for draw in (random_instance, _reference_random_instance):
+            try:
+                outcomes.append(draw(spec, 4, 5, random.Random(seed)))
+            except ValueError as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1]
+        raised += isinstance(outcomes[0], str)
+    assert raised > 0

@@ -322,11 +322,59 @@ def test_unread_option_exits_2(tmp_path, capsys, command, option):
     with pytest.raises(SystemExit) as exc:
         main([*base, option, value])
     assert exc.value.code == 2
-    # decode reads "--e" as an abbreviation of --emit-message, so there
-    # only the value is left over
-    leftover = value if (command, option) == ("decode", "--e") else f"{option} {value}"
-    assert f"unrecognized arguments: {leftover}" in capsys.readouterr().err
+    assert f"unrecognized arguments: {option} {value}" in capsys.readouterr().err
     assert not (tmp_path / "out.txt").exists()
+
+
+ABBREVIATED = [(name, option[:-1]) for name, options in OPTIONS.items()
+               for option in options.split()
+               if len(option) > 3 and option[:-1] not in options.split()]
+
+
+@pytest.mark.parametrize("command, prefix", ABBREVIATED)
+def test_abbreviated_option_exits_2(capsys, command, prefix):
+    """No parser takes a prefix of an option for the option itself."""
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args([command, *BASE[command], prefix, "1"])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {prefix} 1" in capsys.readouterr().err
+
+
+def test_abbreviations_on_real_files_exit_2(tmp_path, capsys):
+    """`--e`, `--mess` and `--max` are prefixes of decode's and verify's
+    options, not options: each line exits 2 and prints nothing to stdout."""
+    dc_file, arr, recv = (tmp_path / name for name in ("dc.json", "arr.txt", "recv.txt"))
+    msg = tmp_path / "msg.txt"
+    msg.write_text("0" * 29)
+    run(capsys, "construct", "--code", "dc", "--n", "7", "--L", "5", "--t", "2",
+        "--out", str(dc_file))
+    run(capsys, "encode", "--code-file", str(dc_file), "--in", str(msg), "--out", str(arr))
+    run(capsys, "channel", "--kind", "del", "--t", "2", "--s", "1", "--seed", "5",
+        "--in", str(arr), "--out", str(recv))
+    rc, out, _ = run(capsys, "decode", "--code-file", str(dc_file), "--in", str(recv),
+                     "--emit-message")
+    assert rc == 0 and out == "0" * 29 + "\n"
+    for argv in (["decode", "--code-file", str(dc_file), "--in", str(recv), "--e"],
+                 ["verify", "--code-file", str(dc_file), "--roundtrip", "--kind", "del",
+                  "--t", "1", "--s", "1", "--mess", "1", "--max", "5"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "unrecognized arguments" in captured.err
+
+
+@pytest.mark.parametrize("code", [("dc", "--n", "7", "--L", "5", "--t", "2"),
+                                  ("ted", "--n", "5", "--L", "7", "--t", "1", "--e", "1")])
+def test_roundtrip_without_kind_exits_2(tmp_path, capsys, code):
+    """A round trip names its channel: without --kind it is one usage line
+    naming --kind, whatever the codec."""
+    code_file = tmp_path / "codec.json"
+    run(capsys, "construct", "--code", *code, "--out", str(code_file))
+    rc, out, err = run(capsys, "verify", "--code-file", str(code_file), "--roundtrip",
+                       "--t", "1", "--s", "1", "--e", "1", "--messages", "1")
+    assert rc == 2 and out == ""
+    assert err == "usage error: --kind is required here\n"
 
 
 def test_verify_with_out_exits_2_and_writes_nothing(tmp_path, capsys):
