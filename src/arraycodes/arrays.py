@@ -7,9 +7,9 @@ symbol of a row, position L the last; tail erasures remove a suffix).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import islice
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 
@@ -81,11 +81,6 @@ class BitArray:
 
     def row_bits(self, i: int) -> List[int]:
         return _int_to_row(self.rows[i - 1], self.L)
-
-    def xor(self, other: "BitArray") -> "BitArray":
-        if (self.n, self.L) != (other.n, other.L):
-            raise ValueError("dimension mismatch")
-        return BitArray(self.n, self.L, tuple(a ^ b for a, b in zip(self.rows, other.rows)))
 
 
 @dataclass(frozen=True)
@@ -198,6 +193,25 @@ def rho_te_distance(x: BitArray, y: BitArray) -> int:
     return sum(rho_te_row(a, b, x.L) for a, b in zip(x.rows, y.rows))
 
 
+def _damaged_rows(n: int, q: Sequence[int], budget: int) -> int:
+    """sum_{k <= budget} [z^k] (1 + z q(z))^n: the ways to damage n rows at
+    total weight at most budget, where a row takes weight 0 one way and
+    weight w + 1 in q[w] ways.  By the binomial theorem it is the sum over
+    i damaged rows of C(n, i) times the coefficients of q^i up to degree
+    budget - i.  All ones up to the cap count erasure patterns; 2^w for
+    w < L gives the tail-erasure ball volume."""
+    total, power = 0, [1]           # power: q^i up to degree budget - i
+    for i in range(min(n, budget) + 1):
+        total += math.comb(n, i) * sum(power)
+        top = budget - i            # q^(i+1) is needed below degree top
+        product = [0] * top
+        for j, c in enumerate(power[:top]):
+            for d, w in enumerate(q[:top - j], j):
+                product[d] += c * w
+        power = product
+    return total
+
+
 # Most patterns one block table may hold.  It sets the block width of
 # `enumerate_patterns`, and so bounds its tables for any (e, L, n).
 _BLOCK_PATTERNS = 512
@@ -226,9 +240,8 @@ def enumerate_patterns(e: int, L: int, n: int) -> Iterator[Tuple[int, ...]]:
         return
     cap = min(e, L)
     e = min(e, n * cap)             # no pattern has a larger total
-    counts = islice(_pattern_counts(e, cap), 2, None)     # of 2, 3, ... rows
     width = 1
-    while width < n and next(counts) <= _BLOCK_PATTERNS:
+    while width < n and _damaged_rows(width + 1, [1] * cap, e) <= _BLOCK_PATTERNS:
         width += 1
     full, rem = divmod(n, width)
     # tables[b] = (the block patterns of total at most b in lexicographic
@@ -272,19 +285,11 @@ def enumerate_patterns(e: int, L: int, n: int) -> Iterator[Tuple[int, ...]]:
             stack.pop()
 
 
-def _pattern_counts(e: int, cap: int) -> Iterator[int]:
-    """|P(e, cap, k)| for k = 0, 1, 2, ... rows."""
-    ways = [1] + [0] * e            # ways[b]: patterns of the rows so far of total b
-    while True:
-        yield sum(ways)
-        ways = [sum(ways[max(0, b - cap):b + 1]) for b in range(e + 1)]
-
-
 def count_patterns(e: int, L: int, n: int) -> int:
     """|P(e, L, n)|, the length of `enumerate_patterns(e, L, n)`."""
     _check_pattern_args(e, L, n)
     cap = min(e, L)
-    return next(islice(_pattern_counts(min(e, n * cap), cap), n, None))
+    return _damaged_rows(n, [1] * cap, min(e, n * cap))
 
 
 def lcs_length(x: Sequence[int], y: Sequence[int]) -> int:
@@ -431,11 +436,14 @@ def parse_erased(text: str) -> ErasedArray:
 
 
 def parse_ragged(text: str, L: Optional[int] = None) -> RaggedArray:
+    """Ragged rows of length `L`, which a '# L=' line overrides.  With
+    neither, the full length is unknown (every row may be short), so it is
+    a ValueError rather than a guess."""
     lines, declared = _data_lines(text)
     if declared is not None:
         L = declared
     if L is None:
-        L = max((len(line) for line in lines), default=0)
+        raise ValueError("ragged input needs the row length: a '# L=<int>' line or L")
     if any("?" in line for line in lines):
         raise ValueError("ragged input must not contain '?'")
     return RaggedArray.from_lists([[int(c) for c in line] for line in lines], L)

@@ -14,9 +14,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
-from .arrays import BitArray, fll_distance, rho_te_distance, run_stats
+from .arrays import (BitArray, _damaged_rows, fll_distance, rho_te_distance,
+                     run_stats)
 
 
 @dataclass(frozen=True)
@@ -43,56 +44,17 @@ def _report(name: str, params: dict, value, provenance: str, note: str = "") -> 
 
 # --- tail-erasure ball volumes ----------------------------------------------
 
-def _multinomial(n: int, parts: Sequence[int]) -> int:
-    if sum(parts) > n:
-        return 0
-    out = math.factorial(n)
-    for p in parts:
-        out //= math.factorial(p)
-    out //= math.factorial(n - sum(parts))
-    return out
-
-
-def _partitions_with_bounded_parts(k: int, max_part: int):
-    """Yield multiplicity vectors (t_1, ..., t_max_part) with sum i*t_i = k."""
-    def rec(remaining: int, part: int, acc: List[int]):
-        if part == 0:
-            if remaining == 0:
-                yield tuple(acc)
-            return
-        for count in range(remaining // part, -1, -1):
-            yield from rec(remaining - part * count, part - 1, acc + [count])
-
-    for mults_rev in rec(k, max_part, []):
-        # rec appends multiplicities from largest part down; reorder t_1..t_max
-        yield tuple(reversed(mults_rev))
-
-
 def v_te_general(r: int, n: int, L: int) -> int:
     """Ball volume under the tail-erasure metric, any radius.
 
-    Sums over distributions of k total erasures into rows: t_i rows at
-    per-row weight i contribute multinomial(n; t_0..t_k') * prod 2^((i-1) t_i),
-    k' = min(k, L).
+    A row is at distance w >= 1 from a given row in 2^(w-1) ways (w <= L),
+    so the volume is the sum of the coefficients up to z^r of
+    (1 + sum_{w=1..L} 2^(w-1) z^w)^n, which `arrays._damaged_rows`
+    evaluates with q = (2^0, ..., 2^(min(L, r) - 1)).
     """
     if r < 0 or n < 0 or L < 0:
         raise ValueError("arguments must be non-negative")
-    total = 0
-    for k in range(r + 1):
-        if k == 0:
-            total += 1
-            continue
-        kp = min(k, L)
-        for mults in _partitions_with_bounded_parts(k, kp):
-            if sum(mults) > n:
-                continue
-            coeff = _multinomial(n, mults)
-            weight = 1
-            for i, t_i in enumerate(mults, start=1):
-                if t_i:
-                    weight <<= (i - 1) * t_i
-            total += coeff * weight
-    return total
+    return _damaged_rows(n, [1 << w for w in range(min(L, r))], min(r, n * L))
 
 
 def v_te_small(r: int, n: int, L: int) -> int:
@@ -128,8 +90,6 @@ def te_sphere_packing(n: int, L: int, d: int) -> Dict[str, object]:
     vol = v_te_general(r, n, L)
     m_max = (1 << (n * L)) // vol
     red_lb = (vol - 1).bit_length()   # ceil(log2 vol) for vol >= 1
-    if vol == 1:
-        red_lb = 0
     return {"radius": r, "volume": vol, "m_max": m_max,
             "redundancy_lower_bound": red_lb,
             "report": _report("te-sphere-packing", {"n": n, "L": L, "d": d},

@@ -24,7 +24,7 @@ from .arrays import (BitArray, format_bit_array, format_erased, format_ragged,
 from .bounds import (a_n_d_brute, ball_count_brute, claim8_bound,
                      dc_bound_part1, dc_bound_part2_part3, m_s_brute,
                      singleton_te, te_sphere_packing, ted_upper_bound,
-                     v_te_general, v_te_small)
+                     v_te_general)
 from .channel import (DEFAULT_MAX_WORK, ChannelSpec, apply_channel,
                       random_instance, roundtrip_harness)
 from .dc import DcCode
@@ -32,7 +32,7 @@ from .errors import ArrayCodeError
 from .tables import render_rows, table_i, table_ii, table_iii
 from .te import (TeCodec, TeParityCheck, construct_1, construct_claim5,
                  construct_claim7, construct_even, construct_hasse,
-                 construct_parity, verify_min_distance)
+                 construct_hasse_raw, construct_parity, verify_min_distance)
 from .ted import TedCode
 
 
@@ -79,10 +79,9 @@ def build_te_code(args) -> TeParityCheck:
     if kind == "claim-7":
         _need(args, "n")
         return construct_claim7(args.n)
-    if kind == "hasse":
-        _need(args, "n", "L", "e")
-        return construct_hasse(args.n, args.L, args.e, reduced=not args.raw)
-    raise UsageError(f"unknown TE construction {kind!r}")
+    _need(args, "n", "L", "e")    # hasse, the last choice
+    build = construct_hasse_raw if args.raw else construct_hasse
+    return build(args.n, args.L, args.e)
 
 
 # The integer parameters each JSON codec descriptor must carry.
@@ -257,9 +256,8 @@ def cmd_bounds(args) -> int:
     name = args.bound
     if name == "v-te":
         _need(args, "r", "n", "L")
-        value = (v_te_small(args.r, args.n, args.L) if args.r <= args.L
-                 else v_te_general(args.r, args.n, args.L))
-        _write(args, f"name=v-te n={args.n} L={args.L} r={args.r} value={value}\n")
+        _write(args, f"name=v-te n={args.n} L={args.L} r={args.r} "
+               f"value={v_te_general(args.r, args.n, args.L)}\n")
         return 0
     if name == "sphere":
         _need(args, "n", "L", "d")

@@ -78,9 +78,6 @@ class Gf2m:
     def alpha(self) -> int:
         return 2 if self.m > 1 else 1
 
-    def add(self, a: int, b: int) -> int:
-        return a ^ b
-
     def _mul_slow(self, a: int, b: int) -> int:
         result = 0
         while b:

@@ -295,19 +295,17 @@ def construct_hasse_raw(n: int, L: int, e: int) -> TeParityCheck:
         n, L, field, [_derivative_row(field, pts, L, k) for k in range(e)], [], "hasse")
 
 
-def construct_hasse(n: int, L: int, e: int, reduced: bool = True) -> TeParityCheck:
+def construct_hasse(n: int, L: int, e: int) -> TeParityCheck:
     """e-TE code on n x L arrays from the Hasse-derivative family.
 
-    With reduced=True (default) the parameter regimes with a known smaller
-    binary footprint use it: rows whose syndrome is a square of another
-    row's (characteristic 2) are dropped, at the price of one-bit parity
-    rows, exactly as in the n x 2 five-erasure code.  Everything else falls
-    back to the raw derivative stack.
+    The parameter regimes with a known smaller binary footprint drop the
+    rows whose syndrome is a square of another row's (characteristic 2), at
+    the price of one-bit parity rows, exactly as in the n x 2 five-erasure
+    code.  Everything else is the raw derivative stack,
+    `construct_hasse_raw`.
     """
     if n < 1 or L < 1 or e < 1:
         raise ValueError("n, L, e must be positive")
-    if not reduced:
-        return construct_hasse_raw(n, L, e)
 
     if e == 2 and L >= 2:
         # One field row: (c_i, b_i) on the last two cells, c_i independent

@@ -83,8 +83,7 @@ def position_sums(rows: Sequence[int], h: int) -> List[int]:
         if h <= 3:
             # every row fits in a byte, so one translate sums them all
             return list(bytes(rows).translate(_BYTE_SUM))
-        if h == 4:
-            return [_SUM16[x] for x in rows]
+        # exact for any row below 2^16 too, where the high half is 0
         return [_SUM16[x & 0xFFFF] + _SUM16[hi := x >> 16] + 16 * hi.bit_count()
                 for x in rows]
     return [position_sum(x, h) for x in rows]

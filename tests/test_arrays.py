@@ -70,7 +70,8 @@ def test_rho_translation_invariance():
     rng = random.Random(12)
     for _ in range(500):
         x, y = random_array(rng, 3, 3), random_array(rng, 3, 3)
-        assert rho_te_distance(x, y) == te_weight(x.xor(y))
+        assert rho_te_distance(x, y) == te_weight(
+            BitArray(x.n, x.L, tuple(a ^ b for a, b in zip(x.rows, y.rows))))
 
 
 def test_rho_non_monotonicity_witness():
@@ -304,3 +305,12 @@ def test_apply_te_pattern_rejects_non_int_entries(p):
     with pytest.raises(ValueError, match="must be ints"):
         apply_te_pattern(x, p)
     assert apply_te_pattern(x, (True, False)) == apply_te_pattern(x, (1, 0))
+
+
+def test_parse_ragged_needs_the_row_length():
+    """With neither a '# L=' line nor L the full row length is unknown: a
+    file whose rows are all short would otherwise get a wrong L."""
+    with pytest.raises(ValueError, match="row length"):
+        parse_ragged("101\n011\n")
+    assert parse_ragged("101\n01\n", 4) == RaggedArray.from_lists([[1, 0, 1], [0, 1]], 4)
+    assert parse_ragged("# L=5\n101\n01\n", 4).L == 5

@@ -250,3 +250,21 @@ def test_theorem7_balls_disjoint_for_s1():
         ball = {x}   # V_DC(floor(t/2), 0, x)
         assert not (ball - {x}) & seen
         seen.add(x)
+
+
+def test_a_n_d_by_branch_and_bound():
+    # the greedy lexicode (4 words) meets no bound here, so both go through
+    # the independent-set search
+    assert a_n_d_brute(9, 5) == 6
+    assert a_n_d_brute(10, 6) == 6
+
+
+def test_general_volume_matches_the_ball_oracle_at_every_radius():
+    rng = random.Random(15)
+    shapes = [(n, L) for n in range(1, 10) for L in range(1, 10) if n * L <= 9]
+    assert len(shapes) == 23
+    for n, L in shapes:
+        x = random_array(rng, n, L)
+        for r in range(n * L + 1):
+            assert v_te_general(r, n, L) == ball_count_brute(x, r), (r, n, L)
+    assert v_te_general(9, 3, 3) == v_te_general(100, 3, 3) == 1 << 9

@@ -455,3 +455,19 @@ def test_zero_deletions_per_row_raise_as_the_reference(spec):
         assert outcomes[0] == outcomes[1]
         raised += isinstance(outcomes[0], str)
     assert raised > 0
+
+
+def test_harness_records_a_wrong_codeword():
+    """A decoder that returns a member of the code other than the one sent
+    is a failure with detail "wrong codeword", not a decoded trial."""
+    class Wrong(DcCode):
+        def decode(self, received):
+            return self.encode([1 - b for b in self.message_of(super().decode(received))])
+
+    code = Wrong(5, 4, 1)
+    rec = roundtrip_harness(code, ChannelSpec("del", t=1, s=1), messages=2)
+    assert rec.trials == rec.failures == 2 * 20
+    ce = rec.first_counterexample
+    assert ce["detail"] == "wrong codeword" and ce["instance"] == "((1, (1,)),)"
+    sent = code.encode(ce["message"]).to_lists()
+    assert ce["received"] == [sent[0][1:]] + sent[1:]

@@ -4,7 +4,10 @@ import struct
 
 import pytest
 
+from arraycodes.arrays import BitArray
+from arraycodes.bounds import ball_count_brute
 from arraycodes.cli import build_parser, main
+from arraycodes.te import construct_hasse, construct_hasse_raw
 
 
 def run(capsys, *argv):
@@ -436,3 +439,140 @@ def test_emitted_message_encodes_again(tmp_path, capsys):
     rc, out, _ = run(capsys, "encode", "--code-file", str(codec_file),
                      "--in", str(emitted))
     assert rc == 0 and out == arr_file.read_text()
+
+
+def test_hasse_raw_and_reduced_blobs(tmp_path, capsys):
+    """--raw writes the raw derivative stack, the default the reduced code;
+    at (5, 3, 3) the two differ."""
+    blobs = {}
+    for extra in ((), ("--raw",)):
+        path = tmp_path / f"hasse{len(extra)}.tepc"
+        rc, _, _ = run(capsys, "construct", "--code", "hasse", "--n", "5", "--L", "3",
+                       "--e", "3", "--out", str(path), *extra)
+        assert rc == 0
+        blobs[extra] = path.read_bytes()
+    assert blobs[()] == construct_hasse(5, 3, 3).to_bytes()
+    assert blobs[("--raw",)] == construct_hasse_raw(5, 3, 3).to_bytes()
+    assert blobs[()] != blobs[("--raw",)]
+
+
+@pytest.mark.parametrize("argv,summary,d", [
+    (("even-ext", "--n", "4", "--d", "2", "--L", "3"),
+     "provenance=even-ext n=4 L=3 redundancy=1 dimension=11", 2),
+    (("even-ext", "--n", "4", "--d", "4"),
+     "provenance=even-ext n=4 L=3 redundancy=4 dimension=8", 4),
+    (("construction-1", "--n", "4", "--d", "5"),
+     "provenance=construction-1 n=4 L=4 redundancy=8 dimension=8", 5),
+    (("claim-5", "--n", "4"), "provenance=claim-5 n=4 L=4 redundancy=8 dimension=8", 5),
+    (("claim-7", "--n", "4"), "provenance=claim-7 n=4 L=2 redundancy=6 dimension=2", 6),
+])
+def test_construct_each_te_code(tmp_path, capsys, argv, summary, d):
+    code_file = tmp_path / "code.tepc"
+    rc, out, _ = run(capsys, "construct", "--code", *argv, "--out", str(code_file))
+    assert rc == 0 and out == f"wrote {code_file}: {summary}\n"
+    rc, out, _ = run(capsys, "verify", "--code-file", str(code_file), "--d", str(d))
+    assert rc == 0 and f"minimum TE distance exactly {d} " in out
+
+
+def test_construct_dump(tmp_path, capsys):
+    """--dump adds the text dump after the summary line, the same text that
+    construct prints without --out."""
+    code_file = tmp_path / "c7.tepc"
+    rc, dumped, _ = run(capsys, "construct", "--code", "claim-7", "--n", "3")
+    assert rc == 0 and dumped.startswith("te-parity-check r=6 n=3 L=2 provenance=claim-7")
+    rc, out, _ = run(capsys, "construct", "--code", "claim-7", "--n", "3",
+                     "--out", str(code_file), "--dump")
+    assert rc == 0 and out == (f"wrote {code_file}: provenance=claim-7 n=3 L=2 "
+                               f"redundancy=6 dimension=0\n" + dumped)
+
+
+def test_decode_writes_the_codeword_and_exits_1_past_capacity(tmp_path, capsys):
+    codec_file = tmp_path / "dc.json"
+    run(capsys, "construct", "--code", "dc", "--n", "5", "--L", "4", "--t", "1",
+        "--out", str(codec_file))
+    msg_file = tmp_path / "msg.txt"
+    msg_file.write_text("10110011101001110\n")
+    arr_file = tmp_path / "arr.txt"
+    rc, _, _ = run(capsys, "encode", "--code-file", str(codec_file),
+                   "--in", str(msg_file), "--out", str(arr_file))
+    assert rc == 0
+    recv_file = tmp_path / "recv.txt"
+    rc, _, err = run(capsys, "channel", "--kind", "del", "--t", "1", "--s", "1",
+                     "--seed", "0", "--in", str(arr_file), "--out", str(recv_file))
+    assert rc == 0 and err == "instance: ((4, (3,)),)\n"
+    rc, out, _ = run(capsys, "decode", "--code-file", str(codec_file),
+                     "--in", str(recv_file))
+    assert rc == 0 and out == arr_file.read_text()
+    short2 = tmp_path / "short2.txt"
+    short2.write_text("# L=4\n101\n0110\n110\n0011\n1010\n")
+    rc, out, err = run(capsys, "decode", "--code-file", str(codec_file),
+                       "--in", str(short2))
+    assert rc == 1 and out == ""
+    assert err == "verification failure: 2 damaged rows exceed capacity t+e = 1\n"
+
+
+@pytest.mark.parametrize("argv,line", [
+    (("column-split", "--n", "7", "--d", "5"),
+     "name=te-column-split A(n,d)=2 d=5 n=7 value=4194304 provenance=formula "
+     "note='A(n,d) brute-force'"),
+    (("column-split", "--n", "7", "--d", "5", "--a-nd", "4"),
+     "name=te-column-split A(n,d)=4 d=5 n=7 value=8388608 provenance=formula "
+     "note='A(n,d) supplied'"),
+    (("singleton", "--n", "4", "--L", "3", "--m-size", "100"),
+     "name=singleton n=4 L=3 M=100 value=6"),
+    (("dc-1", "--n", "4", "--L", "4", "--t", "1", "--s", "1"),
+     "name=dc-first-rows L=4 M_s(L)=4 n=4 s=1 t=1 value=16384 provenance=formula "
+     "note='M_s(L) brute-force'"),
+    (("dc-1", "--n", "4", "--L", "4", "--t", "1", "--s", "1", "--m-s", "4"),
+     "name=dc-first-rows L=4 M_s(L)=4 n=4 s=1 t=1 value=16384 provenance=formula "
+     "note='M_s(L) supplied'"),
+    (("dc-23", "--n", "5", "--L", "4", "--t", "2", "--s", "1"),
+     "name=dc-packing-s1 L=4 n=5 s=1 t=2 value=1048577/5 provenance=formula "
+     "note='redundancy >= ~2.322 asymptotically'"),
+    (("dc-23", "--n", "5", "--L", "4", "--t", "2", "--s", "2"),
+     "name=dc-packing L=4 n=5 s=2 t=2 value=262144/5 provenance=formula "
+     "note='redundancy >= ~4.322 asymptotically'"),
+    (("ted-upper", "--n", "5", "--L", "7"),
+     "name=ted-upper L=7 n=5 value=2707683586.0748386 provenance=formula "
+     "note='asymptotic guidance only' finite=2.70768e+09 asymptotic=9.81707e+08"),
+])
+def test_each_bound(capsys, argv, line):
+    rc, out, _ = run(capsys, "bounds", "--bound", *argv)
+    assert rc == 0 and out == line + "\n"
+
+
+def test_v_te_beyond_L_matches_the_ball_oracle(capsys):
+    rc, out, _ = run(capsys, "oracle", "--which", "ball", "--n", "2", "--L", "3", "--r", "4")
+    assert rc == 0 and out == "oracle=ball n=2 L=3 r=4 seed=0 value=32\n"
+    center = BitArray.from_lists([[1, 0], [0, 1], [1, 1]])
+    rc, out, _ = run(capsys, "bounds", "--bound", "v-te", "--r", "5", "--n", "3", "--L", "2")
+    assert rc == 0 and out == "name=v-te n=3 L=2 r=5 value=56\n"
+    assert ball_count_brute(center, 5) == 56
+
+
+@pytest.mark.parametrize("argv,text_head,record", [
+    (("II",), ["table  n  L  e  upper_measured  cell_closed  formula",
+               "II     3  2  2  2               3            log2(n)+1"],
+     "table=II n=3 L=2 e=2 upper_measured=2 cell_closed=3 formula=log2(n)+1"),
+    (("III", "--L", "5", "--t", "2"),
+     ["table  n  L  t  s  h  upper_measured  closed[n<=2^h+1]  closed[n=c*2^h]"
+      "    closed[general]    applicable",
+      "III    3  5  2  1  3  6               6                 3.169925001442312"
+      "  9.169925001442312  n<=2^h+1,general"],
+     "table=III n=3 L=5 t=2 s=1 h=3 upper_measured=6 closed[n<=2^h+1]=6 "
+     "closed[n=c*2^h]=3.169925001442312 closed[general]=9.169925001442312 "
+     "applicable=n<=2^h+1,general"),
+    (("I",), ["table  n  L  d  upper_measured  upper_closed  lower_closed  "
+              "lower_packing  gap",
+              "I      3  1  2  1               1             1             0"
+              "              0"],
+     "table=I n=3 L=1 d=2 upper_measured=1 upper_closed=1 lower_closed=1 "
+     "lower_packing=0 gap=0"),
+])
+def test_tables_in_text_and_records(capsys, argv, text_head, record):
+    table = ("bounds", "--table", *argv, "--n-min", "3", "--n-max", "4")
+    rc, text, _ = run(capsys, *table)
+    assert rc == 0 and text.splitlines()[:2] == text_head
+    rc, records, _ = run(capsys, *table, "--format", "records")
+    assert rc == 0 and records.splitlines()[0] == record
+    assert len(records.splitlines()) == len(text.splitlines()) - 1
