@@ -45,7 +45,17 @@ def _trusted(cls, **fields):
 
 def _int_to_row(value: int, length: int) -> List[int]:
     """The low `length` bits of value as a list, lowest first."""
-    return list(f"{value:0{length}b}"[::-1][:length].encode().translate(_UNPACK))
+    return list(_row_text(value, length).encode().translate(_UNPACK))
+
+
+def _row_text(value: int, length: int) -> str:
+    """The low `length` bits of value as 0/1 text, position 1 first."""
+    return f"{value:0{length}b}"[::-1][:length]
+
+
+def _text_row(text: str) -> int:
+    """The row int of 0/1 text, position 1 first (the empty text is 0)."""
+    return int(text[::-1] or "0", 2)
 
 
 @dataclass(frozen=True)
@@ -109,18 +119,9 @@ class ErasedArray:
     def known_length(self, i: int) -> int:
         return self.L - self.erased[i - 1]
 
-    def entry(self, i: int, j: int) -> Optional[int]:
-        """Bit at (i, j), or None where the value was erased."""
-        if j > self.known_length(i):
-            return None
-        return (self.rows[i - 1] >> (j - 1)) & 1
-
     def to_lists(self) -> List[List[object]]:
-        out: List[List[object]] = []
-        for i in range(1, self.n + 1):
-            out.append([self.entry(i, j) if self.entry(i, j) is not None else "?"
-                        for j in range(1, self.L + 1)])
-        return out
+        return [_int_to_row(r, self.L - e) + ["?"] * e
+                for r, e in zip(self.rows, self.erased)]
 
 
 @dataclass(frozen=True)
@@ -145,12 +146,8 @@ class RaggedArray:
         rows = tuple((_row_to_int(r), len(r)) for r in entries)
         return cls(len(entries), L, rows)
 
-    def row_bits(self, i: int) -> List[int]:
-        bits, length = self.rows[i - 1]
-        return _int_to_row(bits, length)
-
     def to_lists(self) -> List[List[int]]:
-        return [self.row_bits(i) for i in range(1, self.n + 1)]
+        return [_int_to_row(bits, length) for bits, length in self.rows]
 
 
 @lru_cache(maxsize=None)
@@ -222,6 +219,16 @@ def _check_pattern_args(e: int, L: int, n: int) -> None:
         raise ValueError("parameters must be non-negative")
 
 
+def _block_width(e: int, L: int, n: int) -> int:
+    """The rows per block of `enumerate_patterns(e, L, n)`, n >= 1: the
+    most, up to n, whose patterns number at most _BLOCK_PATTERNS."""
+    cap = min(e, L)
+    width = 1
+    while width < n and _damaged_rows(width + 1, [1] * cap, e) <= _BLOCK_PATTERNS:
+        width += 1
+    return width
+
+
 def enumerate_patterns(e: int, L: int, n: int) -> Iterator[Tuple[int, ...]]:
     """Yield every pattern p with ||p||_1 <= e and ||p||_inf <= L exactly once.
 
@@ -240,9 +247,7 @@ def enumerate_patterns(e: int, L: int, n: int) -> Iterator[Tuple[int, ...]]:
         return
     cap = min(e, L)
     e = min(e, n * cap)             # no pattern has a larger total
-    width = 1
-    while width < n and _damaged_rows(width + 1, [1] * cap, e) <= _BLOCK_PATTERNS:
-        width += 1
+    width = _block_width(e, L, n)
     full, rem = divmod(n, width)
     # tables[b] = (the block patterns of total at most b in lexicographic
     # order, their totals) at the width built so far.  Each width is built
@@ -292,31 +297,30 @@ def count_patterns(e: int, L: int, n: int) -> int:
     return _damaged_rows(n, [1] * cap, min(e, n * cap))
 
 
-def lcs_length(x: Sequence[int], y: Sequence[int]) -> int:
-    """Longest common subsequence length by dynamic programming."""
-    m, n = len(x), len(y)
-    prev = [0] * (n + 1)
-    for i in range(1, m + 1):
-        cur = [0] * (n + 1)
-        xi = x[i - 1]
-        for j in range(1, n + 1):
-            if xi == y[j - 1]:
-                cur[j] = prev[j - 1] + 1
-            else:
-                cur[j] = cur[j - 1] if cur[j - 1] >= prev[j] else prev[j]
-        prev = cur
-    return prev[n]
+def _fll_rows(a: int, b: int, L: int) -> int:
+    """Fixed-length Levenshtein distance of two length-L row ints: L minus
+    their LCS length.  Bit-parallel LCS (Crochemore, Iliopoulos, Pinzon and
+    Reid, IPL 2001; Hyyro 2004): after each position of b, the zero bits of
+    v count the LCS of a with b's prefix, so the distance is v's set bits."""
+    ones = (1 << L) - 1
+    match = (ones ^ a, a)           # the positions of a holding a 0, a 1
+    v = ones
+    for j in range(L):
+        u = v & match[b >> j & 1]
+        v = (v + u | v - u) & ones
+    return v.bit_count()
 
 
 def fll_distance(x: Sequence[int], y: Sequence[int]) -> int:
     """Fixed-length Levenshtein distance between equal-length words.
 
     The minimum s such that x turns into y via s deletions plus s
-    insertions; equals length minus the LCS length.
+    insertions; equals length minus the LCS length.  Entries other than
+    0/1 raise ValueError.
     """
     if len(x) != len(y):
         raise ValueError("words must have equal length")
-    return len(x) - lcs_length(x, y)
+    return _fll_rows(_row_to_int(x), _row_to_int(y), len(x))
 
 
 INF = float("inf")
@@ -333,7 +337,7 @@ def d_sdc_distance(x: BitArray, y: BitArray, s: int):
     for a, b in zip(x.rows, y.rows):
         if a == b:
             continue
-        if s == 0 or fll_distance(_int_to_row(a, x.L), _int_to_row(b, x.L)) > s:
+        if s == 0 or _fll_rows(a, b, x.L) > s:
             return INF
         differing += 1
     return differing
@@ -354,44 +358,34 @@ def d1_dc_distance(x: BitArray, y: BitArray):
     return differing
 
 
-def run_count(bits: Sequence[int]) -> int:
-    """Number of maximal constant blocks in a word (0 for the empty word)."""
-    if not bits:
-        return 0
-    runs = 1
-    for a, b in zip(bits, bits[1:]):
-        if a != b:
-            runs += 1
-    return runs
-
-
 def run_stats(x: BitArray) -> Tuple[List[int], int]:
-    """Per-row run counts and their total."""
-    per_row = [run_count(x.row_bits(i)) for i in range(1, x.n + 1)]
+    """Per-row run counts (maximal constant blocks) and their total."""
+    if not x.L:
+        return [0] * x.n, 0
+    pairs = (1 << (x.L - 1)) - 1    # bit j: positions j + 1 and j + 2 differ
+    per_row = [((r ^ r >> 1) & pairs).bit_count() + 1 for r in x.rows]
     return per_row, sum(per_row)
 
 
 # --- shared text format -----------------------------------------------------
 #
-# One row per line over {0, 1, ?}; '#' starts a comment line.  A directive
-# comment '# L=<int>' declares the original row length for ragged input.
+# One row per line over {0, 1, ?}, position 1 first; '#' starts a comment
+# line.  A directive comment '# L=<int>' declares the original row length
+# for ragged input.  Blank lines before it are skipped; after it every line
+# is a row, so a blank line is a row of length 0.
 
 def format_bit_array(x: BitArray) -> str:
-    return "\n".join("".join(str(b) for b in x.row_bits(i)) for i in range(1, x.n + 1)) + "\n"
+    return "\n".join(_row_text(r, x.L) for r in x.rows) + "\n"
 
 
 def format_erased(x: ErasedArray) -> str:
-    lines = []
-    for i in range(1, x.n + 1):
-        known = x.known_length(i)
-        bits = "".join(str((x.rows[i - 1] >> (j - 1)) & 1) for j in range(1, known + 1))
-        lines.append(bits + "?" * x.erased[i - 1])
-    return "\n".join(lines) + "\n"
+    return "\n".join(_row_text(r, x.L - e) + "?" * e
+                     for r, e in zip(x.rows, x.erased)) + "\n"
 
 
 def format_ragged(x: RaggedArray) -> str:
     lines = [f"# L={x.L}"]
-    lines.extend("".join(str(b) for b in x.row_bits(i)) for i in range(1, x.n + 1))
+    lines += (_row_text(bits, length) for bits, length in x.rows)
     return "\n".join(lines) + "\n"
 
 
@@ -400,14 +394,14 @@ def _data_lines(text: str) -> Tuple[List[str], Optional[int]]:
     declared_L: Optional[int] = None
     for raw in text.splitlines():
         line = raw.strip()
-        if not line:
-            continue
         if line.startswith("#"):
             body = line[1:].strip()
             if body.startswith("L="):
                 declared_L = int(body[2:])
             continue
-        if any(c not in "01?" for c in line):
+        if not line and declared_L is None:
+            continue
+        if line.strip("01?"):
             raise ValueError(f"bad character in array line: {line!r}")
         lines.append(line)
     return lines, declared_L
@@ -417,7 +411,10 @@ def parse_bit_array(text: str) -> BitArray:
     lines, _ = _data_lines(text)
     if any("?" in line for line in lines):
         raise ValueError("unexpected erasure marks in a plain bit array")
-    return BitArray.from_lists([[int(c) for c in line] for line in lines])
+    L = len(lines[0]) if lines else 0
+    if any(len(line) != L for line in lines):
+        raise ValueError("all rows must have the same length")
+    return BitArray(len(lines), L, tuple(map(_text_row, lines)))
 
 
 def parse_erased(text: str) -> ErasedArray:
@@ -430,7 +427,7 @@ def parse_erased(text: str) -> ErasedArray:
         known = line.rstrip("?")
         if "?" in known:
             raise ValueError("'?' entries must form a row suffix")
-        rows.append(_row_to_int([int(c) for c in known]))
+        rows.append(_text_row(known))
         erased.append(L - len(known))
     return ErasedArray(len(lines), L, tuple(rows), tuple(erased))
 
@@ -446,4 +443,4 @@ def parse_ragged(text: str, L: Optional[int] = None) -> RaggedArray:
         raise ValueError("ragged input needs the row length: a '# L=<int>' line or L")
     if any("?" in line for line in lines):
         raise ValueError("ragged input must not contain '?'")
-    return RaggedArray.from_lists([[int(c) for c in line] for line in lines], L)
+    return RaggedArray(len(lines), L, tuple((_text_row(line), len(line)) for line in lines))

@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, List, Optional, Set, Tuple
 
-from .arrays import (BitArray, _damaged_rows, fll_distance, rho_te_distance,
+from .arrays import (BitArray, _damaged_rows, _fll_rows, rho_te_distance,
                      run_stats)
 
 
@@ -235,24 +235,19 @@ def m_s_brute(L: int, s: int) -> int:
         return 1
     if s == 0:
         return 1 << L
-    words = [[(v >> j) & 1 for j in range(L)] for v in range(1 << L)]
     adjacency = [0] * (1 << L)
     for a in range(1 << L):
         for b in range(a + 1, 1 << L):
-            if fll_distance(words[a], words[b]) <= s:
+            if _fll_rows(a, b, L) <= s:
                 adjacency[a] |= 1 << b
                 adjacency[b] |= 1 << a
     return _max_independent_set(adjacency)
 
 
-def _hamming_dist(a: int, b: int) -> int:
-    return bin(a ^ b).count("1")
-
-
 def _greedy_lexicode(n: int, d: int) -> int:
     chosen: List[int] = []
     for v in range(1 << n):
-        if all(_hamming_dist(v, c) >= d for c in chosen):
+        if all((v ^ c).bit_count() >= d for c in chosen):
             chosen.append(v)
     return len(chosen)
 
@@ -285,7 +280,7 @@ def a_n_d_brute(n: int, d: int) -> int:
     adjacency = [0] * (1 << n)
     for a in range(1 << n):
         for b in range(a + 1, 1 << n):
-            if _hamming_dist(a, b) < d:
+            if (a ^ b).bit_count() < d:
                 adjacency[a] |= 1 << b
                 adjacency[b] |= 1 << a
     return _max_independent_set(adjacency, cap=upper)
@@ -295,19 +290,15 @@ def a_n_d_brute(n: int, d: int) -> int:
 
 def delete_append_ball(x: BitArray, i: int) -> Set[BitArray]:
     """Arrays reachable by deleting one bit of row i then appending a bit."""
+    row, L = x.rows[i - 1], x.L
+    # row i with position pos + 1 deleted, as a row of L - 1 positions
+    shortened = {row & ((1 << pos) - 1) | (row >> (pos + 1)) << pos for pos in range(L)}
     out: Set[BitArray] = set()
-    row = x.row_bits(i)
-    seen_deleted = set()
-    for pos in range(x.L):
-        shortened = tuple(row[:pos] + row[pos + 1:])
-        if shortened in seen_deleted:
-            continue
-        seen_deleted.add(shortened)
+    for short in shortened:
         for b in (0, 1):
-            new_row = list(shortened) + [b]
             rows = list(x.rows)
-            rows[i - 1] = sum(v << j for j, v in enumerate(new_row))
-            out.add(BitArray(x.n, x.L, tuple(rows)))
+            rows[i - 1] = short | b << (L - 1)
+            out.add(BitArray(x.n, L, tuple(rows)))
     return out
 
 

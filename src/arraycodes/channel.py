@@ -242,12 +242,14 @@ def roundtrip_harness(codec, spec: ChannelSpec, *, messages: int = 20,
     sampled, 100 when None) channel instance, decode, compare.  An
     exhaustive run streams the instances, so its memory does not grow with
     their number; one whose enumeration exceeds `max_work` instances raises
-    RuntimeError before it decodes anything.  `instances` below 1 raises
-    ValueError.
+    RuntimeError before it decodes anything.  `messages` or `instances`
+    below 1 raises ValueError.
 
     Failures are recorded, not raised; the first counterexample keeps the
     full (message, instance, received) triple for replay.
     """
+    if messages < 1:
+        raise ValueError(f"messages must be at least 1, got {messages}")
     if instances is None:
         instances = 100
     elif instances < 1:

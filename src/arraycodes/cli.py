@@ -153,7 +153,7 @@ def cmd_encode(args) -> int:
     if bad:
         raise UsageError(f"message text may hold only 0, 1 and whitespace, "
                          f"found {bad[0]!r}")
-    bits = [int(ch) for ch in digits]
+    bits = list(map(int, digits))
     if len(bits) != codec.message_bits:
         raise UsageError(f"codec expects {codec.message_bits} message bits, got {len(bits)}")
     x = codec.encode(bits)
@@ -170,7 +170,7 @@ def cmd_decode(args) -> int:
         received = parse_ragged(text, codec.L)
     decoded = codec.decode(received)
     if args.emit_message:
-        _write(args, "".join(str(b) for b in codec.message_of(decoded)) + "\n")
+        _write(args, "".join(map(str, codec.message_of(decoded))) + "\n")
     else:
         _write(args, format_bit_array(decoded))
     return 0

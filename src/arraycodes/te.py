@@ -379,8 +379,12 @@ class TeEncoder:
     def encode(self, message: Sequence[int]) -> BitArray:
         if len(message) != self.k:
             raise ValueError(f"message must have {self.k} bits")
+        return self._encode_int(_row_to_int(message))
+
+    def _encode_int(self, message: int) -> BitArray:
+        """`encode` of the message packed into an int, bit 0 first."""
         flat = 0
-        chunks = _row_to_int(message).to_bytes(len(self._tables), "little")
+        chunks = message.to_bytes(len(self._tables), "little")
         for table, chunk in zip(self._tables, chunks):
             flat ^= table[chunk]
         n, L = self.H.n, self.H.L
@@ -399,8 +403,7 @@ class TeEncoder:
 
     def codewords(self) -> Iterator[BitArray]:
         """All codewords (2^k of them; only for small codes)."""
-        for value in range(1 << self.k):
-            yield self.encode([(value >> b) & 1 for b in range(self.k)])
+        return map(self._encode_int, range(1 << self.k))
 
 
 def te_decode(H: TeParityCheck, received: ErasedArray) -> BitArray:
@@ -468,7 +471,7 @@ def verify_min_distance(H: TeParityCheck, max_e: int) -> MinDistanceResult:
     The distance is the smallest pattern weight whose touched-column
     multiset is linearly dependent (duplicates count).  If every pattern up
     to max_e is independent the result is the lower bound max_e + 1 with
-    exact=False.
+    exact=False.  A max_e below 1 raises ValueError.
 
     Patterns of each weight are walked depth first over their nonzero rows,
     in decreasing lexicographic order.  The search carries an echelon basis
@@ -478,6 +481,8 @@ def verify_min_distance(H: TeParityCheck, max_e: int) -> MinDistanceResult:
     lighter pattern is independent when a pattern of weight e is reached:
     only a full pattern can be dependent, never a proper prefix.
     """
+    if max_e < 1:
+        raise ValueError(f"max_e must be at least 1, got {max_e}")
     n = H.n
     if not H.L:      # no cell to erase
         return MinDistanceResult(max_e + 1, False)

@@ -1,4 +1,5 @@
 import random
+from functools import lru_cache
 from itertools import combinations
 
 from arraycodes.arrays import BitArray, enumerate_patterns
@@ -50,16 +51,20 @@ def patterns_grouped_by_weight(e: int, L: int, n: int):
     return sorted(groups.items())
 
 
+@lru_cache(maxsize=None)
+def _deleted(word: tuple, s: int) -> frozenset:
+    """Every word left by deleting s positions of `word`."""
+    return frozenset(tuple(v for i, v in enumerate(word) if i not in dead)
+                     for dead in combinations(range(len(word)), s))
+
+
 def fll_oracle(x, y) -> int:
     """Minimum s with some s deletions on each side giving equal words."""
-    L = len(x)
-    for s in range(L + 1):
-        xs = {tuple(v for i, v in enumerate(x) if i not in dead)
-              for dead in combinations(range(L), s)}
-        for dead in combinations(range(L), s):
-            if tuple(v for i, v in enumerate(y) if i not in dead) in xs:
-                return s
-    return L
+    x, y = tuple(x), tuple(y)
+    for s in range(len(x) + 1):
+        if not _deleted(x, s).isdisjoint(_deleted(y, s)):
+            return s
+    return len(x)
 
 
 def code_corrects_all_te(codewords, e: int, L: int, n: int) -> bool:

@@ -1,4 +1,5 @@
 import array
+import itertools
 import random
 import tracemalloc
 from math import comb
@@ -6,12 +7,13 @@ from math import comb
 import pytest
 
 from arraycodes.arrays import (INF, BitArray, ErasedArray, RaggedArray,
-                               _int_to_row, _row_to_int, apply_te_pattern, count_patterns,
+                               _block_width, _fll_rows, _int_to_row, _row_to_int,
+                               apply_te_pattern, count_patterns,
                                d1_dc_distance, d_sdc_distance,
                                enumerate_patterns, fll_distance,
                                format_bit_array, format_erased, format_ragged,
                                parse_bit_array, parse_erased, parse_ragged,
-                               rho_te_distance, run_count, run_stats)
+                               rho_te_distance, run_stats)
 from conftest import (fll_oracle, min_pattern_erasures,
                       patterns_grouped_by_weight, random_array,
                       recursive_patterns)
@@ -145,6 +147,14 @@ def test_negative_pattern_parameters_rejected(args):
         next(enumerate_patterns(*args))
 
 
+@pytest.mark.parametrize("args,width", [((4, 4, 16), 8), ((2, 2, 64), 30),
+                                        ((5, 3, 31), 6), ((6, 6, 31), 5)])
+def test_block_width_is_the_widest_table_of_at_most_512(args, width):
+    e, L, n = args
+    assert _block_width(e, L, n) == width
+    assert count_patterns(e, L, width) <= 512 < count_patterns(e, L, width + 1)
+
+
 def test_enumerate_patterns_is_lazy_and_bounded():
     tracemalloc.start()
     try:
@@ -161,6 +171,16 @@ def test_fll_distance():
     assert fll_distance([0, 1, 0, 1], [1, 0, 1, 0]) == 1
     with pytest.raises(ValueError):
         fll_distance([0], [0, 1])
+    with pytest.raises(ValueError, match="must be 0 or 1"):
+        fll_distance([0, 2], [0, 1])
+
+
+def test_fll_rows_matches_oracle_on_every_pair():
+    for L in range(9):
+        words = [_int_to_row(v, L) for v in range(1 << L)]
+        for a, x in enumerate(words):
+            for b, y in enumerate(words):
+                assert _fll_rows(a, b, L) == fll_oracle(x, y), (a, b, L)
 
 
 def test_fll_matches_edit_script_oracle():
@@ -200,12 +220,13 @@ def test_d1_dc():
 
 
 def test_run_stats():
-    assert run_count([0, 0, 0, 0]) == 1
-    assert run_count([0, 1, 0, 1]) == 4
+    assert run_stats(BitArray.from_lists([[0, 0, 0, 0], [0, 1, 0, 1]])) == ([1, 4], 5)
     x = BitArray.from_lists([[0, 1, 1], [1, 1, 0], [0, 0, 1]])
     per_row, total = run_stats(x)
     assert per_row == [2, 2, 2]
     assert total == 6
+    assert run_stats(BitArray(2, 1, (0, 1))) == ([1, 1], 2)
+    assert run_stats(BitArray(2, 0, (0, 0))) == ([0, 0], 0)
 
 
 def test_text_format_roundtrips():
@@ -217,6 +238,31 @@ def test_text_format_roundtrips():
     assert parse_ragged(format_ragged(ragged)) == ragged
     with_comment = "# comment\n101\n011\n"
     assert parse_bit_array(with_comment) == x
+
+
+def test_text_format_roundtrips_every_small_array():
+    """All three formats, every array of n <= 2 rows at L = 1..3: every
+    row value, erasure count and row length."""
+    for L in range(1, 4):
+        shapes = [(v, k) for k in range(L + 1) for v in range(1 << (L - k))]
+        for n in (1, 2):
+            for rows in itertools.product(range(1 << L), repeat=n):
+                x = BitArray(n, L, rows)
+                assert parse_bit_array(format_bit_array(x)) == x
+            for cells in itertools.product(shapes, repeat=n):
+                erased = ErasedArray(n, L, *(tuple(c) for c in zip(*cells)))
+                assert parse_erased(format_erased(erased)) == erased
+                ragged = RaggedArray(n, L, tuple((v, L - k) for v, k in cells))
+                assert parse_ragged(format_ragged(ragged)) == ragged
+
+
+@pytest.mark.parametrize("rows", [((0, 0), (5, 3), (1, 2)), ((5, 3), (0, 0), (1, 2)),
+                                  ((5, 3), (1, 2), (0, 0)), ((0, 0),), ((0, 0), (0, 0))])
+def test_ragged_rows_of_length_zero_roundtrip(rows):
+    """An empty row is a blank line after '# L=', wherever it falls."""
+    x = RaggedArray(len(rows), 3, rows)
+    assert parse_ragged(format_ragged(x)) == x
+    assert parse_ragged(format_ragged(x), 3) == x
 
 
 def test_parse_rejects_bad_input():

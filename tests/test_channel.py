@@ -267,6 +267,14 @@ def test_harness_rejects_fewer_than_one_instance(instances):
                           messages=1, exhaustive=False, instances=instances)
 
 
+@pytest.mark.parametrize("messages", [0, -5])
+@pytest.mark.parametrize("exhaustive", [True, False])
+def test_harness_rejects_fewer_than_one_message(messages, exhaustive):
+    with pytest.raises(ValueError, match="messages"):
+        roundtrip_harness(DcCode(5, 4, 1), ChannelSpec("del", t=1, s=1),
+                          messages=messages, exhaustive=exhaustive)
+
+
 def test_failure_record_contains_replay_data():
     code = DcCode(5, 4, 1)
     rec = roundtrip_harness(code, ChannelSpec("del", t=2, s=1),

@@ -228,6 +228,29 @@ def test_roundtrip_work_cap_below_one_exits_2(tmp_path, capsys, cap, mode):
     assert err.count("\n") == 1 and "--max-work must be at least 1" in err
 
 
+@pytest.mark.parametrize("messages", ["0", "-5"])
+def test_roundtrip_of_no_messages_exits_2(tmp_path, capsys, messages):
+    """A round trip of no messages once printed 'roundtrip ok ... trials=0'."""
+    te_file = tmp_path / "h.tepc"
+    run(capsys, "construct", "--code", "hasse", "--n", "5", "--L", "3", "--e", "3",
+        "--out", str(te_file))
+    rc, out, err = run(capsys, "verify", "--roundtrip", "--code-file", str(te_file),
+                       "--kind", "te", "--e", "2", "--messages", messages)
+    assert rc == 2 and out == ""
+    assert err.count("\n") == 1 and "messages must be at least 1" in err
+
+
+@pytest.mark.parametrize("d", ["0", "-4"])
+def test_verify_distance_below_one_exits_2(tmp_path, capsys, d):
+    """--d -4 once printed 'minimum TE distance at least -3' and exited 0."""
+    te_file = tmp_path / "h.tepc"
+    run(capsys, "construct", "--code", "hasse", "--n", "5", "--L", "3", "--e", "3",
+        "--out", str(te_file))
+    rc, out, err = run(capsys, "verify", "--code-file", str(te_file), "--d", d)
+    assert rc == 2 and out == ""
+    assert err.count("\n") == 1 and "max_e must be at least 1" in err
+
+
 def test_roundtrip_with_the_other_channel_family_exits_2(tmp_path, capsys):
     """A DC/TED codec cannot take the te channel's erased arrays and a TE
     codec cannot take ragged arrays: one usage line, exit 2, no trials."""

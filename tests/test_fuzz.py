@@ -1,15 +1,18 @@
-"""Seeded fuzz tests: whatever array comes in, the DC/TED and TE decoders
-return a member of the code or raise an ArrayCodeError, and the TE
-parity-check loader returns a parity check or raises ValueError."""
+"""Seeded fuzz tests, and exhaustive ones at tiny shapes: whatever array
+comes in, the DC/TED and TE decoders return a member of the code or raise
+an ArrayCodeError, and the TE parity-check loader returns a parity check or
+raises ValueError."""
 
+import itertools
 import random
 import struct
 
 import pytest
 
-from arraycodes.arrays import ErasedArray, RaggedArray
+from arraycodes.arrays import BitArray, ErasedArray, RaggedArray
 from arraycodes.basecodes import extended_hamming_pcm, hamming_pcm
-from arraycodes.channel import ChannelSpec, apply_channel, random_instance
+from arraycodes.channel import (ChannelSpec, apply_channel,
+                                enumerate_channel_instances, random_instance)
 from arraycodes.dc import DcCode
 from arraycodes.errors import ArrayCodeError
 from arraycodes.te import (TeCodec, TeParityCheck, construct_1,
@@ -200,3 +203,53 @@ def test_te_loader_returns_parity_check_or_value_error():
     assert {("truncated", "rejected"), ("extended", "rejected"),
             ("byte flip", "rejected"), ("byte flip", "loaded"),
             ("header field", "rejected"), ("header field", "loaded")} <= outcomes
+
+
+
+# (codec, its in-contract channel, received array type, row lengths,
+# members decoded)
+TOTALITY = {
+    # row lengths L - 1 and L, plus one shorter: 14^3 arrays
+    "dc-3-3-1": lambda: (DcCode(3, 3, 1), ChannelSpec("del", t=1, s=1),
+                         RaggedArray, range(1, 4), 896),
+    # row lengths L - e - 1 .. L, plus one shorter: 15^3 arrays
+    "ted-3-3-1-1": lambda: (TedCode(3, 3, 1, 1), ChannelSpec("ted", t=1, s=1, e=1),
+                            RaggedArray, range(0, 4), 416),
+    # every erasure count of a 3 x 2 array: 7^3 arrays
+    "c1-ham3": lambda: (TeCodec(construct_1(hamming_pcm(3), 3, 1)),
+                        ChannelSpec("te", e=2), ErasedArray, range(0, 3), 160),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TOTALITY))
+def test_decoders_are_total_on_every_tiny_input(name):
+    """Every received array at a tiny shape decodes to a member or raises
+    an ArrayCodeError, and every in-contract channel output of every
+    codeword is one of them and decodes back to that codeword."""
+    codec, spec, kind, lengths, want_members = TOTALITY[name]()
+    n, L = codec.n, codec.L
+    member = codec.H.contains if isinstance(codec, TeCodec) else codec.membership
+    cells = [(v, k) for k in lengths for v in range(1 << k)]
+    inputs = set()
+    for rows in itertools.product(cells, repeat=n):
+        if kind is ErasedArray:
+            bits, known = zip(*rows)
+            inputs.add(ErasedArray(n, L, bits, tuple(L - k for k in known)))
+        else:
+            inputs.add(RaggedArray(n, L, rows))
+    assert len(inputs) == len(cells) ** n
+    members = 0
+    for received in inputs:
+        try:
+            out = codec.decode(received)
+        except ArrayCodeError:
+            continue
+        assert isinstance(out, BitArray) and member(out), received
+        members += 1
+    assert members == want_members
+    for value in range(1 << codec.message_bits):
+        x = codec.encode([value >> b & 1 for b in range(codec.message_bits)])
+        for instance in enumerate_channel_instances(spec, n, L):
+            received = apply_channel(x, spec, instance)
+            assert received in inputs
+            assert codec.decode(received) == x, (x, instance)

@@ -113,6 +113,15 @@ def test_brute_force_distance_agrees():
     assert brute_force_min_distance(H3) == verify_min_distance(H3, 4).distance == 3
 
 
+@pytest.mark.parametrize("max_e", [0, -4])
+def test_verifier_rejects_a_search_depth_below_one(max_e):
+    """max_e -4 once reported 'distance at least -3'."""
+    with pytest.raises(ValueError, match="max_e must be at least 1"):
+        verify_min_distance(construct_hasse(5, 3, 3), max_e)
+    with pytest.raises(ValueError, match="max_e must be at least 1"):
+        verify_min_distance(TeParityCheck(2, 0, 1, ((), ()), "empty"), max_e)
+
+
 def test_even_extension():
     H = construct_even(extended_hamming_pcm(7), 7, 1)
     assert (H.n, H.L) == (7, 3)
@@ -514,7 +523,7 @@ def _outcome(decode, H, received):
 @pytest.mark.parametrize("name", sorted(DIFFERENTIAL_CODES))
 def test_verifier_matches_oracle(name):
     H = DIFFERENTIAL_CODES[name]()
-    for max_e in range(0, DIFFERENTIAL_MAX_E + 1):
+    for max_e in range(1, DIFFERENTIAL_MAX_E + 1):
         want = oracle_verify_min_distance(H, max_e)
         got = verify_min_distance(H, max_e)
         assert (got.distance, got.exact, got.witness, got.patterns) == \
