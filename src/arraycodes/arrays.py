@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 
 # bytes 0 and 1 -> the digits "0" and "1", and back
@@ -370,12 +370,17 @@ def run_stats(x: BitArray) -> Tuple[List[int], int]:
 # --- shared text format -----------------------------------------------------
 #
 # One row per line over {0, 1, ?}, position 1 first; '#' starts a comment
-# line.  A directive comment '# L=<int>' declares the original row length
-# for ragged input.  Blank lines before it are skipped; after it every line
-# is a row, so a blank line is a row of length 0.
+# line.  A directive comment '# L=<int>' declares the (original) row
+# length.  Blank lines before it are skipped; after it every line is a
+# row, so a blank line is a row of length 0.  The plain and ragged writers
+# emit it, so an array of no rows or of rows of length 0 keeps its shape.
+
+def _with_length(L: int, lines: Iterable[str]) -> str:
+    return "\n".join([f"# L={L}", *lines]) + "\n"
+
 
 def format_bit_array(x: BitArray) -> str:
-    return "\n".join(_row_text(r, x.L) for r in x.rows) + "\n"
+    return _with_length(x.L, (_row_text(r, x.L) for r in x.rows))
 
 
 def format_erased(x: ErasedArray) -> str:
@@ -384,9 +389,7 @@ def format_erased(x: ErasedArray) -> str:
 
 
 def format_ragged(x: RaggedArray) -> str:
-    lines = [f"# L={x.L}"]
-    lines += (_row_text(bits, length) for bits, length in x.rows)
-    return "\n".join(lines) + "\n"
+    return _with_length(x.L, (_row_text(bits, length) for bits, length in x.rows))
 
 
 def _data_lines(text: str) -> Tuple[List[str], Optional[int]]:
@@ -398,6 +401,8 @@ def _data_lines(text: str) -> Tuple[List[str], Optional[int]]:
             body = line[1:].strip()
             if body.startswith("L="):
                 declared_L = int(body[2:])
+                if declared_L < 0:
+                    raise ValueError(f"negative row length in {line!r}")
             continue
         if not line and declared_L is None:
             continue
@@ -408,12 +413,14 @@ def _data_lines(text: str) -> Tuple[List[str], Optional[int]]:
 
 
 def parse_bit_array(text: str) -> BitArray:
-    lines, _ = _data_lines(text)
+    """Rows of the length a '# L=' line declares, or else of the first
+    row's length."""
+    lines, declared = _data_lines(text)
     if any("?" in line for line in lines):
         raise ValueError("unexpected erasure marks in a plain bit array")
-    L = len(lines[0]) if lines else 0
+    L = declared if declared is not None else (len(lines[0]) if lines else 0)
     if any(len(line) != L for line in lines):
-        raise ValueError("all rows must have the same length")
+        raise ValueError("all rows must have the same length, the declared one if any")
     return BitArray(len(lines), L, tuple(map(_text_row, lines)))
 
 

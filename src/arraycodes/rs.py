@@ -199,7 +199,12 @@ class ReedSolomon:
         msg = [int(m) for m in message]
         if not self._in_range(msg):
             raise ValueError(f"message symbols must lie in [0, {self.field.order})")
-        return msg + self._unpack(self._lookup(self._tables.par, msg))
+        return msg + self._parity(msg)
+
+    def _parity(self, message: Sequence[int]) -> List[int]:
+        """The n-k parity symbols of k message symbols, unchecked: the
+        caller guarantees k ints in [0, 2^m)."""
+        return self._unpack(self._lookup(self._tables.par, message))
 
     def decode_erasures(self, received: Sequence[Optional[int]]) -> List[int]:
         """Fill in erased symbols (None entries); returns the full codeword.
@@ -212,19 +217,22 @@ class ReedSolomon:
             raise ValueError("received word has the wrong length")
         erased = [i for i, v in enumerate(received) if v is None]
         word = [0 if v is None else int(v) for v in received]
+        if not self._in_range(word):
+            raise ValueError(f"received symbols must lie in [0, {self.field.order})")
         self._fill_erasures(word, erased)
         return word
 
     def _fill_erasures(self, word: List[int], erased: Sequence[int]) -> int:
         """Write the erased symbols of `word` in place and return the packed
-        syndrome of the survivors.  `word` holds n symbols, 0 at the erased
-        indices, listed in `erased`; raises as `decode_erasures` does."""
+        syndrome of the survivors.  `word` holds n ints in [0, 2^m), 0 at the
+        erased indices, listed in `erased`; the caller guarantees the range,
+        which is not checked here (an out-of-range symbol would be masked
+        or index past a table row).  Raises CapacityExceededError and
+        NotACodewordError as `decode_erasures` does."""
         tables = self._tables
         eps = len(erased)
         if eps > tables.capacity:
             raise CapacityExceededError(f"{eps} erasures exceed capacity {tables.capacity}")
-        if not self._in_range(word):
-            raise ValueError(f"received symbols must lie in [0, {self.field.order})")
         m = self.field.m
         full = (1 << m) - 1
         exp, log = tables.exp, tables.log

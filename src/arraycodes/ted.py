@@ -11,6 +11,10 @@ With e = 0 the symbol is the VT syndrome alone: that is the (t,1)
 deletion-correcting code, `arraycodes.dc.DcCode`.  Rows stay bitset ints
 from the message to the decoded array.
 
+Every symbol is below 2^(h+e) by construction, so the codec calls the outer
+code's unchecked entry points, `ReedSolomon._parity` and
+`ReedSolomon._fill_erasures`, which trust their caller on that range.
+
 Decoding checks its own output: the outer fill returns the syndrome of the
 intact rows' symbols, and since syndromes are linear, that syndrome XOR the
 syndrome rows of the repaired rows' own symbols is the syndrome of the
@@ -29,7 +33,7 @@ from .errors import (CapacityExceededError, ChannelContractError,
                      CorruptInputError, NotACodewordError)
 from .field import PRIMITIVE_POLYS, field_make
 from .rs import ReedSolomon
-from .vt import (position_sum, position_sums, vt_data_int, vt_decode_int,
+from .vt import (position_residues, position_sum, vt_data_int, vt_decode_int,
                  vt_encode_int, vt_modulus_exponent)
 
 # The largest extension degree m that `field_make` builds GF(2^m) for.
@@ -101,11 +105,14 @@ class TedCode:
         return ReedSolomon(field_make(self.h + self.e), self.n, self.n - self.R)
 
     def _symbols(self, rows: Sequence[int]) -> List[int]:
-        """theta of each full-length row int."""
-        h, shift = self.h, self.L - self.e
-        mask = (1 << h) - 1
-        return [s & mask | (row >> shift) << h
-                for s, row in zip(position_sums(rows, h), rows)]
+        """theta of each full-length row int, a new list: the VT residues
+        themselves when e = 0."""
+        h, e = self.h, self.e
+        residues = position_residues(rows, h)
+        if not e:
+            return residues
+        shift = self.L - e
+        return [s | (row >> shift) << h for s, row in zip(residues, rows)]
 
     def membership(self, x: BitArray) -> bool:
         if (x.n, x.L) != (self.n, self.L):
@@ -121,12 +128,13 @@ class TedCode:
         m = _row_to_int(message)
         full = (1 << L) - 1
         rows = [(m >> (i * L)) & full for i in range(k)]
-        symbols = self.outer.encode(self._symbols(rows))
+        # The message rows' symbols are in range by construction, so the
+        # outer parity skips the range checks of `ReedSolomon.encode`.
+        parity = self.outer._parity(self._symbols(rows))
         rest = m >> (k * L)
         per_row = L - e - h
-        for i in range(R):
+        for i, symbol in enumerate(parity):
             data = (rest >> (i * per_row)) & ((1 << per_row) - 1)
-            symbol = symbols[k + i]
             tail = symbol >> h
             # The feasibility precondition keeps the last e positions out of
             # the power positions, so appending the tail to the data lands

@@ -10,6 +10,8 @@ The kernels work on rows as bitset ints, bit j-1 holding position j, as
 the array types store them.  The weighted sum sum_j j*x_j is read from one
 table of all 16-bit values for rows of at most 32 positions (h <= 5), and
 as h masked popcounts, sum_k popcount(x & M_k) * 2^k, for longer rows.
+`position_residues` gives the sum mod 2^h of every row of an array at
+once, the form the syndromes of `arraycodes.ted` take.
 `vt_decode` and `vt_codewords` are the list forms left, for callers that
 hold rows as bit lists.
 """
@@ -41,13 +43,29 @@ def _low_byte_sums() -> bytes:
 
 _BYTE_SUM = _low_byte_sums()
 
-# Entry v: the position sum of the 16-bit value v, at most 1 + ... + 16 =
-# 136, so one byte each.  The entries sharing the high byte b are the byte
-# sums of the low byte shifted up by b's own sum at positions 9..16, which
-# one `translate` through a rotated identity adds.
 _ROTATE = bytes(range(256)) * 2
-_SUM16 = b"".join(_BYTE_SUM.translate(_ROTATE[c:c + 256])
-                  for c in (s + 8 * b.bit_count() for b, s in enumerate(_BYTE_SUM)))
+
+
+def _sums16(offset: int) -> bytes:
+    """Entry v: the position sum of the 16-bit value v at positions
+    offset+1 .. offset+16, mod 256.  The entries sharing the high byte b
+    are the low byte's sums shifted up by b's own sum, which one
+    `translate` through a rotated identity adds."""
+    low = bytes((s + offset * v.bit_count()) & 0xFF for v, s in enumerate(_BYTE_SUM))
+    return b"".join(low.translate(_ROTATE[c:c + 256])
+                    for c in ((s + (offset + 8) * b.bit_count()) & 0xFF
+                              for b, s in enumerate(_BYTE_SUM)))
+
+
+# The exact position sum of every 16-bit value, at most 1 + ... + 16 = 136,
+# so one byte each; and the sum over positions 17..32 of the high half of a
+# 32-bit row mod 256, a multiple of every modulus 2^h <= 32.
+_SUM16 = _sums16(0)
+_RES_HI = _sums16(16)
+
+# Entry v of _BYTE_RES[h]: the position sum of byte value v mod 2^h, h <= 3.
+_BYTE_RES = tuple(_BYTE_SUM.translate(bytes(v & ((1 << h) - 1) for v in range(256)))
+                  for h in range(4))
 
 
 @lru_cache(maxsize=None)
@@ -77,16 +95,18 @@ def position_sum(x: int, h: int) -> int:
     return s
 
 
-def position_sums(rows: Sequence[int], h: int) -> List[int]:
-    """`position_sum` of every row, in one pass."""
+def position_residues(rows: Sequence[int], h: int) -> List[int]:
+    """`position_sum` of every row mod 2^h, in one pass: one `translate`
+    for rows of at most 7 positions (h <= 3), two 16-bit table reads for
+    rows of at most 31, and the masked popcounts beyond."""
+    mask = (1 << h) - 1
     if h <= 5:
         if h <= 3:
-            # every row fits in a byte, so one translate sums them all
-            return list(bytes(rows).translate(_BYTE_SUM))
-        # exact for any row below 2^16 too, where the high half is 0
-        return [_SUM16[x & 0xFFFF] + _SUM16[hi := x >> 16] + 16 * hi.bit_count()
-                for x in rows]
-    return [position_sum(x, h) for x in rows]
+            # every row fits in a byte, so one translate reduces them all
+            return list(bytes(rows).translate(_BYTE_RES[h]))
+        # rows below 2^16 (h = 4) read the high-half entry 0
+        return [(_SUM16[x & 0xFFFF] + _RES_HI[x >> 16]) & mask for x in rows]
+    return [position_sum(x, h) & mask for x in rows]
 
 
 def _low_power_bits() -> Tuple[int, ...]:

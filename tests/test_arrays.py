@@ -265,6 +265,28 @@ def test_ragged_rows_of_length_zero_roundtrip(rows):
     assert parse_ragged(format_ragged(x), 3) == x
 
 
+@pytest.mark.parametrize("x", [BitArray(2, 0, (0, 0)), BitArray(0, 3, ()),
+                               BitArray(0, 0, ())], ids=["2x0", "0x3", "0x0"])
+def test_bit_array_without_rows_or_columns_roundtrips(x):
+    """The '# L=' line keeps the shape that blank or missing rows lose."""
+    assert parse_bit_array(format_bit_array(x)) == x
+
+
+def test_bit_array_length_directive_is_optional_and_binding():
+    x = BitArray.from_lists([[1, 0, 1], [0, 1, 1]])
+    assert format_bit_array(x) == "# L=3\n101\n011\n"
+    # without the directive, leading blank lines are skipped and the first
+    # row sets the length, as before the writer emitted one
+    assert parse_bit_array("\n101\n011\n") == x
+    assert parse_bit_array("") == BitArray(0, 0, ())
+    assert parse_bit_array("# L=3\n101\n011\n") == x
+    with pytest.raises(ValueError):
+        parse_bit_array("# L=4\n101\n011\n")
+    for parse in (parse_bit_array, parse_erased, parse_ragged):
+        with pytest.raises(ValueError):
+            parse("# L=-1\n")
+
+
 def test_parse_rejects_bad_input():
     with pytest.raises(ValueError):
         parse_bit_array("10?\n")

@@ -5,11 +5,11 @@ from itertools import combinations
 import pytest
 
 from arraycodes.arrays import BitArray, d1_dc_distance, fll_distance
-from arraycodes.bounds import (a_n_d_brute, ball_count_brute, claim8_bound,
-                               dc_bound_part1, dc_bound_part2, dc_bound_part3,
-                               delete_append_ball, m_s_brute, singleton_te,
-                               te_sphere_packing, ted_ball, ted_upper_bound,
-                               v_te_general, v_te_small)
+from arraycodes.bounds import (_greedy_lexicode, a_n_d_brute, ball_count_brute,
+                               claim8_bound, dc_bound_part1, dc_bound_part2,
+                               dc_bound_part3, delete_append_ball, m_s_brute,
+                               singleton_te, te_sphere_packing, ted_ball,
+                               ted_upper_bound, v_te_general, v_te_small)
 from conftest import random_array
 
 
@@ -119,6 +119,16 @@ def test_a_n_d_values():
     assert a_n_d_brute(4, 2) == 8      # parity code is optimal for d=2
     assert a_n_d_brute(8, 5) == 4
     assert a_n_d_brute(5, 5) == 2
+
+
+@pytest.mark.parametrize("d,sizes", [(3, [2, 2, 4, 8, 16, 16, 32, 64]),
+                                     (4, [2, 2, 4, 8, 16, 16, 32]),
+                                     (5, [2, 2, 2, 4, 4, 8])])
+def test_greedy_lexicode_sizes(d, sizes):
+    """The greedy lexicode's size at n = d .. 10.  `a_n_d_brute` falls back
+    to branch and bound when the greedy count misses the bound, so a wrong
+    count shows only here."""
+    assert [_greedy_lexicode(n, d) for n in range(d, 11)] == sizes
 
 
 def test_singleton():

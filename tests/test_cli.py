@@ -192,7 +192,7 @@ def test_ted_descriptor_loads(tmp_path, capsys):
     msg_file.write_text("0" * json.loads(codec_file.read_text())["message_bits"])
     rc, out, _ = run(capsys, "encode", "--code-file", str(codec_file),
                      "--in", str(msg_file))
-    assert rc == 0 and out == "0000000\n" * 5
+    assert rc == 0 and out == "# L=7\n" + "0000000\n" * 5
 
 
 def test_exhaustive_roundtrip_over_work_cap_exits_2(tmp_path, capsys):

@@ -39,6 +39,21 @@ def test_theta_injective_on_tuple_domain():
     assert len(set(seen.values())) == len(seen)
 
 
+@pytest.mark.parametrize("h,e", [(h, e) for h in range(1, 7) for e in range(4)
+                                 if e < 1 << (h - 1)])
+def test_symbols_match_theta_symbol(h, e):
+    """The whole-array symbols (the VT residues alone when e = 0) equal
+    `theta_symbol` row by row, at the shortest and the longest L of this h
+    the tail fits."""
+    rng = random.Random(100 * h + e)
+    for L in sorted({(1 << (h - 1)) + e, (1 << h) - 1}):
+        code = TedCode(min(8, (1 << (h + e)) - 1), L, 0, e)
+        assert code.h == h
+        rows = list(range(1 << L)) if L <= 10 else [rng.getrandbits(L) for _ in range(300)]
+        want = [theta_symbol([(x >> j) & 1 for j in range(L)], e, h) for x in rows]
+        assert code._symbols(rows) == want
+
+
 def test_feasibility_rejected():
     # L=4 gives h=3; the tail position 4 collides with the VT power positions
     with pytest.raises(ValueError):

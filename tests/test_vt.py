@@ -5,9 +5,9 @@ from itertools import combinations
 import pytest
 
 from arraycodes.errors import CorruptInputError
-from arraycodes.vt import (_SUM16, position_sum, position_sums, vt_codewords,
-                           vt_data_int, vt_decode, vt_decode_int, vt_encode_int,
-                           vt_modulus_exponent)
+from arraycodes.vt import (_RES_HI, _SUM16, position_residues, position_sum,
+                           vt_codewords, vt_data_int, vt_decode, vt_decode_int,
+                           vt_encode_int, vt_modulus_exponent)
 
 
 def deletions(word):
@@ -243,26 +243,31 @@ def oracle_position_sum(x, h):
     return s
 
 
-@pytest.mark.parametrize("L", range(1, 13))
+@pytest.mark.parametrize("L", range(1, 17))
 def test_position_sum_matches_popcount_oracle_exhaustively(L):
     # every L-bit row; the (L-1)-bit rows vt_decode_int sums are among them
     h = vt_modulus_exponent(L)
     rows = range(1 << L)
     want = [oracle_position_sum(x, h) for x in rows]
     assert [position_sum(x, h) for x in rows] == want
-    assert position_sums(rows, h) == want
+    assert position_residues(rows, h) == [w % (1 << h) for w in want]
 
 
-@pytest.mark.parametrize("L", (31, 63, 64, 127, 255, 300, 1100))
+@pytest.mark.parametrize("L", (*range(17, 33), 63, 64, 127, 255, 300, 1100))
 def test_position_sum_matches_popcount_oracle_random(L):
+    """Random rows, and rows with bits at positions 16 and 17, either side
+    of the split between the two 16-bit tables."""
     rng = random.Random(L)
     h = vt_modulus_exponent(L)
     rows = [rng.getrandbits(L) for _ in range(200)]
     rows += [rng.getrandbits(L - 1) for _ in range(200)]
     rows += [0, 1, (1 << L) - 1, (1 << (L - 1)) - 1, 1 << (L - 1)]
+    rows += [1 << 15, 1 << 16, 3 << 15]
+    rows += [rng.getrandbits(L) | 3 << 15 for _ in range(50)]
+    rows += [rng.getrandbits(L) & ~(3 << 15) | 1 << 16 for _ in range(50)]
     want = [oracle_position_sum(x, h) for x in rows]
     assert [position_sum(x, h) for x in rows] == want
-    assert position_sums(rows, h) == want
+    assert position_residues(rows, h) == [w % (1 << h) for w in want]
 
 
 def definitional_position_sum(x, L):
@@ -277,7 +282,7 @@ def test_position_sum_matches_definition(L):
     rows += [0, (1 << L) - 1, 1 << (L - 1)] + [1 << j for j in range(L)]
     want = [definitional_position_sum(x, L) for x in rows]
     assert [position_sum(x, h) for x in rows] == want
-    assert position_sums(rows, h) == want
+    assert position_residues(rows, h) == [w % (1 << h) for w in want]
 
 
 # --- 16-bit position-sum table and table-placed redundancy --------------------
@@ -285,6 +290,9 @@ def test_position_sum_matches_definition(L):
 def test_sum16_table_matches_popcount_oracle_on_every_value():
     assert len(_SUM16) == 1 << 16
     assert list(_SUM16) == [oracle_position_sum(x, 5) for x in range(1 << 16)]
+    # the high-half table: the sum over positions 17..32, mod 256
+    assert len(_RES_HI) == 1 << 16
+    assert list(_RES_HI) == [oracle_position_sum(x << 16, 6) % 256 for x in range(1 << 16)]
 
 
 @pytest.mark.parametrize("L", (15, 16, 17, 32, 33))
@@ -301,7 +309,7 @@ def test_position_sum_at_table_chunk_boundaries(L):
     rows += [((1 << widest) - 1) ^ (1 << j) for j in range(widest)]
     want = [oracle_position_sum(x, h) for x in rows]
     assert [position_sum(x, h) for x in rows] == want
-    assert position_sums(rows, h) == want
+    assert position_residues(rows, h) == [w % (1 << h) for w in want]
 
 
 @pytest.mark.parametrize("L", (31, 63, 255, 256, 300))
