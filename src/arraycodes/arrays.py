@@ -8,6 +8,7 @@ symbol of a row, position L the last; tail erasures remove a suffix).
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
@@ -156,19 +157,30 @@ def _prefix_masks(L: int) -> Tuple[int, ...]:
     return tuple((1 << (L - p)) - 1 for p in range(L + 1))
 
 
-def apply_te_pattern(x: BitArray, p: Sequence[int]) -> ErasedArray:
-    """Erase the last p_i positions of each row of x."""
+def _checked_pattern(x: BitArray, p: Sequence[int]) -> array:
+    """p as plain ints, once it is checked to be a pattern for x: one entry
+    per row, each an int in 0..L.  `apply_te_pattern` and the TED channel
+    both take their pattern through it, so both raise the same ValueError."""
     if len(p) != x.n:
         raise ValueError("pattern length does not match row count")
-    masks = _prefix_masks(x.L)
     try:
         if x.n and (min(p) < 0 or max(p) > x.L):
             raise ValueError("per-row erasure count out of range")
-        rows = tuple([r & masks[pi] for r, pi in zip(x.rows, p)])
+        # An int array takes exactly the entries that can index a tuple.
+        # array() would read bytes as raw machine words, so only lists
+        # and tuples go in as is.
+        return array("q", p if isinstance(p, (list, tuple)) else list(p))
     except TypeError:
-        # an entry that does not compare with ints or index the masks
+        # an entry that does not compare with ints or is no int
         raise ValueError("per-row erasure counts must be ints") from None
-    return _trusted(ErasedArray, n=x.n, L=x.L, rows=rows, erased=tuple(map(int, p)))
+
+
+def apply_te_pattern(x: BitArray, p: Sequence[int]) -> ErasedArray:
+    """Erase the last p_i positions of each row of x."""
+    erased = _checked_pattern(x, p)
+    masks = _prefix_masks(x.L)
+    rows = tuple([r & masks[pi] for r, pi in zip(x.rows, erased)])
+    return _trusted(ErasedArray, n=x.n, L=x.L, rows=rows, erased=tuple(erased))
 
 
 def rho_te_row(x: int, y: int, L: int) -> int:
@@ -372,8 +384,8 @@ def run_stats(x: BitArray) -> Tuple[List[int], int]:
 # One row per line over {0, 1, ?}, position 1 first; '#' starts a comment
 # line.  A directive comment '# L=<int>' declares the (original) row
 # length.  Blank lines before it are skipped; after it every line is a
-# row, so a blank line is a row of length 0.  The plain and ragged writers
-# emit it, so an array of no rows or of rows of length 0 keeps its shape.
+# row, so a blank line is a row of length 0.  All three writers emit it,
+# so an array of no rows or of rows of length 0 keeps its shape.
 
 def _with_length(L: int, lines: Iterable[str]) -> str:
     return "\n".join([f"# L={L}", *lines]) + "\n"
@@ -384,8 +396,8 @@ def format_bit_array(x: BitArray) -> str:
 
 
 def format_erased(x: ErasedArray) -> str:
-    return "\n".join(_row_text(r, x.L - e) + "?" * e
-                     for r, e in zip(x.rows, x.erased)) + "\n"
+    return _with_length(x.L, (_row_text(r, x.L - e) + "?" * e
+                              for r, e in zip(x.rows, x.erased)))
 
 
 def format_ragged(x: RaggedArray) -> str:

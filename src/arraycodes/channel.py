@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from itertools import chain, combinations, islice, product, repeat
 from typing import Iterator, List, Optional, Sequence, Tuple
 
-from .arrays import (BitArray, RaggedArray, _trusted, apply_te_pattern,
-                     enumerate_patterns)
+from .arrays import (BitArray, RaggedArray, _checked_pattern, _prefix_masks,
+                     _trusted, apply_te_pattern, enumerate_patterns)
 
 TeInstance = Tuple[int, ...]                 # erasure counts per row
 DelInstance = Tuple[Tuple[int, Tuple[int, ...]], ...]   # (row, positions), 1-indexed
@@ -50,7 +50,10 @@ def _delete(rows: List[Tuple[int, int]], deletions: DelInstance, L: int) -> Ragg
         if not 1 <= row <= len(rows):
             raise ValueError(f"row {row} out of range")
         bits, length = rows[row - 1]
-        for pos in sorted(positions, reverse=True):
+        # Last position first, so the ones before it keep their index.
+        if len(positions) > 1:
+            positions = sorted(positions, reverse=True)
+        for pos in positions:
             if not 1 <= pos <= length:
                 raise ValueError(f"deletion position {pos} out of range")
             bits = (bits & ((1 << (pos - 1)) - 1)) | ((bits >> pos) << (pos - 1))
@@ -64,11 +67,14 @@ def apply_deletions(x: BitArray, instance: DelInstance) -> RaggedArray:
 
 
 def apply_ted(x: BitArray, instance: TedInstance) -> RaggedArray:
-    """Tail erasures first, then deletions indexed into the truncated rows."""
+    """Tail erasures first, then deletions indexed into the truncated rows.
+    Each row's erased tail is masked off straight into its (bits, length)
+    pair; no ErasedArray is built on the way."""
     pattern, deletions = instance
-    erased = apply_te_pattern(x, pattern)
-    return _delete([(r, x.L - p) for r, p in zip(erased.rows, erased.erased)],
-                   deletions, x.L)
+    L = x.L
+    masks = _prefix_masks(L)
+    kept = [(r & masks[p], L - p) for r, p in zip(x.rows, _checked_pattern(x, pattern))]
+    return _delete(kept, deletions, L)
 
 
 def apply_channel(x: BitArray, spec: ChannelSpec, instance):
@@ -238,15 +244,16 @@ def roundtrip_harness(codec, spec: ChannelSpec, *, messages: int = 20,
                       exhaustive: bool = True, seed: int = 0,
                       instances: Optional[int] = None,
                       max_work: Optional[int] = DEFAULT_MAX_WORK) -> RunRecord:
-    """Encode random messages, push them through every (or `instances`
-    sampled, 100 when None) channel instance, decode, compare.  An
-    exhaustive run streams the instances, so its memory does not grow with
-    their number; one whose enumeration exceeds `max_work` instances raises
-    RuntimeError before it decodes anything.  `messages` or `instances`
-    below 1 raises ValueError.
+    """Encode random messages, check that `message_of` reads each one back,
+    push them through every (or `instances` sampled, 100 when None) channel
+    instance, decode, compare.  An exhaustive run streams the instances, so
+    its memory does not grow with their number; one whose enumeration
+    exceeds `max_work` instances raises RuntimeError before it decodes
+    anything.  `messages` or `instances` below 1 raises ValueError.
 
     Failures are recorded, not raised; the first counterexample keeps the
-    full (message, instance, received) triple for replay.
+    full (message, instance, received) triple for replay.  A `message_of`
+    failure has no instance: its received array is the encoded one.
     """
     if messages < 1:
         raise ValueError(f"messages must be at least 1, got {messages}")
@@ -269,6 +276,8 @@ def roundtrip_harness(codec, spec: ChannelSpec, *, messages: int = 20,
     else:
         sampled = [random_instance(spec, n, L, rng) for _ in range(instances)]
     for message, x in arrays:
+        if codec.message_of(x) != message:
+            record.note_failure(message, None, x, "message_of(encode(m)) != m")
         stream = (enumerate_channel_instances(spec, n, L, max_work=max_work)
                   if exhaustive else sampled)
         for inst in stream:

@@ -241,16 +241,18 @@ def test_text_format_roundtrips():
 
 
 def test_text_format_roundtrips_every_small_array():
-    """All three formats, every array of n <= 2 rows at L = 1..3: every
-    row value, erasure count and row length."""
-    for L in range(1, 4):
+    """All three formats, every array of n <= 2 rows at L = 0..3: every
+    row value, erasure count and row length, and the arrays of no rows or
+    of rows of length 0."""
+    for L in range(4):
         shapes = [(v, k) for k in range(L + 1) for v in range(1 << (L - k))]
-        for n in (1, 2):
+        for n in range(3):
             for rows in itertools.product(range(1 << L), repeat=n):
                 x = BitArray(n, L, rows)
                 assert parse_bit_array(format_bit_array(x)) == x
             for cells in itertools.product(shapes, repeat=n):
-                erased = ErasedArray(n, L, *(tuple(c) for c in zip(*cells)))
+                erased = ErasedArray(n, L, tuple(v for v, _ in cells),
+                                     tuple(k for _, k in cells))
                 assert parse_erased(format_erased(erased)) == erased
                 ragged = RaggedArray(n, L, tuple((v, L - k) for v, k in cells))
                 assert parse_ragged(format_ragged(ragged)) == ragged

@@ -5,8 +5,8 @@ from itertools import combinations, product
 
 import pytest
 
-from arraycodes.arrays import BitArray, RaggedArray, count_patterns
-from arraycodes.channel import (DEFAULT_MAX_WORK, ChannelSpec, RunRecord,
+from arraycodes.arrays import BitArray, RaggedArray, apply_te_pattern, count_patterns
+from arraycodes.channel import (DEFAULT_MAX_WORK, ChannelSpec, RunRecord, _delete,
                                 apply_channel, apply_deletions, apply_ted,
                                 enumerate_channel_instances,
                                 enumerate_deletion_instances, random_instance,
@@ -14,7 +14,7 @@ from arraycodes.channel import (DEFAULT_MAX_WORK, ChannelSpec, RunRecord,
 from arraycodes.dc import DcCode
 from arraycodes.te import TeCodec, construct_hasse
 from arraycodes.ted import TedCode
-from conftest import recursive_patterns
+from conftest import random_array, recursive_patterns
 
 
 def test_te_channel_instance():
@@ -479,3 +479,63 @@ def test_harness_records_a_wrong_codeword():
     assert ce["detail"] == "wrong codeword" and ce["instance"] == "((1, (1,)),)"
     sent = code.encode(ce["message"]).to_lists()
     assert ce["received"] == [sent[0][1:]] + sent[1:]
+
+
+def test_harness_records_a_wrong_message_of():
+    """A codec whose `message_of` does not read back the encoded message
+    fails once per message, even when every decode is right."""
+    class WrongMessage(DcCode):
+        def message_of(self, x):
+            return [1 - b for b in super().message_of(x)]
+
+    code = WrongMessage(5, 4, 1)
+    rec = roundtrip_harness(code, ChannelSpec("del", t=1, s=1), messages=2)
+    assert rec.trials == 2 * 20 and rec.failures == 2
+    ce = rec.first_counterexample
+    assert ce["detail"] == "message_of(encode(m)) != m" and ce["instance"] == "None"
+    assert ce["received"] == DcCode(5, 4, 1).encode(ce["message"]).to_lists()
+
+
+def two_step_apply_ted(x, instance):
+    """The TED channel as first written, kept as the oracle: the tail
+    erasures as an ErasedArray, then the deletions on its truncated rows."""
+    pattern, deletions = instance
+    erased = apply_te_pattern(x, pattern)
+    return _delete([(r, x.L - p) for r, p in zip(erased.rows, erased.erased)],
+                   deletions, x.L)
+
+
+def test_ted_channel_matches_the_two_step_oracle():
+    rng = random.Random(18)
+    arrays = [random_array(rng, 5, 7) for _ in range(3)]
+    spec = ChannelSpec("ted", t=2, s=1, e=1)
+    for inst in enumerate_channel_instances(spec, 5, 7):
+        for x in arrays:
+            assert apply_ted(x, inst) == two_step_apply_ted(x, inst)
+    spec = ChannelSpec("ted", t=3, s=2, e=4)
+    for _ in range(2000):
+        x = random_array(rng, 6, 9)
+        inst = random_instance(spec, 6, 9, rng)
+        got = apply_channel(x, spec, inst)
+        assert got == apply_ted(x, inst) == two_step_apply_ted(x, inst)
+
+
+def test_ted_channel_lengths_are_ints_for_a_bool_pattern():
+    x = BitArray(3, 4, (0b1011, 0b0110, 0b1111))
+    out = apply_ted(x, ((True, False, True), ((2, (1,)),)))
+    assert out == apply_ted(x, ((1, 0, 1), ((2, (1,)),)))
+    assert out == two_step_apply_ted(x, ((True, False, True), ((2, (1,)),)))
+    assert [type(length) for _, length in out.rows] == [int] * 3
+
+
+@pytest.mark.parametrize("pattern,message", [
+    ((0, 0), "does not match"), ((0, 0, 0, 0), "does not match"),
+    ((-1, 0, 0), "out of range"), ((0, 5, 0), "out of range"),
+    ((1.0, 0, 0), "must be ints"), (("1", 0, 0), "must be ints")])
+def test_ted_and_te_channels_reject_a_bad_pattern_alike(pattern, message):
+    x = BitArray(3, 4, (0b1011, 0b0110, 0b1111))
+    with pytest.raises(ValueError, match=message) as ted_error:
+        apply_ted(x, (pattern, ()))
+    with pytest.raises(ValueError, match=message) as te_error:
+        apply_te_pattern(x, pattern)
+    assert str(ted_error.value) == str(te_error.value)
