@@ -79,16 +79,19 @@ def apply_ted(x: BitArray, instance: TedInstance) -> RaggedArray:
 
 def apply_channel(x: BitArray, spec: ChannelSpec, instance):
     """Apply a concrete instance; returns ErasedArray for TE, else RaggedArray."""
-    if spec.kind == "te":
-        if sum(instance) > spec.e:
-            raise ValueError("instance exceeds the e budget")
-        return apply_te_pattern(x, instance)
     if spec.kind == "del":
         _check_del_instance(instance, spec.t, spec.s)
         return apply_deletions(x, instance)
-    pattern, deletions = instance
-    if sum(pattern) > spec.e:
+    pattern, deletions = (instance, ()) if spec.kind == "te" else instance
+    try:
+        over = sum(pattern) > spec.e
+    except TypeError:
+        # an entry that does not add up, which `_checked_pattern` rejects
+        raise ValueError("per-row erasure counts must be ints") from None
+    if over:
         raise ValueError("instance exceeds the e budget")
+    if spec.kind == "te":
+        return apply_te_pattern(x, instance)
     _check_del_instance(deletions, spec.t, spec.s)
     return apply_ted(x, instance)
 

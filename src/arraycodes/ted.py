@@ -150,15 +150,15 @@ class TedCode:
             raise ValueError("array shape mismatch")
         L, k = self.L, self.n - self.R
         per_row = L - self.e - self.h
-        m = shift = 0
-        for i, row in enumerate(x.rows):
-            if i < k:
-                m |= row << shift
-                shift += L
-            else:
-                m |= (vt_data_int(row, L) & ((1 << per_row) - 1)) << shift
-                shift += per_row
-        return _int_to_row(m, shift)
+        mask = (1 << per_row) - 1
+        # Horner from the top: the parity rows' data, last row first, then
+        # the k systematic rows below them.
+        m = 0
+        for row in reversed(x.rows[k:]):
+            m = m << per_row | vt_data_int(row, L) & mask
+        for row in reversed(x.rows[:k]):
+            m = m << L | row
+        return _int_to_row(m, k * L + self.R * per_row)
 
     def decode(self, received: RaggedArray) -> BitArray:
         if not isinstance(received, RaggedArray):

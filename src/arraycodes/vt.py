@@ -12,12 +12,23 @@ table of all 16-bit values for rows of at most 32 positions (h <= 5), and
 as h masked popcounts, sum_k popcount(x & M_k) * 2^k, for longer rows.
 `position_residues` gives the sum mod 2^h of every row of an array at
 once, the form the syndromes of `arraycodes.ted` take.
+
+The systematic encoder's data bits sit on the non-power positions.  The
+11 of positions 1..16 are gathered by one read of `_DATA16`, a table of
+all 16-bit values, and scattered by one read of its inverse `_SCATTER11`;
+positions 17..31 hold data only, so rows of at most 31 positions move the
+rest with one shift, and only longer rows walk the runs of data positions
+past position 16.  The decoder's select skips whole bytes of a row by
+their popcounts and reads the bit from `_SELECT8`.  Every table depends on
+bit positions alone.
+
 `vt_decode` and `vt_codewords` are the list forms left, for callers that
 hold rows as bit lists.
 """
 
 from __future__ import annotations
 
+from array import array
 from functools import lru_cache
 from typing import List, Sequence, Tuple
 
@@ -124,19 +135,72 @@ def _low_power_bits() -> Tuple[int, ...]:
 _POWER_BITS = _low_power_bits()
 
 
+def _gather16() -> array:
+    """Entry v: the 11 data bits of the 16-bit row v, at positions 3, 5..7
+    and 9..15, packed low.  The low byte holds 4 of them and the high byte
+    its low 7, so each high byte adds one offset to the 256 low-byte
+    entries, built a row of 256 at a time; bit 15 is position 16, a power,
+    so the upper half of the table repeats the lower."""
+    low = [(b >> 2 & 1) | (b >> 3 & 0xE) for b in range(256)]
+    table = array("H")
+    for hi in range(128):
+        offset = hi << 4
+        table.extend([d | offset for d in low])
+    table *= 2
+    return table
+
+
+def _scatter11() -> array:
+    """Entry d < 2^11: the row int with the bits of d at the data positions
+    3, 5..7 and 9..15, lowest first (the inverse of `_DATA16`)."""
+    low = [(d & 1) << 2 | (d & 0xE) << 3 for d in range(16)]
+    return array("H", [low[d & 0xF] | d >> 4 << 8 for d in range(1 << 11)])
+
+
+def _select8() -> bytes:
+    """Entry k << 8 | b, k < 8: the bit index of the (k+1)-th lowest one of
+    the byte b, and 0 where b has at most k ones."""
+    table = bytearray(8 << 8)
+    for b in range(256):
+        v = b
+        for k in range(b.bit_count()):
+            table[k << 8 | b] = (v & -v).bit_length() - 1
+            v &= v - 1
+    return bytes(table)
+
+
+# The data bits of positions 1..16, their inverse, and the select within a
+# byte: 128 KiB, 4 KiB and 2 KiB, built once at import.
+_DATA16 = _gather16()
+_SCATTER11 = _scatter11()
+_SELECT8 = _select8()
+
+
 @lru_cache(maxsize=None)
-def _data_runs(L: int) -> Tuple[Tuple[int, int], ...]:
+def _runs_past_16(L: int) -> Tuple[Tuple[int, int], ...]:
     """(first bit, width) of each run 2^i+1 .. min(2^(i+1)-1, L) of data
-    positions; bit 2^i holds position 2^i + 1."""
-    h = vt_modulus_exponent(L)
-    return tuple((1 << i, min((1 << i) - 1, L - (1 << i))) for i in range(1, h))
+    positions past position 16, i >= 4; bit 2^i holds position 2^i + 1.
+    Only rows of 32 or more positions walk them."""
+    return tuple((1 << i, min((1 << i) - 1, L - (1 << i)))
+                 for i in range(4, L.bit_length()))
 
 
 def _kth_lowest_one(v: int, k: int) -> int:
-    """Bit index of the k-th lowest set bit of v (k >= 1, v has k ones)."""
-    for _ in range(k - 1):
-        v &= v - 1
-    return (v & -v).bit_length() - 1
+    """Bit index of the k-th lowest set bit of v, for 1 <= k <= popcount(v),
+    which `vt_decode_int` guarantees: whole bytes are skipped by their
+    popcounts and the byte holding the bit is read from `_SELECT8`.  A k
+    beyond popcount(v) raises ValueError once the row runs out."""
+    k -= 1
+    shift = 0
+    c = (v & 0xFF).bit_count()
+    while k >= c:
+        v >>= 8
+        if not v:
+            raise ValueError("k exceeds the ones of the row")
+        k -= c
+        shift += 8
+        c = (v & 0xFF).bit_count()
+    return shift + _SELECT8[k << 8 | v & 0xFF]
 
 
 def vt_decode_int(y: int, a: int, L: int) -> int:
@@ -182,18 +246,26 @@ def vt_decode(y: Sequence[int], a: int, L: int) -> List[int]:
 
 
 def vt_encode_int(data: int, a: int, L: int) -> int:
-    """Place the L-h data bits of `data` on the non-power positions and fix
-    the syndrome to a.
+    """Place the L-h data bits of `data` (data < 2^(L-h)) on the non-power
+    positions and fix the syndrome to a.
 
     The power positions start at 0 and then position 2^i receives bit i of
     the deficiency (a - partial syndrome) mod 2^h; the weights 1, 2, ...,
     2^(h-1) represent every residue exactly once, so one pass suffices.
-    The low 8 bits are placed by one `_POWER_BITS` entry, which is all of
-    them for rows of at most 255 positions.
+    The low 11 data bits are placed by one `_SCATTER11` entry, the rest by
+    one shift up to 31 positions and by the runs past position 16 beyond.
+    The low 8 redundancy bits are placed by one `_POWER_BITS` entry, which
+    is all of them for rows of at most 255 positions.
     """
     h = L.bit_length()
-    x = 0
-    for first, width in _data_runs(L):
+    x = _SCATTER11[data & 0x7FF]
+    if h <= 5:
+        x |= data >> 11 << 16
+        # the 16-bit sum tables, as in `position_residues`
+        deficiency = (a - _SUM16[x & 0xFFFF] - _RES_HI[x >> 16]) & ((1 << h) - 1)
+        return x | _POWER_BITS[deficiency]
+    data >>= 11
+    for first, width in _runs_past_16(L):
         x |= (data & ((1 << width) - 1)) << first
         data >>= width
     deficiency = (a - position_sum(x, h)) % (1 << h)
@@ -204,11 +276,15 @@ def vt_encode_int(data: int, a: int, L: int) -> int:
 
 
 def vt_data_int(x: int, L: int) -> int:
-    """The data bits of a row int, in data-position order (inverse of the
-    scatter in `vt_encode_int`)."""
-    data = shift = 0
-    for first, width in _data_runs(L):
-        data |= ((x >> first) & ((1 << width) - 1)) << shift
+    """The data bits of a row int x < 2^L, in data-position order (inverse
+    of the scatter in `vt_encode_int`): one `_DATA16` read and one shift up
+    to 31 positions, and the runs past position 16 beyond."""
+    data = _DATA16[x & 0xFFFF]
+    if L < 32:
+        return data | x >> 16 << 11
+    shift = 11
+    for first, width in _runs_past_16(L):
+        data |= (x >> first & ((1 << width) - 1)) << shift
         shift += width
     return data
 

@@ -539,3 +539,17 @@ def test_ted_and_te_channels_reject_a_bad_pattern_alike(pattern, message):
     with pytest.raises(ValueError, match=message) as te_error:
         apply_te_pattern(x, pattern)
     assert str(ted_error.value) == str(te_error.value)
+
+
+@pytest.mark.parametrize("kind", ["te", "ted"])
+def test_apply_channel_rejects_a_non_int_entry_as_the_pattern_check_does(kind):
+    # the e budget is summed first; an entry that does not add up must still
+    # raise the pattern check's ValueError, not the sum's TypeError
+    x = BitArray(3, 4, (0b1011, 0b0110, 0b1111))
+    spec = ChannelSpec(kind, e=2, t=1, s=1)
+    pattern = ("1", 0, 0)
+    with pytest.raises(ValueError, match="must be ints") as error:
+        apply_channel(x, spec, pattern if kind == "te" else (pattern, ()))
+    with pytest.raises(ValueError) as te_error:
+        apply_te_pattern(x, pattern)
+    assert str(error.value) == str(te_error.value)

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -378,3 +379,31 @@ def test_widest_outer_field_accepted():
     assert TedCode(3, 2**30 - 1, 1, 1).h == 30
     assert TedCode(4, 2**29 + 100, 1, 1).h == 30
     assert DcCode(3, 2**31 - 1, 1).h == 31
+
+
+# --- message layout pin --------------------------------------------------------
+#
+# sha256 of `encode(m).rows` for 50 seeded messages on each code below,
+# recorded before the VT row kernels became table driven.  A change to the
+# data scatter, the redundancy placement or the message packing changes it.
+# The codes straddle the row-length edges of those kernels: L = 16 fills the
+# 16-bit data table, L = 31 is the last row without a run list, and L = 32
+# and L = 1023 walk the runs past position 16.
+
+LAYOUT_CODES = (DcCode(9, 16, 3), DcCode(31, 31, 8), DcCode(9, 32, 3),
+                TedCode(5, 7, 2, 1), TedCode(7, 1023, 2, 2))
+LAYOUT_DIGEST = "a17ed0ea0993e9e85bd76c7fa86d82c27b17fbd996f04b6a44febda8ccca9152"
+
+
+def test_message_layout_pinned():
+    digest = hashlib.sha256()
+    for code in LAYOUT_CODES:
+        rng = random.Random(repr(code))
+        K = code.message_bits
+        for _ in range(50):
+            value = rng.getrandbits(K)
+            m = [(value >> j) & 1 for j in range(K)]
+            x = code.encode(m)
+            assert code.message_of(x) == m
+            digest.update(repr((code.n, code.L, code.e, x.rows)).encode())
+    assert digest.hexdigest() == LAYOUT_DIGEST

@@ -5,9 +5,10 @@ from itertools import combinations
 import pytest
 
 from arraycodes.errors import CorruptInputError
-from arraycodes.vt import (_RES_HI, _SUM16, position_residues, position_sum,
-                           vt_codewords, vt_data_int, vt_decode, vt_decode_int,
-                           vt_encode_int, vt_modulus_exponent)
+from arraycodes.vt import (_DATA16, _RES_HI, _SCATTER11, _SUM16, _kth_lowest_one,
+                           position_residues, position_sum, vt_codewords,
+                           vt_data_int, vt_decode, vt_decode_int, vt_encode_int,
+                           vt_modulus_exponent)
 
 
 def deletions(word):
@@ -322,3 +323,99 @@ def test_vt_encode_int_matches_oracle_for_every_deficiency(L):
     for value in (0, (1 << (L - h)) - 1, rng.getrandbits(L - h)):
         for a in range(1 << h):
             check_encode(value, a, L)
+
+
+# --- table-driven gather, scatter and select against the loop bodies ---------
+#
+# The run-walking gather and scatter and the clear-lowest-bit select that
+# the tables replaced, kept as the oracles.  The tables cover positions
+# 1..16 (data bits 3, 5..7, 9..15) and rows up to 31 positions; rows of 32
+# or more also walk the runs past position 16.
+
+def oracle_data_runs(L):
+    """(first bit, width) of each run 2^i+1 .. min(2^(i+1)-1, L) of data
+    positions; bit 2^i holds position 2^i + 1."""
+    h = vt_modulus_exponent(L)
+    return tuple((1 << i, min((1 << i) - 1, L - (1 << i))) for i in range(1, h))
+
+
+def oracle_gather(x, L):
+    data = shift = 0
+    for first, width in oracle_data_runs(L):
+        data |= ((x >> first) & ((1 << width) - 1)) << shift
+        shift += width
+    return data
+
+
+def oracle_scatter(data, L):
+    x = 0
+    for first, width in oracle_data_runs(L):
+        x |= (data & ((1 << width) - 1)) << first
+        data >>= width
+    return x
+
+
+def oracle_kth_lowest_one(v, k):
+    for _ in range(k - 1):
+        v &= v - 1
+    return (v & -v).bit_length() - 1
+
+
+def test_data16_gathers_every_16_bit_row():
+    assert len(_DATA16) == 1 << 16
+    assert [vt_data_int(x, 16) for x in range(1 << 16)] == \
+        [oracle_gather(x, 16) for x in range(1 << 16)]
+
+
+def test_scatter11_is_the_inverse_of_data16():
+    assert len(_SCATTER11) == 1 << 11
+    assert list(_SCATTER11) == [oracle_scatter(d, 16) for d in range(1 << 11)]
+    assert all(_DATA16[_SCATTER11[d]] == d for d in range(1 << 11))
+
+
+def check_gather_scatter(data, a, L):
+    h = vt_modulus_exponent(L)
+    row = vt_encode_int(data, a, L)
+    assert row & oracle_scatter((1 << (L - h)) - 1, L) == oracle_scatter(data, L)
+    assert position_sum(row, h) % (1 << h) == a
+    assert vt_data_int(row, L) == oracle_gather(row, L) == data
+
+
+@pytest.mark.parametrize("L", (15, 16, 17, 31, 32, 33, 63, 300, 1023))
+def test_gather_and_scatter_match_the_run_oracle(L):
+    """Round trips either side of the 16-bit table (15, 16, 17), of the
+    one-shift path (31, 32, 33), and on the runs past position 16."""
+    h = vt_modulus_exponent(L)
+    rng = random.Random(4000 + L)
+    k = L - h
+    datas = [0, (1 << k) - 1] + [1 << j for j in range(k)]
+    datas += [rng.getrandbits(k) for _ in range(300)]
+    for data in datas:
+        check_gather_scatter(data, rng.randrange(1 << h), L)
+    # rows with power positions set as well: the gather must skip them
+    for _ in range(300):
+        x = rng.getrandbits(L)
+        assert vt_data_int(x, L) == oracle_gather(x, L)
+
+
+def test_select_matches_the_loop_on_every_byte():
+    for v in range(1, 256):
+        for k in range(1, v.bit_count() + 1):
+            assert _kth_lowest_one(v, k) == oracle_kth_lowest_one(v, k), (v, k)
+
+
+@pytest.mark.parametrize("L", (7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 255, 256))
+def test_select_matches_the_loop_on_random_rows(L):
+    rng = random.Random(5000 + L)
+    rows = [rng.getrandbits(L) for _ in range(100)]
+    rows += [(1 << L) - 1, 1 << (L - 1), 1, rng.getrandbits(L) | 1 << (L - 1)]
+    for v in rows:
+        for k in range(1, v.bit_count() + 1):
+            assert _kth_lowest_one(v, k) == oracle_kth_lowest_one(v, k), (L, v, k)
+
+
+@pytest.mark.parametrize("v", (0, 1, 0xFF, 0x8001, (1 << 255) | 1))
+def test_select_past_the_last_one_raises_instead_of_spinning(v):
+    # vt_decode_int never asks for more ones than the row has
+    with pytest.raises(ValueError):
+        _kth_lowest_one(v, v.bit_count() + 1)
