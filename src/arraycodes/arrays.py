@@ -83,10 +83,6 @@ class BitArray:
                 raise ValueError("all rows must have the same length")
         return cls(n, L, tuple(_row_to_int(r) for r in entries))
 
-    def bit(self, i: int, j: int) -> int:
-        """Entry at row i, position j (both 1-indexed)."""
-        return (self.rows[i - 1] >> (j - 1)) & 1
-
     def to_lists(self) -> List[List[int]]:
         return [_int_to_row(r, self.L) for r in self.rows]
 
@@ -116,9 +112,6 @@ class ErasedArray:
                 raise ValueError("erasure count out of range")
             if r >> (self.L - e):
                 raise ValueError("bits present inside the erased suffix")
-
-    def known_length(self, i: int) -> int:
-        return self.L - self.erased[i - 1]
 
     def to_lists(self) -> List[List[object]]:
         return [_int_to_row(r, self.L - e) + ["?"] * e

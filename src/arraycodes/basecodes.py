@@ -2,23 +2,32 @@
 
 Three families are needed: shortened Hamming codes (distance 3), their
 single-parity extensions (distance 4), and shortened cyclic/BCH codes for
-distances 5 and 6.  Cyclic codes are handled through their generator
-polynomial g(x): the parity-check matrix has column j equal to
-x^j mod g(x), so membership is exactly divisibility by g.  Shortening keeps
-a window of consecutive coordinates, which preserves the cyclic-shift
-arguments the distance proofs rely on.
+distances 5 and 6.  Each builder returns its parity check in column form,
+`ParityColumns(r, columns)`: one r-bit int per code coordinate, the form
+the constructions interleave into array cells.  Cyclic codes are handled
+through their generator polynomial g(x): column j is x^j mod g(x), so
+membership is exactly divisibility by g.  Shortening keeps a window of
+consecutive coordinates, which preserves the cyclic-shift arguments the
+distance proofs rely on.
 """
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import List, NamedTuple, Tuple
 
 from .field import Gf2m, field_make
-from .gf2 import BitMatrix, transpose
 
 
-def hamming_pcm(n: int) -> BitMatrix:
-    """Parity-check matrix of an [n, n-r, 3] shortened Hamming code.
+class ParityColumns(NamedTuple):
+    """A binary parity check: columns[j] is the r-bit column of coordinate
+    j, and a word c is a codeword iff the columns of its one bits XOR to 0."""
+
+    r: int
+    columns: Tuple[int, ...]
+
+
+def hamming_pcm(n: int) -> ParityColumns:
+    """Parity check of an [n, n-r, 3] shortened Hamming code.
 
     Columns are the binary representations of 1..n; r = ceil(log2(n+1)).
     Any two columns are distinct and nonzero, so the distance is 3
@@ -26,20 +35,18 @@ def hamming_pcm(n: int) -> BitMatrix:
     """
     if n < 1:
         raise ValueError("n must be positive")
-    r = max(1, n.bit_length())
-    return BitMatrix(r, n, tuple(transpose(range(1, n + 1), r)))
+    return ParityColumns(max(1, n.bit_length()), tuple(range(1, n + 1)))
 
 
-def extended_hamming_pcm(n: int) -> BitMatrix:
-    """Parity-check matrix of the [n+1, n-r, 4] extension of hamming_pcm(n).
+def extended_hamming_pcm(n: int) -> ParityColumns:
+    """Parity check of the [n+1, n-r, 4] extension of hamming_pcm(n).
 
     Appends an overall parity coordinate: columns become (h_j, 1) plus the
-    new column (0, 1).
+    new column (0, 1), the parity bit being bit r.
     """
-    base = hamming_pcm(n)
-    rows = [r for r in base.rows]
-    rows.append((1 << (n + 1)) - 1)   # all-ones parity row over n+1 columns
-    return BitMatrix(base.nrows + 1, n + 1, tuple(rows))
+    r, columns = hamming_pcm(n)
+    parity = 1 << r
+    return ParityColumns(r + 1, tuple(c | parity for c in columns) + (parity,))
 
 
 # --- cyclic machinery -------------------------------------------------------
@@ -116,9 +123,9 @@ def bch_generator(mu: int, designed_distance: int, with_parity_factor: bool = Fa
     return g
 
 
-def cyclic_pcm(g: int, length: int) -> BitMatrix:
-    """Parity-check matrix of the cyclic code with generator g, shortened to
-    a window of the first `length` coordinates.
+def cyclic_pcm(g: int, length: int) -> ParityColumns:
+    """Parity check of the cyclic code with generator g, shortened to a
+    window of the first `length` coordinates.
 
     Column j (0-based) is x^j mod g packed into r = deg(g) bits, so a word
     c is a codeword iff sum c_j (x^j mod g) = 0 iff g divides c(x).
@@ -129,7 +136,7 @@ def cyclic_pcm(g: int, length: int) -> BitMatrix:
     cols = [_poly_mod(1, g)]     # x^0, which is 0 when g = 1
     while len(cols) < length:
         cols.append(_poly_mod(cols[-1] << 1, g))
-    return BitMatrix(r, length, tuple(transpose(cols, r)))
+    return ParityColumns(r, tuple(cols))
 
 
 def bch_degree(length: int) -> int:
@@ -138,7 +145,7 @@ def bch_degree(length: int) -> int:
     return max(2, length.bit_length())
 
 
-def bch_pcm(length: int, designed_distance: int) -> Tuple[BitMatrix, int]:
+def bch_pcm(length: int, designed_distance: int) -> Tuple[ParityColumns, int]:
     """Shortened narrow-sense BCH parity check for a given window length.
 
     mu = bch_degree(length).  Returns (pcm, mu).  For designed distance
@@ -153,12 +160,12 @@ def bch_pcm(length: int, designed_distance: int) -> Tuple[BitMatrix, int]:
     return cyclic_pcm(g, length), mu
 
 
-def claim5_base_pcm(n: int) -> Tuple[BitMatrix, int]:
+def claim5_base_pcm(n: int) -> Tuple[ParityColumns, int]:
     """Base code for the distance-5 array construction on n rows.
 
     A [n+4, n+4-(2m+1), >=6] window of the even-weight double-error BCH code
     of length 2^m - 1, m = ceil(log2(n+5)): generator (x+1) m1(x) m3(x).
-    Returns (pcm, m); the pcm has 2m+1 rows.
+    Returns (pcm, m); the pcm has r = 2m+1.
     """
     if n < 1:
         raise ValueError("n must be positive")

@@ -45,20 +45,23 @@ class ChannelSpec:
 def _delete(rows: List[Tuple[int, int]], deletions: DelInstance, L: int) -> RaggedArray:
     """Delete 1-indexed positions from the (bits, length) rows, each of
     `length` <= L positions; every index is checked, so the rows stay
-    valid."""
-    for row, positions in deletions:
-        if not 1 <= row <= len(rows):
-            raise ValueError(f"row {row} out of range")
-        bits, length = rows[row - 1]
-        # Last position first, so the ones before it keep their index.
-        if len(positions) > 1:
-            positions = sorted(positions, reverse=True)
-        for pos in positions:
-            if not 1 <= pos <= length:
-                raise ValueError(f"deletion position {pos} out of range")
-            bits = (bits & ((1 << (pos - 1)) - 1)) | ((bits >> pos) << (pos - 1))
-            length -= 1
-        rows[row - 1] = (bits, length)
+    valid.  A row or position that is no int raises ValueError."""
+    try:
+        for row, positions in deletions:
+            if not 1 <= row <= len(rows):
+                raise ValueError(f"row {row} out of range")
+            bits, length = rows[row - 1]
+            # Last position first, so the ones before it keep their index.
+            if len(positions) > 1:
+                positions = sorted(positions, reverse=True)
+            for pos in positions:
+                if not 1 <= pos <= length:
+                    raise ValueError(f"deletion position {pos} out of range")
+                bits = (bits & ((1 << (pos - 1)) - 1)) | ((bits >> pos) << (pos - 1))
+                length -= 1
+            rows[row - 1] = (bits, length)
+    except TypeError:
+        raise ValueError("deletion rows and positions must be ints") from None
     return _trusted(RaggedArray, n=len(rows), L=L, rows=tuple(rows))
 
 
@@ -100,12 +103,15 @@ def _check_del_instance(instance: DelInstance, t: int, s: int) -> None:
     if len(instance) > t:
         raise ValueError("too many deletion rows")
     seen = set()
-    for row, positions in instance:
-        if row in seen:
-            raise ValueError("duplicate row in deletion instance")
-        seen.add(row)
-        if not 1 <= len(positions) <= s:
-            raise ValueError("per-row deletion count out of range")
+    try:
+        for row, positions in instance:
+            if row in seen:
+                raise ValueError("duplicate row in deletion instance")
+            seen.add(row)
+            if not 1 <= len(positions) <= s:
+                raise ValueError("per-row deletion count out of range")
+    except TypeError:
+        raise ValueError("deletion rows and positions must be ints") from None
 
 
 def enumerate_deletion_instances(row_lengths: Sequence[int], t: int, s: int,

@@ -1,30 +1,51 @@
-"""GF(2) linear algebra on word-packed rows.
+"""GF(2) linear algebra on word-packed columns.
 
-A binary matrix is stored as a list of Python ints, one per row, where bit j
-of a row int is the entry in column j.  Python's arbitrary-precision ints act
-as bitsets, so elimination is a handful of XORs per row regardless of width.
-The constructions need the rank (a code's redundancy in bits), the
-systematic TE encoder the reduced row-echelon form, and both the transpose
-between parity-check rows and per-coordinate columns.
+A binary matrix is stored as a list of Python ints, one per column (a
+parity-check column, or a code coordinate), where bit b of a column int is
+the entry in parity row b.  Python's arbitrary-precision ints act as
+bitsets, so elimination is a handful of XORs per vector regardless of
+width.  One elimination kernel, `gf2_relations`, gives both what the
+constructions need: the rank (a code's redundancy in bits) and the
+dependencies among the columns, from which the systematic TE encoder reads
+its message cells and generator images.  `transpose` turns field-valued
+parity rows into columns, and `xor_table` builds the syndrome and encoder
+lookup tables.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 
-def gf2_rank(rows: Iterable[int]) -> int:
-    """Rank over GF(2) of the matrix whose rows are the given bitset ints."""
-    basis: List[int] = []
-    for row in rows:
-        for b in basis:
-            low = b & -b
-            if row & low:
-                row ^= b
-        if row:
-            basis.append(row)
-    return len(basis)
+def gf2_relations(vectors: Sequence[int]) -> List[int]:
+    """The linear dependencies among the vectors, one per vector that lies
+    in the span of the vectors before it.
+
+    One pass of a lowest-bit echelon: each basis vector is tagged with the
+    earlier vectors that XOR to it (bit k = vectors[k]), so a vector that
+    reduces to 0 yields its own bit plus the bits of the earlier vectors it
+    equals the XOR of.  The top bit of a relation is its vector's index, and
+    only independent vectors appear below it, so the relations are a basis
+    of the null space: there are len(vectors) - rank of them.
+    """
+    basis: List[Tuple[int, int, int]] = []   # (pivot bit, vector, tag)
+    relations: List[int] = []
+    for k, vec in enumerate(vectors):
+        tag = 1 << k
+        for low, b, t in basis:
+            if vec & low:
+                vec ^= b
+                tag ^= t
+        if vec:
+            basis.append((vec & -vec, vec, tag))
+        else:
+            relations.append(tag)
+    return relations
+
+
+def gf2_rank(vectors: Sequence[int]) -> int:
+    """Rank over GF(2) of the given bitset ints."""
+    return len(vectors) - len(gf2_relations(vectors))
 
 
 def transpose(vectors: Sequence[int], width: int) -> List[int]:
@@ -46,52 +67,3 @@ def xor_table(vectors: Sequence[int]) -> List[int]:
     for vec in vectors:
         table += [t ^ vec for t in table]
     return table
-
-
-def gf2_row_reduce(rows: Sequence[int], ncols: int) -> Tuple[List[int], List[int]]:
-    """Reduced row-echelon form.
-
-    Returns (reduced_rows, pivot_cols); zero rows are dropped.  Pivot search
-    runs left to right over column indices 0..ncols-1.
-    """
-    work = [r for r in rows]
-    pivots: List[int] = []
-    reduced: List[int] = []
-    row_idx = 0
-    for col in range(ncols):
-        mask = 1 << col
-        pivot = None
-        for r in range(row_idx, len(work)):
-            if work[r] & mask:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        work[row_idx], work[pivot] = work[pivot], work[row_idx]
-        for r in range(len(work)):
-            if r != row_idx and (work[r] & mask):
-                work[r] ^= work[row_idx]
-        pivots.append(col)
-        row_idx += 1
-    reduced = [r for r in work[:row_idx]]
-    return reduced, pivots
-
-
-@dataclass(frozen=True)
-class BitMatrix:
-    """Immutable binary matrix; rows are bitset ints (bit j = column j)."""
-
-    nrows: int
-    ncols: int
-    rows: Tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.rows) != self.nrows:
-            raise ValueError("row count mismatch")
-        limit = 1 << self.ncols
-        if any(r < 0 or r >= limit for r in self.rows):
-            raise ValueError("row has bits outside the declared width")
-
-    def columns(self) -> List[int]:
-        """Column j packed as an int (bit i = row i), for every j."""
-        return transpose(self.rows, self.ncols)

@@ -4,7 +4,11 @@ A code is described by a TE parity-check: one r-bit column h_{i,j} per array
 cell, with membership  sum x_{i,j} h_{i,j} = 0.  A TE pattern p is
 correctable exactly when the multiset of columns it touches (the last p_i
 cells of each row i) is linearly independent, which drives both the erasure
-decoder and the exhaustive minimum-distance verifier.
+decoder and the exhaustive minimum-distance verifier.  The constructions
+interleave the columns of binary base codes (`basecodes.ParityColumns`)
+into cells as they are, and the systematic encoder reads its message cells
+and generator images off the dependencies among the cells' columns
+(`gf2.gf2_relations`).
 """
 
 from __future__ import annotations
@@ -16,10 +20,10 @@ from itertools import groupby
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .arrays import BitArray, ErasedArray, _row_to_int, _trusted
-from .basecodes import claim5_base_pcm
+from .basecodes import ParityColumns, claim5_base_pcm
 from .errors import AmbiguousErasureError, NotACodewordError
 from .field import Gf2m, field_make
-from .gf2 import BitMatrix, gf2_rank, gf2_row_reduce, transpose, xor_table
+from .gf2 import gf2_rank, gf2_relations, transpose, xor_table
 
 
 @dataclass(frozen=True)
@@ -167,7 +171,7 @@ def _interleave(h: Sequence[int], n: int, t: int,
                  for i in range(n))
 
 
-def construct_1(base: BitMatrix, n: int, t: int) -> TeParityCheck:
+def construct_1(base: ParityColumns, n: int, t: int) -> TeParityCheck:
     """Interleave a base [nt, k_B, 2t+1] parity check into an n x 2t layout
     (see `_interleave`).  The result corrects 2t tail erasures with the base
     code's redundancy nt - k_B.
@@ -177,23 +181,22 @@ def construct_1(base: BitMatrix, n: int, t: int) -> TeParityCheck:
                          "(it would need a [2t, k, 2t+1] base code)")
     if n < 1 or t < 1:
         raise ValueError("n and t must be positive")
-    if base.ncols != n * t:
-        raise ValueError(f"base code must have n*t = {n * t} columns, has {base.ncols}")
-    return TeParityCheck(n, 2 * t, base.nrows, _interleave(base.columns(), n, t, ()),
-                         "construction-1")
+    r, h = base
+    if len(h) != n * t:
+        raise ValueError(f"base code must have n*t = {n * t} columns, has {len(h)}")
+    return TeParityCheck(n, 2 * t, r, _interleave(h, n, t, ()), "construction-1")
 
 
-def construct_even(base_star: BitMatrix, n: int, t: int) -> TeParityCheck:
+def construct_even(base_star: ParityColumns, n: int, t: int) -> TeParityCheck:
     """Even-distance variant: base [nt+1, k_b, 2t+2] (odd base plus a parity
     coordinate); its last column is shared as the middle entry of every row,
     giving an n x (2t+1) code of distance 2t+2 and redundancy nt - k_b + 1."""
     if n == 2:
         raise ValueError("degenerate for n = 2")
-    if base_star.ncols != n * t + 1:
+    r, h = base_star
+    if len(h) != n * t + 1:
         raise ValueError(f"base code must have n*t+1 = {n * t + 1} columns")
-    h = base_star.columns()
-    return TeParityCheck(n, 2 * t + 1, base_star.nrows, _interleave(h, n, t, (h[n * t],)),
-                         "even-ext")
+    return TeParityCheck(n, 2 * t + 1, r, _interleave(h, n, t, (h[n * t],)), "even-ext")
 
 
 def construct_parity(n: int, L: int) -> TeParityCheck:
@@ -218,15 +221,14 @@ def construct_claim5(n: int) -> TeParityCheck:
     cancellation, to at most five distinct base columns, which are
     independent because the base distance is at least 6.
     """
-    base, m = claim5_base_pcm(n)
-    h = base.columns()   # 1-based via h[k-1], k in 1..n+4
+    (r, h), _ = claim5_base_pcm(n)   # 1-based via h[k-1], k in 1..n+4
     cols = []
     for i in range(1, n + 1):
         f_i = i + 1 if i < n else 1
         pair = h[f_i - 1] ^ h[n]        # h_{f(i)} + h_{n+1}
         single = h[i - 1] if i < n else h[n + 1]
         cols.append((h[n + 3], h[n + 2], pair, single))
-    return TeParityCheck(n, 4, base.nrows, tuple(cols), "claim-5")
+    return TeParityCheck(n, 4, r, tuple(cols), "claim-5")
 
 
 def _hasse_points(n: int) -> Tuple[Gf2m, List[int]]:
@@ -345,25 +347,21 @@ def construct_hasse(n: int, L: int, e: int) -> TeParityCheck:
 class TeEncoder:
     """Systematic encoder derived from a parity check.
 
-    Message bits occupy the non-pivot array cells (in flat row-major order);
-    pivot cells are filled from the reduced parity rows, so every output
-    satisfies the membership rule.  Encoding is linear, so it XORs one
-    generator-table entry per 8 message bits: the flat codeword image of
-    those bits.
+    The cells' columns are taken in flat row-major order, and each column
+    that depends on the columns before it is a message cell.  Its relation
+    from `gf2_relations` (the cell plus the independent earlier cells whose
+    columns XOR to its column) is a codeword: the message bit's image, with
+    the other message cells clear.  So every output satisfies the
+    membership rule, and the message reads back from its own cells.
+    Encoding is linear, so it XORs one generator-table entry per 8 message
+    bits: the flat codeword image of those bits.
     """
 
     def __init__(self, H: TeParityCheck):
         self.H = H
-        ncols = H.n * H.L
-        reduced, pivots = gf2_row_reduce(transpose(H.all_columns(), H.r), ncols)
-        pivot_set = set(pivots)
-        self.message_cells = [c for c in range(ncols) if c not in pivot_set]
-        self.k = len(self.message_cells)
-        # A reduced row has no other pivot, so a message bit's image is its
-        # cell plus the pivot of every row that touches that cell.
-        images = [sum(1 << pivot for row, pivot in zip(reduced, pivots)
-                      if row >> cell & 1) | 1 << cell
-                  for cell in self.message_cells]
+        images = gf2_relations(H.all_columns())
+        self.message_cells = [image.bit_length() - 1 for image in images]
+        self.k = len(images)
         self._tables = [xor_table(images[b:b + 8]) for b in range(0, self.k, 8)]
         # (row, shift, table) per chunk of at most 8 cells of a row that
         # holds message cells, in message order; table[v] is the tuple of

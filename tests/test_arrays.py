@@ -83,9 +83,9 @@ def test_rho_non_monotonicity_witness():
     assert rho_te_distance(X, Y) == 3
     assert rho_te_distance(X, Z) == 3
     diff_y = {(i, j) for i in range(1, 3) for j in range(1, 4)
-              if X.bit(i, j) != Y.bit(i, j)}
+              if (X.rows[i - 1] ^ Y.rows[i - 1]) >> (j - 1) & 1}
     diff_z = {(i, j) for i in range(1, 3) for j in range(1, 4)
-              if X.bit(i, j) != Z.bit(i, j)}
+              if (X.rows[i - 1] ^ Z.rows[i - 1]) >> (j - 1) & 1}
     assert diff_z < diff_y
 
 

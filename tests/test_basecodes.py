@@ -6,25 +6,13 @@ from arraycodes.basecodes import (bch_generator, bch_pcm, claim5_base_pcm,
                                   cyclic_pcm, extended_hamming_pcm,
                                   hamming_pcm, minimal_polynomial)
 from arraycodes.field import field_make
-from arraycodes.gf2 import gf2_rank, gf2_row_reduce
-
-
-def gf2_nullspace(rows, ncols):
-    """Basis of the right nullspace {x : A x = 0}, packed as ints."""
-    reduced, pivots = gf2_row_reduce(rows, ncols)
-    basis = []
-    for free in sorted(set(range(ncols)) - set(pivots)):
-        vec = 1 << free
-        for row, col in zip(reduced, pivots):
-            if row >> free & 1:
-                vec |= 1 << col
-        basis.append(vec)
-    return basis
+from arraycodes.gf2 import gf2_rank, gf2_relations
 
 
 def min_hamming_distance(pcm) -> int:
-    """Minimum weight of the code's nonzero words via nullspace span."""
-    basis = gf2_nullspace(pcm.rows, pcm.ncols)
+    """Minimum weight of the code's nonzero words via nullspace span: the
+    relations among the columns are a basis of the code."""
+    basis = gf2_relations(pcm.columns)
     best = None
     for mask in range(1, 1 << len(basis)):
         vec = 0
@@ -34,22 +22,23 @@ def min_hamming_distance(pcm) -> int:
         w = bin(vec).count("1")
         if best is None or w < best:
             best = w
-    return best if best is not None else pcm.ncols + 1
+    return best if best is not None else len(pcm.columns) + 1
 
 
 @pytest.mark.parametrize("n", [3, 5, 7, 9, 12])
 def test_hamming_distance_3(n):
     pcm = hamming_pcm(n)
-    assert pcm.nrows == (n).bit_length()
-    assert gf2_rank(pcm.rows) == pcm.nrows
+    assert pcm.r == (n).bit_length()
+    assert pcm.columns == tuple(range(1, n + 1))
+    assert gf2_rank(pcm.columns) == pcm.r
     assert min_hamming_distance(pcm) >= 3
 
 
 @pytest.mark.parametrize("n", [3, 5, 7])
 def test_extended_hamming_distance_4(n):
     pcm = extended_hamming_pcm(n)
-    assert pcm.ncols == n + 1
-    assert gf2_rank(pcm.rows) == pcm.nrows == (n).bit_length() + 1
+    assert len(pcm.columns) == n + 1
+    assert gf2_rank(pcm.columns) == pcm.r == (n).bit_length() + 1
     assert min_hamming_distance(pcm) >= 4
 
 
@@ -72,7 +61,7 @@ def test_bch_generator_degrees():
 def test_cyclic_pcm_membership_is_divisibility():
     g = bch_generator(3, 5, with_parity_factor=True)   # degree 7 over length 7
     pcm = cyclic_pcm(g, 7)
-    columns = pcm.columns()
+    columns = pcm.columns
     # membership: syndrome zero iff g | c(x)
     for value in range(1 << 7):
         syndrome = 0
@@ -94,9 +83,9 @@ def _poly_mod(a, mod):
 def test_claim5_base_parameters(n, expected_m):
     pcm, m = claim5_base_pcm(n)
     assert m == expected_m
-    assert pcm.ncols == n + 4
-    assert pcm.nrows == 2 * m + 1
-    assert gf2_rank(pcm.rows) == min(n + 4, 2 * m + 1)
+    assert len(pcm.columns) == n + 4
+    assert pcm.r == 2 * m + 1
+    assert gf2_rank(pcm.columns) == min(n + 4, 2 * m + 1)
 
 
 def test_claim5_base_distance_at_least_6():
@@ -111,14 +100,14 @@ def test_claim5_base_distance_at_least_6():
 @pytest.mark.parametrize("length,dd", [(6, 5), (8, 5), (10, 5), (7, 4)])
 def test_bch_pcm_shortening_rank(length, dd):
     pcm, mu = bch_pcm(length, dd)
-    assert pcm.ncols == length
-    assert gf2_rank(pcm.rows) == min(length, pcm.nrows)
+    assert len(pcm.columns) == length
+    assert gf2_rank(pcm.columns) == min(length, pcm.r)
     assert min_hamming_distance(pcm) >= dd
 
 
 def test_every_4_columns_of_d5_base_independent():
     pcm, _ = bch_pcm(10, 5)
-    cols = pcm.columns()
+    cols = pcm.columns
     for subset in combinations(range(10), 4):
         chosen = [cols[j] for j in subset]
         assert gf2_rank(chosen) == 4

@@ -10,6 +10,7 @@ from arraycodes.bounds import (_greedy_lexicode, a_n_d_brute, ball_count_brute,
                                dc_bound_part3, delete_append_ball, m_s_brute,
                                singleton_te, te_sphere_packing, ted_ball,
                                ted_upper_bound, v_te_general, v_te_small)
+from arraycodes.tables import table_iii
 from conftest import random_array
 
 
@@ -278,3 +279,22 @@ def test_general_volume_matches_the_ball_oracle_at_every_radius():
         for r in range(n * L + 1):
             assert v_te_general(r, n, L) == ball_count_brute(x, r), (r, n, L)
     assert v_te_general(9, 3, 3) == v_te_general(100, 3, 3) == 1 << 9
+
+
+def test_table_iii_regimes_and_measured_column():
+    """The regimes that apply at n = 7, 8, 9, 16 and 40 (n = c*2^h at 8, 16
+    and 40); a measured redundancy only at n = 7, as TedCode refuses
+    n > 2^h - 1."""
+    rows = table_iii([(7, 7, 2), (8, 7, 2), (9, 7, 2), (16, 7, 2), (40, 7, 2)])
+    assert [r.params for r in rows] == [{"n": n, "L": 7, "t": 2, "s": 1}
+                                        for n in (7, 8, 9, 16, 40)]
+    assert [r.columns["applicable"] for r in rows] == [
+        "n<=2^h+1,general", "n<=2^h+1,n=c*2^h,general", "n<=2^h+1,general",
+        "n=c*2^h,general", "n=c*2^h,general"]
+    assert [r.columns["upper_measured"] for r in rows] == [6, None, None, None, None]
+    for r in rows:
+        n = r.params["n"]
+        assert r.columns["h"] == 3
+        assert r.columns["closed[n<=2^h+1]"] == 6
+        assert r.columns["closed[n=c*2^h]"] == pytest.approx(2 * math.log2(n))
+        assert r.columns["closed[general]"] == pytest.approx(2 * (math.log2(n) + 3))

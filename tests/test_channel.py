@@ -553,3 +553,18 @@ def test_apply_channel_rejects_a_non_int_entry_as_the_pattern_check_does(kind):
     with pytest.raises(ValueError) as te_error:
         apply_te_pattern(x, pattern)
     assert str(error.value) == str(te_error.value)
+
+
+@pytest.mark.parametrize("kind,instance", [
+    ("del", ((1, ("2",)),)), ("del", (("1", (2,)),)), ("del", ((1, 2),)),
+    ("del", ((1, (2, "3")),)), ("del", ((1.0, (2,)),)),
+    ("ted", ((0, 0, 0), ((1, (2.5,)),))), ("ted", ((0, 0, 0), ((1, ("2",)),)))])
+def test_a_non_int_deletion_row_or_position_raises_value_error(kind, instance):
+    x = BitArray.from_lists([[0, 1, 1, 0], [1, 1, 0, 0], [0, 0, 1, 1]])
+    spec = ChannelSpec(kind, e=1, t=1, s=2)
+    message = "deletion rows and positions must be ints"
+    with pytest.raises(ValueError, match=message):
+        apply_channel(x, spec, instance)
+    if kind == "del":
+        with pytest.raises(ValueError, match=message):
+            apply_deletions(x, instance)

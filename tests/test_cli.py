@@ -599,3 +599,20 @@ def test_tables_in_text_and_records(capsys, argv, text_head, record):
     rc, records, _ = run(capsys, *table, "--format", "records")
     assert rc == 0 and records.splitlines()[0] == record
     assert len(records.splitlines()) == len(text.splitlines()) - 1
+
+
+def test_bounds_table_iii_records(capsys):
+    """Past n = 2^h - 1 = 7 TedCode has no code, so upper_measured reads
+    None; n = 8 also takes the n = c*2^h regime."""
+    rc, out, _ = run(capsys, "bounds", "--table", "III", "--L", "7", "--t", "2",
+                     "--n-min", "7", "--n-max", "9", "--format", "records")
+    assert rc == 0
+    assert out.splitlines() == [
+        "table=III n=7 L=7 t=2 s=1 h=3 upper_measured=6 closed[n<=2^h+1]=6 "
+        "closed[n=c*2^h]=5.614709844115208 closed[general]=11.614709844115207 "
+        "applicable=n<=2^h+1,general",
+        "table=III n=8 L=7 t=2 s=1 h=3 upper_measured=None closed[n<=2^h+1]=6 "
+        "closed[n=c*2^h]=6.0 closed[general]=12.0 applicable=n<=2^h+1,n=c*2^h,general",
+        "table=III n=9 L=7 t=2 s=1 h=3 upper_measured=None closed[n<=2^h+1]=6 "
+        "closed[n=c*2^h]=6.339850002884624 closed[general]=12.339850002884624 "
+        "applicable=n<=2^h+1,general"]

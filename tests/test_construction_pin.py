@@ -6,6 +6,7 @@ import hashlib
 
 from arraycodes.basecodes import (bch_pcm, claim5_base_pcm, cyclic_pcm,
                                   extended_hamming_pcm, hamming_pcm)
+from arraycodes.gf2 import transpose
 from arraycodes.tables import table_i_construct
 from arraycodes.te import (TeEncoder, construct_1, construct_claim5,
                            construct_claim7, construct_even, construct_hasse,
@@ -15,7 +16,11 @@ PINNED = "1a4a382698a422edb70a430d08cbb44ba599d746d7bde91f54fb89678c87c5a9"
 
 
 def _matrix_bytes(M):
-    return repr((M.nrows, M.ncols, M.rows, M.columns())).encode()
+    """(nrows, ncols, rows, columns), the layout the pin was taken in; the
+    rows are read off the columns."""
+    r, columns = M
+    rows = tuple(transpose(columns, r))
+    return repr((r, len(columns), rows, list(columns))).encode()
 
 
 def _code_bytes(H, with_encoder):

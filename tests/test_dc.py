@@ -47,9 +47,9 @@ def test_message_layout_matches_flagship_figure():
     for idx in (25, 26, 27, 28):
         msg[idx] = 1
     x = code.encode(msg)
-    assert x.bit(6, 3) == 1 and x.bit(6, 5) == 1
-    assert x.bit(7, 3) == 1 and x.bit(7, 5) == 1
-    assert all(x.bit(i, j) == 0 for i in range(1, 6) for j in range(1, 6))
+    assert x.rows[5] >> 2 & 1 == 1 and x.rows[5] >> 4 & 1 == 1
+    assert x.rows[6] >> 2 & 1 == 1 and x.rows[6] >> 4 & 1 == 1
+    assert x.rows[:5] == (0,) * 5
 
 
 def test_injectivity_exhaustive_small():

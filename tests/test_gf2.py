@@ -1,43 +1,53 @@
 import random
 
-from arraycodes.gf2 import BitMatrix, gf2_rank, gf2_row_reduce, transpose
-
-
-def from_lists(entries):
-    """BitMatrix from a list of 0/1 rows."""
-    ncols = len(entries[0]) if entries else 0
-    rows = tuple(sum((v & 1) << j for j, v in enumerate(row)) for row in entries)
-    return BitMatrix(len(entries), ncols, rows)
+from arraycodes.gf2 import gf2_rank, gf2_relations, transpose, xor_table
 
 
 def test_rank_identity_and_zero():
-    eye = from_lists([[1 if i == j else 0 for j in range(4)] for i in range(4)])
-    assert gf2_rank(eye.rows) == 4
-    zero = from_lists([[0] * 5 for _ in range(3)])
-    assert gf2_rank(zero.rows) == 0
+    assert gf2_rank([1 << i for i in range(4)]) == 4
+    assert gf2_rank([0] * 3) == 0
+    assert gf2_rank([]) == 0
 
 
 def test_rank_hamming_743():
-    # parity matrix of the [7,4,3] Hamming code: columns are 1..7 in binary
-    cols = [[(j >> b) & 1 for b in range(3)] for j in range(1, 8)]
-    H = from_lists([[cols[j][b] for j in range(7)] for b in range(3)])
-    assert gf2_rank(H.rows) == 3
+    # parity check of the [7,4,3] Hamming code: columns are 1..7 in binary
+    columns = list(range(1, 8))
+    assert gf2_rank(columns) == 3
+    assert gf2_rank(transpose(columns, 3)) == 3
 
 
 def test_rank_equals_transpose_rank():
     rng = random.Random(0)
     for _ in range(50):
         nrows, ncols = rng.randint(1, 8), rng.randint(1, 8)
-        M = BitMatrix(nrows, ncols,
-                      tuple(rng.randrange(1 << ncols) for _ in range(nrows)))
-        assert gf2_rank(M.rows) == gf2_rank(M.columns())
+        rows = [rng.randrange(1 << ncols) for _ in range(nrows)]
+        assert gf2_rank(rows) == gf2_rank(transpose(rows, ncols))
 
 
-def test_row_reduce_pivots_sorted_unique():
-    rows = [0b1011, 0b1110, 0b0101]
-    reduced, pivots = gf2_row_reduce(rows, 4)
-    assert pivots == sorted(set(pivots))
-    assert len(reduced) == len(pivots) == gf2_rank(rows)
+def test_relations_on_random_vectors():
+    """Each relation XORs its vectors to 0 and has its own index as top bit;
+    the top bits are exactly the vectors in the span of the vectors before
+    them, every lower bit is one of the others, and the span has
+    2^(len - relations) elements."""
+    rng = random.Random(2)
+    for _ in range(300):
+        count, width = rng.randint(0, 10), rng.randint(0, 6)
+        vectors = [rng.randrange(1 << width) for _ in range(count)]
+        relations = gf2_relations(vectors)
+        tops = [rel.bit_length() - 1 for rel in relations]
+        for rel in relations:
+            s = 0
+            for k, vec in enumerate(vectors):
+                if rel >> k & 1:
+                    s ^= vec
+            assert s == 0
+        assert tops == [k for k in range(count)
+                        if vectors[k] in set(xor_table(vectors[:k]))]
+        independent = sum(1 << k for k in range(count) if k not in tops)
+        assert all((rel ^ 1 << top) & ~independent == 0
+                   for rel, top in zip(relations, tops))
+        assert len(set(xor_table(vectors))) == 2 ** (count - len(relations))
+        assert count - len(relations) == gf2_rank(vectors)
 
 
 def test_transpose_round_trip():

@@ -11,7 +11,7 @@ from arraycodes.basecodes import (bch_generator, bch_pcm, cyclic_pcm,
 from arraycodes.errors import (AmbiguousErasureError, ArrayCodeError,
                                NotACodewordError)
 from arraycodes.field import field_make
-from arraycodes.gf2 import gf2_rank, gf2_row_reduce
+from arraycodes.gf2 import gf2_rank
 from arraycodes.te import (MinDistanceResult, TeCodec, TeEncoder,
                            TeParityCheck, construct_1, construct_claim5,
                            construct_claim7, construct_even, construct_hasse,
@@ -53,8 +53,7 @@ def brute_force_min_distance(H):
 
 def hamming_example_pcm():
     """The worked 7x2 example: row i holds (h_{i+1}, h_i), wrapping at 7."""
-    base = hamming_pcm(7)
-    h = base.columns()
+    h = hamming_pcm(7).columns
     cols = tuple((h[i % 7], h[i - 1]) for i in range(1, 8))
     return TeParityCheck(7, 2, 3, cols, "example")
 
@@ -63,7 +62,7 @@ def test_example_multiset_dependency():
     H = hamming_example_pcm()
     p = (1, 0, 0, 0, 0, 0, 2)
     multiset = pattern_multiset(H, p)
-    base_cols = hamming_pcm(7).columns()
+    base_cols = hamming_pcm(7).columns
     assert sorted(multiset) == sorted([base_cols[0], base_cols[0], base_cols[6]])
     assert gf2_rank(multiset) < len(multiset)
 
@@ -101,7 +100,7 @@ def test_construction1_rejects_n2():
 def test_construction1_d5_base():
     base, mu = bch_pcm(10, 5)
     H = construct_1(base, 5, 2)
-    assert H.redundancy == 10 - (10 - gf2_rank(base.rows))   # nt - k_B
+    assert H.redundancy == 10 - (10 - gf2_rank(base.columns))   # nt - k_B
     result = verify_min_distance(H, 5)
     assert result.exact and result.distance == 5
 
@@ -143,7 +142,7 @@ def test_even_extension_distance_6():
 
     base = cyclic_pcm(bch_generator(4, 5, with_parity_factor=True), 11)
     H = construct_even(base, 5, 2)
-    assert H.redundancy == 10 - (11 - gf2_rank(base.rows)) + 1   # nt - k_b + 1
+    assert H.redundancy == 10 - (11 - gf2_rank(base.columns)) + 1   # nt - k_b + 1
     result = verify_min_distance(H, 6)
     assert result.exact and result.distance == 6
 
@@ -396,17 +395,28 @@ def test_theorem1_both_directions_small():
 # verifier, kept as the reference for the column-basis implementations ---
 
 def gf2_solve(rows, ncols, b):
-    """Solve A x = b over GF(2) for A given as row bitsets.
+    """Solve A x = b over GF(2) for A given as row bitsets, by Gauss-Jordan
+    elimination of the augmented rows with pivots searched left to right.
 
     Returns (x, unique), x packed as an int (bit j is x_j) and unique saying
     whether it is the only solution, or None when no solution exists.
     """
-    aug = [row | (bit & 1) << ncols for row, bit in zip(rows, b)]
-    reduced, pivots = gf2_row_reduce(aug, ncols + 1)
+    work = [row | (bit & 1) << ncols for row, bit in zip(rows, b)]
+    pivots = []
+    for col in range(ncols + 1):
+        top = len(pivots)
+        pivot = next((r for r in range(top, len(work)) if work[r] >> col & 1), None)
+        if pivot is None:
+            continue
+        work[top], work[pivot] = work[pivot], work[top]
+        for r in range(len(work)):
+            if r != top and work[r] >> col & 1:
+                work[r] ^= work[top]
+        pivots.append(col)
     if ncols in pivots:
         return None
     x = 0
-    for row, col in zip(reduced, pivots):
+    for row, col in zip(work, pivots):
         if row >> ncols & 1:
             x |= 1 << col
     return x, len(pivots) == ncols
@@ -419,7 +429,7 @@ def oracle_te_decode(H, received):
     syndrome = 0
     unknown = []
     for i in range(1, H.n + 1):
-        known = received.known_length(i)
+        known = received.L - received.erased[i - 1]
         bits = received.rows[i - 1]
         for j in range(1, known + 1):
             if (bits >> (j - 1)) & 1:
@@ -567,7 +577,7 @@ def _column_sum(H, x):
     s = 0
     for i in range(1, H.n + 1):
         for j in range(1, H.L + 1):
-            if x.bit(i, j):
+            if x.rows[i - 1] >> (j - 1) & 1:
                 s ^= H.column(i, j)
     return s
 
