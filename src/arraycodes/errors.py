@@ -5,6 +5,11 @@ class ArrayCodeError(Exception):
     """Base class for codec failures."""
 
 
+class InvalidInputError(ArrayCodeError, ValueError):
+    """A decoder got an argument of the wrong type or shape.  Also a
+    ValueError, so callers that catch ValueError still catch it."""
+
+
 class CapacityExceededError(ArrayCodeError):
     """The damage exceeds what the code is declared to correct."""
 

@@ -21,7 +21,7 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .arrays import BitArray, ErasedArray, _row_to_int, _trusted
 from .basecodes import ParityColumns, claim5_base_pcm
-from .errors import AmbiguousErasureError, NotACodewordError
+from .errors import AmbiguousErasureError, InvalidInputError, NotACodewordError
 from .field import Gf2m, field_make
 from .gf2 import gf2_rank, gf2_relations, transpose, xor_table
 
@@ -416,10 +416,10 @@ def te_decode(H: TeParityCheck, received: ErasedArray) -> BitArray:
     columns are dependent (pattern beyond the code's distance).
     """
     if not isinstance(received, ErasedArray):
-        raise ValueError(f"te_decode decodes an ErasedArray, got "
-                         f"{type(received).__name__}")
+        raise InvalidInputError(f"te_decode decodes an ErasedArray, got "
+                                f"{type(received).__name__}")
     if (received.n, received.L) != (H.n, H.L):
-        raise ValueError("shape mismatch")
+        raise InvalidInputError("shape mismatch")
     L = H.L
     syndrome = H._row_syndrome(received.rows)
     erased = [(i, p) for i, p in enumerate(received.erased) if p]

@@ -9,7 +9,9 @@ deletion, whatever mix of tail loss and deletion actually occurred.
 
 With e = 0 the symbol is the VT syndrome alone: that is the (t,1)
 deletion-correcting code, `arraycodes.dc.DcCode`.  Rows stay bitset ints
-from the message to the decoded array.
+from the message to the decoded array.  A row of at most 8 positions is a
+byte, so the symbols of a whole array of such rows are one `translate`
+through a 256-byte table of the code.
 
 Every symbol is below 2^(h+e) by construction, so the codec calls the outer
 code's unchecked entry points, `ReedSolomon._parity` and
@@ -26,15 +28,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import List, Sequence
+from typing import List, Optional, Sequence
 
 from .arrays import BitArray, RaggedArray, _int_to_row, _row_to_int, _trusted
 from .errors import (CapacityExceededError, ChannelContractError,
-                     CorruptInputError, NotACodewordError)
+                     CorruptInputError, InvalidInputError, NotACodewordError)
 from .field import PRIMITIVE_POLYS, field_make
 from .rs import ReedSolomon
-from .vt import (position_residues, position_sum, vt_data_int, vt_decode_int,
-                 vt_encode_int, vt_modulus_exponent)
+from .vt import (_BYTE_SUM, position_residues, position_sum, vt_data_int,
+                 vt_decode_int, vt_encode_int, vt_modulus_exponent)
 
 # The largest extension degree m that `field_make` builds GF(2^m) for.
 _WIDEST_FIELD = max(PRIMITIVE_POLYS)
@@ -104,9 +106,29 @@ class TedCode:
     def outer(self) -> ReedSolomon:
         return ReedSolomon(field_make(self.h + self.e), self.n, self.n - self.R)
 
+    @cached_property
+    def _byte_theta(self) -> Optional[bytes]:
+        """Entry v: theta of the row int v, for rows of at most 8 positions
+        (None for longer rows).  Such a code has h + e <= 6, so every symbol
+        fits in a byte.  The residues are `_BYTE_SUM` mod 2^h, and the tail
+        bits, disjoint from them, are OR-ed in as one 256-byte int."""
+        L, h, e = self.L, self.h, self.e
+        if L > 8:
+            return None
+        residues = _BYTE_SUM.translate(bytes(range(1 << h)) * (256 >> h))
+        if not e:
+            return residues
+        tails = bytes((v >> (L - e)) << h for v in range(256))
+        return (int.from_bytes(residues, "little")
+                | int.from_bytes(tails, "little")).to_bytes(256, "little")
+
     def _symbols(self, rows: Sequence[int]) -> List[int]:
-        """theta of each full-length row int, a new list: the VT residues
+        """theta of each full-length row int, a new list: one `translate`
+        through `_byte_theta` up to 8 positions, and beyond, the VT residues
         themselves when e = 0."""
+        table = self._byte_theta
+        if table is not None:
+            return list(bytes(rows).translate(table))
         h, e = self.h, self.e
         residues = position_residues(rows, h)
         if not e:
@@ -162,10 +184,10 @@ class TedCode:
 
     def decode(self, received: RaggedArray) -> BitArray:
         if not isinstance(received, RaggedArray):
-            raise ValueError(f"{type(self).__name__} decodes a RaggedArray, "
-                             f"got {type(received).__name__}")
+            raise InvalidInputError(f"{type(self).__name__} decodes a RaggedArray, "
+                                    f"got {type(received).__name__}")
         if (received.n, received.L) != (self.n, self.L):
-            raise ValueError("array shape mismatch")
+            raise InvalidInputError("array shape mismatch")
         L, e, h = self.L, self.e, self.h
         bits, lengths = zip(*received.rows)
         damaged = [i for i, length in enumerate(lengths) if length != L]

@@ -11,7 +11,9 @@ the array types store them.  The weighted sum sum_j j*x_j is read from one
 table of all 16-bit values for rows of at most 32 positions (h <= 5), and
 as h masked popcounts, sum_k popcount(x & M_k) * 2^k, for longer rows.
 `position_residues` gives the sum mod 2^h of every row of an array at
-once, the form the syndromes of `arraycodes.ted` take.
+once, the form the syndromes of `arraycodes.ted` take for rows of more
+than 8 positions.  For shorter rows `TedCode` builds a byte table of its
+symbols from `_BYTE_SUM`, the position sums of all 256 byte values.
 
 The systematic encoder's data bits sit on the non-power positions.  The
 11 of positions 1..16 are gathered by one read of `_DATA16`, a table of
@@ -74,11 +76,6 @@ def _sums16(offset: int) -> bytes:
 _SUM16 = _sums16(0)
 _RES_HI = _sums16(16)
 
-# Entry v of _BYTE_RES[h]: the position sum of byte value v mod 2^h, h <= 3.
-_BYTE_RES = tuple(_BYTE_SUM.translate(bytes(v & ((1 << h) - 1) for v in range(256)))
-                  for h in range(4))
-
-
 @lru_cache(maxsize=None)
 def _position_masks(h: int) -> Tuple[Tuple[int, int], ...]:
     """(k, M_k) for k < h, M_k the row int of the positions j in
@@ -107,15 +104,12 @@ def position_sum(x: int, h: int) -> int:
 
 
 def position_residues(rows: Sequence[int], h: int) -> List[int]:
-    """`position_sum` of every row mod 2^h, in one pass: one `translate`
-    for rows of at most 7 positions (h <= 3), two 16-bit table reads for
-    rows of at most 31, and the masked popcounts beyond."""
+    """`position_sum` of every row mod 2^h, in one pass: two 16-bit table
+    reads for rows of at most 31 positions, and the masked popcounts
+    beyond."""
     mask = (1 << h) - 1
     if h <= 5:
-        if h <= 3:
-            # every row fits in a byte, so one translate reduces them all
-            return list(bytes(rows).translate(_BYTE_RES[h]))
-        # rows below 2^16 (h = 4) read the high-half entry 0
+        # rows below 2^16 (h <= 4) read the high-half entry 0
         return [(_SUM16[x & 0xFFFF] + _RES_HI[x >> 16]) & mask for x in rows]
     return [position_sum(x, h) & mask for x in rows]
 

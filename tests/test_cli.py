@@ -273,6 +273,27 @@ def test_roundtrip_with_the_other_channel_family_exits_2(tmp_path, capsys):
     assert rc == 0 and "failures=0" in out
 
 
+def test_decode_of_an_array_of_the_wrong_row_count_exits_2(tmp_path, capsys):
+    """The decoders raise InvalidInputError for a wrong shape; it is also a
+    ValueError, so the CLI reports a usage error (exit 2), not a
+    verification failure (exit 1)."""
+    ted_file = tmp_path / "ted.json"
+    te_file = tmp_path / "ham.tepc"
+    run(capsys, "construct", "--code", "ted", "--n", "5", "--L", "7", "--t", "2",
+        "--e", "1", "--out", str(ted_file))
+    run(capsys, "construct", "--code", "construction-1", "--n", "7", "--d", "3",
+        "--out", str(te_file))
+    for code_file, text in ((ted_file, "# L=7\n" + "0000000\n" * 4),
+                            (te_file, "# L=1\n" + "0\n" * 6)):
+        received = tmp_path / "recv.txt"
+        received.write_text(text)
+        rc, out, err = run(capsys, "decode", "--code-file", str(code_file),
+                           "--in", str(received))
+        assert rc == 2 and out == "", code_file.name
+        assert err.startswith("usage error:") and err.count("\n") == 1
+        assert "shape mismatch" in err
+
+
 @pytest.mark.parametrize("desc", [{"kind": "dc", "n": 31, "L": 2**40, "t": 8},
                                   {"kind": "ted", "n": 4, "L": 2**29 + 100, "t": 1, "e": 2}])
 def test_descriptor_without_outer_field_exits_2(tmp_path, capsys, desc):

@@ -1,7 +1,8 @@
 """Seeded fuzz tests, and exhaustive ones at tiny shapes: whatever array
 comes in, the DC/TED and TE decoders return a member of the code or raise
-an ArrayCodeError, and the TE parity-check loader returns a parity check or
-raises ValueError."""
+an ArrayCodeError (an InvalidInputError for an argument of the wrong type
+or shape), and the TE parity-check loader returns a parity check or raises
+ValueError."""
 
 import itertools
 import random
@@ -14,10 +15,10 @@ from arraycodes.basecodes import extended_hamming_pcm, hamming_pcm
 from arraycodes.channel import (ChannelSpec, apply_channel,
                                 enumerate_channel_instances, random_instance)
 from arraycodes.dc import DcCode
-from arraycodes.errors import ArrayCodeError
+from arraycodes.errors import ArrayCodeError, InvalidInputError
 from arraycodes.te import (TeCodec, TeParityCheck, construct_1,
                            construct_claim5, construct_claim7, construct_even,
-                           construct_hasse)
+                           construct_hasse, te_decode)
 from arraycodes.ted import TedCode
 
 CODES = [DcCode(5, 7, 2), DcCode(9, 15, 3), TedCode(4, 5, 1, 0),
@@ -252,3 +253,52 @@ def test_decoders_are_total_on_every_tiny_input(name):
             received = apply_channel(x, spec, instance)
             assert received in inputs
             assert codec.decode(received) == x, (x, instance)
+
+
+# Every decoder, named, with the array type it takes.
+DECODERS = {
+    "dc-7-5-2": lambda: (DcCode(7, 5, 2), RaggedArray),
+    "ted-5-7-2-1": lambda: (TedCode(5, 7, 2, 1), RaggedArray),
+    "ted-12-20-2-2": lambda: (TedCode(12, 20, 2, 2), RaggedArray),
+    "te-codec-hasse-16-4-4": lambda: (TeCodec(construct_hasse(16, 4, 4)), ErasedArray),
+}
+
+
+def _shaped(kind, n, L):
+    """An all-zero array of type `kind` and shape n x L, nothing damaged."""
+    if kind is BitArray:
+        return BitArray(n, L, (0,) * n)
+    if kind is ErasedArray:
+        return ErasedArray(n, L, (0,) * n, (0,) * n)
+    return RaggedArray(n, L, ((0, L),) * n)
+
+
+def _malformed(kind, n, L):
+    """Each malformed argument of a decoder that takes arrays of type
+    `kind` and shape n x L: no array, an array of another type, and arrays
+    one row or one column off."""
+    yield from (None, 5, "x", [[0] * L for _ in range(n)])
+    for other in (BitArray, ErasedArray, RaggedArray):
+        if other is not kind:
+            yield _shaped(other, n, L)
+    for dn, dL in ((-1, 0), (1, 0), (0, -1), (0, 1)):
+        yield _shaped(kind, n + dn, L + dL)
+
+
+@pytest.mark.parametrize("name", sorted(DECODERS))
+def test_decoders_reject_malformed_arguments_with_invalid_input_error(name):
+    """A wrong type or shape is an InvalidInputError, an ArrayCodeError
+    that is also a ValueError, from the codec's decode and from te_decode;
+    a well-formed array of that shape goes through."""
+    assert issubclass(InvalidInputError, ArrayCodeError)
+    assert issubclass(InvalidInputError, ValueError)
+    codec, kind = DECODERS[name]()
+    n, L = codec.n, codec.L
+    decoders = [codec.decode]
+    if isinstance(codec, TeCodec):
+        decoders.append(lambda received: te_decode(codec.H, received))
+    for decode in decoders:
+        for argument in _malformed(kind, n, L):
+            with pytest.raises(InvalidInputError):
+                decode(argument)
+        assert decode(_shaped(kind, n, L)) == BitArray(n, L, (0,) * n)

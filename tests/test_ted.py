@@ -14,7 +14,7 @@ from arraycodes.errors import (ArrayCodeError, CapacityExceededError,
 from arraycodes import ted as ted_module
 from arraycodes.rs import ReedSolomon
 from arraycodes.ted import TedCode, theta_symbol
-from arraycodes.vt import vt_decode_int
+from arraycodes.vt import position_residues, vt_decode_int
 from test_fuzz import _damage
 
 
@@ -53,6 +53,40 @@ def test_symbols_match_theta_symbol(h, e):
         rows = list(range(1 << L)) if L <= 10 else [rng.getrandbits(L) for _ in range(300)]
         want = [theta_symbol([(x >> j) & 1 for j in range(L)], e, h) for x in rows]
         assert code._symbols(rows) == want
+
+
+# Every (L, e) that TedCode accepts at rows of at most 8 positions: e < (L+1)
+# - 2^(h-1), with one row more than the e redundancy rows (t = 0).
+BYTE_CODES = [(L, e) for L in range(1, 9) for e in range(L + 1 - (1 << (L.bit_length() - 1)))]
+
+
+def test_byte_table_matches_theta_symbol_on_every_row():
+    """Rows of at most 8 positions read their symbols from one byte table,
+    entry v theta of the row int v; longer rows have none."""
+    assert len(BYTE_CODES) == 15
+    for L, e in BYTE_CODES:
+        code = TedCode(e + 1, L, 0, e)
+        table = code._byte_theta
+        assert len(table) == 256
+        want = [theta_symbol([(x >> j) & 1 for j in range(L)], e, code.h)
+                for x in range(1 << L)]
+        assert list(table[:1 << L]) == want, (L, e)
+        assert code._symbols(list(range(1 << L))) == want, (L, e)
+    assert TedCode(5, 9, 2, 1)._byte_theta is None
+    assert TedCode(16, 31, 3, 0)._byte_theta is None
+
+
+@pytest.mark.parametrize("L,e", BYTE_CODES)
+def test_byte_table_symbols_match_the_residue_path(L, e):
+    """`_symbols` through the byte table equals the path of longer rows:
+    the VT residues of `position_residues`, the tail bits above them."""
+    code = TedCode(e + 1, L, 0, e)
+    rng = random.Random(10 * L + e)
+    rows = [rng.getrandbits(L) for _ in range(500)]
+    residues = position_residues(rows, code.h)
+    want = [s | (row >> (L - e)) << code.h for s, row in zip(residues, rows)] if e else residues
+    assert code._symbols(rows) == want
+    assert code._symbols(tuple(rows)) == want
 
 
 def test_feasibility_rejected():
