@@ -90,58 +90,44 @@ class BitArray:
         return _int_to_row(self.rows[i - 1], self.L)
 
 
-@dataclass(frozen=True)
-class ErasedArray:
-    """An array whose rows lost a suffix: entry (i, j) reads '?' for
-    j > L - erased[i-1], otherwise the stored bit.
-
-    The '?' region is kept as a per-row suffix length because the suffix
-    structure is an invariant of the channel, not incidental data.
-    """
-
-    n: int
-    L: int
-    rows: Tuple[int, ...]          # surviving prefix bits, suffix bits zeroed
-    erased: Tuple[int, ...]        # per-row count of erased tail positions
-
-    def __post_init__(self):
-        if len(self.rows) != self.n or len(self.erased) != self.n:
-            raise ValueError("row count mismatch")
-        for r, e in zip(self.rows, self.erased):
-            if e < 0 or e > self.L:
-                raise ValueError("erasure count out of range")
-            if r >> (self.L - e):
-                raise ValueError("bits present inside the erased suffix")
-
-    def to_lists(self) -> List[List[object]]:
-        return [_int_to_row(r, self.L - e) + ["?"] * e
-                for r, e in zip(self.rows, self.erased)]
+def _check_bit_array(x, n: int, L: int) -> None:
+    """The argument check of a function that reads an n x L BitArray:
+    TypeError for an argument of another type, ValueError for a BitArray
+    of another shape."""
+    if not isinstance(x, BitArray):
+        raise TypeError(f"expected a BitArray, got {type(x).__name__}")
+    if (x.n, x.L) != (n, L):
+        raise ValueError("array shape mismatch")
 
 
 @dataclass(frozen=True)
 class RaggedArray:
-    """Channel output with some truncated rows; original length L declared."""
+    """Channel output: row i lost lost[i] of its L positions, and rows[i]
+    holds its L - lost[i] surviving bits packed low.  Tail erasures take
+    the last positions of a row, deletions take positions from inside it;
+    both leave a short row, which the decoders treat alike."""
 
     n: int
     L: int
-    rows: Tuple[Tuple[int, int], ...]   # (bits, length) per row
+    rows: Tuple[int, ...]
+    lost: Tuple[int, ...]
 
     def __post_init__(self):
-        if len(self.rows) != self.n:
+        if len(self.rows) != self.n or len(self.lost) != self.n:
             raise ValueError("row count mismatch")
-        for bits, length in self.rows:
-            if length < 0 or length > self.L:
+        for r, k in zip(self.rows, self.lost):
+            if k < 0 or k > self.L:
                 raise ValueError("row length out of range")
-            if bits >> length:
-                raise ValueError("bits beyond declared row length")
+            if r >> (self.L - k):
+                raise ValueError("bits beyond the row's surviving length")
 
     @classmethod
     def from_lists(cls, entries: Sequence[Sequence[int]], L: int) -> "RaggedArray":
-        rows = tuple((_row_to_int(r), len(r)) for r in entries)
-        return cls(len(entries), L, rows)
+        return cls(len(entries), L, tuple(map(_row_to_int, entries)),
+                   tuple(L - len(r) for r in entries))
 
     def to_lists(self) -> List[List[int]]:
-        return [_int_to_row(bits, length) for bits, length in self.rows]
+        return [_int_to_row(r, self.L - k) for r, k in zip(self.rows, self.lost)]
 
 
 @lru_cache(maxsize=None)
@@ -168,12 +154,12 @@ def _checked_pattern(x: BitArray, p: Sequence[int]) -> array:
         raise ValueError("per-row erasure counts must be ints") from None
 
 
-def apply_te_pattern(x: BitArray, p: Sequence[int]) -> ErasedArray:
-    """Erase the last p_i positions of each row of x."""
-    erased = _checked_pattern(x, p)
+def apply_te_pattern(x: BitArray, p: Sequence[int]) -> RaggedArray:
+    """Erase the last p_i positions of each row of x: row i loses p_i."""
+    lost = _checked_pattern(x, p)
     masks = _prefix_masks(x.L)
-    rows = tuple([r & masks[pi] for r, pi in zip(x.rows, erased)])
-    return _trusted(ErasedArray, n=x.n, L=x.L, rows=rows, erased=tuple(erased))
+    rows = tuple([r & masks[pi] for r, pi in zip(x.rows, lost)])
+    return _trusted(RaggedArray, n=x.n, L=x.L, rows=rows, lost=tuple(lost))
 
 
 def rho_te_row(x: int, y: int, L: int) -> int:
@@ -374,11 +360,13 @@ def run_stats(x: BitArray) -> Tuple[List[int], int]:
 
 # --- shared text format -----------------------------------------------------
 #
-# One row per line over {0, 1, ?}, position 1 first; '#' starts a comment
+# One row per line over {0, 1}, position 1 first; '#' starts a comment
 # line.  A directive comment '# L=<int>' declares the (original) row
 # length.  Blank lines before it are skipped; after it every line is a
-# row, so a blank line is a row of length 0.  All three writers emit it,
-# so an array of no rows or of rows of length 0 keeps its shape.
+# row, so a blank line is a row of length 0.  Both writers emit it, so an
+# array of no rows or of rows of length 0 keeps its shape.  A ragged row
+# is written short; the ragged reader also takes a full-length row ending
+# in a run of '?' as that row with its '?' tail lost.
 
 def _with_length(L: int, lines: Iterable[str]) -> str:
     return "\n".join([f"# L={L}", *lines]) + "\n"
@@ -388,13 +376,8 @@ def format_bit_array(x: BitArray) -> str:
     return _with_length(x.L, (_row_text(r, x.L) for r in x.rows))
 
 
-def format_erased(x: ErasedArray) -> str:
-    return _with_length(x.L, (_row_text(r, x.L - e) + "?" * e
-                              for r, e in zip(x.rows, x.erased)))
-
-
 def format_ragged(x: RaggedArray) -> str:
-    return _with_length(x.L, (_row_text(bits, length) for bits, length in x.rows))
+    return _with_length(x.L, (_row_text(r, x.L - k) for r, k in zip(x.rows, x.lost)))
 
 
 def _data_lines(text: str) -> Tuple[List[str], Optional[int]]:
@@ -429,30 +412,18 @@ def parse_bit_array(text: str) -> BitArray:
     return BitArray(len(lines), L, tuple(map(_text_row, lines)))
 
 
-def parse_erased(text: str) -> ErasedArray:
-    lines, declared = _data_lines(text)
-    L = declared if declared is not None else (len(lines[0]) if lines else 0)
-    rows, erased = [], []
-    for line in lines:
-        if len(line) != L:
-            raise ValueError("erased-array lines must all have the declared length")
-        known = line.rstrip("?")
-        if "?" in known:
-            raise ValueError("'?' entries must form a row suffix")
-        rows.append(_text_row(known))
-        erased.append(L - len(known))
-    return ErasedArray(len(lines), L, tuple(rows), tuple(erased))
-
-
-def parse_ragged(text: str, L: Optional[int] = None) -> RaggedArray:
-    """Ragged rows of length `L`, which a '# L=' line overrides.  With
-    neither, the full length is unknown (every row may be short), so it is
-    a ValueError rather than a guess."""
-    lines, declared = _data_lines(text)
-    if declared is not None:
-        L = declared
+def parse_ragged(text: str) -> RaggedArray:
+    """Rows of at most the length a '# L=' line declares.  Without one the
+    full length is unknown (every row may be short), so it is a ValueError
+    rather than a guess."""
+    lines, L = _data_lines(text)
     if L is None:
-        raise ValueError("ragged input needs the row length: a '# L=<int>' line or L")
-    if any("?" in line for line in lines):
-        raise ValueError("ragged input must not contain '?'")
-    return RaggedArray(len(lines), L, tuple((_text_row(line), len(line)) for line in lines))
+        raise ValueError("ragged input needs the row length: a '# L=<int>' line")
+    known = [line.rstrip("?") for line in lines]
+    for line, kept in zip(lines, known):
+        if "?" in kept:
+            raise ValueError(f"'?' may only end a row: {line!r}")
+        if len(kept) < len(line) != L:
+            raise ValueError(f"a row ending in '?' must have length L={L}: {line!r}")
+    return RaggedArray(len(lines), L, tuple(map(_text_row, known)),
+                       tuple(L - len(kept) for kept in known))

@@ -13,7 +13,7 @@ import random
 from collections import deque
 from dataclasses import dataclass
 from itertools import chain, combinations, islice, product, repeat
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, MutableSequence, Optional, Sequence, Tuple
 
 from .arrays import (BitArray, RaggedArray, _checked_pattern, _prefix_masks,
                      _trusted, apply_te_pattern, enumerate_patterns)
@@ -42,15 +42,16 @@ class ChannelSpec:
             raise ValueError("t and s must be non-negative")
 
 
-def _delete(rows: List[Tuple[int, int]], deletions: DelInstance, L: int) -> RaggedArray:
-    """Delete 1-indexed positions from the (bits, length) rows, each of
-    `length` <= L positions; every index is checked, so the rows stay
-    valid.  A row or position that is no int raises ValueError."""
+def _delete(rows: List[int], lost: MutableSequence[int], deletions: DelInstance,
+            L: int) -> RaggedArray:
+    """Delete 1-indexed positions from the rows, row i holding L - lost[i]
+    positions; every index is checked, so the rows stay valid.  A row or
+    position that is no int raises ValueError."""
     try:
         for row, positions in deletions:
             if not 1 <= row <= len(rows):
                 raise ValueError(f"row {row} out of range")
-            bits, length = rows[row - 1]
+            bits, length = rows[row - 1], L - lost[row - 1]
             # Last position first, so the ones before it keep their index.
             if len(positions) > 1:
                 positions = sorted(positions, reverse=True)
@@ -59,29 +60,28 @@ def _delete(rows: List[Tuple[int, int]], deletions: DelInstance, L: int) -> Ragg
                     raise ValueError(f"deletion position {pos} out of range")
                 bits = (bits & ((1 << (pos - 1)) - 1)) | ((bits >> pos) << (pos - 1))
                 length -= 1
-            rows[row - 1] = (bits, length)
+            rows[row - 1], lost[row - 1] = bits, L - length
     except TypeError:
         raise ValueError("deletion rows and positions must be ints") from None
-    return _trusted(RaggedArray, n=len(rows), L=L, rows=tuple(rows))
+    return _trusted(RaggedArray, n=len(rows), L=L, rows=tuple(rows), lost=tuple(lost))
 
 
 def apply_deletions(x: BitArray, instance: DelInstance) -> RaggedArray:
-    return _delete([(r, x.L) for r in x.rows], instance, x.L)
+    return _delete(list(x.rows), [0] * x.n, instance, x.L)
 
 
 def apply_ted(x: BitArray, instance: TedInstance) -> RaggedArray:
     """Tail erasures first, then deletions indexed into the truncated rows.
-    Each row's erased tail is masked off straight into its (bits, length)
-    pair; no ErasedArray is built on the way."""
+    Each row's erased tail is masked off straight into the list that the
+    deletion step edits."""
     pattern, deletions = instance
-    L = x.L
-    masks = _prefix_masks(L)
-    kept = [(r & masks[p], L - p) for r, p in zip(x.rows, _checked_pattern(x, pattern))]
-    return _delete(kept, deletions, L)
+    lost = _checked_pattern(x, pattern)
+    masks = _prefix_masks(x.L)
+    return _delete([r & masks[p] for r, p in zip(x.rows, lost)], lost, deletions, x.L)
 
 
 def apply_channel(x: BitArray, spec: ChannelSpec, instance):
-    """Apply a concrete instance; returns ErasedArray for TE, else RaggedArray."""
+    """Apply a concrete instance; every kind returns a RaggedArray."""
     if spec.kind == "del":
         _check_del_instance(instance, spec.t, spec.s)
         return apply_deletions(x, instance)

@@ -4,8 +4,9 @@ Subcommands: construct, encode, decode, channel, verify, bounds, oracle.
 Each subcommand registers only the options it reads, so any other option
 is an argparse error (exit 2); options must be spelled in full, as no
 parser takes abbreviations.
-Array I/O uses the shared text format (rows over {0,1,?}, '#' comments,
-'# L=<int>' declares the full length for ragged input).  Exit status: 0 on
+Array I/O uses the shared text format (rows over {0,1}, '#' comments,
+'# L=<int>' declares the full length, which ragged input needs; a received
+row may also end in '?' marks at full length).  Exit status: 0 on
 success, 1 when a verification finds a failure, 2 on usage errors.
 """
 
@@ -19,8 +20,8 @@ import sys
 from pathlib import Path
 
 from . import basecodes
-from .arrays import (BitArray, format_bit_array, format_erased, format_ragged,
-                     parse_bit_array, parse_erased, parse_ragged)
+from .arrays import (BitArray, format_bit_array, format_ragged, parse_bit_array,
+                     parse_ragged)
 from .bounds import (a_n_d_brute, ball_count_brute, claim8_bound,
                      dc_bound_part1, dc_bound_part2_part3, m_s_brute,
                      singleton_te, te_sphere_packing, ted_upper_bound,
@@ -164,11 +165,7 @@ def cmd_encode(args) -> int:
 def cmd_decode(args) -> int:
     codec = load_codec(args.code_file)
     text = Path(args.infile).read_text() if args.infile else sys.stdin.read()
-    if isinstance(codec, TeCodec):
-        received = parse_erased(text)
-    else:
-        received = parse_ragged(text, codec.L)
-    decoded = codec.decode(received)
+    decoded = codec.decode(parse_ragged(text))
     if args.emit_message:
         _write(args, "".join(map(str, codec.message_of(decoded))) + "\n")
     else:
@@ -200,10 +197,7 @@ def cmd_channel(args) -> int:
         instance = random_instance(spec, x.n, x.L, random.Random(args.seed))
     out = apply_channel(x, spec, instance)
     sys.stderr.write(f"instance: {instance}\n")
-    if spec.kind == "te":
-        _write(args, format_erased(out))
-    else:
-        _write(args, format_ragged(out))
+    _write(args, format_ragged(out))
     return 0
 
 

@@ -19,7 +19,7 @@ from functools import cached_property
 from itertools import groupby
 from typing import Iterator, List, Optional, Sequence, Tuple
 
-from .arrays import BitArray, ErasedArray, _row_to_int, _trusted
+from .arrays import BitArray, RaggedArray, _check_bit_array, _row_to_int, _trusted
 from .basecodes import ParityColumns, claim5_base_pcm
 from .errors import AmbiguousErasureError, InvalidInputError, NotACodewordError
 from .field import Gf2m, field_make
@@ -84,8 +84,7 @@ class TeParityCheck:
                 for i, row in enumerate(self.cols)]
 
     def syndrome(self, x: BitArray) -> int:
-        if (x.n, x.L) != (self.n, self.L):
-            raise ValueError("array shape mismatch")
+        _check_bit_array(x, self.n, self.L)
         return self._row_syndrome(x.rows)
 
     def contains(self, x: BitArray) -> bool:
@@ -391,8 +390,7 @@ class TeEncoder:
                         rows=tuple([flat >> (i * L) & full for i in range(n)]))
 
     def message_of(self, x: BitArray) -> List[int]:
-        if (x.n, x.L) != (self.H.n, self.H.L):
-            raise ValueError("array shape mismatch")
+        _check_bit_array(x, self.H.n, self.H.L)
         rows = x.rows
         message: List[int] = []
         for i, shift, table in self._gather:
@@ -404,9 +402,9 @@ class TeEncoder:
         return map(self._encode_int, range(1 << self.k))
 
 
-def te_decode(H: TeParityCheck, received: ErasedArray) -> BitArray:
-    """Fill the erased suffixes of `received` with the unique consistent
-    codeword values.
+def te_decode(H: TeParityCheck, received: RaggedArray) -> BitArray:
+    """Fill the lost tails of `received` with the unique consistent
+    codeword values, each row's surviving bits taken as its prefix.
 
     The erased cells' columns are reduced to an echelon basis, each basis
     vector tagged with the erased cells it sums; the syndrome of the
@@ -415,14 +413,14 @@ def te_decode(H: TeParityCheck, received: ErasedArray) -> BitArray:
     entries match no codeword, else AmbiguousErasureError when the erased
     columns are dependent (pattern beyond the code's distance).
     """
-    if not isinstance(received, ErasedArray):
-        raise InvalidInputError(f"te_decode decodes an ErasedArray, got "
+    if not isinstance(received, RaggedArray):
+        raise InvalidInputError(f"te_decode decodes a RaggedArray, got "
                                 f"{type(received).__name__}")
     if (received.n, received.L) != (H.n, H.L):
         raise InvalidInputError("shape mismatch")
     L = H.L
     syndrome = H._row_syndrome(received.rows)
-    erased = [(i, p) for i, p in enumerate(received.erased) if p]
+    erased = [(i, p) for i, p in enumerate(received.lost) if p]
     basis: List[Tuple[int, int, int]] = []   # (pivot bit, column, tag)
     dependent = False
     for i, p in erased:
@@ -549,7 +547,7 @@ def verify_min_distance(H: TeParityCheck, max_e: int) -> MinDistanceResult:
 
 class TeCodec(TeEncoder):
     """A TE code with the encode/decode interface the round-trip harness
-    expects (messages in, erased arrays back)."""
+    expects (messages in, damaged arrays back)."""
 
     @property
     def n(self) -> int:
@@ -563,7 +561,7 @@ class TeCodec(TeEncoder):
     def message_bits(self) -> int:
         return self.k
 
-    def decode(self, received: ErasedArray) -> BitArray:
+    def decode(self, received: RaggedArray) -> BitArray:
         return te_decode(self.H, received)
 
     def descriptor(self) -> dict:

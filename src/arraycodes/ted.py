@@ -30,7 +30,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import List, Optional, Sequence
 
-from .arrays import BitArray, RaggedArray, _int_to_row, _row_to_int, _trusted
+from .arrays import (BitArray, RaggedArray, _check_bit_array, _int_to_row,
+                     _row_to_int, _trusted)
 from .errors import (CapacityExceededError, ChannelContractError,
                      CorruptInputError, InvalidInputError, NotACodewordError)
 from .field import PRIMITIVE_POLYS, field_make
@@ -67,6 +68,8 @@ class TedCode:
     e: int
 
     def __post_init__(self):
+        if any(type(v) is not int for v in (self.n, self.L, self.t, self.e)):
+            raise TypeError("n, L, t and e must be ints")
         if self.n < 1 or self.L < 1:
             raise ValueError("n and L must be positive")
         if self.t < 0 or self.e < 0:
@@ -137,8 +140,7 @@ class TedCode:
         return [s | (row >> shift) << h for s, row in zip(residues, rows)]
 
     def membership(self, x: BitArray) -> bool:
-        if (x.n, x.L) != (self.n, self.L):
-            raise ValueError("array shape mismatch")
+        _check_bit_array(x, self.n, self.L)
         return self.outer.is_codeword(self._symbols(x.rows))
 
     def encode(self, message: Sequence[int]) -> BitArray:
@@ -168,8 +170,7 @@ class TedCode:
         return _trusted(BitArray, n=n, L=L, rows=tuple(rows))
 
     def message_of(self, x: BitArray) -> List[int]:
-        if (x.n, x.L) != (self.n, self.L):
-            raise ValueError("array shape mismatch")
+        _check_bit_array(x, self.n, self.L)
         L, k = self.L, self.n - self.R
         per_row = L - self.e - self.h
         mask = (1 << per_row) - 1
@@ -189,36 +190,36 @@ class TedCode:
         if (received.n, received.L) != (self.n, self.L):
             raise InvalidInputError("array shape mismatch")
         L, e, h = self.L, self.e, self.h
-        bits, lengths = zip(*received.rows)
-        damaged = [i for i, length in enumerate(lengths) if length != L]
-        if min(lengths) < L - e - 1:
-            i = next(i for i in damaged if lengths[i] < L - e - 1)
+        lost = received.lost
+        damaged = [i for i, k in enumerate(lost) if k]
+        if max(lost) > e + 1:
+            i = next(i for i in damaged if lost[i] > e + 1)
             raise ChannelContractError(
-                f"row {i + 1} lost {L - lengths[i]} bits; at most e+1 = {e + 1} "
+                f"row {i + 1} lost {lost[i]} bits; at most e+1 = {e + 1} "
                 f"can disappear from one row of this channel")
         if len(damaged) > self.R:
             raise CapacityExceededError(
                 f"{len(damaged)} damaged rows exceed capacity t+e = {self.R}")
         # Damaged rows enter the outer code as erasures, 0 until filled.
-        symbols = self._symbols(bits)
+        symbols = self._symbols(received.rows)
         for i in damaged:
             symbols[i] = 0
         try:
             syndrome = self.outer._fill_erasures(symbols, damaged)
         except NotACodewordError as exc:
             raise CorruptInputError("intact rows disagree with the outer code") from exc
-        rows = list(bits)
+        rows = list(received.rows)
         repaired = []     # theta of each repaired row, from its own bits
         hmask = (1 << h) - 1
         for i in damaged:
             tail = symbols[i] >> h
-            row = bits[i]
-            k = L - lengths[i]
+            row = rows[i]
+            k = lost[i]
             if k > 1:
                 # Re-attach the k-1 known trailing bits; whatever mix of tail
                 # loss and deletion occurred, the result is the original row
                 # minus exactly one bit.
-                row |= (tail >> (e - k + 1)) << lengths[i]
+                row |= (tail >> (e - k + 1)) << (L - k)
             full = vt_decode_int(row, symbols[i] & hmask, L)
             own_tail = full >> (L - e)
             if own_tail != tail:

@@ -6,13 +6,13 @@ from math import comb
 
 import pytest
 
-from arraycodes.arrays import (INF, BitArray, ErasedArray, RaggedArray,
+from arraycodes.arrays import (INF, BitArray, RaggedArray,
                                _block_width, _fll_rows, _int_to_row, _row_to_int,
                                apply_te_pattern, count_patterns,
                                d1_dc_distance, d_sdc_distance,
                                enumerate_patterns, fll_distance,
-                               format_bit_array, format_erased, format_ragged,
-                               parse_bit_array, parse_erased, parse_ragged,
+                               format_bit_array, format_ragged,
+                               parse_bit_array, parse_ragged,
                                rho_te_distance, run_stats)
 from conftest import (fll_oracle, min_pattern_erasures,
                       patterns_grouped_by_weight, random_array,
@@ -28,7 +28,8 @@ def te_weight(x):
 
 def test_apply_pattern_example():
     erased = apply_te_pattern(X23, (2, 1))
-    assert erased.to_lists() == [[1, "?", "?"], [0, 0, "?"]]
+    assert erased.to_lists() == [[1], [0, 0]]
+    assert erased == RaggedArray(2, 3, (1, 0), (2, 1))
 
 
 def test_apply_zero_pattern_is_identity():
@@ -38,7 +39,7 @@ def test_apply_zero_pattern_is_identity():
 
 def test_apply_full_row():
     erased = apply_te_pattern(X23, (3, 0))
-    assert erased.to_lists()[0] == ["?", "?", "?"]
+    assert erased.to_lists()[0] == [] and erased.lost == (3, 0)
 
 
 def test_apply_pattern_dimension_mismatch():
@@ -233,7 +234,8 @@ def test_text_format_roundtrips():
     x = BitArray.from_lists([[1, 0, 1], [0, 1, 1]])
     assert parse_bit_array(format_bit_array(x)) == x
     erased = apply_te_pattern(x, (2, 0))
-    assert parse_erased(format_erased(erased)) == erased
+    assert format_ragged(erased) == "# L=3\n1\n011\n"
+    assert parse_ragged(format_ragged(erased)) == erased
     ragged = RaggedArray.from_lists([[1, 0], [0, 1, 1]], 3)
     assert parse_ragged(format_ragged(ragged)) == ragged
     with_comment = "# comment\n101\n011\n"
@@ -241,9 +243,9 @@ def test_text_format_roundtrips():
 
 
 def test_text_format_roundtrips_every_small_array():
-    """All three formats, every array of n <= 2 rows at L = 0..3: every
-    row value, erasure count and row length, and the arrays of no rows or
-    of rows of length 0."""
+    """Both formats, every array of n <= 2 rows at L = 0..3: every row
+    value and every lost count, and the arrays of no rows or of rows of
+    length 0."""
     for L in range(4):
         shapes = [(v, k) for k in range(L + 1) for v in range(1 << (L - k))]
         for n in range(3):
@@ -251,20 +253,18 @@ def test_text_format_roundtrips_every_small_array():
                 x = BitArray(n, L, rows)
                 assert parse_bit_array(format_bit_array(x)) == x
             for cells in itertools.product(shapes, repeat=n):
-                erased = ErasedArray(n, L, tuple(v for v, _ in cells),
+                ragged = RaggedArray(n, L, tuple(v for v, _ in cells),
                                      tuple(k for _, k in cells))
-                assert parse_erased(format_erased(erased)) == erased
-                ragged = RaggedArray(n, L, tuple((v, L - k) for v, k in cells))
                 assert parse_ragged(format_ragged(ragged)) == ragged
 
 
-@pytest.mark.parametrize("rows", [((0, 0), (5, 3), (1, 2)), ((5, 3), (0, 0), (1, 2)),
-                                  ((5, 3), (1, 2), (0, 0))])
+@pytest.mark.parametrize("rows", [((0, 3), (5, 0), (1, 1)), ((5, 0), (0, 3), (1, 1)),
+                                  ((5, 0), (1, 1), (0, 3))])
 def test_ragged_rows_of_length_zero_roundtrip(rows):
     """An empty row is a blank line after '# L=', wherever it falls."""
-    x = RaggedArray(len(rows), 3, rows)
+    bits, lost = zip(*rows)
+    x = RaggedArray(len(rows), 3, bits, lost)
     assert parse_ragged(format_ragged(x)) == x
-    assert parse_ragged(format_ragged(x), 3) == x
 
 
 @pytest.mark.parametrize("x", [BitArray(2, 0, (0, 0)), BitArray(0, 3, ()),
@@ -284,7 +284,7 @@ def test_bit_array_length_directive_is_optional_and_binding():
     assert parse_bit_array("# L=3\n101\n011\n") == x
     with pytest.raises(ValueError):
         parse_bit_array("# L=4\n101\n011\n")
-    for parse in (parse_bit_array, parse_erased, parse_ragged):
+    for parse in (parse_bit_array, parse_ragged):
         with pytest.raises(ValueError):
             parse("# L=-1\n")
 
@@ -292,15 +292,28 @@ def test_bit_array_length_directive_is_optional_and_binding():
 def test_parse_rejects_bad_input():
     with pytest.raises(ValueError):
         parse_bit_array("10?\n")
-    with pytest.raises(ValueError):
-        parse_erased("1?1\n")   # erasures must be a suffix
+    with pytest.raises(ValueError, match="may only end a row"):
+        parse_ragged("# L=3\n1?1\n")   # erasures must be a suffix
+    with pytest.raises(ValueError, match="must have length L=3"):
+        parse_ragged("# L=3\n1?\n")    # a '?' tail marks a full-length row
+    with pytest.raises(ValueError, match="row length out of range"):
+        parse_ragged("# L=3\n1011\n")
     with pytest.raises(ValueError):
         parse_bit_array("12\n")
 
 
-def test_erased_array_invariants():
-    with pytest.raises(ValueError):
-        ErasedArray(1, 3, (0b111,), (1,))   # bit set inside erased suffix
+def test_ragged_array_invariants():
+    with pytest.raises(ValueError, match="beyond the row's surviving length"):
+        RaggedArray(1, 3, (0b111,), (1,))   # bit set inside the lost tail
+    with pytest.raises(ValueError, match="beyond the row's surviving length"):
+        RaggedArray(1, 3, (-1,), (0,))
+    for lost in ((-1,), (4,)):
+        with pytest.raises(ValueError, match="row length out of range"):
+            RaggedArray(1, 3, (0,), lost)
+    with pytest.raises(ValueError, match="row count mismatch"):
+        RaggedArray(2, 3, (0, 0), (0,))
+    assert RaggedArray.from_lists([[1, 0], [], [0, 1, 1]], 3) == \
+        RaggedArray(3, 3, (0b01, 0, 0b110), (1, 3, 0))
 
 
 @pytest.mark.parametrize("bits", ([], [1], [True, False, True], [2], [-1], [257],
@@ -328,7 +341,7 @@ def test_from_lists_rejects_non_binary_entries():
 
 def test_apply_pattern_on_empty_array():
     empty = BitArray(0, 3, ())
-    assert apply_te_pattern(empty, ()) == ErasedArray(0, 3, (), ())
+    assert apply_te_pattern(empty, ()) == RaggedArray(0, 3, (), ())
     with pytest.raises(ValueError):
         apply_te_pattern(empty, (0,))
 
@@ -378,9 +391,20 @@ def test_apply_te_pattern_rejects_non_int_entries(p):
 
 
 def test_parse_ragged_needs_the_row_length():
-    """With neither a '# L=' line nor L the full row length is unknown: a
-    file whose rows are all short would otherwise get a wrong L."""
+    """Without a '# L=' line the full row length is unknown: a file whose
+    rows are all short would otherwise get a wrong L."""
     with pytest.raises(ValueError, match="row length"):
         parse_ragged("101\n011\n")
-    assert parse_ragged("101\n01\n", 4) == RaggedArray.from_lists([[1, 0, 1], [0, 1]], 4)
-    assert parse_ragged("# L=5\n101\n01\n", 4).L == 5
+    assert parse_ragged("# L=4\n101\n01\n") == RaggedArray.from_lists([[1, 0, 1], [0, 1]], 4)
+    assert parse_ragged("# L=4\n101\n01\n").lost == (1, 2)
+
+
+def test_question_mark_tail_reads_as_the_short_row():
+    """A full-length row ending in '?' is that row with its '?' tail lost,
+    the same array as the row written short; a row of '?' only lost every
+    position."""
+    for marked, short in (("10??", "10"), ("????", ""), ("1011", "1011"),
+                          ("0???", "0")):
+        assert parse_ragged(f"# L=4\n{marked}\n0110\n") == \
+            parse_ragged(f"# L=4\n{short}\n0110\n")
+    assert parse_ragged("# L=4\n10??\n").lost == (2,)

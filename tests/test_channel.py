@@ -5,7 +5,8 @@ from itertools import combinations, product
 
 import pytest
 
-from arraycodes.arrays import BitArray, RaggedArray, apply_te_pattern, count_patterns
+from arraycodes.arrays import (BitArray, RaggedArray, apply_te_pattern, count_patterns,
+                               enumerate_patterns, format_ragged, parse_ragged)
 from arraycodes.channel import (DEFAULT_MAX_WORK, ChannelSpec, RunRecord, _delete,
                                 apply_channel, apply_deletions, apply_ted,
                                 enumerate_channel_instances,
@@ -20,9 +21,32 @@ from conftest import random_array, recursive_patterns
 def test_te_channel_instance():
     x = BitArray.from_lists([[1, 0, 1], [0, 0, 1]])
     out = apply_channel(x, ChannelSpec("te", e=3), (2, 1))
-    assert out.to_lists() == [[1, "?", "?"], [0, 0, "?"]]
+    assert out.to_lists() == [[1], [0, 0]] and out.lost == (2, 1)
     identity = apply_channel(x, ChannelSpec("te", e=3), (0, 0))
     assert identity.to_lists() == x.to_lists()
+
+
+def test_te_and_ted_channels_share_one_output_type():
+    """A TE pattern is a TED instance with no deletions: both give the same
+    RaggedArray, and the TE codec decodes it back."""
+    codec = TeCodec(construct_hasse(4, 3, 3))
+    rng = random.Random(22)
+    for x in (codec.encode([rng.randrange(2) for _ in range(codec.k)]) for _ in range(3)):
+        for p in enumerate_patterns(3, 3, 4):
+            out = apply_te_pattern(x, p)
+            assert out == apply_ted(x, (p, ()))
+            assert out.lost == p and codec.decode(out) == x
+
+
+@pytest.mark.parametrize("spec", [ChannelSpec("te", e=3), ChannelSpec("del", t=2, s=2),
+                                  ChannelSpec("ted", t=2, s=1, e=2)], ids=lambda s: s.kind)
+def test_every_channel_output_roundtrips_through_text(spec):
+    rng = random.Random(spec.kind)
+    for x in (random_array(rng, 3, 3) for _ in range(3)):
+        for inst in enumerate_channel_instances(spec, 3, 3):
+            out = apply_channel(x, spec, inst)
+            text = format_ragged(out)
+            assert "?" not in text and parse_ragged(text) == out
 
 
 def test_deletion_channel_instance():
@@ -324,8 +348,8 @@ def test_random_del_instance_caps_rows_and_deletions():
             assert len(inst) <= min(spec.t, 3)
             assert all(1 <= len(positions) <= 5 for _, positions in inst)
             out = apply_channel(x, spec, inst)
-            assert [length for _, length in out.rows] == [
-                5 - sum(len(p) for r, p in inst if r == i) for i in (1, 2, 3)]
+            assert list(out.lost) == [
+                sum(len(p) for r, p in inst if r == i) for i in (1, 2, 3)]
 
 
 def _uncapped_del_instance(spec, n, L, rng):
@@ -369,7 +393,7 @@ def test_deletion_outputs_rebuild_through_the_public_constructor(spec, n, L):
         x = BitArray(n, L, tuple(rng.getrandbits(L) for _ in range(n)))
         out = apply_channel(x, spec, random_instance(spec, n, L, rng))
         assert type(out) is RaggedArray and type(out.rows) is tuple
-        assert RaggedArray(out.n, out.L, out.rows) == out
+        assert RaggedArray(out.n, out.L, out.rows, out.lost) == out
 
 
 def _reference_random_instance(spec, n, L, rng):
@@ -498,11 +522,11 @@ def test_harness_records_a_wrong_message_of():
 
 def two_step_apply_ted(x, instance):
     """The TED channel as first written, kept as the oracle: the tail
-    erasures as an ErasedArray, then the deletions on its truncated rows."""
+    erasures through `apply_te_pattern`, then the deletions on its
+    truncated rows."""
     pattern, deletions = instance
     erased = apply_te_pattern(x, pattern)
-    return _delete([(r, x.L - p) for r, p in zip(erased.rows, erased.erased)],
-                   deletions, x.L)
+    return _delete(list(erased.rows), list(erased.lost), deletions, x.L)
 
 
 def test_ted_channel_matches_the_two_step_oracle():
@@ -525,7 +549,7 @@ def test_ted_channel_lengths_are_ints_for_a_bool_pattern():
     out = apply_ted(x, ((True, False, True), ((2, (1,)),)))
     assert out == apply_ted(x, ((1, 0, 1), ((2, (1,)),)))
     assert out == two_step_apply_ted(x, ((True, False, True), ((2, (1,)),)))
-    assert [type(length) for _, length in out.rows] == [int] * 3
+    assert [type(k) for k in out.lost] == [int] * 3
 
 
 @pytest.mark.parametrize("pattern,message", [

@@ -55,10 +55,17 @@ def test_te_encode_channel_decode(tmp_path, capsys):
     rc, _, _ = run(capsys, "channel", "--kind", "te", "--e", "2",
                    "--pattern", "1,1,0,0,0,0,0",
                    "--in", str(arr_file), "--out", str(recv_file))
-    assert rc == 0 and "?" in recv_file.read_text()
-    rc, out, _ = run(capsys, "decode", "--code-file", str(code_file),
-                     "--in", str(recv_file), "--emit-message")
-    assert rc == 0 and out.strip() == msg
+    # the erased rows are written short, as the deletion channel writes them
+    header, *rows = arr_file.read_text().splitlines()
+    short = [rows[0][:-1], rows[1][:-1], *rows[2:]]
+    assert rc == 0 and recv_file.read_text() == "\n".join([header, *short]) + "\n"
+    # a '?' tail, as earlier writers marked an erased cell, reads the same
+    marked = tmp_path / "marked.txt"
+    marked.write_text("\n".join([header, short[0] + "?", short[1] + "?", *rows[2:]]))
+    for received in (recv_file, marked):
+        rc, out, _ = run(capsys, "decode", "--code-file", str(code_file),
+                         "--in", str(received), "--emit-message")
+        assert rc == 0 and out.strip() == msg
 
 
 def test_dc_codec_cli_roundtrip(tmp_path, capsys):
@@ -292,6 +299,46 @@ def test_decode_of_an_array_of_the_wrong_row_count_exits_2(tmp_path, capsys):
         assert rc == 2 and out == "", code_file.name
         assert err.startswith("usage error:") and err.count("\n") == 1
         assert "shape mismatch" in err
+
+
+@pytest.mark.parametrize("text, fragment", [
+    ("# L=7\n0?10110\n", "may only end a row"),
+    ("# L=7\n0110??\n", "must have length L=7"),
+    ("# L=7\n0110210\n", "bad character"),
+    ("0110101\n1110101\n", "row length"),
+])
+@pytest.mark.parametrize("code", [("ted", "--n", "5", "--L", "7", "--t", "2", "--e", "1"),
+                                  ("hasse", "--n", "5", "--L", "7", "--e", "2")],
+                         ids=["ted", "te"])
+def test_decode_of_a_malformed_received_file_exits_2(tmp_path, capsys, code, text,
+                                                     fragment):
+    """A '?' inside a row, a '?' tail on a short row, another character and
+    a missing '# L=' line each exit 2 with one line on stderr."""
+    code_file = tmp_path / "code.bin"
+    run(capsys, "construct", "--code", *code, "--out", str(code_file))
+    received = tmp_path / "recv.txt"
+    received.write_text(text)
+    rc, out, err = run(capsys, "decode", "--code-file", str(code_file),
+                       "--in", str(received))
+    assert rc == 2 and out == ""
+    assert err.startswith("usage error:") and err.count("\n") == 1
+    assert fragment in err
+
+
+def test_encode_and_channel_reject_a_question_mark(tmp_path, capsys):
+    code_file = tmp_path / "ted.json"
+    run(capsys, "construct", "--code", "ted", "--n", "5", "--L", "7", "--t", "1",
+        "--e", "1", "--out", str(code_file))
+    bad = tmp_path / "bad.txt"
+    for argv, text, fragment in (
+            (("encode", "--code-file", str(code_file)), "1?" * 12, "found '?'"),
+            (("channel", "--kind", "te", "--e", "1"), "# L=3\n101\n01?\n",
+             "unexpected erasure marks")):
+        bad.write_text(text)
+        rc, out, err = run(capsys, *argv, "--in", str(bad))
+        assert rc == 2 and out == "", argv[0]
+        assert err.startswith("usage error:") and err.count("\n") == 1
+        assert fragment in err
 
 
 @pytest.mark.parametrize("desc", [{"kind": "dc", "n": 31, "L": 2**40, "t": 8},

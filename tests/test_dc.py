@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from arraycodes.arrays import BitArray, ErasedArray, RaggedArray
+from arraycodes.arrays import BitArray, RaggedArray
 from arraycodes.channel import (ChannelSpec, apply_channel, apply_deletions,
                                 enumerate_deletion_instances, random_instance,
                                 roundtrip_harness)
@@ -189,10 +189,15 @@ def test_message_of_rejects_other_shapes():
             code.message_of(x)
 
 
-def test_decode_rejects_an_erased_array():
-    """The TE channel's output is not a DC input: a ValueError naming the
-    array type, not a TypeError from unpacking its rows."""
+def test_decode_rejects_a_bit_array():
+    """An undamaged array is not a DC input: a ValueError naming the array
+    type, not an AttributeError from reading its lost counts."""
     code = DcCode(7, 5, 2)
-    erased = ErasedArray(7, 5, (0,) * 7, (1,) + (0,) * 6)
-    with pytest.raises(ValueError, match="DcCode decodes a RaggedArray, got ErasedArray"):
-        code.decode(erased)
+    with pytest.raises(ValueError, match="DcCode decodes a RaggedArray, got BitArray"):
+        code.decode(BitArray(7, 5, (0,) * 7))
+
+
+@pytest.mark.parametrize("args", [(7, 5, 2.0), (7.0, 5, 2), (7, 5.0, 2), (7, 5, True)])
+def test_constructor_takes_only_int_parameters(args):
+    with pytest.raises(TypeError, match="must be ints"):
+        DcCode(*args)

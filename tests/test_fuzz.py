@@ -10,7 +10,7 @@ import struct
 
 import pytest
 
-from arraycodes.arrays import BitArray, ErasedArray, RaggedArray
+from arraycodes.arrays import BitArray, RaggedArray
 from arraycodes.basecodes import extended_hamming_pcm, hamming_pcm
 from arraycodes.channel import (ChannelSpec, apply_channel,
                                 enumerate_channel_instances, random_instance)
@@ -24,6 +24,12 @@ from arraycodes.ted import TedCode
 CODES = [DcCode(5, 7, 2), DcCode(9, 15, 3), TedCode(4, 5, 1, 0),
          TedCode(5, 7, 2, 1), TedCode(7, 9, 2, 1), TedCode(6, 10, 1, 2),
          TedCode(12, 20, 2, 2)]
+
+
+def _ragged(L, rows):
+    """The RaggedArray of (bits, length) rows of full length L."""
+    return RaggedArray(len(rows), L, tuple(bits for bits, _ in rows),
+                       tuple(L - length for _, length in rows))
 
 
 def _damage(rng, rows, nrows, lost):
@@ -77,7 +83,7 @@ def test_decode_returns_member_or_array_code_error(code):
     for _ in range(150):
         for kind, x, received in _inputs(rng, code):
             if not isinstance(received, RaggedArray):
-                received = RaggedArray(code.n, code.L, tuple(received))
+                received = _ragged(code.L, received)
             try:
                 out = code.decode(received)
             except ArrayCodeError:
@@ -90,8 +96,8 @@ def test_decode_returns_member_or_array_code_error(code):
             if kind == "valid":
                 assert out == x
             # Full-length rows come back as they were received.
-            for (bits, length), row in zip(received.rows, out.rows):
-                assert length < code.L or bits == row
+            for bits, lost, row in zip(received.rows, received.lost, out.rows):
+                assert lost or bits == row
     # Every kind of input was tried, and the damaged kinds were caught.
     assert {("valid", "decoded"), ("over capacity", "raised"),
             ("out of contract", "raised"), ("flipped intact rows", "raised"),
@@ -109,7 +115,8 @@ TE_CODES = {
 
 
 def _erase(rng, x, weight):
-    """Erase `weight` tail cells of x, one at a time in random rows."""
+    """Erase `weight` tail cells of x, one at a time in random rows: the
+    (surviving bits, lost count) of each row."""
     p = [0] * x.n
     for _ in range(weight):
         p[rng.choice([i for i in range(x.n) if p[i] < x.L])] += 1
@@ -142,7 +149,7 @@ def test_te_decode_returns_member_or_array_code_error(name):
     outcomes = set()
     for _ in range(300):
         for kind, x, rows in _te_inputs(rng, codec, d):
-            received = ErasedArray(H.n, H.L, tuple(r for r, _ in rows),
+            received = RaggedArray(H.n, H.L, tuple(r for r, _ in rows),
                                    tuple(pi for _, pi in rows))
             try:
                 out = codec.decode(received)
@@ -156,7 +163,7 @@ def test_te_decode_returns_member_or_array_code_error(name):
             if kind == "within":
                 assert out == x
             # The surviving bits come back as they were received.
-            for row, got, pi in zip(received.rows, out.rows, received.erased):
+            for row, got, pi in zip(received.rows, out.rows, received.lost):
                 assert got & ((1 << (H.L - pi)) - 1) == row
     assert {("within", "decoded"), ("beyond", "raised"), ("flipped", "raised"),
             ("random", "raised")} <= outcomes
@@ -206,18 +213,17 @@ def test_te_loader_returns_parity_check_or_value_error():
             ("header field", "rejected"), ("header field", "loaded")} <= outcomes
 
 
-# (codec, its in-contract channel, received array type, row lengths,
-# members decoded)
+# (codec, its in-contract channel, row lengths, members decoded)
 TOTALITY = {
     # row lengths L - 1 and L, plus one shorter: 14^3 arrays
     "dc-3-3-1": lambda: (DcCode(3, 3, 1), ChannelSpec("del", t=1, s=1),
-                         RaggedArray, range(1, 4), 896),
+                         range(1, 4), 896),
     # row lengths L - e - 1 .. L, plus one shorter: 15^3 arrays
     "ted-3-3-1-1": lambda: (TedCode(3, 3, 1, 1), ChannelSpec("ted", t=1, s=1, e=1),
-                            RaggedArray, range(0, 4), 416),
+                            range(0, 4), 416),
     # every erasure count of a 3 x 2 array: 7^3 arrays
     "c1-ham3": lambda: (TeCodec(construct_1(hamming_pcm(3), 3, 1)),
-                        ChannelSpec("te", e=2), ErasedArray, range(0, 3), 160),
+                        ChannelSpec("te", e=2), range(0, 3), 160),
 }
 
 
@@ -226,17 +232,13 @@ def test_decoders_are_total_on_every_tiny_input(name):
     """Every received array at a tiny shape decodes to a member or raises
     an ArrayCodeError, and every in-contract channel output of every
     codeword is one of them and decodes back to that codeword."""
-    codec, spec, kind, lengths, want_members = TOTALITY[name]()
+    codec, spec, lengths, want_members = TOTALITY[name]()
     n, L = codec.n, codec.L
     member = codec.H.contains if isinstance(codec, TeCodec) else codec.membership
     cells = [(v, k) for k in lengths for v in range(1 << k)]
     inputs = set()
     for rows in itertools.product(cells, repeat=n):
-        if kind is ErasedArray:
-            bits, known = zip(*rows)
-            inputs.add(ErasedArray(n, L, bits, tuple(L - k for k in known)))
-        else:
-            inputs.add(RaggedArray(n, L, rows))
+        inputs.add(_ragged(L, rows))
     assert len(inputs) == len(cells) ** n
     members = 0
     for received in inputs:
@@ -255,34 +257,26 @@ def test_decoders_are_total_on_every_tiny_input(name):
             assert codec.decode(received) == x, (x, instance)
 
 
-# Every decoder, named, with the array type it takes.
+# Every decoder, named.
 DECODERS = {
-    "dc-7-5-2": lambda: (DcCode(7, 5, 2), RaggedArray),
-    "ted-5-7-2-1": lambda: (TedCode(5, 7, 2, 1), RaggedArray),
-    "ted-12-20-2-2": lambda: (TedCode(12, 20, 2, 2), RaggedArray),
-    "te-codec-hasse-16-4-4": lambda: (TeCodec(construct_hasse(16, 4, 4)), ErasedArray),
+    "dc-7-5-2": lambda: DcCode(7, 5, 2),
+    "ted-5-7-2-1": lambda: TedCode(5, 7, 2, 1),
+    "ted-12-20-2-2": lambda: TedCode(12, 20, 2, 2),
+    "te-codec-hasse-16-4-4": lambda: TeCodec(construct_hasse(16, 4, 4)),
 }
 
 
-def _shaped(kind, n, L):
-    """An all-zero array of type `kind` and shape n x L, nothing damaged."""
-    if kind is BitArray:
-        return BitArray(n, L, (0,) * n)
-    if kind is ErasedArray:
-        return ErasedArray(n, L, (0,) * n, (0,) * n)
-    return RaggedArray(n, L, ((0, L),) * n)
+def _intact(n, L):
+    """The all-zero RaggedArray of shape n x L, no row damaged."""
+    return RaggedArray(n, L, (0,) * n, (0,) * n)
 
 
-def _malformed(kind, n, L):
-    """Each malformed argument of a decoder that takes arrays of type
-    `kind` and shape n x L: no array, an array of another type, and arrays
-    one row or one column off."""
-    yield from (None, 5, "x", [[0] * L for _ in range(n)])
-    for other in (BitArray, ErasedArray, RaggedArray):
-        if other is not kind:
-            yield _shaped(other, n, L)
+def _malformed(n, L):
+    """Each malformed argument of a decoder of n x L arrays: no array, the
+    undamaged array type, and arrays one row or one column off."""
+    yield from (None, 5, "x", [[0] * L for _ in range(n)], BitArray(n, L, (0,) * n))
     for dn, dL in ((-1, 0), (1, 0), (0, -1), (0, 1)):
-        yield _shaped(kind, n + dn, L + dL)
+        yield _intact(n + dn, L + dL)
 
 
 @pytest.mark.parametrize("name", sorted(DECODERS))
@@ -292,13 +286,13 @@ def test_decoders_reject_malformed_arguments_with_invalid_input_error(name):
     a well-formed array of that shape goes through."""
     assert issubclass(InvalidInputError, ArrayCodeError)
     assert issubclass(InvalidInputError, ValueError)
-    codec, kind = DECODERS[name]()
+    codec = DECODERS[name]()
     n, L = codec.n, codec.L
     decoders = [codec.decode]
     if isinstance(codec, TeCodec):
         decoders.append(lambda received: te_decode(codec.H, received))
     for decode in decoders:
-        for argument in _malformed(kind, n, L):
+        for argument in _malformed(n, L):
             with pytest.raises(InvalidInputError):
                 decode(argument)
-        assert decode(_shaped(kind, n, L)) == BitArray(n, L, (0,) * n)
+        assert decode(_intact(n, L)) == BitArray(n, L, (0,) * n)

@@ -396,6 +396,6 @@ def test_ted_round_trips_over_a_field_without_log_tables():
         x = code.encode([rng.randrange(2) for _ in range(code.message_bits)])
         for _ in range(3):
             received = apply_channel(x, spec, random_instance(spec, code.n, code.L, rng))
-            damaged += any(length < code.L for _, length in received.rows)
+            damaged += any(received.lost)
             assert code.decode(received) == x
     assert damaged >= 10

@@ -3,7 +3,7 @@ import struct
 
 import pytest
 
-from arraycodes.arrays import (BitArray, ErasedArray, RaggedArray,
+from arraycodes.arrays import (BitArray, RaggedArray,
                                apply_te_pattern, enumerate_patterns,
                                rho_te_distance)
 from arraycodes.basecodes import (bch_generator, bch_pcm, cyclic_pcm,
@@ -370,6 +370,12 @@ def test_message_of_rejects_other_shapes():
     for n, L in ((16, 5), (15, 4), (17, 4), (16, 3)):
         with pytest.raises(ValueError, match="shape"):
             enc.message_of(BitArray(n, L, (0,) * n))
+    # another type is a TypeError, a damaged array of the right shape too
+    for other in (None, RaggedArray(16, 4, (0,) * 16, (0,) * 16)):
+        with pytest.raises(TypeError, match="expected a BitArray"):
+            enc.message_of(other)
+        with pytest.raises(TypeError, match="expected a BitArray"):
+            enc.H.contains(other)
 
 
 def test_theorem1_both_directions_small():
@@ -429,7 +435,7 @@ def oracle_te_decode(H, received):
     syndrome = 0
     unknown = []
     for i in range(1, H.n + 1):
-        known = received.L - received.erased[i - 1]
+        known = received.L - received.lost[i - 1]
         bits = received.rows[i - 1]
         for j in range(1, known + 1):
             if (bits >> (j - 1)) & 1:
@@ -563,7 +569,7 @@ def test_decoder_matches_oracle(name):
                 i, j = rng.choice(survivors)
                 rows = list(received.rows)
                 rows[i] ^= 1 << j
-                flipped = ErasedArray(H.n, H.L, tuple(rows), received.erased)
+                flipped = RaggedArray(H.n, H.L, tuple(rows), received.lost)
                 want = _outcome(oracle_te_decode, H, flipped)
                 assert _outcome(te_decode, H, flipped) == want, (p, i, j)
                 outcomes.add(want if isinstance(want, type) else "decoded")
@@ -598,15 +604,16 @@ def test_tables_match_column_sums(name):
         assert enc.message_of(c) == msg
 
 
-def test_decode_rejects_a_ragged_array():
-    """The deletion channel's output is not a TE input: a ValueError naming
-    the array type, not a TypeError from shifting its (bits, length) rows."""
+def test_decode_rejects_a_bit_array():
+    """An undamaged array is not a TE input: a ValueError naming the array
+    type, not an AttributeError from reading its lost counts."""
     H = construct_1(hamming_pcm(7), 7, 1)
-    ragged = RaggedArray(7, 1, ((0, 1),) * 7)
-    with pytest.raises(ValueError, match="decodes an ErasedArray, got RaggedArray"):
-        te_decode(H, ragged)
+    with pytest.raises(ValueError, match="te_decode decodes a RaggedArray, got BitArray"):
+        te_decode(H, BitArray(7, 1, (0,) * 7))
     with pytest.raises(ValueError, match="got BitArray"):
         TeCodec(H).decode(BitArray(7, 1, (0,) * 7))
+    zero = BitArray(7, H.L, (0,) * 7)
+    assert te_decode(H, RaggedArray(7, H.L, zero.rows, (1,) + (0,) * 6)) == zero
 
 
 def oracle_apply_te_pattern(x, p):
@@ -619,7 +626,7 @@ def oracle_apply_te_pattern(x, p):
             raise ValueError("per-row erasure count out of range")
         keep = x.L - pi
         rows.append(r & ((1 << keep) - 1))
-    return ErasedArray(x.n, x.L, tuple(rows), tuple(int(v) for v in p))
+    return RaggedArray(x.n, x.L, tuple(rows), tuple(int(v) for v in p))
 
 
 def oracle_message_of(enc, x):
@@ -635,9 +642,9 @@ def oracle_message_of(enc, x):
 def _assert_rebuilds(obj):
     """An array built by the library equals its public-constructor rebuild,
     which runs every check."""
-    if isinstance(obj, ErasedArray):
-        rebuilt = ErasedArray(obj.n, obj.L, obj.rows, obj.erased)
-        assert all(type(v) is int for v in obj.erased)
+    if isinstance(obj, RaggedArray):
+        rebuilt = RaggedArray(obj.n, obj.L, obj.rows, obj.lost)
+        assert all(type(v) is int for v in obj.lost)
     else:
         rebuilt = type(obj)(obj.n, obj.L, obj.rows)
     assert rebuilt == obj and type(rebuilt) is type(obj)

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from arraycodes.arrays import BitArray, ErasedArray, RaggedArray
+from arraycodes.arrays import BitArray, RaggedArray
 from arraycodes.channel import (ChannelSpec, apply_channel, apply_ted,
                                 enumerate_channel_instances, random_instance,
                                 roundtrip_harness)
@@ -15,7 +15,7 @@ from arraycodes import ted as ted_module
 from arraycodes.rs import ReedSolomon
 from arraycodes.ted import TedCode, theta_symbol
 from arraycodes.vt import position_residues, vt_decode_int
-from test_fuzz import _damage
+from test_fuzz import _damage, _ragged
 
 
 def test_theta_packing():
@@ -168,7 +168,7 @@ def test_multi_bit_row_loss():
     msg = [rng.randrange(2) for _ in range(code.message_bits)]
     x = code.encode(msg)
     out = apply_ted(x, ((2, 0, 0, 0, 0), ((1, (2,)),)))
-    assert out.rows[0][1] == 4
+    assert out.lost[0] == 3
     assert code.decode(out) == x
 
 
@@ -208,11 +208,32 @@ def test_ted_instance_enumeration_counts():
 
 def test_decode_rejects_other_array_types():
     code = TedCode(5, 7, 2, 1)
-    erased = ErasedArray(5, 7, (0,) * 5, (0,) * 5)
-    with pytest.raises(ValueError, match="decodes a RaggedArray, got ErasedArray"):
-        code.decode(erased)
-    with pytest.raises(ValueError, match="got BitArray"):
-        code.decode(BitArray(5, 7, (0,) * 5))
+    for other in (BitArray(5, 7, (0,) * 5), None, [[0] * 7] * 5):
+        with pytest.raises(ValueError, match="TedCode decodes a RaggedArray, got "
+                                             + type(other).__name__):
+            code.decode(other)
+
+
+@pytest.mark.parametrize("args", [(5.0, 7, 2, 1), (5, 7.0, 2, 1), (5, 7, 2.0, 1),
+                                  (5, 7, 2, 1.0), (True, 7, 0, 0), (5, 7, "2", 1)])
+def test_constructor_takes_only_int_parameters(args):
+    """A float or bool parameter is a TypeError at construction, not a
+    failure later inside encode."""
+    with pytest.raises(TypeError, match="must be ints"):
+        TedCode(*args)
+
+
+@pytest.mark.parametrize("code", [TedCode(5, 7, 2, 1), DcCode(7, 5, 2)],
+                         ids=lambda c: type(c).__name__)
+def test_message_of_and_membership_reject_other_types(code):
+    """An argument that is no BitArray is a TypeError, a damaged array of
+    the right shape included."""
+    ragged = RaggedArray(code.n, code.L, (0,) * code.n, (0,) * code.n)
+    for method in (code.message_of, code.membership):
+        for other in (None, ragged):
+            with pytest.raises(TypeError, match="expected a BitArray, got "
+                                                + type(other).__name__):
+                method(other)
 
 
 # --- row-by-row reference decoder -----------------------------------------------
@@ -233,8 +254,7 @@ def oracle_decode(code, received):
     L, e, h = code.L, code.e, code.h
     symbols = []
     damaged = 0
-    for i, (bits, length) in enumerate(received.rows, start=1):
-        missing = L - length
+    for i, (bits, missing) in enumerate(zip(received.rows, received.lost), start=1):
         if missing == 0:
             symbols.append(oracle_symbol(code, bits))
             continue
@@ -252,15 +272,14 @@ def oracle_decode(code, received):
     except NotACodewordError as exc:
         raise CorruptInputError("intact rows disagree with the outer code") from exc
     rows = []
-    for i, (bits, length) in enumerate(received.rows, start=1):
-        if length == L:
+    for i, (bits, k) in enumerate(zip(received.rows, received.lost), start=1):
+        if k == 0:
             rows.append(bits)
             continue
         symbol = codeword[i - 1]
         tail = symbol >> h
-        k = L - length
         if k > 1:
-            bits |= (tail >> (e - k + 1)) << length
+            bits |= (tail >> (e - k + 1)) << (L - k)
         full = vt_decode_int(bits, symbol & ((1 << h) - 1), L)
         if full >> (L - e) != tail:
             raise CorruptInputError(
@@ -287,19 +306,19 @@ def _oracle_inputs(rng, code):
     x = code.encode([rng.randrange(2) for _ in range(code.message_bits)])
     spec = ChannelSpec("ted", t=code.t, s=1, e=e)
     full = [(r, L) for r in x.rows]
-    yield "valid", apply_channel(x, spec, random_instance(spec, n, L, rng)).rows
-    yield "over capacity", _damage(rng, full, min(n, R + 1 + rng.randrange(2)),
-                                        (1, e + 1))
+    yield "valid", apply_channel(x, spec, random_instance(spec, n, L, rng))
+    yield "over capacity", _ragged(L, _damage(rng, full, min(n, R + 1 + rng.randrange(2)),
+                                              (1, e + 1)))
     out = _damage(rng, full, rng.randint(0, R - 1), (1, e + 1))
-    yield "out of contract", _damage(rng, out, 2, (e + 2, e + 4))
+    yield "out of contract", _ragged(L, _damage(rng, out, 2, (e + 2, e + 4)))
     damaged = _damage(rng, full, rng.randint(1, R), (1, e + 1))
-    yield "flipped intact", _flip(rng, damaged, lambda length: length == L)
-    yield "flipped damaged", _flip(rng, damaged, lambda length: length < L)
+    yield "flipped intact", _ragged(L, _flip(rng, damaged, lambda length: length == L))
+    yield "flipped damaged", _ragged(L, _flip(rng, damaged, lambda length: length < L))
 
 
-def _outcome(decode, code, rows):
+def _outcome(decode, code, received):
     try:
-        return decode(code, RaggedArray(code.n, code.L, tuple(rows)))
+        return decode(code, received)
     except ArrayCodeError as exc:
         return type(exc), str(exc)
 
@@ -312,10 +331,10 @@ def test_decode_matches_row_by_row_oracle(code):
     rng = random.Random(code.n * 1000 + code.L * 10 + code.e)
     seen = set()
     for _ in range(80):
-        for kind, rows in _oracle_inputs(rng, code):
-            want = _outcome(oracle_decode, code, rows)
-            got = _outcome(TedCode.decode, code, rows)
-            assert got == want, (kind, rows)
+        for kind, received in _oracle_inputs(rng, code):
+            want = _outcome(oracle_decode, code, received)
+            got = _outcome(TedCode.decode, code, received)
+            assert got == want, (kind, received)
             seen.add((kind, "decoded" if isinstance(want, BitArray) else want[0]))
     # A flipped bit in a damaged row can repair to another member (with e = 0
     # the symbol is the VT syndrome the repair enforces), so any outcome of
@@ -355,7 +374,7 @@ def test_membership_recheck_catches_a_wrong_repair(code, fault, monkeypatch):
     for _ in range(60):
         x = code.encode([rng.randrange(2) for _ in range(code.message_bits)])
         received = apply_channel(x, spec, random_instance(spec, code.n, code.L, rng))
-        if all(length == code.L for _, length in received.rows):
+        if not any(received.lost):
             assert code.decode(received) == x
             continue
         with pytest.raises(CorruptInputError) as exc:
