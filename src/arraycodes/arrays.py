@@ -136,30 +136,74 @@ def _prefix_masks(L: int) -> Tuple[int, ...]:
     return tuple((1 << (L - p)) - 1 for p in range(L + 1))
 
 
-def _checked_pattern(x: BitArray, p: Sequence[int]) -> array:
-    """p as plain ints, once it is checked to be a pattern for x: one entry
-    per row, each an int in 0..L.  `apply_te_pattern` and the TED channel
-    both take their pattern through it, so both raise the same ValueError."""
-    if len(p) != x.n:
-        raise ValueError("pattern length does not match row count")
-    try:
-        if x.n and (min(p) < 0 or max(p) > x.L):
-            raise ValueError("per-row erasure count out of range")
-        # An int array takes exactly the entries that can index a tuple.
-        # array() would read bytes as raw machine words, so only lists
-        # and tuples go in as is.
-        return array("q", p if isinstance(p, (list, tuple)) else list(p))
-    except TypeError:
-        # an entry that does not compare with ints or is no int
-        raise ValueError("per-row erasure counts must be ints") from None
+# The pattern `_damage` takes for a channel that erases no tails.  It is
+# not None, so a None pattern stays a wrong type like any non-sequence.
+_NO_ERASURES = object()
+
+
+def _damage(x: BitArray, pattern, deletions, e: int, t: int, s: int) -> RaggedArray:
+    """The one checked pass behind every channel: erase the last pattern[i]
+    positions of row i, then delete the 1-indexed positions of each
+    (row, positions) pair of `deletions` from the truncated rows.
+
+    It checks, in this order: the pattern (one int in 0..L per row), its
+    total against the budget e, and, deletion by deletion, at most t rows,
+    each named once with 1..s positions, every row and position an int in
+    range.  A bad value raises ValueError; a pattern or deletions that are
+    no sequence raise TypeError."""
+    n, L = x.n, x.L
+    if pattern is _NO_ERASURES:
+        rows, lost = list(x.rows), [0] * n
+    else:
+        if len(pattern) != n:
+            raise ValueError("pattern length does not match row count")
+        try:
+            if n and (min(pattern) < 0 or max(pattern) > L):
+                raise ValueError("per-row erasure count out of range")
+            # An int array takes exactly the entries that can index a tuple.
+            # array() would read bytes as raw machine words, so only lists
+            # and tuples go in as is.
+            lost = array("q", pattern if isinstance(pattern, (list, tuple))
+                         else list(pattern))
+        except TypeError:
+            # an entry that does not compare with ints or is no int
+            raise ValueError("per-row erasure counts must be ints") from None
+        masks = _prefix_masks(L)
+        rows = [r & masks[p] for r, p in zip(x.rows, lost)]
+        if sum(lost) > e:
+            raise ValueError("instance exceeds the e budget")
+    if len(deletions) > t:
+        raise ValueError("too many deletion rows")
+    if deletions:
+        seen = set()
+        try:
+            for row, positions in deletions:
+                if row in seen:
+                    raise ValueError("duplicate row in deletion instance")
+                seen.add(row)
+                if not 1 <= len(positions) <= s:
+                    raise ValueError("per-row deletion count out of range")
+                if not 1 <= row <= n:
+                    raise ValueError(f"row {row} out of range")
+                bits, length = rows[row - 1], L - lost[row - 1]
+                # Last position first, so the ones before it keep their index.
+                if len(positions) > 1:
+                    positions = sorted(positions, reverse=True)
+                for pos in positions:
+                    if not 1 <= pos <= length:
+                        raise ValueError(f"deletion position {pos} out of range")
+                    bits = (bits & ((1 << (pos - 1)) - 1)) | ((bits >> pos) << (pos - 1))
+                    length -= 1
+                rows[row - 1], lost[row - 1] = bits, L - length
+        except TypeError:
+            # a row or position that is no int, or an entry that is no pair
+            raise ValueError("deletion rows and positions must be ints") from None
+    return _trusted(RaggedArray, n=n, L=L, rows=tuple(rows), lost=tuple(lost))
 
 
 def apply_te_pattern(x: BitArray, p: Sequence[int]) -> RaggedArray:
     """Erase the last p_i positions of each row of x: row i loses p_i."""
-    lost = _checked_pattern(x, p)
-    masks = _prefix_masks(x.L)
-    rows = tuple([r & masks[pi] for r, pi in zip(x.rows, lost)])
-    return _trusted(RaggedArray, n=x.n, L=x.L, rows=rows, lost=tuple(lost))
+    return _damage(x, p, (), x.n * x.L, 0, 0)
 
 
 def rho_te_row(x: int, y: int, L: int) -> int:

@@ -13,10 +13,10 @@ import random
 from collections import deque
 from dataclasses import dataclass
 from itertools import chain, combinations, islice, product, repeat
-from typing import Iterator, List, MutableSequence, Optional, Sequence, Tuple
+from typing import Iterator, Optional, Sequence, Tuple
 
-from .arrays import (BitArray, RaggedArray, _checked_pattern, _prefix_masks,
-                     _trusted, apply_te_pattern, enumerate_patterns)
+from .arrays import (_NO_ERASURES, BitArray, RaggedArray, _damage,
+                     enumerate_patterns)
 
 TeInstance = Tuple[int, ...]                 # erasure counts per row
 DelInstance = Tuple[Tuple[int, Tuple[int, ...]], ...]   # (row, positions), 1-indexed
@@ -42,76 +42,26 @@ class ChannelSpec:
             raise ValueError("t and s must be non-negative")
 
 
-def _delete(rows: List[int], lost: MutableSequence[int], deletions: DelInstance,
-            L: int) -> RaggedArray:
-    """Delete 1-indexed positions from the rows, row i holding L - lost[i]
-    positions; every index is checked, so the rows stay valid.  A row or
-    position that is no int raises ValueError."""
-    try:
-        for row, positions in deletions:
-            if not 1 <= row <= len(rows):
-                raise ValueError(f"row {row} out of range")
-            bits, length = rows[row - 1], L - lost[row - 1]
-            # Last position first, so the ones before it keep their index.
-            if len(positions) > 1:
-                positions = sorted(positions, reverse=True)
-            for pos in positions:
-                if not 1 <= pos <= length:
-                    raise ValueError(f"deletion position {pos} out of range")
-                bits = (bits & ((1 << (pos - 1)) - 1)) | ((bits >> pos) << (pos - 1))
-                length -= 1
-            rows[row - 1], lost[row - 1] = bits, L - length
-    except TypeError:
-        raise ValueError("deletion rows and positions must be ints") from None
-    return _trusted(RaggedArray, n=len(rows), L=L, rows=tuple(rows), lost=tuple(lost))
-
-
 def apply_deletions(x: BitArray, instance: DelInstance) -> RaggedArray:
-    return _delete(list(x.rows), [0] * x.n, instance, x.L)
+    return _damage(x, _NO_ERASURES, instance, 0, x.n, x.L)
 
 
 def apply_ted(x: BitArray, instance: TedInstance) -> RaggedArray:
-    """Tail erasures first, then deletions indexed into the truncated rows.
-    Each row's erased tail is masked off straight into the list that the
-    deletion step edits."""
+    """Tail erasures first, then deletions indexed into the truncated rows."""
     pattern, deletions = instance
-    lost = _checked_pattern(x, pattern)
-    masks = _prefix_masks(x.L)
-    return _delete([r & masks[p] for r, p in zip(x.rows, lost)], lost, deletions, x.L)
+    return _damage(x, pattern, deletions, x.n * x.L, x.n, x.L)
 
 
 def apply_channel(x: BitArray, spec: ChannelSpec, instance):
-    """Apply a concrete instance; every kind returns a RaggedArray."""
-    if spec.kind == "del":
-        _check_del_instance(instance, spec.t, spec.s)
-        return apply_deletions(x, instance)
-    pattern, deletions = (instance, ()) if spec.kind == "te" else instance
-    try:
-        over = sum(pattern) > spec.e
-    except TypeError:
-        # an entry that does not add up, which `_checked_pattern` rejects
-        raise ValueError("per-row erasure counts must be ints") from None
-    if over:
-        raise ValueError("instance exceeds the e budget")
+    """Apply a concrete instance within the spec's budgets; every kind
+    returns a RaggedArray."""
     if spec.kind == "te":
-        return apply_te_pattern(x, instance)
-    _check_del_instance(deletions, spec.t, spec.s)
-    return apply_ted(x, instance)
-
-
-def _check_del_instance(instance: DelInstance, t: int, s: int) -> None:
-    if len(instance) > t:
-        raise ValueError("too many deletion rows")
-    seen = set()
-    try:
-        for row, positions in instance:
-            if row in seen:
-                raise ValueError("duplicate row in deletion instance")
-            seen.add(row)
-            if not 1 <= len(positions) <= s:
-                raise ValueError("per-row deletion count out of range")
-    except TypeError:
-        raise ValueError("deletion rows and positions must be ints") from None
+        pattern, deletions = instance, ()
+    elif spec.kind == "del":
+        pattern, deletions = _NO_ERASURES, instance
+    else:
+        pattern, deletions = instance
+    return _damage(x, pattern, deletions, spec.e, spec.t, spec.s)
 
 
 def enumerate_deletion_instances(row_lengths: Sequence[int], t: int, s: int,

@@ -7,7 +7,8 @@ parser takes abbreviations.
 Array I/O uses the shared text format (rows over {0,1}, '#' comments,
 '# L=<int>' declares the full length, which ragged input needs; a received
 row may also end in '?' marks at full length).  Exit status: 0 on
-success, 1 when a verification finds a failure, 2 on usage errors.
+success, 1 when a verification finds a failure, 2 on usage errors,
+including a file that cannot be read or written.
 """
 
 from __future__ import annotations
@@ -189,7 +190,7 @@ def cmd_channel(args) -> int:
     text = Path(args.infile).read_text() if args.infile else sys.stdin.read()
     x = parse_bit_array(text)
     spec = _channel_spec(args)
-    if args.pattern:
+    if args.pattern is not None:
         if spec.kind != "te":
             raise UsageError("--pattern applies to the te channel only")
         instance = tuple(int(v) for v in args.pattern.split(","))
@@ -390,7 +391,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (UsageError, ValueError, FileNotFoundError, RuntimeError) as exc:
+    except (UsageError, ValueError, OSError, RuntimeError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except ArrayCodeError as exc:

@@ -5,9 +5,10 @@ from itertools import combinations, product
 
 import pytest
 
-from arraycodes.arrays import (BitArray, RaggedArray, apply_te_pattern, count_patterns,
-                               enumerate_patterns, format_ragged, parse_ragged)
-from arraycodes.channel import (DEFAULT_MAX_WORK, ChannelSpec, RunRecord, _delete,
+from arraycodes.arrays import (BitArray, RaggedArray, _trusted, apply_te_pattern,
+                               count_patterns, enumerate_patterns, format_ragged,
+                               parse_ragged)
+from arraycodes.channel import (DEFAULT_MAX_WORK, ChannelSpec, RunRecord,
                                 apply_channel, apply_deletions, apply_ted,
                                 enumerate_channel_instances,
                                 enumerate_deletion_instances, random_instance,
@@ -520,6 +521,30 @@ def test_harness_records_a_wrong_message_of():
     assert ce["received"] == DcCode(5, 4, 1).encode(ce["message"]).to_lists()
 
 
+def _delete(rows, lost, deletions, L):
+    """The deletion step as the library first ran it on its own, kept as
+    the oracle's second step: delete 1-indexed positions from the rows,
+    row i holding L - lost[i] positions; every index is checked, so the
+    rows stay valid.  A row or position that is no int raises ValueError."""
+    try:
+        for row, positions in deletions:
+            if not 1 <= row <= len(rows):
+                raise ValueError(f"row {row} out of range")
+            bits, length = rows[row - 1], L - lost[row - 1]
+            # Last position first, so the ones before it keep their index.
+            if len(positions) > 1:
+                positions = sorted(positions, reverse=True)
+            for pos in positions:
+                if not 1 <= pos <= length:
+                    raise ValueError(f"deletion position {pos} out of range")
+                bits = (bits & ((1 << (pos - 1)) - 1)) | ((bits >> pos) << (pos - 1))
+                length -= 1
+            rows[row - 1], lost[row - 1] = bits, L - length
+    except TypeError:
+        raise ValueError("deletion rows and positions must be ints") from None
+    return _trusted(RaggedArray, n=len(rows), L=L, rows=tuple(rows), lost=tuple(lost))
+
+
 def two_step_apply_ted(x, instance):
     """The TED channel as first written, kept as the oracle: the tail
     erasures through `apply_te_pattern`, then the deletions on its
@@ -567,8 +592,8 @@ def test_ted_and_te_channels_reject_a_bad_pattern_alike(pattern, message):
 
 @pytest.mark.parametrize("kind", ["te", "ted"])
 def test_apply_channel_rejects_a_non_int_entry_as_the_pattern_check_does(kind):
-    # the e budget is summed first; an entry that does not add up must still
-    # raise the pattern check's ValueError, not the sum's TypeError
+    # an entry that does not add up raises the pattern check's ValueError,
+    # not the TypeError of summing it against the e budget
     x = BitArray(3, 4, (0b1011, 0b0110, 0b1111))
     spec = ChannelSpec(kind, e=2, t=1, s=1)
     pattern = ("1", 0, 0)
@@ -592,3 +617,64 @@ def test_a_non_int_deletion_row_or_position_raises_value_error(kind, instance):
     if kind == "del":
         with pytest.raises(ValueError, match=message):
             apply_deletions(x, instance)
+
+
+# The instance contract, one malformed instance per case, as (instance
+# part, exception type, message, budget).  A budget case breaks only the
+# spec's e, t or s; `apply_deletions` and `apply_ted` take no budget, so
+# it goes through `apply_channel` alone.  Every other case must raise the
+# same through `apply_channel` and the kind's own `apply_*`.
+BAD_PATTERNS = [
+    ((0, 0), ValueError, "pattern length does not match row count", False),
+    ((-1, 0, 0), ValueError, "per-row erasure count out of range", False),
+    ((0, 5, 0), ValueError, "per-row erasure count out of range", False),
+    ((1.0, 0, 0), ValueError, "per-row erasure counts must be ints", False),
+    (("1", 0, 0), ValueError, "per-row erasure counts must be ints", False),
+    ((2, 1, 0), ValueError, "instance exceeds the e budget", True),
+    (None, TypeError, "object of type 'NoneType' has no len()", False),
+]
+BAD_DELETIONS = [
+    (((1, (1,)), (2, (1,)), (3, (1,))), ValueError, "too many deletion rows", True),
+    (((1, (1,)), (1, (2,))), ValueError, "duplicate row in deletion instance", False),
+    (((1, ()),), ValueError, "per-row deletion count out of range", False),
+    (((1, (1, 2, 3)),), ValueError, "per-row deletion count out of range", True),
+    (((0, (1,)),), ValueError, "row 0 out of range", False),
+    (((4, (1,)),), ValueError, "row 4 out of range", False),
+    (((1, (0,)),), ValueError, "deletion position 0 out of range", False),
+    (((1.0, (1,)),), ValueError, "deletion rows and positions must be ints", False),
+    ((("1", (1,)),), ValueError, "deletion rows and positions must be ints", False),
+    (((1, (2.5,)),), ValueError, "deletion rows and positions must be ints", False),
+    (((1, ("2",)),), ValueError, "deletion rows and positions must be ints", False),
+    (((1, 2),), ValueError, "deletion rows and positions must be ints", False),
+    (None, TypeError, "object of type 'NoneType' has no len()", False),
+    (5, TypeError, "object of type 'int' has no len()", False),
+]
+CONTRACT_SPECS = {"te": ChannelSpec("te", e=2), "del": ChannelSpec("del", t=2, s=2),
+                  "ted": ChannelSpec("ted", t=2, s=2, e=2)}
+# Row 2 keeps 3 of its 4 positions under the ted pattern below, so a
+# position past the row is 5 for the deletion channel and 4 for ted.
+TED_PATTERN = (0, 1, 0)
+CONTRACT_CASES = (
+    [("te", p, *rest) for p, *rest in BAD_PATTERNS]
+    + [("ted", (p, ()), *rest) for p, *rest in BAD_PATTERNS]
+    + [("del", d, *rest) for d, *rest in BAD_DELETIONS]
+    + [("ted", (TED_PATTERN, d), *rest) for d, *rest in BAD_DELETIONS]
+    + [("del", ((2, (5,)),), ValueError, "deletion position 5 out of range", False),
+       ("ted", (TED_PATTERN, ((2, (4,)),)), ValueError,
+        "deletion position 4 out of range", False)])
+
+
+def _raised(apply, *args):
+    with pytest.raises(Exception) as error:
+        apply(*args)
+    return type(error.value), str(error.value)
+
+
+@pytest.mark.parametrize("kind,instance,error,message,budget", CONTRACT_CASES)
+def test_every_path_raises_the_same_for_a_malformed_instance(kind, instance, error,
+                                                             message, budget):
+    x = BitArray(3, 4, (0b1011, 0b0110, 0b1111))
+    assert _raised(apply_channel, x, CONTRACT_SPECS[kind], instance) == (error, message)
+    if not budget:
+        apply = {"te": apply_te_pattern, "del": apply_deletions, "ted": apply_ted}[kind]
+        assert _raised(apply, x, instance) == (error, message)

@@ -4,9 +4,10 @@ import struct
 
 import pytest
 
-from arraycodes.arrays import BitArray
+from arraycodes.arrays import BitArray, format_bit_array
 from arraycodes.bounds import ball_count_brute
 from arraycodes.cli import build_parser, main
+from arraycodes.dc import DcCode
 from arraycodes.te import construct_hasse, construct_hasse_raw
 
 
@@ -684,3 +685,36 @@ def test_bounds_table_iii_records(capsys):
         "table=III n=9 L=7 t=2 s=1 h=3 upper_measured=None closed[n<=2^h+1]=6 "
         "closed[n=c*2^h]=6.339850002884624 closed[general]=12.339850002884624 "
         "applicable=n<=2^h+1,general"]
+
+
+@pytest.mark.parametrize("option", ["--in", "--code-file", "--out"])
+def test_a_path_that_cannot_be_read_or_written_exits_2(tmp_path, capsys, option):
+    """A directory named as a file is an OSError, as is a file that cannot
+    be read: a usage error (exit 2) with one stderr line, not a traceback
+    and the exit 1 of a verification failure."""
+    code = DcCode(5, 4, 1)
+    code_file = tmp_path / "dc.json"
+    code_file.write_text(json.dumps(code.descriptor()))
+    received = tmp_path / "recv.txt"
+    received.write_text(format_bit_array(code.encode([0] * code.message_bits)))
+    paths = {"--in": received, "--code-file": code_file, "--out": tmp_path / "out.txt"}
+    paths[option] = tmp_path
+    rc, out, err = run(capsys, "decode", *(str(v) for kv in paths.items() for v in kv))
+    assert rc == 2 and out == ""
+    assert err.startswith("usage error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("pattern, fragment", [
+    ("", "invalid literal"), ("1.5,0", "invalid literal"),
+    ("1,0,0", "pattern length does not match row count"),
+    ("2,1", "instance exceeds the e budget")])
+def test_channel_with_a_bad_pattern_exits_2(tmp_path, capsys, pattern, fragment):
+    """An explicit --pattern is applied even when it is empty; a random
+    instance is drawn only when the option is absent."""
+    array_file = tmp_path / "arr.txt"
+    array_file.write_text("# L=3\n101\n011\n")
+    rc, out, err = run(capsys, "channel", "--kind", "te", "--e", "2",
+                       "--pattern", pattern, "--in", str(array_file))
+    assert rc == 2 and out == ""
+    assert err.startswith("usage error:") and err.count("\n") == 1
+    assert fragment in err
