@@ -38,7 +38,7 @@ def _trusted(cls, **fields):
     """An instance of one of the array classes below with its fields set
     as given, skipping `__post_init__`.  Internal only: the library uses it
     where it builds rows valid by construction; every public path (the
-    constructors, `from_lists`, the text parsers) keeps its checks."""
+    constructors, `BitArray.from_lists`, the text parsers) keeps its checks."""
     obj = object.__new__(cls)
     obj.__dict__.update(fields)
     return obj
@@ -120,11 +120,6 @@ class RaggedArray:
                 raise ValueError("row length out of range")
             if r >> (self.L - k):
                 raise ValueError("bits beyond the row's surviving length")
-
-    @classmethod
-    def from_lists(cls, entries: Sequence[Sequence[int]], L: int) -> "RaggedArray":
-        return cls(len(entries), L, tuple(map(_row_to_int, entries)),
-                   tuple(L - len(r) for r in entries))
 
     def to_lists(self) -> List[List[int]]:
         return [_int_to_row(r, self.L - k) for r, k in zip(self.rows, self.lost)]

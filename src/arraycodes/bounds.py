@@ -73,6 +73,8 @@ def v_te_small(r: int, n: int, L: int) -> int:
 
 def ball_count_brute(center: BitArray, r: int) -> int:
     """|{Y : rho_TE(center, Y) <= r}| by full enumeration (tiny arrays only)."""
+    if r < 0:
+        raise ValueError("radius must be non-negative")
     n, L = center.n, center.L
     count = 0
     for value in range(1 << (n * L)):
@@ -229,6 +231,8 @@ def m_s_brute(L: int, s: int) -> int:
     """Exact largest s-deletion-correcting code of length L (confusability
     graph independence number).  Guarded at L <= 10; exponential, with s = 1
     comfortable up to L = 7 and slow beyond."""
+    if L < 0 or s < 0:
+        raise ValueError("L and s must be non-negative")
     if L > 10:
         raise ValueError("combinatorial guard: L <= 10")
     if s >= L:
@@ -268,9 +272,16 @@ def a_n_d_upper(n: int, d: int) -> int:
 
 def a_n_d_brute(n: int, d: int) -> int:
     """Exact A(n,d) for small n: greedy lexicode meets a bound where it can,
-    branch-and-bound otherwise."""
+    branch-and-bound otherwise.  Past d = n only one word fits, since two
+    distinct words of length n differ in at most n places."""
+    if n < 0:
+        raise ValueError("length must be non-negative")
+    if d < 1:
+        raise ValueError("distance must be at least 1")
     if d == 1:
         return 1 << n
+    if d > n:
+        return 1
     upper = a_n_d_upper(n, d)
     greedy = _greedy_lexicode(n, d)
     if greedy == upper:

@@ -20,7 +20,6 @@ from .arrays import (_NO_ERASURES, BitArray, RaggedArray, _damage,
 
 TeInstance = Tuple[int, ...]                 # erasure counts per row
 DelInstance = Tuple[Tuple[int, Tuple[int, ...]], ...]   # (row, positions), 1-indexed
-TedInstance = Tuple[TeInstance, DelInstance]
 
 # Cap on the instances one exhaustive enumeration may yield.
 DEFAULT_MAX_WORK = 2_000_000
@@ -42,19 +41,10 @@ class ChannelSpec:
             raise ValueError("t and s must be non-negative")
 
 
-def apply_deletions(x: BitArray, instance: DelInstance) -> RaggedArray:
-    return _damage(x, _NO_ERASURES, instance, 0, x.n, x.L)
-
-
-def apply_ted(x: BitArray, instance: TedInstance) -> RaggedArray:
-    """Tail erasures first, then deletions indexed into the truncated rows."""
-    pattern, deletions = instance
-    return _damage(x, pattern, deletions, x.n * x.L, x.n, x.L)
-
-
-def apply_channel(x: BitArray, spec: ChannelSpec, instance):
+def apply_channel(x: BitArray, spec: ChannelSpec, instance) -> RaggedArray:
     """Apply a concrete instance within the spec's budgets; every kind
-    returns a RaggedArray."""
+    returns a RaggedArray.  A ted instance erases the tails first, then
+    deletes positions indexed into the truncated rows."""
     if spec.kind == "te":
         pattern, deletions = instance, ()
     elif spec.kind == "del":

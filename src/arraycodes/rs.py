@@ -191,44 +191,19 @@ class ReedSolomon:
     def _in_range(self, word: Sequence[int]) -> bool:
         return 0 <= min(word) and not max(word) >> self.field.m
 
-    def encode(self, message: Sequence[int]) -> List[int]:
-        """Systematic encoding: output[0:k] equals the message.  Raises
-        ValueError for a symbol outside [0, 2^m)."""
-        if len(message) != self.k:
-            raise ValueError(f"message must have {self.k} symbols")
-        msg = [int(m) for m in message]
-        if not self._in_range(msg):
-            raise ValueError(f"message symbols must lie in [0, {self.field.order})")
-        return msg + self._parity(msg)
-
     def _parity(self, message: Sequence[int]) -> List[int]:
         """The n-k parity symbols of k message symbols, unchecked: the
         caller guarantees k ints in [0, 2^m)."""
         return self._unpack(self._lookup(self._tables.par, message))
-
-    def decode_erasures(self, received: Sequence[Optional[int]]) -> List[int]:
-        """Fill in erased symbols (None entries); returns the full codeword.
-
-        Raises CapacityExceededError with more than n - k erasures,
-        NotACodewordError when the survivors are mutually inconsistent and
-        ValueError for a survivor outside [0, 2^m).
-        """
-        if len(received) != self.n:
-            raise ValueError("received word has the wrong length")
-        erased = [i for i, v in enumerate(received) if v is None]
-        word = [0 if v is None else int(v) for v in received]
-        if not self._in_range(word):
-            raise ValueError(f"received symbols must lie in [0, {self.field.order})")
-        self._fill_erasures(word, erased)
-        return word
 
     def _fill_erasures(self, word: List[int], erased: Sequence[int]) -> int:
         """Write the erased symbols of `word` in place and return the packed
         syndrome of the survivors.  `word` holds n ints in [0, 2^m), 0 at the
         erased indices, listed in `erased`; the caller guarantees the range,
         which is not checked here (an out-of-range symbol would be masked
-        or index past a table row).  Raises CapacityExceededError and
-        NotACodewordError as `decode_erasures` does."""
+        or index past a table row).  Raises CapacityExceededError with more
+        than n - k erasures and NotACodewordError when the survivors match
+        no codeword."""
         tables = self._tables
         eps = len(erased)
         if eps > tables.capacity:
@@ -286,6 +261,8 @@ class ReedSolomon:
         return syndrome
 
     def is_codeword(self, word: Sequence[int]) -> bool:
+        """Whether `word` is a codeword: n symbols in [0, 2^m) whose
+        syndromes vanish.  Any other word is no codeword, not an error."""
         if len(word) != self.n or not self._in_range(word):
             return False
         return not self._lookup(self._tables.syn, word)

@@ -14,7 +14,7 @@ byte, so the symbols of a whole array of such rows are one `translate`
 through a 256-byte table of the code.
 
 Every symbol is below 2^(h+e) by construction, so the codec calls the outer
-code's unchecked entry points, `ReedSolomon._parity` and
+code's private kernels, `ReedSolomon._parity` and
 `ReedSolomon._fill_erasures`, which trust their caller on that range.
 
 Decoding checks its own output: the outer fill returns the syndrome of the
@@ -152,8 +152,6 @@ class TedCode:
         m = _row_to_int(message)
         full = (1 << L) - 1
         rows = [(m >> (i * L)) & full for i in range(k)]
-        # The message rows' symbols are in range by construction, so the
-        # outer parity skips the range checks of `ReedSolomon.encode`.
         parity = self.outer._parity(self._symbols(rows))
         rest = m >> (k * L)
         per_row = L - e - h

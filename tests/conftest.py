@@ -2,11 +2,26 @@ import random
 from functools import lru_cache
 from itertools import combinations
 
-from arraycodes.arrays import BitArray, enumerate_patterns
+from arraycodes.arrays import BitArray, RaggedArray, enumerate_patterns
+from arraycodes.channel import ChannelSpec
 
 
 def random_array(rng: random.Random, n: int, L: int) -> BitArray:
     return BitArray(n, L, tuple(rng.randrange(1 << L) for _ in range(n)))
+
+
+def ragged(entries, L: int) -> RaggedArray:
+    """The RaggedArray of rows of L positions whose surviving bits are the
+    0/1 lists in `entries`, first position first."""
+    return RaggedArray(len(entries), L,
+                       tuple(sum(b << j for j, b in enumerate(row)) for row in entries),
+                       tuple(L - len(row) for row in entries))
+
+
+def unbudgeted(kind: str, x: BitArray) -> ChannelSpec:
+    """The `kind` channel spec whose budgets hold every instance on x: all
+    n*L positions erased, all n rows with deletions, all L positions each."""
+    return ChannelSpec(kind, e=x.n * x.L, t=x.n, s=x.L)
 
 
 def all_arrays(n: int, L: int):

@@ -15,7 +15,7 @@ from arraycodes.arrays import (INF, BitArray, RaggedArray,
                                parse_bit_array, parse_ragged,
                                rho_te_distance, run_stats)
 from conftest import (fll_oracle, min_pattern_erasures,
-                      patterns_grouped_by_weight, random_array,
+                      patterns_grouped_by_weight, ragged, random_array,
                       recursive_patterns)
 
 X23 = BitArray.from_lists([[1, 0, 1], [0, 0, 1]])
@@ -236,8 +236,8 @@ def test_text_format_roundtrips():
     erased = apply_te_pattern(x, (2, 0))
     assert format_ragged(erased) == "# L=3\n1\n011\n"
     assert parse_ragged(format_ragged(erased)) == erased
-    ragged = RaggedArray.from_lists([[1, 0], [0, 1, 1]], 3)
-    assert parse_ragged(format_ragged(ragged)) == ragged
+    damaged = ragged([[1, 0], [0, 1, 1]], 3)
+    assert parse_ragged(format_ragged(damaged)) == damaged
     with_comment = "# comment\n101\n011\n"
     assert parse_bit_array(with_comment) == x
 
@@ -253,9 +253,9 @@ def test_text_format_roundtrips_every_small_array():
                 x = BitArray(n, L, rows)
                 assert parse_bit_array(format_bit_array(x)) == x
             for cells in itertools.product(shapes, repeat=n):
-                ragged = RaggedArray(n, L, tuple(v for v, _ in cells),
-                                     tuple(k for _, k in cells))
-                assert parse_ragged(format_ragged(ragged)) == ragged
+                damaged = RaggedArray(n, L, tuple(v for v, _ in cells),
+                                      tuple(k for _, k in cells))
+                assert parse_ragged(format_ragged(damaged)) == damaged
 
 
 @pytest.mark.parametrize("rows", [((0, 3), (5, 0), (1, 1)), ((5, 0), (0, 3), (1, 1)),
@@ -312,8 +312,6 @@ def test_ragged_array_invariants():
             RaggedArray(1, 3, (0,), lost)
     with pytest.raises(ValueError, match="row count mismatch"):
         RaggedArray(2, 3, (0, 0), (0,))
-    assert RaggedArray.from_lists([[1, 0], [], [0, 1, 1]], 3) == \
-        RaggedArray(3, 3, (0b01, 0, 0b110), (1, 3, 0))
 
 
 @pytest.mark.parametrize("bits", ([], [1], [True, False, True], [2], [-1], [257],
@@ -334,8 +332,6 @@ def test_row_to_int_accepts_only_bits(bits):
 def test_from_lists_rejects_non_binary_entries():
     with pytest.raises(ValueError, match="must be 0 or 1"):
         BitArray.from_lists([[2, 0], [1, 3]])
-    with pytest.raises(ValueError, match="must be 0 or 1"):
-        RaggedArray.from_lists([[1, 0], [0, -1, 1]], 3)
     assert BitArray.from_lists([[True, 0], [1, False]]).rows == (1, 1)
 
 
@@ -395,7 +391,7 @@ def test_parse_ragged_needs_the_row_length():
     rows are all short would otherwise get a wrong L."""
     with pytest.raises(ValueError, match="row length"):
         parse_ragged("101\n011\n")
-    assert parse_ragged("# L=4\n101\n01\n") == RaggedArray.from_lists([[1, 0, 1], [0, 1]], 4)
+    assert parse_ragged("# L=4\n101\n01\n") == ragged([[1, 0, 1], [0, 1]], 4)
     assert parse_ragged("# L=4\n101\n01\n").lost == (1, 2)
 
 

@@ -122,6 +122,24 @@ def test_a_n_d_values():
     assert a_n_d_brute(5, 5) == 2
 
 
+def test_a_n_d_rejects_a_distance_below_one_or_a_negative_length():
+    for d in (0, -1, -5):
+        with pytest.raises(ValueError, match="distance must be at least 1"):
+            a_n_d_brute(3, d)
+    for d in (1, 2, 5):
+        with pytest.raises(ValueError, match="length must be non-negative"):
+            a_n_d_brute(-3, d)
+
+
+def test_a_n_d_at_and_past_the_length():
+    """Two distinct words of length n differ in at most n places: at d = n
+    the code is a word and its complement, past it one word."""
+    for n in range(1, 7):
+        assert a_n_d_brute(n, n) == 2
+        for d in range(n + 1, n + 4):
+            assert a_n_d_brute(n, d) == 1
+
+
 @pytest.mark.parametrize("d,sizes", [(3, [2, 2, 4, 8, 16, 16, 32, 64]),
                                      (4, [2, 2, 4, 8, 16, 16, 32]),
                                      (5, [2, 2, 2, 4, 4, 8])])
@@ -149,6 +167,21 @@ def test_m_s_brute():
         assert m_s_brute(L, 1) >= vt0
     with pytest.raises(ValueError):
         m_s_brute(11, 1)
+
+
+@pytest.mark.parametrize("L,s", [(-1, 1), (3, -1), (-1, -1), (0, -1)])
+def test_m_s_brute_rejects_negative_parameters(L, s):
+    with pytest.raises(ValueError, match="L and s must be non-negative"):
+        m_s_brute(L, s)
+
+
+def test_ball_count_rejects_a_negative_radius():
+    """As `v_te_general` does; the empty count 0 is no ball volume."""
+    x = BitArray(2, 2, (0b01, 0b10))
+    with pytest.raises(ValueError, match="radius must be non-negative"):
+        ball_count_brute(x, -1)
+    with pytest.raises(ValueError, match="non-negative"):
+        v_te_general(-1, 2, 2)
 
 
 def test_dc_part1():

@@ -9,14 +9,13 @@ from arraycodes.arrays import (BitArray, RaggedArray, _trusted, apply_te_pattern
                                count_patterns, enumerate_patterns, format_ragged,
                                parse_ragged)
 from arraycodes.channel import (DEFAULT_MAX_WORK, ChannelSpec, RunRecord,
-                                apply_channel, apply_deletions, apply_ted,
-                                enumerate_channel_instances,
+                                apply_channel, enumerate_channel_instances,
                                 enumerate_deletion_instances, random_instance,
                                 roundtrip_harness)
 from arraycodes.dc import DcCode
 from arraycodes.te import TeCodec, construct_hasse
 from arraycodes.ted import TedCode
-from conftest import random_array, recursive_patterns
+from conftest import random_array, recursive_patterns, unbudgeted
 
 
 def test_te_channel_instance():
@@ -35,7 +34,7 @@ def test_te_and_ted_channels_share_one_output_type():
     for x in (codec.encode([rng.randrange(2) for _ in range(codec.k)]) for _ in range(3)):
         for p in enumerate_patterns(3, 3, 4):
             out = apply_te_pattern(x, p)
-            assert out == apply_ted(x, (p, ()))
+            assert out == apply_channel(x, unbudgeted("ted", x), (p, ()))
             assert out.lost == p and codec.decode(out) == x
 
 
@@ -52,13 +51,13 @@ def test_every_channel_output_roundtrips_through_text(spec):
 
 def test_deletion_channel_instance():
     x = BitArray.from_lists([[1, 0, 1], [0, 1, 1]])
-    out = apply_deletions(x, ((2, (3,)),))
+    out = apply_channel(x, unbudgeted("del", x), ((2, (3,)),))
     assert out.to_lists() == [[1, 0, 1], [0, 1]]
 
 
 def test_ted_channel_order():
     x = BitArray.from_lists([[1, 0, 1, 1]])
-    out = apply_ted(x, ((2,), ((1, (1,)),)))
+    out = apply_channel(x, unbudgeted("ted", x), ((2,), ((1, (1,)),)))
     # tail bits go first, then the deletion indexes the truncated row
     assert out.to_lists() == [[0]]
 
@@ -334,9 +333,9 @@ def test_channels_reject_deletion_positions_out_of_range(del_pos, ted_pos):
 
 def test_deletion_splices_row_ints():
     x = BitArray.from_lists([[1, 0, 1, 1, 0], [0, 1, 1, 0, 1]])
-    out = apply_deletions(x, ((1, (2, 5)), (2, (1,))))
+    out = apply_channel(x, unbudgeted("del", x), ((1, (2, 5)), (2, (1,))))
     assert out.to_lists() == [[1, 1, 1], [1, 1, 0, 1]]
-    out = apply_ted(x, ((1, 2), ((1, (1,)), (2, (3,)))))
+    out = apply_channel(x, unbudgeted("ted", x), ((1, 2), ((1, (1,)), (2, (3,)))))
     assert out.to_lists() == [[0, 1, 1], [0, 1]]
 
 
@@ -545,7 +544,7 @@ def _delete(rows, lost, deletions, L):
     return _trusted(RaggedArray, n=len(rows), L=L, rows=tuple(rows), lost=tuple(lost))
 
 
-def two_step_apply_ted(x, instance):
+def two_step_ted_channel(x, instance):
     """The TED channel as first written, kept as the oracle: the tail
     erasures through `apply_te_pattern`, then the deletions on its
     truncated rows."""
@@ -560,20 +559,22 @@ def test_ted_channel_matches_the_two_step_oracle():
     spec = ChannelSpec("ted", t=2, s=1, e=1)
     for inst in enumerate_channel_instances(spec, 5, 7):
         for x in arrays:
-            assert apply_ted(x, inst) == two_step_apply_ted(x, inst)
+            assert apply_channel(x, spec, inst) == two_step_ted_channel(x, inst)
     spec = ChannelSpec("ted", t=3, s=2, e=4)
     for _ in range(2000):
         x = random_array(rng, 6, 9)
         inst = random_instance(spec, 6, 9, rng)
         got = apply_channel(x, spec, inst)
-        assert got == apply_ted(x, inst) == two_step_apply_ted(x, inst)
+        assert got == apply_channel(x, unbudgeted("ted", x), inst)
+        assert got == two_step_ted_channel(x, inst)
 
 
 def test_ted_channel_lengths_are_ints_for_a_bool_pattern():
     x = BitArray(3, 4, (0b1011, 0b0110, 0b1111))
-    out = apply_ted(x, ((True, False, True), ((2, (1,)),)))
-    assert out == apply_ted(x, ((1, 0, 1), ((2, (1,)),)))
-    assert out == two_step_apply_ted(x, ((True, False, True), ((2, (1,)),)))
+    spec = unbudgeted("ted", x)
+    out = apply_channel(x, spec, ((True, False, True), ((2, (1,)),)))
+    assert out == apply_channel(x, spec, ((1, 0, 1), ((2, (1,)),)))
+    assert out == two_step_ted_channel(x, ((True, False, True), ((2, (1,)),)))
     assert [type(k) for k in out.lost] == [int] * 3
 
 
@@ -584,7 +585,7 @@ def test_ted_channel_lengths_are_ints_for_a_bool_pattern():
 def test_ted_and_te_channels_reject_a_bad_pattern_alike(pattern, message):
     x = BitArray(3, 4, (0b1011, 0b0110, 0b1111))
     with pytest.raises(ValueError, match=message) as ted_error:
-        apply_ted(x, (pattern, ()))
+        apply_channel(x, unbudgeted("ted", x), (pattern, ()))
     with pytest.raises(ValueError, match=message) as te_error:
         apply_te_pattern(x, pattern)
     assert str(ted_error.value) == str(te_error.value)
@@ -616,14 +617,14 @@ def test_a_non_int_deletion_row_or_position_raises_value_error(kind, instance):
         apply_channel(x, spec, instance)
     if kind == "del":
         with pytest.raises(ValueError, match=message):
-            apply_deletions(x, instance)
+            apply_channel(x, unbudgeted("del", x), instance)
 
 
 # The instance contract, one malformed instance per case, as (instance
 # part, exception type, message, budget).  A budget case breaks only the
-# spec's e, t or s; `apply_deletions` and `apply_ted` take no budget, so
-# it goes through `apply_channel` alone.  Every other case must raise the
-# same through `apply_channel` and the kind's own `apply_*`.
+# spec's e, t or s, so it raises under these specs alone.  Every other case
+# must raise the same under the spec of no budget, and a te case the same
+# through `apply_te_pattern`.
 BAD_PATTERNS = [
     ((0, 0), ValueError, "pattern length does not match row count", False),
     ((-1, 0, 0), ValueError, "per-row erasure count out of range", False),
@@ -676,5 +677,6 @@ def test_every_path_raises_the_same_for_a_malformed_instance(kind, instance, err
     x = BitArray(3, 4, (0b1011, 0b0110, 0b1111))
     assert _raised(apply_channel, x, CONTRACT_SPECS[kind], instance) == (error, message)
     if not budget:
-        apply = {"te": apply_te_pattern, "del": apply_deletions, "ted": apply_ted}[kind]
-        assert _raised(apply, x, instance) == (error, message)
+        assert _raised(apply_channel, x, unbudgeted(kind, x), instance) == (error, message)
+        if kind == "te":
+            assert _raised(apply_te_pattern, x, instance) == (error, message)

@@ -122,6 +122,30 @@ def test_oracle(capsys):
     assert rc == 0 and "value=4" in out
     rc, out, _ = run(capsys, "oracle", "--which", "a-n-d", "--n", "7", "--d", "3")
     assert rc == 0 and "value=16" in out
+    rc, out, _ = run(capsys, "oracle", "--which", "a-n-d", "--n", "3", "--d", "5")
+    assert rc == 0 and out == "oracle=a-n-d n=3 d=5 value=1\n"
+
+
+@pytest.mark.parametrize("argv, fragment", [
+    (("oracle", "--which", "a-n-d", "--n", "3", "--d", "0"), "distance must be at least 1"),
+    (("oracle", "--which", "a-n-d", "--n", "-3", "--d", "2"), "length must be non-negative"),
+    (("bounds", "--bound", "column-split", "--n", "3", "--d", "0"),
+     "distance must be at least 1"),
+    (("oracle", "--which", "m-s", "--L", "-1", "--s", "1"), "L and s must be non-negative"),
+    (("oracle", "--which", "m-s", "--L", "3", "--s", "-1"), "L and s must be non-negative"),
+    (("bounds", "--bound", "dc-1", "--n", "3", "--L", "-1", "--t", "1", "--s", "1"),
+     "L and s must be non-negative"),
+    (("oracle", "--which", "ball", "--n", "2", "--L", "2", "--r", "-1"),
+     "radius must be non-negative"),
+    (("bounds", "--bound", "v-te", "--n", "2", "--L", "2", "--r", "-1"), "non-negative")])
+def test_brute_force_parameters_out_of_range_exit_2(capsys, argv, fragment):
+    """A distance below 1 or a negative length, deletion count or radius is
+    a usage error with one stderr line, not a traceback (exit 1) or a
+    value."""
+    rc, out, err = run(capsys, *argv)
+    assert rc == 2 and out == ""
+    assert err.startswith("usage error:") and err.count("\n") == 1
+    assert fragment in err
 
 
 def test_usage_errors(capsys, tmp_path):
@@ -715,6 +739,90 @@ def test_channel_with_a_bad_pattern_exits_2(tmp_path, capsys, pattern, fragment)
     array_file.write_text("# L=3\n101\n011\n")
     rc, out, err = run(capsys, "channel", "--kind", "te", "--e", "2",
                        "--pattern", pattern, "--in", str(array_file))
+    assert rc == 2 and out == ""
+    assert err.startswith("usage error:") and err.count("\n") == 1
+    assert fragment in err
+
+
+# --- malformed input files -----------------------------------------------------
+
+def _descriptor(base, **changes):
+    """A JSON descriptor file: `base` with the given keys changed, and the
+    keys set to None dropped."""
+    desc = {**base, **changes}
+    return json.dumps({k: v for k, v in desc.items() if v is not None}).encode()
+
+
+def _tepc(magic=b"TEPC", version=1, r=3, n=4, L=3, provenance=b"hasse", cut=0):
+    """A parity-check blob of zero columns with the given header fields, its
+    last `cut` bytes dropped."""
+    blob = (struct.pack(">4sHIIIiH", magic, version, r, n, L, -1, len(provenance))
+            + provenance + bytes(n * L * ((r + 7) // 8)))
+    return blob[:len(blob) - cut]
+
+
+_DC = {"kind": "dc", "n": 7, "L": 5, "t": 2}
+_TED = {"kind": "ted", "n": 5, "L": 7, "t": 1, "e": 1}
+_ARRAY = "# L=7\n" + "0000000\n" * 5      # a TED(5,7) array
+
+# (case, code file, a fragment of its message): no command may load these.
+BAD_CODE_FILES = [
+    ("truncated JSON", _descriptor(_TED)[:-4], "neither"),
+    ("JSON list", b"[7, 5, 2]", "JSON object"),
+    ("JSON null", b"null", "JSON object"),
+    ("unknown kind", _descriptor(_DC, kind="vt"), "unknown codec kind"),
+    ("no kind", _descriptor(_DC, kind=None), "unknown codec kind"),
+    ("dropped n", _descriptor(_DC, n=None), "integer 'n'"),
+    ("dropped e", _descriptor(_TED, e=None), "integer 'e'"),
+    ("str t", _descriptor(_DC, t="2"), "integer 't'"),
+    ("float L", _descriptor(_TED, L=7.0), "integer 'L'"),
+    ("bool e", _descriptor(_TED, e=True), "integer 'e'"),
+    ("negative t", _descriptor(_DC, t=-1), "1 <= t < n"),
+    ("negative n", _descriptor(_TED, n=-5), "must be positive"),
+    ("zero L", _descriptor(_DC, L=0), "must be positive"),
+    ("e at n - t", _descriptor(_TED, e=4), "smaller than n"),
+    ("tail over VT positions", _descriptor(_TED, n=9, e=4), "systematic encoding"),
+    ("n beyond the field", _descriptor(_DC, n=9), "at most 7 rows"),
+    ("short header", _tepc()[:20], "shorter than its 24-byte header"),
+    ("wrong magic", _tepc(magic=b"TEPX"), "neither"),
+    ("bad version", _tepc(version=2), "unsupported version 2"),
+    ("zero r", _tepc(r=0), "r=0"),
+    ("zero n", _tepc(n=0), "n=0"),
+    ("zero L blob", _tepc(L=0), "L=0"),
+    ("short body", _tepc(cut=1), "body has 11 bytes"),
+    ("non-UTF-8 provenance", _tepc(provenance=b"\xff\xfe"), "utf-8"),
+]
+
+# (case, array file, a fragment of its message): neither decode nor channel
+# may read these.
+BAD_ARRAY_FILES = [
+    ("word L", "# L=x\n10\n", "invalid literal"),
+    ("float L", "# L=3.5\n101\n", "invalid literal"),
+    ("empty L", "# L=\n101\n", "invalid literal"),
+]
+
+MALFORMED = (
+    [pytest.param(command, code, _ARRAY, fragment, id=f"{command}-{case}")
+     for command in ("encode", "decode", "verify") for case, code, fragment in BAD_CODE_FILES]
+    + [pytest.param(command, _descriptor(_TED), text, fragment, id=f"{command}-{case}")
+       for command in ("decode", "channel") for case, text, fragment in BAD_ARRAY_FILES])
+
+
+@pytest.mark.parametrize("command, code, text, fragment", MALFORMED)
+def test_malformed_input_file_exits_2_with_one_line(tmp_path, capsys, command, code,
+                                                     text, fragment):
+    """Each bad code or array file is a usage error: exit 2, nothing on
+    stdout and one line on stderr, not a traceback."""
+    code_file, in_file = tmp_path / "code", tmp_path / "in.txt"
+    code_file.write_bytes(code)
+    in_file.write_text(text)
+    argv = {"encode": ("--code-file", code_file),
+            "decode": ("--code-file", code_file),
+            "channel": ("--kind", "te", "--e", "1"),
+            "verify": ("--code-file", code_file, "--d", "3")}[command]
+    if command != "verify":
+        argv += ("--in", in_file)
+    rc, out, err = run(capsys, command, *map(str, argv))
     assert rc == 2 and out == ""
     assert err.startswith("usage error:") and err.count("\n") == 1
     assert fragment in err

@@ -2,14 +2,15 @@ import random
 
 import pytest
 
-from arraycodes.arrays import BitArray, RaggedArray
-from arraycodes.channel import (ChannelSpec, apply_channel, apply_deletions,
+from arraycodes.arrays import BitArray
+from arraycodes.channel import (ChannelSpec, apply_channel,
                                 enumerate_deletion_instances, random_instance,
                                 roundtrip_harness)
 from arraycodes.dc import DcCode
 from arraycodes.ted import TedCode, theta_symbol
 from arraycodes.errors import (ArrayCodeError, CapacityExceededError,
                                ChannelContractError, CorruptInputError)
+from conftest import ragged, unbudgeted
 
 
 def test_flagship_parameters():
@@ -69,19 +70,19 @@ def test_decode_identity_without_damage():
     rng = random.Random(1)
     msg = [rng.randrange(2) for _ in range(code.message_bits)]
     x = code.encode(msg)
-    ragged = RaggedArray.from_lists(x.to_lists(), 4)
-    assert code.decode(ragged) == x
+    assert code.decode(ragged(x.to_lists(), 4)) == x
 
 
 def test_exhaustive_two_row_deletion_sweep():
     code = DcCode(7, 5, 2)
     rng = random.Random(2)
+    spec = ChannelSpec("del", t=2, s=1)
     instances = list(enumerate_deletion_instances([5] * 7, 2, 1))
     for _ in range(5):
         msg = [rng.randrange(2) for _ in range(29)]
         x = code.encode(msg)
         for inst in instances:
-            received = apply_deletions(x, inst)
+            received = apply_channel(x, spec, inst)
             assert code.decode(received) == x
             assert code.message_of(code.decode(received)) == msg
 
@@ -89,13 +90,13 @@ def test_exhaustive_two_row_deletion_sweep():
 def test_capacity_and_contract_errors():
     code = DcCode(7, 5, 2)
     x = code.encode([0] * 29)
-    three_short = apply_deletions(x, ((1, (1,)), (2, (3,)), (3, (5,))))
+    three_short = apply_channel(x, unbudgeted("del", x), ((1, (1,)), (2, (3,)), (3, (5,))))
     with pytest.raises(CapacityExceededError):
         code.decode(three_short)
     lists = x.to_lists()
     lists[0] = lists[0][:3]   # row shortened by two
     with pytest.raises(ChannelContractError):
-        code.decode(RaggedArray.from_lists(lists, 5))
+        code.decode(ragged(lists, 5))
 
 
 def test_corrupt_input_detected():
@@ -108,7 +109,7 @@ def test_corrupt_input_detected():
     lists[1][1] ^= 1
     lists[2][2] ^= 1   # three substitutions: sigma vector far from the code
     with pytest.raises(CorruptInputError):
-        code.decode(RaggedArray.from_lists(lists, 5))
+        code.decode(ragged(lists, 5))
 
 
 def test_coset_partition_small():
@@ -122,8 +123,8 @@ def test_coset_partition_small():
         x = BitArray(3, 3, tuple((value >> (3 * i)) & 7 for i in range(3)))
         sig = tuple(theta_symbol(x.row_bits(i), 0, code.h) for i in range(1, 4))
         # coset label: difference from the interpolation through first k symbols
-        cw = outer.encode(list(sig[: outer.k]))
-        label = tuple(a ^ b for a, b in zip(sig, cw))[outer.k:]
+        parity = outer._parity(list(sig[: outer.k]))
+        label = tuple(a ^ b for a, b in zip(sig[outer.k:], parity))
         buckets.setdefault(label, 0)
         buckets[label] += 1
     assert len(buckets) == 1 << (code.t * code.h)

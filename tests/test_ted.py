@@ -4,7 +4,7 @@ import random
 import pytest
 
 from arraycodes.arrays import BitArray, RaggedArray
-from arraycodes.channel import (ChannelSpec, apply_channel, apply_ted,
+from arraycodes.channel import (ChannelSpec, apply_channel,
                                 enumerate_channel_instances, random_instance,
                                 roundtrip_harness)
 from arraycodes.dc import DcCode
@@ -15,7 +15,9 @@ from arraycodes import ted as ted_module
 from arraycodes.rs import ReedSolomon
 from arraycodes.ted import TedCode, theta_symbol
 from arraycodes.vt import position_residues, vt_decode_int
+from conftest import ragged, unbudgeted
 from test_fuzz import _damage, _ragged
+from test_rs import _oracle_decode
 
 
 def test_theta_packing():
@@ -136,9 +138,9 @@ def test_ambiguous_sources_decode_correctly():
         msg = [rng.randrange(2) for _ in range(code.message_bits)]
         x = code.encode(msg)
         # TE in row 1, arbitrary deletion in row 2
-        out_a = apply_ted(x, ((1, 0, 0, 0), ((2, (3,)),)))
+        out_a = apply_channel(x, unbudgeted("ted", x), ((1, 0, 0, 0), ((2, (3,)),)))
         # deletion in row 1, TE in row 2
-        out_b = apply_ted(x, ((0, 1, 0, 0), ((1, (3,)),)))
+        out_b = apply_channel(x, unbudgeted("ted", x), ((0, 1, 0, 0), ((1, (3,)),)))
         assert code.decode(out_a) == x
         assert code.decode(out_b) == x
 
@@ -158,7 +160,7 @@ def test_order_insensitivity_per_row():
         assert te_then_del == del_then_te
         lists = x.to_lists()
         lists[0] = te_then_del
-        assert code.decode(RaggedArray.from_lists(lists, 7)) == x
+        assert code.decode(ragged(lists, 7)) == x
 
 
 def test_multi_bit_row_loss():
@@ -167,7 +169,7 @@ def test_multi_bit_row_loss():
     rng = random.Random(3)
     msg = [rng.randrange(2) for _ in range(code.message_bits)]
     x = code.encode(msg)
-    out = apply_ted(x, ((2, 0, 0, 0, 0), ((1, (2,)),)))
+    out = apply_channel(x, unbudgeted("ted", x), ((2, 0, 0, 0, 0), ((1, (2,)),)))
     assert out.lost[0] == 3
     assert code.decode(out) == x
 
@@ -178,10 +180,10 @@ def test_capacity_and_contract_errors():
     lists = x.to_lists()
     short = [row[:-1] for row in lists[:3]] + lists[3:]
     with pytest.raises(CapacityExceededError):
-        code.decode(RaggedArray.from_lists(short, 7))
+        code.decode(ragged(short, 7))
     deep = [lists[0][:4]] + lists[1:]
     with pytest.raises(ChannelContractError):
-        code.decode(RaggedArray.from_lists(deep, 7))
+        code.decode(ragged(deep, 7))
 
 
 def test_corrupt_input_detected():
@@ -193,7 +195,7 @@ def test_corrupt_input_detected():
     for i in range(4):
         lists[i][0] ^= 1
     with pytest.raises(CorruptInputError):
-        code.decode(RaggedArray.from_lists(lists, 7))
+        code.decode(ragged(lists, 7))
 
 
 def test_ted_instance_enumeration_counts():
@@ -228,9 +230,9 @@ def test_constructor_takes_only_int_parameters(args):
 def test_message_of_and_membership_reject_other_types(code):
     """An argument that is no BitArray is a TypeError, a damaged array of
     the right shape included."""
-    ragged = RaggedArray(code.n, code.L, (0,) * code.n, (0,) * code.n)
+    damaged = RaggedArray(code.n, code.L, (0,) * code.n, (0,) * code.n)
     for method in (code.message_of, code.membership):
-        for other in (None, ragged):
+        for other in (None, damaged):
             with pytest.raises(TypeError, match="expected a BitArray, got "
                                                 + type(other).__name__):
                 method(other)
@@ -268,7 +270,7 @@ def oracle_decode(code, received):
         raise CapacityExceededError(
             f"{damaged} damaged rows exceed capacity t+e = {code.R}")
     try:
-        codeword = code.outer.decode_erasures(symbols)
+        codeword = _oracle_decode(code.outer, symbols)
     except NotACodewordError as exc:
         raise CorruptInputError("intact rows disagree with the outer code") from exc
     rows = []
