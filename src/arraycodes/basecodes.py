@@ -62,13 +62,6 @@ def _poly_mul(a: int, b: int) -> int:
     return result
 
 
-def _poly_mod(a: int, mod: int) -> int:
-    dm = mod.bit_length() - 1
-    while a.bit_length() - 1 >= dm and a:
-        a ^= mod << (a.bit_length() - 1 - dm)
-    return a
-
-
 def minimal_polynomial(f: Gf2m, elem: int) -> int:
     """Minimal polynomial over GF(2) of an element of GF(2^m).
 
@@ -130,12 +123,18 @@ def cyclic_pcm(g: int, length: int) -> ParityColumns:
     Column j (0-based) is x^j mod g packed into r = deg(g) bits, so a word
     c is a codeword iff sum c_j (x^j mod g) = 0 iff g divides c(x).
     """
-    r = g.bit_length() - 1
+    if g < 1:
+        raise ValueError(f"generator polynomial must be positive, got {g}")
     if length < 1:
         raise ValueError("length must be positive")
-    cols = [_poly_mod(1, g)]     # x^0, which is 0 when g = 1
-    while len(cols) < length:
-        cols.append(_poly_mod(cols[-1] << 1, g))
+    r = g.bit_length() - 1
+    cols = []
+    c = 1 if r else 0    # x^0 mod g, which is 0 when g = 1
+    for _ in range(length):
+        cols.append(c)
+        c <<= 1          # x^(j+1) = x * x^j, reduced once by g
+        if c >> r & 1:
+            c ^= g
     return ParityColumns(r, tuple(cols))
 
 

@@ -63,7 +63,7 @@ def build_te_code(args) -> TeParityCheck:
     if kind == "even-ext":
         _need(args, "n", "d")
         if args.d == 2:
-            return construct_parity(args.n, args.L or 1)
+            return construct_parity(args.n, 1 if args.L is None else args.L)
         if args.d % 2 or args.d < 4:
             raise UsageError("even-ext needs an even d >= 4 (or d = 2)")
         t = (args.d - 2) // 2

@@ -146,7 +146,9 @@ def field_make(m: int) -> Gf2m:
         for i in range(n):
             exp[i] = exp[i + n] = x
             log[x] = i
-            x = f._mul_slow(x, f.alpha)
+            x <<= 1            # times alpha = x, reduced by the polynomial
+            if x >> m:
+                x ^= f.poly
         if x != 1:
             raise AssertionError(f"polynomial for m={m} is not primitive")
         object.__setattr__(f, "_exp", tuple(exp))

@@ -4,16 +4,17 @@ A binary matrix is stored as a list of Python ints, one per column (a
 parity-check column, or a code coordinate), where bit b of a column int is
 the entry in parity row b.  Python's arbitrary-precision ints act as
 bitsets, so elimination is a handful of XORs per vector regardless of
-width.  One elimination kernel, `gf2_relations`, gives both what the
-constructions need: the rank (a code's redundancy in bits) and the
-dependencies among the columns, from which the systematic TE encoder reads
-its message cells and generator images.  `transpose` turns field-valued
-parity rows into columns, and `xor_table` builds the syndrome and encoder
-lookup tables.
+width.  `gf2_relations` gives the dependencies among the columns, from
+which the systematic TE encoder reads its message cells and generator
+images; `gf2_rank` (a code's redundancy in bits) runs the same lowest-bit
+echelon without tags and stops once the basis spans every bit the columns
+use.  `xor_table` builds the syndrome and encoder lookup tables.
 """
 
 from __future__ import annotations
 
+from functools import reduce
+from operator import or_
 from typing import List, Sequence, Tuple
 
 
@@ -44,20 +45,23 @@ def gf2_relations(vectors: Sequence[int]) -> List[int]:
 
 
 def gf2_rank(vectors: Sequence[int]) -> int:
-    """Rank over GF(2) of the given bitset ints."""
-    return len(vectors) - len(gf2_relations(vectors))
+    """Rank over GF(2) of the given non-negative bitset ints.
 
-
-def transpose(vectors: Sequence[int], width: int) -> List[int]:
-    """The same bit matrix read the other way: bit k of output j is bit j of
-    vectors[k], for j < width (every vector is below 2^width)."""
-    out = [0] * width
-    for k, vec in enumerate(vectors):
-        while vec:
-            low = vec & -vec
-            out[low.bit_length() - 1] |= 1 << k
-            vec ^= low
-    return out
+    The lowest-bit echelon of `gf2_relations` without tags.  Every vector
+    lies in the span of the bits set in the OR of all of them, so the pass
+    stops as soon as the basis holds that many vectors.
+    """
+    width = reduce(or_, vectors, 0).bit_count()
+    basis: List[Tuple[int, int]] = []   # (pivot bit, vector)
+    for vec in vectors:
+        if len(basis) == width:
+            break
+        for low, b in basis:
+            if vec & low:
+                vec ^= b
+        if vec:
+            basis.append((vec & -vec, vec))
+    return len(basis)
 
 
 def xor_table(vectors: Sequence[int]) -> List[int]:

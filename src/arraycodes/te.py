@@ -6,24 +6,26 @@ correctable exactly when the multiset of columns it touches (the last p_i
 cells of each row i) is linearly independent, which drives both the erasure
 decoder and the exhaustive minimum-distance verifier.  The constructions
 interleave the columns of binary base codes (`basecodes.ParityColumns`)
-into cells as they are, and the systematic encoder reads its message cells
-and generator images off the dependencies among the cells' columns
-(`gf2.gf2_relations`).
+into cells as they are, or write the bits of field-valued parity rows
+straight into the cells' columns, and the systematic encoder reads its
+message cells and generator images off the dependencies among the cells'
+columns (`gf2.gf2_relations`).
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field as dataclass_field
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import groupby
+from operator import or_
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .arrays import BitArray, RaggedArray, _check_bit_array, _row_to_int, _trusted
 from .basecodes import ParityColumns, claim5_base_pcm
 from .errors import AmbiguousErasureError, InvalidInputError, NotACodewordError
 from .field import Gf2m, field_make
-from .gf2 import gf2_rank, gf2_relations, transpose, xor_table
+from .gf2 import gf2_rank, gf2_relations, xor_table
 
 
 @dataclass(frozen=True)
@@ -38,11 +40,12 @@ class TeParityCheck:
     field_m: Optional[int] = None
 
     def __post_init__(self):
-        if len(self.cols) != self.n or any(len(row) != self.L for row in self.cols):
+        cols = self.cols
+        if len(cols) != self.n or any(len(row) != self.L for row in cols):
             raise ValueError("column grid does not match declared shape")
-        # c >> r is nonzero for a column of r+1 or more bits, and -1 for a
-        # negative one.
-        if any(c >> self.r for row in self.cols for c in row):
+        # A grid with no cell has no column to check.
+        if self.n and self.L and (min(map(min, cols)) < 0
+                                  or max(map(max, cols)) >> self.r):
             raise ValueError(f"parity-check column wider than r = {self.r} bits")
 
     def column(self, i: int, j: int) -> int:
@@ -146,15 +149,40 @@ def _build_from_field_rows(n: int, L: int, field: Gf2m,
                            fq_rows: Sequence[Sequence[int]],
                            bin_rows: Sequence[int],
                            provenance: str) -> TeParityCheck:
-    """Assemble a parity check from field-valued rows (one element per cell
-    in flat order i*L + j, each row expanded into m binary rows, coefficient
-    of x^0 first) plus binary rows (bit i*L + j = cell (i, j)); all-zero
-    binary rows are dropped."""
-    rows = [*bin_rows, *(b for frow in fq_rows for b in transpose(frow, field.m))]
-    rows = [row for row in rows if row]
-    flat = transpose(rows, n * L)
+    """Assemble a parity check from binary rows (bit i*L + j = cell (i, j))
+    plus field-valued rows (one element per cell in flat order i*L + j, each
+    read as m binary rows, coefficient of x^0 first); all-zero binary rows
+    are dropped.
+
+    The cell columns are written in one pass: the nonzero binary rows take
+    the low parity rows, then field row f's bit b goes to parity row
+    offset_f + (number of bits below b that some element of row f sets).
+    """
+    flat = [0] * (n * L)
+    r = 0
+    for row in filter(None, bin_rows):
+        while row:
+            low = row & -row
+            flat[low.bit_length() - 1] |= 1 << r
+            row ^= low
+        r += 1
+    for frow in fq_rows:
+        used = reduce(or_, frow, 0)
+        if not used & (used + 1):     # bits 0 .. w-1: one shift per cell
+            flat = [c | v << r for c, v in zip(flat, frow)]
+        else:                         # a gap: table[v] packs v's used bits
+            table = [0]
+            bit = 1 << r
+            for b in range(used.bit_length()):
+                if used >> b & 1:
+                    table += [t | bit for t in table]
+                    bit <<= 1
+                else:                 # no element sets bit b
+                    table += table
+            flat = [c | table[v] for c, v in zip(flat, frow)]
+        r += used.bit_count()
     cols = tuple(tuple(flat[i * L:(i + 1) * L]) for i in range(n))
-    return TeParityCheck(n, L, len(rows), cols, provenance, field.m)
+    return TeParityCheck(n, L, r, cols, provenance, field.m)
 
 
 # --- constructions ----------------------------------------------------------
@@ -192,6 +220,8 @@ def construct_even(base_star: ParityColumns, n: int, t: int) -> TeParityCheck:
     giving an n x (2t+1) code of distance 2t+2 and redundancy nt - k_b + 1."""
     if n == 2:
         raise ValueError("degenerate for n = 2")
+    if n < 1:
+        raise ValueError("n must be positive")
     r, h = base_star
     if len(h) != n * t + 1:
         raise ValueError(f"base code must have n*t+1 = {n * t + 1} columns")
@@ -200,6 +230,8 @@ def construct_even(base_star: ParityColumns, n: int, t: int) -> TeParityCheck:
 
 def construct_parity(n: int, L: int) -> TeParityCheck:
     """Distance-2 code: a single parity bit over all n*L entries."""
+    if n < 1 or L < 1:
+        raise ValueError("n and L must be positive")
     cols = tuple(tuple(1 for _ in range(L)) for _ in range(n))
     return TeParityCheck(n, L, 1, cols, "even-ext")
 

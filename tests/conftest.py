@@ -18,6 +18,18 @@ def ragged(entries, L: int) -> RaggedArray:
                        tuple(L - len(row) for row in entries))
 
 
+def transpose(vectors, width: int):
+    """The same bit matrix read the other way: bit k of output j is bit j of
+    vectors[k], for j < width (every vector is below 2^width)."""
+    out = [0] * width
+    for k, vec in enumerate(vectors):
+        while vec:
+            low = vec & -vec
+            out[low.bit_length() - 1] |= 1 << k
+            vec ^= low
+    return out
+
+
 def unbudgeted(kind: str, x: BitArray) -> ChannelSpec:
     """The `kind` channel spec whose budgets hold every instance on x: all
     n*L positions erased, all n rows with deletions, all L positions each."""

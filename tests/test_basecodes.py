@@ -72,6 +72,13 @@ def test_cyclic_pcm_membership_is_divisibility():
         assert (syndrome == 0) == divisible
 
 
+@pytest.mark.parametrize("g", [0, -3])
+def test_cyclic_pcm_rejects_a_generator_below_one(g):
+    # Such a generator once made the column loop run forever.
+    with pytest.raises(ValueError, match="generator polynomial must be positive"):
+        cyclic_pcm(g, 3)
+
+
 def _poly_mod(a, mod):
     dm = mod.bit_length() - 1
     while a and a.bit_length() - 1 >= dm:

@@ -10,7 +10,8 @@ from arraycodes.bounds import (_greedy_lexicode, a_n_d_brute, ball_count_brute,
                                dc_bound_part3, delete_append_ball, m_s_brute,
                                singleton_te, te_sphere_packing, ted_ball,
                                ted_upper_bound, v_te_general, v_te_small)
-from arraycodes.tables import table_iii
+from arraycodes.tables import (table_i, table_i_closed_upper, table_ii,
+                               table_ii_cell, table_iii)
 from conftest import random_array
 
 
@@ -331,3 +332,23 @@ def test_table_iii_regimes_and_measured_column():
         assert r.columns["closed[n<=2^h+1]"] == 6
         assert r.columns["closed[n=c*2^h]"] == pytest.approx(2 * math.log2(n))
         assert r.columns["closed[general]"] == pytest.approx(2 * (math.log2(n) + 3))
+
+
+def test_table_i_measured_upper_matches_the_closed_form_up_to_n_128():
+    """Table I at every n from 3 to 128, past the n <= 16 of the acceptance
+    criterion: each construction's rank equals the closed upper form."""
+    rows = table_i(range(3, 129), (2, 3, 4, 5))
+    assert len(rows) == 126 * 4
+    for row in rows:
+        n, d = row.params["n"], row.params["d"]
+        assert row.columns["upper_measured"] == row.columns["upper_closed"] \
+            == table_i_closed_upper(n, d), row
+
+
+def test_table_ii_measured_upper_matches_the_cell_at_large_n():
+    rows = table_ii((32, 64, 128))
+    assert len(rows) == 3 * 12
+    for row in rows:
+        n, L, e = (row.params[k] for k in ("n", "L", "e"))
+        assert row.columns["upper_measured"] == row.columns["cell_closed"] \
+            == table_ii_cell(n, L, e), row

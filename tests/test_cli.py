@@ -137,11 +137,15 @@ def test_oracle(capsys):
      "L and s must be non-negative"),
     (("oracle", "--which", "ball", "--n", "2", "--L", "2", "--r", "-1"),
      "radius must be non-negative"),
-    (("bounds", "--bound", "v-te", "--n", "2", "--L", "2", "--r", "-1"), "non-negative")])
+    (("bounds", "--bound", "v-te", "--n", "2", "--L", "2", "--r", "-1"), "non-negative"),
+    (("construct", "--code", "even-ext", "--n", "0", "--d", "6"), "n must be positive"),
+    (("construct", "--code", "even-ext", "--n", "3", "--d", "2", "--L", "0"),
+     "n and L must be positive")])
 def test_brute_force_parameters_out_of_range_exit_2(capsys, argv, fragment):
     """A distance below 1 or a negative length, deletion count or radius is
     a usage error with one stderr line, not a traceback (exit 1) or a
-    value."""
+    value.  So is a construction of no rows or no columns: --L 0 is not
+    read as a missing --L."""
     rc, out, err = run(capsys, *argv)
     assert rc == 2 and out == ""
     assert err.startswith("usage error:") and err.count("\n") == 1

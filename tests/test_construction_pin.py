@@ -6,11 +6,11 @@ import hashlib
 
 from arraycodes.basecodes import (bch_pcm, claim5_base_pcm, cyclic_pcm,
                                   extended_hamming_pcm, hamming_pcm)
-from arraycodes.gf2 import transpose
 from arraycodes.tables import table_i_construct
 from arraycodes.te import (TeEncoder, construct_1, construct_claim5,
                            construct_claim7, construct_even, construct_hasse,
                            construct_hasse_raw, construct_parity)
+from conftest import transpose
 
 PINNED = "1a4a382698a422edb70a430d08cbb44ba599d746d7bde91f54fb89678c87c5a9"
 

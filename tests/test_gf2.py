@@ -1,6 +1,7 @@
 import random
 
-from arraycodes.gf2 import gf2_rank, gf2_relations, transpose, xor_table
+from arraycodes.gf2 import gf2_rank, gf2_relations, xor_table
+from conftest import transpose
 
 
 def test_rank_identity_and_zero():
@@ -22,6 +23,29 @@ def test_rank_equals_transpose_rank():
         nrows, ncols = rng.randint(1, 8), rng.randint(1, 8)
         rows = [rng.randrange(1 << ncols) for _ in range(nrows)]
         assert gf2_rank(rows) == gf2_rank(transpose(rows, ncols))
+
+
+def test_rank_when_the_span_never_fills_the_used_bits():
+    # The OR has two bits but the rank is 1: the early exit cannot fire.
+    assert gf2_rank([0b11, 0b11]) == 1
+    assert gf2_rank([0b101, 0, 0b101, 0b101]) == 1
+
+
+def test_rank_stops_once_the_basis_spans_the_used_bits():
+    # The basis fills at the third vector; a dependent and a zero vector
+    # follow.
+    assert gf2_rank([1, 2, 3, 4, 0]) == 3
+    assert gf2_rank([0b100, 0b010, 0b001, 0b111, 0b110]) == 3
+
+
+def test_rank_matches_the_relations_on_wide_random_sets():
+    """Counts above and below the number of bits the vectors set, so that
+    the early exit both fires and cannot."""
+    rng = random.Random(3)
+    for _ in range(400):
+        count, width = rng.randint(0, 12), rng.randint(0, 16)
+        vectors = [rng.randrange(1 << width) for _ in range(count)]
+        assert gf2_rank(vectors) == len(vectors) - len(gf2_relations(vectors))
 
 
 def test_relations_on_random_vectors():

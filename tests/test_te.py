@@ -13,10 +13,11 @@ from arraycodes.errors import (AmbiguousErasureError, ArrayCodeError,
 from arraycodes.field import field_make
 from arraycodes.gf2 import gf2_rank
 from arraycodes.te import (MinDistanceResult, TeCodec, TeEncoder,
-                           TeParityCheck, construct_1, construct_claim5,
-                           construct_claim7, construct_even, construct_hasse,
-                           construct_hasse_raw, construct_parity, te_decode,
-                           verify_min_distance)
+                           TeParityCheck, _build_from_field_rows, construct_1,
+                           construct_claim5, construct_claim7, construct_even,
+                           construct_hasse, construct_hasse_raw,
+                           construct_parity, te_decode, verify_min_distance)
+from conftest import transpose
 
 
 def ceil_log2(x):
@@ -95,6 +96,47 @@ def test_construction1_no_column_multiplicity_up_to_2t():
 def test_construction1_rejects_n2():
     with pytest.raises(ValueError):
         construct_1(hamming_pcm(2), 2, 1)
+
+
+def test_field_rows_assemble_as_the_transposed_binary_rows():
+    """The one-pass column assembly against the two-transpose reference:
+    each field row read as m binary rows after the binary rows, all-zero
+    rows dropped, the whole stack transposed into cell columns.  No
+    construction yields a field row whose elements leave a bit unused
+    below their top bit, so random rows with such gaps are checked here."""
+    rng = random.Random(11)
+    gapped = 0
+    for _ in range(400):
+        n, L, m = rng.randint(1, 5), rng.randint(1, 4), rng.randint(1, 6)
+        field = field_make(m)
+        fq_rows = []
+        for _ in range(rng.randint(0, 3)):
+            mask = rng.randrange(1 << m)
+            fq_rows.append([rng.randrange(1 << m) & mask for _ in range(n * L)])
+            used = 0
+            for v in fq_rows[-1]:
+                used |= v
+            gapped += bool(used & (used + 1))
+        bin_rows = [rng.randrange(1 << (n * L)) * rng.randint(0, 1)
+                    for _ in range(rng.randint(0, 3))]
+        rows = [*bin_rows, *(b for frow in fq_rows for b in transpose(frow, m))]
+        rows = [row for row in rows if row]
+        flat = transpose(rows, n * L)
+        H = _build_from_field_rows(n, L, field, fq_rows, bin_rows, "x")
+        assert H.r == len(rows)
+        assert H.cols == tuple(tuple(flat[i * L:(i + 1) * L]) for i in range(n))
+    assert gapped > 100
+
+
+@pytest.mark.parametrize("build", [
+    lambda: construct_even(extended_hamming_pcm(1), 0, 1),
+    lambda: construct_parity(0, 3),
+    lambda: construct_parity(3, 0),
+    lambda: construct_parity(-1, 2)])
+def test_degenerate_shapes_are_rejected(build):
+    # n = 0 or L = 0 once built an empty parity check.
+    with pytest.raises(ValueError, match="must be positive"):
+        build()
 
 
 def test_construction1_d5_base():
@@ -341,7 +383,9 @@ def test_from_bytes_rejects_column_wider_than_r():
 
 @pytest.mark.parametrize("cols", [((4, 1), (1, 2)),      # 3 bits with r = 1
                                   ((-1, 1), (1, 1)),
-                                  ((1 << 8, 1), (1, 1))])  # past the byte width
+                                  ((1 << 8, 1), (1, 1)),   # past the byte width
+                                  ((1, 1), (1, -1)),       # in the last row
+                                  ((1, 1), (0, 2))])
 def test_parity_check_rejects_columns_outside_r_bits(cols):
     # Such a column used to raise the redundancy above r, or leak
     # OverflowError from to_bytes, instead of failing at construction.
