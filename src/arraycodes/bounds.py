@@ -72,10 +72,13 @@ def v_te_small(r: int, n: int, L: int) -> int:
 
 
 def ball_count_brute(center: BitArray, r: int) -> int:
-    """|{Y : rho_TE(center, Y) <= r}| by full enumeration (tiny arrays only)."""
+    """|{Y : rho_TE(center, Y) <= r}| by full enumeration of the 2^(nL)
+    arrays, guarded at nL <= 16 (0.7 s in CPython 3.11 on a 2-CPU Xeon)."""
     if r < 0:
         raise ValueError("radius must be non-negative")
     n, L = center.n, center.L
+    if n * L > 16:
+        raise ValueError(f"combinatorial guard: n*L <= 16, got {n * L}")
     count = 0
     for value in range(1 << (n * L)):
         rows = tuple((value >> (i * L)) & ((1 << L) - 1) for i in range(n))
@@ -156,13 +159,12 @@ def dc_bound_part3(n: int, L: int, t: int) -> Dict[str, object]:
                               note=f"redundancy >= ~{red_lb:.3f} asymptotically")}
 
 
-def dc_bound_part2_part3(n: int, L: int, t: int, s: int) -> Dict[str, object]:
-    if s == 1:
-        return dc_bound_part3(n, L, t)
-    return dc_bound_part2(n, L, t, s)
-
-
 # --- maximum-code searches ----------------------------------------------------
+
+# The most vertices one search's clique covers may visit: about 10 s in
+# CPython 3.11 on a shared 2-CPU Xeon.
+_SEARCH_WORK = 16_000_000
+
 
 def _max_independent_set(adjacency: List[int], cap: Optional[int] = None) -> int:
     """Branch-and-bound maximum independent set; adjacency[v] is a bitset.
@@ -170,11 +172,13 @@ def _max_independent_set(adjacency: List[int], cap: Optional[int] = None) -> int
     The pruning bound is a greedy clique cover of the candidate set (each
     cover clique contributes at most one vertex), which is what makes the
     confusability graphs tractable.  The optional cap allows early exit
-    once a known upper bound is met.
+    once a known upper bound is met.  Its time does not follow from the
+    graph's size: past `_SEARCH_WORK` cover visits it raises ValueError.
     """
     nverts = len(adjacency)
     full = (1 << nverts) - 1
     best = 0
+    work = 0
 
     def greedy(candidates: int) -> int:
         size = 0
@@ -209,8 +213,12 @@ def _max_independent_set(adjacency: List[int], cap: Optional[int] = None) -> int
     def expand(candidates: int, size: int):
         # recursion only on the include branch (depth <= solution size);
         # exclusion iterates in place
-        nonlocal best
+        nonlocal best, work
         while candidates:
+            work += candidates.bit_count()     # what the cover below visits
+            if work > _SEARCH_WORK:
+                raise ValueError(f"combinatorial guard: the search exceeds "
+                                 f"{_SEARCH_WORK} vertex visits")
             if size + clique_cover_bound(candidates) <= best:
                 return
             if cap is not None and best >= cap:
@@ -229,8 +237,8 @@ def _max_independent_set(adjacency: List[int], cap: Optional[int] = None) -> int
 @lru_cache(maxsize=None)
 def m_s_brute(L: int, s: int) -> int:
     """Exact largest s-deletion-correcting code of length L (confusability
-    graph independence number).  Guarded at L <= 10; exponential, with s = 1
-    comfortable up to L = 7 and slow beyond."""
+    graph independence number).  Guarded at L <= 10 and by the search's
+    work budget; s = 1 fits that budget up to L = 7."""
     if L < 0 or s < 0:
         raise ValueError("L and s must be non-negative")
     if L > 10:
@@ -273,7 +281,8 @@ def a_n_d_upper(n: int, d: int) -> int:
 def a_n_d_brute(n: int, d: int) -> int:
     """Exact A(n,d) for small n: greedy lexicode meets a bound where it can,
     branch-and-bound otherwise.  Past d = n only one word fits, since two
-    distinct words of length n differ in at most n places."""
+    distinct words of length n differ in at most n places.  Between, the
+    2^n words are enumerated only for n <= 10."""
     if n < 0:
         raise ValueError("length must be non-negative")
     if d < 1:
@@ -282,12 +291,12 @@ def a_n_d_brute(n: int, d: int) -> int:
         return 1 << n
     if d > n:
         return 1
+    if n > 10:
+        raise ValueError(f"combinatorial guard: n <= 10 for 2 <= d <= n, got n = {n}")
     upper = a_n_d_upper(n, d)
     greedy = _greedy_lexicode(n, d)
     if greedy == upper:
         return greedy
-    if n > 12:
-        raise ValueError("combinatorial guard: n <= 12 unless greedy meets a bound")
     adjacency = [0] * (1 << n)
     for a in range(1 << n):
         for b in range(a + 1, 1 << n):

@@ -130,36 +130,30 @@ def random_instance(spec: ChannelSpec, n: int, L: int, rng: random.Random):
     if spec.kind == "te":
         return _te_draw(spec.e, n, L, rng)
     randrange = rng.randrange
-    if spec.kind == "del":
-        # At most n rows and L deletions per row exist; within those caps
-        # the draws are the same as uncapped.
-        chosen = rng.sample(range(1, n + 1), randrange(0, min(spec.t, n) + 1))
-        chosen.sort()
-        most = min(spec.s, L) + 1
-        positions = range(1, L + 1)
-        inst = []
-        for row in chosen:
-            count = randrange(1, most)
-            if count == 1:
-                inst.append((row, (randrange(1, L + 1),)))
-            else:
-                inst.append((row, tuple(sorted(rng.sample(positions, count)))))
-        return tuple(inst)
     s = spec.s
-    pattern = _te_draw(spec.e, n, L, rng)
-    nrows = randrange(0, spec.t + 1)
-    candidates = [r for r, p in enumerate(pattern, 1) if L - p >= s]
-    chosen = rng.sample(candidates, min(nrows, len(candidates)))
+    if spec.kind == "del":
+        # At most n rows exist; within that cap the draw is the same as
+        # uncapped.
+        pattern = (0,) * n
+        chosen = rng.sample(range(1, n + 1), randrange(0, min(spec.t, n) + 1))
+    else:
+        pattern = _te_draw(spec.e, n, L, rng)
+        nrows = randrange(0, spec.t + 1)
+        candidates = [r for r, p in enumerate(pattern, 1) if L - p >= s]
+        chosen = rng.sample(candidates, min(nrows, len(candidates)))
     chosen.sort()
+    # At most L deletions per row exist; a ted candidate keeps s positions,
+    # so the cap is s there.
+    most = min(s, L) + 1
     inst = []
     for row in chosen:
         length = L - pattern[row - 1]
-        count = randrange(1, s + 1)
+        count = randrange(1, most)
         if count == 1:
             inst.append((row, (randrange(1, length + 1),)))
         else:
             inst.append((row, tuple(sorted(rng.sample(range(1, length + 1), count)))))
-    return (pattern, tuple(inst))
+    return tuple(inst) if spec.kind == "del" else (pattern, tuple(inst))
 
 
 @dataclass

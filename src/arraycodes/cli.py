@@ -24,9 +24,9 @@ from . import basecodes
 from .arrays import (BitArray, format_bit_array, format_ragged, parse_bit_array,
                      parse_ragged)
 from .bounds import (a_n_d_brute, ball_count_brute, claim8_bound,
-                     dc_bound_part1, dc_bound_part2_part3, m_s_brute,
-                     singleton_te, te_sphere_packing, ted_upper_bound,
-                     v_te_general)
+                     dc_bound_part1, dc_bound_part2, dc_bound_part3,
+                     m_s_brute, singleton_te, te_sphere_packing,
+                     ted_upper_bound, v_te_general)
 from .channel import (DEFAULT_MAX_WORK, ChannelSpec, apply_channel,
                       random_instance, roundtrip_harness)
 from .dc import DcCode
@@ -90,11 +90,12 @@ def build_te_code(args) -> TeParityCheck:
 _DESCRIPTOR_KEYS = {"dc": ("n", "L", "t"), "ted": ("n", "L", "t", "e")}
 
 
-def load_codec(path: str):
-    """A TE parity-check blob, or a validated dc/ted JSON descriptor."""
+def _load_code(path: str):
+    """The parity check of a TE blob, or the codec of a validated dc/ted
+    JSON descriptor."""
     blob = Path(path).read_bytes()
     if blob.startswith(TeParityCheck.MAGIC):
-        return TeCodec(TeParityCheck.from_bytes(blob))
+        return TeParityCheck.from_bytes(blob)
     try:
         desc = json.loads(blob)
     except ValueError:
@@ -113,6 +114,12 @@ def load_codec(path: str):
                              f"got {value!r}")
         params.append(value)
     return DcCode(*params) if kind == "dc" else TedCode(*params)
+
+
+def load_codec(path: str):
+    """`_load_code`, a TE parity check taken as its codec."""
+    code = _load_code(path)
+    return TeCodec(code) if isinstance(code, TeParityCheck) else code
 
 
 def _write(args, text: str) -> None:
@@ -181,8 +188,12 @@ def _channel_spec(args) -> ChannelSpec:
         return ChannelSpec("te", e=args.e)
     if args.kind == "del":
         _need(args, "t", "s")
+        if args.t < 1 or args.s < 1:
+            raise UsageError("the del channel needs --t and --s of at least 1")
         return ChannelSpec("del", t=args.t, s=args.s)
     _need(args, "t", "s", "e")
+    if args.t >= 1 and args.s < 1:
+        raise UsageError("the ted channel needs --s of at least 1 when --t is at least 1")
     return ChannelSpec("ted", t=args.t, s=args.s, e=args.e)
 
 
@@ -222,11 +233,12 @@ def cmd_verify(args) -> int:
         if record.first_counterexample:
             sys.stdout.write(f"counterexample: {record.first_counterexample}\n")
         return 0 if record.failures == 0 else 1
-    codec = load_codec(args.code_file)
-    if not isinstance(codec, TeCodec):
+    # The distance check reads the parity check alone: no encoder tables.
+    H = _load_code(args.code_file)
+    if not isinstance(H, TeParityCheck):
         raise UsageError("min-distance verification applies to TE parity checks")
     _need(args, "d")
-    result = verify_min_distance(codec.H, args.d)
+    result = verify_min_distance(H, args.d)
     exact = "exactly" if result.exact else "at least"
     sys.stdout.write(f"minimum TE distance {exact} {result.distance}"
                      + (f" (witness pattern {result.witness})" if result.witness else "")
@@ -278,7 +290,10 @@ def cmd_bounds(args) -> int:
         return 0
     if name == "dc-23":
         _need(args, "n", "L", "t", "s")
-        info = dc_bound_part2_part3(args.n, args.L, args.t, args.s)
+        if args.s == 1:
+            info = dc_bound_part3(args.n, args.L, args.t)
+        else:
+            info = dc_bound_part2(args.n, args.L, args.t, args.s)
         _write(args, info["report"].record() + "\n")
         return 0
     _need(args, "n", "L")   # ted-upper, the last choice

@@ -137,38 +137,28 @@ def table_ii(n_values: Iterable[int]) -> List[TableRow]:
 
 # --- Table III: redundancy of (t,1) deletion-correcting codes ----------------
 
-def table_iii_constructive(n: int, L: int, t: int) -> Dict[str, object]:
-    """Constructive-column closed forms for the (t,1) rows, by regime."""
-    h = vt_modulus_exponent(L)
-    rows = {
-        "n<=2^h+1": t * h,
-        "n=c*2^h": t * math.log2(n),
-        "general": t * (math.log2(n) + h),
-    }
-    applicable = []
-    if n <= (1 << h) + 1:
-        applicable.append("n<=2^h+1")
-    if n % (1 << h) == 0:
-        applicable.append("n=c*2^h")
-    applicable.append("general")
-    return {"h": h, "closed": rows, "applicable": applicable}
-
-
 def table_iii(params: Iterable) -> List[TableRow]:
-    """params: iterable of (n, L, t)."""
+    """params: iterable of (n, L, t).  The closed forms of the constructive
+    column, one per regime, and the regimes that apply at n."""
     rows = []
     for n, L, t in params:
-        info = table_iii_constructive(n, L, t)
-        h = info["h"]
+        h = vt_modulus_exponent(L)
         measured = None
         if t < n <= (1 << h) - 1:
             code = DcCode(n, L, t)
             measured = n * L - code.message_bits
-        cols = {"h": h, "upper_measured": measured}
-        for regime, value in info["closed"].items():
-            cols[f"closed[{regime}]"] = value
-        cols["applicable"] = ",".join(info["applicable"])
-        rows.append(TableRow("III", {"n": n, "L": L, "t": t, "s": 1}, cols))
+        applicable = []
+        if n <= (1 << h) + 1:
+            applicable.append("n<=2^h+1")
+        if n % (1 << h) == 0:
+            applicable.append("n=c*2^h")
+        applicable.append("general")
+        rows.append(TableRow("III", {"n": n, "L": L, "t": t, "s": 1}, {
+            "h": h, "upper_measured": measured,
+            "closed[n<=2^h+1]": t * h,
+            "closed[n=c*2^h]": t * math.log2(n),
+            "closed[general]": t * (math.log2(n) + h),
+            "applicable": ",".join(applicable)}))
     return rows
 
 

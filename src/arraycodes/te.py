@@ -151,12 +151,14 @@ def _build_from_field_rows(n: int, L: int, field: Gf2m,
                            provenance: str) -> TeParityCheck:
     """Assemble a parity check from binary rows (bit i*L + j = cell (i, j))
     plus field-valued rows (one element per cell in flat order i*L + j, each
-    read as m binary rows, coefficient of x^0 first); all-zero binary rows
-    are dropped.
+    read as binary rows, coefficient of x^0 first, up to the top bit that
+    some element of the row sets); all-zero binary rows are dropped.
 
     The cell columns are written in one pass: the nonzero binary rows take
-    the low parity rows, then field row f's bit b goes to parity row
-    offset_f + (number of bits below b that some element of row f sets).
+    the low parity rows, then bit b of field row f goes to parity row
+    offset_f + b, one shift per cell.  A bit below the row's top bit that
+    no element sets stays an all-zero parity row, which leaves the rank
+    unchanged; no construction makes such a row.
     """
     flat = [0] * (n * L)
     r = 0
@@ -167,20 +169,8 @@ def _build_from_field_rows(n: int, L: int, field: Gf2m,
             row ^= low
         r += 1
     for frow in fq_rows:
-        used = reduce(or_, frow, 0)
-        if not used & (used + 1):     # bits 0 .. w-1: one shift per cell
-            flat = [c | v << r for c, v in zip(flat, frow)]
-        else:                         # a gap: table[v] packs v's used bits
-            table = [0]
-            bit = 1 << r
-            for b in range(used.bit_length()):
-                if used >> b & 1:
-                    table += [t | bit for t in table]
-                    bit <<= 1
-                else:                 # no element sets bit b
-                    table += table
-            flat = [c | table[v] for c, v in zip(flat, frow)]
-        r += used.bit_count()
+        flat = [c | v << r for c, v in zip(flat, frow)]
+        r += reduce(or_, frow, 0).bit_length()
     cols = tuple(tuple(flat[i * L:(i + 1) * L]) for i in range(n))
     return TeParityCheck(n, L, r, cols, provenance, field.m)
 
@@ -375,8 +365,10 @@ def construct_hasse(n: int, L: int, e: int) -> TeParityCheck:
 
 # --- encoding / decoding ----------------------------------------------------
 
-class TeEncoder:
-    """Systematic encoder derived from a parity check.
+class TeCodec:
+    """A TE code's systematic encoder and its erasure decoder, with the
+    encode/decode interface the round-trip harness expects (messages in,
+    damaged arrays back).
 
     The cells' columns are taken in flat row-major order, and each column
     that depends on the columns before it is a message cell.  Its relation
@@ -385,14 +377,15 @@ class TeEncoder:
     the other message cells clear.  So every output satisfies the
     membership rule, and the message reads back from its own cells.
     Encoding is linear, so it XORs one generator-table entry per 8 message
-    bits: the flat codeword image of those bits.
+    bits: the flat codeword image of those bits.  Decoding is `te_decode`.
     """
 
     def __init__(self, H: TeParityCheck):
         self.H = H
+        self.n, self.L = H.n, H.L
         images = gf2_relations(H.all_columns())
         self.message_cells = [image.bit_length() - 1 for image in images]
-        self.k = len(images)
+        self.k = self.message_bits = len(images)
         self._tables = [xor_table(images[b:b + 8]) for b in range(0, self.k, 8)]
         # (row, shift, table) per chunk of at most 8 cells of a row that
         # holds message cells, in message order; table[v] is the tuple of
@@ -416,13 +409,13 @@ class TeEncoder:
         chunks = message.to_bytes(len(self._tables), "little")
         for table, chunk in zip(self._tables, chunks):
             flat ^= table[chunk]
-        n, L = self.H.n, self.H.L
+        n, L = self.n, self.L
         full = (1 << L) - 1
         return _trusted(BitArray, n=n, L=L,
                         rows=tuple([flat >> (i * L) & full for i in range(n)]))
 
     def message_of(self, x: BitArray) -> List[int]:
-        _check_bit_array(x, self.H.n, self.H.L)
+        _check_bit_array(x, self.n, self.L)
         rows = x.rows
         message: List[int] = []
         for i, shift, table in self._gather:
@@ -432,6 +425,18 @@ class TeEncoder:
     def codewords(self) -> Iterator[BitArray]:
         """All codewords (2^k of them; only for small codes)."""
         return map(self._encode_int, range(1 << self.k))
+
+    def decode(self, received: RaggedArray) -> BitArray:
+        return te_decode(self.H, received)
+
+    def descriptor(self) -> dict:
+        return {"kind": "te", "n": self.n, "L": self.L,
+                "provenance": self.H.provenance, "redundancy": self.H.redundancy}
+
+
+# The same class, under the name the acceptance suite and the benchmark's
+# per-layer traces (`perfbench/tracing.py`) use.
+TeEncoder = TeCodec
 
 
 def te_decode(H: TeParityCheck, received: RaggedArray) -> BitArray:
@@ -576,26 +581,3 @@ def verify_min_distance(H: TeParityCheck, max_e: int) -> MinDistanceResult:
             return MinDistanceResult(e, True, tuple(pattern), examined)
     return MinDistanceResult(max_e + 1, False, None, examined)
 
-
-class TeCodec(TeEncoder):
-    """A TE code with the encode/decode interface the round-trip harness
-    expects (messages in, damaged arrays back)."""
-
-    @property
-    def n(self) -> int:
-        return self.H.n
-
-    @property
-    def L(self) -> int:
-        return self.H.L
-
-    @property
-    def message_bits(self) -> int:
-        return self.k
-
-    def decode(self, received: RaggedArray) -> BitArray:
-        return te_decode(self.H, received)
-
-    def descriptor(self) -> dict:
-        return {"kind": "te", "n": self.n, "L": self.L,
-                "provenance": self.H.provenance, "redundancy": self.H.redundancy}

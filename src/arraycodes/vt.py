@@ -198,11 +198,22 @@ def _kth_lowest_one(v: int, k: int) -> int:
 
 
 def vt_decode_int(y: int, a: int, L: int) -> int:
-    """Row-int form of `vt_decode`: y holds the L-1 received bits."""
+    """Row-int form of `vt_decode`: y holds the L-1 received bits.
+
+    Bit k of a row is position k + 1, and inserting a bit at index pos
+    moves every bit at or above pos up one position.  Let w be the weight
+    of y and D = (a - position_sum(y)) mod 2^h its deficiency.  For
+    D <= w, a 0 inserted below the D highest ones raises the sum by
+    exactly D.  Otherwise a 1 inserted just above the z = D - w - 1 lowest
+    zeros raises it by its own position, z + (ones below) + 1, plus the
+    w - (ones below) ones above it: w + z + 1 = D.  Either way the output
+    has residue a, so no check follows.  y has L - 1 - w zeros, at least
+    z exactly when D <= L; no insertion raises the sum by more than L, so
+    D > L alone has no reinsertion and raises CorruptInputError.
+    """
     h = L.bit_length()
-    q = 1 << h
     w = y.bit_count()
-    deficiency = (a - position_sum(y, h)) % q
+    deficiency = (a - position_sum(y, h)) % (1 << h)
     if deficiency > L:
         raise CorruptInputError("syndrome deficiency exceeds any insertion weight")
     if deficiency <= w:
@@ -217,13 +228,8 @@ def vt_decode_int(y: int, a: int, L: int) -> int:
         pos = 0
         if zeros_needed:
             zeros = ~y & ((1 << (L - 1)) - 1)
-            if zeros.bit_count() < zeros_needed:
-                raise CorruptInputError("not enough zeros for the required reinsertion")
             pos = _kth_lowest_one(zeros, zeros_needed) + 1
-    out = (y & ((1 << pos) - 1)) | ((y >> pos) << (pos + 1)) | (bit << pos)
-    if position_sum(out, h) & (q - 1) != a % q:
-        raise CorruptInputError("reinsertion does not reach the target syndrome")
-    return out
+    return (y & ((1 << pos) - 1)) | ((y >> pos) << (pos + 1)) | (bit << pos)
 
 
 def vt_decode(y: Sequence[int], a: int, L: int) -> List[int]:

@@ -4,6 +4,7 @@ from fractions import Fraction
 from itertools import combinations
 import pytest
 
+from arraycodes import bounds as bounds_module
 from arraycodes.arrays import BitArray, d1_dc_distance, fll_distance
 from arraycodes.bounds import (_greedy_lexicode, a_n_d_brute, ball_count_brute,
                                claim8_bound, dc_bound_part1, dc_bound_part2,
@@ -295,6 +296,29 @@ def test_theorem7_balls_disjoint_for_s1():
         ball = {x}   # V_DC(floor(t/2), 0, x)
         assert not (ball - {x}) & seen
         seen.add(x)
+
+
+def test_brute_force_oracles_refuse_past_their_size_guards():
+    """Both raise before they enumerate: 2^26 words, 2^30 arrays."""
+    with pytest.raises(ValueError, match="n <= 10"):
+        a_n_d_brute(26, 3)
+    with pytest.raises(ValueError, match=r"n\*L <= 16"):
+        ball_count_brute(BitArray(5, 6, (0,) * 5), 1)
+    # the closed cases need no enumeration
+    assert a_n_d_brute(26, 1) == 1 << 26 and a_n_d_brute(26, 27) == 1
+
+
+def test_branch_and_bound_stops_at_its_work_budget(monkeypatch):
+    """A(10, 5) needs 29,240 vertex visits of the clique covers and A(8, 4)
+    6.7 million; M_1(6) needs 21,036."""
+    monkeypatch.setattr(bounds_module, "_SEARCH_WORK", 30_000)
+    assert a_n_d_brute(10, 5) == 12
+    assert m_s_brute.__wrapped__(6, 1) == 10
+    with pytest.raises(ValueError, match="exceeds 30000 vertex visits"):
+        a_n_d_brute(8, 4)
+    monkeypatch.setattr(bounds_module, "_SEARCH_WORK", 20_000)
+    with pytest.raises(ValueError, match="exceeds 20000 vertex visits"):
+        m_s_brute.__wrapped__(6, 1)
 
 
 def test_a_n_d_by_branch_and_bound():

@@ -8,7 +8,7 @@ from arraycodes.arrays import BitArray, format_bit_array
 from arraycodes.bounds import ball_count_brute
 from arraycodes.cli import build_parser, main
 from arraycodes.dc import DcCode
-from arraycodes.te import construct_hasse, construct_hasse_raw
+from arraycodes.te import TeCodec, construct_hasse, construct_hasse_raw
 
 
 def run(capsys, *argv):
@@ -140,12 +140,16 @@ def test_oracle(capsys):
     (("bounds", "--bound", "v-te", "--n", "2", "--L", "2", "--r", "-1"), "non-negative"),
     (("construct", "--code", "even-ext", "--n", "0", "--d", "6"), "n must be positive"),
     (("construct", "--code", "even-ext", "--n", "3", "--d", "2", "--L", "0"),
-     "n and L must be positive")])
+     "n and L must be positive"),
+    (("oracle", "--which", "a-n-d", "--n", "26", "--d", "3"), "n <= 10"),
+    (("bounds", "--bound", "column-split", "--n", "26", "--d", "3"), "n <= 10"),
+    (("oracle", "--which", "ball", "--n", "5", "--L", "6", "--r", "1"), "n*L <= 16")])
 def test_brute_force_parameters_out_of_range_exit_2(capsys, argv, fragment):
     """A distance below 1 or a negative length, deletion count or radius is
     a usage error with one stderr line, not a traceback (exit 1) or a
     value.  So is a construction of no rows or no columns: --L 0 is not
-    read as a missing --L."""
+    read as a missing --L.  So is an oracle past its size guard, which
+    once enumerated 2^26 words or 2^30 arrays."""
     rc, out, err = run(capsys, *argv)
     assert rc == 2 and out == ""
     assert err.startswith("usage error:") and err.count("\n") == 1
@@ -285,6 +289,61 @@ def test_verify_distance_below_one_exits_2(tmp_path, capsys, d):
     rc, out, err = run(capsys, "verify", "--code-file", str(te_file), "--d", d)
     assert rc == 2 and out == ""
     assert err.count("\n") == 1 and "max_e must be at least 1" in err
+
+
+@pytest.mark.parametrize("kind", [("del", "--t", "2", "--s", "0"),
+                                  ("del", "--t", "0", "--s", "1"),
+                                  ("ted", "--t", "1", "--s", "0", "--e", "1")])
+def test_a_deletion_channel_that_deletes_nothing_exits_2(tmp_path, capsys, kind):
+    """--kind del with --t 2 --s 0 once passed an exhaustive round trip of
+    no trials, and its random draw raised on some seeds only."""
+    dc_file, arr_file = tmp_path / "dc.json", tmp_path / "arr.txt"
+    run(capsys, "construct", "--code", "dc", "--n", "7", "--L", "5", "--t", "2",
+        "--out", str(dc_file))
+    arr_file.write_text("# L=5\n" + "00000\n" * 7)
+    spec = ("--kind", *kind)
+    runs = [("verify", "--roundtrip", "--code-file", str(dc_file), *spec,
+             "--messages", "1", *mode) for mode in (("--exhaustive",), ())]
+    runs += [("channel", *spec, "--seed", str(seed), "--in", str(arr_file))
+             for seed in range(5)]
+    for argv in runs:
+        rc, out, err = run(capsys, *argv)
+        assert rc == 2 and out == "", argv
+        assert err.startswith("usage error:") and err.count("\n") == 1
+        assert "of at least 1" in err
+
+
+def test_a_ted_channel_of_no_deletion_rows_takes_no_deletion_count(tmp_path, capsys):
+    """--t 0 draws no deletion row, so --s 0 is no error there."""
+    arr_file = tmp_path / "arr.txt"
+    arr_file.write_text("# L=5\n" + "00000\n" * 7)
+    rc, _, err = run(capsys, "channel", "--kind", "ted", "--t", "0", "--s", "0",
+                     "--e", "0", "--in", str(arr_file))
+    assert rc == 0 and err == "instance: ((0, 0, 0, 0, 0, 0, 0), ())\n"
+
+
+def test_verify_distance_builds_no_encoder(tmp_path, capsys, monkeypatch):
+    """The distance check reads the parity check alone."""
+    code_file = tmp_path / "ham.tepc"
+    run(capsys, "construct", "--code", "construction-1", "--n", "7", "--d", "3",
+        "--out", str(code_file))
+
+    def built(*args):
+        raise AssertionError("verify --d built the encoder")
+
+    monkeypatch.setattr(TeCodec, "__init__", built)
+    rc, out, _ = run(capsys, "verify", "--code-file", str(code_file), "--d", "3")
+    assert rc == 0 and "exactly 3" in out
+
+
+def test_encode_of_a_message_of_the_wrong_length_exits_2(tmp_path, capsys):
+    dc_file, msg_file = tmp_path / "dc.json", tmp_path / "msg.txt"
+    run(capsys, "construct", "--code", "dc", "--n", "7", "--L", "5", "--t", "2",
+        "--out", str(dc_file))
+    msg_file.write_text("0" * 28 + "\n")
+    rc, out, err = run(capsys, "encode", "--code-file", str(dc_file), "--in", str(msg_file))
+    assert rc == 2 and out == ""
+    assert err == "usage error: codec expects 29 message bits, got 28\n"
 
 
 def test_roundtrip_with_the_other_channel_family_exits_2(tmp_path, capsys):

@@ -122,6 +122,15 @@ def test_encoder_output_membership_and_systematic():
         assert code.message_of(x) == msg
 
 
+@pytest.mark.parametrize("code", [TedCode(5, 7, 2, 1), DcCode(7, 5, 2)],
+                         ids=["ted", "dc"])
+def test_encode_rejects_a_message_of_the_wrong_length(code):
+    k = code.message_bits
+    for length in (0, k - 1, k + 1):
+        with pytest.raises(ValueError, match=f"message must have {k} bits"):
+            code.encode([0] * length)
+
+
 def test_exhaustive_roundtrip_small():
     code = TedCode(4, 7, 1, 1)
     record = roundtrip_harness(code, ChannelSpec("ted", t=1, s=1, e=1),

@@ -419,3 +419,23 @@ def test_select_past_the_last_one_raises_instead_of_spinning(v):
     # vt_decode_int never asks for more ones than the row has
     with pytest.raises(ValueError):
         _kth_lowest_one(v, v.bit_count() + 1)
+
+
+@pytest.mark.parametrize("L", range(1, 13))
+def test_decode_reaches_the_residue_whenever_the_deficiency_fits(L):
+    """`vt_decode_int` raises only when the deficiency D exceeds L; at
+    D <= L the reinsertion has enough zeros and lands on residue a without
+    a check.  Every (L-1)-bit y and every a: an L-bit row, residue a, and
+    y is that row with one bit deleted."""
+    h = vt_modulus_exponent(L)
+    q = 1 << h
+    for a in range(q):
+        for y in range(1 << (L - 1)):
+            if (a - position_sum(y, h)) % q > L:
+                with pytest.raises(CorruptInputError):
+                    vt_decode_int(y, a, L)
+                continue
+            row = vt_decode_int(y, a, L)
+            assert row >> L == 0 and position_sum(row, h) % q == a, (L, a, y)
+            assert any(row & ((1 << p) - 1) | (row >> (p + 1)) << p == y
+                       for p in range(L)), (L, a, y)
