@@ -14,24 +14,24 @@ from functools import lru_cache
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 
-# bytes 0 and 1 -> the digits "0" and "1", and back
-_PACK = bytes.maketrans(b"\x00\x01", b"01")
+# bytes 0 and 1 -> the digits "0" and "1", every other byte -> "2", which
+# int(..., 2) rejects; and the digits back to bytes 0 and 1
+_PACK = b"01" + b"2" * 254
 _UNPACK = bytes.maketrans(b"01", b"\x00\x01")
 
 
 def _row_to_int(bits: Sequence[int]) -> int:
-    """Pack bits (0/1 ints or bools) into a row int, bits[0] lowest; any
-    other entry raises ValueError."""
+    """Pack bits (0/1 ints or bools) into a row int, bits[0] lowest, in one
+    pass that also checks them: any other int raises ValueError, and an
+    entry that is no int TypeError."""
     try:
         # ValueError outside 0..255.  bytearray() would read a buffer such
         # as array.array as raw bytes, so only lists and tuples go in as is.
         packed = bytearray(bits if isinstance(bits, (list, tuple)) else list(bits))
-        if packed.translate(None, b"\x00\x01"):
-            raise ValueError
+        packed.reverse()
+        return int(packed.translate(_PACK) or b"0", 2)
     except ValueError:
         raise ValueError("row entries must be 0 or 1") from None
-    packed.reverse()
-    return int(packed.translate(_PACK) or b"0", 2)
 
 
 def _trusted(cls, **fields):

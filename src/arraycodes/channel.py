@@ -192,7 +192,9 @@ def roundtrip_harness(codec, spec: ChannelSpec, *, messages: int = 20,
     instance, decode, compare.  An exhaustive run streams the instances, so
     its memory does not grow with their number; one whose enumeration
     exceeds `max_work` instances raises RuntimeError before it decodes
-    anything.  `messages` or `instances` below 1 raises ValueError.
+    anything, and one whose channel has no instance (a `del` channel with
+    t = 0 or s = 0) raises ValueError.  `messages` or `instances` below 1
+    raises ValueError.
 
     Failures are recorded, not raised; the first counterexample keeps the
     full (message, instance, received) triple for replay.  A `message_of`
@@ -206,17 +208,21 @@ def roundtrip_harness(codec, spec: ChannelSpec, *, messages: int = 20,
         raise ValueError(f"instances must be at least 1, got {instances}")
     rng = random.Random(seed)
     n, L = codec.n, codec.L
+    if exhaustive:
+        # The deterministic stream is made again for each message, not held:
+        # a counting pass that stores nothing raises past the cap, or on a
+        # stream with no instance, before any message is encoded.
+        stream = enumerate_channel_instances(spec, n, L, max_work=max_work)
+        if next(stream, None) is None:
+            raise ValueError(f"{spec} has no instance on {n} x {L} arrays: "
+                             f"an exhaustive round trip would run no trial")
+        deque(stream, maxlen=0)
     record = RunRecord(codec.descriptor(), spec,
                        "exhaustive" if exhaustive else "random", seed)
     msgs = [[rng.randrange(2) for _ in range(codec.message_bits)]
             for _ in range(messages)]
     arrays = [(m, codec.encode(m)) for m in msgs]
-    if exhaustive:
-        # The deterministic stream is made again for each message, not held:
-        # a counting pass that stores nothing raises past the cap before any
-        # trial is decoded.
-        deque(enumerate_channel_instances(spec, n, L, max_work=max_work), maxlen=0)
-    else:
+    if not exhaustive:
         sampled = [random_instance(spec, n, L, rng) for _ in range(instances)]
     for message, x in arrays:
         if codec.message_of(x) != message:

@@ -8,7 +8,8 @@ Array I/O uses the shared text format (rows over {0,1}, '#' comments,
 '# L=<int>' declares the full length, which ragged input needs; a received
 row may also end in '?' marks at full length).  Exit status: 0 on
 success, 1 when a verification finds a failure, 2 on usage errors,
-including a file that cannot be read or written.
+including a file that cannot be read or written and a dc/ted code file
+whose arrays have more than `MAX_CELLS` (2^24) cells.
 """
 
 from __future__ import annotations
@@ -89,10 +90,15 @@ def build_te_code(args) -> TeParityCheck:
 # The integer parameters each JSON codec descriptor must carry.
 _DESCRIPTOR_KEYS = {"dc": ("n", "L", "t"), "ted": ("n", "L", "t", "e")}
 
+# The most cells, n * L, a dc/ted descriptor may give its arrays: a larger
+# code would still load, and a round trip would then draw messages of up
+# to that many bits.  DC(255, 255, t) has 65,025 cells.
+MAX_CELLS = 1 << 24
+
 
 def _load_code(path: str):
     """The parity check of a TE blob, or the codec of a validated dc/ted
-    JSON descriptor."""
+    JSON descriptor of at most `MAX_CELLS` cells."""
     blob = Path(path).read_bytes()
     if blob.startswith(TeParityCheck.MAGIC):
         return TeParityCheck.from_bytes(blob)
@@ -113,7 +119,13 @@ def _load_code(path: str):
             raise UsageError(f"{kind} descriptor needs an integer {key!r}, "
                              f"got {value!r}")
         params.append(value)
-    return DcCode(*params) if kind == "dc" else TedCode(*params)
+    codec = DcCode(*params) if kind == "dc" else TedCode(*params)
+    # checked once the constructor has refused every invalid descriptor
+    if codec.n * codec.L > MAX_CELLS:
+        raise UsageError(f"{kind} descriptor in {path} has n * L = "
+                         f"{codec.n * codec.L} cells, more than the {MAX_CELLS} "
+                         f"this tool accepts")
+    return codec
 
 
 def load_codec(path: str):

@@ -5,7 +5,11 @@ symbol of GF(2^(h+e)); the n symbols must form a codeword of an outer
 Reed-Solomon code of distance t+e+1.  Any row shortened by the channel is
 an outer erasure; once its tuple is back, a row missing k >= 2 bits gets
 its known tail re-attached and the one remaining gap is a plain VT
-deletion, whatever mix of tail loss and deletion actually occurred.
+deletion, whatever mix of tail loss and deletion actually occurred.  The
+symbols of the received rows, short ones included, come from one pass
+over the array, so the VT repair (`vt.vt_insert`) takes its deficiency
+as the filled residue minus the received one, less the position sum of
+any re-attached tail bits, and no repair sums a received row again.
 
 With e = 0 the symbol is the VT syndrome alone: that is the (t,1)
 deletion-correcting code, `arraycodes.dc.DcCode`.  Rows stay bitset ints
@@ -28,6 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress
 from typing import List, Optional, Sequence
 
 from .arrays import (BitArray, RaggedArray, _check_bit_array, _int_to_row,
@@ -37,7 +42,7 @@ from .errors import (CapacityExceededError, ChannelContractError,
 from .field import PRIMITIVE_POLYS, field_make
 from .rs import ReedSolomon
 from .vt import (_BYTE_SUM, position_residues, position_sum, vt_data_int,
-                 vt_decode_int, vt_encode_int, vt_modulus_exponent)
+                 vt_encode_int, vt_insert, vt_modulus_exponent)
 
 # The largest extension degree m that `field_make` builds GF(2^m) for.
 _WIDEST_FIELD = max(PRIMITIVE_POLYS)
@@ -185,11 +190,11 @@ class TedCode:
         if not isinstance(received, RaggedArray):
             raise InvalidInputError(f"{type(self).__name__} decodes a RaggedArray, "
                                     f"got {type(received).__name__}")
-        if (received.n, received.L) != (self.n, self.L):
+        if received.n != self.n or received.L != self.L:
             raise InvalidInputError("array shape mismatch")
         L, e, h = self.L, self.e, self.h
         lost = received.lost
-        damaged = [i for i, k in enumerate(lost) if k]
+        damaged = list(compress(range(self.n), lost))
         if max(lost) > e + 1:
             i = next(i for i in damaged if lost[i] > e + 1)
             raise ChannelContractError(
@@ -198,27 +203,35 @@ class TedCode:
         if len(damaged) > self.R:
             raise CapacityExceededError(
                 f"{len(damaged)} damaged rows exceed capacity t+e = {self.R}")
-        # Damaged rows enter the outer code as erasures, 0 until filled.
-        symbols = self._symbols(received.rows)
+        # Damaged rows enter the outer code as erasures, 0 until filled.  The
+        # low h bits of a short row's received symbol are its VT residue.
+        received_symbols = self._symbols(received.rows)
+        word = received_symbols.copy()
         for i in damaged:
-            symbols[i] = 0
+            word[i] = 0
         try:
-            syndrome = self.outer._fill_erasures(symbols, damaged)
+            syndrome = self.outer._fill_erasures(word, damaged)
         except NotACodewordError as exc:
             raise CorruptInputError("intact rows disagree with the outer code") from exc
         rows = list(received.rows)
         repaired = []     # theta of each repaired row, from its own bits
         hmask = (1 << h) - 1
         for i in damaged:
-            tail = symbols[i] >> h
+            symbol = word[i]
+            tail = symbol >> h
             row = rows[i]
             k = lost[i]
+            # The VT deficiency: the filled residue minus the received one
+            # (the tails above them cancel mod 2^h).
+            deficiency = symbol - received_symbols[i]
             if k > 1:
                 # Re-attach the k-1 known trailing bits; whatever mix of tail
                 # loss and deletion occurred, the result is the original row
                 # minus exactly one bit.
-                row |= (tail >> (e - k + 1)) << (L - k)
-            full = vt_decode_int(row, symbols[i] & hmask, L)
+                known = (tail >> (e - k + 1)) << (L - k)
+                row |= known
+                deficiency -= position_sum(known, h)
+            full = vt_insert(row, deficiency & hmask, L)
             own_tail = full >> (L - e)
             if own_tail != tail:
                 raise CorruptInputError(

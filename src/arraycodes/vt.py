@@ -12,8 +12,25 @@ table of all 16-bit values for rows of at most 32 positions (h <= 5), and
 as h masked popcounts, sum_k popcount(x & M_k) * 2^k, for longer rows.
 `position_residues` gives the sum mod 2^h of every row of an array at
 once, the form the syndromes of `arraycodes.ted` take for rows of more
-than 8 positions.  For shorter rows `TedCode` builds a byte table of its
-symbols from `_BYTE_SUM`, the position sums of all 256 byte values.
+than 8 positions.  Up to 127 positions (h <= 7) it takes a fixed number
+of C-level passes per row byte, not one Python step per row: the bytes of
+all rows are translated at once and summed inside big ints, SWAR style
+(Lamport, "Multiple byte processing with full-word instructions", CACM
+1975).  A row's sum is sum_k S(b_k) + 8k * popcount(b_k) over its bytes
+b_k, S the position sum of a byte value.  Up to 31 positions each row is
+an 8-byte word with an empty high half, and two multiplies add its
+translated bytes into one byte of the word.  From 32 to 127 positions
+lane k (byte k of every row) is translated through a table of
+(S(b) + 8k * popcount(b)) mod 128, and the lanes are added with each byte
+masked to h bits after every add, so that no carry crosses into the next
+row.  For rows of at most 8 positions `TedCode` builds a byte table of
+its symbols from `_BYTE_SUM`, the position sums of all 256 byte values.
+
+`vt_insert` is the single-deletion repair for a given deficiency D, the
+residue the reinserted bit must add; `vt_decode_int` computes D from the
+received bits and a target residue.  `TedCode` reads D off the outer
+symbols, whose received residues it already holds, so no repair sums the
+received row a second time.
 
 The systematic encoder's data bits sit on the non-power positions.  The
 11 of positions 1..16 are gathered by one read of `_DATA16`, a table of
@@ -30,8 +47,10 @@ hold rows as bit lists.
 
 from __future__ import annotations
 
+import sys
 from array import array
 from functools import lru_cache
+from itertools import repeat
 from typing import List, Sequence, Tuple
 
 from .arrays import _int_to_row, _row_to_int
@@ -76,6 +95,18 @@ def _sums16(offset: int) -> bytes:
 _SUM16 = _sums16(0)
 _RES_HI = _sums16(16)
 
+# The tables of `position_residues`.  Up to 31 positions: the popcount of
+# every byte value mod 4, and each byte value mod 2^h, h <= 5.  Past that,
+# entry b of table k is the position sum of byte value b at positions
+# 8k+1 .. 8k+8, S(b) + 8k * popcount(b), mod 128, for the 16 bytes of a row
+# of at most 127 positions (every modulus 2^h <= 128 divides 128).  5.8 KiB.
+_POPCOUNT_MOD4 = bytes(v.bit_count() & 3 for v in range(256))
+_LOW_BITS = tuple(bytes(range(1 << h)) * (256 >> h) for h in range(6))
+_LANE_SUMS = tuple(bytes((s + 8 * k * v.bit_count()) & 0x7F for v, s in enumerate(_BYTE_SUM))
+                   for k in range(16))
+_BIG_ENDIAN = sys.byteorder == "big"
+
+
 @lru_cache(maxsize=None)
 def _position_masks(h: int) -> Tuple[Tuple[int, int], ...]:
     """(k, M_k) for k < h, M_k the row int of the positions j in
@@ -104,14 +135,51 @@ def position_sum(x: int, h: int) -> int:
 
 
 def position_residues(rows: Sequence[int], h: int) -> List[int]:
-    """`position_sum` of every row mod 2^h, in one pass: two 16-bit table
-    reads for rows of at most 31 positions, and the masked popcounts
-    beyond."""
+    """`position_sum` of every row mod 2^h, in a fixed number of C-level
+    passes per row byte up to 127 positions (h <= 7), and by the masked
+    popcounts one row at a time beyond.
+
+    Up to 31 positions each row is one 8-byte word whose high half is
+    zero, and its sum over its bytes b_k (k < 4) is
+    sum_k S(b_k) + 8 * sum_k k * popcount(b_k).  One translate of all the
+    words gives the S(b_k), and a multiply by 0x01010101 adds them into
+    byte 3 of each word; one translate gives the popcounts mod 4 (with
+    2^h <= 32, the term 8 * sum_k k * popcount(b_k) mod 2^h depends on
+    them alone), and a multiply by 0x00010203 weights them by k into
+    byte 3, then a shift by 3 bits multiplies by 8.
+    Below byte 3 the first product's bytes are at most 3 * 36 = 108 and
+    the shifted second's at most 8 * 18 = 144, so their sum carries
+    nothing into byte 3, and both stay below 2^56, inside their words.
+
+    Rows of 32 to 127 positions are cut into byte lanes: lane k, byte k
+    of every row, goes through `_LANE_SUMS[k]`, and the lanes are added as
+    big ints of one byte per row, each byte masked to h bits after every
+    add so that no carry crosses into the next row."""
+    if h <= 6:
+        # one 8-byte little-endian word per row
+        words = array("Q", rows)
+        if _BIG_ENDIAN:
+            words.byteswap()
+        packed = words.tobytes()
+        if h <= 5:
+            total = (int.from_bytes(packed.translate(_BYTE_SUM), "little") * 0x01010101
+                     + (int.from_bytes(packed.translate(_POPCOUNT_MOD4), "little")
+                        * 0x00010203 << 3))
+            return list(total.to_bytes(8 * len(rows), "little")[3::8]
+                        .translate(_LOW_BITS[h]))
     mask = (1 << h) - 1
-    if h <= 5:
-        # rows below 2^16 (h <= 4) read the high-half entry 0
-        return [(_SUM16[x & 0xFFFF] + _RES_HI[x >> 16]) & mask for x in rows]
-    return [position_sum(x, h) & mask for x in rows]
+    if h > 7:
+        return [position_sum(x, h) & mask for x in rows]
+    lanes = 1 << h >> 3
+    if h == 7:
+        packed = b"".join(map(int.to_bytes, rows, repeat(lanes), repeat("little")))
+    from_bytes = int.from_bytes
+    n = len(rows)
+    keep = from_bytes(bytes((mask,)) * n, "little")
+    acc = 0
+    for k in range(lanes):
+        acc = (acc + from_bytes(packed[k::lanes].translate(_LANE_SUMS[k]), "little")) & keep
+    return list(acc.to_bytes(n, "little"))
 
 
 def _low_power_bits() -> Tuple[int, ...]:
@@ -181,7 +249,7 @@ def _runs_past_16(L: int) -> Tuple[Tuple[int, int], ...]:
 
 def _kth_lowest_one(v: int, k: int) -> int:
     """Bit index of the k-th lowest set bit of v, for 1 <= k <= popcount(v),
-    which `vt_decode_int` guarantees: whole bytes are skipped by their
+    which `vt_insert` guarantees: whole bytes are skipped by their
     popcounts and the byte holding the bit is read from `_SELECT8`.  A k
     beyond popcount(v) raises ValueError once the row runs out."""
     k -= 1
@@ -197,25 +265,23 @@ def _kth_lowest_one(v: int, k: int) -> int:
     return shift + _SELECT8[k << 8 | v & 0xFF]
 
 
-def vt_decode_int(y: int, a: int, L: int) -> int:
-    """Row-int form of `vt_decode`: y holds the L-1 received bits.
+def vt_insert(y: int, deficiency: int, L: int) -> int:
+    """Insert one bit into y, the L-1 received bits of a row, that raises
+    its position sum by `deficiency` (0 <= deficiency < 2^h).
 
     Bit k of a row is position k + 1, and inserting a bit at index pos
     moves every bit at or above pos up one position.  Let w be the weight
-    of y and D = (a - position_sum(y)) mod 2^h its deficiency.  For
-    D <= w, a 0 inserted below the D highest ones raises the sum by
-    exactly D.  Otherwise a 1 inserted just above the z = D - w - 1 lowest
-    zeros raises it by its own position, z + (ones below) + 1, plus the
-    w - (ones below) ones above it: w + z + 1 = D.  Either way the output
-    has residue a, so no check follows.  y has L - 1 - w zeros, at least
-    z exactly when D <= L; no insertion raises the sum by more than L, so
-    D > L alone has no reinsertion and raises CorruptInputError.
+    of y and D the deficiency.  For D <= w, a 0 inserted below the D
+    highest ones raises the sum by exactly D.  Otherwise a 1 inserted just
+    above the z = D - w - 1 lowest zeros raises it by its own position,
+    z + (ones below) + 1, plus the w - (ones below) ones above it:
+    w + z + 1 = D.  y has L - 1 - w zeros, at least z exactly when D <= L;
+    no insertion raises the sum by more than L, so D > L alone has no
+    reinsertion and raises CorruptInputError.
     """
-    h = L.bit_length()
-    w = y.bit_count()
-    deficiency = (a - position_sum(y, h)) % (1 << h)
     if deficiency > L:
         raise CorruptInputError("syndrome deficiency exceeds any insertion weight")
+    w = y.bit_count()
     if deficiency <= w:
         # insert a 0 just left of the deficiency-th highest one (at the end
         # when the deficiency is 0)
@@ -230,6 +296,14 @@ def vt_decode_int(y: int, a: int, L: int) -> int:
             zeros = ~y & ((1 << (L - 1)) - 1)
             pos = _kth_lowest_one(zeros, zeros_needed) + 1
     return (y & ((1 << pos) - 1)) | ((y >> pos) << (pos + 1)) | (bit << pos)
+
+
+def vt_decode_int(y: int, a: int, L: int) -> int:
+    """Row-int form of `vt_decode`: y holds the L-1 received bits, and the
+    insertion raises their position sum by D = (a - position_sum(y)) mod
+    2^h, so the output has residue a and no check follows."""
+    h = L.bit_length()
+    return vt_insert(y, (a - position_sum(y, h)) % (1 << h), L)
 
 
 def vt_decode(y: Sequence[int], a: int, L: int) -> List[int]:
@@ -261,7 +335,7 @@ def vt_encode_int(data: int, a: int, L: int) -> int:
     x = _SCATTER11[data & 0x7FF]
     if h <= 5:
         x |= data >> 11 << 16
-        # the 16-bit sum tables, as in `position_residues`
+        # the low half's sum and the high half's residue, two table reads
         deficiency = (a - _SUM16[x & 0xFFFF] - _RES_HI[x >> 16]) & ((1 << h) - 1)
         return x | _POWER_BITS[deficiency]
     data >>= 11

@@ -329,6 +329,16 @@ def test_row_to_int_accepts_only_bits(bits):
             _row_to_int([0, 1] + bits + [1])
 
 
+@pytest.mark.parametrize("entry", (1.0, "1", None, b"\x01"))
+def test_row_to_int_raises_type_error_on_an_entry_that_is_no_int(entry):
+    """The table that maps every byte other than 0 and 1 to a digit that
+    int(..., 2) rejects checks values only: an entry bytearray() cannot
+    take is still a TypeError, wherever it sits in the row."""
+    for bits in ([entry], [0, 1, entry], (1,) * 900 + (entry,)):
+        with pytest.raises(TypeError):
+            _row_to_int(bits)
+
+
 def test_from_lists_rejects_non_binary_entries():
     with pytest.raises(ValueError, match="must be 0 or 1"):
         BitArray.from_lists([[2, 0], [1, 3]])

@@ -284,6 +284,24 @@ def test_exhaustive_harness_does_not_hold_the_stream():
     assert harness_peak < listed_peak / 4
 
 
+@pytest.mark.parametrize("spec", [ChannelSpec("del", t=0, s=1), ChannelSpec("del", t=2, s=0)],
+                         ids=["t0", "s0"])
+def test_exhaustive_harness_rejects_a_channel_with_no_instance(spec):
+    """A deletion channel that deletes nothing enumerates no instance; an
+    exhaustive round trip over it would report success on zero trials."""
+    decodes = []
+
+    class Counting(DcCode):
+        def decode(self, received):
+            decodes.append(received)
+            return super().decode(received)
+
+    assert list(enumerate_channel_instances(spec, 7, 5)) == []
+    with pytest.raises(ValueError, match="no instance"):
+        roundtrip_harness(Counting(7, 5, 2), spec, messages=1, exhaustive=True)
+    assert decodes == []
+
+
 @pytest.mark.parametrize("instances", [0, -1])
 def test_harness_rejects_fewer_than_one_instance(instances):
     with pytest.raises(ValueError, match="instances"):

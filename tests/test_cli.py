@@ -6,7 +6,7 @@ import pytest
 
 from arraycodes.arrays import BitArray, format_bit_array
 from arraycodes.bounds import ball_count_brute
-from arraycodes.cli import build_parser, main
+from arraycodes.cli import MAX_CELLS, UsageError, build_parser, load_codec, main
 from arraycodes.dc import DcCode
 from arraycodes.te import TeCodec, construct_hasse, construct_hasse_raw
 
@@ -889,3 +889,31 @@ def test_malformed_input_file_exits_2_with_one_line(tmp_path, capsys, command, c
     assert rc == 2 and out == ""
     assert err.startswith("usage error:") and err.count("\n") == 1
     assert fragment in err
+
+
+@pytest.mark.parametrize("desc", [{"kind": "ted", "n": 1, "L": 10**9, "t": 0, "e": 0},
+                                  {"kind": "dc", "n": 2, "L": 10**9, "t": 1}],
+                         ids=["ted", "dc"])
+def test_decode_refuses_a_code_past_the_cell_cap(tmp_path, capsys, desc):
+    """A valid descriptor of 10^9-position rows is a usage error at load,
+    before any array of that size is read or drawn."""
+    code_file, in_file = tmp_path / "code.json", tmp_path / "in.txt"
+    code_file.write_text(json.dumps(desc))
+    in_file.write_text(f"# L={10**9}\n1\n")
+    rc, out, err = run(capsys, "decode", "--code-file", str(code_file),
+                       "--in", str(in_file))
+    assert rc == 2 and out == ""
+    assert err.startswith("usage error:") and err.count("\n") == 1
+    assert f"more than the {MAX_CELLS}" in err
+
+
+def test_code_files_up_to_the_cell_cap_load(tmp_path):
+    code_file = tmp_path / "code.json"
+    rc = main(["construct", "--code", "dc", "--n", "255", "--L", "255", "--t", "16",
+               "--out", str(code_file)])
+    assert rc == 0 and load_codec(str(code_file)) == DcCode(255, 255, 16)
+    code_file.write_text(json.dumps({"kind": "dc", "n": 4096, "L": 4096, "t": 1}))
+    assert load_codec(str(code_file)).n * 4096 == MAX_CELLS
+    code_file.write_text(json.dumps({"kind": "dc", "n": 4097, "L": 4096, "t": 1}))
+    with pytest.raises(UsageError, match="cells"):
+        load_codec(str(code_file))

@@ -14,7 +14,7 @@ from arraycodes.errors import (ArrayCodeError, CapacityExceededError,
 from arraycodes import ted as ted_module
 from arraycodes.rs import ReedSolomon
 from arraycodes.ted import TedCode, theta_symbol
-from arraycodes.vt import position_residues, vt_decode_int
+from arraycodes.vt import position_residues, vt_decode_int, vt_insert
 from conftest import ragged, unbudgeted
 from test_fuzz import _damage, _ragged
 from test_rs import _oracle_decode
@@ -362,10 +362,11 @@ def test_decode_matches_row_by_row_oracle(code):
                          ids=lambda c: f"{c.n}x{c.L}-t{c.t}-e{c.e}")
 def test_membership_recheck_catches_a_wrong_repair(code, fault, monkeypatch):
     """Every decode of a damaged array raises CorruptInputError when one
-    filled symbol is off by 1 ("fill"), or when the VT repair returns its
-    row with the first bit flipped ("repair", which keeps the tail).  The
-    membership re-check reads the repaired rows' own bits, so it catches
-    every wrong repair and some of the wrong fills."""
+    filled symbol is off by 1 ("fill"), or when the VT repair `vt_insert`
+    returns its row with the first bit flipped ("repair", which keeps the
+    tail).  The membership re-check reads the repaired rows' own bits, so
+    it catches every wrong repair, of rows missing one bit or (e > 0) more,
+    and some of the wrong fills."""
     if fault == "fill":
         fill = ReedSolomon._fill_erasures
 
@@ -377,21 +378,25 @@ def test_membership_recheck_catches_a_wrong_repair(code, fault, monkeypatch):
 
         monkeypatch.setattr(ReedSolomon, "_fill_erasures", wrong_fill)
     else:
-        monkeypatch.setattr(ted_module, "vt_decode_int",
-                            lambda y, a, L: vt_decode_int(y, a, L) ^ 1)
+        monkeypatch.setattr(ted_module, "vt_insert",
+                            lambda y, deficiency, L: vt_insert(y, deficiency, L) ^ 1)
     rng = random.Random(code.n * 100 + code.L)
     spec = ChannelSpec("ted", t=code.t, s=1, e=code.e)
     messages = set()
+    row_losses = set()
     for _ in range(60):
         x = code.encode([rng.randrange(2) for _ in range(code.message_bits)])
         received = apply_channel(x, spec, random_instance(spec, code.n, code.L, rng))
         if not any(received.lost):
             assert code.decode(received) == x
             continue
+        row_losses.update(received.lost)
         with pytest.raises(CorruptInputError) as exc:
             code.decode(received)
         messages.add(str(exc.value))
     assert "decoded array fails the membership rule" in messages
+    # rows missing one bit, and with a tail (e > 0) rows missing more
+    assert 1 in row_losses and (max(row_losses) > 1) == (code.e > 0)
     if fault == "repair":
         assert messages == {"decoded array fails the membership rule"}
 

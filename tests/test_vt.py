@@ -5,10 +5,10 @@ from itertools import combinations
 import pytest
 
 from arraycodes.errors import CorruptInputError
-from arraycodes.vt import (_DATA16, _RES_HI, _SCATTER11, _SUM16, _kth_lowest_one,
-                           position_residues, position_sum, vt_codewords,
-                           vt_data_int, vt_decode, vt_decode_int, vt_encode_int,
-                           vt_modulus_exponent)
+from arraycodes.vt import (_DATA16, _LANE_SUMS, _RES_HI, _SCATTER11, _SUM16,
+                           _kth_lowest_one, position_residues, position_sum,
+                           vt_codewords, vt_data_int, vt_decode, vt_decode_int,
+                           vt_encode_int, vt_insert, vt_modulus_exponent)
 
 
 def deletions(word):
@@ -271,6 +271,28 @@ def test_position_sum_matches_popcount_oracle_random(L):
     assert position_residues(rows, h) == [w % (1 << h) for w in want]
 
 
+@pytest.mark.parametrize("L", range(1, 128))
+def test_lane_residues_match_popcount_oracle(L):
+    """The C-level passes of `position_residues` (every h <= 7: the word
+    multiplies up to 31 positions, the byte lanes beyond) on arrays of 0,
+    1, 5, 31 and 300 rows, each row full-length or short (its top bits
+    clear, as a deletion leaves it), against the popcount oracle."""
+    rng = random.Random(7000 + L)
+    h = vt_modulus_exponent(L)
+    for n in (0, 1, 5, 31, 300):
+        rows = [rng.getrandbits(L) if rng.randrange(2) else rng.getrandbits(rng.randrange(L))
+                for _ in range(n)]
+        assert position_residues(rows, h) == [oracle_position_sum(x, h) % (1 << h)
+                                              for x in rows], (L, n)
+
+
+def test_lane_tables_are_the_byte_sums_at_each_offset():
+    assert len(_LANE_SUMS) == 16
+    for k, table in enumerate(_LANE_SUMS):
+        assert list(table) == [oracle_position_sum(b << (8 * k), 7) % 128
+                               for b in range(256)]
+
+
 def definitional_position_sum(x, L):
     return sum(j for j in range(1, L + 1) if x >> (j - 1) & 1)
 
@@ -439,3 +461,22 @@ def test_decode_reaches_the_residue_whenever_the_deficiency_fits(L):
             assert row >> L == 0 and position_sum(row, h) % q == a, (L, a, y)
             assert any(row & ((1 << p) - 1) | (row >> (p + 1)) << p == y
                        for p in range(L)), (L, a, y)
+
+
+@pytest.mark.parametrize("L", range(1, 13))
+def test_insert_at_the_received_deficiency_is_vt_decode(L):
+    """`vt_insert` given D = (a - position_sum(y)) mod 2^h returns what
+    `vt_decode_int(y, a, L)` returns, or raises where it raises, for every
+    (L-1)-bit y and every a."""
+    h = vt_modulus_exponent(L)
+    q = 1 << h
+    for a in range(q):
+        for y in range(1 << (L - 1)):
+            deficiency = (a - position_sum(y, h)) % q
+            if deficiency > L:
+                for call in (lambda: vt_insert(y, deficiency, L),
+                             lambda: vt_decode_int(y, a, L)):
+                    with pytest.raises(CorruptInputError):
+                        call()
+                continue
+            assert vt_insert(y, deficiency, L) == vt_decode_int(y, a, L), (L, a, y)
