@@ -8,8 +8,8 @@ Array I/O uses the shared text format (rows over {0,1}, '#' comments,
 '# L=<int>' declares the full length, which ragged input needs; a received
 row may also end in '?' marks at full length).  Exit status: 0 on
 success, 1 when a verification finds a failure, 2 on usage errors,
-including a file that cannot be read or written and a dc/ted code file
-whose arrays have more than `MAX_CELLS` (2^24) cells.
+including a file that cannot be read or written and a dc/ted code, built
+or loaded, whose arrays have more than `MAX_CELLS` (2^24) cells.
 """
 
 from __future__ import annotations
@@ -96,6 +96,16 @@ _DESCRIPTOR_KEYS = {"dc": ("n", "L", "t"), "ted": ("n", "L", "t", "e")}
 MAX_CELLS = 1 << 24
 
 
+def _check_cells(kind: str, codec, source: str):
+    """`codec`, a dc/ted codec, unless its arrays have more than
+    `MAX_CELLS` cells; `source` says where it came from."""
+    cells = codec.n * codec.L
+    if cells > MAX_CELLS:
+        raise UsageError(f"{kind} code {source} has n * L = {cells} cells, "
+                         f"more than the {MAX_CELLS} this tool accepts")
+    return codec
+
+
 def _load_code(path: str):
     """The parity check of a TE blob, or the codec of a validated dc/ted
     JSON descriptor of at most `MAX_CELLS` cells."""
@@ -119,13 +129,9 @@ def _load_code(path: str):
             raise UsageError(f"{kind} descriptor needs an integer {key!r}, "
                              f"got {value!r}")
         params.append(value)
-    codec = DcCode(*params) if kind == "dc" else TedCode(*params)
     # checked once the constructor has refused every invalid descriptor
-    if codec.n * codec.L > MAX_CELLS:
-        raise UsageError(f"{kind} descriptor in {path} has n * L = "
-                         f"{codec.n * codec.L} cells, more than the {MAX_CELLS} "
-                         f"this tool accepts")
-    return codec
+    return _check_cells(kind, DcCode(*params) if kind == "dc" else TedCode(*params),
+                        f"in {path}")
 
 
 def load_codec(path: str):
@@ -149,7 +155,7 @@ def cmd_construct(args) -> int:
         else:
             _need(args, "e")
             codec = TedCode(args.n, args.L, args.t, args.e)
-        desc = codec.descriptor()
+        desc = _check_cells(args.code, codec, "asked for").descriptor()
         desc["message_bits"] = codec.message_bits
         _write(args, json.dumps(desc, indent=2) + "\n")
         return 0

@@ -41,7 +41,7 @@ from .errors import (CapacityExceededError, ChannelContractError,
                      CorruptInputError, InvalidInputError, NotACodewordError)
 from .field import PRIMITIVE_POLYS, field_make
 from .rs import ReedSolomon
-from .vt import (_BYTE_SUM, position_residues, position_sum, vt_data_int,
+from .vt import (_BYTE_SUM, _LOW_BITS, position_residues, position_sum, vt_data_int,
                  vt_encode_int, vt_insert, vt_modulus_exponent)
 
 # The largest extension degree m that `field_make` builds GF(2^m) for.
@@ -118,12 +118,13 @@ class TedCode:
     def _byte_theta(self) -> Optional[bytes]:
         """Entry v: theta of the row int v, for rows of at most 8 positions
         (None for longer rows).  Such a code has h + e <= 6, so every symbol
-        fits in a byte.  The residues are `_BYTE_SUM` mod 2^h, and the tail
-        bits, disjoint from them, are OR-ed in as one 256-byte int."""
+        fits in a byte.  The residues are `_BYTE_SUM` read through
+        `_LOW_BITS[h]`, and the tail bits, disjoint from them, are OR-ed in
+        as one 256-byte int."""
         L, h, e = self.L, self.h, self.e
         if L > 8:
             return None
-        residues = _BYTE_SUM.translate(bytes(range(1 << h)) * (256 >> h))
+        residues = _BYTE_SUM.translate(_LOW_BITS[h])
         if not e:
             return residues
         tails = bytes((v >> (L - e)) << h for v in range(256))

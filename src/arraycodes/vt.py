@@ -12,19 +12,16 @@ table of all 16-bit values for rows of at most 32 positions (h <= 5), and
 as h masked popcounts, sum_k popcount(x & M_k) * 2^k, for longer rows.
 `position_residues` gives the sum mod 2^h of every row of an array at
 once, the form the syndromes of `arraycodes.ted` take for rows of more
-than 8 positions.  Up to 127 positions (h <= 7) it takes a fixed number
-of C-level passes per row byte, not one Python step per row: the bytes of
-all rows are translated at once and summed inside big ints, SWAR style
-(Lamport, "Multiple byte processing with full-word instructions", CACM
-1975).  A row's sum is sum_k S(b_k) + 8k * popcount(b_k) over its bytes
-b_k, S the position sum of a byte value.  Up to 31 positions each row is
-an 8-byte word with an empty high half, and two multiplies add its
-translated bytes into one byte of the word.  From 32 to 127 positions
-lane k (byte k of every row) is translated through a table of
-(S(b) + 8k * popcount(b)) mod 128, and the lanes are added with each byte
-masked to h bits after every add, so that no carry crosses into the next
-row.  For rows of at most 8 positions `TedCode` builds a byte table of
-its symbols from `_BYTE_SUM`, the position sums of all 256 byte values.
+than 8 positions.  Up to 31 positions (h <= 5) it takes a fixed number of
+C-level passes, not one Python step per row: the bytes of all rows are
+translated at once and summed inside big ints, SWAR style (Lamport,
+"Multiple byte processing with full-word instructions", CACM 1975).  A
+row's sum is sum_k S(b_k) + 8k * popcount(b_k) over its bytes b_k, S the
+position sum of a byte value; each row is an 8-byte word with an empty
+high half, and two multiplies add its translated bytes into one byte of
+the word.  Longer rows are summed one at a time.  For rows of at most 8
+positions `TedCode` builds a byte table of its symbols from `_BYTE_SUM`,
+the position sums of all 256 byte values, and `_LOW_BITS`.
 
 `vt_insert` is the single-deletion repair for a given deficiency D, the
 residue the reinserted bit must add; `vt_decode_int` computes D from the
@@ -50,7 +47,6 @@ from __future__ import annotations
 import sys
 from array import array
 from functools import lru_cache
-from itertools import repeat
 from typing import List, Sequence, Tuple
 
 from .arrays import _int_to_row, _row_to_int
@@ -78,32 +74,21 @@ _BYTE_SUM = _low_byte_sums()
 _ROTATE = bytes(range(256)) * 2
 
 
-def _sums16(offset: int) -> bytes:
-    """Entry v: the position sum of the 16-bit value v at positions
-    offset+1 .. offset+16, mod 256.  The entries sharing the high byte b
-    are the low byte's sums shifted up by b's own sum, which one
+def _sums16() -> bytes:
+    """Entry v: the position sum of the 16-bit value v, at most
+    1 + ... + 16 = 136, so one byte each.  The entries sharing the high
+    byte b are the low byte's sums shifted up by b's own sum, which one
     `translate` through a rotated identity adds."""
-    low = bytes((s + offset * v.bit_count()) & 0xFF for v, s in enumerate(_BYTE_SUM))
-    return b"".join(low.translate(_ROTATE[c:c + 256])
-                    for c in ((s + (offset + 8) * b.bit_count()) & 0xFF
-                              for b, s in enumerate(_BYTE_SUM)))
+    return b"".join(_BYTE_SUM.translate(_ROTATE[c:c + 256])
+                    for c in (s + 8 * b.bit_count() for b, s in enumerate(_BYTE_SUM)))
 
 
-# The exact position sum of every 16-bit value, at most 1 + ... + 16 = 136,
-# so one byte each; and the sum over positions 17..32 of the high half of a
-# 32-bit row mod 256, a multiple of every modulus 2^h <= 32.
-_SUM16 = _sums16(0)
-_RES_HI = _sums16(16)
+_SUM16 = _sums16()
 
-# The tables of `position_residues`.  Up to 31 positions: the popcount of
-# every byte value mod 4, and each byte value mod 2^h, h <= 5.  Past that,
-# entry b of table k is the position sum of byte value b at positions
-# 8k+1 .. 8k+8, S(b) + 8k * popcount(b), mod 128, for the 16 bytes of a row
-# of at most 127 positions (every modulus 2^h <= 128 divides 128).  5.8 KiB.
+# The tables of `position_residues` for rows of at most 31 positions: the
+# popcount of every byte value mod 4, and each byte value mod 2^h, h <= 5.
 _POPCOUNT_MOD4 = bytes(v.bit_count() & 3 for v in range(256))
 _LOW_BITS = tuple(bytes(range(1 << h)) * (256 >> h) for h in range(6))
-_LANE_SUMS = tuple(bytes((s + 8 * k * v.bit_count()) & 0x7F for v, s in enumerate(_BYTE_SUM))
-                   for k in range(16))
 _BIG_ENDIAN = sys.byteorder == "big"
 
 
@@ -136,8 +121,7 @@ def position_sum(x: int, h: int) -> int:
 
 def position_residues(rows: Sequence[int], h: int) -> List[int]:
     """`position_sum` of every row mod 2^h, in a fixed number of C-level
-    passes per row byte up to 127 positions (h <= 7), and by the masked
-    popcounts one row at a time beyond.
+    passes up to 31 positions (h <= 5), and one row at a time beyond.
 
     Up to 31 positions each row is one 8-byte word whose high half is
     zero, and its sum over its bytes b_k (k < 4) is
@@ -149,37 +133,19 @@ def position_residues(rows: Sequence[int], h: int) -> List[int]:
     byte 3, then a shift by 3 bits multiplies by 8.
     Below byte 3 the first product's bytes are at most 3 * 36 = 108 and
     the shifted second's at most 8 * 18 = 144, so their sum carries
-    nothing into byte 3, and both stay below 2^56, inside their words.
-
-    Rows of 32 to 127 positions are cut into byte lanes: lane k, byte k
-    of every row, goes through `_LANE_SUMS[k]`, and the lanes are added as
-    big ints of one byte per row, each byte masked to h bits after every
-    add so that no carry crosses into the next row."""
-    if h <= 6:
+    nothing into byte 3, and both stay below 2^56, inside their words."""
+    if h <= 5:
         # one 8-byte little-endian word per row
         words = array("Q", rows)
         if _BIG_ENDIAN:
             words.byteswap()
         packed = words.tobytes()
-        if h <= 5:
-            total = (int.from_bytes(packed.translate(_BYTE_SUM), "little") * 0x01010101
-                     + (int.from_bytes(packed.translate(_POPCOUNT_MOD4), "little")
-                        * 0x00010203 << 3))
-            return list(total.to_bytes(8 * len(rows), "little")[3::8]
-                        .translate(_LOW_BITS[h]))
+        total = (int.from_bytes(packed.translate(_BYTE_SUM), "little") * 0x01010101
+                 + (int.from_bytes(packed.translate(_POPCOUNT_MOD4), "little")
+                    * 0x00010203 << 3))
+        return list(total.to_bytes(8 * len(rows), "little")[3::8].translate(_LOW_BITS[h]))
     mask = (1 << h) - 1
-    if h > 7:
-        return [position_sum(x, h) & mask for x in rows]
-    lanes = 1 << h >> 3
-    if h == 7:
-        packed = b"".join(map(int.to_bytes, rows, repeat(lanes), repeat("little")))
-    from_bytes = int.from_bytes
-    n = len(rows)
-    keep = from_bytes(bytes((mask,)) * n, "little")
-    acc = 0
-    for k in range(lanes):
-        acc = (acc + from_bytes(packed[k::lanes].translate(_LANE_SUMS[k]), "little")) & keep
-    return list(acc.to_bytes(n, "little"))
+    return [position_sum(x, h) & mask for x in rows]
 
 
 def _low_power_bits() -> Tuple[int, ...]:
@@ -335,9 +301,7 @@ def vt_encode_int(data: int, a: int, L: int) -> int:
     x = _SCATTER11[data & 0x7FF]
     if h <= 5:
         x |= data >> 11 << 16
-        # the low half's sum and the high half's residue, two table reads
-        deficiency = (a - _SUM16[x & 0xFFFF] - _RES_HI[x >> 16]) & ((1 << h) - 1)
-        return x | _POWER_BITS[deficiency]
+        return x | _POWER_BITS[(a - position_sum(x, h)) & ((1 << h) - 1)]
     data >>= 11
     for first, width in _runs_past_16(L):
         x |= (data & ((1 << width) - 1)) << first

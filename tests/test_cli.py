@@ -907,6 +907,20 @@ def test_decode_refuses_a_code_past_the_cell_cap(tmp_path, capsys, desc):
     assert f"more than the {MAX_CELLS}" in err
 
 
+@pytest.mark.parametrize("argv", [["--code", "dc", "--n", "4097", "--L", "4096", "--t", "1"],
+                                  ["--code", "ted", "--n", "2", "--L", str(10**9),
+                                   "--t", "0", "--e", "1"]],
+                         ids=["dc", "ted"])
+def test_construct_refuses_a_code_past_the_cell_cap(tmp_path, capsys, argv):
+    """`construct` refuses what `decode` would refuse to load, and writes
+    no file."""
+    code_file = tmp_path / "code.json"
+    rc, out, err = run(capsys, "construct", *argv, "--out", str(code_file))
+    assert rc == 2 and out == "" and not code_file.exists()
+    assert err.startswith("usage error:") and err.count("\n") == 1
+    assert f"more than the {MAX_CELLS}" in err
+
+
 def test_code_files_up_to_the_cell_cap_load(tmp_path):
     code_file = tmp_path / "code.json"
     rc = main(["construct", "--code", "dc", "--n", "255", "--L", "255", "--t", "16",
