@@ -3,7 +3,9 @@
 Subcommands: construct, encode, decode, channel, verify, bounds, oracle.
 Each subcommand registers only the options it reads, so any other option
 is an argparse error (exit 2); options must be spelled in full, as no
-parser takes abbreviations.
+parser takes abbreviations.  verify's two modes read different options:
+--d only without --roundtrip, the channel and round-trip options only with
+it, and an option of the other mode is a usage error (exit 2) too.
 Array I/O uses the shared text format (rows over {0,1}, '#' comments,
 '# L=<int>' declares the full length, which ragged input needs; a received
 row may also end in '?' marks at full length).  Exit status: 0 on
@@ -231,8 +233,20 @@ def cmd_channel(args) -> int:
     return 0
 
 
+# The options only a round trip reads; a distance check reads --d alone.
+_ROUNDTRIP_OPTIONS = ("kind", "e", "t", "s", "seed", "messages", "exhaustive", "max_work")
+
+
+def _reject_unread(args, names, mode):
+    given = [f"--{name.replace('_', '-')}" for name in names
+             if getattr(args, name) is not None]
+    if given:
+        raise UsageError(f"verify {mode} does not read {', '.join(given)}")
+
+
 def cmd_verify(args) -> int:
     if args.roundtrip:
+        _reject_unread(args, ("d",), "--roundtrip")
         if args.max_work is not None and args.max_work < 1:
             raise UsageError(f"--max-work must be at least 1, got {args.max_work}")
         codec = load_codec(args.code_file)
@@ -244,13 +258,16 @@ def cmd_verify(args) -> int:
         # --max-work caps the exhaustive enumeration and sets the number of
         # random instances.
         cap = DEFAULT_MAX_WORK if args.max_work is None else args.max_work
-        record = roundtrip_harness(codec, spec, messages=args.messages,
-                                   exhaustive=args.exhaustive, seed=args.seed,
+        record = roundtrip_harness(codec, spec,
+                                   messages=20 if args.messages is None else args.messages,
+                                   exhaustive=bool(args.exhaustive),
+                                   seed=0 if args.seed is None else args.seed,
                                    instances=args.max_work, max_work=cap)
         sys.stdout.write(record.summary() + "\n")
         if record.first_counterexample:
             sys.stdout.write(f"counterexample: {record.first_counterexample}\n")
         return 0 if record.failures == 0 else 1
+    _reject_unread(args, _ROUNDTRIP_OPTIONS, "without --roundtrip")
     # The distance check reads the parity check alone: no encoder tables.
     H = _load_code(args.code_file)
     if not isinstance(H, TeParityCheck):
@@ -385,14 +402,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pattern", help="explicit te pattern, comma-separated")
     p.set_defaults(func=cmd_channel)
 
+    # The round-trip options default to None, so that a distance check can
+    # tell one that was given; a round trip reads a missing --seed as 0,
+    # --messages as 20.
     p = add("verify", help="min-distance or round-trip verification")
     ints(p, "e", "t", "s", "d")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int)
     p.add_argument("--code-file", required=True)
     p.add_argument("--roundtrip", action="store_true")
     p.add_argument("--kind", choices=("te", "del", "ted"))
-    p.add_argument("--messages", type=int, default=20)
-    p.add_argument("--exhaustive", action="store_true")
+    p.add_argument("--messages", type=int)
+    p.add_argument("--exhaustive", action="store_true", default=None)
     p.add_argument("--max-work", type=int)
     p.set_defaults(func=cmd_verify)
 

@@ -4,7 +4,10 @@ A code is described by a TE parity-check: one r-bit column h_{i,j} per array
 cell, with membership  sum x_{i,j} h_{i,j} = 0.  A TE pattern p is
 correctable exactly when the multiset of columns it touches (the last p_i
 cells of each row i) is linearly independent, which drives both the erasure
-decoder and the exhaustive minimum-distance verifier.  The constructions
+decoder and the exhaustive minimum-distance verifier.  The cells a tail
+erasure takes depend on (i, p_i) alone, so each parity check holds one
+table of every row's tails, built once from its columns, and the decoder
+reads each damaged row's erased cells from it.  The constructions
 interleave the columns of binary base codes (`basecodes.ParityColumns`)
 into cells as they are, or write the bits of field-valued parity rows
 straight into the cells' columns, and the systematic encoder reads its
@@ -17,7 +20,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass, field as dataclass_field
 from functools import cached_property, reduce
-from itertools import groupby
+from itertools import compress, groupby
 from operator import or_
 from typing import Iterator, List, Optional, Sequence, Tuple
 
@@ -80,11 +83,19 @@ class TeParityCheck:
         return s
 
     @cached_property
-    def _tagged_cells(self) -> List[List[Tuple[int, int]]]:
-        """(column, tag) per cell, row by row; the tag is the cell's bit in
-        the row-major flat array, bit i*L + j."""
-        return [[(c, 1 << (i * self.L + j)) for j, c in enumerate(row)]
-                for i, row in enumerate(self.cols)]
+    def _tail_cells(self) -> Tuple[Tuple[Tuple[Tuple[int, int], ...], ...], ...]:
+        """tails[i][p], p = 0..L, is the tuple of (column, tag) pairs of the
+        last p cells of row i, left to right; a cell's tag is its bit in the
+        row-major flat array, bit i*L + j.  A tail erasure on row i is fixed
+        by (i, p), so this is every tail the decoder can meet.  Its size
+        depends on the code alone: n*(L+1) tuples holding n*L*(L+1)/2
+        references to the n*L pairs."""
+        L = self.L
+        tails = []
+        for i, row in enumerate(self.cols):
+            cells = [(c, 1 << (i * L + j)) for j, c in enumerate(row)]
+            tails.append(tuple(tuple(cells[L - p:]) for p in range(L + 1)))
+        return tuple(tails)
 
     def syndrome(self, x: BitArray) -> int:
         _check_bit_array(x, self.n, self.L)
@@ -443,6 +454,9 @@ def te_decode(H: TeParityCheck, received: RaggedArray) -> BitArray:
     """Fill the lost tails of `received` with the unique consistent
     codeword values, each row's surviving bits taken as its prefix.
 
+    The erased cells of a damaged row i that lost p cells are read, with
+    their columns and tags, from the parity check's tail table at [i][p];
+    only the damaged rows are visited, and only they are written back.
     The erased cells' columns are reduced to an echelon basis, each basis
     vector tagged with the erased cells it sums; the syndrome of the
     surviving bits (erased bits read 0) reduced against that basis leaves
@@ -453,15 +467,17 @@ def te_decode(H: TeParityCheck, received: RaggedArray) -> BitArray:
     if not isinstance(received, RaggedArray):
         raise InvalidInputError(f"te_decode decodes a RaggedArray, got "
                                 f"{type(received).__name__}")
-    if (received.n, received.L) != (H.n, H.L):
+    if received.n != H.n or received.L != H.L:
         raise InvalidInputError("shape mismatch")
     L = H.L
+    lost = received.lost
+    tails = H._tail_cells
     syndrome = H._row_syndrome(received.rows)
-    erased = [(i, p) for i, p in enumerate(received.lost) if p]
+    damaged = list(compress(range(H.n), lost))
     basis: List[Tuple[int, int, int]] = []   # (pivot bit, column, tag)
     dependent = False
-    for i, p in erased:
-        for c, tag in H._tagged_cells[i][L - p:]:
+    for i in damaged:
+        for c, tag in tails[i][lost[i]]:
             for low, b, t in basis:
                 if c & low:
                     c ^= b
@@ -482,7 +498,7 @@ def te_decode(H: TeParityCheck, received: RaggedArray) -> BitArray:
             "erasure pattern exceeds the code's correction capability")
     rows = list(received.rows)
     full = (1 << L) - 1
-    for i, _ in erased:
+    for i in damaged:
         rows[i] |= solution >> (i * L) & full
     return _trusted(BitArray, n=H.n, L=L, rows=tuple(rows))
 

@@ -1,0 +1,63 @@
+"""The A/B tool's summary rule on fixed numbers (no git, no benchmark runs)."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_spec = importlib.util.spec_from_file_location(
+    "ab", Path(__file__).resolve().parent.parent / "tools" / "ab.py")
+ab = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(ab)
+
+BETTER = {"decode_p50_us": "lower", "trials_per_s": "higher"}
+
+
+def pairs_of(parent, change, name="decode_p50_us"):
+    return [({name: p}, {name: c}) for p, c in zip(parent, change)]
+
+
+def test_quartiles_are_inclusive():
+    assert ab.quartiles([1.0, 2.0, 3.0, 4.0, 5.0]) == (2.0, 3.0, 4.0)
+    assert ab.quartiles([7.0]) == (7.0, 7.0, 7.0)
+
+
+def test_a_clear_gain_is_better():
+    parent = [5.7, 5.8, 5.75, 5.9, 5.72, 5.78, 5.81, 5.69, 5.74, 5.77]
+    change = [5.0, 5.1, 5.05, 5.9, 5.02, 5.08, 5.11, 4.99, 5.04, 5.07]
+    out = ab.summarize(pairs_of(parent, change), BETTER)["decode_p50_us"]
+    assert (out["wins"], out["losses"], out["pairs"]) == (9, 0, 10)   # one tie
+    assert out["verdict"] == "better"
+    assert out["parent_median"] == pytest.approx(5.76)
+    assert out["change_median"] == pytest.approx(5.06)
+    assert out["parent_iqr"] == pytest.approx(5.795 - 5.725)
+    assert out["change_frac"] == pytest.approx(-0.7 / 5.76)
+
+
+def test_eight_wins_of_ten_is_no_change():
+    parent = [10.0] * 10
+    change = [9.0] * 8 + [11.0] * 2
+    out = ab.summarize(pairs_of(parent, change), BETTER)["decode_p50_us"]
+    assert (out["wins"], out["verdict"]) == (8, "no change")
+
+
+def test_a_gap_inside_the_parent_iqr_is_no_change():
+    parent = [10.0, 12.0, 10.0, 12.0]
+    change = [9.5, 11.5, 9.5, 11.5]
+    out = ab.summarize(pairs_of(parent, change), BETTER)["decode_p50_us"]
+    assert out["wins"] == 4 and out["parent_iqr"] == 2.0
+    assert out["verdict"] == "no change"
+
+
+def test_higher_is_better_and_a_loss_is_worse():
+    parent = [100.0, 101.0, 99.0, 100.5, 100.2, 99.8]
+    change = [90.0, 91.0, 89.0, 90.5, 90.2, 89.8]
+    out = ab.summarize(pairs_of(parent, change, "trials_per_s"), BETTER)
+    assert set(out) == {"trials_per_s"}     # decode_p50_us is in no run
+    assert (out["trials_per_s"]["losses"], out["trials_per_s"]["verdict"]) == (6, "worse")
+    flipped = ab.summarize(pairs_of(change, parent, "trials_per_s"), BETTER)
+    assert flipped["trials_per_s"]["verdict"] == "better"
+
+
+def test_no_pairs_summarizes_nothing():
+    assert ab.summarize([], BETTER) == {}

@@ -280,6 +280,41 @@ def test_roundtrip_of_no_messages_exits_2(tmp_path, capsys, messages):
     assert err.count("\n") == 1 and "messages must be at least 1" in err
 
 
+ROUNDTRIP_OPTIONS = (("--kind", "te"), ("--e", "1"), ("--t", "1"), ("--s", "1"),
+                     ("--seed", "0"), ("--messages", "20"), ("--exhaustive",),
+                     ("--max-work", "5"))
+
+
+@pytest.mark.parametrize("argv, error", [
+    # Both once printed their result and exited 0, the stray options unread.
+    (("--d", "4", "--max-work", "1", "--messages", "0", "--kind", "del", "--seed", "3"),
+     "verify without --roundtrip does not read --kind, --seed, --messages, --max-work"),
+    (("--roundtrip", "--kind", "te", "--e", "1", "--d", "99"),
+     "verify --roundtrip does not read --d"),
+    # Each round-trip option alone, at its round-trip default where it has one.
+    *[(("--d", "4", *option), f"verify without --roundtrip does not read {option[0]}")
+      for option in ROUNDTRIP_OPTIONS],
+])
+def test_verify_rejects_an_option_of_the_other_mode(tmp_path, capsys, argv, error):
+    te_file = tmp_path / "h.tepc"
+    run(capsys, "construct", "--code", "hasse", "--n", "16", "--L", "4", "--e", "4",
+        "--out", str(te_file))
+    rc, out, err = run(capsys, "verify", "--code-file", str(te_file), *argv)
+    assert rc == 2 and out == ""
+    assert err == f"usage error: {error}\n"
+
+
+def test_roundtrip_defaults_are_seed_0_and_20_messages(tmp_path, capsys):
+    te_file = tmp_path / "h.tepc"
+    run(capsys, "construct", "--code", "hasse", "--n", "5", "--L", "3", "--e", "3",
+        "--out", str(te_file))
+    argv = ("verify", "--roundtrip", "--code-file", str(te_file), "--kind", "te",
+            "--e", "2", "--max-work", "3")
+    rc, out, _ = run(capsys, *argv)
+    assert rc == 0 and "seed=0 trials=60 failures=0" in out
+    assert run(capsys, *argv, "--seed", "0", "--messages", "20") == (rc, out, "")
+
+
 @pytest.mark.parametrize("d", ["0", "-4"])
 def test_verify_distance_below_one_exits_2(tmp_path, capsys, d):
     """--d -4 once printed 'minimum TE distance at least -3' and exited 0."""

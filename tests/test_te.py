@@ -1,5 +1,6 @@
 import random
 import struct
+from itertools import combinations
 
 import pytest
 
@@ -626,6 +627,67 @@ def test_decoder_matches_oracle(name):
     assert {"decoded", NotACodewordError} <= outcomes
     if d <= DIFFERENTIAL_MAX_E:
         assert AmbiguousErasureError in outcomes
+
+
+@pytest.mark.parametrize("name", sorted(DIFFERENTIAL_CODES))
+def test_tail_cells_are_the_row_tails(name):
+    """tails[i][p] holds the last p cells of row i, left to right, each as
+    (column, flat bit i*L + j); the table is built once per parity check."""
+    H = DIFFERENTIAL_CODES[name]()
+    tails = H._tail_cells
+    assert len(tails) == H.n
+    for i, row in enumerate(H.cols):
+        assert len(tails[i]) == H.L + 1
+        for p in range(H.L + 1):
+            assert tails[i][p] == tuple((row[j], 1 << (i * H.L + j))
+                                        for j in range(H.L - p, H.L)), (i, p)
+    assert H._tail_cells is tails
+
+
+# Rows of 10 and 17 cells (syndrome tables of 2 and 3 chunks), the
+# benchmark's code, and a code of distance 11 whose rows of 10 cells
+# decode when erased whole.
+TAIL_CODES = {
+    "hasse-5-10-3": DIFFERENTIAL_CODES["hasse-5-10-3"],
+    "hasse-raw-2-17-3": DIFFERENTIAL_CODES["hasse-raw-2-17-3"],
+    "hasse-16-4-4": lambda: construct_hasse(16, 4, 4),
+    "hasse-raw-3-10-10": lambda: construct_hasse_raw(3, 10, 10),
+}
+
+
+def _row_patterns(n, L):
+    """Every single-row pattern p = 1..L on every row, then every pair of
+    whole-row erasures."""
+    for i in range(n):
+        for p in range(1, L + 1):
+            yield tuple(p if k == i else 0 for k in range(n))
+    for a, b in combinations(range(n), 2):
+        yield tuple(L if k in (a, b) else 0 for k in range(n))
+
+
+@pytest.mark.parametrize("name", sorted(TAIL_CODES))
+def test_decoder_matches_oracle_up_to_whole_rows(name):
+    """Patterns that reach p = L, on rows longer than 8 cells too, and each
+    with one surviving bit flipped: same array or same exception."""
+    H = TAIL_CODES[name]()
+    enc = TeEncoder(H)
+    rng = random.Random(name)
+    x = enc.encode([rng.randrange(2) for _ in range(enc.k)])
+    outcomes = set()
+    for p in _row_patterns(H.n, H.L):
+        received = apply_te_pattern(x, p)
+        arrays = [received]
+        survivors = [(i, j) for i in range(H.n) for j in range(H.L - p[i])]
+        if survivors:
+            i, j = rng.choice(survivors)
+            rows = list(received.rows)
+            rows[i] ^= 1 << j
+            arrays.append(RaggedArray(H.n, H.L, tuple(rows), received.lost))
+        for y in arrays:
+            want = _outcome(oracle_te_decode, H, y)
+            assert _outcome(te_decode, H, y) == want, (p, y.rows)
+            outcomes.add(want if isinstance(want, type) else "decoded")
+    assert {"decoded", AmbiguousErasureError} <= outcomes
 
 
 def _column_sum(H, x):

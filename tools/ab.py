@@ -1,0 +1,152 @@
+"""Replayable A/B runs of the benchmark: a parent revision against the
+working tree.
+
+    python3 tools/ab.py --workload te-verify --pairs 10 --seconds 8
+    python3 tools/ab.py --parent HEAD~1 --workload dc-wide   # a committed change
+    python3 tools/ab.py --workload te-verify   # on a clean tree: the host's noise
+
+The parent revision is exported with `git archive` into a temporary
+directory; the change is the working tree this script sits in.  For each
+workload, pair k = 1..N runs `perfbench/run.py --workload W --seed k
+--seconds T --trace 0` on both sides, the parent first in odd pairs and
+the change first in even ones.  Only the standard library is used.
+
+One JSON line per workload follows, with, for each end-to-end metric that
+`BENCHMARK.json` names, both sides' medians and quartiles, the parent's
+interquartile range, the pairs the change won (ties count for neither
+side) and a verdict.  The change is "better" when it won at least nine
+tenths of the pairs and its median is better than the parent's by more
+than the parent's interquartile range, "worse" under the same rule the
+other way, and "no change" otherwise.  Quartiles are
+`statistics.quantiles(..., method="inclusive")`.  The line ends with the
+raw (parent, change) metrics of every pair, so `summarize` can be replayed
+on them.  A run that fails its checks, or prints no result, is counted in
+`failed_runs` and its pair is left out.  Exit status: 0, or 1 when any run
+failed.
+"""
+
+from __future__ import annotations
+
+import argparse
+import io
+import json
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+from typing import Dict, List, Optional, Sequence
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def quartiles(values: Sequence[float]):
+    """(q1, median, q3) of at least one value."""
+    if len(values) == 1:
+        return values[0], values[0], values[0]
+    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, q2, q3
+
+
+def summarize(pairs: Sequence[tuple], better: Dict[str, str]) -> Dict[str, dict]:
+    """Per-metric summary of (parent metrics, change metrics) pairs.
+
+    `better` maps each metric to "lower" or "higher".  Metrics missing from
+    any run are skipped.
+    """
+    out = {}
+    n = len(pairs)
+    for name, direction in better.items():
+        if not n or any(name not in p or name not in c for p, c in pairs):
+            continue
+        sign = 1 if direction == "lower" else -1
+        parent = [p[name] for p, _ in pairs]
+        change = [c[name] for _, c in pairs]
+        wins = sum(sign * (p - c) > 0 for p, c in zip(parent, change))
+        losses = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
+        p1, pm, p3 = quartiles(parent)
+        c1, cm, c3 = quartiles(change)
+        iqr = p3 - p1
+        gain = sign * (pm - cm)          # > 0: the change is better
+        if 10 * wins >= 9 * n and gain > iqr:
+            verdict = "better"
+        elif 10 * losses >= 9 * n and -gain > iqr:
+            verdict = "worse"
+        else:
+            verdict = "no change"
+        out[name] = {"parent_median": pm, "change_median": cm,
+                     "parent_quartiles": [p1, p3], "change_quartiles": [c1, c3],
+                     "parent_iqr": iqr,
+                     "change_frac": (cm - pm) / pm if pm else None,
+                     "wins": wins, "losses": losses, "pairs": n,
+                     "verdict": verdict}
+    return out
+
+
+def export(rev: str, into: Path) -> Path:
+    """The files of `rev`, as `git archive` writes them, under `into`."""
+    blob = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", rev],
+                          check=True, capture_output=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(blob)) as tar:
+        if hasattr(tarfile, "data_filter"):     # Python 3.10.12, 3.11.4 and later
+            tar.extractall(into, filter="data")
+        else:
+            tar.extractall(into)
+    return into
+
+
+def run_once(tree: Path, workload: str, seed: int, seconds: float) -> Optional[dict]:
+    """The end-to-end metrics of one benchmark run, or None when it failed."""
+    done = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload,
+         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+        cwd=tree, capture_output=True, text=True)
+    lines = done.stdout.strip().splitlines()
+    try:
+        result = json.loads(lines[-1])
+    except (IndexError, ValueError):
+        return None
+    if done.returncode or not result.get("correct"):
+        return None
+    return {name: m["value"] for name, m in result["metrics"].items()}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--parent", default="HEAD", help="git revision of the parent")
+    parser.add_argument("--workload", action="append",
+                        help="repeatable; default: every workload in BENCHMARK.json")
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seconds", type=float, default=8.0)
+    args = parser.parse_args(argv)
+    if args.pairs < 1:
+        parser.error("--pairs must be at least 1")
+    seeds = range(1, args.pairs + 1)
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    workloads = args.workload or [w["name"] for w in spec["workloads"]]
+    status = 0
+    with tempfile.TemporaryDirectory(prefix="ab-") as tmp:
+        parent, change = export(args.parent, Path(tmp)), ROOT
+        for workload in workloads:
+            pairs: List[tuple] = []
+            failed = 0
+            for seed in seeds:
+                order = (parent, change) if seed % 2 else (change, parent)
+                runs = {tree: run_once(tree, workload, seed, args.seconds)
+                        for tree in order}
+                failed += sum(r is None for r in runs.values())
+                if None not in runs.values():
+                    pairs.append((runs[parent], runs[change]))
+            status = status or int(failed > 0)
+            print(json.dumps({"workload": workload, "parent": args.parent,
+                              "pairs": args.pairs, "seconds": args.seconds,
+                              "failed_runs": failed,
+                              "metrics": summarize(pairs, better),
+                              "runs": pairs}), flush=True)
+    return status
+
+
+if __name__ == "__main__":
+    sys.exit(main())
