@@ -3,9 +3,11 @@
 Subcommands: construct, encode, decode, channel, verify, bounds, oracle.
 Each subcommand registers only the options it reads, so any other option
 is an argparse error (exit 2); options must be spelled in full, as no
-parser takes abbreviations.  verify's two modes read different options:
---d only without --roundtrip, the channel and round-trip options only with
-it, and an option of the other mode is a usage error (exit 2) too.
+parser takes abbreviations.  A selector picks each subcommand's mode
+(construct --code, channel --kind, bounds --bound or --table, oracle
+--which, verify --roundtrip and --kind), and a mode reads the options in
+its row of `_READS`: a missing required option or any other option is a
+usage error (exit 2).
 Array I/O uses the shared text format (rows over {0,1}, '#' comments,
 '# L=<int>' declares the full length, which ragged input needs; a received
 row may also end in '?' marks at full length).  Exit status: 0 on
@@ -23,7 +25,6 @@ import random
 import sys
 from pathlib import Path
 
-from . import basecodes
 from .arrays import (BitArray, format_bit_array, format_ragged, parse_bit_array,
                      parse_ragged)
 from .bounds import (a_n_d_brute, ball_count_brute, claim8_bound,
@@ -35,9 +36,9 @@ from .channel import (DEFAULT_MAX_WORK, ChannelSpec, apply_channel,
 from .dc import DcCode
 from .errors import ArrayCodeError
 from .tables import render_rows, table_i, table_ii, table_iii
-from .te import (TeCodec, TeParityCheck, construct_1, construct_claim5,
-                 construct_claim7, construct_even, construct_hasse,
-                 construct_hasse_raw, construct_parity, verify_min_distance)
+from .te import (TeCodec, TeParityCheck, construct_claim5, construct_claim7,
+                 construct_hasse, construct_hasse_raw, construct_interleaved,
+                 verify_min_distance)
 from .ted import TedCode
 
 
@@ -45,48 +46,89 @@ class UsageError(Exception):
     pass
 
 
-def _need(args, *names):
-    for name in names:
-        if getattr(args, name, None) is None:
+# The options each mode requires, then those it may also take, by argparse
+# dest.  A mode is named by its selector as spelled on the command line, and
+# it also reads its subcommand's --in, --out and --code-file.  encode and
+# decode have one mode each, which reads every option they register.
+_READS = {
+    "construct": {
+        "--code construction-1": ("n d", "dump"),
+        "--code even-ext": ("n d", "L dump"),
+        "--code claim-5": ("n", "dump"),
+        "--code claim-7": ("n", "dump"),
+        "--code hasse": ("n L e", "raw dump"),
+        "--code dc": ("n L t", ""),
+        "--code ted": ("n L t e", ""),
+    },
+    "channel": {
+        "--kind te": ("e", "seed pattern"),
+        "--kind del": ("t s", "seed"),
+        "--kind ted": ("t s e", "seed"),
+    },
+    "verify": {
+        "without --roundtrip": ("d", ""),
+        "--roundtrip --kind te": ("e", "seed messages exhaustive max_work"),
+        "--roundtrip --kind del": ("t s", "seed messages exhaustive max_work"),
+        "--roundtrip --kind ted": ("t s e", "seed messages exhaustive max_work"),
+    },
+    "bounds": {
+        "--table I": ("", "format n_min n_max"),
+        "--table II": ("", "format n_min n_max"),
+        "--table III": ("L t", "format n_min n_max"),
+        "--bound v-te": ("r n L", ""),
+        "--bound sphere": ("n L d", ""),
+        "--bound column-split": ("n d", "a_nd"),
+        "--bound singleton": ("n L m_size", ""),
+        "--bound dc-1": ("n L t s", "m_s"),
+        "--bound dc-23": ("n L t s", ""),
+        "--bound ted-upper": ("n L", ""),
+    },
+    "oracle": {
+        "--which ball": ("n L r", "seed"),
+        "--which m-s": ("L s", ""),
+        "--which a-n-d": ("n d", ""),
+    },
+}
+
+
+def _check_reads(args) -> None:
+    """Raise `UsageError` unless the mode `args` selects, its row of
+    `_READS`, has every option it requires and no option it does not read."""
+    if args.command == "verify":
+        if args.roundtrip and args.kind is None:
+            raise UsageError("--kind is required here")
+        mode = f"--roundtrip --kind {args.kind}" if args.roundtrip else "without --roundtrip"
+    elif args.command in _READS:
+        flag = next(f for f in ("code", "kind", "table", "bound", "which")
+                    if getattr(args, f, None))
+        mode = f"--{flag} {getattr(args, flag)}"
+    else:
+        return
+    required, optional = _READS[args.command][mode]
+    for name in required.split():
+        if getattr(args, name) is None:
             raise UsageError(f"--{name} is required here")
+    reads = {"command", "func", "infile", "out", "code_file", *required.split(),
+             *optional.split(), *(word[2:] for word in mode.split() if word[:2] == "--")}
+    unread = [f"--{name.replace('_', '-')}" for name, value in vars(args).items()
+              if name not in reads and value is not None and value is not False]
+    if unread:
+        raise UsageError(f"{args.command} {mode} does not read {', '.join(unread)}")
 
 
 def build_te_code(args) -> TeParityCheck:
-    kind = args.code
-    if kind == "construction-1":
-        _need(args, "n", "d")
-        if args.d % 2 == 0 or args.d < 3:
-            raise UsageError("construction-1 needs an odd d >= 3")
-        t = (args.d - 1) // 2
-        if args.d == 3:
-            base = basecodes.hamming_pcm(args.n)
-        else:
-            base, _ = basecodes.bch_pcm(args.n * t, args.d)
-        return construct_1(base, args.n, t)
-    if kind == "even-ext":
-        _need(args, "n", "d")
-        if args.d == 2:
-            return construct_parity(args.n, 1 if args.L is None else args.L)
-        if args.d % 2 or args.d < 4:
-            raise UsageError("even-ext needs an even d >= 4 (or d = 2)")
-        t = (args.d - 2) // 2
-        if args.d == 4:
-            base = basecodes.extended_hamming_pcm(args.n)
-        else:
-            length = args.n * t + 1
-            g = basecodes.bch_generator(basecodes.bch_degree(length), args.d - 1,
-                                        with_parity_factor=True)
-            base = basecodes.cyclic_pcm(g, length)
-        return construct_even(base, args.n, t)
-    if kind == "claim-5":
-        _need(args, "n")
-        return construct_claim5(args.n)
-    if kind == "claim-7":
-        _need(args, "n")
-        return construct_claim7(args.n)
-    _need(args, "n", "L", "e")    # hasse, the last choice
-    build = construct_hasse_raw if args.raw else construct_hasse
-    return build(args.n, args.L, args.e)
+    code, n, d = args.code, args.n, args.d
+    if code == "construction-1" and (d % 2 == 0 or d < 3):
+        raise UsageError("construction-1 needs an odd d >= 3")
+    if code == "even-ext" and (d % 2 or d < 2):
+        raise UsageError("even-ext needs an even d >= 4 (or d = 2)")
+    if code == "even-ext" and d > 2 and args.L is not None:
+        raise UsageError("construct --code even-ext does not read --L unless --d 2")
+    if code in ("construction-1", "even-ext"):
+        return construct_interleaved(n, d, 1 if args.L is None else args.L)
+    if code == "hasse":
+        return (construct_hasse_raw if args.raw else construct_hasse)(n, args.L, args.e)
+    return construct_claim5(n) if code == "claim-5" else construct_claim7(n)
 
 
 # The integer parameters each JSON codec descriptor must carry.
@@ -151,12 +193,8 @@ def _write(args, text: str) -> None:
 
 def cmd_construct(args) -> int:
     if args.code in ("dc", "ted"):
-        _need(args, "n", "L", "t")
-        if args.code == "dc":
-            codec = DcCode(args.n, args.L, args.t)
-        else:
-            _need(args, "e")
-            codec = TedCode(args.n, args.L, args.t, args.e)
+        codec = (DcCode(args.n, args.L, args.t) if args.code == "dc"
+                 else TedCode(args.n, args.L, args.t, args.e))
         desc = _check_cells(args.code, codec, "asked for").descriptor()
         desc["message_bits"] = codec.message_bits
         _write(args, json.dumps(desc, indent=2) + "\n")
@@ -164,12 +202,9 @@ def cmd_construct(args) -> int:
     H = build_te_code(args)
     if args.out:
         Path(args.out).write_bytes(H.to_bytes())
-        summary = (f"wrote {args.out}: provenance={H.provenance} n={H.n} L={H.L} "
-                   f"redundancy={H.redundancy} dimension={H.dimension}\n")
-        sys.stdout.write(summary)
-        if args.dump:
-            sys.stdout.write(H.dump_text())
-    else:
+        sys.stdout.write(f"wrote {args.out}: provenance={H.provenance} n={H.n} L={H.L} "
+                         f"redundancy={H.redundancy} dimension={H.dimension}\n")
+    if args.dump or not args.out:
         sys.stdout.write(H.dump_text())
     return 0
 
@@ -185,8 +220,7 @@ def cmd_encode(args) -> int:
     bits = list(map(int, digits))
     if len(bits) != codec.message_bits:
         raise UsageError(f"codec expects {codec.message_bits} message bits, got {len(bits)}")
-    x = codec.encode(bits)
-    _write(args, format_bit_array(x))
+    _write(args, format_bit_array(codec.encode(bits)))
     return 0
 
 
@@ -194,59 +228,37 @@ def cmd_decode(args) -> int:
     codec = load_codec(args.code_file)
     text = Path(args.infile).read_text() if args.infile else sys.stdin.read()
     decoded = codec.decode(parse_ragged(text))
-    if args.emit_message:
-        _write(args, "".join(map(str, codec.message_of(decoded))) + "\n")
-    else:
-        _write(args, format_bit_array(decoded))
+    _write(args, "".join(map(str, codec.message_of(decoded))) + "\n" if args.emit_message
+           else format_bit_array(decoded))
     return 0
 
 
 def _channel_spec(args) -> ChannelSpec:
-    _need(args, "kind")
-    if args.kind == "te":
-        _need(args, "e")
-        return ChannelSpec("te", e=args.e)
-    if args.kind == "del":
-        _need(args, "t", "s")
-        if args.t < 1 or args.s < 1:
-            raise UsageError("the del channel needs --t and --s of at least 1")
-        return ChannelSpec("del", t=args.t, s=args.s)
-    _need(args, "t", "s", "e")
-    if args.t >= 1 and args.s < 1:
+    if args.kind == "del" and (args.t < 1 or args.s < 1):
+        raise UsageError("the del channel needs --t and --s of at least 1")
+    if args.kind == "ted" and args.t >= 1 and args.s < 1:
         raise UsageError("the ted channel needs --s of at least 1 when --t is at least 1")
-    return ChannelSpec("ted", t=args.t, s=args.s, e=args.e)
+    return ChannelSpec(args.kind, e=args.e or 0, t=args.t or 0, s=args.s or 0)
 
 
 def cmd_channel(args) -> int:
+    if args.pattern is not None and args.seed is not None:
+        raise UsageError("channel --kind te does not read --seed with --pattern")
     text = Path(args.infile).read_text() if args.infile else sys.stdin.read()
     x = parse_bit_array(text)
     spec = _channel_spec(args)
     if args.pattern is not None:
-        if spec.kind != "te":
-            raise UsageError("--pattern applies to the te channel only")
         instance = tuple(int(v) for v in args.pattern.split(","))
     else:
-        instance = random_instance(spec, x.n, x.L, random.Random(args.seed))
+        instance = random_instance(spec, x.n, x.L, random.Random(args.seed or 0))
     out = apply_channel(x, spec, instance)
     sys.stderr.write(f"instance: {instance}\n")
     _write(args, format_ragged(out))
     return 0
 
 
-# The options only a round trip reads; a distance check reads --d alone.
-_ROUNDTRIP_OPTIONS = ("kind", "e", "t", "s", "seed", "messages", "exhaustive", "max_work")
-
-
-def _reject_unread(args, names, mode):
-    given = [f"--{name.replace('_', '-')}" for name in names
-             if getattr(args, name) is not None]
-    if given:
-        raise UsageError(f"verify {mode} does not read {', '.join(given)}")
-
-
 def cmd_verify(args) -> int:
     if args.roundtrip:
-        _reject_unread(args, ("d",), "--roundtrip")
         if args.max_work is not None and args.max_work < 1:
             raise UsageError(f"--max-work must be at least 1, got {args.max_work}")
         codec = load_codec(args.code_file)
@@ -260,107 +272,85 @@ def cmd_verify(args) -> int:
         cap = DEFAULT_MAX_WORK if args.max_work is None else args.max_work
         record = roundtrip_harness(codec, spec,
                                    messages=20 if args.messages is None else args.messages,
-                                   exhaustive=bool(args.exhaustive),
-                                   seed=0 if args.seed is None else args.seed,
+                                   exhaustive=args.exhaustive, seed=args.seed or 0,
                                    instances=args.max_work, max_work=cap)
         sys.stdout.write(record.summary() + "\n")
         if record.first_counterexample:
             sys.stdout.write(f"counterexample: {record.first_counterexample}\n")
         return 0 if record.failures == 0 else 1
-    _reject_unread(args, _ROUNDTRIP_OPTIONS, "without --roundtrip")
     # The distance check reads the parity check alone: no encoder tables.
     H = _load_code(args.code_file)
     if not isinstance(H, TeParityCheck):
         raise UsageError("min-distance verification applies to TE parity checks")
-    _need(args, "d")
     result = verify_min_distance(H, args.d)
     exact = "exactly" if result.exact else "at least"
     sys.stdout.write(f"minimum TE distance {exact} {result.distance}"
                      + (f" (witness pattern {result.witness})" if result.witness else "")
                      + f"; {result.patterns} patterns examined\n")
-    ok = result.distance >= args.d
-    return 0 if ok else 1
+    return 0 if result.distance >= args.d else 1
 
 
 def cmd_bounds(args) -> int:
-    fmt = args.format
     if args.table:
-        n_values = range(args.n_min, args.n_max + 1)
+        n_values = range(3 if args.n_min is None else args.n_min,
+                         (16 if args.n_max is None else args.n_max) + 1)
         if args.table == "I":
             rows = table_i(n_values, (2, 3, 4, 5))
         elif args.table == "II":
             rows = table_ii(list(n_values))
         else:
-            _need(args, "L", "t")
             rows = table_iii([(n, args.L, args.t) for n in n_values])
-        _write(args, render_rows(rows, fmt))
+        _write(args, render_rows(rows, args.format or "text"))
         return 0
     name = args.bound
     if name == "v-te":
-        _need(args, "r", "n", "L")
-        _write(args, f"name=v-te n={args.n} L={args.L} r={args.r} "
-               f"value={v_te_general(args.r, args.n, args.L)}\n")
-        return 0
-    if name == "sphere":
-        _need(args, "n", "L", "d")
-        info = te_sphere_packing(args.n, args.L, args.d)
-        _write(args, info["report"].record() + "\n")
-        return 0
-    if name == "column-split":
-        _need(args, "n", "d")
+        line = (f"name=v-te n={args.n} L={args.L} r={args.r} "
+                f"value={v_te_general(args.r, args.n, args.L)}")
+    elif name == "sphere":
+        line = te_sphere_packing(args.n, args.L, args.d)["report"].record()
+    elif name == "column-split":
         a = args.a_nd if args.a_nd is not None else a_n_d_brute(args.n, args.d)
         prov = "supplied" if args.a_nd is not None else "brute-force"
-        _write(args, claim8_bound(args.n, args.d, a, prov).record() + "\n")
-        return 0
-    if name == "singleton":
-        _need(args, "n", "L", "m_size")
-        _write(args, f"name=singleton n={args.n} L={args.L} M={args.m_size} "
-               f"value={singleton_te(args.n, args.L, args.m_size)}\n")
-        return 0
-    if name == "dc-1":
-        _need(args, "n", "L", "t", "s")
+        line = claim8_bound(args.n, args.d, a, prov).record()
+    elif name == "singleton":
+        line = (f"name=singleton n={args.n} L={args.L} M={args.m_size} "
+                f"value={singleton_te(args.n, args.L, args.m_size)}")
+    elif name == "dc-1":
         m = args.m_s if args.m_s is not None else m_s_brute(args.L, args.s)
         prov = "supplied" if args.m_s is not None else "brute-force"
-        _write(args, dc_bound_part1(args.n, args.L, args.t, args.s, m, prov).record() + "\n")
-        return 0
-    if name == "dc-23":
-        _need(args, "n", "L", "t", "s")
-        if args.s == 1:
-            info = dc_bound_part3(args.n, args.L, args.t)
-        else:
-            info = dc_bound_part2(args.n, args.L, args.t, args.s)
-        _write(args, info["report"].record() + "\n")
-        return 0
-    _need(args, "n", "L")   # ted-upper, the last choice
-    info = ted_upper_bound(args.n, args.L)
-    _write(args, info["report"].record()
-           + f" finite={float(info['finite']):.6g}"
-           + f" asymptotic={float(info['asymptotic']):.6g}\n")
+        line = dc_bound_part1(args.n, args.L, args.t, args.s, m, prov).record()
+    elif name == "dc-23":
+        info = (dc_bound_part3(args.n, args.L, args.t) if args.s == 1
+                else dc_bound_part2(args.n, args.L, args.t, args.s))
+        line = info["report"].record()
+    else:   # ted-upper
+        info = ted_upper_bound(args.n, args.L)
+        line = (info["report"].record() + f" finite={float(info['finite']):.6g}"
+                + f" asymptotic={float(info['asymptotic']):.6g}")
+    _write(args, line + "\n")
     return 0
 
 
 def cmd_oracle(args) -> int:
-    which = args.which
-    lines = []
-    if which == "ball":
-        _need(args, "n", "L", "r")
-        rng = random.Random(args.seed)
+    if args.which == "ball":
+        seed = args.seed or 0
+        rng = random.Random(seed)
         x = BitArray.from_lists([[rng.randrange(2) for _ in range(args.L)]
                                  for _ in range(args.n)])
-        value = ball_count_brute(x, args.r)
-        lines.append(f"oracle=ball n={args.n} L={args.L} r={args.r} "
-                     f"seed={args.seed} value={value}")
-    elif which == "m-s":
-        _need(args, "L", "s")
-        lines.append(f"oracle=m-s L={args.L} s={args.s} value={m_s_brute(args.L, args.s)}")
+        line = (f"oracle=ball n={args.n} L={args.L} r={args.r} seed={seed} "
+                f"value={ball_count_brute(x, args.r)}")
+    elif args.which == "m-s":
+        line = f"oracle=m-s L={args.L} s={args.s} value={m_s_brute(args.L, args.s)}"
     else:   # a-n-d
-        _need(args, "n", "d")
-        lines.append(f"oracle=a-n-d n={args.n} d={args.d} value={a_n_d_brute(args.n, args.d)}")
-    _write(args, "\n".join(lines) + "\n")
+        line = f"oracle=a-n-d n={args.n} d={args.d} value={a_n_d_brute(args.n, args.d)}"
+    _write(args, line + "\n")
     return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # No option has a default, so `_check_reads` sees each one given; the
+    # commands apply theirs (--seed 0, --messages 20, --format text,
+    # --n-min 3, --n-max 16).
     parser = argparse.ArgumentParser(prog="arraycodes", allow_abbrev=False)
     sub = parser.add_subparsers(dest="command", required=True)
     add = functools.partial(sub.add_parser, allow_abbrev=False)
@@ -395,16 +385,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("channel", help="apply a channel instance to an array")
     ints(p, "e", "t", "s")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int)
     p.add_argument("--in", dest="infile")
     p.add_argument("--out")
     p.add_argument("--kind", required=True, choices=("te", "del", "ted"))
     p.add_argument("--pattern", help="explicit te pattern, comma-separated")
     p.set_defaults(func=cmd_channel)
 
-    # The round-trip options default to None, so that a distance check can
-    # tell one that was given; a round trip reads a missing --seed as 0,
-    # --messages as 20.
     p = add("verify", help="min-distance or round-trip verification")
     ints(p, "e", "t", "s", "d")
     p.add_argument("--seed", type=int)
@@ -412,26 +399,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--roundtrip", action="store_true")
     p.add_argument("--kind", choices=("te", "del", "ted"))
     p.add_argument("--messages", type=int)
-    p.add_argument("--exhaustive", action="store_true", default=None)
+    p.add_argument("--exhaustive", action="store_true")
     p.add_argument("--max-work", type=int)
     p.set_defaults(func=cmd_verify)
 
     p = add("bounds", help="evaluate a bound or regenerate a table")
     ints(p, "n", "L", "t", "s", "d")
-    p.add_argument("--format", choices=("text", "records"), default="text")
+    p.add_argument("--format", choices=("text", "records"))
     p.add_argument("--out")
     which = p.add_mutually_exclusive_group(required=True)
     which.add_argument("--bound", choices=("v-te", "sphere", "column-split",
                                            "singleton", "dc-1", "dc-23", "ted-upper"))
     which.add_argument("--table", choices=("I", "II", "III"))
-    p.add_argument("--n-min", type=int, default=3)
-    p.add_argument("--n-max", type=int, default=16)
+    p.add_argument("--n-min", type=int)
+    p.add_argument("--n-max", type=int)
     ints(p, "r", "a-nd", "m-s", "m-size")
     p.set_defaults(func=cmd_bounds)
 
     p = add("oracle", help="run a brute-force oracle, freeze the value")
     ints(p, "n", "L", "s", "d", "r")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int)
     p.add_argument("--out")
     p.add_argument("--which", required=True, choices=("ball", "m-s", "a-n-d"))
     p.set_defaults(func=cmd_oracle)
@@ -440,9 +427,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
+        _check_reads(args)
         return args.func(args)
     except (UsageError, ValueError, OSError, RuntimeError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -13,11 +13,9 @@ import math
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Sequence, Tuple
 
-from .basecodes import bch_pcm, extended_hamming_pcm, hamming_pcm
 from .bounds import te_sphere_packing
 from .dc import DcCode
-from .te import (construct_1, construct_claim5, construct_even,
-                 construct_hasse, construct_parity)
+from .te import construct_claim5, construct_hasse, construct_interleaved
 from .vt import vt_modulus_exponent
 
 
@@ -65,17 +63,10 @@ def table_i_closed_lower(n: int, d: int) -> int:
 def table_i_construct(n: int, d: int):
     """The constructions behind the upper column; returns the best parity
     check (smallest measured redundancy) for the row."""
-    if d == 2:
-        return construct_parity(n, 1)
-    if d == 3:
-        return construct_1(hamming_pcm(n), n, 1)
-    if d == 4:
-        return construct_even(extended_hamming_pcm(n), n, 1)
     if d == 5:
-        cands = [construct_claim5(n)]
-        pcm, _ = bch_pcm(2 * n, 5)
-        cands.append(construct_1(pcm, n, 2))
-        return min(cands, key=lambda H: H.redundancy)
+        return min(construct_claim5(n), construct_interleaved(n, 5), key=lambda H: H.redundancy)
+    if d in (2, 3, 4):
+        return construct_interleaved(n, d)
     raise ValueError("constructions cover d in 2..5")
 
 

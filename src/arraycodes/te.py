@@ -25,7 +25,8 @@ from operator import or_
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .arrays import BitArray, RaggedArray, _check_bit_array, _row_to_int, _trusted
-from .basecodes import ParityColumns, claim5_base_pcm
+from .basecodes import (ParityColumns, bch_degree, bch_generator, bch_pcm, claim5_base_pcm,
+                        cyclic_pcm, extended_hamming_pcm, hamming_pcm)
 from .errors import AmbiguousErasureError, InvalidInputError, NotACodewordError
 from .field import Gf2m, field_make
 from .gf2 import gf2_rank, gf2_relations, xor_table
@@ -235,6 +236,24 @@ def construct_parity(n: int, L: int) -> TeParityCheck:
         raise ValueError("n and L must be positive")
     cols = tuple(tuple(1 for _ in range(L)) for _ in range(n))
     return TeParityCheck(n, L, 1, cols, "even-ext")
+
+
+def construct_interleaved(n: int, d: int, L: int = 1) -> TeParityCheck:
+    """A code of TE distance d on n rows: one parity bit over n x L cells at
+    d = 2 (the only d that reads L), else `construct_1` on a Hamming (d = 3)
+    or BCH base for odd d, `construct_even` on an extended Hamming (d = 4)
+    or even-weight BCH base for even d."""
+    if d < 2:
+        raise ValueError(f"d must be at least 2, got {d}")
+    if d == 2:
+        return construct_parity(n, L)
+    t = (d - 1) // 2
+    if d % 2:
+        return construct_1(hamming_pcm(n) if d == 3 else bch_pcm(n * t, d)[0], n, t)
+    if d == 4:
+        return construct_even(extended_hamming_pcm(n), n, t)
+    g = bch_generator(bch_degree(n * t + 1), d - 1, with_parity_factor=True)
+    return construct_even(cyclic_pcm(g, n * t + 1), n, t)
 
 
 def construct_claim5(n: int) -> TeParityCheck:
@@ -520,7 +539,8 @@ def verify_min_distance(H: TeParityCheck, max_e: int) -> MinDistanceResult:
     The distance is the smallest pattern weight whose touched-column
     multiset is linearly dependent (duplicates count).  If every pattern up
     to max_e is independent the result is the lower bound max_e + 1 with
-    exact=False.  A max_e below 1 raises ValueError.
+    exact=False; weights past n L, which no pattern has, are not searched.
+    A max_e below 1 raises ValueError.
 
     Patterns of each weight are walked depth first over their nonzero rows,
     in decreasing lexicographic order.  The search carries an echelon basis
@@ -591,7 +611,7 @@ def verify_min_distance(H: TeParityCheck, max_e: int) -> MinDistanceResult:
                         return True
         return False
 
-    for e in range(1, max_e + 1):
+    for e in range(1, min(max_e, n * H.L) + 1):     # no pattern is heavier than n L
         basis.clear()
         if search(0, e, min(e, H.L)):
             return MinDistanceResult(e, True, tuple(pattern), examined)

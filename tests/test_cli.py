@@ -6,7 +6,8 @@ import pytest
 
 from arraycodes.arrays import BitArray, format_bit_array
 from arraycodes.bounds import ball_count_brute
-from arraycodes.cli import MAX_CELLS, UsageError, build_parser, load_codec, main
+from arraycodes.cli import (_READS, MAX_CELLS, UsageError, _check_reads, build_parser,
+                            load_codec, main)
 from arraycodes.dc import DcCode
 from arraycodes.te import TeCodec, construct_hasse, construct_hasse_raw
 
@@ -288,9 +289,9 @@ ROUNDTRIP_OPTIONS = (("--kind", "te"), ("--e", "1"), ("--t", "1"), ("--s", "1"),
 @pytest.mark.parametrize("argv, error", [
     # Both once printed their result and exited 0, the stray options unread.
     (("--d", "4", "--max-work", "1", "--messages", "0", "--kind", "del", "--seed", "3"),
-     "verify without --roundtrip does not read --kind, --seed, --messages, --max-work"),
+     "verify without --roundtrip does not read --seed, --kind, --messages, --max-work"),
     (("--roundtrip", "--kind", "te", "--e", "1", "--d", "99"),
-     "verify --roundtrip does not read --d"),
+     "verify --roundtrip --kind te does not read --d"),
     # Each round-trip option alone, at its round-trip default where it has one.
     *[(("--d", "4", *option), f"verify without --roundtrip does not read {option[0]}")
       for option in ROUNDTRIP_OPTIONS],
@@ -541,6 +542,93 @@ def test_unread_option_exits_2(tmp_path, capsys, command, option):
     assert exc.value.code == 2
     assert f"unrecognized arguments: {option} {value}" in capsys.readouterr().err
     assert not (tmp_path / "out.txt").exists()
+
+
+# Each mode of `cli._READS`: the options of a command line that selects it,
+# less the selector, and one option the mode does not read.
+UNREAD_IN_MODE = [
+    ("construct", "--code construction-1", ("--n", "7", "--d", "3"), ("--L", "2")),
+    ("construct", "--code even-ext", ("--n", "5", "--d", "2"), ("--e", "1")),
+    ("construct", "--code claim-5", ("--n", "9"), ("--L", "7")),
+    ("construct", "--code claim-7", ("--n", "6"), ("--d", "5")),
+    ("construct", "--code hasse", ("--n", "5", "--L", "3", "--e", "3"), ("--t", "1")),
+    ("construct", "--code dc", ("--n", "7", "--L", "5", "--t", "2"), ("--e", "1")),
+    ("construct", "--code ted", ("--n", "5", "--L", "7", "--t", "1", "--e", "1"),
+     ("--dump",)),
+    ("channel", "--kind te", ("--e", "1"), ("--t", "3")),
+    ("channel", "--kind del", ("--t", "1", "--s", "1"), ("--e", "1")),
+    ("channel", "--kind ted", ("--t", "1", "--s", "1", "--e", "1"), ("--pattern", "1,0")),
+    ("verify", "without --roundtrip", ("--d", "4"), ("--kind", "te")),
+    ("verify", "--roundtrip --kind te", ("--e", "1"), ("--t", "5")),
+    ("verify", "--roundtrip --kind del", ("--t", "1", "--s", "1"), ("--e", "1")),
+    ("verify", "--roundtrip --kind ted", ("--t", "1", "--s", "1", "--e", "1"), ("--d", "3")),
+    ("bounds", "--table I", (), ("--L", "4")),
+    ("bounds", "--table II", ("--n-max", "5"), ("--d", "3")),
+    ("bounds", "--table III", ("--L", "4", "--t", "1"), ("--s", "1")),
+    ("bounds", "--bound v-te", ("--n", "3", "--L", "2", "--r", "2"), ("--format", "records")),
+    ("bounds", "--bound sphere", ("--n", "7", "--L", "2", "--d", "3"), ("--n-min", "9")),
+    ("bounds", "--bound column-split", ("--n", "5", "--d", "3"), ("--m-s", "3")),
+    ("bounds", "--bound singleton", ("--n", "5", "--L", "3", "--m-size", "16"), ("--a-nd", "2")),
+    ("bounds", "--bound dc-1", ("--n", "5", "--L", "4", "--t", "1", "--s", "1"), ("--d", "2")),
+    ("bounds", "--bound dc-23", ("--n", "5", "--L", "4", "--t", "2", "--s", "2"), ("--m-s", "3")),
+    ("bounds", "--bound ted-upper", ("--n", "5", "--L", "4"), ("--t", "1")),
+    ("oracle", "--which ball", ("--n", "2", "--L", "3", "--r", "1"), ("--s", "1")),
+    ("oracle", "--which m-s", ("--L", "4", "--s", "1"), ("--seed", "7")),
+    ("oracle", "--which a-n-d", ("--n", "5", "--d", "3"), ("--r", "1")),
+]
+
+
+def test_every_mode_of_the_table_is_covered():
+    assert sorted((c, m) for c, m, _, _ in UNREAD_IN_MODE) == \
+        sorted((c, m) for c, modes in _READS.items() for m in modes)
+
+
+@pytest.mark.parametrize("command, mode, options, unread", UNREAD_IN_MODE)
+def test_each_mode_rejects_an_option_it_does_not_read(tmp_path, capsys, command, mode,
+                                                      options, unread):
+    """The mode's line alone passes the check of what it reads.  With one
+    option more it exits 2 with one line naming that option, before it
+    reads a file or writes --out."""
+    out = tmp_path / "out.txt"
+    argv = [command, *([] if mode.startswith("without") else mode.split()), *options]
+    argv += (["--code-file", str(tmp_path / "te.tepc")] if command == "verify"
+             else ["--out", str(out)])
+    _check_reads(build_parser().parse_args(argv))
+    rc, stdout, err = run(capsys, *argv, *unread)
+    assert (rc, stdout) == (2, "")
+    assert err == f"usage error: {command} {mode} does not read {unread[0]}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, error", [
+    (("construct", "--code", "dc", "--n", "7", "--L", "5", "--t", "2", "--e", "1", "--d", "9"),
+     "construct --code dc does not read --e, --d"),
+    (("construct", "--code", "claim-5", "--n", "9", "--L", "7"),
+     "construct --code claim-5 does not read --L"),
+    (("construct", "--code", "even-ext", "--n", "5", "--d", "6", "--L", "9"),
+     "construct --code even-ext does not read --L unless --d 2"),
+    (("channel", "--kind", "te", "--e", "1", "--t", "3", "--s", "2"),
+     "channel --kind te does not read --t, --s"),
+    (("channel", "--kind", "te", "--e", "2", "--pattern", "2,0,0,0,0,0,0", "--seed", "4"),
+     "channel --kind te does not read --seed with --pattern"),
+    (("verify", "--roundtrip", "--kind", "te", "--e", "1", "--t", "5", "--s", "3"),
+     "verify --roundtrip --kind te does not read --t, --s"),
+    (("bounds", "--bound", "v-te", "--n", "3", "--L", "2", "--r", "2", "--d", "3", "--t", "4",
+      "--n-min", "9", "--format", "records"),
+     "bounds --bound v-te does not read --t, --d, --format, --n-min"),
+    (("oracle", "--which", "m-s", "--L", "4", "--s", "1", "--n", "5", "--d", "2", "--seed", "7"),
+     "oracle --which m-s does not read --n, --d, --seed"),
+])
+def test_options_once_left_unread_exit_2(tmp_path, capsys, argv, error):
+    """Each line once exited 0 with the named options unread; the dc line
+    wrote a DC code where a TED code was asked for."""
+    out, arr = tmp_path / "out.txt", tmp_path / "arr.txt"
+    arr.write_text("# L=5\n" + "00000\n" * 7)
+    rc, stdout, err = run(capsys, *argv, *{
+        "verify": ("--code-file", str(tmp_path / "te.tepc")),
+        "channel": ("--in", str(arr), "--out", str(out))}.get(argv[0], ("--out", str(out))))
+    assert (rc, stdout, err) == (2, "", f"usage error: {error}\n")
+    assert not out.exists()
 
 
 ABBREVIATED = [(name, option[:-1]) for name, options in OPTIONS.items()

@@ -16,7 +16,7 @@ from arraycodes.gf2 import gf2_rank
 from arraycodes.te import (MinDistanceResult, TeCodec, TeEncoder,
                            TeParityCheck, _build_from_field_rows, construct_1,
                            construct_claim5, construct_claim7, construct_even,
-                           construct_hasse, construct_hasse_raw,
+                           construct_hasse, construct_hasse_raw, construct_interleaved,
                            construct_parity, te_decode, verify_min_distance)
 from conftest import transpose
 
@@ -168,6 +168,32 @@ def test_verifier_rejects_a_search_depth_below_one(max_e):
         verify_min_distance(construct_hasse(5, 3, 3), max_e)
     with pytest.raises(ValueError, match="max_e must be at least 1"):
         verify_min_distance(TeParityCheck(2, 0, 1, ((), ()), "empty"), max_e)
+
+
+def test_verifier_searches_no_weight_past_every_cell():
+    """No pattern is heavier than n L: a search depth of 10^9 on a
+    one-cell code once walked every weight up to it, linear in max_e."""
+    result = verify_min_distance(construct_parity(1, 1), 10**9)
+    assert (result.distance, result.exact, result.witness, result.patterns) == \
+        (10**9 + 1, False, None, 1)
+    assert verify_min_distance(construct_parity(1, 1), 3) == MinDistanceResult(4, False)
+    H = construct_hasse(3, 2, 4)      # every pattern of its 6 cells is independent
+    small, huge = verify_min_distance(H, 6), verify_min_distance(H, 10**9)
+    assert (small.distance, small.exact) == (7, False)
+    assert (huge.distance, huge.exact, huge.patterns) == (10**9 + 1, False, small.patterns)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 7])
+@pytest.mark.parametrize("d", range(2, 9))
+def test_interleaved_code_has_its_distance(n, d):
+    result = verify_min_distance(construct_interleaved(n, d), d + 1)
+    assert result.exact and result.distance == d
+
+
+@pytest.mark.parametrize("d", [1, 0, -3])
+def test_interleaved_code_needs_a_distance_of_two(d):
+    with pytest.raises(ValueError, match="d must be at least 2"):
+        construct_interleaved(5, d)
 
 
 def test_even_extension():
