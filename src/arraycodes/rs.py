@@ -16,19 +16,37 @@ takes the syndromes of the surviving symbols, builds the erasure locator
 and fills each erased symbol by Forney's formula.  The modified syndromes
 beyond the erasure count must vanish, or the survivors match no codeword.
 Past the survivors' syndrome, a fill's work grows with the erasure count
-eps, not with n.  On fields with log tables (m <= 16) each product in it is
-one exp read: log x_j = j, so a locator step is exp[log lambda + j].  The
-fill returns the survivors' syndrome; a caller re-checks a repaired word
-from it with one syndrome row per repaired symbol (`_syndrome_at`).
+eps, not with n.  The fill returns the survivors' syndrome; a caller
+re-checks a repaired word from it with one syndrome row per repaired symbol
+(`_syndrome_at`).
 
 The three products that touch every symbol are GF(2)-linear in the bits of
 each input symbol, so each is an XOR of table rows, one per input symbol
 (per chunk of at most 8 bits, for m > 8).  A row packs all of its output
-symbols into one int, m bits apiece, the first output lowest:
+symbols into one int, one lane apiece, the first output lowest:
 
     syndromes   XOR_i syn[i][w_i]     the n-k syndromes of a word w
     encoding    XOR_i par[i][u_i]     the n-k parity symbols of a message u
     evaluation  XOR_d ev[d][c_d]      sum_d c_d z^d at z = 1/x_j for every j
+
+On fields with log tables and m <= 8 (every benchmark code, and every TED
+or DC code of h + e <= 8) a lane is one byte, so `int.to_bytes` unpacks a
+row and `bytes.translate` multiplies every lane by one field element at
+once.  The fill then keeps the survivors' syndrome S and the erasure
+locator Lambda(z) = prod_{j erased} (1 + x_j z) in one int: S in lanes
+0 .. n-k-1, one zero guard lane, then Lambda.  Multiplying both by
+(1 + x_j z) is one translate through the table of a -> a x_j, shifted up
+one lane and added; masking the guard lane truncates S Lambda mod z^(n-k).
+After the eps erased points the low lanes hold the modified syndromes and
+the high lanes Lambda, both read off as byte slices.
+
+Wider fields pack m bits per lane, where no translate multiplies a lane.
+(Multiplying by x_j through the images x^b of the packed int, once per
+erased point, measured 6-41% slower at m = 9, 11 and 12.)  Their fill
+builds Lambda coefficient by coefficient (one exp read per
+product, log x_j = j, or one `Gf2m.mul` without log tables) and forms
+S Lambda from the lane-parallel images x^b S, b < m, one XOR per set bit
+of each coefficient of Lambda.
 
 The tables, and the fill's per-code constants beside them, depend only on
 (field, n, k) and are built once per code, each row from the images of the
@@ -52,14 +70,14 @@ _CHUNK_BITS = 8
 _Rows = Tuple[Tuple[int, ...], ...]
 
 
-def _lane_tops(m: int, lanes: int) -> int:
-    """The top bit of each of `lanes` packed m-bit lanes."""
-    return sum(1 << (m * j + m - 1) for j in range(lanes))
+def _lane_tops(m: int, lanes: int, stride: int) -> int:
+    """The top bit of each of `lanes` packed m-bit lanes, `stride` bits apart."""
+    return sum(1 << (stride * j + m - 1) for j in range(lanes))
 
 
 def _times_x_images(packed: int, m: int, tops: int, low: int) -> List[int]:
-    """packed * x^b for b = 0 .. m-1, in every m-bit lane at once.  Each
-    step shifts every lane up by one and reduces the lanes whose top bit
+    """packed * x^b for b = 0 .. m-1, in every lane at once.  Each step
+    shifts every lane up by one and reduces the lanes whose top bit
     overflowed; `tops` marks the lanes' top bits and `low` is x^m reduced."""
     images = []
     for _ in range(m):
@@ -71,6 +89,7 @@ def _times_x_images(packed: int, m: int, tops: int, low: int) -> List[int]:
 
 class _Tables(NamedTuple):
     capacity: int                    # n-k, the erasures the code can fill
+    stride: int                      # bits per packed lane: 8 for byte lanes, else m
     consistency: Tuple[int, ...]     # [eps]: modified-syndrome lanes eps .. n-k-1
     points: Tuple[int, ...]          # x_i = alpha^i
     low: int                         # x^m reduced: its low terms
@@ -79,6 +98,9 @@ class _Tables(NamedTuple):
     exp: Optional[Tuple[int, ...]]   # the field's log tables, None for m > 16
     log: Optional[Tuple[int, ...]]
     scale_log: Tuple[int, ...]       # log(x_i / v_i), empty without log tables
+    times: Tuple[bytes, ...]         # byte lanes: times[j][a] = a * x_j; else empty
+    width: int                       # byte lanes: bytes of syndrome, guard and Lambda
+    keep: int                        # byte lanes: every lane of `width` but the guard
     shifts: Tuple[int, ...]          # lowest bit of each chunk of a symbol
     mask: int                        # bits of one chunk
     lanes: Tuple[int, ...]           # lowest bit of each packed output symbol
@@ -108,7 +130,11 @@ class ReedSolomon:
     def _tables(self) -> _Tables:
         f, n, k = self.field, self.n, self.k
         m, mul = f.m, f.mul
+        exp, log = f._exp, f._log
         x = [f.alpha_pow(i) for i in range(n)]
+        r = n - k
+        byte_lanes = log is not None and m <= _CHUNK_BITS
+        stride = _CHUNK_BITS if byte_lanes else m
 
         def prod_diff(z: int, indices) -> int:
             """prod over j in indices of (z - x_j); minus is xor in GF(2^m)."""
@@ -117,7 +143,7 @@ class ReedSolomon:
         def powers(z: int) -> List[int]:
             """z^0 .. z^(n-k-1)."""
             out, p = [], 1
-            for _ in range(n - k):
+            for _ in range(r):
                 out.append(p)
                 p = mul(p, z)
             return out
@@ -131,8 +157,8 @@ class ReedSolomon:
         def rows(coeffs: Sequence[int]) -> List[Tuple[int, ...]]:
             """Table rows, one per chunk, of a -> the products c * a packed."""
             # images[b] is the packed c * x^b, the image of bit b of a.
-            images = _times_x_images(sum(c << (m * j) for j, c in enumerate(coeffs)),
-                                     m, _lane_tops(m, len(coeffs)), low)
+            images = _times_x_images(sum(c << (stride * j) for j, c in enumerate(coeffs)),
+                                     m, _lane_tops(m, len(coeffs), stride), low)
             return [tuple(xor_table(images[s:s + width])) for s in shifts]
 
         inv_v = [prod_diff(x[i], (j for j in range(n) if j != i)) for i in range(n)]
@@ -148,19 +174,29 @@ class ReedSolomon:
             w = f.inv(prod_diff(x[i], (j for j in range(k) if j != i)))
             par += rows([mul(mul(w, lz), f.inv(z ^ x[i])) for z, lz in zip(x[k:], ell)])
         inv_powers = [powers(f.inv(xi)) for xi in x]
-        ev = [row for d in range(n - k) for row in rows([p[d] for p in inv_powers])]
+        ev = [row for d in range(r) for row in rows([p[d] for p in inv_powers])]
         forney_scale = tuple(mul(xi, u) for xi, u in zip(x, inv_v))
-        log = f._log
-        return _Tables(capacity=n - k,
-                       consistency=tuple((1 << m * (n - k)) - (1 << m * eps)
-                                         for eps in range(n - k + 1)),
-                       points=tuple(x), low=low, tops=_lane_tops(m, n - k),
-                       forney_scale=forney_scale, exp=f._exp, log=log,
+        times = ()
+        if byte_lanes:
+            # a * x_j = exp[log a + j], and log 0 reads exp's zero region;
+            # the bytes past 2^m - 1 are never indexed.
+            pad = bytes(256 - f.order)
+            times = tuple(bytes(exp[a + j] for a in log) + pad for j in range(n))
+        # Byte lanes: syndrome in 0 .. r-1, the guard at r, Lambda (degree
+        # at most r) in r+1 .. 2r+1.
+        fill_width = 2 * r + 2
+        return _Tables(capacity=r, stride=stride,
+                       consistency=tuple((1 << stride * r) - (1 << stride * eps)
+                                         for eps in range(r + 1)),
+                       points=tuple(x), low=low, tops=_lane_tops(m, r, stride),
+                       forney_scale=forney_scale, exp=exp, log=log,
                        scale_log=() if log is None else tuple(log[s] for s in forney_scale),
+                       times=times, width=fill_width,
+                       keep=(1 << 8 * fill_width) - 1 ^ 0xFF << 8 * r,
                        shifts=shifts, mask=(1 << width) - 1,
-                       lanes=tuple(range(0, m * (n - k), m)),
+                       lanes=tuple(range(0, stride * r, stride)),
                        syn=tuple(syn), par=tuple(par), ev=tuple(ev),
-                       ev_even=tuple(row for d in range(0, n - k, 2)
+                       ev_even=tuple(row for d in range(0, r, 2)
                                      for row in ev[d * chunks:(d + 1) * chunks]))
 
     def _lookup(self, table: Iterable[Tuple[int, ...]], symbols: Sequence[int]) -> int:
@@ -185,8 +221,11 @@ class ReedSolomon:
 
     def _unpack(self, packed: int) -> List[int]:
         """The n-k symbols of a packed syndrome or parity int."""
+        t = self._tables
+        if t.stride == 8:
+            return list(packed.to_bytes(t.capacity, "little"))
         full = self.field.order - 1
-        return [packed >> s & full for s in self._tables.lanes]
+        return [packed >> s & full for s in t.lanes]
 
     def _in_range(self, word: Sequence[int]) -> bool:
         return 0 <= min(word) and not max(word) >> self.field.m
@@ -206,45 +245,64 @@ class ReedSolomon:
         no codeword."""
         tables = self._tables
         eps = len(erased)
-        if eps > tables.capacity:
-            raise CapacityExceededError(f"{eps} erasures exceed capacity {tables.capacity}")
+        r = tables.capacity
+        if eps > r:
+            raise CapacityExceededError(f"{eps} erasures exceed capacity {r}")
         m = self.field.m
         full = (1 << m) - 1
         exp, log = tables.exp, tables.log
-        # Erasure locator Lambda(z) = prod_{j erased} (1 + x_j z), low first;
-        # log x_j = j.
-        lam = [1] + [0] * eps
-        if log is None:
-            mul = self.field.mul
-            for degree, j in enumerate(erased, 1):
-                xj = tables.points[j]
-                for d in range(degree, 0, -1):
-                    lam[d] ^= mul(lam[d - 1], xj)
-        else:
-            # A zero lambda has log 2(2^m - 1): the sum reads exp's zero region.
-            for degree, j in enumerate(erased, 1):
-                for d in range(degree, 0, -1):
-                    lam[d] ^= exp[log[lam[d - 1]] + j]
-        # Modified syndromes S(z) Lambda(z) mod z^(n-k), packed m bits per
-        # coefficient: XOR of the lane-parallel x^b S over the set bits b
-        # of each lambda_l, shifted up by l lanes.  The first eps form the
-        # evaluator Omega; the rest are zero exactly when some codeword
-        # agrees with every surviving symbol.
         syndrome = self._lookup(tables.syn, word)
-        images = _times_x_images(syndrome, m, tables.tops, tables.low)
-        modified = 0
-        for shift, c in zip(range(0, m * (eps + 1), m), lam):
-            while c:
-                bit = c & -c
-                modified ^= images[bit.bit_length() - 1] << shift
-                c ^= bit
+        # Modified syndromes S(z) Lambda(z) mod z^(n-k), with the erasure
+        # locator Lambda(z) = prod_{j erased} (1 + x_j z).  The first eps
+        # form the evaluator Omega; the rest are zero exactly when some
+        # codeword agrees with every surviving symbol.
+        times = tables.times
+        if times:
+            # S low, a zero guard lane, Lambda = 1 above it.  Each erased
+            # point multiplies both by (1 + x_j z): add x_j times the whole
+            # int, one lane up, with the guard cleared.
+            width, keep = tables.width, tables.keep
+            modified = syndrome | 1 << 8 * r + 8
+            for j in erased:
+                modified ^= int.from_bytes(
+                    modified.to_bytes(width, "little").translate(times[j]),
+                    "little") << 8 & keep
+            coefficients = modified.to_bytes(width, "little")
+            omega = coefficients[:eps]
+            # Lambda's odd-degree coefficients, lambda_1, lambda_3, ...
+            lam_odd = coefficients[r + 2:r + 2 + eps:2]
+        else:
+            lam = [1] + [0] * eps
+            if log is None:
+                mul = self.field.mul
+                for degree, j in enumerate(erased, 1):
+                    xj = tables.points[j]
+                    for d in range(degree, 0, -1):
+                        lam[d] ^= mul(lam[d - 1], xj)
+            else:
+                # log x_j = j.  A zero lambda has log 2(2^m - 1): the sum
+                # reads exp's zero region.
+                for degree, j in enumerate(erased, 1):
+                    for d in range(degree, 0, -1):
+                        lam[d] ^= exp[log[lam[d - 1]] + j]
+            # XOR of the lane-parallel x^b S over the set bits b of each
+            # lambda_l, shifted up by l lanes.
+            images = _times_x_images(syndrome, m, tables.tops, tables.low)
+            modified = 0
+            for shift, c in zip(range(0, m * (eps + 1), m), lam):
+                while c:
+                    bit = c & -c
+                    modified ^= images[bit.bit_length() - 1] << shift
+                    c ^= bit
+            omega = [modified >> s & full for s in tables.lanes[:eps]]
+            lam_odd = lam[1::2]
         if modified & tables.consistency[eps]:
             raise NotACodewordError("surviving symbols are not consistent with any codeword")
         # Omega and the formal derivative Lambda' (only the odd-degree
         # coefficients of Lambda survive in char 2, at the even powers),
         # each evaluated at every 1/x_j.
-        num = self._lookup(tables.ev, [modified >> s & full for s in tables.lanes[:eps]])
-        den = self._lookup(tables.ev_even, lam[1::2])
+        num = self._lookup(tables.ev, omega)
+        den = self._lookup(tables.ev_even, lam_odd)
         # Forney: v_j c_j = x_j Omega(1/x_j) / Lambda'(1/x_j), and Lambda'
         # has no zero at an erased point.
         if log is None:
@@ -252,10 +310,15 @@ class ReedSolomon:
             for j in erased:
                 word[j] = f.mul(f.mul(num >> (m * j) & full, tables.forney_scale[j]),
                                 f.inv(den >> (m * j) & full))
-        else:
-            scale_log = tables.scale_log
+            return syndrome
+        scale_log = tables.scale_log
+        if times:
+            num, den = num.to_bytes(self.n, "little"), den.to_bytes(self.n, "little")
             for j in erased:
                 # A zero Omega reads exp's zero region too.
+                word[j] = exp[log[num[j]] + (scale_log[j] - log[den[j]]) % full]
+        else:
+            for j in erased:
                 word[j] = exp[log[num >> (m * j) & full]
                               + (scale_log[j] - log[den >> (m * j) & full]) % full]
         return syndrome

@@ -200,6 +200,14 @@ def _interleave(h: Sequence[int], n: int, t: int,
                  for i in range(n))
 
 
+def _check_not_one_row(n: int) -> None:
+    """One row's wrapped block is its own first block, so each base column
+    appears twice in the row and the code misses its distance."""
+    if n == 1:
+        raise ValueError("the interleaved construction is degenerate for n = 1 "
+                         "(its one row would hold every base column twice)")
+
+
 def construct_1(base: ParityColumns, n: int, t: int) -> TeParityCheck:
     """Interleave a base [nt, k_B, 2t+1] parity check into an n x 2t layout
     (see `_interleave`).  The result corrects 2t tail erasures with the base
@@ -208,6 +216,7 @@ def construct_1(base: ParityColumns, n: int, t: int) -> TeParityCheck:
     if n == 2:
         raise ValueError("the interleaved construction is degenerate for n = 2 "
                          "(it would need a [2t, k, 2t+1] base code)")
+    _check_not_one_row(n)
     if n < 1 or t < 1:
         raise ValueError("n and t must be positive")
     r, h = base
@@ -222,6 +231,7 @@ def construct_even(base_star: ParityColumns, n: int, t: int) -> TeParityCheck:
     giving an n x (2t+1) code of distance 2t+2 and redundancy nt - k_b + 1."""
     if n == 2:
         raise ValueError("degenerate for n = 2")
+    _check_not_one_row(n)
     if n < 1:
         raise ValueError("n must be positive")
     r, h = base_star
@@ -242,11 +252,16 @@ def construct_interleaved(n: int, d: int, L: int = 1) -> TeParityCheck:
     """A code of TE distance d on n rows: one parity bit over n x L cells at
     d = 2 (the only d that reads L), else `construct_1` on a Hamming (d = 3)
     or BCH base for odd d, `construct_even` on an extended Hamming (d = 4)
-    or even-weight BCH base for even d."""
+    or even-weight BCH base for even d.  Past d = 2 it needs n >= 3 rows."""
     if d < 2:
         raise ValueError(f"d must be at least 2, got {d}")
     if d == 2:
         return construct_parity(n, L)
+    # Check the rows before building a base code of n*t columns.
+    if n < 1:
+        raise ValueError("n must be positive")
+    if n < 3:
+        raise ValueError(f"the interleaved construction is degenerate for n = {n}")
     t = (d - 1) // 2
     if d % 2:
         return construct_1(hamming_pcm(n) if d == 3 else bch_pcm(n * t, d)[0], n, t)

@@ -144,12 +144,17 @@ def test_oracle(capsys):
      "n and L must be positive"),
     (("oracle", "--which", "a-n-d", "--n", "26", "--d", "3"), "n <= 10"),
     (("bounds", "--bound", "column-split", "--n", "26", "--d", "3"), "n <= 10"),
-    (("oracle", "--which", "ball", "--n", "5", "--L", "6", "--r", "1"), "n*L <= 16")])
+    (("oracle", "--which", "ball", "--n", "5", "--L", "6", "--r", "1"), "n*L <= 16"),
+    (("construct", "--code", "construction-1", "--n", "0", "--d", "5"), "n must be positive"),
+    (("construct", "--code", "construction-1", "--n", "1", "--d", "3"),
+     "degenerate for n = 1"),
+    (("construct", "--code", "even-ext", "--n", "1", "--d", "4"), "degenerate for n = 1")])
 def test_brute_force_parameters_out_of_range_exit_2(capsys, argv, fragment):
     """A distance below 1 or a negative length, deletion count or radius is
     a usage error with one stderr line, not a traceback (exit 1) or a
     value.  So is a construction of no rows or no columns: --L 0 is not
-    read as a missing --L.  So is an oracle past its size guard, which
+    read as a missing --L.  So is an interleaved construction of one row,
+    which misses its distance.  So is an oracle past its size guard, which
     once enumerated 2^26 words or 2^30 arrays."""
     rc, out, err = run(capsys, *argv)
     assert rc == 2 and out == ""

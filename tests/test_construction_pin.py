@@ -12,7 +12,7 @@ from arraycodes.te import (TeEncoder, construct_1, construct_claim5,
                            construct_hasse_raw, construct_parity)
 from conftest import transpose
 
-PINNED = "1a4a382698a422edb70a430d08cbb44ba599d746d7bde91f54fb89678c87c5a9"
+PINNED = "25414152b9b4fcd15b810054d116639022156b38fd0e06a20999fd99a187e2ac"
 
 
 def _matrix_bytes(M):

@@ -6,7 +6,7 @@ import pytest
 from arraycodes.channel import ChannelSpec, apply_channel, random_instance
 from arraycodes.errors import CapacityExceededError, NotACodewordError
 from arraycodes.field import field_make
-from arraycodes.rs import ReedSolomon, _times_x_images
+from arraycodes.rs import ReedSolomon
 from arraycodes.ted import TedCode
 
 
@@ -305,8 +305,30 @@ def test_packed_kernels_match_entrywise_products(m, n, k):
         coeffs = [rng.randrange(f.order) for _ in range(rng.randint(0, n - k))]
         packed = rs._lookup(tables.ev, coeffs)
         for j, xj in enumerate(pts):
-            value = packed >> (m * j) & (f.order - 1)
+            value = packed >> (tables.stride * j) & (f.order - 1)
             assert value == _poly_eval(f, coeffs, f.inv(xj))
+
+
+def test_byte_lanes_carry_all_8_bits_at_m_8():
+    """At m = 8 a symbol fills its byte lane, so a carry into the next lane
+    or a dropped top bit would show here first.  `_parity` output makes a
+    codeword by `is_codeword` and by evaluating the message polynomial, and
+    every parity lane carries a symbol with its top bit set."""
+    f = field_make(8)
+    rs = ReedSolomon(f, 80, 16)
+    rng = random.Random(8)
+    tops = [False] * (rs.n - rs.k)
+    for trial in range(20):
+        msg = [rng.randrange(f.order) for _ in range(rs.k)] if trial else [255] * rs.k
+        parity = rs._parity(msg)
+        assert msg + parity == _oracle_encode(rs, msg)
+        assert rs.is_codeword(msg + parity)
+        tops = [seen or p >= 128 for seen, p in zip(tops, parity)]
+        for p in range(len(parity)):
+            word = msg + parity
+            word[rs.k + p] ^= 128
+            assert not rs.is_codeword(word)
+    assert all(tops)
 
 
 @pytest.mark.parametrize("m,n,k", [(3, 7, 5), (17, 20, 12), (8, 20, 12), (12, 20, 12)])
@@ -325,36 +347,39 @@ def test_symbols_out_of_range_rejected(m, n, k):
 # --- the erasure fill core against its mul/inv form ----------------------------
 
 def _mul_inv_fill(rs, word, erased):
-    """The fill core with one Gf2m.mul or Gf2m.inv per product, as it was
-    before the log-domain locator and Forney step: the reference for
-    `ReedSolomon._fill_erasures` on every field."""
-    eps = len(erased)
-    if eps > rs.n - rs.k:
-        raise CapacityExceededError(f"{eps} erasures exceed capacity {rs.n - rs.k}")
+    """The fill with one Gf2m.mul or Gf2m.inv per product, on the scalar
+    syndromes and polynomials: the reference for
+    `ReedSolomon._fill_erasures` on every field, whatever lanes its tables
+    pack."""
+    eps, r = len(erased), rs.n - rs.k
+    if eps > r:
+        raise CapacityExceededError(f"{eps} erasures exceed capacity {r}")
     f = rs.field
-    m, mul, full = f.m, f.mul, f.order - 1
-    tables = rs._tables
+    mul = f.mul
     if not rs._in_range(word):
         raise ValueError(f"received symbols must lie in [0, {f.order})")
+    syndromes = rs._unpack(rs._lookup(rs._tables.syn, word))
+    pts = [f.alpha_pow(i) for i in range(rs.n)]
     lam = [1] + [0] * eps
     for degree, j in enumerate(erased, 1):
-        xj = tables.points[j]
         for d in range(degree, 0, -1):
-            lam[d] ^= mul(lam[d - 1], xj)
-    images = _times_x_images(rs._lookup(tables.syn, word), m, tables.tops, tables.low)
-    modified = 0
-    for shift, c in zip(range(0, m * (eps + 1), m), lam):
-        while c:
-            bit = c & -c
-            modified ^= images[bit.bit_length() - 1] << shift
-            c ^= bit
-    if modified >> (m * eps) & ((1 << m * (rs.n - rs.k - eps)) - 1):
+            lam[d] ^= mul(lam[d - 1], pts[j])
+    modified = [0] * r
+    for i in range(r):
+        for d in range(min(i, eps) + 1):
+            modified[i] ^= mul(lam[d], syndromes[i - d])
+    if any(modified[eps:]):
         raise NotACodewordError("surviving symbols are not consistent with any codeword")
-    num = rs._lookup(tables.ev, [modified >> s & full for s in tables.lanes[:eps]])
-    den = rs._lookup(tables.ev, [lam[d + 1] if d % 2 == 0 else 0 for d in range(eps)])
+    derivative = [lam[d + 1] if d % 2 == 0 else 0 for d in range(eps)]
     for j in erased:
-        word[j] = mul(mul(num >> (m * j) & full, tables.forney_scale[j]),
-                      f.inv(den >> (m * j) & full))
+        z = f.inv(pts[j])
+        # x_j / v_j = x_j prod_{i != j} (x_j - x_i)
+        scale = pts[j]
+        for i, xi in enumerate(pts):
+            if i != j:
+                scale = mul(scale, pts[j] ^ xi)
+        word[j] = mul(mul(_poly_eval(f, modified[:eps], z), scale),
+                      f.inv(_poly_eval(f, derivative, z)))
 
 
 def _fill_outcome(fill, rs, word, erased):
@@ -365,14 +390,18 @@ def _fill_outcome(fill, rs, word, erased):
     return word, result
 
 
-@pytest.mark.parametrize("m,n,k", [(2, 3, 1), (4, 15, 9), (5, 31, 23), (8, 40, 30),
-                                   (12, 40, 30), (16, 40, 30), (17, 20, 12)])
+@pytest.mark.parametrize("m,n,k", [(2, 3, 1), (3, 7, 3), (4, 15, 9), (5, 31, 23),
+                                   (6, 63, 55), (7, 127, 119), (8, 255, 247),
+                                   (8, 40, 30), (9, 511, 503), (12, 40, 30),
+                                   (16, 40, 30), (17, 20, 12)])
 def test_fill_core_matches_the_mul_inv_form(m, n, k):
-    """Same filled word, or same exception, as the mul/inv form, for every
-    erasure count up to one past capacity, on codewords and on random
-    (mostly inconsistent) survivors.  m = 8 | 12 straddles the one-chunk
-    boundary of the tables, 16 | 17 the last field with log tables; the
-    fill also returns the survivors' packed syndrome."""
+    """Same filled word, or same exception and message, as the mul/inv
+    form, for every erasure count up to one past capacity, on codewords and
+    on random (mostly inconsistent) survivors.  m = 2 .. 8 at full length
+    n = 2^m - 1 are the byte-lane fields; m = 8 | 9 straddles the byte
+    lanes and the one-chunk boundary of the tables, 16 | 17 the last field
+    with log tables; the fill also returns the survivors' packed
+    syndrome."""
     f = field_make(m)
     rs = ReedSolomon(f, n, k)
     assert (rs._tables.log is None) == (m > 16)

@@ -196,6 +196,28 @@ def test_interleaved_code_needs_a_distance_of_two(d):
         construct_interleaved(5, d)
 
 
+@pytest.mark.parametrize("build", [
+    lambda: construct_1(hamming_pcm(1), 1, 1),
+    lambda: construct_1(hamming_pcm(2), 1, 2),
+    lambda: construct_even(extended_hamming_pcm(1), 1, 1),
+    lambda: construct_even(extended_hamming_pcm(2), 1, 2)])
+def test_interleaving_one_row_is_rejected(build):
+    # On one row the wrapped block repeats the first: construct_interleaved
+    # (1, d) once verified at distance 2, 3 and 4 for d = 3, 4 and 6.
+    with pytest.raises(ValueError, match="degenerate for n = 1"):
+        build()
+
+
+@pytest.mark.parametrize("d", range(3, 9))
+@pytest.mark.parametrize("n, message", [(0, "n must be positive"),
+                                        (1, "degenerate for n = 1"),
+                                        (2, "degenerate for n = 2")])
+def test_interleaved_code_checks_its_rows_first(n, d, message):
+    # n = 0 once reached the BCH base first: "designed distance too large".
+    with pytest.raises(ValueError, match=message):
+        construct_interleaved(n, d)
+
+
 def test_even_extension():
     H = construct_even(extended_hamming_pcm(7), 7, 1)
     assert (H.n, H.L) == (7, 3)
