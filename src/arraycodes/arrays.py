@@ -13,6 +13,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
+from .errors import InvalidInputError
+
 
 # bytes 0 and 1 -> the digits "0" and "1", every other byte -> "2", which
 # int(..., 2) rejects; and the digits back to bytes 0 and 1
@@ -68,6 +70,8 @@ class BitArray:
     rows: Tuple[int, ...]
 
     def __post_init__(self):
+        if self.n < 0 or self.L < 0:
+            raise ValueError("array dimensions must be non-negative")
         if len(self.rows) != self.n:
             raise ValueError("row count mismatch")
         rows = self.rows
@@ -98,6 +102,16 @@ def _check_bit_array(x, n: int, L: int) -> None:
         raise TypeError(f"expected a BitArray, got {type(x).__name__}")
     if (x.n, x.L) != (n, L):
         raise ValueError("array shape mismatch")
+
+
+def _check_received(received, name: str, n: int, L: int) -> None:
+    """The argument check of a decoder, `name`, of n x L arrays:
+    InvalidInputError for an argument that is no RaggedArray or is one of
+    another shape."""
+    if not isinstance(received, RaggedArray):
+        raise InvalidInputError(f"{name} decodes a RaggedArray, got {type(received).__name__}")
+    if received.n != n or received.L != L:
+        raise InvalidInputError("array shape mismatch")
 
 
 @dataclass(frozen=True)

@@ -113,6 +113,8 @@ def claim8_bound(n: int, d: int, a_nd: int, a_nd_provenance: str = "supplied") -
 
 def singleton_te(n: int, L: int, M: int) -> int:
     """d <= nL - ceil(log2 M) + 1."""
+    if n < 0 or L < 0:
+        raise ValueError("n and L must be non-negative")
     if M < 1:
         raise ValueError("M must be positive")
     return n * L - (M - 1).bit_length() + 1
@@ -125,6 +127,8 @@ def dc_bound_part1(n: int, L: int, t: int, s: int, m_s_L: int,
     """Largest (t,s) code is at most (M_s(L))^t * 2^(L(n-t))."""
     if not (0 <= t <= n):
         raise ValueError("need 0 <= t <= n")
+    if m_s_L < 1:
+        raise ValueError("M_s(L) must be positive")
     value = (m_s_L ** t) * (1 << (L * (n - t)))
     return _report("dc-first-rows", {"n": n, "L": L, "t": t, "s": s, "M_s(L)": m_s_L},
                    value, "formula", note=f"M_s(L) {m_provenance}")
@@ -134,6 +138,8 @@ def dc_bound_part2(n: int, L: int, t: int, s: int) -> Dict[str, object]:
     """Packing bound for t, s >= 2, exact rational."""
     if t < 2 or s < 2:
         raise ValueError("this bound needs t >= 2 and s >= 2")
+    if n < 1 or L < 1:
+        raise ValueError("n and L must be positive")
     th, sh = t // 2, s // 2
     denom = (Fraction(n, th) * Fraction(L, sh) ** sh) ** th
     value = Fraction(1 << (n * L)) / denom
@@ -149,6 +155,8 @@ def dc_bound_part3(n: int, L: int, t: int) -> Dict[str, object]:
     """Packing bound for s = 1, t >= 2: (2^(nL)+1) / (n/floor(t/2))^floor(t/2)."""
     if t < 2:
         raise ValueError("this bound needs t >= 2")
+    if n < 1 or L < 1:
+        raise ValueError("n and L must be positive")
     th = t // 2
     value = Fraction((1 << (n * L)) + 1) / (Fraction(n, th) ** th)
     red_lb = float(th * math.log2(n))

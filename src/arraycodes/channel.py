@@ -35,6 +35,8 @@ class ChannelSpec:
     def __post_init__(self):
         if self.kind not in ("te", "del", "ted"):
             raise ValueError(f"unknown channel kind {self.kind!r}")
+        if any(type(v) is not int for v in (self.e, self.t, self.s)):
+            raise TypeError("e, t and s must be ints")
         if self.kind in ("te", "ted") and self.e < 0:
             raise ValueError("e must be non-negative")
         if self.kind in ("del", "ted") and (self.t < 0 or self.s < 0):

@@ -25,8 +25,8 @@ import random
 import sys
 from pathlib import Path
 
-from .arrays import (BitArray, format_bit_array, format_ragged, parse_bit_array,
-                     parse_ragged)
+from .arrays import (BitArray, _row_to_int, format_bit_array, format_ragged,
+                     parse_bit_array, parse_ragged)
 from .bounds import (a_n_d_brute, ball_count_brute, claim8_bound,
                      dc_bound_part1, dc_bound_part2, dc_bound_part3,
                      m_s_brute, singleton_te, te_sphere_packing,
@@ -335,8 +335,11 @@ def cmd_oracle(args) -> int:
     if args.which == "ball":
         seed = args.seed or 0
         rng = random.Random(seed)
-        x = BitArray.from_lists([[rng.randrange(2) for _ in range(args.L)]
-                                 for _ in range(args.n)])
+        # the shape from the options, not read off the rows, so a negative
+        # n or L is an error and not an empty array
+        rows = tuple(_row_to_int([rng.randrange(2) for _ in range(args.L)])
+                     for _ in range(args.n))
+        x = BitArray(args.n, args.L, rows)
         line = (f"oracle=ball n={args.n} L={args.L} r={args.r} seed={seed} "
                 f"value={ball_count_brute(x, args.r)}")
     elif args.which == "m-s":

@@ -24,10 +24,11 @@ from itertools import compress, groupby
 from operator import or_
 from typing import Iterator, List, Optional, Sequence, Tuple
 
-from .arrays import BitArray, RaggedArray, _check_bit_array, _row_to_int, _trusted
+from .arrays import (BitArray, RaggedArray, _check_bit_array, _check_received, _row_to_int,
+                     _trusted)
 from .basecodes import (ParityColumns, bch_degree, bch_generator, bch_pcm, claim5_base_pcm,
                         cyclic_pcm, extended_hamming_pcm, hamming_pcm)
-from .errors import AmbiguousErasureError, InvalidInputError, NotACodewordError
+from .errors import AmbiguousErasureError, NotACodewordError
 from .field import Gf2m, field_make
 from .gf2 import gf2_rank, gf2_relations, xor_table
 
@@ -498,11 +499,7 @@ def te_decode(H: TeParityCheck, received: RaggedArray) -> BitArray:
     entries match no codeword, else AmbiguousErasureError when the erased
     columns are dependent (pattern beyond the code's distance).
     """
-    if not isinstance(received, RaggedArray):
-        raise InvalidInputError(f"te_decode decodes a RaggedArray, got "
-                                f"{type(received).__name__}")
-    if received.n != H.n or received.L != H.L:
-        raise InvalidInputError("shape mismatch")
+    _check_received(received, "te_decode", H.n, H.L)
     L = H.L
     lost = received.lost
     tails = H._tail_cells

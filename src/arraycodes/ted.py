@@ -35,10 +35,10 @@ from functools import cached_property
 from itertools import compress
 from typing import List, Optional, Sequence
 
-from .arrays import (BitArray, RaggedArray, _check_bit_array, _int_to_row,
-                     _row_to_int, _trusted)
+from .arrays import (BitArray, RaggedArray, _check_bit_array, _check_received,
+                     _int_to_row, _row_to_int, _trusted)
 from .errors import (CapacityExceededError, ChannelContractError,
-                     CorruptInputError, InvalidInputError, NotACodewordError)
+                     CorruptInputError, NotACodewordError)
 from .field import PRIMITIVE_POLYS, field_make
 from .rs import ReedSolomon
 from .vt import (_BYTE_SUM, _LOW_BITS, position_residues, position_sum, vt_data_int,
@@ -188,11 +188,7 @@ class TedCode:
         return _int_to_row(m, k * L + self.R * per_row)
 
     def decode(self, received: RaggedArray) -> BitArray:
-        if not isinstance(received, RaggedArray):
-            raise InvalidInputError(f"{type(self).__name__} decodes a RaggedArray, "
-                                    f"got {type(received).__name__}")
-        if received.n != self.n or received.L != self.L:
-            raise InvalidInputError("array shape mismatch")
+        _check_received(received, type(self).__name__, self.n, self.L)
         L, e, h = self.L, self.e, self.h
         lost = received.lost
         damaged = list(compress(range(self.n), lost))

@@ -27,16 +27,17 @@ the position sums of all 256 byte values, and `_LOW_BITS`.
 residue the reinserted bit must add; `vt_decode_int` computes D from the
 received bits and a target residue.  `TedCode` reads D off the outer
 symbols, whose received residues it already holds, so no repair sums the
-received row a second time.
+received row a second time.  A deleted 0 or 1 alike goes back just above
+the k-th lowest one of a row, so one select serves both: it skips whole
+bytes by their popcounts and reads the index from `_SELECT8`, and it ends
+because 0 <= D <= L keeps k within that row's ones.
 
 The systematic encoder's data bits sit on the non-power positions.  The
 11 of positions 1..16 are gathered by one read of `_DATA16`, a table of
 all 16-bit values, and scattered by one read of its inverse `_SCATTER11`;
 positions 17..31 hold data only, so rows of at most 31 positions move the
 rest with one shift, and only longer rows walk the runs of data positions
-past position 16.  The decoder's select skips whole bytes of a row by
-their popcounts and reads the bit from `_SELECT8`.  Every table depends on
-bit positions alone.
+past position 16.  Every table depends on bit positions alone.
 
 `vt_decode` and `vt_codewords` are the list forms left, for callers that
 hold rows as bit lists.
@@ -186,19 +187,20 @@ def _scatter11() -> array:
 
 
 def _select8() -> bytes:
-    """Entry k << 8 | b, k < 8: the bit index of the (k+1)-th lowest one of
-    the byte b, and 0 where b has at most k ones."""
-    table = bytearray(8 << 8)
+    """Entry k << 8 | b, k <= 8: the index just above the k-th lowest one
+    of the byte b, the bit length of its k lowest ones; 0 at k = 0 and
+    where b has fewer than k ones."""
+    table = bytearray(9 << 8)
     for b in range(256):
         v = b
-        for k in range(b.bit_count()):
-            table[k << 8 | b] = (v & -v).bit_length() - 1
+        for k in range(1, b.bit_count() + 1):
+            table[k << 8 | b] = (v & -v).bit_length()
             v &= v - 1
     return bytes(table)
 
 
 # The data bits of positions 1..16, their inverse, and the select within a
-# byte: 128 KiB, 4 KiB and 2 KiB, built once at import.
+# byte: 128 KiB, 4 KiB and 2.25 KiB, built once at import.
 _DATA16 = _gather16()
 _SCATTER11 = _scatter11()
 _SELECT8 = _select8()
@@ -213,55 +215,41 @@ def _runs_past_16(L: int) -> Tuple[Tuple[int, int], ...]:
                  for i in range(4, L.bit_length()))
 
 
-def _kth_lowest_one(v: int, k: int) -> int:
-    """Bit index of the k-th lowest set bit of v, for 1 <= k <= popcount(v),
-    which `vt_insert` guarantees: whole bytes are skipped by their
-    popcounts and the byte holding the bit is read from `_SELECT8`.  A k
-    beyond popcount(v) raises ValueError once the row runs out."""
-    k -= 1
-    shift = 0
-    c = (v & 0xFF).bit_count()
-    while k >= c:
-        v >>= 8
-        if not v:
-            raise ValueError("k exceeds the ones of the row")
-        k -= c
-        shift += 8
-        c = (v & 0xFF).bit_count()
-    return shift + _SELECT8[k << 8 | v & 0xFF]
-
-
 def vt_insert(y: int, deficiency: int, L: int) -> int:
     """Insert one bit into y, the L-1 received bits of a row, that raises
     its position sum by `deficiency` (0 <= deficiency < 2^h).
 
-    Bit k of a row is position k + 1, and inserting a bit at index pos
+    Bit i of a row is position i + 1, and inserting a bit at index pos
     moves every bit at or above pos up one position.  Let w be the weight
-    of y and D the deficiency.  For D <= w, a 0 inserted below the D
-    highest ones raises the sum by exactly D.  Otherwise a 1 inserted just
-    above the z = D - w - 1 lowest zeros raises it by its own position,
-    z + (ones below) + 1, plus the w - (ones below) ones above it:
-    w + z + 1 = D.  y has L - 1 - w zeros, at least z exactly when D <= L;
-    no insertion raises the sum by more than L, so D > L alone has no
-    reinsertion and raises CorruptInputError.
+    of y and D the deficiency.  For D <= w, a 0 inserted above the k = w - D
+    lowest ones raises the sum by the D ones above it.  Otherwise a 1
+    inserted above the k = D - w - 1 lowest zeros raises it by its own
+    position, k + (ones below) + 1, plus the w - (ones below) ones above:
+    w + k + 1 = D.  Both go at the bit length of the k lowest ones of a row
+    v, y or its zeros below L - 1.  The select ends because k never exceeds
+    the ones of v: D >= 0 bounds w - D by w, and y has L - 1 - w zeros, at
+    least D - w - 1 exactly when D <= L.  No insertion raises the sum by
+    more than L, so D > L raises CorruptInputError; D < 0 raises ValueError.
     """
     if deficiency > L:
         raise CorruptInputError("syndrome deficiency exceeds any insertion weight")
+    if deficiency < 0:
+        raise ValueError("deficiency must be non-negative")
     w = y.bit_count()
     if deficiency <= w:
-        # insert a 0 just left of the deficiency-th highest one (at the end
-        # when the deficiency is 0)
-        bit = 0
-        pos = L - 1 if deficiency == 0 else _kth_lowest_one(y, w - deficiency + 1)
+        bit, v, k = 0, y, w - deficiency
     else:
-        # insert a 1 just right of the (deficiency - w - 1)-th lowest zero
-        bit = 1
-        zeros_needed = deficiency - w - 1
-        pos = 0
-        if zeros_needed:
-            zeros = ~y & ((1 << (L - 1)) - 1)
-            pos = _kth_lowest_one(zeros, zeros_needed) + 1
-    return (y & ((1 << pos) - 1)) | ((y >> pos) << (pos + 1)) | (bit << pos)
+        bit, v, k = 1, ~y & ((1 << (L - 1)) - 1), deficiency - w - 1
+    pos = 0
+    c = (v & 0xFF).bit_count()
+    while k > c:
+        v >>= 8
+        k -= c
+        pos += 8
+        c = (v & 0xFF).bit_count()
+    pos += _SELECT8[k << 8 | v & 0xFF]
+    # adding y's bits at or above pos to y doubles them: a shift up by one
+    return y + (y >> pos << pos) | bit << pos
 
 
 def vt_decode_int(y: int, a: int, L: int) -> int:

@@ -42,6 +42,13 @@ def test_apply_full_row():
     assert erased.to_lists()[0] == [] and erased.lost == (3, 0)
 
 
+@pytest.mark.parametrize("n, L, rows", [(-1, 2, ()), (0, -1, ()), (2, -1, (0, 0))])
+def test_negative_dimensions_rejected(n, L, rows):
+    """No array has a negative shape; (0, -1) once built an empty array."""
+    with pytest.raises(ValueError, match="dimensions must be non-negative"):
+        BitArray(n, L, rows)
+
+
 def test_apply_pattern_dimension_mismatch():
     with pytest.raises(ValueError):
         apply_te_pattern(X23, (1,))

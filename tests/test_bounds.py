@@ -191,6 +191,29 @@ def test_dc_part1():
     assert dc_bound_part1(5, 4, 2, 1, 4).value == 16 * 2 ** 12
 
 
+@pytest.mark.parametrize("m_s_L", (0, -4))
+def test_dc_part1_rejects_a_code_size_below_one(m_s_L):
+    """M_s(L) = -4 once gave a negative bound."""
+    with pytest.raises(ValueError, match="M_s\\(L\\) must be positive"):
+        dc_bound_part1(3, 3, 2, 1, m_s_L)
+
+
+@pytest.mark.parametrize("n, L", [(0, 3), (3, 0), (-1, 3)])
+def test_dc_part2_part3_reject_an_empty_shape(n, L):
+    """n = 0 or L = 0 once divided by zero in the packing bounds."""
+    with pytest.raises(ValueError, match="n and L must be positive"):
+        dc_bound_part2(n, L, 2, 2)
+    with pytest.raises(ValueError, match="n and L must be positive"):
+        dc_bound_part3(n, L, 2)
+
+
+@pytest.mark.parametrize("n, L", [(-1, 3), (2, -1)])
+def test_singleton_rejects_a_negative_shape(n, L):
+    """n = -1 once gave d <= -3."""
+    with pytest.raises(ValueError, match="n and L must be non-negative"):
+        singleton_te(n, L, 4)
+
+
 def test_dc_part2_part3_values():
     assert dc_bound_part2(4, 4, 2, 2)["value"] == Fraction(2 ** 16, 16)
     assert dc_bound_part3(4, 4, 2)["value"] == Fraction(2 ** 16 + 1, 4)

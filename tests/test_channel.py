@@ -399,6 +399,20 @@ def test_negative_tail_budget_rejected(kind):
         ChannelSpec(kind, t=1, s=1, e=-1)
 
 
+@pytest.mark.parametrize("kind, budgets", [("del", {"t": 2, "s": 1.0}),
+                                           ("del", {"t": 2.0, "s": 1}),
+                                           ("te", {"e": 1.0}),
+                                           ("ted", {"t": 2, "s": 1, "e": True}),
+                                           ("te", {"e": 1, "s": "1"})])
+def test_non_int_budgets_rejected(kind, budgets):
+    """A float budget once built a spec whose random draws failed as a
+    codec fault ("roundtrip FAILED") and whose exhaustive stream raised
+    TypeError.  Every budget must be an int, as `TedCode` requires, even
+    one the kind does not read."""
+    with pytest.raises(TypeError, match="e, t and s must be ints"):
+        ChannelSpec(kind, **budgets)
+
+
 @pytest.mark.parametrize("spec,n,L", [(ChannelSpec("del", t=8, s=1), 31, 31),
                                       (ChannelSpec("del", t=3, s=4), 4, 5),
                                       (ChannelSpec("ted", t=2, s=1, e=1), 5, 7),

@@ -148,14 +148,32 @@ def test_oracle(capsys):
     (("construct", "--code", "construction-1", "--n", "0", "--d", "5"), "n must be positive"),
     (("construct", "--code", "construction-1", "--n", "1", "--d", "3"),
      "degenerate for n = 1"),
-    (("construct", "--code", "even-ext", "--n", "1", "--d", "4"), "degenerate for n = 1")])
+    (("construct", "--code", "even-ext", "--n", "1", "--d", "4"), "degenerate for n = 1"),
+    (("bounds", "--bound", "dc-23", "--n", "0", "--L", "3", "--t", "2", "--s", "2"),
+     "n and L must be positive"),
+    (("bounds", "--bound", "dc-23", "--n", "3", "--L", "0", "--t", "2", "--s", "2"),
+     "n and L must be positive"),
+    (("bounds", "--bound", "dc-23", "--n", "0", "--L", "3", "--t", "2", "--s", "1"),
+     "n and L must be positive"),
+    (("bounds", "--bound", "singleton", "--n", "-1", "--L", "3", "--m-size", "4"),
+     "n and L must be non-negative"),
+    (("bounds", "--bound", "dc-1", "--n", "3", "--L", "3", "--t", "2", "--s", "1",
+      "--m-s", "-4"), "M_s(L) must be positive"),
+    (("oracle", "--which", "ball", "--n", "-1", "--L", "2", "--r", "1"),
+     "dimensions must be non-negative"),
+    (("oracle", "--which", "ball", "--n", "2", "--L", "-1", "--r", "1"),
+     "dimensions must be non-negative")])
 def test_brute_force_parameters_out_of_range_exit_2(capsys, argv, fragment):
     """A distance below 1 or a negative length, deletion count or radius is
     a usage error with one stderr line, not a traceback (exit 1) or a
     value.  So is a construction of no rows or no columns: --L 0 is not
     read as a missing --L.  So is an interleaved construction of one row,
     which misses its distance.  So is an oracle past its size guard, which
-    once enumerated 2^26 words or 2^30 arrays."""
+    once enumerated 2^26 words or 2^30 arrays.  So are a packing bound of
+    no rows or columns (once a ZeroDivisionError), a Singleton bound of a
+    negative shape or a first-rows bound of M_s(L) < 1 (once a negative
+    value), and a ball around an array of negative shape (once the count
+    of the 0 x 0 array)."""
     rc, out, err = run(capsys, *argv)
     assert rc == 2 and out == ""
     assert err.startswith("usage error:") and err.count("\n") == 1

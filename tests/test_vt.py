@@ -1,14 +1,15 @@
 import random
+import threading
 from functools import lru_cache
 from itertools import combinations
 
 import pytest
 
 from arraycodes.errors import CorruptInputError
-from arraycodes.vt import (_DATA16, _SCATTER11, _SUM16, _kth_lowest_one,
-                           position_residues, position_sum, vt_codewords,
-                           vt_data_int, vt_decode, vt_decode_int, vt_encode_int,
-                           vt_insert, vt_modulus_exponent)
+from arraycodes.vt import (_DATA16, _SCATTER11, _SUM16, position_residues,
+                           position_sum, vt_codewords, vt_data_int, vt_decode,
+                           vt_decode_int, vt_encode_int, vt_insert,
+                           vt_modulus_exponent)
 
 
 def deletions(word):
@@ -410,27 +411,70 @@ def test_gather_and_scatter_match_the_run_oracle(L):
         assert vt_data_int(x, L) == oracle_gather(x, L)
 
 
+def oracle_insert(y, deficiency, L):
+    """The VT repair with its two cases apart, each placed by the
+    clear-lowest-bit loop: a 0 at the (w - D + 1)-th lowest one of y (at
+    the end when D = 0), or a 1 just above the (D - w - 1)-th lowest zero
+    (at index 0 when there is none to skip)."""
+    w = y.bit_count()
+    if deficiency <= w:
+        bit = 0
+        pos = L - 1 if deficiency == 0 else oracle_kth_lowest_one(y, w - deficiency + 1)
+    else:
+        bit, zeros = 1, deficiency - w - 1
+        pos = oracle_kth_lowest_one(~y & ((1 << (L - 1)) - 1), zeros) + 1 if zeros else 0
+    return y & ((1 << pos) - 1) | (y >> pos) << (pos + 1) | bit << pos
+
+
+def check_insert(y, L):
+    for deficiency in range(L + 1):
+        assert vt_insert(y, deficiency, L) == oracle_insert(y, deficiency, L), \
+            (L, y, deficiency)
+
+
 def test_select_matches_the_loop_on_every_byte():
-    for v in range(1, 256):
-        for k in range(1, v.bit_count() + 1):
-            assert _kth_lowest_one(v, k) == oracle_kth_lowest_one(v, k), (v, k)
+    """Every byte value as the 8 received bits of a 9-position row, and as
+    the low byte of a 17-position one, at every deficiency 0..L."""
+    for y in range(256):
+        check_insert(y, 9)
+        check_insert(y | 0x5A00, 17)
 
 
 @pytest.mark.parametrize("L", (7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 255, 256))
 def test_select_matches_the_loop_on_random_rows(L):
     rng = random.Random(5000 + L)
-    rows = [rng.getrandbits(L) for _ in range(100)]
-    rows += [(1 << L) - 1, 1 << (L - 1), 1, rng.getrandbits(L) | 1 << (L - 1)]
-    for v in rows:
-        for k in range(1, v.bit_count() + 1):
-            assert _kth_lowest_one(v, k) == oracle_kth_lowest_one(v, k), (L, v, k)
+    rows = [rng.getrandbits(L - 1) for _ in range(100)]
+    rows += [(1 << (L - 1)) - 1, 1 << (L - 2), 1, 0, rng.getrandbits(L - 1) | 1 << (L - 2)]
+    for y in rows:
+        check_insert(y, L)
+
+
+def raises_in_time(error, call, *args):
+    """call(*args) raises `error`; a call that spins instead fails the test
+    after 10 s, on a daemon thread that cannot hold up the interpreter's exit."""
+    raised = []
+
+    def run():
+        try:
+            call(*args)
+        except error:
+            raised.append(True)
+
+    worker = threading.Thread(target=run, daemon=True)
+    worker.start()
+    worker.join(10)
+    assert not worker.is_alive(), "no raise within 10 s"
+    assert raised, f"no {error.__name__}"
 
 
 @pytest.mark.parametrize("v", (0, 1, 0xFF, 0x8001, (1 << 255) | 1))
 def test_select_past_the_last_one_raises_instead_of_spinning(v):
-    # vt_decode_int never asks for more ones than the row has
-    with pytest.raises(ValueError):
-        _kth_lowest_one(v, v.bit_count() + 1)
+    """A deficiency below 0 would have the select skip more ones of y than
+    it has, and one above L more zeros: both raise before the select."""
+    L = v.bit_length() + 1
+    raises_in_time(ValueError, vt_insert, v, -1, L)
+    raises_in_time(ValueError, vt_insert, v, -L, L)
+    raises_in_time(CorruptInputError, vt_insert, v, L + 1, L)
 
 
 @pytest.mark.parametrize("L", range(1, 13))
