@@ -127,6 +127,8 @@ def dc_bound_part1(n: int, L: int, t: int, s: int, m_s_L: int,
     """Largest (t,s) code is at most (M_s(L))^t * 2^(L(n-t))."""
     if not (0 <= t <= n):
         raise ValueError("need 0 <= t <= n")
+    if L < 0:
+        raise ValueError(f"need L >= 0, got L = {L}")
     if m_s_L < 1:
         raise ValueError("M_s(L) must be positive")
     value = (m_s_L ** t) * (1 << (L * (n - t)))
@@ -347,6 +349,8 @@ def ted_ball(x: BitArray) -> Dict[str, object]:
 def ted_upper_bound(n: int, L: int) -> Dict[str, object]:
     """Finite evaluation 2^(nL) / (nL - 2 sqrt(nL ln nL)) next to the
     asymptotic 2^(nL)/(nL); both are guidance, not exact bounds."""
+    if n < 1 or L < 1:
+        raise ValueError(f"n and L must be positive, got n = {n}, L = {L}")
     N = n * L
     denom = N - 2.0 * math.sqrt(N * math.log(N))
     if denom <= 0:

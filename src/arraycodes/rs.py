@@ -29,24 +29,21 @@ symbols into one int, one lane apiece, the first output lowest:
     encoding    XOR_i par[i][u_i]     the n-k parity symbols of a message u
     evaluation  XOR_d ev[d][c_d]      sum_d c_d z^d at z = 1/x_j for every j
 
-On fields with log tables and m <= 8 (every benchmark code, and every TED
-or DC code of h + e <= 8) a lane is one byte, so `int.to_bytes` unpacks a
-row and `bytes.translate` multiplies every lane by one field element at
-once.  The fill then keeps the survivors' syndrome S and the erasure
-locator Lambda(z) = prod_{j erased} (1 + x_j z) in one int: S in lanes
-0 .. n-k-1, one zero guard lane, then Lambda.  Multiplying both by
-(1 + x_j z) is one translate through the table of a -> a x_j, shifted up
-one lane and added; masking the guard lane truncates S Lambda mod z^(n-k).
-After the eps erased points the low lanes hold the modified syndromes and
-the high lanes Lambda, both read off as byte slices.
+The fill keeps the survivors' syndrome S and the erasure locator
+Lambda(z) = prod_{j erased} (1 + x_j z) in one int: S in lanes 0 .. n-k-1,
+one zero guard lane, then Lambda.  Multiplying both by (1 + x_j z) adds x_j
+times the whole int, shifted up one lane; masking the guard lane truncates
+S Lambda mod z^(n-k).  After the eps erased points the low lanes hold the
+modified syndromes and the high lanes Lambda.  On fields with log tables
+and m <= 8 (every benchmark code, and every TED or DC code of h + e <= 8) a
+lane is one byte: `int.to_bytes` unpacks a row, and one `bytes.translate`
+through the table of a -> a x_j multiplies every lane by x_j.
 
-Wider fields pack m bits per lane, where no translate multiplies a lane.
-(Multiplying by x_j through the images x^b of the packed int, once per
-erased point, measured 6-41% slower at m = 9, 11 and 12.)  Their fill
-builds Lambda coefficient by coefficient (one exp read per
-product, log x_j = j, or one `Gf2m.mul` without log tables) and forms
-S Lambda from the lane-parallel images x^b S, b < m, one XOR per set bit
-of each coefficient of Lambda.
+Wider fields pack m bits per lane and multiply by x_j with one
+lane-parallel shift-and-reduce step per bit of x_j; Forney's step there
+takes `Gf2m.mul` and `Gf2m.inv`.  (Against a coefficient-by-coefficient
+locator and an S Lambda convolution, a fill at r = 16 measured -15% to +7%
+at m = 9, 10, 11 and 17, with 4 or 16 erasures.)
 
 The tables, and the fill's per-code constants beside them, depend only on
 (field, n, k) and are built once per code, each row from the images of the
@@ -93,14 +90,14 @@ class _Tables(NamedTuple):
     consistency: Tuple[int, ...]     # [eps]: modified-syndrome lanes eps .. n-k-1
     points: Tuple[int, ...]          # x_i = alpha^i
     low: int                         # x^m reduced: its low terms
-    tops: int                        # the top bit of each of n-k packed lanes
+    tops: int                        # the top bit of each lane of `width`
     forney_scale: Tuple[int, ...]    # x_i / v_i
-    exp: Optional[Tuple[int, ...]]   # the field's log tables, None for m > 16
+    exp: Optional[Tuple[int, ...]]   # byte lanes: the field's log tables; else None
     log: Optional[Tuple[int, ...]]
-    scale_log: Tuple[int, ...]       # log(x_i / v_i), empty without log tables
+    scale_log: Tuple[int, ...]       # byte lanes: log(x_i / v_i); else empty
     times: Tuple[bytes, ...]         # byte lanes: times[j][a] = a * x_j; else empty
-    width: int                       # byte lanes: bytes of syndrome, guard and Lambda
-    keep: int                        # byte lanes: every lane of `width` but the guard
+    width: int                       # lanes of syndrome, guard and Lambda
+    keep: int                        # every lane of `width` but the guard
     shifts: Tuple[int, ...]          # lowest bit of each chunk of a symbol
     mask: int                        # bits of one chunk
     lanes: Tuple[int, ...]           # lowest bit of each packed output symbol
@@ -130,10 +127,9 @@ class ReedSolomon:
     def _tables(self) -> _Tables:
         f, n, k = self.field, self.n, self.k
         m, mul = f.m, f.mul
-        exp, log = f._exp, f._log
         x = [f.alpha_pow(i) for i in range(n)]
         r = n - k
-        byte_lanes = log is not None and m <= _CHUNK_BITS
+        byte_lanes = f._log is not None and m <= _CHUNK_BITS
         stride = _CHUNK_BITS if byte_lanes else m
 
         def prod_diff(z: int, indices) -> int:
@@ -176,23 +172,25 @@ class ReedSolomon:
         inv_powers = [powers(f.inv(xi)) for xi in x]
         ev = [row for d in range(r) for row in rows([p[d] for p in inv_powers])]
         forney_scale = tuple(mul(xi, u) for xi, u in zip(x, inv_v))
-        times = ()
+        exp = log = None
+        scale_log = times = ()
         if byte_lanes:
+            exp, log = f._exp, f._log
+            scale_log = tuple(log[s] for s in forney_scale)
             # a * x_j = exp[log a + j], and log 0 reads exp's zero region;
             # the bytes past 2^m - 1 are never indexed.
             pad = bytes(256 - f.order)
             times = tuple(bytes(exp[a + j] for a in log) + pad for j in range(n))
-        # Byte lanes: syndrome in 0 .. r-1, the guard at r, Lambda (degree
-        # at most r) in r+1 .. 2r+1.
+        # The fill's lanes: syndrome in 0 .. r-1, the guard at r, Lambda
+        # (degree at most r) in r+1 .. 2r+1.
         fill_width = 2 * r + 2
         return _Tables(capacity=r, stride=stride,
                        consistency=tuple((1 << stride * r) - (1 << stride * eps)
                                          for eps in range(r + 1)),
-                       points=tuple(x), low=low, tops=_lane_tops(m, r, stride),
-                       forney_scale=forney_scale, exp=exp, log=log,
-                       scale_log=() if log is None else tuple(log[s] for s in forney_scale),
+                       points=tuple(x), low=low, tops=_lane_tops(m, fill_width, stride),
+                       forney_scale=forney_scale, exp=exp, log=log, scale_log=scale_log,
                        times=times, width=fill_width,
-                       keep=(1 << 8 * fill_width) - 1 ^ 0xFF << 8 * r,
+                       keep=(1 << stride * fill_width) - 1 ^ (1 << stride) - 1 << stride * r,
                        shifts=shifts, mask=(1 << width) - 1,
                        lanes=tuple(range(0, stride * r, stride)),
                        syn=tuple(syn), par=tuple(par), ev=tuple(ev),
@@ -242,7 +240,8 @@ class ReedSolomon:
         which is not checked here (an out-of-range symbol would be masked
         or index past a table row).  Raises CapacityExceededError with more
         than n - k erasures and NotACodewordError when the survivors match
-        no codeword."""
+        no codeword.  Only the product of the packed int and x_j, and
+        Forney's step, depend on the lane width."""
         tables = self._tables
         eps = len(erased)
         r = tables.capacity
@@ -250,77 +249,51 @@ class ReedSolomon:
             raise CapacityExceededError(f"{eps} erasures exceed capacity {r}")
         m = self.field.m
         full = (1 << m) - 1
-        exp, log = tables.exp, tables.log
         syndrome = self._lookup(tables.syn, word)
-        # Modified syndromes S(z) Lambda(z) mod z^(n-k), with the erasure
-        # locator Lambda(z) = prod_{j erased} (1 + x_j z).  The first eps
-        # form the evaluator Omega; the rest are zero exactly when some
-        # codeword agrees with every surviving symbol.
-        times = tables.times
-        if times:
-            # S low, a zero guard lane, Lambda = 1 above it.  Each erased
-            # point multiplies both by (1 + x_j z): add x_j times the whole
-            # int, one lane up, with the guard cleared.
-            width, keep = tables.width, tables.keep
-            modified = syndrome | 1 << 8 * r + 8
-            for j in erased:
-                modified ^= int.from_bytes(
-                    modified.to_bytes(width, "little").translate(times[j]),
-                    "little") << 8 & keep
-            coefficients = modified.to_bytes(width, "little")
-            omega = coefficients[:eps]
-            # Lambda's odd-degree coefficients, lambda_1, lambda_3, ...
-            lam_odd = coefficients[r + 2:r + 2 + eps:2]
-        else:
-            lam = [1] + [0] * eps
-            if log is None:
-                mul = self.field.mul
-                for degree, j in enumerate(erased, 1):
-                    xj = tables.points[j]
-                    for d in range(degree, 0, -1):
-                        lam[d] ^= mul(lam[d - 1], xj)
+        # S low, a zero guard lane, Lambda = 1 above it; each erased point
+        # adds x_j times the whole int, one lane up, with the guard cleared.
+        # Of the modified syndromes S Lambda mod z^(n-k), the first eps form
+        # the evaluator Omega; the rest are zero exactly when some codeword
+        # agrees with every surviving symbol.
+        times, stride, width, keep = tables.times, tables.stride, tables.width, tables.keep
+        modified = syndrome | 1 << stride * (r + 1)
+        for j in erased:
+            if times:
+                product = int.from_bytes(
+                    modified.to_bytes(width, "little").translate(times[j]), "little")
             else:
-                # log x_j = j.  A zero lambda has log 2(2^m - 1): the sum
-                # reads exp's zero region.
-                for degree, j in enumerate(erased, 1):
-                    for d in range(degree, 0, -1):
-                        lam[d] ^= exp[log[lam[d - 1]] + j]
-            # XOR of the lane-parallel x^b S over the set bits b of each
-            # lambda_l, shifted up by l lanes.
-            images = _times_x_images(syndrome, m, tables.tops, tables.low)
-            modified = 0
-            for shift, c in zip(range(0, m * (eps + 1), m), lam):
-                while c:
-                    bit = c & -c
-                    modified ^= images[bit.bit_length() - 1] << shift
-                    c ^= bit
-            omega = [modified >> s & full for s in tables.lanes[:eps]]
-            lam_odd = lam[1::2]
+                # Horner over the bits of x_j below its top one: each
+                # shifts every lane up and reduces those that overflowed.
+                product, tops, low = modified, tables.tops, tables.low
+                for bit in bin(tables.points[j])[3:]:
+                    carry = product & tops
+                    product = (product ^ carry) << 1 ^ (carry >> (m - 1)) * low
+                    if bit == "1":
+                        product ^= modified
+            modified ^= product << stride & keep
         if modified & tables.consistency[eps]:
             raise NotACodewordError("surviving symbols are not consistent with any codeword")
+        if times:
+            coefficients = modified.to_bytes(width, "little")
+        else:
+            coefficients = [modified >> s & full for s in range(0, m * width, m)]
         # Omega and the formal derivative Lambda' (only the odd-degree
-        # coefficients of Lambda survive in char 2, at the even powers),
-        # each evaluated at every 1/x_j.
-        num = self._lookup(tables.ev, omega)
-        den = self._lookup(tables.ev_even, lam_odd)
+        # coefficients of Lambda, lambda_1, lambda_3, ..., survive in char 2,
+        # at the even powers), each evaluated at every 1/x_j.
+        num = self._lookup(tables.ev, coefficients[:eps])
+        den = self._lookup(tables.ev_even, coefficients[r + 2:r + 2 + eps:2])
         # Forney: v_j c_j = x_j Omega(1/x_j) / Lambda'(1/x_j), and Lambda'
         # has no zero at an erased point.
-        if log is None:
-            f = self.field
-            for j in erased:
-                word[j] = f.mul(f.mul(num >> (m * j) & full, tables.forney_scale[j]),
-                                f.inv(den >> (m * j) & full))
-            return syndrome
-        scale_log = tables.scale_log
         if times:
+            exp, log, scale_log = tables.exp, tables.log, tables.scale_log
             num, den = num.to_bytes(self.n, "little"), den.to_bytes(self.n, "little")
             for j in erased:
-                # A zero Omega reads exp's zero region too.
+                # A zero Omega reads exp's zero region.
                 word[j] = exp[log[num[j]] + (scale_log[j] - log[den[j]]) % full]
         else:
+            mul, inv, scale = self.field.mul, self.field.inv, tables.forney_scale
             for j in erased:
-                word[j] = exp[log[num >> (m * j) & full]
-                              + (scale_log[j] - log[den >> (m * j) & full]) % full]
+                word[j] = mul(mul(num >> (m * j) & full, scale[j]), inv(den >> (m * j) & full))
         return syndrome
 
     def is_codeword(self, word: Sequence[int]) -> bool:

@@ -198,6 +198,14 @@ def test_dc_part1_rejects_a_code_size_below_one(m_s_L):
         dc_bound_part1(3, 3, 2, 1, m_s_L)
 
 
+@pytest.mark.parametrize("n, L, t", [(2, -1, 2), (3, -2, 1)])
+def test_dc_part1_rejects_a_negative_length(n, L, t):
+    """L = -1 with t = n once gave value 16; with t < n, a negative shift
+    count."""
+    with pytest.raises(ValueError, match=f"need L >= 0, got L = {L}"):
+        dc_bound_part1(n, L, t, 1, 4)
+
+
 @pytest.mark.parametrize("n, L", [(0, 3), (3, 0), (-1, 3)])
 def test_dc_part2_part3_reject_an_empty_shape(n, L):
     """n = 0 or L = 0 once divided by zero in the packing bounds."""
@@ -303,6 +311,14 @@ def test_ted_upper_bound_values():
     assert ted_upper_bound(4, 8)["asymptotic"] > info["asymptotic"]
     with pytest.raises(ValueError):
         ted_upper_bound(2, 4)
+
+
+@pytest.mark.parametrize("n, L", [(-1, 9), (-2, -2), (0, 9), (9, 0)])
+def test_ted_upper_bound_rejects_a_nonpositive_shape(n, L):
+    """n = -1 once hit a math domain error, and n = L = -2 was blamed on
+    nL = 4."""
+    with pytest.raises(ValueError, match=f"n and L must be positive, got n = {n}, L = {L}"):
+        ted_upper_bound(n, L)
 
 
 def test_theorem7_balls_disjoint_for_s1():

@@ -162,7 +162,10 @@ def test_oracle(capsys):
     (("oracle", "--which", "ball", "--n", "-1", "--L", "2", "--r", "1"),
      "dimensions must be non-negative"),
     (("oracle", "--which", "ball", "--n", "2", "--L", "-1", "--r", "1"),
-     "dimensions must be non-negative")])
+     "dimensions must be non-negative"),
+    (("bounds", "--bound", "dc-1", "--n", "2", "--L", "-1", "--t", "2", "--s", "1",
+      "--m-s", "4"), "need L >= 0"),
+    (("bounds", "--bound", "ted-upper", "--n", "-1", "--L", "9"), "n and L must be positive")])
 def test_brute_force_parameters_out_of_range_exit_2(capsys, argv, fragment):
     """A distance below 1 or a negative length, deletion count or radius is
     a usage error with one stderr line, not a traceback (exit 1) or a
@@ -172,8 +175,9 @@ def test_brute_force_parameters_out_of_range_exit_2(capsys, argv, fragment):
     once enumerated 2^26 words or 2^30 arrays.  So are a packing bound of
     no rows or columns (once a ZeroDivisionError), a Singleton bound of a
     negative shape or a first-rows bound of M_s(L) < 1 (once a negative
-    value), and a ball around an array of negative shape (once the count
-    of the 0 x 0 array)."""
+    value) or of L < 0 (once value=16), the TED upper bound of a negative
+    shape (once a math domain error), and a ball around an array of
+    negative shape (once the count of the 0 x 0 array)."""
     rc, out, err = run(capsys, *argv)
     assert rc == 2 and out == ""
     assert err.startswith("usage error:") and err.count("\n") == 1

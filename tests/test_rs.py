@@ -393,18 +393,21 @@ def _fill_outcome(fill, rs, word, erased):
 @pytest.mark.parametrize("m,n,k", [(2, 3, 1), (3, 7, 3), (4, 15, 9), (5, 31, 23),
                                    (6, 63, 55), (7, 127, 119), (8, 255, 247),
                                    (8, 40, 30), (9, 511, 503), (12, 40, 30),
-                                   (16, 40, 30), (17, 20, 12)])
+                                   (16, 40, 30), (17, 20, 12), (10, 60, 44),
+                                   (13, 40, 24)])
 def test_fill_core_matches_the_mul_inv_form(m, n, k):
     """Same filled word, or same exception and message, as the mul/inv
     form, for every erasure count up to one past capacity, on codewords and
     on random (mostly inconsistent) survivors.  m = 2 .. 8 at full length
     n = 2^m - 1 are the byte-lane fields; m = 8 | 9 straddles the byte
     lanes and the one-chunk boundary of the tables, 16 | 17 the last field
-    with log tables; the fill also returns the survivors' packed
+    with log tables; (10, 60, 44) and (13, 40, 24) pack 2r + 2 = 34 wide
+    lanes into the fill's int; the fill also returns the survivors' packed
     syndrome."""
     f = field_make(m)
     rs = ReedSolomon(f, n, k)
-    assert (rs._tables.log is None) == (m > 16)
+    assert (f._log is None) == (m > 16)
+    assert bool(rs._tables.times) == (2 <= m <= 8)
     rng = random.Random(31 * m + n)
     seen = set()
     for trial in range(40):
