@@ -106,6 +106,10 @@ def claim8_bound(n: int, d: int, a_nd: int, a_nd_provenance: str = "supplied") -
     """Column-split bound: at most A(n,d) * 2^(n(d-2)) arrays."""
     if d < 2:
         raise ValueError("needs d >= 2")
+    if n < 0:
+        raise ValueError(f"need n >= 0, got n = {n}")
+    if a_nd < 1:
+        raise ValueError(f"A(n,d) must be at least 1, got {a_nd}")
     value = a_nd * (1 << (n * (d - 2)))
     return _report("te-column-split", {"n": n, "d": d, "A(n,d)": a_nd},
                    value, "formula", note=f"A(n,d) {a_nd_provenance}")
@@ -129,6 +133,8 @@ def dc_bound_part1(n: int, L: int, t: int, s: int, m_s_L: int,
         raise ValueError("need 0 <= t <= n")
     if L < 0:
         raise ValueError(f"need L >= 0, got L = {L}")
+    if s < 0:
+        raise ValueError(f"need s >= 0, got s = {s}")
     if m_s_L < 1:
         raise ValueError("M_s(L) must be positive")
     value = (m_s_L ** t) * (1 << (L * (n - t)))

@@ -187,16 +187,15 @@ class RunRecord:
 
 def roundtrip_harness(codec, spec: ChannelSpec, *, messages: int = 20,
                       exhaustive: bool = True, seed: int = 0,
-                      instances: Optional[int] = None,
-                      max_work: Optional[int] = DEFAULT_MAX_WORK) -> RunRecord:
+                      max_work: Optional[int] = None) -> RunRecord:
     """Encode random messages, check that `message_of` reads each one back,
-    push them through every (or `instances` sampled, 100 when None) channel
-    instance, decode, compare.  An exhaustive run streams the instances, so
-    its memory does not grow with their number; one whose enumeration
-    exceeds `max_work` instances raises RuntimeError before it decodes
-    anything, and one whose channel has no instance (a `del` channel with
-    t = 0 or s = 0) raises ValueError.  `messages` or `instances` below 1
-    raises ValueError.
+    push them through every channel instance (or `max_work` sampled ones,
+    100 when None), decode, compare.  An exhaustive run streams the
+    instances, so its memory does not grow with their number; one whose
+    enumeration exceeds `max_work` instances (`DEFAULT_MAX_WORK` when None)
+    raises RuntimeError before it decodes anything, and one whose channel
+    has no instance (a `del` channel with t = 0 or s = 0) raises ValueError.
+    `messages` or `max_work` below 1 raises ValueError.
 
     Failures are recorded, not raised; the first counterexample keeps the
     full (message, instance, received) triple for replay.  A `message_of`
@@ -204,10 +203,10 @@ def roundtrip_harness(codec, spec: ChannelSpec, *, messages: int = 20,
     """
     if messages < 1:
         raise ValueError(f"messages must be at least 1, got {messages}")
-    if instances is None:
-        instances = 100
-    elif instances < 1:
-        raise ValueError(f"instances must be at least 1, got {instances}")
+    if max_work is None:
+        max_work = DEFAULT_MAX_WORK if exhaustive else 100
+    elif max_work < 1:
+        raise ValueError(f"max_work must be at least 1, got {max_work}")
     rng = random.Random(seed)
     n, L = codec.n, codec.L
     if exhaustive:
@@ -225,7 +224,7 @@ def roundtrip_harness(codec, spec: ChannelSpec, *, messages: int = 20,
             for _ in range(messages)]
     arrays = [(m, codec.encode(m)) for m in msgs]
     if not exhaustive:
-        sampled = [random_instance(spec, n, L, rng) for _ in range(instances)]
+        sampled = [random_instance(spec, n, L, rng) for _ in range(max_work)]
     for message, x in arrays:
         if codec.message_of(x) != message:
             record.note_failure(message, None, x, "message_of(encode(m)) != m")

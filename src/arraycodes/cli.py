@@ -6,8 +6,8 @@ is an argparse error (exit 2); options must be spelled in full, as no
 parser takes abbreviations.  A selector picks each subcommand's mode
 (construct --code, channel --kind, bounds --bound or --table, oracle
 --which, verify --roundtrip and --kind), and a mode reads the options in
-its row of `_READS`: a missing required option or any other option is a
-usage error (exit 2).
+its row of `_READS`, which names the function that runs it: a missing
+required option or any other option is a usage error (exit 2).
 Array I/O uses the shared text format (rows over {0,1}, '#' comments,
 '# L=<int>' declares the full length, which ragged input needs; a received
 row may also end in '?' marks at full length).  Exit status: 0 on
@@ -31,8 +31,7 @@ from .bounds import (a_n_d_brute, ball_count_brute, claim8_bound,
                      dc_bound_part1, dc_bound_part2, dc_bound_part3,
                      m_s_brute, singleton_te, te_sphere_packing,
                      ted_upper_bound, v_te_general)
-from .channel import (DEFAULT_MAX_WORK, ChannelSpec, apply_channel,
-                      random_instance, roundtrip_harness)
+from .channel import ChannelSpec, apply_channel, random_instance, roundtrip_harness
 from .dc import DcCode
 from .errors import ArrayCodeError
 from .tables import render_rows, table_i, table_ii, table_iii
@@ -46,54 +45,159 @@ class UsageError(Exception):
     pass
 
 
-# The options each mode requires, then those it may also take, by argparse
-# dest.  A mode is named by its selector as spelled on the command line, and
-# it also reads its subcommand's --in, --out and --code-file.  encode and
-# decode have one mode each, which reads every option they register.
+# The functions that run the modes of `_READS`, each given the parsed arguments.
+
+def _construction_1(args) -> TeParityCheck:
+    if args.d % 2 == 0 or args.d < 3:
+        raise UsageError("construction-1 needs an odd d >= 3")
+    return construct_interleaved(args.n, args.d)
+
+
+def _even_ext(args) -> TeParityCheck:
+    if args.d % 2 or args.d < 2:
+        raise UsageError("even-ext needs an even d >= 4 (or d = 2)")
+    if args.d > 2 and args.L is not None:
+        raise UsageError("construct --code even-ext does not read --L unless --d 2")
+    return construct_interleaved(args.n, args.d, 1 if args.L is None else args.L)
+
+
+def _channel_spec(args) -> ChannelSpec:
+    if args.kind == "del" and (args.t < 1 or args.s < 1):
+        raise UsageError("the del channel needs --t and --s of at least 1")
+    if args.kind == "ted" and args.t >= 1 and args.s < 1:
+        raise UsageError("the ted channel needs --s of at least 1 when --t is at least 1")
+    return ChannelSpec(args.kind, e=args.e or 0, t=args.t or 0, s=args.s or 0)
+
+
+def _verify_distance(args) -> int:
+    # The distance check reads the parity check alone: no encoder tables.
+    H = _load_code(args.code_file)
+    if not isinstance(H, TeParityCheck):
+        raise UsageError("min-distance verification applies to TE parity checks")
+    result = verify_min_distance(H, args.d)
+    exact = "exactly" if result.exact else "at least"
+    sys.stdout.write(f"minimum TE distance {exact} {result.distance}"
+                     + (f" (witness pattern {result.witness})" if result.witness else "")
+                     + f"; {result.patterns} patterns examined\n")
+    return 0 if result.distance >= args.d else 1
+
+
+def _roundtrip(args) -> int:
+    if args.max_work is not None and args.max_work < 1:
+        raise UsageError(f"--max-work must be at least 1, got {args.max_work}")
+    codec = load_codec(args.code_file)
+    spec = _channel_spec(args)
+    if isinstance(codec, TeCodec) != (spec.kind == "te"):
+        raise UsageError(f"a {codec.descriptor()['kind']} codec cannot "
+                         f"round-trip the {spec.kind} channel; TE codes take "
+                         f"--kind te, DC and TED codes --kind del or ted")
+    record = roundtrip_harness(codec, spec,
+                               messages=20 if args.messages is None else args.messages,
+                               exhaustive=args.exhaustive, seed=args.seed or 0,
+                               max_work=args.max_work)
+    sys.stdout.write(record.summary() + "\n")
+    if record.first_counterexample:
+        sys.stdout.write(f"counterexample: {record.first_counterexample}\n")
+    return 0 if record.failures == 0 else 1
+
+
+def _n_values(args) -> range:
+    return range(3 if args.n_min is None else args.n_min,
+                 (16 if args.n_max is None else args.n_max) + 1)
+
+
+def _supplied_or_brute(value, oracle, *params) -> tuple:
+    """`value` and its provenance, or the oracle's value when it is None."""
+    return (value, "supplied") if value is not None else (oracle(*params), "brute-force")
+
+
+def _ted_upper(args) -> str:
+    info = ted_upper_bound(args.n, args.L)
+    return (info["report"].record() + f" finite={float(info['finite']):.6g}"
+            + f" asymptotic={float(info['asymptotic']):.6g}")
+
+
+def _ball(args) -> str:
+    seed = args.seed or 0
+    rng = random.Random(seed)
+    # the shape from the options, not read off the rows, so a negative
+    # n or L is an error and not an empty array
+    rows = tuple(_row_to_int([rng.randrange(2) for _ in range(args.L)])
+                 for _ in range(args.n))
+    return (f"oracle=ball n={args.n} L={args.L} r={args.r} seed={seed} "
+            f"value={ball_count_brute(BitArray(args.n, args.L, rows), args.r)}")
+
+
+# Each mode's row: the options it requires, then those it may also take, by
+# argparse dest, then the function that runs it, which returns a construct
+# mode's code, a channel mode's channel, a verify mode's exit status, a
+# bound's or an oracle's line, or a table's rows.  A mode is named by its
+# selector as spelled on the command line, and it also reads its
+# subcommand's --in, --out and --code-file.  encode and decode have one mode
+# each, which reads every option they register.
 _READS = {
     "construct": {
-        "--code construction-1": ("n d", "dump"),
-        "--code even-ext": ("n d", "L dump"),
-        "--code claim-5": ("n", "dump"),
-        "--code claim-7": ("n", "dump"),
-        "--code hasse": ("n L e", "raw dump"),
-        "--code dc": ("n L t", ""),
-        "--code ted": ("n L t e", ""),
+        "--code construction-1": ("n d", "dump", _construction_1),
+        "--code even-ext": ("n d", "L dump", _even_ext),
+        "--code claim-5": ("n", "dump", lambda a: construct_claim5(a.n)),
+        "--code claim-7": ("n", "dump", lambda a: construct_claim7(a.n)),
+        "--code hasse": ("n L e", "raw dump", lambda a: (
+            construct_hasse_raw if a.raw else construct_hasse)(a.n, a.L, a.e)),
+        "--code dc": ("n L t", "", lambda a: DcCode(a.n, a.L, a.t)),
+        "--code ted": ("n L t e", "", lambda a: TedCode(a.n, a.L, a.t, a.e)),
     },
     "channel": {
-        "--kind te": ("e", "seed pattern"),
-        "--kind del": ("t s", "seed"),
-        "--kind ted": ("t s e", "seed"),
+        "--kind te": ("e", "seed pattern", _channel_spec),
+        "--kind del": ("t s", "seed", _channel_spec),
+        "--kind ted": ("t s e", "seed", _channel_spec),
     },
     "verify": {
-        "without --roundtrip": ("d", ""),
-        "--roundtrip --kind te": ("e", "seed messages exhaustive max_work"),
-        "--roundtrip --kind del": ("t s", "seed messages exhaustive max_work"),
-        "--roundtrip --kind ted": ("t s e", "seed messages exhaustive max_work"),
+        "without --roundtrip": ("d", "", _verify_distance),
+        "--roundtrip --kind te": ("e", "seed messages exhaustive max_work", _roundtrip),
+        "--roundtrip --kind del": ("t s", "seed messages exhaustive max_work", _roundtrip),
+        "--roundtrip --kind ted": ("t s e", "seed messages exhaustive max_work", _roundtrip),
     },
     "bounds": {
-        "--table I": ("", "format n_min n_max"),
-        "--table II": ("", "format n_min n_max"),
-        "--table III": ("L t", "format n_min n_max"),
-        "--bound v-te": ("r n L", ""),
-        "--bound sphere": ("n L d", ""),
-        "--bound column-split": ("n d", "a_nd"),
-        "--bound singleton": ("n L m_size", ""),
-        "--bound dc-1": ("n L t s", "m_s"),
-        "--bound dc-23": ("n L t s", ""),
-        "--bound ted-upper": ("n L", ""),
+        "--table I": ("", "format n_min n_max", lambda a: table_i(_n_values(a), (2, 3, 4, 5))),
+        "--table II": ("", "format n_min n_max", lambda a: table_ii(list(_n_values(a)))),
+        "--table III": ("L t", "format n_min n_max", lambda a: table_iii(
+            [(n, a.L, a.t) for n in _n_values(a)])),
+        "--bound v-te": ("r n L", "", lambda a: (
+            f"name=v-te n={a.n} L={a.L} r={a.r} value={v_te_general(a.r, a.n, a.L)}")),
+        "--bound sphere": ("n L d", "", lambda a: (
+            te_sphere_packing(a.n, a.L, a.d)["report"].record())),
+        "--bound column-split": ("n d", "a_nd", lambda a: claim8_bound(
+            a.n, a.d, *_supplied_or_brute(a.a_nd, a_n_d_brute, a.n, a.d)).record()),
+        "--bound singleton": ("n L m_size", "", lambda a: (
+            f"name=singleton n={a.n} L={a.L} M={a.m_size} "
+            f"value={singleton_te(a.n, a.L, a.m_size)}")),
+        "--bound dc-1": ("n L t s", "m_s", lambda a: dc_bound_part1(
+            a.n, a.L, a.t, a.s, *_supplied_or_brute(a.m_s, m_s_brute, a.L, a.s)).record()),
+        "--bound dc-23": ("n L t s", "", lambda a: (
+            dc_bound_part3(a.n, a.L, a.t) if a.s == 1
+            else dc_bound_part2(a.n, a.L, a.t, a.s))["report"].record()),
+        "--bound ted-upper": ("n L", "", _ted_upper),
     },
     "oracle": {
-        "--which ball": ("n L r", "seed"),
-        "--which m-s": ("L s", ""),
-        "--which a-n-d": ("n d", ""),
+        "--which ball": ("n L r", "seed", _ball),
+        "--which m-s": ("L s", "", lambda a: (
+            f"oracle=m-s L={a.L} s={a.s} value={m_s_brute(a.L, a.s)}")),
+        "--which a-n-d": ("n d", "", lambda a: (
+            f"oracle=a-n-d n={a.n} d={a.d} value={a_n_d_brute(a.n, a.d)}")),
     },
 }
 
 
-def _check_reads(args) -> None:
-    """Raise `UsageError` unless the mode `args` selects, its row of
-    `_READS`, has every option it requires and no option it does not read."""
+def _choices(command: str, flag: str) -> list:
+    """The values of `flag` that select a mode of `command`, in `_READS` order."""
+    return [words[words.index(flag) + 1] for words in map(str.split, _READS[command])
+            if flag in words]
+
+
+def _check_reads(args):
+    """The function that runs the mode `args` selects (None for encode and
+    decode).  Raise `UsageError` unless the mode's row of `_READS` has every
+    option it requires and no option it does not read."""
     if args.command == "verify":
         if args.roundtrip and args.kind is None:
             raise UsageError("--kind is required here")
@@ -103,8 +207,8 @@ def _check_reads(args) -> None:
                     if getattr(args, f, None))
         mode = f"--{flag} {getattr(args, flag)}"
     else:
-        return
-    required, optional = _READS[args.command][mode]
+        return None
+    required, optional, run = _READS[args.command][mode]
     for name in required.split():
         if getattr(args, name) is None:
             raise UsageError(f"--{name} is required here")
@@ -114,25 +218,8 @@ def _check_reads(args) -> None:
               if name not in reads and value is not None and value is not False]
     if unread:
         raise UsageError(f"{args.command} {mode} does not read {', '.join(unread)}")
+    return run
 
-
-def build_te_code(args) -> TeParityCheck:
-    code, n, d = args.code, args.n, args.d
-    if code == "construction-1" and (d % 2 == 0 or d < 3):
-        raise UsageError("construction-1 needs an odd d >= 3")
-    if code == "even-ext" and (d % 2 or d < 2):
-        raise UsageError("even-ext needs an even d >= 4 (or d = 2)")
-    if code == "even-ext" and d > 2 and args.L is not None:
-        raise UsageError("construct --code even-ext does not read --L unless --d 2")
-    if code in ("construction-1", "even-ext"):
-        return construct_interleaved(n, d, 1 if args.L is None else args.L)
-    if code == "hasse":
-        return (construct_hasse_raw if args.raw else construct_hasse)(n, args.L, args.e)
-    return construct_claim5(n) if code == "claim-5" else construct_claim7(n)
-
-
-# The integer parameters each JSON codec descriptor must carry.
-_DESCRIPTOR_KEYS = {"dc": ("n", "L", "t"), "ted": ("n", "L", "t", "e")}
 
 # The most cells, n * L, a dc/ted descriptor may give its arrays: a larger
 # code would still load, and a round trip would then draw messages of up
@@ -152,7 +239,8 @@ def _check_cells(kind: str, codec, source: str):
 
 def _load_code(path: str):
     """The parity check of a TE blob, or the codec of a validated dc/ted
-    JSON descriptor of at most `MAX_CELLS` cells."""
+    JSON descriptor of at most `MAX_CELLS` cells, built by the construct
+    mode of its kind from the integer options that mode requires."""
     blob = Path(path).read_bytes()
     if blob.startswith(TeParityCheck.MAGIC):
         return TeParityCheck.from_bytes(blob)
@@ -164,18 +252,17 @@ def _load_code(path: str):
     if not isinstance(desc, dict):
         raise UsageError(f"codec descriptor in {path} must be a JSON object")
     kind = desc.get("kind")
-    if not isinstance(kind, str) or kind not in _DESCRIPTOR_KEYS:
+    if kind not in ("dc", "ted"):
         raise UsageError(f"unknown codec kind {kind!r}")
-    params = []
-    for key in _DESCRIPTOR_KEYS[kind]:
-        value = desc.get(key)
-        if type(value) is not int:
+    required, _, build = _READS["construct"][f"--code {kind}"]
+    params = {}
+    for key in required.split():
+        params[key] = desc.get(key)
+        if type(params[key]) is not int:
             raise UsageError(f"{kind} descriptor needs an integer {key!r}, "
-                             f"got {value!r}")
-        params.append(value)
+                             f"got {params[key]!r}")
     # checked once the constructor has refused every invalid descriptor
-    return _check_cells(kind, DcCode(*params) if kind == "dc" else TedCode(*params),
-                        f"in {path}")
+    return _check_cells(kind, build(argparse.Namespace(**params)), f"in {path}")
 
 
 def load_codec(path: str):
@@ -191,15 +278,13 @@ def _write(args, text: str) -> None:
         sys.stdout.write(text)
 
 
-def cmd_construct(args) -> int:
-    if args.code in ("dc", "ted"):
-        codec = (DcCode(args.n, args.L, args.t) if args.code == "dc"
-                 else TedCode(args.n, args.L, args.t, args.e))
-        desc = _check_cells(args.code, codec, "asked for").descriptor()
-        desc["message_bits"] = codec.message_bits
+def cmd_construct(args, build) -> int:
+    H = build(args)
+    if not isinstance(H, TeParityCheck):    # a dc/ted codec
+        desc = _check_cells(args.code, H, "asked for").descriptor()
+        desc["message_bits"] = H.message_bits
         _write(args, json.dumps(desc, indent=2) + "\n")
         return 0
-    H = build_te_code(args)
     if args.out:
         Path(args.out).write_bytes(H.to_bytes())
         sys.stdout.write(f"wrote {args.out}: provenance={H.provenance} n={H.n} L={H.L} "
@@ -209,7 +294,7 @@ def cmd_construct(args) -> int:
     return 0
 
 
-def cmd_encode(args) -> int:
+def cmd_encode(args, _) -> int:
     codec = load_codec(args.code_file)
     text = Path(args.infile).read_text() if args.infile else sys.stdin.read()
     digits = "".join(text.split())
@@ -224,7 +309,7 @@ def cmd_encode(args) -> int:
     return 0
 
 
-def cmd_decode(args) -> int:
+def cmd_decode(args, _) -> int:
     codec = load_codec(args.code_file)
     text = Path(args.infile).read_text() if args.infile else sys.stdin.read()
     decoded = codec.decode(parse_ragged(text))
@@ -233,20 +318,12 @@ def cmd_decode(args) -> int:
     return 0
 
 
-def _channel_spec(args) -> ChannelSpec:
-    if args.kind == "del" and (args.t < 1 or args.s < 1):
-        raise UsageError("the del channel needs --t and --s of at least 1")
-    if args.kind == "ted" and args.t >= 1 and args.s < 1:
-        raise UsageError("the ted channel needs --s of at least 1 when --t is at least 1")
-    return ChannelSpec(args.kind, e=args.e or 0, t=args.t or 0, s=args.s or 0)
-
-
-def cmd_channel(args) -> int:
+def cmd_channel(args, spec_of) -> int:
     if args.pattern is not None and args.seed is not None:
         raise UsageError("channel --kind te does not read --seed with --pattern")
     text = Path(args.infile).read_text() if args.infile else sys.stdin.read()
     x = parse_bit_array(text)
-    spec = _channel_spec(args)
+    spec = spec_of(args)
     if args.pattern is not None:
         instance = tuple(int(v) for v in args.pattern.split(","))
     else:
@@ -257,96 +334,11 @@ def cmd_channel(args) -> int:
     return 0
 
 
-def cmd_verify(args) -> int:
-    if args.roundtrip:
-        if args.max_work is not None and args.max_work < 1:
-            raise UsageError(f"--max-work must be at least 1, got {args.max_work}")
-        codec = load_codec(args.code_file)
-        spec = _channel_spec(args)
-        if isinstance(codec, TeCodec) != (spec.kind == "te"):
-            raise UsageError(f"a {codec.descriptor()['kind']} codec cannot "
-                             f"round-trip the {spec.kind} channel; TE codes take "
-                             f"--kind te, DC and TED codes --kind del or ted")
-        # --max-work caps the exhaustive enumeration and sets the number of
-        # random instances.
-        cap = DEFAULT_MAX_WORK if args.max_work is None else args.max_work
-        record = roundtrip_harness(codec, spec,
-                                   messages=20 if args.messages is None else args.messages,
-                                   exhaustive=args.exhaustive, seed=args.seed or 0,
-                                   instances=args.max_work, max_work=cap)
-        sys.stdout.write(record.summary() + "\n")
-        if record.first_counterexample:
-            sys.stdout.write(f"counterexample: {record.first_counterexample}\n")
-        return 0 if record.failures == 0 else 1
-    # The distance check reads the parity check alone: no encoder tables.
-    H = _load_code(args.code_file)
-    if not isinstance(H, TeParityCheck):
-        raise UsageError("min-distance verification applies to TE parity checks")
-    result = verify_min_distance(H, args.d)
-    exact = "exactly" if result.exact else "at least"
-    sys.stdout.write(f"minimum TE distance {exact} {result.distance}"
-                     + (f" (witness pattern {result.witness})" if result.witness else "")
-                     + f"; {result.patterns} patterns examined\n")
-    return 0 if result.distance >= args.d else 1
-
-
-def cmd_bounds(args) -> int:
-    if args.table:
-        n_values = range(3 if args.n_min is None else args.n_min,
-                         (16 if args.n_max is None else args.n_max) + 1)
-        if args.table == "I":
-            rows = table_i(n_values, (2, 3, 4, 5))
-        elif args.table == "II":
-            rows = table_ii(list(n_values))
-        else:
-            rows = table_iii([(n, args.L, args.t) for n in n_values])
-        _write(args, render_rows(rows, args.format or "text"))
-        return 0
-    name = args.bound
-    if name == "v-te":
-        line = (f"name=v-te n={args.n} L={args.L} r={args.r} "
-                f"value={v_te_general(args.r, args.n, args.L)}")
-    elif name == "sphere":
-        line = te_sphere_packing(args.n, args.L, args.d)["report"].record()
-    elif name == "column-split":
-        a = args.a_nd if args.a_nd is not None else a_n_d_brute(args.n, args.d)
-        prov = "supplied" if args.a_nd is not None else "brute-force"
-        line = claim8_bound(args.n, args.d, a, prov).record()
-    elif name == "singleton":
-        line = (f"name=singleton n={args.n} L={args.L} M={args.m_size} "
-                f"value={singleton_te(args.n, args.L, args.m_size)}")
-    elif name == "dc-1":
-        m = args.m_s if args.m_s is not None else m_s_brute(args.L, args.s)
-        prov = "supplied" if args.m_s is not None else "brute-force"
-        line = dc_bound_part1(args.n, args.L, args.t, args.s, m, prov).record()
-    elif name == "dc-23":
-        info = (dc_bound_part3(args.n, args.L, args.t) if args.s == 1
-                else dc_bound_part2(args.n, args.L, args.t, args.s))
-        line = info["report"].record()
-    else:   # ted-upper
-        info = ted_upper_bound(args.n, args.L)
-        line = (info["report"].record() + f" finite={float(info['finite']):.6g}"
-                + f" asymptotic={float(info['asymptotic']):.6g}")
-    _write(args, line + "\n")
-    return 0
-
-
-def cmd_oracle(args) -> int:
-    if args.which == "ball":
-        seed = args.seed or 0
-        rng = random.Random(seed)
-        # the shape from the options, not read off the rows, so a negative
-        # n or L is an error and not an empty array
-        rows = tuple(_row_to_int([rng.randrange(2) for _ in range(args.L)])
-                     for _ in range(args.n))
-        x = BitArray(args.n, args.L, rows)
-        line = (f"oracle=ball n={args.n} L={args.L} r={args.r} seed={seed} "
-                f"value={ball_count_brute(x, args.r)}")
-    elif args.which == "m-s":
-        line = f"oracle=m-s L={args.L} s={args.s} value={m_s_brute(args.L, args.s)}"
-    else:   # a-n-d
-        line = f"oracle=a-n-d n={args.n} d={args.d} value={a_n_d_brute(args.n, args.d)}"
-    _write(args, line + "\n")
+def cmd_report(args, run) -> int:
+    """bounds and oracle: write the mode's line, or a table's rows."""
+    out = run(args)
+    _write(args, out + "\n" if isinstance(out, str)
+           else render_rows(out, args.format or "text"))
     return 0
 
 
@@ -365,9 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("construct", help="build a code and emit its descriptor")
     ints(p, "n", "L", "e", "t", "d")
     p.add_argument("--out")
-    p.add_argument("--code", required=True,
-                   choices=("construction-1", "even-ext", "claim-5", "claim-7",
-                            "hasse", "dc", "ted"))
+    p.add_argument("--code", required=True, choices=_choices("construct", "--code"))
     p.add_argument("--raw", action="store_true",
                    help="hasse: raw derivative stack, no reduced variants")
     p.add_argument("--dump", action="store_true")
@@ -391,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int)
     p.add_argument("--in", dest="infile")
     p.add_argument("--out")
-    p.add_argument("--kind", required=True, choices=("te", "del", "ted"))
+    p.add_argument("--kind", required=True, choices=_choices("channel", "--kind"))
     p.add_argument("--pattern", help="explicit te pattern, comma-separated")
     p.set_defaults(func=cmd_channel)
 
@@ -400,31 +390,30 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int)
     p.add_argument("--code-file", required=True)
     p.add_argument("--roundtrip", action="store_true")
-    p.add_argument("--kind", choices=("te", "del", "ted"))
+    p.add_argument("--kind", choices=_choices("verify", "--kind"))
     p.add_argument("--messages", type=int)
     p.add_argument("--exhaustive", action="store_true")
     p.add_argument("--max-work", type=int)
-    p.set_defaults(func=cmd_verify)
+    p.set_defaults(func=lambda args, run: run(args))
 
     p = add("bounds", help="evaluate a bound or regenerate a table")
     ints(p, "n", "L", "t", "s", "d")
     p.add_argument("--format", choices=("text", "records"))
     p.add_argument("--out")
     which = p.add_mutually_exclusive_group(required=True)
-    which.add_argument("--bound", choices=("v-te", "sphere", "column-split",
-                                           "singleton", "dc-1", "dc-23", "ted-upper"))
-    which.add_argument("--table", choices=("I", "II", "III"))
+    which.add_argument("--bound", choices=_choices("bounds", "--bound"))
+    which.add_argument("--table", choices=_choices("bounds", "--table"))
     p.add_argument("--n-min", type=int)
     p.add_argument("--n-max", type=int)
     ints(p, "r", "a-nd", "m-s", "m-size")
-    p.set_defaults(func=cmd_bounds)
+    p.set_defaults(func=cmd_report)
 
     p = add("oracle", help="run a brute-force oracle, freeze the value")
     ints(p, "n", "L", "s", "d", "r")
     p.add_argument("--seed", type=int)
     p.add_argument("--out")
-    p.add_argument("--which", required=True, choices=("ball", "m-s", "a-n-d"))
-    p.set_defaults(func=cmd_oracle)
+    p.add_argument("--which", required=True, choices=_choices("oracle", "--which"))
+    p.set_defaults(func=cmd_report)
 
     return parser
 
@@ -432,8 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        _check_reads(args)
-        return args.func(args)
+        return args.func(args, _check_reads(args))
     except (UsageError, ValueError, OSError, RuntimeError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

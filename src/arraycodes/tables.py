@@ -130,7 +130,12 @@ def table_ii(n_values: Iterable[int]) -> List[TableRow]:
 
 def table_iii(params: Iterable) -> List[TableRow]:
     """params: iterable of (n, L, t).  The closed forms of the constructive
-    column, one per regime, and the regimes that apply at n."""
+    column, one per regime, and the regimes that apply at n.  An n or t
+    below 1 raises ValueError before any row is built."""
+    params = list(params)
+    for n, L, t in params:
+        if n < 1 or t < 1:
+            raise ValueError(f"Table III needs n >= 1 and t >= 1, got n = {n}, t = {t}")
     rows = []
     for n, L, t in params:
         h = vt_modulus_exponent(L)

@@ -1,10 +1,12 @@
 import math
 import random
+import re
 from fractions import Fraction
 from itertools import combinations
 import pytest
 
 from arraycodes import bounds as bounds_module
+from arraycodes import tables
 from arraycodes.arrays import BitArray, d1_dc_distance, fll_distance
 from arraycodes.bounds import (_greedy_lexicode, a_n_d_brute, ball_count_brute,
                                claim8_bound, dc_bound_part1, dc_bound_part2,
@@ -117,6 +119,15 @@ def test_claim8_values():
     assert red >= ((d - 1) // 2) * math.log2(n) - 1e-9
 
 
+@pytest.mark.parametrize("n, a_nd, error", [(3, -5, "A(n,d) must be at least 1, got -5"),
+                                            (3, 0, "A(n,d) must be at least 1, got 0"),
+                                            (-3, 2, "need n >= 0, got n = -3")])
+def test_claim8_rejects_a_code_size_below_one_and_a_negative_length(n, a_nd, error):
+    """A(3,3) = -5 once gave value=-40; n = -3 a negative shift count."""
+    with pytest.raises(ValueError, match=re.escape(error)):
+        claim8_bound(n, 3, a_nd)
+
+
 def test_a_n_d_values():
     assert a_n_d_brute(7, 3) == 16
     assert a_n_d_brute(4, 2) == 8      # parity code is optimal for d=2
@@ -204,6 +215,12 @@ def test_dc_part1_rejects_a_negative_length(n, L, t):
     count."""
     with pytest.raises(ValueError, match=f"need L >= 0, got L = {L}"):
         dc_bound_part1(n, L, t, 1, 4)
+
+
+def test_dc_part1_rejects_a_negative_deletion_count():
+    """s = -1 with a supplied M_s(L) once gave value=32."""
+    with pytest.raises(ValueError, match="need s >= 0, got s = -1"):
+        dc_bound_part1(2, 3, 1, -1, 4)
 
 
 @pytest.mark.parametrize("n, L", [(0, 3), (3, 0), (-1, 3)])
@@ -395,6 +412,17 @@ def test_table_iii_regimes_and_measured_column():
         assert r.columns["closed[n<=2^h+1]"] == 6
         assert r.columns["closed[n=c*2^h]"] == pytest.approx(2 * math.log2(n))
         assert r.columns["closed[general]"] == pytest.approx(2 * (math.log2(n) + 3))
+
+
+@pytest.mark.parametrize("params, n, t", [([(5, 3, -1)], 5, -1), ([(5, 3, 0)], 5, 0),
+                                         ([(3, 3, 0)], 3, 0), ([(3, 3, 1), (0, 3, 2)], 0, 2)])
+def test_table_iii_rejects_n_or_t_below_one(monkeypatch, params, n, t):
+    """t = -1 once gave negative redundancies, t = 0 zeros past n = 2^h - 1
+    and a DcCode error below it, n = 0 a math domain error after it was
+    counted as n = c*2^h.  No row is built, not even a valid first one."""
+    monkeypatch.setattr(tables, "DcCode", None)
+    with pytest.raises(ValueError, match=f"got n = {n}, t = {t}"):
+        table_iii(params)
 
 
 def test_table_i_measured_upper_matches_the_closed_form_up_to_n_128():

@@ -206,7 +206,7 @@ def test_harness_random_mode():
     code = DcCode(5, 4, 1)
     spec = ChannelSpec("del", t=1, s=1)
     rec = roundtrip_harness(code, spec, messages=3, exhaustive=False,
-                            seed=7, instances=25)
+                            seed=7, max_work=25)
     assert rec.failures == 0
     assert rec.trials == 3 * 25
     rec = roundtrip_harness(code, spec, messages=2, exhaustive=False, seed=7)
@@ -269,7 +269,7 @@ def test_exhaustive_harness_does_not_hold_the_stream():
     codec = TeCodec(construct_hasse(16, 4, 4))
     spec = ChannelSpec("te", e=4)
     # Build the codec's and the enumerator's tables before measuring.
-    roundtrip_harness(codec, spec, messages=1, exhaustive=False, instances=5)
+    roundtrip_harness(codec, spec, messages=1, exhaustive=False, max_work=5)
     list(enumerate_channel_instances(spec, 16, 4))
     tracemalloc.start()
     try:
@@ -304,9 +304,9 @@ def test_exhaustive_harness_rejects_a_channel_with_no_instance(spec):
 
 @pytest.mark.parametrize("instances", [0, -1])
 def test_harness_rejects_fewer_than_one_instance(instances):
-    with pytest.raises(ValueError, match="instances"):
+    with pytest.raises(ValueError, match="max_work"):
         roundtrip_harness(DcCode(5, 4, 1), ChannelSpec("del", t=1, s=1),
-                          messages=1, exhaustive=False, instances=instances)
+                          messages=1, exhaustive=False, max_work=instances)
 
 
 @pytest.mark.parametrize("messages", [0, -5])

@@ -165,7 +165,21 @@ def test_oracle(capsys):
      "dimensions must be non-negative"),
     (("bounds", "--bound", "dc-1", "--n", "2", "--L", "-1", "--t", "2", "--s", "1",
       "--m-s", "4"), "need L >= 0"),
-    (("bounds", "--bound", "ted-upper", "--n", "-1", "--L", "9"), "n and L must be positive")])
+    (("bounds", "--bound", "ted-upper", "--n", "-1", "--L", "9"), "n and L must be positive"),
+    (("bounds", "--bound", "column-split", "--n", "3", "--d", "3", "--a-nd", "-5"),
+     "A(n,d) must be at least 1, got -5"),
+    (("bounds", "--bound", "column-split", "--n", "-3", "--d", "3", "--a-nd", "2"),
+     "need n >= 0, got n = -3"),
+    (("bounds", "--bound", "dc-1", "--n", "2", "--L", "3", "--t", "1", "--s", "-1",
+      "--m-s", "4"), "need s >= 0, got s = -1"),
+    (("bounds", "--table", "III", "--L", "3", "--t", "-1", "--n-min", "5", "--n-max", "5"),
+     "got n = 5, t = -1"),
+    (("bounds", "--table", "III", "--L", "3", "--t", "0", "--n-min", "5", "--n-max", "5"),
+     "got n = 5, t = 0"),
+    (("bounds", "--table", "III", "--L", "3", "--t", "0", "--n-min", "3", "--n-max", "3"),
+     "got n = 3, t = 0"),
+    (("bounds", "--table", "III", "--L", "3", "--t", "2", "--n-min", "0"),
+     "got n = 0, t = 2")])
 def test_brute_force_parameters_out_of_range_exit_2(capsys, argv, fragment):
     """A distance below 1 or a negative length, deletion count or radius is
     a usage error with one stderr line, not a traceback (exit 1) or a
@@ -1081,3 +1095,20 @@ def test_code_files_up_to_the_cell_cap_load(tmp_path):
     code_file.write_text(json.dumps({"kind": "dc", "n": 4097, "L": 4096, "t": 1}))
     with pytest.raises(UsageError, match="cells"):
         load_codec(str(code_file))
+
+
+@pytest.mark.parametrize("command, flag, choices", [
+    ("construct", "--code",
+     ["construction-1", "even-ext", "claim-5", "claim-7", "hasse", "dc", "ted"]),
+    ("channel", "--kind", ["te", "del", "ted"]),
+    ("verify", "--kind", ["te", "del", "ted"]),
+    ("bounds", "--bound",
+     ["v-te", "sphere", "column-split", "singleton", "dc-1", "dc-23", "ted-upper"]),
+    ("bounds", "--table", ["I", "II", "III"]),
+    ("oracle", "--which", ["ball", "m-s", "a-n-d"])])
+def test_each_selector_takes_the_modes_of_the_table(command, flag, choices):
+    """A selector's values, in order, are those that name a mode of its
+    subcommand in `_READS`."""
+    action = next(a for a in subparsers()[command]._actions if flag in a.option_strings)
+    assert list(action.choices) == choices
+    assert [m.split()[-1] for m in _READS[command] if flag in m.split()] == choices

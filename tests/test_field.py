@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from arraycodes.field import field_make
+from arraycodes.field import PRIMITIVE_POLYS, Gf2m, field_make
 from arraycodes.te import _build_from_field_rows
 
 
@@ -29,6 +29,40 @@ def test_alpha_has_full_order(m):
         v = f.mul(v, f.alpha)
         assert v != 1, f"alpha order divides {k} in GF(2^{m})"
     assert f.mul(v, f.alpha) == 1
+
+
+def _prime_factors(k: int) -> set:
+    """The primes dividing k, by trial division."""
+    primes, p = set(), 2
+    while p * p <= k:
+        while k % p == 0:
+            primes.add(p)
+            k //= p
+        p += 1
+    return primes | {k} if k > 1 else primes
+
+
+def _slow_power(f: Gf2m, a: int, e: int) -> int:
+    """a^e by square and multiply on `_mul_slow`, e not reduced mod 2^m - 1."""
+    result = 1
+    while e:
+        if e & 1:
+            result = f._mul_slow(result, a)
+        a = f._mul_slow(a, a)
+        e >>= 1
+    return result
+
+
+@pytest.mark.parametrize("m", [m for m in PRIMITIVE_POLYS if m >= 2])
+def test_every_primitive_polynomial_gives_alpha_full_order(m):
+    """alpha^(2^m - 1) = 1 and alpha^((2^m - 1)/p) != 1 for each prime p
+    dividing 2^m - 1, on every field up to m = 31, past the log-table
+    fields that `field_make` checks when it builds them."""
+    f = Gf2m(m, PRIMITIVE_POLYS[m])
+    units = f.order - 1
+    assert _slow_power(f, f.alpha, units) == 1
+    for p in _prime_factors(units):
+        assert _slow_power(f, f.alpha, units // p) != 1, f"alpha order divides {units // p}"
 
 
 def test_out_of_range_degree():
