@@ -36,16 +36,6 @@ def _row_to_int(bits: Sequence[int]) -> int:
         raise ValueError("row entries must be 0 or 1") from None
 
 
-def _trusted(cls, **fields):
-    """An instance of one of the array classes below with its fields set
-    as given, skipping `__post_init__`.  Internal only: the library uses it
-    where it builds rows valid by construction; every public path (the
-    constructors, `BitArray.from_lists`, the text parsers) keeps its checks."""
-    obj = object.__new__(cls)
-    obj.__dict__.update(fields)
-    return obj
-
-
 def _int_to_row(value: int, length: int) -> List[int]:
     """The low `length` bits of value as a list, lowest first."""
     return list(_row_text(value, length).encode().translate(_UNPACK))
@@ -139,6 +129,30 @@ class RaggedArray:
         return [_int_to_row(r, self.L - k) for r, k in zip(self.rows, self.lost)]
 
 
+# The unchecked constructors: an instance with its fields written straight
+# into its dict, skipping `__post_init__`.  Internal only: the library uses
+# them where it builds rows valid by construction; every public path (the
+# constructors, `BitArray.from_lists`, the text parsers) keeps its checks.
+
+def _bit_array(n: int, L: int, rows: Tuple[int, ...]) -> BitArray:
+    obj = object.__new__(BitArray)
+    fields = obj.__dict__
+    fields["n"] = n
+    fields["L"] = L
+    fields["rows"] = rows
+    return obj
+
+
+def _ragged_array(n: int, L: int, rows: Tuple[int, ...], lost: Tuple[int, ...]) -> RaggedArray:
+    obj = object.__new__(RaggedArray)
+    fields = obj.__dict__
+    fields["n"] = n
+    fields["L"] = L
+    fields["rows"] = rows
+    fields["lost"] = lost
+    return obj
+
+
 @lru_cache(maxsize=None)
 def _prefix_masks(L: int) -> Tuple[int, ...]:
     """masks[p] keeps the first L - p positions of a row, p = 0..L."""
@@ -207,7 +221,7 @@ def _damage(x: BitArray, pattern, deletions, e: int, t: int, s: int) -> RaggedAr
         except TypeError:
             # a row or position that is no int, or an entry that is no pair
             raise ValueError("deletion rows and positions must be ints") from None
-    return _trusted(RaggedArray, n=n, L=L, rows=tuple(rows), lost=tuple(lost))
+    return _ragged_array(n, L, tuple(rows), tuple(lost))
 
 
 def apply_te_pattern(x: BitArray, p: Sequence[int]) -> RaggedArray:

@@ -91,6 +91,8 @@ def ball_count_brute(center: BitArray, r: int) -> int:
 def te_sphere_packing(n: int, L: int, d: int) -> Dict[str, object]:
     """Packing bound M <= 2^(nL) / V(floor((d-1)/2)) plus the implied
     redundancy lower bound ceil(log2 V)."""
+    if d < 1:
+        raise ValueError(f"d must be at least 1, got d = {d}")
     r = (d - 1) // 2
     vol = v_te_general(r, n, L)
     m_max = (1 << (n * L)) // vol

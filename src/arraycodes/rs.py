@@ -16,9 +16,10 @@ takes the syndromes of the surviving symbols, builds the erasure locator
 and fills each erased symbol by Forney's formula.  The modified syndromes
 beyond the erasure count must vanish, or the survivors match no codeword.
 Past the survivors' syndrome, a fill's work grows with the erasure count
-eps, not with n.  The fill returns the survivors' syndrome; a caller
-re-checks a repaired word from it with one syndrome row per repaired symbol
-(`_syndrome_at`).
+eps, not with n, and with no erasures the fill ends at that check.  The
+fill returns the survivors' syndrome; a caller re-checks a repaired word
+from it with one syndrome row per repaired symbol: `syn[i][symbol]` for a
+symbol of one chunk (m <= 8), `_syndrome_at` for wider ones.
 
 The three products that touch every symbol are GF(2)-linear in the bits of
 each input symbol, so each is an XOR of table rows, one per input symbol
@@ -44,6 +45,11 @@ lane-parallel shift-and-reduce step per bit of x_j; Forney's step there
 takes `Gf2m.mul` and `Gf2m.inv`.  (Against a coefficient-by-coefficient
 locator and an S Lambda convolution, a fill at r = 16 measured -15% to +7%
 at m = 9, 10, 11 and 17, with 4 or 16 erasures.)
+
+The fill reads its three tables inline, as one
+reduce(xor, map(getitem, table, symbols)) each, with no call frame per
+read; a field of m > 8 first splits each symbol into its chunks
+(`_chunks`, which `_lookup` shares).
 
 The tables, and the fill's per-code constants beside them, depend only on
 (field, n, k) and are built once per code, each row from the images of the
@@ -197,20 +203,29 @@ class ReedSolomon:
                        ev_even=tuple(row for d in range(0, r, 2)
                                      for row in ev[d * chunks:(d + 1) * chunks]))
 
+    def _chunks(self, symbols: Iterable[int]) -> List[int]:
+        """Chunk b of each symbol, b = 0 .. c-1 within each, for fields
+        of c > 1 chunks per symbol (m > 8): the indices into a table's
+        rows i*c + b."""
+        t = self._tables
+        shifts, mask = t.shifts, t.mask
+        return [s >> b & mask for s in symbols for b in shifts]
+
     def _lookup(self, table: Iterable[Tuple[int, ...]], symbols: Sequence[int]) -> int:
         """XOR over i and b of table[i*c + b][chunk b of symbols[i]], with
         c chunks per symbol.  A symbol of one chunk (m <= 8) is its own
         index, so the symbols must lie in [0, 2^m)."""
-        t = self._tables
-        if len(t.shifts) > 1:
-            shifts, mask = t.shifts, t.mask
-            symbols = [s >> b & mask for s in symbols for b in shifts]
+        if len(self._tables.shifts) > 1:
+            symbols = self._chunks(symbols)
         return reduce(xor, map(getitem, table, symbols), 0)
 
     def _syndrome_at(self, positions: Sequence[int], symbols: Sequence[int]) -> int:
         """The packed syndrome of the word holding `symbols` at `positions`
-        and 0 elsewhere: one table row per symbol (per chunk), so the cost
-        follows len(positions), not n.  The symbols must lie in [0, 2^m)."""
+        and 0 elsewhere: one table row per symbol chunk, so the cost
+        follows len(positions), not n.  The symbols must lie in [0, 2^m).
+        `TedCode.decode` re-checks its repaired rows through it on fields of
+        more than one chunk (m > 8); up to m = 8 a symbol indexes its
+        syndrome row `syn[i]` directly."""
         t = self._tables
         c = len(t.shifts)
         if c > 1:
@@ -240,8 +255,10 @@ class ReedSolomon:
         which is not checked here (an out-of-range symbol would be masked
         or index past a table row).  Raises CapacityExceededError with more
         than n - k erasures and NotACodewordError when the survivors match
-        no codeword.  Only the product of the packed int and x_j, and
-        Forney's step, depend on the lane width."""
+        no codeword; with no erasures, that check is the whole fill.  The
+        three table reads are inline XORs of table rows, each symbol split
+        into its chunks first on fields of m > 8.  Only the product of the
+        packed int and x_j, and Forney's step, depend on the lane width."""
         tables = self._tables
         eps = len(erased)
         r = tables.capacity
@@ -249,7 +266,8 @@ class ReedSolomon:
             raise CapacityExceededError(f"{eps} erasures exceed capacity {r}")
         m = self.field.m
         full = (1 << m) - 1
-        syndrome = self._lookup(tables.syn, word)
+        wide = len(tables.shifts) > 1
+        syndrome = reduce(xor, map(getitem, tables.syn, self._chunks(word) if wide else word), 0)
         # S low, a zero guard lane, Lambda = 1 above it; each erased point
         # adds x_j times the whole int, one lane up, with the guard cleared.
         # Of the modified syndromes S Lambda mod z^(n-k), the first eps form
@@ -273,6 +291,8 @@ class ReedSolomon:
             modified ^= product << stride & keep
         if modified & tables.consistency[eps]:
             raise NotACodewordError("surviving symbols are not consistent with any codeword")
+        if not eps:
+            return syndrome
         if times:
             coefficients = modified.to_bytes(width, "little")
         else:
@@ -280,8 +300,11 @@ class ReedSolomon:
         # Omega and the formal derivative Lambda' (only the odd-degree
         # coefficients of Lambda, lambda_1, lambda_3, ..., survive in char 2,
         # at the even powers), each evaluated at every 1/x_j.
-        num = self._lookup(tables.ev, coefficients[:eps])
-        den = self._lookup(tables.ev_even, coefficients[r + 2:r + 2 + eps:2])
+        omega, odd = coefficients[:eps], coefficients[r + 2:r + 2 + eps:2]
+        if wide:
+            omega, odd = self._chunks(omega), self._chunks(odd)
+        num = reduce(xor, map(getitem, tables.ev, omega), 0)
+        den = reduce(xor, map(getitem, tables.ev_even, odd), 0)
         # Forney: v_j c_j = x_j Omega(1/x_j) / Lambda'(1/x_j), and Lambda'
         # has no zero at an erased point.
         if times:

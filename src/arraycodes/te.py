@@ -24,8 +24,8 @@ from itertools import compress, groupby
 from operator import or_
 from typing import Iterator, List, Optional, Sequence, Tuple
 
-from .arrays import (BitArray, RaggedArray, _check_bit_array, _check_received, _row_to_int,
-                     _trusted)
+from .arrays import (BitArray, RaggedArray, _bit_array, _check_bit_array, _check_received,
+                     _row_to_int)
 from .basecodes import (ParityColumns, bch_degree, bch_generator, bch_pcm, claim5_base_pcm,
                         cyclic_pcm, extended_hamming_pcm, hamming_pcm)
 from .errors import AmbiguousErasureError, NotACodewordError
@@ -457,8 +457,7 @@ class TeCodec:
             flat ^= table[chunk]
         n, L = self.n, self.L
         full = (1 << L) - 1
-        return _trusted(BitArray, n=n, L=L,
-                        rows=tuple([flat >> (i * L) & full for i in range(n)]))
+        return _bit_array(n, L, tuple([flat >> (i * L) & full for i in range(n)]))
 
     def message_of(self, x: BitArray) -> List[int]:
         _check_bit_array(x, self.n, self.L)
@@ -531,7 +530,7 @@ def te_decode(H: TeParityCheck, received: RaggedArray) -> BitArray:
     full = (1 << L) - 1
     for i in damaged:
         rows[i] |= solution >> (i * L) & full
-    return _trusted(BitArray, n=H.n, L=L, rows=tuple(rows))
+    return _bit_array(H.n, L, tuple(rows))
 
 
 # --- verification -----------------------------------------------------------

@@ -25,7 +25,11 @@ Decoding checks its own output: the outer fill returns the syndrome of the
 intact rows' symbols, and since syndromes are linear, that syndrome XOR the
 syndrome rows of the repaired rows' own symbols is the syndrome of the
 returned array, so the membership re-check costs O(eps) in the number eps
-of damaged rows, not O(n).
+of damaged rows, not O(n).  It runs inside the repair loop, in the one pass
+over the damaged rows: a repaired row's own symbol, read from `_byte_theta`
+for rows of at most 8 positions, indexes its position's syndrome row when
+h + e <= 8; wider symbols are re-checked together by
+`ReedSolomon._syndrome_at` after the loop.
 """
 
 from __future__ import annotations
@@ -35,8 +39,8 @@ from functools import cached_property
 from itertools import compress
 from typing import List, Optional, Sequence
 
-from .arrays import (BitArray, RaggedArray, _check_bit_array, _check_received,
-                     _int_to_row, _row_to_int, _trusted)
+from .arrays import (BitArray, RaggedArray, _bit_array, _check_bit_array, _check_received,
+                     _int_to_row, _row_to_int)
 from .errors import (CapacityExceededError, ChannelContractError,
                      CorruptInputError, NotACodewordError)
 from .field import PRIMITIVE_POLYS, field_make
@@ -171,7 +175,7 @@ class TedCode:
             if row >> (L - e) != tail:
                 raise AssertionError("tail placement violated; encoder bug")
             rows.append(row)
-        return _trusted(BitArray, n=n, L=L, rows=tuple(rows))
+        return _bit_array(n, L, tuple(rows))
 
     def message_of(self, x: BitArray) -> List[int]:
         _check_bit_array(x, self.n, self.L)
@@ -206,12 +210,18 @@ class TedCode:
         word = received_symbols.copy()
         for i in damaged:
             word[i] = 0
+        outer = self.outer
         try:
-            syndrome = self.outer._fill_erasures(word, damaged)
+            syndrome = outer._fill_erasures(word, damaged)
         except NotACodewordError as exc:
             raise CorruptInputError("intact rows disagree with the outer code") from exc
+        # The membership re-check runs in the repair loop: a symbol of one
+        # chunk (h + e <= 8) indexes its position's syndrome row.
+        tables = outer._tables
+        syn = tables.syn if len(tables.shifts) == 1 else None
+        theta = self._byte_theta
         rows = list(received.rows)
-        repaired = []     # theta of each repaired row, from its own bits
+        repaired = []     # theta of each repaired row, on wider fields only
         hmask = (1 << h) - 1
         for i in damaged:
             symbol = word[i]
@@ -229,17 +239,26 @@ class TedCode:
                 row |= known
                 deficiency -= position_sum(known, h)
             full = vt_insert(row, deficiency & hmask, L)
-            own_tail = full >> (L - e)
-            if own_tail != tail:
+            # theta of the repaired row, from its own bits
+            if theta is not None:
+                own = theta[full]
+            else:
+                own = position_sum(full, h) & hmask | full >> (L - e) << h
+            if own >> h != tail:
                 raise CorruptInputError(
                     f"row {i + 1} decodes with the wrong tail; input out of contract")
             rows[i] = full
-            repaired.append(position_sum(full, h) & hmask | own_tail << h)
+            if syn is not None:
+                syndrome ^= syn[i][own]
+            else:
+                repaired.append(own)
+        if repaired:
+            syndrome ^= outer._syndrome_at(damaged, repaired)
         # Intact rows are returned as received: with the repaired rows' own
         # symbols this is the returned array's syndrome.
-        if syndrome ^ self.outer._syndrome_at(damaged, repaired):
+        if syndrome:
             raise CorruptInputError("decoded array fails the membership rule")
-        return _trusted(BitArray, n=self.n, L=L, rows=tuple(rows))
+        return _bit_array(self.n, L, tuple(rows))
 
     def descriptor(self) -> dict:
         return {"kind": "ted", "n": self.n, "L": self.L, "t": self.t, "e": self.e,

@@ -1,6 +1,8 @@
-"""The A/B tool's summary rule on fixed numbers (no git, no benchmark runs)."""
+"""The A/B tool's summary rule on fixed numbers, and the seeds of its pairs
+(no git, no benchmark runs)."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -61,3 +63,26 @@ def test_higher_is_better_and_a_loss_is_worse():
 
 def test_no_pairs_summarizes_nothing():
     assert ab.summarize([], BETTER) == {}
+
+
+@pytest.mark.parametrize("argv, seeds", [
+    ((), [1, 2, 3]),
+    (("--first-seed", "101"), [101, 102, 103]),
+])
+def test_pairs_run_consecutive_seeds_from_the_first(monkeypatch, capsys, tmp_path, argv, seeds):
+    """Pair k runs seed first + k - 1 on both sides, the parent first in
+    odd pairs; the default first seed is 1."""
+    calls = []
+
+    def fake_run(tree, workload, seed, seconds):
+        calls.append(("parent" if tree == tmp_path else "change", seed))
+        return {"decode_p50_us": 1.0}
+
+    monkeypatch.setattr(ab, "export", lambda rev, into: tmp_path)
+    monkeypatch.setattr(ab, "run_once", fake_run)
+    assert ab.main(["--workload", "ted-exhaustive", "--pairs", "3", *argv]) == 0
+    a, b, c = seeds
+    assert calls == [("parent", a), ("change", a), ("change", b), ("parent", b),
+                     ("parent", c), ("change", c)]
+    line = json.loads(capsys.readouterr().out)
+    assert (line["first_seed"], line["pairs"], line["failed_runs"]) == (a, 3, 0)

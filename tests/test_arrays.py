@@ -6,8 +6,9 @@ from math import comb
 
 import pytest
 
-from arraycodes.arrays import (INF, BitArray, RaggedArray,
-                               _block_width, _fll_rows, _int_to_row, _row_to_int,
+from arraycodes.arrays import (INF, BitArray, RaggedArray, _bit_array,
+                               _block_width, _fll_rows, _int_to_row, _ragged_array,
+                               _row_to_int,
                                apply_te_pattern, count_patterns,
                                d1_dc_distance, d_sdc_distance,
                                enumerate_patterns, fll_distance,
@@ -40,6 +41,21 @@ def test_apply_zero_pattern_is_identity():
 def test_apply_full_row():
     erased = apply_te_pattern(X23, (3, 0))
     assert erased.to_lists()[0] == [] and erased.lost == (3, 0)
+
+
+@pytest.mark.parametrize("n, L, rows, lost", [
+    (0, 0, (), ()), (0, 5, (), ()), (3, 4, (0b1011, 0, 0b1111), (0, 4, 0)),
+    (2, 7, (0b101, 0b1100101), (3, 0))])
+def test_unchecked_constructors_match_the_checked_ones(n, L, rows, lost):
+    """`_bit_array` and `_ragged_array` skip the checks but build the same
+    value: equal, equal hash and repr, the same fields, and still frozen."""
+    for fast, checked in ((_bit_array(n, L, rows), BitArray(n, L, rows)),
+                          (_ragged_array(n, L, rows, lost), RaggedArray(n, L, rows, lost))):
+        assert type(fast) is type(checked)
+        assert fast == checked and hash(fast) == hash(checked)
+        assert repr(fast) == repr(checked) and vars(fast) == vars(checked)
+        with pytest.raises(AttributeError):
+            fast.n = n + 1
 
 
 @pytest.mark.parametrize("n, L, rows", [(-1, 2, ()), (0, -1, ()), (2, -1, (0, 0))])

@@ -99,6 +99,12 @@ def test_sphere_packing_values():
     assert trivial["m_max"] == 1 << 12
 
 
+@pytest.mark.parametrize("d", [0, -3])
+def test_sphere_packing_rejects_a_distance_below_one(d):
+    with pytest.raises(ValueError, match=f"d must be at least 1, got d = {d}$"):
+        te_sphere_packing(3, 2, d)
+
+
 def test_sphere_packing_tighter_than_column_split():
     """d=5, n=7, L=4: the TE-ball bound beats the column-split bound when
     both use packing estimates (A(n,d) via the Hamming bound); the exact

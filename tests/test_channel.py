@@ -5,7 +5,7 @@ from itertools import combinations, product
 
 import pytest
 
-from arraycodes.arrays import (BitArray, RaggedArray, _trusted, apply_te_pattern,
+from arraycodes.arrays import (BitArray, RaggedArray, _ragged_array, apply_te_pattern,
                                count_patterns, enumerate_patterns, format_ragged,
                                parse_ragged)
 from arraycodes.channel import (DEFAULT_MAX_WORK, ChannelSpec, RunRecord,
@@ -573,7 +573,7 @@ def _delete(rows, lost, deletions, L):
             rows[row - 1], lost[row - 1] = bits, L - length
     except TypeError:
         raise ValueError("deletion rows and positions must be ints") from None
-    return _trusted(RaggedArray, n=len(rows), L=L, rows=tuple(rows), lost=tuple(lost))
+    return _ragged_array(len(rows), L, tuple(rows), tuple(lost))
 
 
 def two_step_ted_channel(x, instance):

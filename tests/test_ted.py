@@ -358,7 +358,8 @@ def test_decode_matches_row_by_row_oracle(code):
 
 @pytest.mark.parametrize("fault", ["fill", "repair"])
 @pytest.mark.parametrize("code", [TedCode(5, 7, 2, 1), TedCode(31, 31, 4, 2),
-                                  DcCode(7, 5, 2), DcCode(31, 31, 8)],
+                                  DcCode(7, 5, 2), DcCode(31, 31, 8),
+                                  TedCode(12, 255, t=2, e=1)],
                          ids=lambda c: f"{c.n}x{c.L}-t{c.t}-e{c.e}")
 def test_membership_recheck_catches_a_wrong_repair(code, fault, monkeypatch):
     """Every decode of a damaged array raises CorruptInputError when one
@@ -366,7 +367,10 @@ def test_membership_recheck_catches_a_wrong_repair(code, fault, monkeypatch):
     returns its row with the first bit flipped ("repair", which keeps the
     tail).  The membership re-check reads the repaired rows' own bits, so
     it catches every wrong repair, of rows missing one bit or (e > 0) more,
-    and some of the wrong fills."""
+    and some of the wrong fills.  The codes cover both re-check branches:
+    symbols of at most 8 bits, read from their syndrome rows in the repair
+    loop, and the 9-bit symbols of TED(12,255), re-checked together by
+    `ReedSolomon._syndrome_at`."""
     if fault == "fill":
         fill = ReedSolomon._fill_erasures
 

@@ -7,9 +7,10 @@ working tree.
 
 The parent revision is exported with `git archive` into a temporary
 directory; the change is the working tree this script sits in.  For each
-workload, pair k = 1..N runs `perfbench/run.py --workload W --seed k
---seconds T --trace 0` on both sides, the parent first in odd pairs and
-the change first in even ones.  Only the standard library is used.
+workload, pair k = 1..N runs `perfbench/run.py --workload W --seed S+k-1
+--seconds T --trace 0` on both sides, S the first seed (`--first-seed`,
+1 by default), the parent first in odd pairs and the change first in even
+ones.  Only the standard library is used.
 
 One JSON line per workload follows, with, for each end-to-end metric that
 `BENCHMARK.json` names, both sides' medians and quartiles, the parent's
@@ -119,10 +120,11 @@ def main(argv=None) -> int:
                         help="repeatable; default: every workload in BENCHMARK.json")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=8.0)
+    parser.add_argument("--first-seed", type=int, default=1,
+                        help="seed of the first pair; pair k runs seed first + k - 1")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
-    seeds = range(1, args.pairs + 1)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     workloads = args.workload or [w["name"] for w in spec["workloads"]]
@@ -132,8 +134,8 @@ def main(argv=None) -> int:
         for workload in workloads:
             pairs: List[tuple] = []
             failed = 0
-            for seed in seeds:
-                order = (parent, change) if seed % 2 else (change, parent)
+            for k, seed in enumerate(range(args.first_seed, args.first_seed + args.pairs), 1):
+                order = (parent, change) if k % 2 else (change, parent)
                 runs = {tree: run_once(tree, workload, seed, args.seconds)
                         for tree in order}
                 failed += sum(r is None for r in runs.values())
@@ -141,7 +143,8 @@ def main(argv=None) -> int:
                     pairs.append((runs[parent], runs[change]))
             status = status or int(failed > 0)
             print(json.dumps({"workload": workload, "parent": args.parent,
-                              "pairs": args.pairs, "seconds": args.seconds,
+                              "pairs": args.pairs, "first_seed": args.first_seed,
+                              "seconds": args.seconds,
                               "failed_runs": failed,
                               "metrics": summarize(pairs, better),
                               "runs": pairs}), flush=True)
