@@ -13,9 +13,9 @@ distance proofs rely on.
 
 from __future__ import annotations
 
-from typing import List, NamedTuple, Tuple
+from typing import NamedTuple, Tuple
 
-from .field import Gf2m, field_make
+from .field import field_make
 
 
 class ParityColumns(NamedTuple):
@@ -51,69 +51,35 @@ def extended_hamming_pcm(n: int) -> ParityColumns:
 
 # --- cyclic machinery -------------------------------------------------------
 
-def _poly_mul(a: int, b: int) -> int:
-    """Multiply binary polynomials (ints, bit i = coeff of x^i)."""
-    result = 0
-    while b:
-        if b & 1:
-            result ^= a
-        a <<= 1
-        b >>= 1
-    return result
-
-
-def minimal_polynomial(f: Gf2m, elem: int) -> int:
-    """Minimal polynomial over GF(2) of an element of GF(2^m).
-
-    Computed as prod (x - c) over the conjugacy class {elem^(2^k)}; the
-    product is expanded with field-coefficient polynomials and must come out
-    with coefficients in {0, 1}.
-    """
-    conjugates = []
-    c = elem
-    while c not in conjugates:
-        conjugates.append(c)
-        c = f.mul(c, c)
-    # poly as list of field coefficients, low degree first; start with 1
-    poly: List[int] = [1]
-    for c in conjugates:
-        nxt = [0] * (len(poly) + 1)
-        for i, coef in enumerate(poly):
-            nxt[i + 1] ^= coef           # x * coef
-            nxt[i] ^= f.mul(coef, c)     # (-c) * coef, char 2
-        poly = nxt
-    out = 0
-    for i, coef in enumerate(poly):
-        if coef not in (0, 1):
-            raise AssertionError("minimal polynomial has non-binary coefficient")
-        out |= coef << i
-    return out
-
-
 def bch_generator(mu: int, designed_distance: int, with_parity_factor: bool = False) -> int:
     """Generator polynomial of a narrow-sense BCH code of length 2^mu - 1.
 
-    lcm of the minimal polynomials of alpha^1 .. alpha^(designed_distance-1);
-    with_parity_factor additionally multiplies by (x + 1), giving the
-    even-weight subcode (one more consecutive root at alpha^0).
+    The product of (x - alpha^j) over the root exponents J: the cyclotomic
+    cosets {i 2^k mod 2^mu - 1} of i = 1 .. designed_distance - 1, plus
+    j = 0 when with_parity_factor asks for the factor (x + 1) of the
+    even-weight subcode (one more consecutive root at alpha^0).  J is closed
+    under doubling, so the product, expanded one root at a time with field
+    coefficients (low degree first), must have every coefficient in {0, 1}.
     """
     f = field_make(mu)
-    factors = []
-    seen_roots = set()
+    units = (1 << mu) - 1
+    roots = {0} if with_parity_factor else set()
     for i in range(1, designed_distance):
-        root = f.alpha_pow(i)
-        if root in seen_roots:
-            continue
-        mp = minimal_polynomial(f, root)
-        factors.append(mp)
-        c = root
-        while c not in seen_roots:
-            seen_roots.add(c)
-            c = f.mul(c, c)
-    g = 0b11 if with_parity_factor else 1
-    for mp in factors:
-        g = _poly_mul(g, mp)
-    return g
+        j = i % units
+        while j not in roots:
+            roots.add(j)
+            j = 2 * j % units
+    poly = [1]
+    exp, log = f._exp, f._log
+    for j in roots:
+        if log is None:      # no log tables: m = 1 or m > 16
+            c = f.alpha_pow(j)
+            poly = [hi ^ f.mul(lo, c) for hi, lo in zip([0] + poly, poly + [0])]
+        else:                # log[0] + j indexes the zero region of exp
+            poly = [hi ^ exp[log[lo] + j] for hi, lo in zip([0] + poly, poly + [0])]
+    if max(poly) > 1:
+        raise AssertionError("BCH generator has a non-binary coefficient")
+    return sum(c << k for k, c in enumerate(poly))
 
 
 def cyclic_pcm(g: int, length: int) -> ParityColumns:
@@ -168,9 +134,8 @@ def claim5_base_pcm(n: int) -> Tuple[ParityColumns, int]:
     """
     if n < 1:
         raise ValueError("n must be positive")
-    m = (n + 4).bit_length()   # smallest m with 2^m >= n+5
+    m = bch_degree(n + 4)
     g = bch_generator(m, 5, with_parity_factor=True)
-    expected_r = 2 * m + 1
-    if g.bit_length() - 1 != expected_r:
+    if g.bit_length() - 1 != 2 * m + 1:
         raise AssertionError("unexpected generator degree for the distance-6 cyclic base")
     return cyclic_pcm(g, n + 4), m

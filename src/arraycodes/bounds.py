@@ -11,6 +11,7 @@ be cross-checked at desk scale.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -356,7 +357,9 @@ def ted_ball(x: BitArray) -> Dict[str, object]:
 
 def ted_upper_bound(n: int, L: int) -> Dict[str, object]:
     """Finite evaluation 2^(nL) / (nL - 2 sqrt(nL ln nL)) next to the
-    asymptotic 2^(nL)/(nL); both are guidance, not exact bounds."""
+    asymptotic 2^(nL)/(nL); both are guidance, not exact bounds.  Defined
+    for 9 <= nL <= 1033: the denominator is positive and the value fits a
+    float."""
     if n < 1 or L < 1:
         raise ValueError(f"n and L must be positive, got n = {n}, L = {L}")
     N = n * L
@@ -365,6 +368,9 @@ def ted_upper_bound(n: int, L: int) -> Dict[str, object]:
         raise ValueError(
             f"finite expression nonpositive for nL = {N}; defined for nL >= 9")
     finite = Fraction(1 << N) / Fraction(denom)
+    if finite > sys.float_info.max:
+        raise ValueError(f"finite expression past the float range (max "
+                         f"{sys.float_info.max:.4g}) for nL = {N}; defined for nL <= 1033")
     asymptotic = Fraction(1 << N, N)
     return {"finite": finite, "asymptotic": asymptotic,
             "redundancy_guidance": math.log2(n) + math.log2(L),

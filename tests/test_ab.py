@@ -1,8 +1,9 @@
-"""The A/B tool's summary rule on fixed numbers, and the seeds of its pairs
-(no git, no benchmark runs)."""
+"""The A/B tool's summary rule on fixed numbers, the seeds of its pairs and
+the trees both sides run from (no benchmark runs)."""
 
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -86,3 +87,48 @@ def test_pairs_run_consecutive_seeds_from_the_first(monkeypatch, capsys, tmp_pat
                      ("parent", c), ("change", c)]
     line = json.loads(capsys.readouterr().out)
     assert (line["first_seed"], line["pairs"], line["failed_runs"]) == (a, 3, 0)
+
+
+def test_both_sides_run_from_sibling_trees(monkeypatch, tmp_path):
+    """The parent runs from <tmp>/p and the change from a copy at <tmp>/c
+    of the working tree, uncommitted edits and untracked files included,
+    ignored files left out: two paths of one length under one root."""
+    repo = tmp_path / "repo"
+    (repo / "pkg").mkdir(parents=True)
+
+    def git(*args):
+        subprocess.run(["git", "-C", str(repo), *args], check=True, capture_output=True)
+
+    git("init", "-q")
+    (repo / "BENCHMARK.json").write_text(json.dumps(
+        {"end_to_end": [{"name": "decode_p50_us", "better": "lower"}], "workloads": []}))
+    (repo / ".gitignore").write_text("out/\n")
+    (repo / "pkg" / "mod.py").write_text("X = 1\n")
+    git("add", "BENCHMARK.json", ".gitignore", "pkg/mod.py")
+    (repo / "pkg" / "mod.py").write_text("X = 2\n")      # an uncommitted edit
+    (repo / "new.py").write_text("Y = 3\n")              # untracked, not ignored
+    (repo / "out").mkdir()
+    (repo / "out" / "run.log").write_text("")
+    trees = {}
+
+    def fake_export(rev, into):
+        into.mkdir()
+        trees["parent"] = into
+        return into
+
+    def fake_run(tree, workload, seed, seconds):
+        if tree != trees["parent"]:
+            trees["change"] = tree
+            files = sorted(str(f.relative_to(tree)) for f in tree.rglob("*") if f.is_file())
+            assert files == [".gitignore", "BENCHMARK.json", "new.py", "pkg/mod.py"]
+            assert (tree / "pkg" / "mod.py").read_text() == "X = 2\n"
+        return {"decode_p50_us": 1.0}
+
+    monkeypatch.setattr(ab, "ROOT", repo)
+    monkeypatch.setattr(ab, "export", fake_export)
+    monkeypatch.setattr(ab, "run_once", fake_run)
+    assert ab.main(["--workload", "w", "--pairs", "1"]) == 0
+    parent, change = trees["parent"], trees["change"]
+    assert parent.parent == change.parent != repo.parent
+    assert (parent.name, change.name) == ("p", "c")
+    assert len(str(parent)) == len(str(change))

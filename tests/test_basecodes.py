@@ -4,7 +4,7 @@ import pytest
 
 from arraycodes.basecodes import (bch_generator, bch_pcm, claim5_base_pcm,
                                   cyclic_pcm, extended_hamming_pcm,
-                                  hamming_pcm, minimal_polynomial)
+                                  hamming_pcm)
 from arraycodes.field import field_make
 from arraycodes.gf2 import gf2_rank, gf2_relations
 
@@ -42,12 +42,100 @@ def test_extended_hamming_distance_4(n):
     assert min_hamming_distance(pcm) >= 4
 
 
-def test_minimal_polynomial_gf8():
+def _poly_mul(a: int, b: int) -> int:
+    """Product of binary polynomials (ints, bit i = coeff of x^i)."""
+    result = 0
+    while b:
+        if b & 1:
+            result ^= a
+        a <<= 1
+        b >>= 1
+    return result
+
+
+def _minimal_polynomial(f, elem: int) -> int:
+    """Minimal polynomial over GF(2) of an element of GF(2^m): prod (x - c)
+    over its conjugates {elem^(2^k)}, expanded with field coefficients."""
+    conjugates = []
+    c = elem
+    while c not in conjugates:
+        conjugates.append(c)
+        c = f.mul(c, c)
+    poly = [1]
+    for c in conjugates:
+        nxt = [0] * (len(poly) + 1)
+        for i, coef in enumerate(poly):
+            nxt[i + 1] ^= coef
+            nxt[i] ^= f.mul(coef, c)
+        poly = nxt
+    assert all(coef in (0, 1) for coef in poly)
+    return sum(coef << i for i, coef in enumerate(poly))
+
+
+def _lcm_generator(mu: int, designed_distance: int, with_parity_factor: bool) -> int:
+    """Reference oracle: the lcm of the minimal polynomials of alpha^1 ..
+    alpha^(designed_distance - 1), times (x + 1) with the parity factor."""
+    f = field_make(mu)
+    g = 0b11 if with_parity_factor else 1
+    seen = set()
+    for i in range(1, designed_distance):
+        root = f.alpha_pow(i)
+        if root in seen:
+            continue
+        g = _poly_mul(g, _minimal_polynomial(f, root))
+        while root not in seen:
+            seen.add(root)
+            root = f.mul(root, root)
+    return g
+
+
+def test_minimal_polynomial_oracle_gf8():
     f = field_make(3)
-    assert minimal_polynomial(f, f.alpha) == 0b1011          # x^3 + x + 1
-    assert minimal_polynomial(f, f.alpha_pow(3)) == 0b1101   # x^3 + x^2 + 1
-    assert minimal_polynomial(f, 1) == 0b11
-    assert minimal_polynomial(f, 0) == 0b10
+    assert _minimal_polynomial(f, f.alpha) == 0b1011          # x^3 + x + 1
+    assert _minimal_polynomial(f, f.alpha_pow(3)) == 0b1101   # x^3 + x^2 + 1
+    assert _minimal_polynomial(f, 1) == 0b11
+    assert _minimal_polynomial(f, 0) == 0b10
+
+
+def test_bch_generator_gf8():
+    assert bch_generator(3, 2) == 0b1011                  # m1 = x^3 + x + 1
+    assert bch_generator(3, 4) == 0b1111111               # m1 m3 = (x^7 - 1)/(x - 1)
+    assert bch_generator(3, 1, with_parity_factor=True) == 0b11
+    assert bch_generator(3, 1) == 1
+    # Past 2^mu - 1 the designed roots hold alpha^7 = 1 already: the parity
+    # factor adds no second (x + 1), and g = x^7 - 1.
+    assert bch_generator(3, 8, with_parity_factor=True) == 0b10000001
+
+
+@pytest.mark.parametrize("with_parity_factor", [False, True])
+@pytest.mark.parametrize("mu", range(2, 9))
+def test_bch_generator_matches_the_lcm_oracle(mu, with_parity_factor):
+    """Every designed distance below 2^mu: there the parity root 0 is never
+    also a designed root, and both forms agree."""
+    for dd in range(1 << mu):
+        assert bch_generator(mu, dd, with_parity_factor) == \
+            _lcm_generator(mu, dd, with_parity_factor), dd
+
+
+@pytest.mark.parametrize("mu,dd,with_parity_factor", [(9, 11, True), (10, 17, False),
+                                                       (11, 9, True)])
+def test_bch_generator_matches_the_lcm_oracle_wide(mu, dd, with_parity_factor):
+    assert bch_generator(mu, dd, with_parity_factor) == \
+        _lcm_generator(mu, dd, with_parity_factor)
+
+
+def test_bch_generator_without_log_tables():
+    # GF(2^17) has no log tables; the degree is 17 per coset, plus one
+    g = bch_generator(17, 5, with_parity_factor=True)
+    assert g == _lcm_generator(17, 5, True) and g.bit_length() - 1 == 35
+
+
+def test_bch_pcm_rejects_a_distance_past_the_length():
+    # At length 3 (GF(4)), designed distance 5 already holds alpha^3 = 1, so
+    # the roots are all of x^3 - 1 and deg g reaches 2^mu - 1.
+    with pytest.raises(ValueError) as err:
+        bch_pcm(3, 6)
+    assert str(err.value) == "designed distance too large for this length"
 
 
 def test_bch_generator_degrees():

@@ -336,6 +336,14 @@ def test_ted_upper_bound_values():
         ted_upper_bound(2, 4)
 
 
+@pytest.mark.parametrize("n, L", [(1, 1034), (40, 40), (1034, 1)])
+def test_ted_upper_bound_rejects_a_value_past_the_float_range(n, L):
+    """nL >= 1034 once raised an OverflowError from float(finite)."""
+    with pytest.raises(ValueError, match=f"float range .* for nL = {n * L}; defined for nL <= 1033"):
+        ted_upper_bound(n, L)
+    assert float(ted_upper_bound(1, 1033)["finite"]) > 1e308
+
+
 @pytest.mark.parametrize("n, L", [(-1, 9), (-2, -2), (0, 9), (9, 0)])
 def test_ted_upper_bound_rejects_a_nonpositive_shape(n, L):
     """n = -1 once hit a math domain error, and n = L = -2 was blamed on

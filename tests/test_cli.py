@@ -181,7 +181,9 @@ def test_oracle(capsys):
     (("bounds", "--table", "III", "--L", "3", "--t", "2", "--n-min", "0"),
      "got n = 0, t = 2"),
     (("bounds", "--bound", "sphere", "--n", "3", "--L", "2", "--d", "0"),
-     "d must be at least 1, got d = 0")])
+     "d must be at least 1, got d = 0"),
+    (("bounds", "--bound", "ted-upper", "--n", "40", "--L", "40"),
+     "float range (max 1.798e+308) for nL = 1600")])
 def test_brute_force_parameters_out_of_range_exit_2(capsys, argv, fragment):
     """A distance below 1 or a negative length, deletion count or radius is
     a usage error with one stderr line, not a traceback (exit 1) or a
@@ -193,8 +195,9 @@ def test_brute_force_parameters_out_of_range_exit_2(capsys, argv, fragment):
     negative shape or a first-rows bound of M_s(L) < 1 (once a negative
     value) or of L < 0 (once value=16), the TED upper bound of a negative
     shape (once a math domain error), a ball around an array of negative
-    shape (once the count of the 0 x 0 array), and the sphere-packing bound
-    at d = 0 (once a message naming neither d nor its value)."""
+    shape (once the count of the 0 x 0 array), the sphere-packing bound
+    at d = 0 (once a message naming neither d nor its value), and the TED
+    upper bound past the float range (once an OverflowError traceback)."""
     rc, out, err = run(capsys, *argv)
     assert rc == 2 and out == ""
     assert err.startswith("usage error:") and err.count("\n") == 1

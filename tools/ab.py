@@ -5,12 +5,16 @@ working tree.
     python3 tools/ab.py --parent HEAD~1 --workload dc-wide   # a committed change
     python3 tools/ab.py --workload te-verify   # on a clean tree: the host's noise
 
-The parent revision is exported with `git archive` into a temporary
-directory; the change is the working tree this script sits in.  For each
-workload, pair k = 1..N runs `perfbench/run.py --workload W --seed S+k-1
---seconds T --trace 0` on both sides, S the first seed (`--first-seed`,
-1 by default), the parent first in odd pairs and the change first in even
-ones.  Only the standard library is used.
+The parent revision is exported with `git archive` into `<tmp>/p`, and
+the working tree this script sits in is copied into `<tmp>/c`: its tracked
+files and its untracked files that git does not ignore, as they are on
+disk.  Both sides thus run from sibling directories whose paths have the
+same length, since `peak_rss_mb` follows the directory a checkout sits in
+(by up to 0.2 MB on `ted-exhaustive`).  For each workload, pair k = 1..N
+runs `perfbench/run.py --workload W --seed S+k-1 --seconds T --trace 0` on
+both sides, S the first seed (`--first-seed`, 1 by default), the parent
+first in odd pairs and the change first in even ones.  Only the standard
+library is used.
 
 One JSON line per workload follows, with, for each end-to-end metric that
 `BENCHMARK.json` names, both sides' medians and quartiles, the parent's
@@ -31,6 +35,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import shutil
 import statistics
 import subprocess
 import sys
@@ -97,6 +102,20 @@ def export(rev: str, into: Path) -> Path:
     return into
 
 
+def copy_worktree(into: Path) -> Path:
+    """The working tree's tracked and untracked-but-not-ignored files, as
+    they are on disk, copied under `into`; a tracked file deleted from the
+    working tree is left out."""
+    names = subprocess.run(["git", "-C", str(ROOT), "ls-files", "-z", "--cached",
+                            "--others", "--exclude-standard"],
+                           check=True, capture_output=True).stdout.decode()
+    for name in filter(None, names.split("\0")):
+        if (ROOT / name).is_file():
+            (into / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(ROOT / name, into / name)
+    return into
+
+
 def run_once(tree: Path, workload: str, seed: int, seconds: float) -> Optional[dict]:
     """The end-to-end metrics of one benchmark run, or None when it failed."""
     done = subprocess.run(
@@ -130,7 +149,7 @@ def main(argv=None) -> int:
     workloads = args.workload or [w["name"] for w in spec["workloads"]]
     status = 0
     with tempfile.TemporaryDirectory(prefix="ab-") as tmp:
-        parent, change = export(args.parent, Path(tmp)), ROOT
+        parent, change = export(args.parent, Path(tmp, "p")), copy_worktree(Path(tmp, "c"))
         for workload in workloads:
             pairs: List[tuple] = []
             failed = 0
