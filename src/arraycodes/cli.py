@@ -102,8 +102,11 @@ def _roundtrip(args) -> int:
 
 
 def _n_values(args) -> range:
-    return range(3 if args.n_min is None else args.n_min,
-                 (16 if args.n_max is None else args.n_max) + 1)
+    n_min = 3 if args.n_min is None else args.n_min
+    n_max = 16 if args.n_max is None else args.n_max
+    if n_min > n_max:
+        raise UsageError(f"--n-min {n_min} is above --n-max {n_max}: the table has no rows")
+    return range(n_min, n_max + 1)
 
 
 def _supplied_or_brute(value, oracle, *params) -> tuple:

@@ -1,15 +1,21 @@
 import json
+import os
 import random
+import shlex
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from arraycodes.arrays import BitArray, format_bit_array
+import arraycodes
+from arraycodes.arrays import BitArray
 from arraycodes.bounds import ball_count_brute
 from arraycodes.cli import (_READS, MAX_CELLS, UsageError, _check_reads, build_parser,
                             load_codec, main)
 from arraycodes.dc import DcCode
-from arraycodes.te import TeCodec, construct_hasse, construct_hasse_raw
+from arraycodes.te import TeCodec, construct_hasse, construct_hasse_raw, construct_interleaved
 
 
 def run(capsys, *argv):
@@ -28,6 +34,9 @@ def test_construct_and_verify_te(tmp_path, capsys):
     # asking for distance 4 must fail with exit status 1
     rc, out, _ = run(capsys, "verify", "--code-file", str(code_file), "--d", "4")
     assert rc == 1
+    rc, out, _ = run(capsys, "verify", "--code-file", str(code_file), "--roundtrip",
+                     "--kind", "te", "--e", "2", "--exhaustive", "--messages", "1")
+    assert rc == 0 and "failures=0" in out
 
 
 def test_construct_even_ext_on_a_bch_base(tmp_path, capsys):
@@ -127,81 +136,351 @@ def test_oracle(capsys):
     assert rc == 0 and out == "oracle=a-n-d n=3 d=5 value=1\n"
 
 
-@pytest.mark.parametrize("argv, fragment", [
-    (("oracle", "--which", "a-n-d", "--n", "3", "--d", "0"), "distance must be at least 1"),
-    (("oracle", "--which", "a-n-d", "--n", "-3", "--d", "2"), "length must be non-negative"),
-    (("bounds", "--bound", "column-split", "--n", "3", "--d", "0"),
-     "distance must be at least 1"),
-    (("oracle", "--which", "m-s", "--L", "-1", "--s", "1"), "L and s must be non-negative"),
-    (("oracle", "--which", "m-s", "--L", "3", "--s", "-1"), "L and s must be non-negative"),
-    (("bounds", "--bound", "dc-1", "--n", "3", "--L", "-1", "--t", "1", "--s", "1"),
-     "L and s must be non-negative"),
-    (("oracle", "--which", "ball", "--n", "2", "--L", "2", "--r", "-1"),
-     "radius must be non-negative"),
-    (("bounds", "--bound", "v-te", "--n", "2", "--L", "2", "--r", "-1"), "non-negative"),
-    (("construct", "--code", "even-ext", "--n", "0", "--d", "6"), "n must be positive"),
-    (("construct", "--code", "even-ext", "--n", "3", "--d", "2", "--L", "0"),
-     "n and L must be positive"),
-    (("oracle", "--which", "a-n-d", "--n", "26", "--d", "3"), "n <= 10"),
-    (("bounds", "--bound", "column-split", "--n", "26", "--d", "3"), "n <= 10"),
-    (("oracle", "--which", "ball", "--n", "5", "--L", "6", "--r", "1"), "n*L <= 16"),
-    (("construct", "--code", "construction-1", "--n", "0", "--d", "5"), "n must be positive"),
-    (("construct", "--code", "construction-1", "--n", "1", "--d", "3"),
-     "degenerate for n = 1"),
-    (("construct", "--code", "even-ext", "--n", "1", "--d", "4"), "degenerate for n = 1"),
-    (("bounds", "--bound", "dc-23", "--n", "0", "--L", "3", "--t", "2", "--s", "2"),
-     "n and L must be positive"),
-    (("bounds", "--bound", "dc-23", "--n", "3", "--L", "0", "--t", "2", "--s", "2"),
-     "n and L must be positive"),
-    (("bounds", "--bound", "dc-23", "--n", "0", "--L", "3", "--t", "2", "--s", "1"),
-     "n and L must be positive"),
-    (("bounds", "--bound", "singleton", "--n", "-1", "--L", "3", "--m-size", "4"),
-     "n and L must be non-negative"),
-    (("bounds", "--bound", "dc-1", "--n", "3", "--L", "3", "--t", "2", "--s", "1",
-      "--m-s", "-4"), "M_s(L) must be positive"),
-    (("oracle", "--which", "ball", "--n", "-1", "--L", "2", "--r", "1"),
-     "dimensions must be non-negative"),
-    (("oracle", "--which", "ball", "--n", "2", "--L", "-1", "--r", "1"),
-     "dimensions must be non-negative"),
-    (("bounds", "--bound", "dc-1", "--n", "2", "--L", "-1", "--t", "2", "--s", "1",
-      "--m-s", "4"), "need L >= 0"),
-    (("bounds", "--bound", "ted-upper", "--n", "-1", "--L", "9"), "n and L must be positive"),
-    (("bounds", "--bound", "column-split", "--n", "3", "--d", "3", "--a-nd", "-5"),
-     "A(n,d) must be at least 1, got -5"),
-    (("bounds", "--bound", "column-split", "--n", "-3", "--d", "3", "--a-nd", "2"),
-     "need n >= 0, got n = -3"),
-    (("bounds", "--bound", "dc-1", "--n", "2", "--L", "3", "--t", "1", "--s", "-1",
-      "--m-s", "4"), "need s >= 0, got s = -1"),
-    (("bounds", "--table", "III", "--L", "3", "--t", "-1", "--n-min", "5", "--n-max", "5"),
-     "got n = 5, t = -1"),
-    (("bounds", "--table", "III", "--L", "3", "--t", "0", "--n-min", "5", "--n-max", "5"),
-     "got n = 5, t = 0"),
-    (("bounds", "--table", "III", "--L", "3", "--t", "0", "--n-min", "3", "--n-max", "3"),
-     "got n = 3, t = 0"),
-    (("bounds", "--table", "III", "--L", "3", "--t", "2", "--n-min", "0"),
-     "got n = 0, t = 2"),
-    (("bounds", "--bound", "sphere", "--n", "3", "--L", "2", "--d", "0"),
-     "d must be at least 1, got d = 0"),
-    (("bounds", "--bound", "ted-upper", "--n", "40", "--L", "40"),
-     "float range (max 1.798e+308) for nL = 1600")])
-def test_brute_force_parameters_out_of_range_exit_2(capsys, argv, fragment):
-    """A distance below 1 or a negative length, deletion count or radius is
-    a usage error with one stderr line, not a traceback (exit 1) or a
-    value.  So is a construction of no rows or no columns: --L 0 is not
-    read as a missing --L.  So is an interleaved construction of one row,
-    which misses its distance.  So is an oracle past its size guard, which
-    once enumerated 2^26 words or 2^30 arrays.  So are a packing bound of
-    no rows or columns (once a ZeroDivisionError), a Singleton bound of a
-    negative shape or a first-rows bound of M_s(L) < 1 (once a negative
-    value) or of L < 0 (once value=16), the TED upper bound of a negative
-    shape (once a math domain error), a ball around an array of negative
-    shape (once the count of the 0 x 0 array), the sphere-packing bound
-    at d = 0 (once a message naming neither d nor its value), and the TED
-    upper bound past the float range (once an OverflowError traceback)."""
-    rc, out, err = run(capsys, *argv)
-    assert rc == 2 and out == ""
-    assert err.startswith("usage error:") and err.count("\n") == 1
-    assert fragment in err
+# --- usage errors --------------------------------------------------------------
+
+# The files the command lines below name as {name}, each written once: these
+# texts, the code files of `BAD_CODE_FILES` under their case names, and the
+# output of each line of `USAGE_BUILT` (run with --out).  {dir} is their
+# directory, and {out} a path no usage error may write.
+USAGE_TEXTS = {
+    "dc541": '{"kind": "dc", "n": 5, "L": 4, "t": 1, "outer": {"q": 8, "n": 5, "k": 4}}',
+    "zeros17": "0" * 17 + "\n",
+    "temsg": "10" * 26 + "1\n", "msg28": "0" * 28 + "\n", "qmsg": "1?" * 12,
+    "hello": "hello 1010101 world", "comma": "1010101,", "x": "10101\n01x",
+    "two": "1 0 1 0 1 0 1 2", "arr": "# L=5\n" + "00000\n" * 7, "arr23": "# L=3\n101\n011\n",
+    "qarr": "# L=3\n101\n01?\n", "rows4": "# L=7\n" + "0000000\n" * 4,
+    "rows6": "# L=1\n" + "0\n" * 6, "q_inside": "# L=7\n0?10110\n", "q_short": "# L=7\n0110??\n",
+    "bad_char": "# L=7\n0110210\n", "no_header": "0110101\n1110101\n",
+    "ted_cap": json.dumps({"kind": "ted", "n": 1, "L": 10**9, "t": 0, "e": 0}),
+    "dc_cap": json.dumps({"kind": "dc", "n": 2, "L": 10**9, "t": 1}),
+    "cap_arr": f"# L={10**9}\n1\n",
+}
+
+USAGE_BUILT = {
+    "te": "construct --code hasse --n 16 --L 4 --e 4",
+    "hasse": "construct --code hasse --n 5 --L 3 --e 3",
+    "hasse572": "construct --code hasse --n 5 --L 7 --e 2",
+    "ham": "construct --code construction-1 --n 7 --d 3",
+    "dc": "construct --code dc --n 7 --L 5 --t 2",
+    "ted": "construct --code ted --n 5 --L 7 --t 2 --e 1",
+    "ted1": "construct --code ted --n 5 --L 7 --t 1 --e 1",
+    "tearr": "encode --code-file {te} --in {temsg}",
+    "recv": "encode --code-file {dc541} --in {zeros17}",
+}
+
+# Each command line that is a usage error, and the whole of its stderr after
+# "usage error: ".  Rows are grouped under the tests that have always reported
+# them, one case per id; the rows of an id, or of a test of no ids, run as one.
+USAGE_ERRORS = {
+    "test_brute_force_parameters_out_of_range_exit_2": [
+        ("argv0-distance must be at least 1", "oracle --which a-n-d --n 3 --d 0",
+         "distance must be at least 1"),
+        ("argv1-length must be non-negative", "oracle --which a-n-d --n -3 --d 2",
+         "length must be non-negative"),
+        ("argv2-distance must be at least 1", "bounds --bound column-split --n 3 --d 0",
+         "distance must be at least 1"),
+        ("argv3-L and s must be non-negative", "oracle --which m-s --L -1 --s 1",
+         "L and s must be non-negative"),
+        ("argv4-L and s must be non-negative", "oracle --which m-s --L 3 --s -1",
+         "L and s must be non-negative"),
+        ("argv5-L and s must be non-negative", "bounds --bound dc-1 --n 3 --L -1 --t 1 --s 1",
+         "L and s must be non-negative"),
+        ("argv6-radius must be non-negative", "oracle --which ball --n 2 --L 2 --r -1",
+         "radius must be non-negative"),
+        ("argv7-non-negative", "bounds --bound v-te --n 2 --L 2 --r -1",
+         "arguments must be non-negative"),
+        ("argv8-n must be positive", "construct --code even-ext --n 0 --d 6",
+         "n must be positive"),
+        ("argv9-n and L must be positive", "construct --code even-ext --n 3 --d 2 --L 0",
+         "n and L must be positive"),
+        ("argv10-n <= 10", "oracle --which a-n-d --n 26 --d 3",
+         "combinatorial guard: n <= 10 for 2 <= d <= n, got n = 26"),
+        ("argv11-n <= 10", "bounds --bound column-split --n 26 --d 3",
+         "combinatorial guard: n <= 10 for 2 <= d <= n, got n = 26"),
+        ("argv12-n*L <= 16", "oracle --which ball --n 5 --L 6 --r 1",
+         "combinatorial guard: n*L <= 16, got 30"),
+        ("argv13-n must be positive", "construct --code construction-1 --n 0 --d 5",
+         "n must be positive"),
+        ("argv14-degenerate for n = 1", "construct --code construction-1 --n 1 --d 3",
+         "the interleaved construction is degenerate for n = 1"),
+        ("argv15-degenerate for n = 1", "construct --code even-ext --n 1 --d 4",
+         "the interleaved construction is degenerate for n = 1"),
+        ("argv16-n and L must be positive", "bounds --bound dc-23 --n 0 --L 3 --t 2 --s 2",
+         "n and L must be positive"),
+        ("argv17-n and L must be positive", "bounds --bound dc-23 --n 3 --L 0 --t 2 --s 2",
+         "n and L must be positive"),
+        ("argv18-n and L must be positive", "bounds --bound dc-23 --n 0 --L 3 --t 2 --s 1",
+         "n and L must be positive"),
+        ("argv19-n and L must be non-negative",
+         "bounds --bound singleton --n -1 --L 3 --m-size 4", "n and L must be non-negative"),
+        ("argv20-M_s(L) must be positive",
+         "bounds --bound dc-1 --n 3 --L 3 --t 2 --s 1 --m-s -4", "M_s(L) must be positive"),
+        ("argv21-dimensions must be non-negative", "oracle --which ball --n -1 --L 2 --r 1",
+         "array dimensions must be non-negative"),
+        ("argv22-dimensions must be non-negative", "oracle --which ball --n 2 --L -1 --r 1",
+         "array dimensions must be non-negative"),
+        ("argv23-need L >= 0", "bounds --bound dc-1 --n 2 --L -1 --t 2 --s 1 --m-s 4",
+         "need L >= 0, got L = -1"),
+        ("argv24-n and L must be positive", "bounds --bound ted-upper --n -1 --L 9",
+         "n and L must be positive, got n = -1, L = 9"),
+        ("argv25-A(n,d) must be at least 1, got -5",
+         "bounds --bound column-split --n 3 --d 3 --a-nd -5", "A(n,d) must be at least 1, got -5"),
+        ("argv26-need n >= 0, got n = -3", "bounds --bound column-split --n -3 --d 3 --a-nd 2",
+         "need n >= 0, got n = -3"),
+        ("argv27-need s >= 0, got s = -1", "bounds --bound dc-1 --n 2 --L 3 --t 1 --s -1 --m-s 4",
+         "need s >= 0, got s = -1"),
+        ("argv28-got n = 5, t = -1", "bounds --table III --L 3 --t -1 --n-min 5 --n-max 5",
+         "Table III needs n >= 1 and t >= 1, got n = 5, t = -1"),
+        ("argv29-got n = 5, t = 0", "bounds --table III --L 3 --t 0 --n-min 5 --n-max 5",
+         "Table III needs n >= 1 and t >= 1, got n = 5, t = 0"),
+        ("argv30-got n = 3, t = 0", "bounds --table III --L 3 --t 0 --n-min 3 --n-max 3",
+         "Table III needs n >= 1 and t >= 1, got n = 3, t = 0"),
+        ("argv31-got n = 0, t = 2", "bounds --table III --L 3 --t 2 --n-min 0",
+         "Table III needs n >= 1 and t >= 1, got n = 0, t = 2"),
+        ("argv32-d must be at least 1, got d = 0", "bounds --bound sphere --n 3 --L 2 --d 0",
+         "d must be at least 1, got d = 0"),
+        ("argv33-float range (max 1.798e+308) for nL = 1600",
+         "bounds --bound ted-upper --n 40 --L 40",
+         "finite expression past the float range (max 1.798e+308) for nL = 1600; "
+         "defined for nL <= 1033"),
+        ("table I from n 20", "bounds --table I --n-min 20",
+         "--n-min 20 is above --n-max 16: the table has no rows"),
+        ("table II to n 8", "bounds --table II --n-min 9 --n-max 8 --format records",
+         "--n-min 9 is above --n-max 8: the table has no rows"),
+    ],
+    "test_roundtrip_work_cap_below_one_exits_2": [
+        *((f"mode{m}-{cap}", f"verify --roundtrip --code-file {{te}} --kind te --e 2 "
+           f"--messages 1 {mode} --max-work {cap}", f"--max-work must be at least 1, got {cap}")
+          for m, mode in enumerate(("", "--exhaustive")) for cap in (0, -1)),
+        *((file, f"verify --roundtrip --exhaustive --messages 1 --code-file {{{file}}} "
+           f"--kind {kind} --max-work 0", "--max-work must be at least 1, got 0")
+          for file, kind in (("te", "te --e 4"), ("ted", "ted --t 2 --s 1 --e 1"),
+                             ("dc", "del --t 2 --s 1"))),
+    ],
+    "test_roundtrip_of_no_messages_exits_2": [
+        ("0", "verify --roundtrip --code-file {hasse} --kind te --e 2 --messages 0",
+         "messages must be at least 1, got 0"),
+        ("-5", "verify --roundtrip --code-file {hasse} --kind te --e 2 --messages -5",
+         "messages must be at least 1, got -5"),
+        ("te e 4", "verify --roundtrip --messages 0 --code-file {te} --kind te --e 4",
+         "messages must be at least 1, got 0"),
+    ],
+    "test_verify_distance_below_one_exits_2": [
+        ("0", "verify --code-file {hasse} --d 0", "max_e must be at least 1, got 0"),
+        ("-4", "verify --code-file {hasse} --d -4", "max_e must be at least 1, got -4"),
+        ("te", "verify --code-file {te} --d 0", "max_e must be at least 1, got 0"),
+    ],
+    "test_verify_rejects_an_option_of_the_other_mode": [
+        (f"argv{i}-{line}", f"verify --code-file {{te}} {options}", line)
+        for i, (options, line) in enumerate((
+            ("--d 4 --max-work 1 --messages 0 --kind del --seed 3",
+             "verify without --roundtrip does not read --seed, --kind, --messages, --max-work"),
+            ("--roundtrip --kind te --e 1 --d 99", "verify --roundtrip --kind te does not read --d"),
+            # each round-trip option alone, at its round-trip default where it has one
+            *((f"--d 4 {option}", f"verify without --roundtrip does not read {option.split()[0]}")
+              for option in ("--kind te", "--e 1", "--t 1", "--s 1", "--seed 0", "--messages 20",
+                             "--exhaustive", "--max-work 5"))))],
+    "test_options_once_left_unread_exit_2": [
+        *((f"argv{i}-{line}", argv, line) for i, (argv, line) in enumerate((
+            ("construct --code dc --n 7 --L 5 --t 2 --e 1 --d 9 --out {out}",
+             "construct --code dc does not read --e, --d"),
+            ("construct --code claim-5 --n 9 --L 7 --out {out}",
+             "construct --code claim-5 does not read --L"),
+            ("construct --code even-ext --n 5 --d 6 --L 9 --out {out}",
+             "construct --code even-ext does not read --L unless --d 2"),
+            ("channel --kind te --e 1 --t 3 --s 2 --in {arr} --out {out}",
+             "channel --kind te does not read --t, --s"),
+            ("channel --kind te --e 2 --pattern 2,0,0,0,0,0,0 --seed 4 --in {arr} --out {out}",
+             "channel --kind te does not read --seed with --pattern"),
+            ("verify --roundtrip --kind te --e 1 --t 5 --s 3 --code-file {dir}/te.tepc",
+             "verify --roundtrip --kind te does not read --t, --s"),
+            ("bounds --bound v-te --n 3 --L 2 --r 2 --d 3 --t 4 --n-min 9 --format records "
+             "--out {out}", "bounds --bound v-te does not read --t, --d, --format, --n-min"),
+            ("oracle --which m-s --L 4 --s 1 --n 5 --d 2 --seed 7 --out {out}",
+             "oracle --which m-s does not read --n, --d, --seed")))),
+        ("dc e", "construct --code dc --n 7 --L 5 --t 2 --e 1",
+         "construct --code dc does not read --e"),
+        ("te t s", "channel --kind te --e 1 --t 3 --s 2 --in {tearr}",
+         "channel --kind te does not read --t, --s"),
+        ("te seed", "channel --kind te --e 4 --pattern 2,0,0,1,0,0,0,0,0,0,0,0,0,0,0,1 "
+         "--seed 4 --in {tearr}", "channel --kind te does not read --seed with --pattern"),
+        ("te roundtrip t", "verify --roundtrip --code-file {te} --kind te --e 1 --t 5",
+         "verify --roundtrip --kind te does not read --t"),
+    ],
+    "test_roundtrip_without_kind_exits_2": [
+        (case, argv, "--kind is required here") for case, argv in (
+            ("code0", "verify --code-file {dc} --roundtrip --t 1 --s 1 --e 1 --messages 1"),
+            ("code1", "verify --code-file {ted1} --roundtrip --t 1 --s 1 --e 1 --messages 1"),
+            ("ted", "verify --roundtrip --messages 1 --code-file {ted} --t 1 --s 1 --e 1"))],
+    # each channel that deletes nothing: an exhaustive and a random round trip
+    # of DC(7,5,2), and the channel at seeds 0 to 4 on a 7 x 5 array
+    "test_a_deletion_channel_that_deletes_nothing_exits_2": [
+        (f"kind{k}", f"{head} --kind {kind} {tail}", line)
+        for k, (kind, line) in enumerate((
+            ("del --t 2 --s 0", "the del channel needs --t and --s of at least 1"),
+            ("del --t 0 --s 1", "the del channel needs --t and --s of at least 1"),
+            ("ted --t 1 --s 0 --e 1",
+             "the ted channel needs --s of at least 1 when --t is at least 1")))
+        for head, tail in (("verify --roundtrip --code-file {dc}", "--messages 1 --exhaustive"),
+                           ("verify --roundtrip --code-file {dc}", "--messages 1"),
+                           *(("channel", f"--seed {seed} --in {{arr}}") for seed in range(5)))],
+    "test_roundtrip_with_the_other_channel_family_exits_2": [
+        (None, f"verify --code-file {{{file}}} --roundtrip --kind {kind} --exhaustive "
+         "--messages 1", f"a {code} codec cannot round-trip the {kind.split()[0]} channel; "
+         "TE codes take --kind te, DC and TED codes --kind del or ted")
+        for file, code, kind in (("dc", "dc", "te --e 2"), ("ham", "te", "del --t 1 --s 1"),
+                                 ("ham", "te", "ted --t 1 --s 1 --e 1"))],
+    "test_encode_of_a_message_of_the_wrong_length_exits_2": [
+        (None, "encode --code-file {dc} --in {msg28}", "codec expects 29 message bits, got 28"),
+    ],
+    "test_encode_rejects_message_text_other_than_bits": [
+        (f"{USAGE_TEXTS[name]}-{bad}", f"encode --code-file {{ted1}} --in {{{name}}}",
+         f"message text may hold only 0, 1 and whitespace, found {bad}")
+        for name, bad in (("hello", "'h'"), ("comma", "','"), ("x", "'x'"), ("two", "'2'"))],
+    "test_encode_and_channel_reject_a_question_mark": [
+        (None, "encode --code-file {ted1} --in {qmsg}",
+         "message text may hold only 0, 1 and whitespace, found '?'"),
+        (None, "channel --kind te --e 1 --in {qarr}",
+         "unexpected erasure marks in a plain bit array"),
+    ],
+    "test_channel_with_a_bad_pattern_exits_2": [
+        ("-invalid literal", "channel --kind te --e 2 --pattern '' --in {arr23}",
+         "invalid literal for int() with base 10: ''"),
+        ("1.5,0-invalid literal", "channel --kind te --e 2 --pattern 1.5,0 --in {arr23}",
+         "invalid literal for int() with base 10: '1.5'"),
+        ("1,0,0-pattern length does not match row count",
+         "channel --kind te --e 2 --pattern 1,0,0 --in {arr23}",
+         "pattern length does not match row count"),
+        ("2,1-instance exceeds the e budget", "channel --kind te --e 2 --pattern 2,1 --in {arr23}",
+         "instance exceeds the e budget"),
+        ("16 rows 1,0", "channel --kind te --e 2 --pattern 1,0 --in {tearr}",
+         "pattern length does not match row count"),
+        ("16 rows 2,1", "channel --kind te --e 2 --pattern 2,1" + ",0" * 14 + " --in {tearr}",
+         "instance exceeds the e budget"),
+        ("16 rows 1.5,0", "channel --kind te --e 2 --pattern 1.5,0" + ",0" * 14 + " --in {tearr}",
+         "invalid literal for int() with base 10: '1.5'"),
+        ("16 rows empty", "channel --kind te --e 2 --pattern '' --in {tearr}",
+         "invalid literal for int() with base 10: ''"),
+    ],
+    "test_decode_of_an_array_of_the_wrong_row_count_exits_2": [
+        (None, "decode --code-file {ted} --in {rows4}", "array shape mismatch"),
+        (None, "decode --code-file {ham} --in {rows6}", "array shape mismatch"),
+    ],
+    "test_decode_of_a_malformed_received_file_exits_2": [
+        (f"{code}-{USAGE_TEXTS[name]}-{fragment}", f"decode --code-file {{{file}}} --in {{{name}}}",
+         line)
+        for code, file in (("ted", "ted"), ("te", "hasse572"))
+        for name, fragment, line in (
+            ("q_inside", "may only end a row", "'?' may only end a row: '0?10110'"),
+            ("q_short", "must have length L=7", "a row ending in '?' must have length L=7: '0110??'"),
+            ("bad_char", "bad character", "bad character in array line: '0110210'"),
+            ("no_header", "row length", "ragged input needs the row length: a '# L=<int>' line"))],
+    "test_a_path_that_cannot_be_read_or_written_exits_2": [
+        (case, argv, "[Errno 21] Is a directory: '{dir}'") for case, argv in (
+            ("--in", "decode --in {dir} --code-file {dc541} --out {out}"),
+            ("--code-file", "decode --in {recv} --code-file {dir} --out {out}"),
+            ("--out", "decode --in {recv} --code-file {dc541} --out {dir}"),
+            ("--in of te", "decode --code-file {te} --in {dir}"))],
+    "test_decode_refuses_a_code_past_the_cell_cap": [
+        (kind, f"decode --code-file {{{kind}_cap}} --in {{cap_arr}}",
+         f"{kind} code in {{{kind}_cap}} has n * L = {cells} cells, more than the 16777216 "
+         "this tool accepts") for kind, cells in (("ted", 10**9), ("dc", 2 * 10**9))],
+    "test_construct_refuses_a_code_past_the_cell_cap": [
+        ("dc", "construct --code dc --n 4097 --L 4096 --t 1 --out {out}",
+         "dc code asked for has n * L = 16781312 cells, more than the 16777216 this tool accepts"),
+        ("ted", "construct --code ted --n 2 --L 1000000000 --t 0 --e 1 --out {out}",
+         "ted code asked for has n * L = 2000000000 cells, more than the 16777216 this tool "
+         "accepts"),
+    ],
+    "test_bad_codec_descriptor_exits_2": [
+        ('{"kind": "dc", "n": 7}-\'L\'', "encode --code-file '{n alone}'",
+         "dc descriptor needs an integer 'L', got None"),
+        ('{"kind": "ted", "n": 5, "L": 7, "t": "2", "e": 1}-\'t\'',
+         "encode --code-file '{str t of ted}'", "ted descriptor needs an integer 't', got '2'"),
+        ('{"kind": "dc", "n": 7, "L": 5, "t": true}-\'t\'', "encode --code-file '{bool t}'",
+         "dc descriptor needs an integer 't', got True"),
+        ('{"kind": "rs", "n": 7, "L": 5, "t": 2}-unknown codec kind',
+         "encode --code-file '{kind rs}'", "unknown codec kind 'rs'"),
+        ('{"kind": ["dc"], "n": 7, "L": 5, "t": 2}-unknown codec kind',
+         "encode --code-file '{kind list}'", "unknown codec kind ['dc']"),
+        ("[7, 5, 2]-JSON object", "encode --code-file '{JSON list}'",
+         "codec descriptor in {JSON list} must be a JSON object"),
+        ('"dc"-JSON object', "encode --code-file '{JSON string}'",
+         "codec descriptor in {JSON string} must be a JSON object"),
+        ('{"kind": "dc", "n": 7, "L": 5, -neither', "encode --code-file '{cut dc JSON}'",
+         "{cut dc JSON} is neither a parity-check blob nor a JSON codec descriptor"),
+    ],
+    "test_truncated_code_file_exits_2": [
+        (None, "verify --code-file '{cut construction-1}' --d 3",
+         "parity-check body has 11 bytes; n*L*ceil(r/8) = 14 expected"),
+    ],
+    "test_zero_size_code_header_exits_2": [
+        (None, "verify --code-file '{header only}' --d 3",
+         "parity-check header declares r=0, n=1000, L=1000; each must be at least 1"),
+    ],
+    "test_descriptor_without_outer_field_exits_2": [
+        (f"desc{i}", f"encode --code-file '{{no outer field {kind}}}'",
+         f"outer field GF(2^{m}) is not supported: h + e = {m} exceeds 31, the widest field")
+        for i, (kind, m) in enumerate((("dc", 41), ("ted", 32)))],
+}
+
+
+def _argv(line, files):
+    return [word.format(**files) for word in shlex.split(line)]
+
+
+@pytest.fixture(scope="module")
+def usage_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("usage")
+    files = {"dir": str(root), "out": str(root / "out.txt")}
+    for name, data in [*USAGE_TEXTS.items(), *((case, code) for case, code, _ in BAD_CODE_FILES)]:
+        files[name] = str(root / name)
+        Path(files[name]).write_bytes(data if isinstance(data, bytes) else data.encode())
+    for name, argv in USAGE_BUILT.items():
+        files[name] = str(root / name)
+        assert main([*_argv(argv, files), "--out", files[name]]) == 0
+    return files
+
+
+def _usage_error_test(rows):
+    """The test of `rows`: each case runs the rows of its id in-process, and
+    a test of no ids runs them all."""
+    ids = list(dict.fromkeys(case for case, _, _ in rows))
+
+    def test(usage_files, capsys, case):
+        for row_case, argv, line in rows:
+            if row_case == case:
+                assert run(capsys, *_argv(argv, usage_files)) == (
+                    2, "", f"usage error: {line.format(**usage_files)}\n"), argv
+                assert not Path(usage_files["out"]).exists(), argv
+
+    if ids == [None]:
+        return lambda usage_files, capsys: test(usage_files, capsys, None)
+    return pytest.mark.parametrize("case", ids)(test)
+
+
+globals().update((name, _usage_error_test(rows)) for name, rows in USAGE_ERRORS.items())
+
+
+def test_entry_point_exit_statuses(usage_files):
+    """`python -m arraycodes.cli` exits 0 on success, 1 on a distance check
+    that falls short, and 2 on a usage error and on an option argparse
+    rejects.  pytest's `pythonpath` setting does not reach a child process,
+    so PYTHONPATH names the directory that holds the package."""
+    env = {**os.environ, "PYTHONPATH": str(Path(arraycodes.__file__).parents[1])}
+
+    def cli(line):
+        done = subprocess.run([sys.executable, "-m", "arraycodes.cli", *_argv(line, usage_files)],
+                              env=env, capture_output=True, text=True, timeout=60)
+        return done.returncode, done.stdout, done.stderr
+
+    assert cli("oracle --which m-s --L 4 --s 1") == (0, "oracle=m-s L=4 s=1 value=4\n", "")
+    rc, out, _ = cli("verify --code-file {te} --d 7")
+    assert rc == 1 and out.startswith("minimum TE distance exactly 6 ")
+    _, argv, line = USAGE_ERRORS["test_brute_force_parameters_out_of_range_exit_2"][0]
+    assert cli(argv) == (2, "", f"usage error: {line}\n")
+    rc, out, err = cli("decode --code-file {dc} --e")
+    assert (rc, out) == (2, "") and "unrecognized arguments: --e" in err
 
 
 def test_usage_errors(capsys, tmp_path):
@@ -231,44 +510,6 @@ def test_roundtrip_options_only_on_verify(tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["encode", "--code-file", str(out), *flag])
         assert exc.value.code == 2
-
-
-def test_truncated_code_file_exits_2(tmp_path, capsys):
-    code_file = tmp_path / "ham.bin"
-    run(capsys, "construct", "--code", "construction-1", "--n", "7", "--d", "3",
-        "--out", str(code_file))
-    code_file.write_bytes(code_file.read_bytes()[:-3])
-    rc, _, err = run(capsys, "verify", "--code-file", str(code_file), "--d", "3")
-    assert rc == 2
-    assert err.startswith("usage error:") and err.count("\n") == 1
-
-
-def test_zero_size_code_header_exits_2(tmp_path, capsys):
-    # r = 0 with n = L = 1000: the header alone, no body.
-    code_file = tmp_path / "empty.bin"
-    code_file.write_bytes(struct.pack(">4sHIIIiH", b"TEPC", 1, 0, 1000, 1000, -1, 0))
-    rc, _, err = run(capsys, "verify", "--code-file", str(code_file), "--d", "3")
-    assert rc == 2
-    assert err.startswith("usage error:") and err.count("\n") == 1
-
-
-@pytest.mark.parametrize("text, fragment", [
-    ('{"kind": "dc", "n": 7}', "'L'"),                                   # missing key
-    ('{"kind": "ted", "n": 5, "L": 7, "t": "2", "e": 1}', "'t'"),        # mistyped key
-    ('{"kind": "dc", "n": 7, "L": 5, "t": true}', "'t'"),                # bool is no int
-    ('{"kind": "rs", "n": 7, "L": 5, "t": 2}', "unknown codec kind"),    # unknown kind
-    ('{"kind": ["dc"], "n": 7, "L": 5, "t": 2}', "unknown codec kind"),
-    ('[7, 5, 2]', "JSON object"),                                         # not an object
-    ('"dc"', "JSON object"),
-    ('{"kind": "dc", "n": 7, "L": 5, ', "neither"),                      # not JSON
-])
-def test_bad_codec_descriptor_exits_2(tmp_path, capsys, text, fragment):
-    codec_file = tmp_path / "codec.json"
-    codec_file.write_text(text)
-    rc, _, err = run(capsys, "encode", "--code-file", str(codec_file))
-    assert rc == 2
-    assert err.startswith("usage error:") and err.count("\n") == 1
-    assert fragment in err
 
 
 def test_ted_descriptor_loads(tmp_path, capsys):
@@ -301,57 +542,6 @@ def test_exhaustive_roundtrip_over_work_cap_exits_2(tmp_path, capsys):
     assert rc == 0 and "trials=7" in out
 
 
-@pytest.mark.parametrize("cap", ["0", "-1"])
-@pytest.mark.parametrize("mode", [(), ("--exhaustive",)])
-def test_roundtrip_work_cap_below_one_exits_2(tmp_path, capsys, cap, mode):
-    """--max-work 0 once ran 100 random instances and -1 passed with no
-    trials; both are usage errors in either mode."""
-    te_file = tmp_path / "h.tepc"
-    run(capsys, "construct", "--code", "hasse", "--n", "16", "--L", "4", "--e", "4",
-        "--out", str(te_file))
-    rc, out, err = run(capsys, "verify", "--roundtrip", "--code-file", str(te_file),
-                       "--kind", "te", "--e", "2", "--messages", "1", *mode,
-                       "--max-work", cap)
-    assert rc == 2 and out == ""
-    assert err.count("\n") == 1 and "--max-work must be at least 1" in err
-
-
-@pytest.mark.parametrize("messages", ["0", "-5"])
-def test_roundtrip_of_no_messages_exits_2(tmp_path, capsys, messages):
-    """A round trip of no messages once printed 'roundtrip ok ... trials=0'."""
-    te_file = tmp_path / "h.tepc"
-    run(capsys, "construct", "--code", "hasse", "--n", "5", "--L", "3", "--e", "3",
-        "--out", str(te_file))
-    rc, out, err = run(capsys, "verify", "--roundtrip", "--code-file", str(te_file),
-                       "--kind", "te", "--e", "2", "--messages", messages)
-    assert rc == 2 and out == ""
-    assert err.count("\n") == 1 and "messages must be at least 1" in err
-
-
-ROUNDTRIP_OPTIONS = (("--kind", "te"), ("--e", "1"), ("--t", "1"), ("--s", "1"),
-                     ("--seed", "0"), ("--messages", "20"), ("--exhaustive",),
-                     ("--max-work", "5"))
-
-
-@pytest.mark.parametrize("argv, error", [
-    # Both once printed their result and exited 0, the stray options unread.
-    (("--d", "4", "--max-work", "1", "--messages", "0", "--kind", "del", "--seed", "3"),
-     "verify without --roundtrip does not read --seed, --kind, --messages, --max-work"),
-    (("--roundtrip", "--kind", "te", "--e", "1", "--d", "99"),
-     "verify --roundtrip --kind te does not read --d"),
-    # Each round-trip option alone, at its round-trip default where it has one.
-    *[(("--d", "4", *option), f"verify without --roundtrip does not read {option[0]}")
-      for option in ROUNDTRIP_OPTIONS],
-])
-def test_verify_rejects_an_option_of_the_other_mode(tmp_path, capsys, argv, error):
-    te_file = tmp_path / "h.tepc"
-    run(capsys, "construct", "--code", "hasse", "--n", "16", "--L", "4", "--e", "4",
-        "--out", str(te_file))
-    rc, out, err = run(capsys, "verify", "--code-file", str(te_file), *argv)
-    assert rc == 2 and out == ""
-    assert err == f"usage error: {error}\n"
-
-
 def test_roundtrip_defaults_are_seed_0_and_20_messages(tmp_path, capsys):
     te_file = tmp_path / "h.tepc"
     run(capsys, "construct", "--code", "hasse", "--n", "5", "--L", "3", "--e", "3",
@@ -361,39 +551,6 @@ def test_roundtrip_defaults_are_seed_0_and_20_messages(tmp_path, capsys):
     rc, out, _ = run(capsys, *argv)
     assert rc == 0 and "seed=0 trials=60 failures=0" in out
     assert run(capsys, *argv, "--seed", "0", "--messages", "20") == (rc, out, "")
-
-
-@pytest.mark.parametrize("d", ["0", "-4"])
-def test_verify_distance_below_one_exits_2(tmp_path, capsys, d):
-    """--d -4 once printed 'minimum TE distance at least -3' and exited 0."""
-    te_file = tmp_path / "h.tepc"
-    run(capsys, "construct", "--code", "hasse", "--n", "5", "--L", "3", "--e", "3",
-        "--out", str(te_file))
-    rc, out, err = run(capsys, "verify", "--code-file", str(te_file), "--d", d)
-    assert rc == 2 and out == ""
-    assert err.count("\n") == 1 and "max_e must be at least 1" in err
-
-
-@pytest.mark.parametrize("kind", [("del", "--t", "2", "--s", "0"),
-                                  ("del", "--t", "0", "--s", "1"),
-                                  ("ted", "--t", "1", "--s", "0", "--e", "1")])
-def test_a_deletion_channel_that_deletes_nothing_exits_2(tmp_path, capsys, kind):
-    """--kind del with --t 2 --s 0 once passed an exhaustive round trip of
-    no trials, and its random draw raised on some seeds only."""
-    dc_file, arr_file = tmp_path / "dc.json", tmp_path / "arr.txt"
-    run(capsys, "construct", "--code", "dc", "--n", "7", "--L", "5", "--t", "2",
-        "--out", str(dc_file))
-    arr_file.write_text("# L=5\n" + "00000\n" * 7)
-    spec = ("--kind", *kind)
-    runs = [("verify", "--roundtrip", "--code-file", str(dc_file), *spec,
-             "--messages", "1", *mode) for mode in (("--exhaustive",), ())]
-    runs += [("channel", *spec, "--seed", str(seed), "--in", str(arr_file))
-             for seed in range(5)]
-    for argv in runs:
-        rc, out, err = run(capsys, *argv)
-        assert rc == 2 and out == "", argv
-        assert err.startswith("usage error:") and err.count("\n") == 1
-        assert "of at least 1" in err
 
 
 def test_a_ted_channel_of_no_deletion_rows_takes_no_deletion_count(tmp_path, capsys):
@@ -417,110 +574,6 @@ def test_verify_distance_builds_no_encoder(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(TeCodec, "__init__", built)
     rc, out, _ = run(capsys, "verify", "--code-file", str(code_file), "--d", "3")
     assert rc == 0 and "exactly 3" in out
-
-
-def test_encode_of_a_message_of_the_wrong_length_exits_2(tmp_path, capsys):
-    dc_file, msg_file = tmp_path / "dc.json", tmp_path / "msg.txt"
-    run(capsys, "construct", "--code", "dc", "--n", "7", "--L", "5", "--t", "2",
-        "--out", str(dc_file))
-    msg_file.write_text("0" * 28 + "\n")
-    rc, out, err = run(capsys, "encode", "--code-file", str(dc_file), "--in", str(msg_file))
-    assert rc == 2 and out == ""
-    assert err == "usage error: codec expects 29 message bits, got 28\n"
-
-
-def test_roundtrip_with_the_other_channel_family_exits_2(tmp_path, capsys):
-    """A DC/TED codec cannot take the te channel's erased arrays and a TE
-    codec cannot take ragged arrays: one usage line, exit 2, no trials."""
-    dc_file = tmp_path / "dc.json"
-    te_file = tmp_path / "ham.tepc"
-    run(capsys, "construct", "--code", "dc", "--n", "7", "--L", "5", "--t", "2",
-        "--out", str(dc_file))
-    run(capsys, "construct", "--code", "construction-1", "--n", "7", "--d", "3",
-        "--out", str(te_file))
-    cases = ((dc_file, ("--kind", "te", "--e", "2")),
-             (te_file, ("--kind", "del", "--t", "1", "--s", "1")),
-             (te_file, ("--kind", "ted", "--t", "1", "--s", "1", "--e", "1")))
-    for code_file, kind in cases:
-        rc, out, err = run(capsys, "verify", "--code-file", str(code_file),
-                           "--roundtrip", *kind, "--exhaustive", "--messages", "1")
-        assert rc == 2, (code_file.name, kind)
-        assert out == "" and err.count("\n") == 1 and "cannot round-trip" in err
-    rc, out, _ = run(capsys, "verify", "--code-file", str(te_file), "--roundtrip",
-                     "--kind", "te", "--e", "2", "--exhaustive", "--messages", "1")
-    assert rc == 0 and "failures=0" in out
-
-
-def test_decode_of_an_array_of_the_wrong_row_count_exits_2(tmp_path, capsys):
-    """The decoders raise InvalidInputError for a wrong shape; it is also a
-    ValueError, so the CLI reports a usage error (exit 2), not a
-    verification failure (exit 1)."""
-    ted_file = tmp_path / "ted.json"
-    te_file = tmp_path / "ham.tepc"
-    run(capsys, "construct", "--code", "ted", "--n", "5", "--L", "7", "--t", "2",
-        "--e", "1", "--out", str(ted_file))
-    run(capsys, "construct", "--code", "construction-1", "--n", "7", "--d", "3",
-        "--out", str(te_file))
-    for code_file, text in ((ted_file, "# L=7\n" + "0000000\n" * 4),
-                            (te_file, "# L=1\n" + "0\n" * 6)):
-        received = tmp_path / "recv.txt"
-        received.write_text(text)
-        rc, out, err = run(capsys, "decode", "--code-file", str(code_file),
-                           "--in", str(received))
-        assert rc == 2 and out == "", code_file.name
-        assert err.startswith("usage error:") and err.count("\n") == 1
-        assert "shape mismatch" in err
-
-
-@pytest.mark.parametrize("text, fragment", [
-    ("# L=7\n0?10110\n", "may only end a row"),
-    ("# L=7\n0110??\n", "must have length L=7"),
-    ("# L=7\n0110210\n", "bad character"),
-    ("0110101\n1110101\n", "row length"),
-])
-@pytest.mark.parametrize("code", [("ted", "--n", "5", "--L", "7", "--t", "2", "--e", "1"),
-                                  ("hasse", "--n", "5", "--L", "7", "--e", "2")],
-                         ids=["ted", "te"])
-def test_decode_of_a_malformed_received_file_exits_2(tmp_path, capsys, code, text,
-                                                     fragment):
-    """A '?' inside a row, a '?' tail on a short row, another character and
-    a missing '# L=' line each exit 2 with one line on stderr."""
-    code_file = tmp_path / "code.bin"
-    run(capsys, "construct", "--code", *code, "--out", str(code_file))
-    received = tmp_path / "recv.txt"
-    received.write_text(text)
-    rc, out, err = run(capsys, "decode", "--code-file", str(code_file),
-                       "--in", str(received))
-    assert rc == 2 and out == ""
-    assert err.startswith("usage error:") and err.count("\n") == 1
-    assert fragment in err
-
-
-def test_encode_and_channel_reject_a_question_mark(tmp_path, capsys):
-    code_file = tmp_path / "ted.json"
-    run(capsys, "construct", "--code", "ted", "--n", "5", "--L", "7", "--t", "1",
-        "--e", "1", "--out", str(code_file))
-    bad = tmp_path / "bad.txt"
-    for argv, text, fragment in (
-            (("encode", "--code-file", str(code_file)), "1?" * 12, "found '?'"),
-            (("channel", "--kind", "te", "--e", "1"), "# L=3\n101\n01?\n",
-             "unexpected erasure marks")):
-        bad.write_text(text)
-        rc, out, err = run(capsys, *argv, "--in", str(bad))
-        assert rc == 2 and out == "", argv[0]
-        assert err.startswith("usage error:") and err.count("\n") == 1
-        assert fragment in err
-
-
-@pytest.mark.parametrize("desc", [{"kind": "dc", "n": 31, "L": 2**40, "t": 8},
-                                  {"kind": "ted", "n": 4, "L": 2**29 + 100, "t": 1, "e": 2}])
-def test_descriptor_without_outer_field_exits_2(tmp_path, capsys, desc):
-    codec_file = tmp_path / "codec.json"
-    codec_file.write_text(json.dumps(desc))
-    rc, out, err = run(capsys, "encode", "--code-file", str(codec_file))
-    assert rc == 2 and out == ""
-    assert err.startswith("usage error:") and err.count("\n") == 1
-    assert "h + e" in err
 
 
 # --- per-subcommand options ---------------------------------------------------
@@ -647,37 +700,6 @@ def test_each_mode_rejects_an_option_it_does_not_read(tmp_path, capsys, command,
     assert not out.exists()
 
 
-@pytest.mark.parametrize("argv, error", [
-    (("construct", "--code", "dc", "--n", "7", "--L", "5", "--t", "2", "--e", "1", "--d", "9"),
-     "construct --code dc does not read --e, --d"),
-    (("construct", "--code", "claim-5", "--n", "9", "--L", "7"),
-     "construct --code claim-5 does not read --L"),
-    (("construct", "--code", "even-ext", "--n", "5", "--d", "6", "--L", "9"),
-     "construct --code even-ext does not read --L unless --d 2"),
-    (("channel", "--kind", "te", "--e", "1", "--t", "3", "--s", "2"),
-     "channel --kind te does not read --t, --s"),
-    (("channel", "--kind", "te", "--e", "2", "--pattern", "2,0,0,0,0,0,0", "--seed", "4"),
-     "channel --kind te does not read --seed with --pattern"),
-    (("verify", "--roundtrip", "--kind", "te", "--e", "1", "--t", "5", "--s", "3"),
-     "verify --roundtrip --kind te does not read --t, --s"),
-    (("bounds", "--bound", "v-te", "--n", "3", "--L", "2", "--r", "2", "--d", "3", "--t", "4",
-      "--n-min", "9", "--format", "records"),
-     "bounds --bound v-te does not read --t, --d, --format, --n-min"),
-    (("oracle", "--which", "m-s", "--L", "4", "--s", "1", "--n", "5", "--d", "2", "--seed", "7"),
-     "oracle --which m-s does not read --n, --d, --seed"),
-])
-def test_options_once_left_unread_exit_2(tmp_path, capsys, argv, error):
-    """Each line once exited 0 with the named options unread; the dc line
-    wrote a DC code where a TED code was asked for."""
-    out, arr = tmp_path / "out.txt", tmp_path / "arr.txt"
-    arr.write_text("# L=5\n" + "00000\n" * 7)
-    rc, stdout, err = run(capsys, *argv, *{
-        "verify": ("--code-file", str(tmp_path / "te.tepc")),
-        "channel": ("--in", str(arr), "--out", str(out))}.get(argv[0], ("--out", str(out))))
-    assert (rc, stdout, err) == (2, "", f"usage error: {error}\n")
-    assert not out.exists()
-
-
 ABBREVIATED = [(name, option[:-1]) for name, options in OPTIONS.items()
                for option in options.split()
                if len(option) > 3 and option[:-1] not in options.split()]
@@ -716,19 +738,6 @@ def test_abbreviations_on_real_files_exit_2(tmp_path, capsys):
         assert captured.out == "" and "unrecognized arguments" in captured.err
 
 
-@pytest.mark.parametrize("code", [("dc", "--n", "7", "--L", "5", "--t", "2"),
-                                  ("ted", "--n", "5", "--L", "7", "--t", "1", "--e", "1")])
-def test_roundtrip_without_kind_exits_2(tmp_path, capsys, code):
-    """A round trip names its channel: without --kind it is one usage line
-    naming --kind, whatever the codec."""
-    code_file = tmp_path / "codec.json"
-    run(capsys, "construct", "--code", *code, "--out", str(code_file))
-    rc, out, err = run(capsys, "verify", "--code-file", str(code_file), "--roundtrip",
-                       "--t", "1", "--s", "1", "--e", "1", "--messages", "1")
-    assert rc == 2 and out == ""
-    assert err == "usage error: --kind is required here\n"
-
-
 def test_verify_with_out_exits_2_and_writes_nothing(tmp_path, capsys):
     te_file = tmp_path / "te.tepc"
     run(capsys, "construct", "--code", "construction-1", "--n", "7", "--d", "3",
@@ -750,23 +759,6 @@ def test_bounds_takes_exactly_one_of_bound_and_table(capsys, extra):
 
 
 # --- message text --------------------------------------------------------------
-
-@pytest.mark.parametrize("text, bad", [("hello 1010101 world", "'h'"),
-                                       ("1010101,", "','"),
-                                       ("10101\n01x", "'x'"),
-                                       ("1 0 1 0 1 0 1 2", "'2'")])
-def test_encode_rejects_message_text_other_than_bits(tmp_path, capsys, text, bad):
-    codec_file = tmp_path / "ted.json"
-    run(capsys, "construct", "--code", "ted", "--n", "5", "--L", "7",
-        "--t", "1", "--e", "1", "--out", str(codec_file))
-    msg_file = tmp_path / "msg.txt"
-    msg_file.write_text(text)
-    rc, out, err = run(capsys, "encode", "--code-file", str(codec_file),
-                       "--in", str(msg_file))
-    assert rc == 2 and out == ""
-    assert err.startswith("usage error:") and err.count("\n") == 1
-    assert bad in err
-
 
 def test_emitted_message_encodes_again(tmp_path, capsys):
     """Bits split by any whitespace encode; decode --emit-message output
@@ -944,39 +936,6 @@ def test_bounds_table_iii_records(capsys):
         "applicable=n<=2^h+1,general"]
 
 
-@pytest.mark.parametrize("option", ["--in", "--code-file", "--out"])
-def test_a_path_that_cannot_be_read_or_written_exits_2(tmp_path, capsys, option):
-    """A directory named as a file is an OSError, as is a file that cannot
-    be read: a usage error (exit 2) with one stderr line, not a traceback
-    and the exit 1 of a verification failure."""
-    code = DcCode(5, 4, 1)
-    code_file = tmp_path / "dc.json"
-    code_file.write_text(json.dumps(code.descriptor()))
-    received = tmp_path / "recv.txt"
-    received.write_text(format_bit_array(code.encode([0] * code.message_bits)))
-    paths = {"--in": received, "--code-file": code_file, "--out": tmp_path / "out.txt"}
-    paths[option] = tmp_path
-    rc, out, err = run(capsys, "decode", *(str(v) for kv in paths.items() for v in kv))
-    assert rc == 2 and out == ""
-    assert err.startswith("usage error:") and err.count("\n") == 1
-
-
-@pytest.mark.parametrize("pattern, fragment", [
-    ("", "invalid literal"), ("1.5,0", "invalid literal"),
-    ("1,0,0", "pattern length does not match row count"),
-    ("2,1", "instance exceeds the e budget")])
-def test_channel_with_a_bad_pattern_exits_2(tmp_path, capsys, pattern, fragment):
-    """An explicit --pattern is applied even when it is empty; a random
-    instance is drawn only when the option is absent."""
-    array_file = tmp_path / "arr.txt"
-    array_file.write_text("# L=3\n101\n011\n")
-    rc, out, err = run(capsys, "channel", "--kind", "te", "--e", "2",
-                       "--pattern", pattern, "--in", str(array_file))
-    assert rc == 2 and out == ""
-    assert err.startswith("usage error:") and err.count("\n") == 1
-    assert fragment in err
-
-
 # --- malformed input files -----------------------------------------------------
 
 def _descriptor(base, **changes):
@@ -1024,6 +983,17 @@ BAD_CODE_FILES = [
     ("zero L blob", _tepc(L=0), "L=0"),
     ("short body", _tepc(cut=1), "body has 11 bytes"),
     ("non-UTF-8 provenance", _tepc(provenance=b"\xff\xfe"), "utf-8"),
+    ("n alone", _descriptor(_DC, L=None, t=None), "integer 'L'"),
+    ("str t of ted", _descriptor(_TED, t="2"), "integer 't'"),
+    ("bool t", _descriptor(_DC, t=True), "integer 't'"),
+    ("kind rs", _descriptor(_DC, kind="rs"), "unknown codec kind"),
+    ("kind list", _descriptor(_DC, kind=["dc"]), "unknown codec kind"),
+    ("JSON string", b'"dc"', "JSON object"),
+    ("cut dc JSON", b'{"kind": "dc", "n": 7, "L": 5, ', "neither"),
+    ("cut construction-1", construct_interleaved(7, 3).to_bytes()[:-3], "14 expected"),
+    ("header only", _tepc(r=0, n=1000, L=1000, provenance=b""), "r=0, n=1000, L=1000"),
+    ("no outer field dc", _descriptor(_DC, n=31, L=2**40, t=8), "h + e"),
+    ("no outer field ted", _descriptor(_TED, n=4, L=2**29 + 100, t=1, e=2), "h + e"),
 ]
 
 # (case, array file, a fragment of its message): neither decode nor channel
@@ -1059,36 +1029,6 @@ def test_malformed_input_file_exits_2_with_one_line(tmp_path, capsys, command, c
     assert rc == 2 and out == ""
     assert err.startswith("usage error:") and err.count("\n") == 1
     assert fragment in err
-
-
-@pytest.mark.parametrize("desc", [{"kind": "ted", "n": 1, "L": 10**9, "t": 0, "e": 0},
-                                  {"kind": "dc", "n": 2, "L": 10**9, "t": 1}],
-                         ids=["ted", "dc"])
-def test_decode_refuses_a_code_past_the_cell_cap(tmp_path, capsys, desc):
-    """A valid descriptor of 10^9-position rows is a usage error at load,
-    before any array of that size is read or drawn."""
-    code_file, in_file = tmp_path / "code.json", tmp_path / "in.txt"
-    code_file.write_text(json.dumps(desc))
-    in_file.write_text(f"# L={10**9}\n1\n")
-    rc, out, err = run(capsys, "decode", "--code-file", str(code_file),
-                       "--in", str(in_file))
-    assert rc == 2 and out == ""
-    assert err.startswith("usage error:") and err.count("\n") == 1
-    assert f"more than the {MAX_CELLS}" in err
-
-
-@pytest.mark.parametrize("argv", [["--code", "dc", "--n", "4097", "--L", "4096", "--t", "1"],
-                                  ["--code", "ted", "--n", "2", "--L", str(10**9),
-                                   "--t", "0", "--e", "1"]],
-                         ids=["dc", "ted"])
-def test_construct_refuses_a_code_past_the_cell_cap(tmp_path, capsys, argv):
-    """`construct` refuses what `decode` would refuse to load, and writes
-    no file."""
-    code_file = tmp_path / "code.json"
-    rc, out, err = run(capsys, "construct", *argv, "--out", str(code_file))
-    assert rc == 2 and out == "" and not code_file.exists()
-    assert err.startswith("usage error:") and err.count("\n") == 1
-    assert f"more than the {MAX_CELLS}" in err
 
 
 def test_code_files_up_to_the_cell_cap_load(tmp_path):
