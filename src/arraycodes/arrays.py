@@ -91,7 +91,7 @@ def _check_bit_array(x, n: int, L: int) -> None:
     if not isinstance(x, BitArray):
         raise TypeError(f"expected a BitArray, got {type(x).__name__}")
     if (x.n, x.L) != (n, L):
-        raise ValueError("array shape mismatch")
+        raise ValueError(f"expected a BitArray of shape {n} x {L}, got {x.n} x {x.L}")
 
 
 def _check_received(received, name: str, n: int, L: int) -> None:
@@ -101,7 +101,8 @@ def _check_received(received, name: str, n: int, L: int) -> None:
     if not isinstance(received, RaggedArray):
         raise InvalidInputError(f"{name} decodes a RaggedArray, got {type(received).__name__}")
     if received.n != n or received.L != L:
-        raise InvalidInputError("array shape mismatch")
+        raise InvalidInputError(f"{name} decodes {n} x {L} arrays, "
+                                f"got {received.n} x {received.L}")
 
 
 @dataclass(frozen=True)
@@ -455,7 +456,11 @@ def _data_lines(text: str) -> Tuple[List[str], Optional[int]]:
         if line.startswith("#"):
             body = line[1:].strip()
             if body.startswith("L="):
-                declared_L = int(body[2:])
+                try:
+                    declared_L = int(body[2:])
+                except ValueError:
+                    raise ValueError(f"'# L=' takes the row length as an int, "
+                                     f"got {line!r}") from None
                 if declared_L < 0:
                     raise ValueError(f"negative row length in {line!r}")
             continue

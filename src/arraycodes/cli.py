@@ -70,6 +70,8 @@ def _channel_spec(args) -> ChannelSpec:
 
 
 def _verify_distance(args) -> int:
+    if args.d < 1:
+        raise UsageError(f"--d must be at least 1, got {args.d}")
     # The distance check reads the parity check alone: no encoder tables.
     H = _load_code(args.code_file)
     if not isinstance(H, TeParityCheck):
@@ -328,7 +330,11 @@ def cmd_channel(args, spec_of) -> int:
     x = parse_bit_array(text)
     spec = spec_of(args)
     if args.pattern is not None:
-        instance = tuple(int(v) for v in args.pattern.split(","))
+        try:
+            instance = tuple(int(v) for v in args.pattern.split(","))
+        except ValueError:
+            raise UsageError(f"--pattern takes comma-separated erasure counts, "
+                             f"got {args.pattern!r}") from None
     else:
         instance = random_instance(spec, x.n, x.L, random.Random(args.seed or 0))
     out = apply_channel(x, spec, instance)

@@ -17,9 +17,18 @@ from the message to the decoded array.  A row of at most 8 positions is a
 byte, so the symbols of a whole array of such rows are one `translate`
 through a 256-byte table of the code.
 
+Encoding such rows reads byte tables too.  `_byte_parity` holds, for each
+systematic row, its outer parity row at every row value, so the parity is
+one XOR over the systematic rows and no symbol is computed; each parity
+row is then one read of `vt._encode_table(L)` at its data, tail and VT
+residue, and `message_of` takes the parity rows' data back with one
+`translate` through `vt._DATA8`.  Longer rows go through their symbols,
+`ReedSolomon._parity`, `vt_encode_int` and `vt_data_int`, row by row.
+
 Every symbol is below 2^(h+e) by construction, so the codec calls the outer
 code's private kernels, `ReedSolomon._parity` and
-`ReedSolomon._fill_erasures`, which trust their caller on that range.
+`ReedSolomon._fill_erasures`, and reads its parity rows `_tables.par` at
+symbols, all of which trust their caller on that range.
 
 Decoding checks its own output: the outer fill returns the syndrome of the
 intact rows' symbols, and since syndromes are linear, that syndrome XOR the
@@ -35,9 +44,10 @@ h + e <= 8; wider symbols are re-checked together by
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import compress
-from typing import List, Optional, Sequence
+from operator import getitem, xor
+from typing import List, Optional, Sequence, Tuple
 
 from .arrays import (BitArray, RaggedArray, _bit_array, _check_bit_array, _check_received,
                      _int_to_row, _row_to_int)
@@ -45,8 +55,8 @@ from .errors import (CapacityExceededError, ChannelContractError,
                      CorruptInputError, NotACodewordError)
 from .field import PRIMITIVE_POLYS, field_make
 from .rs import ReedSolomon
-from .vt import (_BYTE_SUM, _LOW_BITS, position_residues, position_sum, vt_data_int,
-                 vt_encode_int, vt_insert, vt_modulus_exponent)
+from .vt import (_BYTE_SUM, _DATA8, _LOW_BITS, _encode_table, position_residues, position_sum,
+                 vt_data_int, vt_encode_int, vt_insert, vt_modulus_exponent)
 
 # The largest extension degree m that `field_make` builds GF(2^m) for.
 _WIDEST_FIELD = max(PRIMITIVE_POLYS)
@@ -135,6 +145,20 @@ class TedCode:
         return (int.from_bytes(residues, "little")
                 | int.from_bytes(tails, "little")).to_bytes(256, "little")
 
+    @cached_property
+    def _byte_parity(self) -> Optional[Tuple[Tuple[int, ...], ...]]:
+        """Entry [i][v]: the outer parity row of systematic row i read at
+        theta of the row int v, v < 2^L, for rows of at most 8 positions
+        (None for longer rows).  Such a code has h + e <= 6, one chunk per
+        symbol, so `par` holds one row per systematic row, and the table
+        holds references to its ints: at most 56 x 128 of them, for
+        TED(63,7,e=3)."""
+        theta = self._byte_theta
+        if theta is None:
+            return None
+        values = theta[:1 << self.L]
+        return tuple(tuple(map(row.__getitem__, values)) for row in self.outer._tables.par)
+
     def _symbols(self, rows: Sequence[int]) -> List[int]:
         """theta of each full-length row int, a new list: one `translate`
         through `_byte_theta` up to 8 positions, and beyond, the VT residues
@@ -162,16 +186,29 @@ class TedCode:
         m = _row_to_int(message)
         full = (1 << L) - 1
         rows = [(m >> (i * L)) & full for i in range(k)]
-        parity = self.outer._parity(self._symbols(rows))
+        outer = self.outer
+        table = self._byte_parity
+        if table is not None:
+            # one parity row per systematic row, read at the row's value
+            parity = outer._unpack(reduce(xor, map(getitem, table, rows), 0))
+            codewords = _encode_table(L)
+        else:
+            parity = outer._parity(self._symbols(rows))
+            codewords = None
         rest = m >> (k * L)
         per_row = L - e - h
+        dmask, hmask = (1 << per_row) - 1, (1 << h) - 1
         for i, symbol in enumerate(parity):
-            data = (rest >> (i * per_row)) & ((1 << per_row) - 1)
+            data = (rest >> (i * per_row)) & dmask
             tail = symbol >> h
             # The feasibility precondition keeps the last e positions out of
             # the power positions, so appending the tail to the data lands
             # the tail bits exactly at positions L-e+1 .. L.
-            row = vt_encode_int(data | tail << per_row, symbol & ((1 << h) - 1), L)
+            data |= tail << per_row
+            if codewords is not None:
+                row = codewords[data << h | symbol & hmask]
+            else:
+                row = vt_encode_int(data, symbol & hmask, L)
             if row >> (L - e) != tail:
                 raise AssertionError("tail placement violated; encoder bug")
             rows.append(row)
@@ -185,8 +222,12 @@ class TedCode:
         # Horner from the top: the parity rows' data, last row first, then
         # the k systematic rows below them.
         m = 0
-        for row in reversed(x.rows[k:]):
-            m = m << per_row | vt_data_int(row, L) & mask
+        if L <= 8:
+            for d in reversed(bytes(x.rows[k:]).translate(_DATA8)):
+                m = m << per_row | d & mask
+        else:
+            for row in reversed(x.rows[k:]):
+                m = m << per_row | vt_data_int(row, L) & mask
         for row in reversed(x.rows[:k]):
             m = m << L | row
         return _int_to_row(m, k * L + self.R * per_row)

@@ -37,7 +37,11 @@ The systematic encoder's data bits sit on the non-power positions.  The
 all 16-bit values, and scattered by one read of its inverse `_SCATTER11`;
 positions 17..31 hold data only, so rows of at most 31 positions move the
 rest with one shift, and only longer rows walk the runs of data positions
-past position 16.  Every table depends on bit positions alone.
+past position 16.  Every table depends on bit positions alone.  Rows of
+at most 8 positions are bytes, so `_encode_table(L)`, built once per L from
+`vt_encode_int`, holds every codeword of such a row at its data and
+residue, and `_DATA8` the data bits of every byte value, for
+`TedCode.encode` and `TedCode.message_of`.
 
 `vt_decode` and `vt_codewords` are the list forms left, for callers that
 hold rows as bit lists.
@@ -204,6 +208,9 @@ def _select8() -> bytes:
 _DATA16 = _gather16()
 _SCATTER11 = _scatter11()
 _SELECT8 = _select8()
+# `vt_data_int` of every row of at most 8 positions, whatever its L: the
+# first 256 entries of `_DATA16`, one byte each, for `bytes.translate`.
+_DATA8 = bytes(_DATA16[:256].tolist())
 
 
 @lru_cache(maxsize=None)
@@ -299,6 +306,16 @@ def vt_encode_int(data: int, a: int, L: int) -> int:
     for i in range(8, h):
         x |= (deficiency >> i & 1) << ((1 << i) - 1)
     return x
+
+
+@lru_cache(maxsize=None)
+def _encode_table(L: int) -> bytes:
+    """Entry d << h | a: `vt_encode_int(d, a, L)`, for rows of at most 8
+    positions, whose codewords are bytes; 2^L entries, d < 2^(L-h) and
+    a < 2^h.  `TedCode.encode` reads each parity row from it."""
+    h = L.bit_length()
+    low = (1 << h) - 1
+    return bytes(vt_encode_int(v >> h, v & low, L) for v in range(1 << L))
 
 
 def vt_data_int(x: int, L: int) -> int:

@@ -266,9 +266,9 @@ USAGE_ERRORS = {
          "messages must be at least 1, got 0"),
     ],
     "test_verify_distance_below_one_exits_2": [
-        ("0", "verify --code-file {hasse} --d 0", "max_e must be at least 1, got 0"),
-        ("-4", "verify --code-file {hasse} --d -4", "max_e must be at least 1, got -4"),
-        ("te", "verify --code-file {te} --d 0", "max_e must be at least 1, got 0"),
+        ("0", "verify --code-file {hasse} --d 0", "--d must be at least 1, got 0"),
+        ("-4", "verify --code-file {hasse} --d -4", "--d must be at least 1, got -4"),
+        ("te", "verify --code-file {te} --d 0", "--d must be at least 1, got 0"),
     ],
     "test_verify_rejects_an_option_of_the_other_mode": [
         (f"argv{i}-{line}", f"verify --code-file {{te}} {options}", line)
@@ -344,10 +344,10 @@ USAGE_ERRORS = {
          "unexpected erasure marks in a plain bit array"),
     ],
     "test_channel_with_a_bad_pattern_exits_2": [
-        ("-invalid literal", "channel --kind te --e 2 --pattern '' --in {arr23}",
-         "invalid literal for int() with base 10: ''"),
-        ("1.5,0-invalid literal", "channel --kind te --e 2 --pattern 1.5,0 --in {arr23}",
-         "invalid literal for int() with base 10: '1.5'"),
+        ("-not erasure counts", "channel --kind te --e 2 --pattern '' --in {arr23}",
+         "--pattern takes comma-separated erasure counts, got ''"),
+        ("1.5,0-not erasure counts", "channel --kind te --e 2 --pattern 1.5,0 --in {arr23}",
+         "--pattern takes comma-separated erasure counts, got '1.5,0'"),
         ("1,0,0-pattern length does not match row count",
          "channel --kind te --e 2 --pattern 1,0,0 --in {arr23}",
          "pattern length does not match row count"),
@@ -358,13 +358,14 @@ USAGE_ERRORS = {
         ("16 rows 2,1", "channel --kind te --e 2 --pattern 2,1" + ",0" * 14 + " --in {tearr}",
          "instance exceeds the e budget"),
         ("16 rows 1.5,0", "channel --kind te --e 2 --pattern 1.5,0" + ",0" * 14 + " --in {tearr}",
-         "invalid literal for int() with base 10: '1.5'"),
+         "--pattern takes comma-separated erasure counts, got '1.5,0" + ",0" * 14 + "'"),
         ("16 rows empty", "channel --kind te --e 2 --pattern '' --in {tearr}",
-         "invalid literal for int() with base 10: ''"),
+         "--pattern takes comma-separated erasure counts, got ''"),
     ],
     "test_decode_of_an_array_of_the_wrong_row_count_exits_2": [
-        (None, "decode --code-file {ted} --in {rows4}", "array shape mismatch"),
-        (None, "decode --code-file {ham} --in {rows6}", "array shape mismatch"),
+        (None, "decode --code-file {ted} --in {rows4}", "TedCode decodes 5 x 7 arrays, got 4 x 7"),
+        (None, "decode --code-file {ham} --in {rows6}",
+         "te_decode decodes 7 x 2 arrays, got 6 x 1"),
     ],
     "test_decode_of_a_malformed_received_file_exits_2": [
         (f"{code}-{USAGE_TEXTS[name]}-{fragment}", f"decode --code-file {{{file}}} --in {{{name}}}",
@@ -999,9 +1000,9 @@ BAD_CODE_FILES = [
 # (case, array file, a fragment of its message): neither decode nor channel
 # may read these.
 BAD_ARRAY_FILES = [
-    ("word L", "# L=x\n10\n", "invalid literal"),
-    ("float L", "# L=3.5\n101\n", "invalid literal"),
-    ("empty L", "# L=\n101\n", "invalid literal"),
+    ("word L", "# L=x\n10\n", "'# L=' takes the row length as an int, got '# L=x'"),
+    ("float L", "# L=3.5\n101\n", "'# L=' takes the row length as an int, got '# L=3.5'"),
+    ("empty L", "# L=\n101\n", "'# L=' takes the row length as an int, got '# L='"),
 ]
 
 MALFORMED = (

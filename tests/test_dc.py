@@ -186,7 +186,8 @@ def test_dc_descriptor_format_unchanged():
 def test_message_of_rejects_other_shapes():
     code = DcCode(7, 5, 2)
     for x in (BitArray(3, 5, (1, 2, 3)), BitArray(7, 4, (1,) * 7)):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=f"expected a BitArray of shape 7 x 5, "
+                                             f"got {x.n} x {x.L}$"):
             code.message_of(x)
 
 

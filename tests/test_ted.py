@@ -14,7 +14,7 @@ from arraycodes.errors import (ArrayCodeError, CapacityExceededError,
 from arraycodes import ted as ted_module
 from arraycodes.rs import ReedSolomon
 from arraycodes.ted import TedCode, theta_symbol
-from arraycodes.vt import position_residues, vt_decode_int, vt_insert
+from arraycodes.vt import position_residues, vt_decode_int, vt_encode_int, vt_insert
 from conftest import ragged, unbudgeted
 from test_fuzz import _damage, _ragged
 from test_rs import _oracle_decode
@@ -247,16 +247,60 @@ def test_message_of_and_membership_reject_other_types(code):
                 method(other)
 
 
-# --- row-by-row reference decoder -----------------------------------------------
+# --- row-by-row reference codec -------------------------------------------------
 #
-# The decoder body before the whole-array passes, one row at a time, with the
-# symbol computed from the plain weighted sum; the reference for
+# The encoder and decoder bodies before the byte tables and the whole-array
+# passes, one row at a time, with the symbol computed from the plain weighted
+# sum; the references for `test_encode_matches_row_by_row_oracle` and
 # `test_decode_matches_row_by_row_oracle`.
 
 def oracle_symbol(code, row):
     L, e, h = code.L, code.e, code.h
     s = sum(j for j in range(1, L + 1) if row >> (j - 1) & 1)
     return s & ((1 << h) - 1) | (row >> (L - e)) << h
+
+
+def oracle_encode(code, message):
+    n, L, R, h, e = code.n, code.L, code.R, code.h, code.e
+    k = n - R
+    m = sum(bit << j for j, bit in enumerate(message))
+    rows = [(m >> (i * L)) & ((1 << L) - 1) for i in range(k)]
+    parity = code.outer._parity([oracle_symbol(code, row) for row in rows])
+    rest = m >> (k * L)
+    per_row = L - e - h
+    for i, symbol in enumerate(parity):
+        data = (rest >> (i * per_row)) & ((1 << per_row) - 1)
+        tail = symbol >> h
+        row = vt_encode_int(data | tail << per_row, symbol & ((1 << h) - 1), L)
+        assert row >> (L - e) == tail
+        rows.append(row)
+    return BitArray(n, L, tuple(rows))
+
+
+# The codes of rows of at most 8 positions that encode through the byte
+# tables: the benchmark's TED(5,7), the top of the VT table at L = 8, the
+# widest outer field of such rows (h + e = 6), and for each L from 1 to 8
+# one shape at the largest e it admits (L = 1 admits only TedCode(1,1,0,0),
+# which has no parity rows); TED(9,11) is a row past the tables.
+ENCODE_ORACLE_CODES = [DcCode(7, 5, 2), TedCode(5, 7, 2, 1), TedCode(9, 6, 2, 2),
+                       DcCode(15, 8, 3), TedCode(63, 7, 4, 3),
+                       TedCode(1, 1, 0, 0), TedCode(3, 2, 1, 0), TedCode(7, 3, 2, 1),
+                       TedCode(7, 4, 3, 0), TedCode(9, 5, 4, 1), TedCode(9, 6, 3, 2),
+                       TedCode(9, 7, 2, 3), TedCode(9, 8, 4, 0), TedCode(9, 11, 2, 2)]
+
+
+@pytest.mark.parametrize("code", ENCODE_ORACLE_CODES,
+                         ids=lambda c: f"{c.n}x{c.L}-t{c.t}-e{c.e}")
+def test_encode_matches_row_by_row_oracle(code):
+    """The same array as the reference encoder on 200 seeded messages, and
+    `message_of` gives each message back."""
+    assert (code._byte_parity is None) == (code.L > 8)
+    rng = random.Random(repr(code))
+    for _ in range(200):
+        message = [rng.randrange(2) for _ in range(code.message_bits)]
+        x = code.encode(message)
+        assert x == oracle_encode(code, message)
+        assert code.message_of(x) == message
 
 
 def oracle_decode(code, received):
