@@ -479,8 +479,10 @@ def parse_bit_array(text: str) -> BitArray:
     if any("?" in line for line in lines):
         raise ValueError("unexpected erasure marks in a plain bit array")
     L = declared if declared is not None else (len(lines[0]) if lines else 0)
-    if any(len(line) != L for line in lines):
-        raise ValueError("all rows must have the same length, the declared one if any")
+    for i, line in enumerate(lines, 1):
+        if len(line) != L:
+            raise ValueError(f"row {i} has {len(line)} positions, "
+                             f"{'more' if len(line) > L else 'fewer'} than L={L}")
     return BitArray(len(lines), L, tuple(map(_text_row, lines)))
 
 
@@ -492,10 +494,12 @@ def parse_ragged(text: str) -> RaggedArray:
     if L is None:
         raise ValueError("ragged input needs the row length: a '# L=<int>' line")
     known = [line.rstrip("?") for line in lines]
-    for line, kept in zip(lines, known):
+    for i, (line, kept) in enumerate(zip(lines, known), 1):
         if "?" in kept:
             raise ValueError(f"'?' may only end a row: {line!r}")
         if len(kept) < len(line) != L:
             raise ValueError(f"a row ending in '?' must have length L={L}: {line!r}")
+        if len(line) > L:
+            raise ValueError(f"row {i} has {len(line)} positions, more than L={L}")
     return RaggedArray(len(lines), L, tuple(map(_text_row, known)),
                        tuple(L - len(kept) for kept in known))

@@ -21,9 +21,9 @@ Encoding such rows reads byte tables too.  `_byte_parity` holds, for each
 systematic row, its outer parity row at every row value, so the parity is
 one XOR over the systematic rows and no symbol is computed; each parity
 row is then one read of `vt._encode_table(L)` at its data, tail and VT
-residue, and `message_of` takes the parity rows' data back with one
-`translate` through `vt._DATA8`.  Longer rows go through their symbols,
-`ReedSolomon._parity`, `vt_encode_int` and `vt_data_int`, row by row.
+residue.  Longer rows go through their symbols, `ReedSolomon._parity` and
+`vt_encode_int`, row by row; `message_of` takes every parity row's data
+back with `vt_data_int`.
 
 Every symbol is below 2^(h+e) by construction, so the codec calls the outer
 code's private kernels, `ReedSolomon._parity` and
@@ -55,7 +55,7 @@ from .errors import (CapacityExceededError, ChannelContractError,
                      CorruptInputError, NotACodewordError)
 from .field import PRIMITIVE_POLYS, field_make
 from .rs import ReedSolomon
-from .vt import (_BYTE_SUM, _DATA8, _LOW_BITS, _encode_table, position_residues, position_sum,
+from .vt import (_BYTE_SUM, _LOW_BITS, _encode_table, position_residues, position_sum,
                  vt_data_int, vt_encode_int, vt_insert, vt_modulus_exponent)
 
 # The largest extension degree m that `field_make` builds GF(2^m) for.
@@ -222,12 +222,8 @@ class TedCode:
         # Horner from the top: the parity rows' data, last row first, then
         # the k systematic rows below them.
         m = 0
-        if L <= 8:
-            for d in reversed(bytes(x.rows[k:]).translate(_DATA8)):
-                m = m << per_row | d & mask
-        else:
-            for row in reversed(x.rows[k:]):
-                m = m << per_row | vt_data_int(row, L) & mask
+        for row in reversed(x.rows[k:]):
+            m = m << per_row | vt_data_int(row, L) & mask
         for row in reversed(x.rows[:k]):
             m = m << L | row
         return _int_to_row(m, k * L + self.R * per_row)

@@ -40,8 +40,7 @@ rest with one shift, and only longer rows walk the runs of data positions
 past position 16.  Every table depends on bit positions alone.  Rows of
 at most 8 positions are bytes, so `_encode_table(L)`, built once per L from
 `vt_encode_int`, holds every codeword of such a row at its data and
-residue, and `_DATA8` the data bits of every byte value, for
-`TedCode.encode` and `TedCode.message_of`.
+residue, for `TedCode.encode`.
 
 `vt_decode` and `vt_codewords` are the list forms left, for callers that
 hold rows as bit lists.
@@ -208,9 +207,6 @@ def _select8() -> bytes:
 _DATA16 = _gather16()
 _SCATTER11 = _scatter11()
 _SELECT8 = _select8()
-# `vt_data_int` of every row of at most 8 positions, whatever its L: the
-# first 256 entries of `_DATA16`, one byte each, for `bytes.translate`.
-_DATA8 = bytes(_DATA16[:256].tolist())
 
 
 @lru_cache(maxsize=None)

@@ -305,7 +305,7 @@ def test_bit_array_length_directive_is_optional_and_binding():
     assert parse_bit_array("\n101\n011\n") == x
     assert parse_bit_array("") == BitArray(0, 0, ())
     assert parse_bit_array("# L=3\n101\n011\n") == x
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^row 1 has 3 positions, fewer than L=4$"):
         parse_bit_array("# L=4\n101\n011\n")
     for parse in (parse_bit_array, parse_ragged):
         with pytest.raises(ValueError):
@@ -319,7 +319,7 @@ def test_parse_rejects_bad_input():
         parse_ragged("# L=3\n1?1\n")   # erasures must be a suffix
     with pytest.raises(ValueError, match="must have length L=3"):
         parse_ragged("# L=3\n1?\n")    # a '?' tail marks a full-length row
-    with pytest.raises(ValueError, match="row length out of range"):
+    with pytest.raises(ValueError, match="^row 1 has 4 positions, more than L=3$"):
         parse_ragged("# L=3\n1011\n")
     with pytest.raises(ValueError):
         parse_bit_array("12\n")

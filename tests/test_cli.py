@@ -136,6 +136,126 @@ def test_oracle(capsys):
     assert rc == 0 and out == "oracle=a-n-d n=3 d=5 value=1\n"
 
 
+# --- round trips through the CLI ----------------------------------------------
+
+# Each round trip the CLI must pass: its id, the options of the `construct`
+# line that builds the code, those of the `verify --roundtrip` line run on
+# it, and the trials that line reports, every one decoded.
+CLI_ROUNDTRIPS = [
+    # exhaustive, one code per channel family
+    ("te hasse 16 4 4", "--code hasse --n 16 --L 4 --e 4",
+     "--kind te --e 4 --exhaustive --messages 1", 4845),
+    ("ted 5 7 2 1", "--code ted --n 5 --L 7 --t 2 --e 1",
+     "--kind ted --t 2 --s 1 --e 1 --exhaustive --messages 1", 3011),
+    ("dc 7 5 2", "--code dc --n 7 --L 5 --t 2", "--kind del --t 2 --s 1 --exhaustive --messages 1",
+     560),
+    # the base codes, each under every pattern of one erasure fewer than its
+    # distance (`BASE_CODE_DISTANCES`)
+    ("construction-1 n5 d5", "--code construction-1 --n 5 --d 5",
+     "--kind te --e 4 --exhaustive --messages 2", 252),
+    ("even-ext n5 d6", "--code even-ext --n 5 --d 6", "--kind te --e 5 --exhaustive --messages 2",
+     504),
+    ("claim-5 n9", "--code claim-5 --n 9", "--kind te --e 4 --exhaustive --messages 2", 1430),
+    ("construction-1 n5 d7", "--code construction-1 --n 5 --d 7",
+     "--kind te --e 6 --exhaustive --messages 2", 924),
+    # 31 x 31 arrays; the TED code runs the tail path (rows missing more than
+    # one bit) over GF(2^7)
+    ("dc 31 31 8", "--code dc --n 31 --L 31 --t 8", "--kind del --t 8 --s 1 --messages 3 "
+     "--max-work 300", 900),
+    ("ted 31 31 4 2", "--code ted --n 31 --L 31 --t 4 --e 2",
+     "--kind ted --t 4 --s 1 --e 2 --messages 3 --max-work 300", 900),
+    # long rows: VT sums by masked popcounts (rows past 31 positions), outer
+    # codes by chunked table lookups; TED over GF(2^12)
+    ("ted 7 1023 2 2", "--code ted --n 7 --L 1023 --t 2 --e 2",
+     "--kind ted --t 2 --s 1 --e 2 --messages 2 --max-work 50", 100),
+    ("dc 9 300 3", "--code dc --n 9 --L 300 --t 3", "--kind del --t 3 --s 1 --messages 2 "
+     "--max-work 50", 100),
+    # rows of h = 4: VT residues by word multiplies reduced mod 16
+    ("dc 15 12 4", "--code dc --n 15 --L 12 --t 4", "--kind del --t 4 --s 1 --messages 3 "
+     "--max-work 300", 900),
+    ("ted 15 12 2 2", "--code ted --n 15 --L 12 --t 2 --e 2",
+     "--kind ted --t 2 --s 1 --e 2 --messages 3 --max-work 300", 900),
+    # L = 16 tops the 16-bit table that gathers and scatters a row's data
+    # bits; L = 32 is the first row length past it, and walks the runs past
+    # position 16 too
+    ("dc 9 16 3", "--code dc --n 9 --L 16 --t 3", "--kind del --t 3 --s 1 --messages 3 "
+     "--max-work 100", 300),
+    ("dc 9 32 3", "--code dc --n 9 --L 32 --t 3", "--kind del --t 3 --s 1 --messages 3 "
+     "--max-work 100", 300),
+    # rows of at most 8 positions take their symbols from one byte table per
+    # code: L = 8 (h = 4) tops it, and the TED code packs two tail bits in it
+    ("dc 15 8 3", "--code dc --n 15 --L 8 --t 3", "--kind del --t 3 --s 1 --messages 3 "
+     "--max-work 300", 900),
+    ("ted 9 6 2 2", "--code ted --n 9 --L 6 --t 2 --e 2",
+     "--kind ted --t 2 --s 1 --e 2 --messages 3 --max-work 300", 900),
+    # GF(2^8), the widest field whose Reed-Solomon fill packs one symbol per
+    # byte lane: a carry into the next lane or a lost top bit shows first
+    ("dc 40 130 8", "--code dc --n 40 --L 130 --t 8", "--kind del --t 8 --s 1 --messages 3 "
+     "--max-work 300", 900),
+    ("ted 20 100 3 1", "--code ted --n 20 --L 100 --t 3 --e 1",
+     "--kind ted --t 3 --s 1 --e 1 --messages 3 --max-work 300", 900),
+    # GF(2^10): R = 8 erasures through the fill's m-bit lanes, one
+    # shift-and-reduce step per bit of each erased point
+    ("ted 40 255 6 2", "--code ted --n 40 --L 255 --t 6 --e 2",
+     "--kind ted --t 6 --s 1 --e 2 --messages 3 --max-work 100", 300),
+    # GF(2^9): 300 rows, more than a byte-lane field holds
+    ("dc 300 300 8", "--code dc --n 300 --L 300 --t 8", "--kind del --t 8 --s 1 --messages 2 "
+     "--max-work 50", 100),
+    # GF(2^6), h + e = 6: the widest code whose encode reads the byte tables
+    # of rows of at most 8 positions
+    ("ted 63 7 4 3", "--code ted --n 63 --L 7 --t 4 --e 3",
+     "--kind ted --t 4 --s 1 --e 3 --messages 3 --max-work 100", 300),
+]
+
+# The distance `verify --d` finds exactly on each base code of
+# `CLI_ROUNDTRIPS`, and the patterns it examines where pinned.
+BASE_CODE_DISTANCES = {"construction-1 n5 d5": (5, None), "even-ext n5 d6": (6, None),
+                       "claim-5 n9": (5, None), "construction-1 n5 d7": (7, 465)}
+
+
+@pytest.mark.parametrize("case, construct, roundtrip, trials", CLI_ROUNDTRIPS,
+                         ids=[row[0] for row in CLI_ROUNDTRIPS])
+def test_cli_roundtrip(tmp_path, capsys, case, construct, roundtrip, trials):
+    code_file = str(tmp_path / "code")
+    assert run(capsys, "construct", *construct.split(), "--out", code_file)[0] == 0
+    rc, out, err = run(capsys, "verify", "--roundtrip", "--code-file", code_file,
+                       *roundtrip.split())
+    assert (rc, err) == (0, "") and out.endswith(f" trials={trials} failures=0\n")
+    if case in BASE_CODE_DISTANCES:
+        d, patterns = BASE_CODE_DISTANCES[case]
+        rc, out, _ = run(capsys, "verify", "--code-file", code_file, "--d", str(d))
+        assert rc == 0 and out.startswith(f"minimum TE distance exactly {d} ")
+        assert patterns is None or out.endswith(f"; {patterns} patterns examined\n")
+
+
+def test_a_message_comes_back_through_the_text_files(tmp_path, capsys):
+    """One message each goes through the files of DC(7,5,2), TE
+    hasse(16,4,4) and TED(5,7,2,1): encode, channel, then decode
+    --emit-message.  The TE and TED received texts are pinned, the first
+    text of each case (TED seed 6 damages three rows, the code's full
+    t + e); a copy of the TE one that marks its erased cells with a '?'
+    tail must decode to the same message."""
+    code, msg, arr, recv = (str(tmp_path / name) for name in ("code", "msg", "arr", "recv"))
+    for construct, message, channel, received in (
+            ("dc --n 7 --L 5 --t 2", "0" * 29, "del --t 2 --s 1 --seed 5", ()),
+            ("hasse --n 16 --L 4 --e 4", "10" * 26 + "1",
+             "te --e 4 --pattern 2,0,0,1" + ",0" * 11 + ",1",
+             ("# L=4\n01\n1001\n1101\n010\n1011\n" + "0101\n" * 10 + "010\n",
+              "# L=4\n01??\n1001\n1101\n010?\n1011\n" + "0101\n" * 10 + "010?\n")),
+            ("ted --n 5 --L 7 --t 2 --e 1", "10" * 11 + "1", "ted --t 2 --s 1 --e 1 --seed 6",
+             ("# L=7\n101010\n0101010\n111011\n0101101\n111101\n",))):
+        Path(msg).write_text(message + "\n")
+        assert run(capsys, "construct", "--code", *construct.split(), "--out", code)[0] == 0
+        assert run(capsys, "encode", "--code-file", code, "--in", msg, "--out", arr)[0] == 0
+        rc, _, _ = run(capsys, "channel", "--kind", *channel.split(), "--in", arr, "--out", recv)
+        texts = received or (Path(recv).read_text(),)
+        assert rc == 0 and Path(recv).read_text() == texts[0]
+        for text in texts:
+            Path(recv).write_text(text)
+            assert run(capsys, "decode", "--code-file", code, "--in", recv,
+                       "--emit-message") == (0, message + "\n", ""), text
+
+
 # --- usage errors --------------------------------------------------------------
 
 # The files the command lines below name as {name}, each written once: these
@@ -247,6 +367,10 @@ USAGE_ERRORS = {
          "--n-min 20 is above --n-max 16: the table has no rows"),
         ("table II to n 8", "bounds --table II --n-min 9 --n-max 8 --format records",
          "--n-min 9 is above --n-max 8: the table has no rows"),
+        ("construction-1 d 4", "construct --code construction-1 --n 5 --d 4 --out {out}",
+         "construction-1 needs an odd d >= 3"),
+        ("even-ext d 3", "construct --code even-ext --n 5 --d 3 --out {out}",
+         "even-ext needs an even d >= 4 (or d = 2)"),
     ],
     "test_roundtrip_work_cap_below_one_exits_2": [
         *((f"mode{m}-{cap}", f"verify --roundtrip --code-file {{te}} --kind te --e 2 "
@@ -269,6 +393,10 @@ USAGE_ERRORS = {
         ("0", "verify --code-file {hasse} --d 0", "--d must be at least 1, got 0"),
         ("-4", "verify --code-file {hasse} --d -4", "--d must be at least 1, got -4"),
         ("te", "verify --code-file {te} --d 0", "--d must be at least 1, got 0"),
+    ],
+    "test_verify_distance_of_a_dc_code_exits_2": [
+        (None, "verify --code-file {dc} --d 3",
+         "min-distance verification applies to TE parity checks"),
     ],
     "test_verify_rejects_an_option_of_the_other_mode": [
         (f"argv{i}-{line}", f"verify --code-file {{te}} {options}", line)
@@ -715,25 +843,13 @@ def test_abbreviated_option_exits_2(capsys, command, prefix):
     assert f"unrecognized arguments: {prefix} 1" in capsys.readouterr().err
 
 
-def test_abbreviations_on_real_files_exit_2(tmp_path, capsys):
+def test_abbreviations_on_real_files_exit_2(usage_files, capsys):
     """`--e`, `--mess` and `--max` are prefixes of decode's and verify's
     options, not options: each line exits 2 and prints nothing to stdout."""
-    dc_file, arr, recv = (tmp_path / name for name in ("dc.json", "arr.txt", "recv.txt"))
-    msg = tmp_path / "msg.txt"
-    msg.write_text("0" * 29)
-    run(capsys, "construct", "--code", "dc", "--n", "7", "--L", "5", "--t", "2",
-        "--out", str(dc_file))
-    run(capsys, "encode", "--code-file", str(dc_file), "--in", str(msg), "--out", str(arr))
-    run(capsys, "channel", "--kind", "del", "--t", "2", "--s", "1", "--seed", "5",
-        "--in", str(arr), "--out", str(recv))
-    rc, out, _ = run(capsys, "decode", "--code-file", str(dc_file), "--in", str(recv),
-                     "--emit-message")
-    assert rc == 0 and out == "0" * 29 + "\n"
-    for argv in (["decode", "--code-file", str(dc_file), "--in", str(recv), "--e"],
-                 ["verify", "--code-file", str(dc_file), "--roundtrip", "--kind", "del",
-                  "--t", "1", "--s", "1", "--mess", "1", "--max", "5"]):
+    for line in ("decode --code-file {dc} --in {recv} --e",
+                 "verify --code-file {dc} --roundtrip --kind del --t 1 --s 1 --mess 1 --max 5"):
         with pytest.raises(SystemExit) as exc:
-            main(argv)
+            main(_argv(line, usage_files))
         assert exc.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == "" and "unrecognized arguments" in captured.err
@@ -1003,6 +1119,7 @@ BAD_ARRAY_FILES = [
     ("word L", "# L=x\n10\n", "'# L=' takes the row length as an int, got '# L=x'"),
     ("float L", "# L=3.5\n101\n", "'# L=' takes the row length as an int, got '# L=3.5'"),
     ("empty L", "# L=\n101\n", "'# L=' takes the row length as an int, got '# L='"),
+    ("row past L", "# L=7\n10101011\n" + "0000000\n" * 4, "row 1 has 8 positions, more than L=7"),
 ]
 
 MALFORMED = (

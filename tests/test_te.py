@@ -177,6 +177,8 @@ def test_verifier_searches_no_weight_past_every_cell():
     assert (result.distance, result.exact, result.witness, result.patterns) == \
         (10**9 + 1, False, None, 1)
     assert verify_min_distance(construct_parity(1, 1), 3) == MinDistanceResult(4, False)
+    assert verify_min_distance(TeParityCheck(2, 0, 1, ((), ()), "empty"), 3) == \
+        MinDistanceResult(4, False)
     H = construct_hasse(3, 2, 4)      # every pattern of its 6 cells is independent
     small, huge = verify_min_distance(H, 6), verify_min_distance(H, 10**9)
     assert (small.distance, small.exact) == (7, False)

@@ -6,7 +6,7 @@ from itertools import combinations
 import pytest
 
 from arraycodes.errors import CorruptInputError
-from arraycodes.vt import (_DATA8, _DATA16, _SCATTER11, _SUM16, _encode_table, position_residues,
+from arraycodes.vt import (_DATA16, _SCATTER11, _SUM16, _encode_table, position_residues,
                            position_sum, vt_codewords, vt_data_int, vt_decode,
                            vt_decode_int, vt_encode_int, vt_insert,
                            vt_modulus_exponent)
@@ -389,13 +389,11 @@ def test_scatter11_is_the_inverse_of_data16():
 @pytest.mark.parametrize("L", range(1, 9))
 def test_byte_tables_match_the_row_kernels_exhaustively(L):
     """Rows of at most 8 positions encode by one read of `_encode_table(L)`,
-    entry d << h | a, and give back their data by one read of `_DATA8`."""
+    entry d << h | a."""
     h = vt_modulus_exponent(L)
     table = _encode_table(L)
     assert len(table) == 1 << L
     assert list(table) == [vt_encode_int(v >> h, v & ((1 << h) - 1), L) for v in range(1 << L)]
-    assert list(_DATA8[:1 << L]) == [vt_data_int(x, L) for x in range(1 << L)]
-    assert len(_DATA8) == 256
 
 
 def check_gather_scatter(data, a, L):
