@@ -11,6 +11,7 @@ import math
 from array import array
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import groupby
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import InvalidInputError
@@ -49,6 +50,32 @@ def _row_text(value: int, length: int) -> str:
 def _text_row(text: str) -> int:
     """The row int of 0/1 text, position 1 first (the empty text is 0)."""
     return int(text[::-1] or "0", 2)
+
+
+def _cell_gather(cells: Iterable[int], L: int) -> List[Tuple[int, int, List[Tuple[int, ...]]]]:
+    """(row, shift, table) per chunk of at most 8 of `cells`, the flat
+    indices i * L + position - 1 of a message's cells in message order,
+    that share row i and the byte of the row from bit `shift`; table[v] is
+    the tuple of the message bits at those cells when that byte reads v, so
+    a message is `table[rows[i] >> shift & 255]` summed over the chunks.
+    Chunks with the same offsets in a byte of the same width share one
+    table."""
+    tables = {}
+    gather = []
+    for (i, shift), chunk in groupby(cells, lambda c: (c // L, c % L & ~7)):
+        key = (min(8, L - shift), tuple(c % L - shift for c in chunk))
+        table = tables.get(key)
+        if table is None:
+            # bit by bit from the lowest: a message cell's bit doubles the
+            # table with the bit appended to each tuple, any other repeats it
+            width, offsets = key
+            table = [()]
+            for j in range(width):
+                table = ([t + (0,) for t in table] + [t + (1,) for t in table]
+                         if j in offsets else table * 2)
+            tables[key] = table
+        gather.append((i, shift, table))
+    return gather
 
 
 @dataclass(frozen=True)

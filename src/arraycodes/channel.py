@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from itertools import chain, combinations, islice, product, repeat
 from typing import Iterator, Optional, Sequence, Tuple
 
-from .arrays import (_NO_ERASURES, BitArray, RaggedArray, _damage,
+from .arrays import (_NO_ERASURES, BitArray, RaggedArray, _damage, _int_to_row,
                      enumerate_patterns)
 
 TeInstance = Tuple[int, ...]                 # erasure counts per row
@@ -188,14 +188,15 @@ class RunRecord:
 def roundtrip_harness(codec, spec: ChannelSpec, *, messages: int = 20,
                       exhaustive: bool = True, seed: int = 0,
                       max_work: Optional[int] = None) -> RunRecord:
-    """Encode random messages, check that `message_of` reads each one back,
-    push them through every channel instance (or `max_work` sampled ones,
-    100 when None), decode, compare.  An exhaustive run streams the
-    instances, so its memory does not grow with their number; one whose
-    enumeration exceeds `max_work` instances (`DEFAULT_MAX_WORK` when None)
-    raises RuntimeError before it decodes anything, and one whose channel
-    has no instance (a `del` channel with t = 0 or s = 0) raises ValueError.
-    `messages` or `max_work` below 1 raises ValueError.
+    """Encode random messages, one `getrandbits` each, check that
+    `message_of` reads each one back, push them through every channel
+    instance (or `max_work` sampled ones, 100 when None), decode, compare.
+    An exhaustive run streams the instances, so its memory does not grow
+    with their number; one whose enumeration exceeds `max_work` instances
+    (`DEFAULT_MAX_WORK` when None) raises RuntimeError before it decodes
+    anything, and one whose channel has no instance (a `del` channel with
+    t = 0 or s = 0) raises ValueError.  `messages` or `max_work` below 1
+    raises ValueError.
 
     Failures are recorded, not raised; the first counterexample keeps the
     full (message, instance, received) triple for replay.  A `message_of`
@@ -220,8 +221,8 @@ def roundtrip_harness(codec, spec: ChannelSpec, *, messages: int = 20,
         deque(stream, maxlen=0)
     record = RunRecord(codec.descriptor(), spec,
                        "exhaustive" if exhaustive else "random", seed)
-    msgs = [[rng.randrange(2) for _ in range(codec.message_bits)]
-            for _ in range(messages)]
+    k = codec.message_bits
+    msgs = [_int_to_row(rng.getrandbits(k), k) for _ in range(messages)]
     arrays = [(m, codec.encode(m)) for m in msgs]
     if not exhaustive:
         sampled = [random_instance(spec, n, L, rng) for _ in range(max_work)]

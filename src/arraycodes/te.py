@@ -20,12 +20,12 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass, field as dataclass_field
 from functools import cached_property, reduce
-from itertools import compress, groupby
+from itertools import compress
 from operator import or_
 from typing import Iterator, List, Optional, Sequence, Tuple
 
-from .arrays import (BitArray, RaggedArray, _bit_array, _check_bit_array, _check_received,
-                     _row_to_int)
+from .arrays import (BitArray, RaggedArray, _bit_array, _cell_gather, _check_bit_array,
+                     _check_received, _row_to_int)
 from .basecodes import (ParityColumns, bch_degree, bch_generator, bch_pcm, claim5_base_pcm,
                         cyclic_pcm, extended_hamming_pcm, hamming_pcm)
 from .errors import AmbiguousErasureError, NotACodewordError
@@ -433,16 +433,7 @@ class TeCodec:
         self.message_cells = [image.bit_length() - 1 for image in images]
         self.k = self.message_bits = len(images)
         self._tables = [xor_table(images[b:b + 8]) for b in range(0, self.k, 8)]
-        # (row, shift, table) per chunk of at most 8 cells of a row that
-        # holds message cells, in message order; table[v] is the tuple of
-        # the message bits at those cells when the chunk reads v.
-        L = H.L
-        self._gather = []
-        for (i, shift), cells in groupby(self.message_cells,
-                                         lambda c: (c // L, c % L & ~7)):
-            offsets = [c % L - shift for c in cells]
-            self._gather.append((i, shift, [tuple(v >> o & 1 for o in offsets)
-                                            for v in range(1 << min(8, L - shift))]))
+        self._gather = _cell_gather(self.message_cells, H.L)
 
     def encode(self, message: Sequence[int]) -> BitArray:
         if len(message) != self.k:

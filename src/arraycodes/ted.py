@@ -22,8 +22,15 @@ systematic row, its outer parity row at every row value, so the parity is
 one XOR over the systematic rows and no symbol is computed; each parity
 row is then one read of `vt._encode_table(L)` at its data, tail and VT
 residue.  Longer rows go through their symbols, `ReedSolomon._parity` and
-`vt_encode_int`, row by row; `message_of` takes every parity row's data
-back with `vt_data_int`.
+`vt_encode_int`, row by row.
+
+`message_of` reads rows of at most 8 positions through `_gather`, the
+message-cell gather that `te.TeCodec` uses too (`arrays._cell_gather`):
+each systematic row is one read of the tuple of its L bits, and each
+parity row one read of the tuple of its first L - e - h data bits.  Longer
+rows would take a tuple per byte of the row, which measured slower than
+the int path they keep: a Horner over the rows, each parity row's data
+read back with `vt_data_int`, and one unpack.
 
 Every symbol is below 2^(h+e) by construction, so the codec calls the outer
 code's private kernels, `ReedSolomon._parity` and
@@ -45,12 +52,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from itertools import compress
+from itertools import chain, compress
 from operator import getitem, xor
 from typing import List, Optional, Sequence, Tuple
 
-from .arrays import (BitArray, RaggedArray, _bit_array, _check_bit_array, _check_received,
-                     _int_to_row, _row_to_int)
+from .arrays import (BitArray, RaggedArray, _bit_array, _cell_gather, _check_bit_array,
+                     _check_received, _int_to_row, _row_to_int)
 from .errors import (CapacityExceededError, ChannelContractError,
                      CorruptInputError, NotACodewordError)
 from .field import PRIMITIVE_POLYS, field_make
@@ -159,6 +166,22 @@ class TedCode:
         values = theta[:1 << self.L]
         return tuple(tuple(map(row.__getitem__, values)) for row in self.outer._tables.par)
 
+    @cached_property
+    def _gather(self) -> Optional[List[Tuple[int, int, List[Tuple[int, ...]]]]]:
+        """`arrays._cell_gather` of the message cells, for rows of at most 8
+        positions (None for longer rows): every position of the systematic
+        rows, then the first L - e - h data positions of each parity row, so
+        each row is one table read; the systematic rows share one table and
+        the parity rows another."""
+        L = self.L
+        if L > 8:
+            return None
+        k = self.n - self.R
+        # position j + 1 is a VT power position exactly when j & (j + 1) == 0
+        data = [j for j in range(L) if j & (j + 1)][:L - self.e - self.h]
+        return _cell_gather(chain(range(k * L), (i * L + j for i in range(k, self.n)
+                                                 for j in data)), L)
+
     def _symbols(self, rows: Sequence[int]) -> List[int]:
         """theta of each full-length row int, a new list: one `translate`
         through `_byte_theta` up to 8 positions, and beyond, the VT residues
@@ -216,6 +239,13 @@ class TedCode:
 
     def message_of(self, x: BitArray) -> List[int]:
         _check_bit_array(x, self.n, self.L)
+        gather = self._gather
+        if gather is not None:
+            rows = x.rows
+            message: List[int] = []
+            for i, shift, table in gather:
+                message += table[rows[i] >> shift & 255]
+            return message
         L, k = self.L, self.n - self.R
         per_row = L - self.e - self.h
         mask = (1 << per_row) - 1

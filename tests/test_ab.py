@@ -62,6 +62,24 @@ def test_higher_is_better_and_a_loss_is_worse():
     assert flipped["trials_per_s"]["verdict"] == "better"
 
 
+def test_the_bound_stands_next_to_the_verdict():
+    """A 0.5% peak shift over a near-zero IQR reads "worse" yet lies within
+    its bound of 0.1; a 20% one lies outside it; no bound, no answer."""
+    better, bounds = {"peak_rss_mb": "lower"}, {"peak_rss_mb": 0.1}
+    parent = [24.10, 24.11, 24.10, 24.12, 24.11, 24.10]
+
+    def summary(change, *bounds):
+        return ab.summarize(pairs_of(parent, change, "peak_rss_mb"), better,
+                            *bounds)["peak_rss_mb"]
+
+    near = summary([v * 1.005 for v in parent], bounds)
+    assert (near["verdict"], near["bound"], near["within_bound"]) == ("worse", 0.1, True)
+    far = summary([v * 1.2 for v in parent], bounds)
+    assert (far["verdict"], far["within_bound"]) == ("worse", False)
+    unbound = summary([v * 1.005 for v in parent])
+    assert (unbound["bound"], unbound["within_bound"]) == (None, None)
+
+
 def test_no_pairs_summarizes_nothing():
     assert ab.summarize([], BETTER) == {}
 
@@ -87,6 +105,8 @@ def test_pairs_run_consecutive_seeds_from_the_first(monkeypatch, capsys, tmp_pat
                      ("parent", c), ("change", c)]
     line = json.loads(capsys.readouterr().out)
     assert (line["first_seed"], line["pairs"], line["failed_runs"]) == (a, 3, 0)
+    decode = line["metrics"]["decode_p50_us"]      # bound 0.25 in BENCHMARK.json
+    assert (decode["bound"], decode["within_bound"]) == (0.25, True)
 
 
 def test_both_sides_run_from_sibling_trees(monkeypatch, tmp_path):

@@ -5,9 +5,9 @@ from itertools import combinations, product
 
 import pytest
 
-from arraycodes.arrays import (BitArray, RaggedArray, _ragged_array, apply_te_pattern,
-                               count_patterns, enumerate_patterns, format_ragged,
-                               parse_ragged)
+from arraycodes.arrays import (BitArray, RaggedArray, _int_to_row, _ragged_array,
+                               apply_te_pattern, count_patterns, enumerate_patterns,
+                               format_ragged, parse_ragged)
 from arraycodes.channel import (DEFAULT_MAX_WORK, ChannelSpec, RunRecord,
                                 apply_channel, enumerate_channel_instances,
                                 enumerate_deletion_instances, random_instance,
@@ -218,8 +218,8 @@ def listed_harness(codec, spec, messages, seed, max_work):
     trial: the oracle for trial order, count and first counterexample."""
     rng = random.Random(seed)
     record = RunRecord(codec.descriptor(), spec, "exhaustive", seed)
-    msgs = [[rng.randrange(2) for _ in range(codec.message_bits)]
-            for _ in range(messages)]
+    k = codec.message_bits
+    msgs = [_int_to_row(rng.getrandbits(k), k) for _ in range(messages)]
     stream = list(enumerate_channel_instances(spec, codec.n, codec.L, max_work=max_work))
     for message in msgs:
         x = codec.encode(message)

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from arraycodes.arrays import BitArray, RaggedArray
+from arraycodes.arrays import BitArray, RaggedArray, _int_to_row
 from arraycodes.channel import (ChannelSpec, apply_channel,
                                 enumerate_channel_instances, random_instance,
                                 roundtrip_harness)
@@ -14,7 +14,8 @@ from arraycodes.errors import (ArrayCodeError, CapacityExceededError,
 from arraycodes import ted as ted_module
 from arraycodes.rs import ReedSolomon
 from arraycodes.ted import TedCode, theta_symbol
-from arraycodes.vt import position_residues, vt_decode_int, vt_encode_int, vt_insert
+from arraycodes.vt import (position_residues, vt_data_int, vt_decode_int, vt_encode_int,
+                           vt_insert)
 from conftest import ragged, unbudgeted
 from test_fuzz import _damage, _ragged
 from test_rs import _oracle_decode
@@ -301,6 +302,33 @@ def test_encode_matches_row_by_row_oracle(code):
         x = code.encode(message)
         assert x == oracle_encode(code, message)
         assert code.message_of(x) == message
+
+
+def oracle_message_of(code, x):
+    """The int path: a Horner over the rows, the parity rows' data by
+    `vt_data_int`, then one unpack."""
+    L, k = code.L, code.n - code.R
+    per_row = L - code.e - code.h
+    mask = (1 << per_row) - 1
+    m = 0
+    for row in reversed(x.rows[k:]):
+        m = m << per_row | vt_data_int(row, L) & mask
+    for row in reversed(x.rows[:k]):
+        m = m << L | row
+    return _int_to_row(m, k * L + code.R * per_row)
+
+
+@pytest.mark.parametrize("code", ENCODE_ORACLE_CODES,
+                         ids=lambda c: f"{c.n}x{c.L}-t{c.t}-e{c.e}")
+def test_message_of_matches_the_int_path_oracle(code):
+    """The same message as the int path on 200 seeded arrays of the code's
+    shape, codewords or not, and a gather exactly for rows of at most 8
+    positions."""
+    assert (code._gather is None) == (code.L > 8)
+    rng = random.Random(repr(code))
+    for _ in range(200):
+        x = BitArray(code.n, code.L, tuple(rng.getrandbits(code.L) for _ in range(code.n)))
+        assert code.message_of(x) == oracle_message_of(code, x)
 
 
 def oracle_decode(code, received):

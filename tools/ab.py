@@ -22,7 +22,11 @@ interquartile range, the pairs the change won (ties count for neither
 side) and a verdict.  The change is "better" when it won at least nine
 tenths of the pairs and its median is better than the parent's by more
 than the parent's interquartile range, "worse" under the same rule the
-other way, and "no change" otherwise.  Quartiles are
+other way, and "no change" otherwise.  Next to the verdict stand the
+metric's `bound` from `BENCHMARK.json` and whether the change's median
+lies within it of the parent's (|`change_frac`| <= `bound`), so that a
+"worse" verdict over a tiny interquartile range, as `peak_rss_mb` can
+give, reads against the bound it is held to.  Quartiles are
 `statistics.quantiles(..., method="inclusive")`.  The line ends with the
 raw (parent, change) metrics of every pair, so `summarize` can be replayed
 on them.  A run that fails its checks, or prints no result, is counted in
@@ -55,12 +59,15 @@ def quartiles(values: Sequence[float]):
     return q1, q2, q3
 
 
-def summarize(pairs: Sequence[tuple], better: Dict[str, str]) -> Dict[str, dict]:
+def summarize(pairs: Sequence[tuple], better: Dict[str, str],
+              bounds: Optional[Dict[str, float]] = None) -> Dict[str, dict]:
     """Per-metric summary of (parent metrics, change metrics) pairs.
 
-    `better` maps each metric to "lower" or "higher".  Metrics missing from
-    any run are skipped.
+    `better` maps each metric to "lower" or "higher", and `bounds` to its
+    `bound` in `BENCHMARK.json`, if any.  Metrics missing from any run are
+    skipped.
     """
+    bounds = bounds or {}
     out = {}
     n = len(pairs)
     for name, direction in better.items():
@@ -81,12 +88,15 @@ def summarize(pairs: Sequence[tuple], better: Dict[str, str]) -> Dict[str, dict]
             verdict = "worse"
         else:
             verdict = "no change"
+        frac = (cm - pm) / pm if pm else None
+        bound = bounds.get(name)
         out[name] = {"parent_median": pm, "change_median": cm,
                      "parent_quartiles": [p1, p3], "change_quartiles": [c1, c3],
-                     "parent_iqr": iqr,
-                     "change_frac": (cm - pm) / pm if pm else None,
+                     "parent_iqr": iqr, "change_frac": frac,
                      "wins": wins, "losses": losses, "pairs": n,
-                     "verdict": verdict}
+                     "verdict": verdict, "bound": bound,
+                     "within_bound": (None if bound is None or frac is None
+                                      else abs(frac) <= bound)}
     return out
 
 
@@ -146,6 +156,7 @@ def main(argv=None) -> int:
         parser.error("--pairs must be at least 1")
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    bounds = {m["name"]: m["bound"] for m in spec["end_to_end"] if "bound" in m}
     workloads = args.workload or [w["name"] for w in spec["workloads"]]
     status = 0
     with tempfile.TemporaryDirectory(prefix="ab-") as tmp:
@@ -165,7 +176,7 @@ def main(argv=None) -> int:
                               "pairs": args.pairs, "first_seed": args.first_seed,
                               "seconds": args.seconds,
                               "failed_runs": failed,
-                              "metrics": summarize(pairs, better),
+                              "metrics": summarize(pairs, better, bounds),
                               "runs": pairs}), flush=True)
     return status
 
