@@ -3,15 +3,28 @@
 Rows are stored as bitset ints with bit (j-1) holding position j, matching
 the 1-indexed position convention used throughout (position 1 is the first
 symbol of a row, position L the last; tail erasures remove a suffix).
+
+The encoders build a codeword, or read a message, as one int of n rows
+packed at stride L.  `_split_rows` cuts it into its rows and `_join_rows`
+packs them back, both in O(n L log n) bit operations, where one shift of
+the whole int per row costs O(n^2 L); up to 8 rows, where that is cheaper,
+they still shift once per row.  The rows move into lanes of W bits,
+W the smallest of 8, 16, 32 and 64 that holds L (8 * ceil(L / 8) for
+longer rows), in ceil(log2 n) masked shifts (Warren, Hacker's Delight,
+7-4 and 7-5), and then one little-endian struct reads the lanes, or one
+`int.from_bytes` per lane past 64 bits.  The masks are built once per
+shape by doubling a block.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from array import array
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import groupby
+from itertools import groupby, repeat
+from struct import Struct
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import InvalidInputError
@@ -87,11 +100,15 @@ class BitArray:
     rows: Tuple[int, ...]
 
     def __post_init__(self):
+        # Any sequence of ints is kept as a tuple of ints, so that equal
+        # arrays compare and hash alike; an entry that is no int raises
+        # TypeError.
+        rows = tuple(map(operator.index, self.rows))
+        object.__setattr__(self, "rows", rows)
         if self.n < 0 or self.L < 0:
             raise ValueError("array dimensions must be non-negative")
-        if len(self.rows) != self.n:
+        if len(rows) != self.n:
             raise ValueError("row count mismatch")
-        rows = self.rows
         if rows and (min(rows) < 0 or max(rows) >> self.L):
             raise ValueError("row value exceeds declared length")
 
@@ -145,6 +162,9 @@ class RaggedArray:
     lost: Tuple[int, ...]
 
     def __post_init__(self):
+        # tuples of ints, as `BitArray` keeps its rows
+        object.__setattr__(self, "rows", tuple(map(operator.index, self.rows)))
+        object.__setattr__(self, "lost", tuple(map(operator.index, self.lost)))
         if len(self.rows) != self.n or len(self.lost) != self.n:
             raise ValueError("row count mismatch")
         for r, k in zip(self.rows, self.lost):
@@ -179,6 +199,92 @@ def _ragged_array(n: int, L: int, rows: Tuple[int, ...], lost: Tuple[int, ...]) 
     fields["rows"] = rows
     fields["lost"] = lost
     return obj
+
+
+# --- the row-split kernel ---------------------------------------------------
+
+def _repeat(block: int, stride: int, count: int) -> int:
+    """`count` copies of `block` at a stride of `stride` bits, by doubling:
+    O(log count) ORs, where one OR per copy would cost quadratic time."""
+    out = done = 0
+    while count:
+        if count & 1:
+            out |= block << done
+            done += stride
+        block |= block << stride
+        stride <<= 1
+        count >>= 1
+    return out
+
+
+@lru_cache(maxsize=None)
+def _lanes(n: int, L: int) -> Tuple[int, Struct, int, Tuple[Tuple[int, int, int], ...]]:
+    """(size, words, low, steps), the plan of the row split of n rows of L
+    bits into lanes of W bits, W the smallest of 8, 16, 32 and 64 that
+    holds L, else 8 * ceil(L / 8): size = W / 8, the bytes of a lane;
+    words the little-endian struct of n lanes, as ints up to 64 bits and
+    as byte strings past them; low the mask of the n*L bits; and one
+    (mask, shift, mask << shift) per step k, from the highest bit k of a
+    row index down.  Before step k the rows of each group of 2^(k+1) rows
+    sit at stride L from a lane boundary, and the step moves those with
+    bit k set, the mask, up by 2^k (W - L) bits.  Each mask is a block
+    doubled into its copies."""
+    W = next((w for w in (8, 16, 32, 64) if L <= w), -(-L // 8) * 8)
+    size = W >> 3
+    words = Struct(f"<{n}{'BHIQ'[size.bit_length() - 1]}" if W <= 64 else f"{size}s" * n)
+    steps = []
+    if W > L and n > 1:
+        for k in reversed(range((n - 1).bit_length())):
+            half = 1 << k
+            upper = (1 << half * L) - 1 << half * L
+            mask, shift = _repeat(upper, 2 * half * W, -(-n // (2 * half))), half * (W - L)
+            steps.append((mask, shift, mask << shift))
+    return size, words, (1 << n * L) - 1, tuple(steps)
+
+
+# Up to this many rows one shift per row, O(n L) bits each, is cheaper than
+# the lanes' fixed cost: a cache lookup, a struct and the steps' loop.
+_FEW_ROWS = 8
+
+
+def _split_rows(flat: int, n: int, L: int) -> Tuple[int, ...]:
+    """The n rows of L bits packed in `flat` at stride L, row 0 lowest, as
+    a tuple; bits above n*L are ignored.  Past `_FEW_ROWS` rows,
+    ceil(log2 n) masked shifts move the rows into lanes of W bits
+    (`_lanes`; Warren, Hacker's Delight, 7-5), and one `to_bytes` and one
+    struct unpack read them, with one `from_bytes` per lane past 64 bits."""
+    if n <= _FEW_ROWS:
+        full = (1 << L) - 1
+        rows = []
+        for shift in range(0, n * L, L):
+            rows.append(flat >> shift & full)
+        return tuple(rows)
+    size, words, low, steps = _lanes(n, L)
+    flat &= low
+    for mask, shift, _ in steps:
+        moved = flat & mask
+        flat ^= moved ^ moved << shift
+    lanes = words.unpack(flat.to_bytes(words.size, "little"))
+    return tuple(map(int.from_bytes, lanes, repeat("little"))) if size > 8 else lanes
+
+
+def _join_rows(rows: Sequence[int], L: int) -> int:
+    """The rows, each below 2^L, packed at stride L, row 0 lowest: the
+    inverse of `_split_rows`, its steps undone from the lowest."""
+    n = len(rows)
+    if n <= _FEW_ROWS:
+        flat = 0
+        for row in reversed(rows):
+            flat = flat << L | row
+        return flat
+    size, words, _, steps = _lanes(n, L)
+    if size > 8:
+        rows = [row.to_bytes(size, "little") for row in rows]
+    flat = int.from_bytes(words.pack(*rows), "little")
+    for _, shift, mask in reversed(steps):
+        moved = flat & mask
+        flat ^= moved ^ moved >> shift
+    return flat
 
 
 @lru_cache(maxsize=None)

@@ -25,7 +25,7 @@ from operator import or_
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .arrays import (BitArray, RaggedArray, _bit_array, _cell_gather, _check_bit_array,
-                     _check_received, _row_to_int)
+                     _check_received, _row_to_int, _split_rows)
 from .basecodes import (ParityColumns, bch_degree, bch_generator, bch_pcm, claim5_base_pcm,
                         cyclic_pcm, extended_hamming_pcm, hamming_pcm)
 from .errors import AmbiguousErasureError, NotACodewordError
@@ -423,7 +423,9 @@ class TeCodec:
     the other message cells clear.  So every output satisfies the
     membership rule, and the message reads back from its own cells.
     Encoding is linear, so it XORs one generator-table entry per 8 message
-    bits: the flat codeword image of those bits.  Decoding is `te_decode`.
+    bits, the flat codeword image of those bits, and cuts the flat
+    codeword into its rows with the row-split kernel `arrays._split_rows`.
+    Decoding is `te_decode`.
     """
 
     def __init__(self, H: TeParityCheck):
@@ -447,8 +449,7 @@ class TeCodec:
         for table, chunk in zip(self._tables, chunks):
             flat ^= table[chunk]
         n, L = self.n, self.L
-        full = (1 << L) - 1
-        return _bit_array(n, L, tuple([flat >> (i * L) & full for i in range(n)]))
+        return _bit_array(n, L, _split_rows(flat, n, L))
 
     def message_of(self, x: BitArray) -> List[int]:
         _check_bit_array(x, self.n, self.L)

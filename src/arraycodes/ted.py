@@ -17,7 +17,9 @@ from the message to the decoded array.  A row of at most 8 positions is a
 byte, so the symbols of a whole array of such rows are one `translate`
 through a 256-byte table of the code.
 
-Encoding such rows reads byte tables too.  `_byte_parity` holds, for each
+The message's systematic rows are cut from it by the row-split kernel,
+`arrays._split_rows`, at any row length.  Encoding rows of at most 8
+positions reads byte tables too.  `_byte_parity` holds, for each
 systematic row, its outer parity row at every row value, so the parity is
 one XOR over the systematic rows and no symbol is computed; each parity
 row is then one read of `vt._encode_table(L)` at its data, tail and VT
@@ -29,8 +31,11 @@ message-cell gather that `te.TeCodec` uses too (`arrays._cell_gather`):
 each systematic row is one read of the tuple of its L bits, and each
 parity row one read of the tuple of its first L - e - h data bits.  Longer
 rows would take a tuple per byte of the row, which measured slower than
-the int path they keep: a Horner over the rows, each parity row's data
-read back with `vt_data_int`, and one unpack.
+the int path they keep: each parity row's data, read back with
+`vt_data_int`, is gathered in the loop that reads it, the systematic rows
+are packed below it by `arrays._join_rows`, the inverse of the split, and
+one unpack gives the message.  Encoding likewise cuts each parity row's
+data from the message in the loop that writes the row.
 
 Every symbol is below 2^(h+e) by construction, so the codec calls the outer
 code's private kernels, `ReedSolomon._parity` and
@@ -57,7 +62,7 @@ from operator import getitem, xor
 from typing import List, Optional, Sequence, Tuple
 
 from .arrays import (BitArray, RaggedArray, _bit_array, _cell_gather, _check_bit_array,
-                     _check_received, _int_to_row, _row_to_int)
+                     _check_received, _int_to_row, _join_rows, _row_to_int, _split_rows)
 from .errors import (CapacityExceededError, ChannelContractError,
                      CorruptInputError, NotACodewordError)
 from .field import PRIMITIVE_POLYS, field_make
@@ -207,8 +212,7 @@ class TedCode:
         n, L, R, h, e = self.n, self.L, self.R, self.h, self.e
         k = n - R
         m = _row_to_int(message)
-        full = (1 << L) - 1
-        rows = [(m >> (i * L)) & full for i in range(k)]
+        rows = _split_rows(m, k, L)
         outer = self.outer
         table = self._byte_parity
         if table is not None:
@@ -218,9 +222,12 @@ class TedCode:
         else:
             parity = outer._parity(self._symbols(rows))
             codewords = None
+        # The R = t + e parity rows' data is cut in the loop that writes
+        # them: a kernel call would cost more than these few shifts.
         rest = m >> (k * L)
         per_row = L - e - h
         dmask, hmask = (1 << per_row) - 1, (1 << h) - 1
+        parity_rows = []
         for i, symbol in enumerate(parity):
             data = (rest >> (i * per_row)) & dmask
             tail = symbol >> h
@@ -234,8 +241,8 @@ class TedCode:
                 row = vt_encode_int(data, symbol & hmask, L)
             if row >> (L - e) != tail:
                 raise AssertionError("tail placement violated; encoder bug")
-            rows.append(row)
-        return _bit_array(n, L, tuple(rows))
+            parity_rows.append(row)
+        return _bit_array(n, L, rows + tuple(parity_rows))
 
     def message_of(self, x: BitArray) -> List[int]:
         _check_bit_array(x, self.n, self.L)
@@ -249,13 +256,14 @@ class TedCode:
         L, k = self.L, self.n - self.R
         per_row = L - self.e - self.h
         mask = (1 << per_row) - 1
-        # Horner from the top: the parity rows' data, last row first, then
-        # the k systematic rows below them.
+        # The parity rows' data, last row first, gathered in the loop that
+        # reads it (a kernel call would cost more at R = t + e rows); then
+        # the systematic rows below it, packed by the kernel.
+        rows = x.rows
         m = 0
-        for row in reversed(x.rows[k:]):
+        for row in reversed(rows[k:]):
             m = m << per_row | vt_data_int(row, L) & mask
-        for row in reversed(x.rows[:k]):
-            m = m << L | row
+        m = m << k * L | _join_rows(rows[:k], L)
         return _int_to_row(m, k * L + self.R * per_row)
 
     def decode(self, received: RaggedArray) -> BitArray:

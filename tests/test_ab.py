@@ -152,3 +152,45 @@ def test_both_sides_run_from_sibling_trees(monkeypatch, tmp_path):
     assert parent.parent == change.parent != repo.parent
     assert (parent.name, change.name) == ("p", "c")
     assert len(str(parent)) == len(str(change))
+
+
+def stub_tree(root, body):
+    """A tree whose `perfbench/run.py` is `body`."""
+    (root / "perfbench").mkdir(parents=True)
+    (root / "perfbench" / "run.py").write_text(body)
+    return root
+
+
+def test_a_failed_run_says_why(monkeypatch, capsys, tmp_path):
+    """A run that exits 1 gives no metrics; the JSON line names its side,
+    seed, exit code and last line of standard error, and ab exits 1."""
+    broken = stub_tree(tmp_path / "p", "import sys\n"
+                       "print('Traceback (most recent call last):', file=sys.stderr)\n"
+                       "print('ValueError: boom', file=sys.stderr)\n"
+                       "sys.exit(1)\n")
+    run_once = ab.run_once
+    failure = run_once(broken, "w", 7, 1.0)
+    assert (failure.exit_code, failure.reason) == (1, "ValueError: boom")
+
+    def fake_run(tree, workload, seed, seconds):
+        return run_once(tree, workload, seed, seconds) if tree == broken \
+            else {"decode_p50_us": 1.0}
+
+    monkeypatch.setattr(ab, "export", lambda rev, into: broken)
+    monkeypatch.setattr(ab, "run_once", fake_run)
+    assert ab.main(["--workload", "w", "--pairs", "2", "--first-seed", "5"]) == 1
+    line = json.loads(capsys.readouterr().out)
+    assert line["failed_runs"] == 2 and line["runs"] == [] and line["metrics"] == {}
+    assert line["failures"] == [
+        {"side": "parent", "seed": seed, "exit_code": 1, "reason": "ValueError: boom"}
+        for seed in (5, 6)]
+
+
+def test_a_failed_check_is_named_from_the_record(tmp_path):
+    """A run whose checks failed is named by its RECORD's first failure."""
+    tree = stub_tree(tmp_path, "import json, sys\n"
+                     "print('RECORD ' + json.dumps({'first_failure': 'wrong decode: m=[1]'}))\n"
+                     "print(json.dumps({'correct': False, 'metrics': {}}))\n"
+                     "sys.exit(1)\n")
+    failure = ab.run_once(tree, "w", 1, 1.0)
+    assert (failure.exit_code, failure.reason) == (1, "wrong decode: m=[1]")

@@ -7,8 +7,8 @@ from math import comb
 import pytest
 
 from arraycodes.arrays import (INF, BitArray, RaggedArray, _bit_array,
-                               _block_width, _fll_rows, _int_to_row, _ragged_array,
-                               _row_to_int,
+                               _block_width, _fll_rows, _int_to_row, _join_rows,
+                               _ragged_array, _row_to_int, _split_rows,
                                apply_te_pattern, count_patterns,
                                d1_dc_distance, d_sdc_distance,
                                enumerate_patterns, fll_distance,
@@ -56,6 +56,51 @@ def test_unchecked_constructors_match_the_checked_ones(n, L, rows, lost):
         assert repr(fast) == repr(checked) and vars(fast) == vars(checked)
         with pytest.raises(AttributeError):
             fast.n = n + 1
+
+
+def test_constructors_keep_any_sequence_of_ints_as_a_tuple():
+    """A list, a range or ints of another type build the same array as a
+    tuple: equal, of equal hash, holding a tuple of ints.  An entry that is
+    no int raises TypeError."""
+    assert BitArray(2, 3, [1, 0]) == BitArray(2, 3, (1, 0))
+    assert hash(BitArray(2, 3, [1, 0])) == hash(BitArray(2, 3, (1, 0)))
+    assert BitArray(3, 3, range(3)).rows == (0, 1, 2)
+    assert type(BitArray(2, 3, [True, False]).rows[0]) is int
+    ragged = RaggedArray(2, 3, [1, 0], [0, 3])
+    assert ragged == RaggedArray(2, 3, (1, 0), (0, 3))
+    assert hash(ragged) == hash(RaggedArray(2, 3, (1, 0), (0, 3)))
+    assert (ragged.rows, ragged.lost) == ((1, 0), (0, 3))
+    for build in (lambda: BitArray(2, 3, [1.0, 0]), lambda: BitArray(1, 3, ["1"]),
+                  lambda: RaggedArray(1, 3, [1.0], [0]), lambda: RaggedArray(1, 3, [1], [0.0])):
+        with pytest.raises(TypeError):
+            build()
+
+
+def per_row_split(flat, n, L):
+    return tuple(flat >> (i * L) & ((1 << L) - 1) for i in range(n))
+
+
+@pytest.mark.parametrize("L", [*range(1, 71), 100, 129])
+def test_split_and_join_rows_match_per_row_shifts(L):
+    """The row-split kernel against one shift per row, on every lane width
+    and on rows wider than 64 bits; bits above n*L are ignored."""
+    rng = random.Random(L)
+    for n in (0, 1, 2, 3, 7, 16, 33):
+        flat = rng.getrandbits(n * L)
+        rows = per_row_split(flat, n, L)
+        stray = rng.getrandbits(40) << n * L
+        assert _split_rows(flat | stray, n, L) == rows
+        assert _join_rows(rows, L) == flat
+        assert _join_rows(list(rows), L) == flat
+
+
+def test_split_and_join_rows_at_storage_scale():
+    """2048 rows of 2047 bits: 11 masked shifts into 2048-bit lanes."""
+    n, L = 2048, 2047
+    flat = random.Random(2047).getrandbits(n * L)
+    rows = _split_rows(flat, n, L)
+    assert rows == per_row_split(flat, n, L)
+    assert _join_rows(rows, L) == flat
 
 
 @pytest.mark.parametrize("n, L, rows", [(-1, 2, ()), (0, -1, ()), (2, -1, (0, 0))])

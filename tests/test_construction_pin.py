@@ -3,6 +3,7 @@ to one sha256, so a refactor of the construction code shows any change in
 its output.  A call that raises ValueError contributes its message."""
 
 import hashlib
+import random
 
 from arraycodes.basecodes import (bch_pcm, claim5_base_pcm, cyclic_pcm,
                                   extended_hamming_pcm, hamming_pcm)
@@ -32,28 +33,33 @@ def _code_bytes(H, with_encoder):
     return out
 
 
+def _builds(n):
+    """(label, build) for each TE construction of the pinned grid on n rows."""
+    builds = []
+    for L in range(1, 6):
+        for e in range(1, 7):
+            builds.append((f"hasse {n} {L} {e}",
+                           lambda n=n, L=L, e=e: construct_hasse(n, L, e)))
+            builds.append((f"hasse-raw {n} {L} {e}",
+                           lambda n=n, L=L, e=e: construct_hasse_raw(n, L, e)))
+    builds.append((f"claim5 {n}", lambda n=n: construct_claim5(n)))
+    builds.append((f"claim7 {n}", lambda n=n: construct_claim7(n)))
+    for L in (1, 2, 3):
+        builds.append((f"parity {n} {L}", lambda n=n, L=L: construct_parity(n, L)))
+    for t in (1, 2):
+        builds.append((f"c1 {n} {t}",
+                       lambda n=n, t=t: construct_1(hamming_pcm(n * t), n, t)))
+        builds.append((f"even {n} {t}",
+                       lambda n=n, t=t: construct_even(
+                           extended_hamming_pcm(n * t), n, t)))
+    return builds
+
+
 def _entries():
     """(label, thunk) for every call of the pinned grid; a thunk returns bytes."""
     for n in range(1, 40):
         enc = n <= 12
-        builds = []
-        for L in range(1, 6):
-            for e in range(1, 7):
-                builds.append((f"hasse {n} {L} {e}",
-                               lambda n=n, L=L, e=e: construct_hasse(n, L, e)))
-                builds.append((f"hasse-raw {n} {L} {e}",
-                               lambda n=n, L=L, e=e: construct_hasse_raw(n, L, e)))
-        builds.append((f"claim5 {n}", lambda n=n: construct_claim5(n)))
-        builds.append((f"claim7 {n}", lambda n=n: construct_claim7(n)))
-        for L in (1, 2, 3):
-            builds.append((f"parity {n} {L}", lambda n=n, L=L: construct_parity(n, L)))
-        for t in (1, 2):
-            builds.append((f"c1 {n} {t}",
-                           lambda n=n, t=t: construct_1(hamming_pcm(n * t), n, t)))
-            builds.append((f"even {n} {t}",
-                           lambda n=n, t=t: construct_even(
-                               extended_hamming_pcm(n * t), n, t)))
-        for label, build in builds:
+        for label, build in _builds(n):
             yield label, lambda build=build, enc=enc: _code_bytes(build(), enc)
         yield f"hamming {n}", lambda n=n: _matrix_bytes(hamming_pcm(n))
         yield f"ext-hamming {n}", lambda n=n: _matrix_bytes(extended_hamming_pcm(n))
@@ -79,3 +85,24 @@ def construction_digest():
 
 def test_constructions_match_pinned_digest():
     assert construction_digest() == PINNED
+
+
+def test_encode_int_matches_the_per_row_split():
+    """`TeCodec._encode_int` splits its flat codeword with the row-split
+    kernel; on every TE construction of the pinned grid, the rows are the
+    per-row shifts of the same flat codeword, for the zero and all-ones
+    messages and three random ones."""
+    rng = random.Random(40)
+    for rows_in_grid in range(1, 40):
+        for label, build in _builds(rows_in_grid):
+            try:
+                enc = TeEncoder(build())
+            except ValueError:
+                continue
+            n, L, k = enc.n, enc.L, enc.k
+            for message in (0, (1 << k) - 1, *(rng.getrandbits(k) for _ in range(3))):
+                flat = 0
+                for table, chunk in zip(enc._tables, message.to_bytes(len(enc._tables), "little")):
+                    flat ^= table[chunk]
+                rows = tuple(flat >> (i * L) & ((1 << L) - 1) for i in range(n))
+                assert enc._encode_int(message).rows == rows, (label, message)

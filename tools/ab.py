@@ -30,7 +30,10 @@ give, reads against the bound it is held to.  Quartiles are
 `statistics.quantiles(..., method="inclusive")`.  The line ends with the
 raw (parent, change) metrics of every pair, so `summarize` can be replayed
 on them.  A run that fails its checks, or prints no result, is counted in
-`failed_runs` and its pair is left out.  Exit status: 0, or 1 when any run
+`failed_runs` and its pair is left out; `failures` says why, one entry per
+failed run: its side ("parent" or "change"), seed, exit code and reason,
+the `first_failure` of its `RECORD` line when that names one, else the
+last line it wrote to standard error.  Exit status: 0, or 1 when any run
 failed.
 """
 
@@ -46,7 +49,7 @@ import sys
 import tarfile
 import tempfile
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, NamedTuple, Optional, Sequence
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -126,8 +129,15 @@ def copy_worktree(into: Path) -> Path:
     return into
 
 
-def run_once(tree: Path, workload: str, seed: int, seconds: float) -> Optional[dict]:
-    """The end-to-end metrics of one benchmark run, or None when it failed."""
+class Failure(NamedTuple):
+    """Why one benchmark run gave no metrics."""
+
+    exit_code: int
+    reason: str
+
+
+def run_once(tree: Path, workload: str, seed: int, seconds: float):
+    """The end-to-end metrics of one benchmark run, or a `Failure`."""
     done = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
@@ -136,10 +146,16 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> Optional[d
     try:
         result = json.loads(lines[-1])
     except (IndexError, ValueError):
-        return None
-    if done.returncode or not result.get("correct"):
-        return None
-    return {name: m["value"] for name, m in result["metrics"].items()}
+        result = None
+    if not done.returncode and result is not None and result.get("correct"):
+        return {name: m["value"] for name, m in result["metrics"].items()}
+    records = [json.loads(line[len("RECORD "):]) for line in lines
+               if line.startswith("RECORD ")]
+    reason = records[-1].get("first_failure") if records else None
+    if not reason:
+        errors = done.stderr.strip().splitlines()
+        reason = errors[-1] if errors else "no result line and no error output"
+    return Failure(done.returncode, reason)
 
 
 def main(argv=None) -> int:
@@ -163,19 +179,22 @@ def main(argv=None) -> int:
         parent, change = export(args.parent, Path(tmp, "p")), copy_worktree(Path(tmp, "c"))
         for workload in workloads:
             pairs: List[tuple] = []
-            failed = 0
+            failures: List[dict] = []
             for k, seed in enumerate(range(args.first_seed, args.first_seed + args.pairs), 1):
                 order = (parent, change) if k % 2 else (change, parent)
                 runs = {tree: run_once(tree, workload, seed, args.seconds)
                         for tree in order}
-                failed += sum(r is None for r in runs.values())
-                if None not in runs.values():
+                failed = {tree: run for tree, run in runs.items() if isinstance(run, Failure)}
+                failures += [{"side": "parent" if tree == parent else "change", "seed": seed,
+                              "exit_code": run.exit_code, "reason": run.reason}
+                             for tree, run in failed.items()]
+                if not failed:
                     pairs.append((runs[parent], runs[change]))
-            status = status or int(failed > 0)
+            status = status or int(bool(failures))
             print(json.dumps({"workload": workload, "parent": args.parent,
                               "pairs": args.pairs, "first_seed": args.first_seed,
                               "seconds": args.seconds,
-                              "failed_runs": failed,
+                              "failed_runs": len(failures), "failures": failures,
                               "metrics": summarize(pairs, better, bounds),
                               "runs": pairs}), flush=True)
     return status
