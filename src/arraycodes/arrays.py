@@ -12,8 +12,12 @@ they still shift once per row.  The rows move into lanes of W bits,
 W the smallest of 8, 16, 32 and 64 that holds L (8 * ceil(L / 8) for
 longer rows), in ceil(log2 n) masked shifts (Warren, Hacker's Delight,
 7-4 and 7-5), and then one little-endian struct reads the lanes, or one
-`int.from_bytes` per lane past 64 bits.  The masks are built once per
-shape by doubling a block.
+`int.from_bytes` per lane past 64 bits.  The masks are built by doubling
+a block, one per step, and kept for the last few shapes.
+
+Every channel applies an instance as a check, `_check_instance`, which
+raises or returns nothing, and then the erase and delete arithmetic,
+`_cut`, which checks nothing.  `_damage` is the two in a row.
 """
 
 from __future__ import annotations
@@ -91,6 +95,14 @@ def _cell_gather(cells: Iterable[int], L: int) -> List[Tuple[int, int, List[Tupl
     return gather
 
 
+def _check_shape_types(n, L) -> None:
+    """TypeError naming n or L for a dimension that is no int, a bool or a
+    float included, as `TedCode` checks its own."""
+    for name, v in (("n", n), ("L", L)):
+        if type(v) is not int:
+            raise TypeError(f"{name} must be an int, got {type(v).__name__}")
+
+
 @dataclass(frozen=True)
 class BitArray:
     """A dense n x L binary array."""
@@ -100,6 +112,7 @@ class BitArray:
     rows: Tuple[int, ...]
 
     def __post_init__(self):
+        _check_shape_types(self.n, self.L)
         # Any sequence of ints is kept as a tuple of ints, so that equal
         # arrays compare and hash alike; an entry that is no int raises
         # TypeError.
@@ -162,6 +175,7 @@ class RaggedArray:
     lost: Tuple[int, ...]
 
     def __post_init__(self):
+        _check_shape_types(self.n, self.L)
         # tuples of ints, as `BitArray` keeps its rows
         object.__setattr__(self, "rows", tuple(map(operator.index, self.rows)))
         object.__setattr__(self, "lost", tuple(map(operator.index, self.lost)))
@@ -217,18 +231,23 @@ def _repeat(block: int, stride: int, count: int) -> int:
     return out
 
 
-@lru_cache(maxsize=None)
-def _lanes(n: int, L: int) -> Tuple[int, Struct, int, Tuple[Tuple[int, int, int], ...]]:
+# Shapes whose split plan is kept: a codec splits at one or two shapes, and
+# the plan of n rows of L bits holds about n L ceil(log2 n) bits.
+_PLANS = 8
+
+
+@lru_cache(maxsize=_PLANS)
+def _lanes(n: int, L: int) -> Tuple[int, Struct, int, Tuple[Tuple[int, int], ...]]:
     """(size, words, low, steps), the plan of the row split of n rows of L
     bits into lanes of W bits, W the smallest of 8, 16, 32 and 64 that
     holds L, else 8 * ceil(L / 8): size = W / 8, the bytes of a lane;
     words the little-endian struct of n lanes, as ints up to 64 bits and
     as byte strings past them; low the mask of the n*L bits; and one
-    (mask, shift, mask << shift) per step k, from the highest bit k of a
-    row index down.  Before step k the rows of each group of 2^(k+1) rows
-    sit at stride L from a lane boundary, and the step moves those with
-    bit k set, the mask, up by 2^k (W - L) bits.  Each mask is a block
-    doubled into its copies."""
+    (mask, shift) per step k, from the highest bit k of a row index down.
+    Before step k the rows of each group of 2^(k+1) rows sit at stride L
+    from a lane boundary, and the step moves those with bit k set, the
+    mask, up by shift = 2^k (W - L) bits.  Each mask is a block doubled
+    into its copies."""
     W = next((w for w in (8, 16, 32, 64) if L <= w), -(-L // 8) * 8)
     size = W >> 3
     words = Struct(f"<{n}{'BHIQ'[size.bit_length() - 1]}" if W <= 64 else f"{size}s" * n)
@@ -237,8 +256,7 @@ def _lanes(n: int, L: int) -> Tuple[int, Struct, int, Tuple[Tuple[int, int, int]
         for k in reversed(range((n - 1).bit_length())):
             half = 1 << k
             upper = (1 << half * L) - 1 << half * L
-            mask, shift = _repeat(upper, 2 * half * W, -(-n // (2 * half))), half * (W - L)
-            steps.append((mask, shift, mask << shift))
+            steps.append((_repeat(upper, 2 * half * W, -(-n // (2 * half))), half * (W - L)))
     return size, words, (1 << n * L) - 1, tuple(steps)
 
 
@@ -261,7 +279,7 @@ def _split_rows(flat: int, n: int, L: int) -> Tuple[int, ...]:
         return tuple(rows)
     size, words, low, steps = _lanes(n, L)
     flat &= low
-    for mask, shift, _ in steps:
+    for mask, shift in steps:
         moved = flat & mask
         flat ^= moved ^ moved << shift
     lanes = words.unpack(flat.to_bytes(words.size, "little"))
@@ -281,9 +299,9 @@ def _join_rows(rows: Sequence[int], L: int) -> int:
     if size > 8:
         rows = [row.to_bytes(size, "little") for row in rows]
     flat = int.from_bytes(words.pack(*rows), "little")
-    for _, shift, mask in reversed(steps):
-        moved = flat & mask
-        flat ^= moved ^ moved >> shift
+    for mask, shift in reversed(steps):
+        moved = flat >> shift & mask
+        flat ^= moved ^ moved << shift
     return flat
 
 
@@ -298,19 +316,19 @@ def _prefix_masks(L: int) -> Tuple[int, ...]:
 _NO_ERASURES = object()
 
 
-def _damage(x: BitArray, pattern, deletions, e: int, t: int, s: int) -> RaggedArray:
-    """The one checked pass behind every channel: erase the last pattern[i]
-    positions of row i, then delete the 1-indexed positions of each
-    (row, positions) pair of `deletions` from the truncated rows.
+def _check_instance(n: int, L: int, pattern, deletions, e: int, t: int, s: int) -> None:
+    """Raise if the instance is not one `_cut` may apply to an n x L array
+    within the budgets e, t and s; return nothing.
 
     It checks, in this order: the pattern (one int in 0..L per row), its
     total against the budget e, and, deletion by deletion, at most t rows,
     each named once with 1..s positions, every row and position an int in
-    range.  A bad value raises ValueError; a pattern or deletions that are
-    no sequence raise TypeError."""
-    n, L = x.n, x.L
+    range, a position counted in its row once the tail erasure and the
+    row's higher deleted positions are gone.  A bad value raises
+    ValueError; a pattern or deletions that are no sequence raise
+    TypeError."""
     if pattern is _NO_ERASURES:
-        rows, lost = list(x.rows), [0] * n
+        lost = (0,) * n
     else:
         if len(pattern) != n:
             raise ValueError("pattern length does not match row count")
@@ -325,37 +343,69 @@ def _damage(x: BitArray, pattern, deletions, e: int, t: int, s: int) -> RaggedAr
         except TypeError:
             # an entry that does not compare with ints or is no int
             raise ValueError("per-row erasure counts must be ints") from None
-        masks = _prefix_masks(L)
-        rows = [r & masks[p] for r, p in zip(x.rows, lost)]
         if sum(lost) > e:
             raise ValueError("instance exceeds the e budget")
     if len(deletions) > t:
         raise ValueError("too many deletion rows")
     if deletions:
         seen = set()
+        add, index = seen.add, operator.index
         try:
             for row, positions in deletions:
                 if row in seen:
                     raise ValueError("duplicate row in deletion instance")
-                seen.add(row)
+                add(row)
                 if not 1 <= len(positions) <= s:
                     raise ValueError("per-row deletion count out of range")
                 if not 1 <= row <= n:
                     raise ValueError(f"row {row} out of range")
-                bits, length = rows[row - 1], L - lost[row - 1]
-                # Last position first, so the ones before it keep their index.
+                length = L - lost[row - 1]
+                # Last position first, as `_cut` deletes them.
                 if len(positions) > 1:
                     positions = sorted(positions, reverse=True)
                 for pos in positions:
                     if not 1 <= pos <= length:
                         raise ValueError(f"deletion position {pos} out of range")
-                    bits = (bits & ((1 << (pos - 1)) - 1)) | ((bits >> pos) << (pos - 1))
+                    index(pos)      # as `_cut`'s shifts need
                     length -= 1
-                rows[row - 1], lost[row - 1] = bits, L - length
         except TypeError:
             # a row or position that is no int, or an entry that is no pair
             raise ValueError("deletion rows and positions must be ints") from None
-    return _ragged_array(n, L, tuple(rows), tuple(lost))
+
+
+def _cut(x: BitArray, lost, deletions) -> RaggedArray:
+    """The erase and delete arithmetic behind every channel: erase the last
+    lost[i] positions of row i (none for `_NO_ERASURES`), then delete the
+    1-indexed positions of each (row, positions) pair of `deletions` from
+    the truncated rows.  It checks nothing: `lost` holds plain ints, and
+    the instance is one that `_check_instance` passes for x's shape."""
+    L = x.L
+    if lost is _NO_ERASURES:
+        rows, lost = list(x.rows), [0] * x.n
+    else:
+        masks = _prefix_masks(L)
+        rows = [r & masks[p] for r, p in zip(x.rows, lost)]
+        if deletions:
+            lost = list(lost)
+    for row, positions in deletions:
+        bits, length = rows[row - 1], L - lost[row - 1]
+        # Last position first, so the ones before it keep their index.
+        if len(positions) > 1:
+            positions = sorted(positions, reverse=True)
+        for pos in positions:
+            bits = (bits & ((1 << (pos - 1)) - 1)) | ((bits >> pos) << (pos - 1))
+            length -= 1
+        rows[row - 1], lost[row - 1] = bits, L - length
+    return _ragged_array(x.n, L, tuple(rows), tuple(lost))
+
+
+def _damage(x: BitArray, pattern, deletions, e: int, t: int, s: int) -> RaggedArray:
+    """The checked channel: `_check_instance`, then `_cut` with the pattern
+    read as plain ints, so a bool entry is lost as its int."""
+    _check_instance(x.n, x.L, pattern, deletions, e, t, s)
+    if pattern is not _NO_ERASURES:
+        pattern = tuple(map(operator.index, pattern))
+    return _cut(x, pattern, deletions)
 
 
 def apply_te_pattern(x: BitArray, p: Sequence[int]) -> RaggedArray:

@@ -5,6 +5,17 @@ pattern tuple, a deletion instance maps rows to deletion positions, and a
 combined instance applies the tail erasures first (order does not matter
 per row; the reachable outputs coincide) followed by the deletions on the
 truncated rows.
+
+Applying an instance is a check, `arrays._check_instance`, then the erase
+and delete arithmetic, `arrays._cut`.  The instances that
+`enumerate_channel_instances` yields are valid by construction, and each
+carries the (spec, n, L) it was made for in its class: `apply_channel`
+skips the check for such an instance under that very spec object, on an
+array of that n and L.  Every other instance is checked in full, in the
+same order and with the same messages: a caller's tuple, a
+`random_instance` draw, an instance read from a file or the command
+line, one given to `arrays.apply_te_pattern`, and an enumerated one under
+another spec object or on another shape.
 """
 
 from __future__ import annotations
@@ -15,7 +26,7 @@ from dataclasses import dataclass
 from itertools import chain, combinations, islice, product, repeat
 from typing import Iterator, Optional, Sequence, Tuple
 
-from .arrays import (_NO_ERASURES, BitArray, RaggedArray, _damage, _int_to_row,
+from .arrays import (_NO_ERASURES, BitArray, RaggedArray, _cut, _damage, _int_to_row,
                      enumerate_patterns)
 
 TeInstance = Tuple[int, ...]                 # erasure counts per row
@@ -43,16 +54,34 @@ class ChannelSpec:
             raise ValueError("t and s must be non-negative")
 
 
+class _Enumerated(tuple):
+    """An instance `enumerate_channel_instances` built.  Each call makes its
+    own subclass, whose class attribute `made_for` is the (spec, n, L) of
+    the call; an instance adds nothing to the tuple it holds, and compares,
+    hashes and prints as that tuple."""
+
+    __slots__ = ()
+    made_for: Tuple[ChannelSpec, int, int]
+
+
 def apply_channel(x: BitArray, spec: ChannelSpec, instance) -> RaggedArray:
     """Apply a concrete instance within the spec's budgets; every kind
     returns a RaggedArray.  A ted instance erases the tails first, then
-    deletes positions indexed into the truncated rows."""
+    deletes positions indexed into the truncated rows.
+
+    An instance that `enumerate_channel_instances` made for this very spec
+    object and x's n and L is valid by construction and goes straight to
+    the arithmetic; every other instance is checked in full first."""
     if spec.kind == "te":
         pattern, deletions = instance, ()
     elif spec.kind == "del":
         pattern, deletions = _NO_ERASURES, instance
     else:
         pattern, deletions = instance
+    if isinstance(instance, _Enumerated):
+        made_spec, n, L = instance.made_for
+        if made_spec is spec and n == x.n and L == x.L:
+            return _cut(x, pattern, deletions)
     return _damage(x, pattern, deletions, spec.e, spec.t, spec.s)
 
 
@@ -86,6 +115,9 @@ def enumerate_channel_instances(spec: ChannelSpec, n: int, L: int,
     deletion layout included, so pure-TE damage is covered).  A stream of
     more than `max_work` instances raises RuntimeError in place of instance
     max_work + 1; None means no cap, and a negative cap raises ValueError.
+    Each instance comes as a tuple subclass made for this call, which
+    `apply_channel` applies without checking it under this spec object on
+    an n x L array.
     """
     if max_work is not None and max_work < 0:
         raise ValueError(f"max_work must be None or at least 0, got {max_work}")
@@ -98,7 +130,8 @@ def enumerate_channel_instances(spec: ChannelSpec, n: int, L: int,
             zip(repeat(p), enumerate_deletion_instances(
                 [L - pi for pi in p], spec.t, spec.s, include_empty=True))
             for p in enumerate_patterns(spec.e, L, n))
-    yield from islice(stream, max_work)
+    marked = type("_Enumerated", (_Enumerated,), {"__slots__": (), "made_for": (spec, n, L)})
+    yield from map(marked, islice(stream, max_work))
     if next(stream, None) is not None:
         raise RuntimeError("instance enumeration exceeds the work cap")
 

@@ -194,3 +194,43 @@ def test_a_failed_check_is_named_from_the_record(tmp_path):
                      "sys.exit(1)\n")
     failure = ab.run_once(tree, "w", 1, 1.0)
     assert (failure.exit_code, failure.reason) == (1, "wrong decode: m=[1]")
+
+
+def record_tree(root, trials_per_s, verify_s):
+    """A tree whose run prints a RECORD line with report-only and unscaled
+    blocks, as `perfbench/run.py` does, and one gated metric."""
+    record = {"first_failure": None,
+              "report_only": {"decode_tail_us": 12.5, "verify_s": verify_s, "failed_frac": 0.0},
+              "unscaled": {"setup_s": 0.02, "trials_per_s": 0.9 * trials_per_s,
+                           "ref_s": 0.001}}
+    result = {"correct": True, "metrics": {"trials_per_s": {"value": trials_per_s,
+                                                            "unit": "1/s"}}}
+    return stub_tree(root, "import json\n"
+                     f"print('RECORD ' + json.dumps({record!r}))\n"
+                     f"print(json.dumps({result!r}))\n")
+
+
+def test_report_only_and_unscaled_metrics_are_summarised_ungated(monkeypatch, capsys, tmp_path):
+    """`verify_s`, `decode_tail_us` and the unscaled medians get the gated
+    metrics' summary, with no bound and `gated: false`; `failed_frac` and
+    the reference kernel's `ref_s` have no better direction and are left
+    out of it."""
+    parent = record_tree(tmp_path / "p", 80000.0, 0.20)
+    change = record_tree(tmp_path / "c", 90000.0, 0.19)
+    assert ab.run_once(parent, "w", 1, 1.0) == {
+        "trials_per_s": 80000.0, "decode_tail_us": 12.5, "verify_s": 0.20,
+        "unscaled.setup_s": 0.02, "unscaled.trials_per_s": 72000.0, "unscaled.ref_s": 0.001}
+    monkeypatch.setattr(ab, "export", lambda rev, into: parent)
+    monkeypatch.setattr(ab, "copy_worktree", lambda into: change)
+    assert ab.main(["--workload", "te-verify", "--pairs", "2"]) == 0
+    metrics = json.loads(capsys.readouterr().out)["metrics"]
+    assert set(metrics) == {"trials_per_s", "decode_tail_us", "verify_s",
+                            "unscaled.setup_s", "unscaled.trials_per_s"}
+    gated = metrics.pop("trials_per_s")
+    assert (gated["gated"], gated["bound"], gated["verdict"]) == (True, 0.25, "better")
+    for name, summary in metrics.items():
+        assert (summary["gated"], summary["bound"], summary["within_bound"]) == \
+            (False, None, None), name
+    assert metrics["verify_s"]["verdict"] == metrics["unscaled.trials_per_s"]["verdict"] == "better"
+    assert metrics["unscaled.trials_per_s"]["change_median"] == pytest.approx(81000.0)
+    assert metrics["decode_tail_us"]["verdict"] == "no change"

@@ -1,14 +1,16 @@
 import array
 import itertools
 import random
+import sys
 import tracemalloc
 from math import comb
 
 import pytest
 
 from arraycodes.arrays import (INF, BitArray, RaggedArray, _bit_array,
-                               _block_width, _fll_rows, _int_to_row, _join_rows,
-                               _ragged_array, _row_to_int, _split_rows,
+                               _PLANS, _block_width, _fll_rows, _int_to_row,
+                               _join_rows, _lanes, _ragged_array, _row_to_int,
+                               _split_rows,
                                apply_te_pattern, count_patterns,
                                d1_dc_distance, d_sdc_distance,
                                enumerate_patterns, fll_distance,
@@ -101,6 +103,31 @@ def test_split_and_join_rows_at_storage_scale():
     rows = _split_rows(flat, n, L)
     assert rows == per_row_split(flat, n, L)
     assert _join_rows(rows, L) == flat
+
+
+def test_split_plan_holds_one_mask_per_step():
+    """At 512 rows of 511 bits the plan's 9 steps held 629 KB with two masks
+    each, for a codeword of 32 KB; one mask of about n L bits per step
+    halves that, and the cache keeps the plans of a few shapes only."""
+    n, L = 512, 511
+    steps = _lanes(n, L)[3]
+    held = sum(sys.getsizeof(v) for step in steps for v in step)
+    assert len(steps) == 9
+    assert held < 1.2 * len(steps) * n * L / 8
+    for k in range(2 * _PLANS):
+        _split_rows(0, 9 + k, 3)
+    assert _lanes.cache_info().currsize <= _PLANS < 2 * _PLANS
+
+
+@pytest.mark.parametrize("n, L, name", [(2.0, 3, "n"), (2, 3.0, "L"),
+                                        (True, 3, "n"), (2, False, "L")])
+def test_dimensions_that_are_no_ints_rejected(n, L, name):
+    """A float n once built an array, and a float L failed at a shift."""
+    kind = type(n if name == "n" else L).__name__
+    with pytest.raises(TypeError, match=f"^{name} must be an int, got {kind}$"):
+        BitArray(n, L, (1, 0))
+    with pytest.raises(TypeError, match=f"^{name} must be an int, got {kind}$"):
+        RaggedArray(n, L, (1, 0), (0, 0))
 
 
 @pytest.mark.parametrize("n, L, rows", [(-1, 2, ()), (0, -1, ()), (2, -1, (0, 0))])

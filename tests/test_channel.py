@@ -1,10 +1,12 @@
 import hashlib
 import random
+import sys
 import tracemalloc
 from itertools import combinations, product
 
 import pytest
 
+from arraycodes import arrays
 from arraycodes.arrays import (BitArray, RaggedArray, _int_to_row, _ragged_array,
                                apply_te_pattern, count_patterns, enumerate_patterns,
                                format_ragged, parse_ragged)
@@ -712,3 +714,127 @@ def test_every_path_raises_the_same_for_a_malformed_instance(kind, instance, err
         assert _raised(apply_channel, x, unbudgeted(kind, x), instance) == (error, message)
         if kind == "te":
             assert _raised(apply_te_pattern, x, instance) == (error, message)
+
+
+# Every instance of these enumerations is applied as it is yielded, marked
+# with the (spec, n, L) it was made for, and as a plain tuple copy, which
+# takes the full check.
+MARKED_CASES = (
+    [(ChannelSpec("te", e=e), 3, 3) for e in range(4)]
+    + [(ChannelSpec("del", t=t, s=s), 3, 4) for t in (1, 2) for s in (1, 2)]
+    + [(ChannelSpec("ted", t=1, s=1, e=1), 3, 3),
+       (ChannelSpec("ted", t=2, s=1, e=1), 5, 7)])       # the ted-exhaustive stream
+
+
+@pytest.fixture
+def checks(monkeypatch):
+    """The instances `arrays._check_instance` was called on, in order."""
+    seen = []
+    check = arrays._check_instance
+
+    def spy(n, L, pattern, deletions, *budgets):
+        seen.append((pattern, deletions))
+        return check(n, L, pattern, deletions, *budgets)
+
+    monkeypatch.setattr(arrays, "_check_instance", spy)
+    return seen
+
+
+@pytest.mark.parametrize("spec,n,L", MARKED_CASES,
+                         ids=[f"{s.kind}-e{s.e}-t{s.t}-s{s.s}-{n}x{L}" for s, n, L in MARKED_CASES])
+def test_a_marked_instance_skips_the_check_and_applies_as_a_plain_one(spec, n, L, checks):
+    rng = random.Random(repr(spec))
+    xs = [random_array(rng, n, L) for _ in range(2)]
+    count = 0
+    for inst in enumerate_channel_instances(spec, n, L):
+        plain = tuple(inst)
+        assert type(plain) is tuple and type(inst) is not tuple
+        for x in xs:
+            marked = apply_channel(x, spec, inst)
+            assert checks == []
+            checked = apply_channel(x, spec, plain)
+            assert len(checks) == 1
+            checks.clear()
+            for out in (marked, checked):
+                assert type(out) is RaggedArray and (out.n, out.L) == (n, L)
+                assert type(out.rows) is tuple and type(out.lost) is tuple
+                assert all(type(v) is int for v in out.rows + out.lost)
+            assert (marked.rows, marked.lost) == (checked.rows, checked.lost)
+        count += 1
+    if spec.kind == "ted" and n == 5:
+        assert count == 3011
+
+
+def test_marked_instances_compare_hash_and_print_as_tuples():
+    for spec, n, L in MARKED_CASES:
+        for inst in enumerate_channel_instances(spec, n, L):
+            plain = tuple(inst)
+            assert inst == plain and hash(inst) == hash(plain)
+            assert repr(inst) == repr(plain) and str(inst) == str(plain)
+            assert isinstance(inst, tuple) and not hasattr(inst, "__dict__")
+            assert sys.getsizeof(inst) == sys.getsizeof(plain)
+            assert type(inst).made_for == (spec, n, L)
+
+
+def test_each_enumeration_makes_its_own_mark():
+    spec = ChannelSpec("te", e=1)
+    first = next(enumerate_channel_instances(spec, 2, 2))
+    again = next(enumerate_channel_instances(spec, 2, 2))
+    other = next(enumerate_channel_instances(spec, 3, 2))
+    assert first == again and type(first) is not type(again)
+    assert type(other).made_for == (spec, 3, 2)
+
+
+def _first(spec, n, L, keep):
+    """The first instance of the stream that `keep` takes."""
+    return next(i for i in enumerate_channel_instances(spec, n, L) if keep(i))
+
+
+# A marked instance applied under another spec object or to an array of
+# another shape, with the error the plain tuple raises there.
+FOREIGN_CASES = [
+    # a weight-3 pattern made for e = 4, applied with e = 2
+    ("te", ChannelSpec("te", e=4), (3, 3), ChannelSpec("te", e=2), (3, 3),
+     lambda i: sum(i) == 3, "instance exceeds the e budget"),
+    ("ted", ChannelSpec("ted", t=1, s=1, e=4), (3, 3), ChannelSpec("ted", t=1, s=1, e=2),
+     (3, 3), lambda i: sum(i[0]) == 3, "instance exceeds the e budget"),
+    ("del", ChannelSpec("del", t=2, s=2), (3, 4), ChannelSpec("del", t=1, s=2), (3, 4),
+     lambda i: len(i) == 2, "too many deletion rows"),
+    # another n
+    ("te", ChannelSpec("te", e=2), (3, 3), None, (4, 3),
+     lambda i: True, "pattern length does not match row count"),
+    ("del", ChannelSpec("del", t=1, s=1), (4, 3), None, (3, 3),
+     lambda i: i[0][0] == 4, "row 4 out of range"),
+    # another L
+    ("te", ChannelSpec("te", e=4), (3, 4), None, (3, 3),
+     lambda i: max(i) == 4, "per-row erasure count out of range"),
+    ("del", ChannelSpec("del", t=1, s=1), (3, 4), None, (3, 3),
+     lambda i: i[0][1] == (4,), "deletion position 4 out of range"),
+    ("ted", ChannelSpec("ted", t=1, s=1, e=1), (3, 4), None, (3, 3),
+     lambda i: i[1] == ((1, (4,)),), "deletion position 4 out of range"),
+]
+
+
+@pytest.mark.parametrize("kind,made,made_shape,used,shape,keep,message", FOREIGN_CASES,
+                         ids=["te-budget", "ted-budget", "del-budget", "te-n", "del-n",
+                              "te-L", "del-L", "ted-L"])
+def test_a_marked_instance_elsewhere_raises_as_a_plain_one(kind, made, made_shape, used,
+                                                            shape, keep, message, checks):
+    inst = _first(made, *made_shape, keep)
+    x = random_array(random.Random(kind), *shape)
+    spec = used or made
+    assert _raised(apply_channel, x, spec, inst) == (ValueError, message)
+    assert _raised(apply_channel, x, spec, tuple(inst)) == (ValueError, message)
+    assert len(checks) == 2
+
+
+@pytest.mark.parametrize("spec,n,L", [MARKED_CASES[i] for i in (3, 7, 8)],
+                         ids=["te", "del", "ted"])
+def test_a_marked_instance_under_an_equal_spec_object_is_checked(spec, n, L, checks):
+    twin = ChannelSpec(spec.kind, e=spec.e, t=spec.t, s=spec.s)
+    assert twin == spec and twin is not spec
+    x = random_array(random.Random(n), n, L)
+    for inst in enumerate_channel_instances(spec, n, L):
+        assert apply_channel(x, twin, inst) == apply_channel(x, spec, inst)
+        assert len(checks) == 1
+        checks.clear()

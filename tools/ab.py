@@ -26,7 +26,11 @@ other way, and "no change" otherwise.  Next to the verdict stand the
 metric's `bound` from `BENCHMARK.json` and whether the change's median
 lies within it of the parent's (|`change_frac`| <= `bound`), so that a
 "worse" verdict over a tiny interquartile range, as `peak_rss_mb` can
-give, reads against the bound it is held to.  Quartiles are
+give, reads against the bound it is held to.  The report-only metrics of
+the run's `RECORD` line (`verify_s`, `decode_tail_us`) and its plain
+wall-time medians (`unscaled.trials_per_s` and so on) get the same
+summary, with `"bound": null` and `"gated": false`; the gated metrics
+read `"gated": true`.  Quartiles are
 `statistics.quantiles(..., method="inclusive")`.  The line ends with the
 raw (parent, change) metrics of every pair, so `summarize` can be replayed
 on them.  A run that fails its checks, or prints no result, is counted in
@@ -52,6 +56,11 @@ from pathlib import Path
 from typing import Dict, List, NamedTuple, Optional, Sequence
 
 ROOT = Path(__file__).resolve().parent.parent
+# The report-only metrics of a run's `RECORD` line that are summarised, with
+# the direction that is better, and the prefix of its plain wall-time
+# medians, its `unscaled` block.  Neither is gated.
+REPORT_ONLY = {"verify_s": "lower", "decode_tail_us": "lower"}
+UNSCALED = "unscaled."
 
 
 def quartiles(values: Sequence[float]):
@@ -67,8 +76,8 @@ def summarize(pairs: Sequence[tuple], better: Dict[str, str],
     """Per-metric summary of (parent metrics, change metrics) pairs.
 
     `better` maps each metric to "lower" or "higher", and `bounds` to its
-    `bound` in `BENCHMARK.json`, if any.  Metrics missing from any run are
-    skipped.
+    `bound` in `BENCHMARK.json`, if any; a metric is `gated` when it has
+    one.  Metrics missing from any run are skipped.
     """
     bounds = bounds or {}
     out = {}
@@ -97,7 +106,7 @@ def summarize(pairs: Sequence[tuple], better: Dict[str, str],
                      "parent_quartiles": [p1, p3], "change_quartiles": [c1, c3],
                      "parent_iqr": iqr, "change_frac": frac,
                      "wins": wins, "losses": losses, "pairs": n,
-                     "verdict": verdict, "bound": bound,
+                     "verdict": verdict, "bound": bound, "gated": bound is not None,
                      "within_bound": (None if bound is None or frac is None
                                       else abs(frac) <= bound)}
     return out
@@ -137,7 +146,10 @@ class Failure(NamedTuple):
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float):
-    """The end-to-end metrics of one benchmark run, or a `Failure`."""
+    """The metrics of one benchmark run, or a `Failure`: the end-to-end
+    ones by name, the `RECORD` line's report-only ones named in
+    `REPORT_ONLY` by name, and its plain wall-time medians as
+    `unscaled.<name>`."""
     done = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
@@ -147,11 +159,17 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float):
         result = json.loads(lines[-1])
     except (IndexError, ValueError):
         result = None
-    if not done.returncode and result is not None and result.get("correct"):
-        return {name: m["value"] for name, m in result["metrics"].items()}
     records = [json.loads(line[len("RECORD "):]) for line in lines
                if line.startswith("RECORD ")]
-    reason = records[-1].get("first_failure") if records else None
+    record = records[-1] if records else {}
+    if not done.returncode and result is not None and result.get("correct"):
+        metrics = {name: m["value"] for name, m in result["metrics"].items()}
+        metrics.update((name, value) for name, value in record.get("report_only", {}).items()
+                       if name in REPORT_ONLY)
+        metrics.update((UNSCALED + name, value)
+                       for name, value in record.get("unscaled", {}).items())
+        return metrics
+    reason = record.get("first_failure")
     if not reason:
         errors = done.stderr.strip().splitlines()
         reason = errors[-1] if errors else "no result line and no error output"
@@ -172,6 +190,8 @@ def main(argv=None) -> int:
         parser.error("--pairs must be at least 1")
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    better.update(REPORT_ONLY)
+    better.update({UNSCALED + name: way for name, way in better.items()})
     bounds = {m["name"]: m["bound"] for m in spec["end_to_end"] if "bound" in m}
     workloads = args.workload or [w["name"] for w in spec["workloads"]]
     status = 0
