@@ -46,14 +46,18 @@ takes `Gf2m.mul` and `Gf2m.inv`.  (Against a coefficient-by-coefficient
 locator and an S Lambda convolution, a fill at r = 16 measured -15% to +7%
 at m = 9, 10, 11 and 17, with 4 or 16 erasures.)
 
-The fill reads its three tables inline, as one
+The fill reads its tables inline, as one
 reduce(xor, map(getitem, table, symbols)) each, with no call frame per
 read; a field of m > 8 first splits each symbol into its chunks
-(`_chunks`, which `_lookup` shares).
+(`_chunks`, which `_lookup` shares).  On byte lanes one read evaluates
+Omega and Lambda' together, their rows side by side in one int.
 
 The tables, and the fill's per-code constants beside them, depend only on
 (field, n, k) and are built once per code, each row from the images of the
-m basis bits of its input symbol.
+m basis bits of its input symbol.  The fill itself is built once per code
+too, one closure per lane kind (`_byte_lane_fill`, `_wide_lane_fill`)
+with its tables and constants bound, so a call reads no attribute and
+takes no branch on the lane kind.
 """
 
 from __future__ import annotations
@@ -61,7 +65,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from operator import getitem, xor
-from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import CapacityExceededError, NotACodewordError
 from .field import Gf2m
@@ -71,6 +75,8 @@ from .gf2 import xor_table
 _CHUNK_BITS = 8
 
 _Rows = Tuple[Tuple[int, ...], ...]
+# fill(word, erased) -> the survivors' packed syndrome; see `_fill_erasures`.
+_Fill = Callable[[List[int], Sequence[int]], int]
 
 
 def _lane_tops(m: int, lanes: int, stride: int) -> int:
@@ -248,76 +254,23 @@ class ReedSolomon:
         caller guarantees k ints in [0, 2^m)."""
         return self._unpack(self._lookup(self._tables.par, message))
 
-    def _fill_erasures(self, word: List[int], erased: Sequence[int]) -> int:
-        """Write the erased symbols of `word` in place and return the packed
-        syndrome of the survivors.  `word` holds n ints in [0, 2^m), 0 at the
-        erased indices, listed in `erased`; the caller guarantees the range,
-        which is not checked here (an out-of-range symbol would be masked
-        or index past a table row).  Raises CapacityExceededError with more
-        than n - k erasures and NotACodewordError when the survivors match
-        no codeword; with no erasures, that check is the whole fill.  The
-        three table reads are inline XORs of table rows, each symbol split
-        into its chunks first on fields of m > 8.  Only the product of the
-        packed int and x_j, and Forney's step, depend on the lane width."""
-        tables = self._tables
-        eps = len(erased)
-        r = tables.capacity
-        if eps > r:
-            raise CapacityExceededError(f"{eps} erasures exceed capacity {r}")
-        m = self.field.m
-        full = (1 << m) - 1
-        wide = len(tables.shifts) > 1
-        syndrome = reduce(xor, map(getitem, tables.syn, self._chunks(word) if wide else word), 0)
-        # S low, a zero guard lane, Lambda = 1 above it; each erased point
-        # adds x_j times the whole int, one lane up, with the guard cleared.
-        # Of the modified syndromes S Lambda mod z^(n-k), the first eps form
-        # the evaluator Omega; the rest are zero exactly when some codeword
-        # agrees with every surviving symbol.
-        times, stride, width, keep = tables.times, tables.stride, tables.width, tables.keep
-        modified = syndrome | 1 << stride * (r + 1)
-        for j in erased:
-            if times:
-                product = int.from_bytes(
-                    modified.to_bytes(width, "little").translate(times[j]), "little")
-            else:
-                # Horner over the bits of x_j below its top one: each
-                # shifts every lane up and reduces those that overflowed.
-                product, tops, low = modified, tables.tops, tables.low
-                for bit in bin(tables.points[j])[3:]:
-                    carry = product & tops
-                    product = (product ^ carry) << 1 ^ (carry >> (m - 1)) * low
-                    if bit == "1":
-                        product ^= modified
-            modified ^= product << stride & keep
-        if modified & tables.consistency[eps]:
-            raise NotACodewordError("surviving symbols are not consistent with any codeword")
-        if not eps:
-            return syndrome
-        if times:
-            coefficients = modified.to_bytes(width, "little")
-        else:
-            coefficients = [modified >> s & full for s in range(0, m * width, m)]
-        # Omega and the formal derivative Lambda' (only the odd-degree
-        # coefficients of Lambda, lambda_1, lambda_3, ..., survive in char 2,
-        # at the even powers), each evaluated at every 1/x_j.
-        omega, odd = coefficients[:eps], coefficients[r + 2:r + 2 + eps:2]
-        if wide:
-            omega, odd = self._chunks(omega), self._chunks(odd)
-        num = reduce(xor, map(getitem, tables.ev, omega), 0)
-        den = reduce(xor, map(getitem, tables.ev_even, odd), 0)
-        # Forney: v_j c_j = x_j Omega(1/x_j) / Lambda'(1/x_j), and Lambda'
-        # has no zero at an erased point.
-        if times:
-            exp, log, scale_log = tables.exp, tables.log, tables.scale_log
-            num, den = num.to_bytes(self.n, "little"), den.to_bytes(self.n, "little")
-            for j in erased:
-                # A zero Omega reads exp's zero region.
-                word[j] = exp[log[num[j]] + (scale_log[j] - log[den[j]]) % full]
-        else:
-            mul, inv, scale = self.field.mul, self.field.inv, tables.forney_scale
-            for j in erased:
-                word[j] = mul(mul(num >> (m * j) & full, scale[j]), inv(den >> (m * j) & full))
-        return syndrome
+    @cached_property
+    def _fill_erasures(self) -> _Fill:
+        """fill(word, erased): write the erased symbols of `word` in place
+        and return the packed syndrome of the survivors.  `word` holds n
+        ints in [0, 2^m), 0 at the erased indices, listed in `erased`; the
+        caller guarantees the range, which is not checked here (an
+        out-of-range symbol would be masked or index past a table row).
+        Raises CapacityExceededError with more than n - k erasures and
+        NotACodewordError when the survivors match no codeword; with no
+        erasures, that check is the whole fill.  The table reads are inline
+        XORs of table rows, each symbol split into its chunks first on
+        fields of m > 8.  Only the product of the packed int and x_j,
+        and Forney's step, depend on the lane width, so there is one fill
+        per lane kind, its tables and constants bound once per code."""
+        if self._tables.times:
+            return _byte_lane_fill(self)
+        return _wide_lane_fill(self)
 
     def is_codeword(self, word: Sequence[int]) -> bool:
         """Whether `word` is a codeword: n symbols in [0, 2^m) whose
@@ -325,3 +278,105 @@ class ReedSolomon:
         if len(word) != self.n or not self._in_range(word):
             return False
         return not self._lookup(self._tables.syn, word)
+
+
+def _byte_lane_fill(rs: ReedSolomon) -> _Fill:
+    """The fill of a code whose lanes are bytes (log tables, m <= 8):
+    multiplying every lane by x_j is one `translate` through `times[j]`,
+    and Forney's step is log-table arithmetic."""
+    tables, n, full = rs._tables, rs.n, rs.field.order - 1
+    r, width, keep = tables.capacity, tables.width, tables.keep
+    syn, times, consistency = tables.syn, tables.times, tables.consistency
+    exp, log, scale_log = tables.exp, tables.log, tables.scale_log
+    one = 1 << 8 * (r + 1)
+    # [eps]: the rows that evaluate Omega (eps coefficients) in lanes
+    # 0 .. n-1 and Lambda' (the ceil(eps/2) odd-degree ones) in lanes
+    # n .. 2n-1, so one read of the eps coefficients and the odd ones gives
+    # both at every 1/x_j.
+    high = [tuple(v << 8 * n for v in row) for row in tables.ev_even]
+    forney = [tables.ev[:eps] + tuple(high[:(eps + 1) // 2]) for eps in range(r + 1)]
+
+    def fill(word: List[int], erased: Sequence[int]) -> int:
+        eps = len(erased)
+        if eps > r:
+            raise CapacityExceededError(f"{eps} erasures exceed capacity {r}")
+        syndrome = reduce(xor, map(getitem, syn, word), 0)
+        # S low, a zero guard lane, Lambda = 1 above it; each erased point
+        # adds x_j times the whole int, one lane up, with the guard cleared.
+        # Of the modified syndromes S Lambda mod z^(n-k), the first eps form
+        # the evaluator Omega; the rest are zero exactly when some codeword
+        # agrees with every surviving symbol.
+        modified = syndrome | one
+        for j in erased:
+            product = int.from_bytes(
+                modified.to_bytes(width, "little").translate(times[j]), "little")
+            modified ^= product << 8 & keep
+        if modified & consistency[eps]:
+            raise NotACodewordError("surviving symbols are not consistent with any codeword")
+        if not eps:
+            return syndrome
+        coefficients = modified.to_bytes(width, "little")
+        # Omega and the formal derivative Lambda' (only the odd-degree
+        # coefficients of Lambda, lambda_1, lambda_3, ..., survive in char 2,
+        # at the even powers), each evaluated at every 1/x_j.
+        values = reduce(xor, map(getitem, forney[eps],
+                                 coefficients[:eps] + coefficients[r + 2:r + 2 + eps:2]),
+                        0).to_bytes(2 * n, "little")
+        # Forney: v_j c_j = x_j Omega(1/x_j) / Lambda'(1/x_j), and Lambda'
+        # has no zero at an erased point.  A zero Omega reads exp's zero
+        # region.
+        for j in erased:
+            word[j] = exp[log[values[j]] + (scale_log[j] - log[values[n + j]]) % full]
+        return syndrome
+
+    return fill
+
+
+def _wide_lane_fill(rs: ReedSolomon) -> _Fill:
+    """The fill of a code whose lanes are m bits wide (m > 8, or a field
+    without log tables): multiplying every lane by x_j is one lane-parallel
+    shift-and-reduce step per bit of x_j, and Forney's step takes
+    `Gf2m.mul` and `Gf2m.inv`.  On fields of m > 8 each symbol is split
+    into its chunks before a table read."""
+    tables = rs._tables
+    m, mul, inv = rs.field.m, rs.field.mul, rs.field.inv
+    full = (1 << m) - 1
+    r, width, keep = tables.capacity, tables.width, tables.keep
+    syn, consistency, ev, ev_even = tables.syn, tables.consistency, tables.ev, tables.ev_even
+    points, tops, low, scale = tables.points, tables.tops, tables.low, tables.forney_scale
+    chunks = rs._chunks if len(tables.shifts) > 1 else None
+    one = 1 << m * (r + 1)
+
+    def fill(word: List[int], erased: Sequence[int]) -> int:
+        eps = len(erased)
+        if eps > r:
+            raise CapacityExceededError(f"{eps} erasures exceed capacity {r}")
+        syndrome = reduce(xor, map(getitem, syn, chunks(word) if chunks else word), 0)
+        # The modified syndromes and Lambda, as in the byte-lane fill.
+        modified = syndrome | one
+        for j in erased:
+            # Horner over the bits of x_j below its top one: each shifts
+            # every lane up and reduces those that overflowed.
+            product = modified
+            for bit in bin(points[j])[3:]:
+                carry = product & tops
+                product = (product ^ carry) << 1 ^ (carry >> (m - 1)) * low
+                if bit == "1":
+                    product ^= modified
+            modified ^= product << m & keep
+        if modified & consistency[eps]:
+            raise NotACodewordError("surviving symbols are not consistent with any codeword")
+        if not eps:
+            return syndrome
+        coefficients = [modified >> s & full for s in range(0, m * width, m)]
+        omega, odd = coefficients[:eps], coefficients[r + 2:r + 2 + eps:2]
+        if chunks:
+            omega, odd = chunks(omega), chunks(odd)
+        num = reduce(xor, map(getitem, ev, omega), 0)
+        den = reduce(xor, map(getitem, ev_even, odd), 0)
+        # Forney, as in the byte-lane fill.
+        for j in erased:
+            word[j] = mul(mul(num >> (m * j) & full, scale[j]), inv(den >> (m * j) & full))
+        return syndrome
+
+    return fill

@@ -7,9 +7,13 @@ an outer erasure; once its tuple is back, a row missing k >= 2 bits gets
 its known tail re-attached and the one remaining gap is a plain VT
 deletion, whatever mix of tail loss and deletion actually occurred.  The
 symbols of the received rows, short ones included, come from one pass
-over the array, so the VT repair (`vt.vt_insert`) takes its deficiency
-as the filled residue minus the received one, less the position sum of
-any re-attached tail bits, and no repair sums a received row again.
+over the array, so the VT repair takes its deficiency as the filled
+residue minus the received one, less the position sum of any re-attached
+tail bits, and no repair sums a received row again.  A row of at most 8
+positions is repaired by one read of `vt._insert_table(L)` at that
+deficiency and its received bits, the tail's sum read from `_BYTE_SUM`;
+the table's sentinel for a deficiency past L raises the CorruptInputError
+`vt_insert` raises there.  Longer rows call `vt.vt_insert`.
 
 With e = 0 the symbol is the VT syndrome alone: that is the (t,1)
 deletion-correcting code, `arraycodes.dc.DcCode`.  Rows stay bitset ints
@@ -38,9 +42,10 @@ one unpack gives the message.  Encoding likewise cuts each parity row's
 data from the message in the loop that writes the row.
 
 Every symbol is below 2^(h+e) by construction, so the codec calls the outer
-code's private kernels, `ReedSolomon._parity` and
-`ReedSolomon._fill_erasures`, and reads its parity rows `_tables.par` at
-symbols, all of which trust their caller on that range.
+code's private kernels, `ReedSolomon._parity` and the fill
+`ReedSolomon._fill_erasures` (built once per outer code), and reads its
+parity rows `_tables.par` at symbols, all of which trust their caller on
+that range.
 
 Decoding checks its own output: the outer fill returns the syndrome of the
 intact rows' symbols, and since syndromes are linear, that syndrome XOR the
@@ -67,8 +72,9 @@ from .errors import (CapacityExceededError, ChannelContractError,
                      CorruptInputError, NotACodewordError)
 from .field import PRIMITIVE_POLYS, field_make
 from .rs import ReedSolomon
-from .vt import (_BYTE_SUM, _LOW_BITS, _encode_table, position_residues, position_sum,
-                 vt_data_int, vt_encode_int, vt_insert, vt_modulus_exponent)
+from .vt import (_BYTE_SUM, _LOW_BITS, _NO_INSERTION, _encode_table, _insert_table,
+                 position_residues, position_sum, vt_data_int, vt_encode_int, vt_insert,
+                 vt_modulus_exponent)
 
 # The largest extension degree m that `field_make` builds GF(2^m) for.
 _WIDEST_FIELD = max(PRIMITIVE_POLYS)
@@ -187,6 +193,13 @@ class TedCode:
         return _cell_gather(chain(range(k * L), (i * L + j for i in range(k, self.n)
                                                  for j in data)), L)
 
+    @cached_property
+    def _repair(self) -> Optional[Tuple[Optional[int], ...]]:
+        """`vt._insert_table(L)`, the single-deletion repair of every row
+        at every deficiency, for rows of at most 8 positions (None for
+        longer rows, which call `vt_insert`)."""
+        return _insert_table(self.L) if self.L <= 8 else None
+
     def _symbols(self, rows: Sequence[int]) -> List[int]:
         """theta of each full-length row int, a new list: one `translate`
         through `_byte_theta` up to 8 positions, and beyond, the VT residues
@@ -294,7 +307,7 @@ class TedCode:
         # chunk (h + e <= 8) indexes its position's syndrome row.
         tables = outer._tables
         syn = tables.syn if len(tables.shifts) == 1 else None
-        theta = self._byte_theta
+        theta, repair = self._byte_theta, self._repair
         rows = list(received.rows)
         repaired = []     # theta of each repaired row, on wider fields only
         hmask = (1 << h) - 1
@@ -312,12 +325,16 @@ class TedCode:
                 # minus exactly one bit.
                 known = (tail >> (e - k + 1)) << (L - k)
                 row |= known
-                deficiency -= position_sum(known, h)
-            full = vt_insert(row, deficiency & hmask, L)
-            # theta of the repaired row, from its own bits
-            if theta is not None:
+                deficiency -= (_BYTE_SUM[known] if repair is not None
+                               else position_sum(known, h))
+            # the repaired row, and theta of it from its own bits
+            if repair is not None:
+                full = repair[(deficiency & hmask) << (L - 1) | row]
+                if full is None:
+                    raise CorruptInputError(_NO_INSERTION)
                 own = theta[full]
             else:
+                full = vt_insert(row, deficiency & hmask, L)
                 own = position_sum(full, h) & hmask | full >> (L - e) << h
             if own >> h != tail:
                 raise CorruptInputError(

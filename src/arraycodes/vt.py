@@ -30,7 +30,10 @@ symbols, whose received residues it already holds, so no repair sums the
 received row a second time.  A deleted 0 or 1 alike goes back just above
 the k-th lowest one of a row, so one select serves both: it skips whole
 bytes by their popcounts and reads the index from `_SELECT8`, and it ends
-because 0 <= D <= L keeps k within that row's ones.
+because 0 <= D <= L keeps k within that row's ones.  For rows of at most
+8 positions `_insert_table(L)`, built once per L from `vt_insert`, holds
+the repair of every received row at every D < 2^h, None where D > L, for
+`TedCode.decode`; longer rows call `vt_insert`.
 
 The systematic encoder's data bits sit on the non-power positions.  The
 11 of positions 1..16 are gathered by one read of `_DATA16`, a table of
@@ -51,10 +54,14 @@ from __future__ import annotations
 import sys
 from array import array
 from functools import lru_cache
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .arrays import _int_to_row, _row_to_int
 from .errors import CorruptInputError
+
+# What a single-deletion repair raises when no one-bit insertion reaches
+# the deficiency it is asked for.
+_NO_INSERTION = "syndrome deficiency exceeds any insertion weight"
 
 
 def vt_modulus_exponent(L: int) -> int:
@@ -235,7 +242,7 @@ def vt_insert(y: int, deficiency: int, L: int) -> int:
     more than L, so D > L raises CorruptInputError; D < 0 raises ValueError.
     """
     if deficiency > L:
-        raise CorruptInputError("syndrome deficiency exceeds any insertion weight")
+        raise CorruptInputError(_NO_INSERTION)
     if deficiency < 0:
         raise ValueError("deficiency must be non-negative")
     w = y.bit_count()
@@ -253,6 +260,21 @@ def vt_insert(y: int, deficiency: int, L: int) -> int:
     pos += _SELECT8[k << 8 | v & 0xFF]
     # adding y's bits at or above pos to y doubles them: a shift up by one
     return y + (y >> pos << pos) | bit << pos
+
+
+@lru_cache(maxsize=None)
+def _insert_table(L: int) -> Tuple[Optional[int], ...]:
+    """Entry D << (L-1) | y: `vt_insert(y, D, L)`, for rows of at most 8
+    positions; 2^h * 2^(L-1) entries, D < 2^h and y < 2^(L-1), 2,048 at
+    L = 8.  None marks a D > L, where `vt_insert` raises CorruptInputError
+    with `_NO_INSERTION`.  `TedCode.decode` reads each repaired row from it."""
+    table: List[Optional[int]] = []
+    for deficiency in range(1 << L.bit_length()):
+        if deficiency > L:
+            table += [None] * (1 << (L - 1))
+        else:
+            table += [vt_insert(y, deficiency, L) for y in range(1 << (L - 1))]
+    return tuple(table)
 
 
 def vt_decode_int(y: int, a: int, L: int) -> int:

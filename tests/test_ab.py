@@ -1,8 +1,11 @@
 """The A/B tool's summary rule on fixed numbers, the seeds of its pairs and
 the trees both sides run from (no benchmark runs)."""
 
+import datetime
+import hashlib
 import importlib.util
 import json
+import platform
 import subprocess
 from pathlib import Path
 
@@ -234,3 +237,63 @@ def test_report_only_and_unscaled_metrics_are_summarised_ungated(monkeypatch, ca
     assert metrics["verify_s"]["verdict"] == metrics["unscaled.trials_per_s"]["verdict"] == "better"
     assert metrics["unscaled.trials_per_s"]["change_median"] == pytest.approx(81000.0)
     assert metrics["decode_tail_us"]["verdict"] == "no change"
+
+
+def test_append_writes_one_trajectory_line_per_workload(monkeypatch, capsys, tmp_path):
+    """`--append` adds one JSON line per workload to BENCH_<workload>.json at
+    the repository root, after the lines already there: the parent's full
+    SHA, the change's `src_sha256`, the interpreter, the seeds, the seconds
+    and each metric's medians, IQR and verdict as the printed line has them."""
+    repo = tmp_path / "repo"
+    repo.mkdir()
+
+    def git(*args):
+        return subprocess.run(["git", "-C", str(repo), "-c", "user.name=ab",
+                               "-c", "user.email=ab@example.invalid", *args],
+                              check=True, capture_output=True, text=True).stdout.strip()
+
+    git("init", "-q")
+    (repo / "BENCHMARK.json").write_text(json.dumps(
+        {"end_to_end": [{"name": "trials_per_s", "better": "higher", "bound": 0.25}],
+         "workloads": []}))
+    git("add", "BENCHMARK.json")
+    git("commit", "-q", "-m", "parent")
+    sha = git("rev-parse", "HEAD")
+    (repo / "BENCH_w.json").write_text('{"earlier": true}\n')
+    parent = record_tree(tmp_path / "p", 80000.0, 0.20)
+    change = record_tree(tmp_path / "c", 90000.0, 0.19)
+    (change / "src" / "pkg").mkdir(parents=True)
+    (change / "src" / "pkg" / "mod.py").write_text("X = 1\n")
+    monkeypatch.setattr(ab, "ROOT", repo)
+    monkeypatch.setattr(ab, "export", lambda rev, into: parent)
+    monkeypatch.setattr(ab, "copy_worktree", lambda into: change)
+    argv = ["--workload", "w", "--workload", "v", "--pairs", "2", "--first-seed", "11",
+            "--seconds", "3", "--append"]
+    assert ab.main(argv) == 0
+    printed = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    earlier, line = [json.loads(text) for text in (repo / "BENCH_w.json").read_text().splitlines()]
+    assert earlier == {"earlier": True}
+    assert len((repo / "BENCH_v.json").read_text().splitlines()) == 1
+    digest = hashlib.sha256(b"pkg/mod.py\0" + hashlib.sha256(b"X = 1\n").digest())
+    assert ab.src_sha256(change) == line["src_sha256"] == digest.hexdigest()
+    assert (line["workload"], line["parent"], line["parent_sha"]) == ("w", "HEAD", sha)
+    assert (line["seeds"], line["seconds"], line["failed_runs"]) == ([11, 12], 3.0, 0)
+    assert line["interpreter"] == f"{platform.python_implementation()} " \
+                                  f"{platform.python_version()}"
+    assert datetime.datetime.fromisoformat(line["date"]).tzinfo is not None
+    summary = printed[0]["metrics"]
+    assert set(line["metrics"]) == set(summary)
+    for name, metric in line["metrics"].items():
+        assert metric == {key: summary[name][key] for key in
+                          ("parent_median", "change_median", "parent_iqr", "verdict")}
+    assert line["metrics"]["trials_per_s"]["verdict"] == "better"
+
+
+def test_no_append_writes_no_trajectory(monkeypatch, tmp_path):
+    parent = record_tree(tmp_path / "p", 80000.0, 0.20)
+    monkeypatch.setattr(ab, "ROOT", tmp_path)
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [], "workloads": []}))
+    monkeypatch.setattr(ab, "export", lambda rev, into: parent)
+    monkeypatch.setattr(ab, "copy_worktree", lambda into: parent)
+    assert ab.main(["--workload", "w", "--pairs", "1"]) == 0
+    assert not list(tmp_path.glob("BENCH_*.json"))

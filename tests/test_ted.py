@@ -14,8 +14,8 @@ from arraycodes.errors import (ArrayCodeError, CapacityExceededError,
 from arraycodes import ted as ted_module
 from arraycodes.rs import ReedSolomon
 from arraycodes.ted import TedCode, theta_symbol
-from arraycodes.vt import (position_residues, vt_data_int, vt_decode_int, vt_encode_int,
-                           vt_insert)
+from arraycodes.vt import (_NO_INSERTION, _insert_table, position_residues, vt_data_int,
+                           vt_decode_int, vt_encode_int, vt_insert)
 from conftest import ragged, unbudgeted
 from test_fuzz import _damage, _ragged
 from test_rs import _oracle_decode
@@ -407,18 +407,22 @@ def _outcome(decode, code, received):
 
 
 @pytest.mark.parametrize("code", [TedCode(5, 7, 2, 1), TedCode(31, 31, 4, 2),
-                                  DcCode(31, 31, 8)],
+                                  DcCode(31, 31, 8), DcCode(15, 8, 3), TedCode(7, 6, 1, 2)],
                          ids=lambda c: f"{c.n}x{c.L}-t{c.t}-e{c.e}")
 def test_decode_matches_row_by_row_oracle(code):
-    """Same array, or same exception class and message, as the reference."""
+    """Same array, or same exception class and message, as the reference.
+    Rows of at most 8 positions repair through `vt._insert_table`: at
+    DC(15,8) a deficiency of 9..15 reads its sentinel, and TED(7,6,e=2)
+    re-attaches tails of one and two bits before the read."""
     rng = random.Random(code.n * 1000 + code.L * 10 + code.e)
-    seen = set()
+    seen, messages = set(), set()
     for _ in range(80):
         for kind, received in _oracle_inputs(rng, code):
             want = _outcome(oracle_decode, code, received)
             got = _outcome(TedCode.decode, code, received)
             assert got == want, (kind, received)
             seen.add((kind, "decoded" if isinstance(want, BitArray) else want[0]))
+            messages.add(None if isinstance(want, BitArray) else want[1])
     # A flipped bit in a damaged row can repair to another member (with e = 0
     # the symbol is the VT syndrome the repair enforces), so any outcome of
     # that kind is allowed as long as both decoders agree.
@@ -426,6 +430,9 @@ def test_decode_matches_row_by_row_oracle(code):
             ("out of contract", ChannelContractError),
             ("flipped intact", CorruptInputError)} <= seen
     assert any(kind == "flipped damaged" for kind, _ in seen)
+    # A deficiency past L, where no insertion reaches it, exists below 2^h
+    # exactly when L < 2^h - 1.
+    assert (_NO_INSERTION in messages) == (code.L < (1 << code.h) - 1)
 
 
 @pytest.mark.parametrize("fault", ["fill", "repair"])
@@ -435,27 +442,40 @@ def test_decode_matches_row_by_row_oracle(code):
                          ids=lambda c: f"{c.n}x{c.L}-t{c.t}-e{c.e}")
 def test_membership_recheck_catches_a_wrong_repair(code, fault, monkeypatch):
     """Every decode of a damaged array raises CorruptInputError when one
-    filled symbol is off by 1 ("fill"), or when the VT repair `vt_insert`
-    returns its row with the first bit flipped ("repair", which keeps the
-    tail).  The membership re-check reads the repaired rows' own bits, so
-    it catches every wrong repair, of rows missing one bit or (e > 0) more,
-    and some of the wrong fills.  The codes cover both re-check branches:
-    symbols of at most 8 bits, read from their syndrome rows in the repair
-    loop, and the 9-bit symbols of TED(12,255), re-checked together by
-    `ReedSolomon._syndrome_at`."""
+    filled symbol is off by 1 ("fill"), or when the VT repair returns its
+    row with the first bit flipped ("repair", which keeps the tail).  The
+    membership re-check reads the repaired rows' own bits, so it catches
+    every wrong repair, of rows missing one bit or (e > 0) more, and some of
+    the wrong fills.  The codes cover both re-check branches: symbols of at
+    most 8 bits, read from their syndrome rows in the repair loop, and the
+    9-bit symbols of TED(12,255), re-checked together by
+    `ReedSolomon._syndrome_at`.
+
+    A code binds its fill and its repair table once, so the faults go into
+    what binds them, and the decodes run on a fresh code object: the fill
+    each outer code builds, and `vt._insert_table` for rows of at most 8
+    positions (`vt_insert` beyond)."""
     if fault == "fill":
-        fill = ReedSolomon._fill_erasures
+        build = ReedSolomon.__dict__["_fill_erasures"].func
 
-        def wrong_fill(rs, word, erased):
-            syndrome = fill(rs, word, erased)
-            if erased:
-                word[erased[0]] ^= 1
-            return syndrome
+        def wrong_build(rs):
+            fill = build(rs)
 
-        monkeypatch.setattr(ReedSolomon, "_fill_erasures", wrong_fill)
+            def wrong_fill(word, erased):
+                syndrome = fill(word, erased)
+                if erased:
+                    word[erased[0]] ^= 1
+                return syndrome
+            return wrong_fill
+
+        monkeypatch.setattr(ReedSolomon, "_fill_erasures", property(wrong_build))
     else:
+        monkeypatch.setattr(ted_module, "_insert_table", lambda L: tuple(
+            None if row is None else row ^ 1 for row in _insert_table(L)))
         monkeypatch.setattr(ted_module, "vt_insert",
                             lambda y, deficiency, L: vt_insert(y, deficiency, L) ^ 1)
+    code = (DcCode(code.n, code.L, code.t) if isinstance(code, DcCode)
+            else TedCode(code.n, code.L, code.t, code.e))
     rng = random.Random(code.n * 100 + code.L)
     spec = ChannelSpec("ted", t=code.t, s=1, e=code.e)
     messages = set()

@@ -6,7 +6,8 @@ from itertools import combinations
 import pytest
 
 from arraycodes.errors import CorruptInputError
-from arraycodes.vt import (_DATA16, _SCATTER11, _SUM16, _encode_table, position_residues,
+from arraycodes.vt import (_DATA16, _NO_INSERTION, _SCATTER11, _SUM16, _encode_table,
+                           _insert_table, position_residues,
                            position_sum, vt_codewords, vt_data_int, vt_decode,
                            vt_decode_int, vt_encode_int, vt_insert,
                            vt_modulus_exponent)
@@ -524,3 +525,24 @@ def test_insert_at_the_received_deficiency_is_vt_decode(L):
                         call()
                 continue
             assert vt_insert(y, deficiency, L) == vt_decode_int(y, a, L), (L, a, y)
+
+
+@pytest.mark.parametrize("L", range(1, 9))
+def test_insert_table_is_vt_insert_at_every_row_and_deficiency(L):
+    """Entry D << (L-1) | y of `_insert_table(L)` is `vt_insert(y, D, L)`
+    for every (L-1)-bit y and every D < 2^h.  Where D > L the entry is the
+    sentinel None, and `vt_insert` raises CorruptInputError with
+    `_NO_INSERTION`, the message `TedCode.decode` raises at the sentinel."""
+    h = vt_modulus_exponent(L)
+    table = _insert_table(L)
+    assert len(table) == 1 << (h + L - 1)
+    for deficiency in range(1 << h):
+        for y in range(1 << (L - 1)):
+            entry = table[deficiency << (L - 1) | y]
+            if deficiency > L:
+                assert entry is None, (L, deficiency, y)
+                with pytest.raises(CorruptInputError) as exc:
+                    vt_insert(y, deficiency, L)
+                assert str(exc.value) == _NO_INSERTION
+            else:
+                assert entry == vt_insert(y, deficiency, L), (L, deficiency, y)

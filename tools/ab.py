@@ -39,13 +39,23 @@ failed run: its side ("parent" or "change"), seed, exit code and reason,
 the `first_failure` of its `RECORD` line when that names one, else the
 last line it wrote to standard error.  Exit status: 0, or 1 when any run
 failed.
+
+With `--append`, each workload's result is also appended as one JSON line
+to `BENCH_<workload>.json` at the repository root, the benchmark's
+trajectory: the UTC date, the parent's full SHA, the `src_sha256` of the
+change's `src/` tree (see `src_sha256`), the interpreter, the seeds, the
+seconds per run, the failed runs, and for each metric its two medians,
+the parent's interquartile range and the verdict.
 """
 
 from __future__ import annotations
 
 import argparse
+import datetime
+import hashlib
 import io
 import json
+import platform
 import shutil
 import statistics
 import subprocess
@@ -138,6 +148,31 @@ def copy_worktree(into: Path) -> Path:
     return into
 
 
+def src_sha256(tree: Path) -> str:
+    """The sha256 of the files under `tree/src`, in the order of their
+    relative paths: each adds its path, a NUL and the sha256 of its bytes."""
+    digest = hashlib.sha256()
+    src = tree / "src"
+    for path in sorted(p for p in src.rglob("*") if p.is_file()):
+        digest.update(path.relative_to(src).as_posix().encode() + b"\0")
+        digest.update(hashlib.sha256(path.read_bytes()).digest())
+    return digest.hexdigest()
+
+
+def trajectory_line(result: dict, parent_sha: str, src_hash: str) -> dict:
+    """The `BENCH_<workload>.json` line of one workload's A/B result."""
+    seeds = list(range(result["first_seed"], result["first_seed"] + result["pairs"]))
+    return {"date": datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds"),
+            "workload": result["workload"], "parent": result["parent"],
+            "parent_sha": parent_sha, "src_sha256": src_hash,
+            "interpreter": f"{platform.python_implementation()} {platform.python_version()}",
+            "seeds": seeds, "seconds": result["seconds"],
+            "failed_runs": result["failed_runs"],
+            "metrics": {name: {key: m[key] for key in ("parent_median", "change_median",
+                                                        "parent_iqr", "verdict")}
+                        for name, m in result["metrics"].items()}}
+
+
 class Failure(NamedTuple):
     """Why one benchmark run gave no metrics."""
 
@@ -185,6 +220,8 @@ def main(argv=None) -> int:
     parser.add_argument("--seconds", type=float, default=8.0)
     parser.add_argument("--first-seed", type=int, default=1,
                         help="seed of the first pair; pair k runs seed first + k - 1")
+    parser.add_argument("--append", action="store_true",
+                        help="also append each workload's result to BENCH_<workload>.json")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
@@ -197,6 +234,11 @@ def main(argv=None) -> int:
     status = 0
     with tempfile.TemporaryDirectory(prefix="ab-") as tmp:
         parent, change = export(args.parent, Path(tmp, "p")), copy_worktree(Path(tmp, "c"))
+        if args.append:
+            parent_sha = subprocess.run(
+                ["git", "-C", str(ROOT), "rev-parse", "--verify", args.parent + "^{commit}"],
+                check=True, capture_output=True, text=True).stdout.strip()
+            src_hash = src_sha256(change)
         for workload in workloads:
             pairs: List[tuple] = []
             failures: List[dict] = []
@@ -211,12 +253,16 @@ def main(argv=None) -> int:
                 if not failed:
                     pairs.append((runs[parent], runs[change]))
             status = status or int(bool(failures))
-            print(json.dumps({"workload": workload, "parent": args.parent,
-                              "pairs": args.pairs, "first_seed": args.first_seed,
-                              "seconds": args.seconds,
-                              "failed_runs": len(failures), "failures": failures,
-                              "metrics": summarize(pairs, better, bounds),
-                              "runs": pairs}), flush=True)
+            result = {"workload": workload, "parent": args.parent,
+                      "pairs": args.pairs, "first_seed": args.first_seed,
+                      "seconds": args.seconds,
+                      "failed_runs": len(failures), "failures": failures,
+                      "metrics": summarize(pairs, better, bounds), "runs": pairs}
+            print(json.dumps(result), flush=True)
+            if args.append:
+                with open(ROOT / f"BENCH_{workload}.json", "a") as trajectory:
+                    trajectory.write(json.dumps(trajectory_line(result, parent_sha,
+                                                                src_hash)) + "\n")
     return status
 
 
