@@ -72,7 +72,7 @@ def bch_generator(mu: int, designed_distance: int, with_parity_factor: bool = Fa
     poly = [1]
     exp, log = f._exp, f._log
     for j in roots:
-        if log is None:      # no log tables: m = 1 or m > 16
+        if log is None:      # no log tables: m > 16
             c = f.alpha_pow(j)
             poly = [hi ^ f.mul(lo, c) for hi, lo in zip([0] + poly, poly + [0])]
         else:                # log[0] + j indexes the zero region of exp

@@ -4,6 +4,8 @@ Field elements are plain ints in [0, 2^m): bit i is the coefficient of x^i,
 so the zero element is 0 and the residue of x (the generator alpha) is 2.
 Each degree uses a fixed, published primitive polynomial so that every
 encoder in this package is bit-reproducible across runs and machines.
+Every field of m <= 16, GF(2) included, has exp/log tables for `mul`, `pow`
+and `inv`; "no log tables" means m > 16 throughout the package.
 """
 
 from __future__ import annotations
@@ -55,19 +57,43 @@ class Gf2m:
     """The field GF(2^m) with a fixed primitive polynomial.
 
     alpha (= 2, the residue of x) generates the multiplicative group, so
-    alpha**(2^m - 1) == 1 and no smaller positive power is 1.
+    alpha**(2^m - 1) == 1 and no smaller positive power is 1.  For m <= 16
+    the tables are built here, and a polynomial breaking that raises
+    ValueError; past it they are None.
     """
 
     m: int
     poly: int
-    _exp: tuple = field(default=None, repr=False, compare=False)
-    _log: tuple = field(default=None, repr=False, compare=False)
+    _exp: tuple = field(default=None, init=False, repr=False, compare=False)
+    _log: tuple = field(default=None, init=False, repr=False, compare=False)
     # Size of the multiplicative group, 2^m - 1, stored once for the hot
     # mul/inv/pow paths.
     _units: int = field(default=0, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "_units", (1 << self.m) - 1)
+        m, n = self.m, (1 << self.m) - 1
+        object.__setattr__(self, "_units", n)
+        if m > _LOG_TABLE_MAX_M:
+            return
+        # exp holds alpha^i for i < 2(2^m - 1), so that the sum of two logs
+        # needs no reduction, then zeros up to index 4(2^m - 1): log[0] is
+        # 2(2^m - 1), so any sum involving it lands among them.
+        exp = [0] * (4 * n + 1)
+        log = [2 * n] * (n + 1)
+        # alpha must first return to 1 at step 2^m - 1, with exp[n - 1] set.
+        x = 1
+        for i in range(n):
+            exp[i] = exp[i + n] = x
+            log[x] = i
+            x <<= 1            # times alpha = x, reduced by the polynomial
+            if x >> m:
+                x ^= self.poly
+            if x == 1:
+                break
+        if x != 1 or not exp[n - 1]:
+            raise ValueError(f"polynomial {self.poly:#b} is not primitive of degree {m}")
+        object.__setattr__(self, "_exp", tuple(exp))
+        object.__setattr__(self, "_log", tuple(log))
 
     @property
     def order(self) -> int:
@@ -91,7 +117,7 @@ class Gf2m:
 
     def mul(self, a: int, b: int) -> int:
         log = self._log
-        if log is None:
+        if log is None:      # m > 16
             return self._mul_slow(a, b)
         # log[0] points past every sum of two nonzero logs, into the zero
         # region of the extended exp table: no zero test, no modulo.
@@ -134,23 +160,4 @@ def field_make(m: int) -> Gf2m:
     """Build GF(2^m), 1 <= m <= 31, with the published primitive polynomial."""
     if m not in PRIMITIVE_POLYS:
         raise ValueError(f"extension degree must be in 1..31, got {m}")
-    f = Gf2m(m, PRIMITIVE_POLYS[m])
-    if 1 < m <= _LOG_TABLE_MAX_M:
-        # exp holds alpha^i for i < 2(2^m - 1), so that the sum of two logs
-        # needs no reduction, then zeros up to index 4(2^m - 1): log[0] is
-        # 2(2^m - 1), so any sum involving it lands among them.
-        n = f.order - 1
-        exp = [0] * (4 * n + 1)
-        log = [2 * n] * f.order
-        x = 1
-        for i in range(n):
-            exp[i] = exp[i + n] = x
-            log[x] = i
-            x <<= 1            # times alpha = x, reduced by the polynomial
-            if x >> m:
-                x ^= f.poly
-        if x != 1:
-            raise AssertionError(f"polynomial for m={m} is not primitive")
-        object.__setattr__(f, "_exp", tuple(exp))
-        object.__setattr__(f, "_log", tuple(log))
-    return f
+    return Gf2m(m, PRIMITIVE_POLYS[m])

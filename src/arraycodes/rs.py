@@ -21,9 +21,11 @@ fill returns the survivors' syndrome; a caller re-checks a repaired word
 from it with one syndrome row per repaired symbol: `syn[i][symbol]` for a
 symbol of one chunk (m <= 8), `_syndrome_at` for wider ones.
 
-The three products that touch every symbol are GF(2)-linear in the bits of
-each input symbol, so each is an XOR of table rows, one per input symbol
-(per chunk of at most 8 bits, for m > 8).  A row packs all of its output
+One width rule decides the layout: a field of m <= 8 has byte lanes and one
+chunk per symbol, a wider one m-bit lanes and symbols split into chunks of
+at most 8 bits.  The three products that touch every symbol are
+GF(2)-linear in the bits of each input symbol, so each is an XOR of table
+rows, one per input symbol chunk.  A row packs all of its output
 symbols into one int, one lane apiece, the first output lowest:
 
     syndromes   XOR_i syn[i][w_i]     the n-k syndromes of a word w
@@ -35,16 +37,17 @@ Lambda(z) = prod_{j erased} (1 + x_j z) in one int: S in lanes 0 .. n-k-1,
 one zero guard lane, then Lambda.  Multiplying both by (1 + x_j z) adds x_j
 times the whole int, shifted up one lane; masking the guard lane truncates
 S Lambda mod z^(n-k).  After the eps erased points the low lanes hold the
-modified syndromes and the high lanes Lambda.  On fields with log tables
-and m <= 8 (every benchmark code, and every TED or DC code of h + e <= 8) a
-lane is one byte: `int.to_bytes` unpacks a row, and one `bytes.translate`
-through the table of a -> a x_j multiplies every lane by x_j.
+modified syndromes and the high lanes Lambda.  On byte lanes (every
+benchmark code, and every TED or DC code of h + e <= 8) `int.to_bytes`
+unpacks a row, one `bytes.translate` through the table of a -> a x_j
+multiplies every lane by x_j, and Forney's step reads the field's log
+tables.
 
-Wider fields pack m bits per lane and multiply by x_j with one
-lane-parallel shift-and-reduce step per bit of x_j; Forney's step there
-takes `Gf2m.mul` and `Gf2m.inv`.  (Against a coefficient-by-coefficient
-locator and an S Lambda convolution, a fill at r = 16 measured -15% to +7%
-at m = 9, 10, 11 and 17, with 4 or 16 erasures.)
+Wider fields multiply by x_j with one lane-parallel shift-and-reduce step
+per bit of x_j; Forney's step there takes `Gf2m.mul` and `Gf2m.inv`.
+(Against a coefficient-by-coefficient locator and an S Lambda convolution,
+a fill at r = 16 measured -15% to +7% at m = 9, 10, 11 and 17, with 4 or
+16 erasures.)
 
 The fill reads its tables inline, as one
 reduce(xor, map(getitem, table, symbols)) each, with no call frame per
@@ -52,12 +55,12 @@ read; a field of m > 8 first splits each symbol into its chunks
 (`_chunks`, which `_lookup` shares).  On byte lanes one read evaluates
 Omega and Lambda' together, their rows side by side in one int.
 
-The tables, and the fill's per-code constants beside them, depend only on
-(field, n, k) and are built once per code, each row from the images of the
-m basis bits of its input symbol.  The fill itself is built once per code
-too, one closure per lane kind (`_byte_lane_fill`, `_wide_lane_fill`)
-with its tables and constants bound, so a call reads no attribute and
-takes no branch on the lane kind.
+The tables depend only on (field, n, k) and are built once per code, each
+row from the images of the m basis bits of its input symbol.  The fill is
+built once per code too, one closure per lane kind (`_byte_lane_fill`,
+`_wide_lane_fill`), which builds the constants only it reads and binds
+them with the tables, so a call reads no attribute and takes no branch on
+the lane kind.
 """
 
 from __future__ import annotations
@@ -65,7 +68,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from operator import getitem, xor
-from typing import Callable, Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Iterable, List, NamedTuple, Sequence, Tuple
 
 from .errors import CapacityExceededError, NotACodewordError
 from .field import Gf2m
@@ -98,16 +101,12 @@ def _times_x_images(packed: int, m: int, tops: int, low: int) -> List[int]:
 
 class _Tables(NamedTuple):
     capacity: int                    # n-k, the erasures the code can fill
+    byte_lanes: bool                 # m <= 8: byte lanes, one chunk per symbol
     stride: int                      # bits per packed lane: 8 for byte lanes, else m
     consistency: Tuple[int, ...]     # [eps]: modified-syndrome lanes eps .. n-k-1
     points: Tuple[int, ...]          # x_i = alpha^i
     low: int                         # x^m reduced: its low terms
-    tops: int                        # the top bit of each lane of `width`
     forney_scale: Tuple[int, ...]    # x_i / v_i
-    exp: Optional[Tuple[int, ...]]   # byte lanes: the field's log tables; else None
-    log: Optional[Tuple[int, ...]]
-    scale_log: Tuple[int, ...]       # byte lanes: log(x_i / v_i); else empty
-    times: Tuple[bytes, ...]         # byte lanes: times[j][a] = a * x_j; else empty
     width: int                       # lanes of syndrome, guard and Lambda
     keep: int                        # every lane of `width` but the guard
     shifts: Tuple[int, ...]          # lowest bit of each chunk of a symbol
@@ -141,7 +140,7 @@ class ReedSolomon:
         m, mul = f.m, f.mul
         x = [f.alpha_pow(i) for i in range(n)]
         r = n - k
-        byte_lanes = f._log is not None and m <= _CHUNK_BITS
+        byte_lanes = m <= _CHUNK_BITS
         stride = _CHUNK_BITS if byte_lanes else m
 
         def prod_diff(z: int, indices) -> int:
@@ -156,7 +155,8 @@ class ReedSolomon:
                 p = mul(p, z)
             return out
 
-        # Split a symbol into equal chunks of at most _CHUNK_BITS bits.
+        # Split a symbol into equal chunks of at most _CHUNK_BITS bits: one
+        # chunk exactly on byte lanes.
         chunks = -(-m // _CHUNK_BITS)
         width = -(-m // chunks)
         shifts = tuple(range(0, m, width))
@@ -183,25 +183,15 @@ class ReedSolomon:
             par += rows([mul(mul(w, lz), f.inv(z ^ x[i])) for z, lz in zip(x[k:], ell)])
         inv_powers = [powers(f.inv(xi)) for xi in x]
         ev = [row for d in range(r) for row in rows([p[d] for p in inv_powers])]
-        forney_scale = tuple(mul(xi, u) for xi, u in zip(x, inv_v))
-        exp = log = None
-        scale_log = times = ()
-        if byte_lanes:
-            exp, log = f._exp, f._log
-            scale_log = tuple(log[s] for s in forney_scale)
-            # a * x_j = exp[log a + j], and log 0 reads exp's zero region;
-            # the bytes past 2^m - 1 are never indexed.
-            pad = bytes(256 - f.order)
-            times = tuple(bytes(exp[a + j] for a in log) + pad for j in range(n))
         # The fill's lanes: syndrome in 0 .. r-1, the guard at r, Lambda
         # (degree at most r) in r+1 .. 2r+1.
         fill_width = 2 * r + 2
-        return _Tables(capacity=r, stride=stride,
+        return _Tables(capacity=r, byte_lanes=byte_lanes, stride=stride,
                        consistency=tuple((1 << stride * r) - (1 << stride * eps)
                                          for eps in range(r + 1)),
-                       points=tuple(x), low=low, tops=_lane_tops(m, fill_width, stride),
-                       forney_scale=forney_scale, exp=exp, log=log, scale_log=scale_log,
-                       times=times, width=fill_width,
+                       points=tuple(x), low=low,
+                       forney_scale=tuple(mul(xi, u) for xi, u in zip(x, inv_v)),
+                       width=fill_width,
                        keep=(1 << stride * fill_width) - 1 ^ (1 << stride) - 1 << stride * r,
                        shifts=shifts, mask=(1 << width) - 1,
                        lanes=tuple(range(0, stride * r, stride)),
@@ -221,7 +211,7 @@ class ReedSolomon:
         """XOR over i and b of table[i*c + b][chunk b of symbols[i]], with
         c chunks per symbol.  A symbol of one chunk (m <= 8) is its own
         index, so the symbols must lie in [0, 2^m)."""
-        if len(self._tables.shifts) > 1:
+        if not self._tables.byte_lanes:
             symbols = self._chunks(symbols)
         return reduce(xor, map(getitem, table, symbols), 0)
 
@@ -233,15 +223,15 @@ class ReedSolomon:
         more than one chunk (m > 8); up to m = 8 a symbol indexes its
         syndrome row `syn[i]` directly."""
         t = self._tables
-        c = len(t.shifts)
-        if c > 1:
+        if not t.byte_lanes:
+            c = len(t.shifts)
             positions = [i * c + b for i in positions for b in range(c)]
         return self._lookup(map(t.syn.__getitem__, positions), symbols)
 
     def _unpack(self, packed: int) -> List[int]:
         """The n-k symbols of a packed syndrome or parity int."""
         t = self._tables
-        if t.stride == 8:
+        if t.byte_lanes:
             return list(packed.to_bytes(t.capacity, "little"))
         full = self.field.order - 1
         return [packed >> s & full for s in t.lanes]
@@ -263,12 +253,10 @@ class ReedSolomon:
         out-of-range symbol would be masked or index past a table row).
         Raises CapacityExceededError with more than n - k erasures and
         NotACodewordError when the survivors match no codeword; with no
-        erasures, that check is the whole fill.  The table reads are inline
-        XORs of table rows, each symbol split into its chunks first on
-        fields of m > 8.  Only the product of the packed int and x_j,
-        and Forney's step, depend on the lane width, so there is one fill
-        per lane kind, its tables and constants bound once per code."""
-        if self._tables.times:
+        erasures, that check is the whole fill.  Only the product of the
+        packed int and x_j, Forney's step and the chunk split depend on the
+        lane kind, so there is one fill per lane kind."""
+        if self._tables.byte_lanes:
             return _byte_lane_fill(self)
         return _wide_lane_fill(self)
 
@@ -281,13 +269,18 @@ class ReedSolomon:
 
 
 def _byte_lane_fill(rs: ReedSolomon) -> _Fill:
-    """The fill of a code whose lanes are bytes (log tables, m <= 8):
-    multiplying every lane by x_j is one `translate` through `times[j]`,
-    and Forney's step is log-table arithmetic."""
-    tables, n, full = rs._tables, rs.n, rs.field.order - 1
+    """The fill of a code whose lanes are bytes (m <= 8): multiplying
+    every lane by x_j is one `translate` through `times[j]`, and Forney's
+    step is log-table arithmetic."""
+    tables, n, f = rs._tables, rs.n, rs.field
+    full, exp, log = f.order - 1, f._exp, f._log
     r, width, keep = tables.capacity, tables.width, tables.keep
-    syn, times, consistency = tables.syn, tables.times, tables.consistency
-    exp, log, scale_log = tables.exp, tables.log, tables.scale_log
+    syn, consistency = tables.syn, tables.consistency
+    scale_log = [log[s] for s in tables.forney_scale]
+    # times[j][a] = a * x_j = exp[log a + j], and log 0 reads exp's zero
+    # region; the bytes past 2^m - 1 are never indexed.
+    pad = bytes(256 - f.order)
+    times = [bytes(exp[a + j] for a in log) + pad for j in range(n)]
     one = 1 << 8 * (r + 1)
     # [eps]: the rows that evaluate Omega (eps coefficients) in lanes
     # 0 .. n-1 and Lambda' (the ceil(eps/2) odd-degree ones) in lanes
@@ -333,25 +326,24 @@ def _byte_lane_fill(rs: ReedSolomon) -> _Fill:
 
 
 def _wide_lane_fill(rs: ReedSolomon) -> _Fill:
-    """The fill of a code whose lanes are m bits wide (m > 8, or a field
-    without log tables): multiplying every lane by x_j is one lane-parallel
-    shift-and-reduce step per bit of x_j, and Forney's step takes
-    `Gf2m.mul` and `Gf2m.inv`.  On fields of m > 8 each symbol is split
-    into its chunks before a table read."""
-    tables = rs._tables
+    """The fill of a code whose lanes are m bits wide (m > 8): multiplying
+    every lane by x_j is one lane-parallel shift-and-reduce step per bit of
+    x_j, and Forney's step takes `Gf2m.mul` and `Gf2m.inv`.  Each symbol is
+    split into its chunks before a table read."""
+    tables, chunks = rs._tables, rs._chunks
     m, mul, inv = rs.field.m, rs.field.mul, rs.field.inv
     full = (1 << m) - 1
     r, width, keep = tables.capacity, tables.width, tables.keep
     syn, consistency, ev, ev_even = tables.syn, tables.consistency, tables.ev, tables.ev_even
-    points, tops, low, scale = tables.points, tables.tops, tables.low, tables.forney_scale
-    chunks = rs._chunks if len(tables.shifts) > 1 else None
+    points, low, scale = tables.points, tables.low, tables.forney_scale
+    tops = _lane_tops(m, width, m)
     one = 1 << m * (r + 1)
 
     def fill(word: List[int], erased: Sequence[int]) -> int:
         eps = len(erased)
         if eps > r:
             raise CapacityExceededError(f"{eps} erasures exceed capacity {r}")
-        syndrome = reduce(xor, map(getitem, syn, chunks(word) if chunks else word), 0)
+        syndrome = reduce(xor, map(getitem, syn, chunks(word)), 0)
         # The modified syndromes and Lambda, as in the byte-lane fill.
         modified = syndrome | one
         for j in erased:
@@ -369,11 +361,8 @@ def _wide_lane_fill(rs: ReedSolomon) -> _Fill:
         if not eps:
             return syndrome
         coefficients = [modified >> s & full for s in range(0, m * width, m)]
-        omega, odd = coefficients[:eps], coefficients[r + 2:r + 2 + eps:2]
-        if chunks:
-            omega, odd = chunks(omega), chunks(odd)
-        num = reduce(xor, map(getitem, ev, omega), 0)
-        den = reduce(xor, map(getitem, ev_even, odd), 0)
+        num = reduce(xor, map(getitem, ev, chunks(coefficients[:eps])), 0)
+        den = reduce(xor, map(getitem, ev_even, chunks(coefficients[r + 2:r + 2 + eps:2])), 0)
         # Forney, as in the byte-lane fill.
         for j in erased:
             word[j] = mul(mul(num >> (m * j) & full, scale[j]), inv(den >> (m * j) & full))

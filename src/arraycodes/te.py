@@ -137,7 +137,14 @@ class TeParityCheck:
         if not (r and n and L):
             raise ValueError(f"parity-check header declares r={r}, n={n}, L={L}; "
                              f"each must be at least 1")
-        prov = blob[head:head + plen].decode()
+        if head + plen > len(blob):
+            raise ValueError(f"parity-check provenance of {plen} bytes runs past the "
+                             f"end of the {len(blob)}-byte blob")
+        try:
+            prov = blob[head:head + plen].decode()
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"parity-check provenance is not utf-8: byte "
+                             f"{blob[head + exc.start]:#04x} at {exc.start}") from None
         nbytes = (r + 7) // 8
         body = blob[head + plen:]
         if len(body) != n * L * nbytes:

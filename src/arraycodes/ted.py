@@ -9,33 +9,19 @@ deletion, whatever mix of tail loss and deletion actually occurred.  The
 symbols of the received rows, short ones included, come from one pass
 over the array, so the VT repair takes its deficiency as the filled
 residue minus the received one, less the position sum of any re-attached
-tail bits, and no repair sums a received row again.  A row of at most 8
-positions is repaired by one read of `vt._insert_table(L)` at that
-deficiency and its received bits, the tail's sum read from `_BYTE_SUM`;
-the table's sentinel for a deficiency past L raises the CorruptInputError
-`vt_insert` raises there.  Longer rows call `vt.vt_insert`.
+tail bits, and no repair sums a received row again.
 
 With e = 0 the symbol is the VT syndrome alone: that is the (t,1)
 deletion-correcting code, `arraycodes.dc.DcCode`.  Rows stay bitset ints
-from the message to the decoded array.  A row of at most 8 positions is a
-byte, so the symbols of a whole array of such rows are one `translate`
-through a 256-byte table of the code.
+from the message to the decoded array.
 
-The message's systematic rows are cut from it by the row-split kernel,
-`arrays._split_rows`, at any row length.  Encoding rows of at most 8
-positions reads byte tables too.  `_byte_parity` holds, for each
-systematic row, its outer parity row at every row value, so the parity is
-one XOR over the systematic rows and no symbol is computed; each parity
-row is then one read of `vt._encode_table(L)` at its data, tail and VT
-residue.  Longer rows go through their symbols, `ReedSolomon._parity` and
-`vt_encode_int`, row by row.
-
-`message_of` reads rows of at most 8 positions through `_gather`, the
-message-cell gather that `te.TeCodec` uses too (`arrays._cell_gather`):
-each systematic row is one read of the tuple of its L bits, and each
-parity row one read of the tuple of its first L - e - h data bits.  Longer
-rows would take a tuple per byte of the row, which measured slower than
-the int path they keep: each parity row's data, read back with
+One width rule splits each path of the codec: a row of at most 8
+positions is a byte, and reads the tables of `TedCode._byte_rows`, built
+once per code.  Longer rows go through their symbols, `ReedSolomon._parity`
+and `vt_encode_int` to encode, and `vt_insert` to repair.  The row-split
+kernel, `arrays._split_rows`, cuts the systematic rows of both.  A gather
+for longer rows would take a tuple per byte of the row, which measured
+slower than the int path they keep: each parity row's data, read back with
 `vt_data_int`, is gathered in the loop that reads it, the systematic rows
 are packed below it by `arrays._join_rows`, the inverse of the split, and
 one unpack gives the message.  Encoding likewise cuts each parity row's
@@ -52,19 +38,20 @@ intact rows' symbols, and since syndromes are linear, that syndrome XOR the
 syndrome rows of the repaired rows' own symbols is the syndrome of the
 returned array, so the membership re-check costs O(eps) in the number eps
 of damaged rows, not O(n).  It runs inside the repair loop, in the one pass
-over the damaged rows: a repaired row's own symbol, read from `_byte_theta`
-for rows of at most 8 positions, indexes its position's syndrome row when
-h + e <= 8; wider symbols are re-checked together by
-`ReedSolomon._syndrome_at` after the loop.
+over the damaged rows: on the outer code's byte lanes (h + e <= 8) a
+repaired row's own symbol indexes its position's syndrome row; wider
+symbols are re-checked together by `ReedSolomon._syndrome_at` after the
+loop.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import chain, compress
 from operator import getitem, xor
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 from .arrays import (BitArray, RaggedArray, _bit_array, _cell_gather, _check_bit_array,
                      _check_received, _int_to_row, _join_rows, _row_to_int, _split_rows)
@@ -78,6 +65,10 @@ from .vt import (_BYTE_SUM, _LOW_BITS, _NO_INSERTION, _encode_table, _insert_tab
 
 # The largest extension degree m that `field_make` builds GF(2^m) for.
 _WIDEST_FIELD = max(PRIMITIVE_POLYS)
+
+
+# `TedCode._byte_rows`: the tables of rows of at most 8 positions.
+_ByteRows = namedtuple("_ByteRows", "theta parity codewords gather repair")
 
 
 def theta_symbol(row_bits: Sequence[int], e: int, h: int) -> int:
@@ -147,66 +138,51 @@ class TedCode:
         return ReedSolomon(field_make(self.h + self.e), self.n, self.n - self.R)
 
     @cached_property
-    def _byte_theta(self) -> Optional[bytes]:
-        """Entry v: theta of the row int v, for rows of at most 8 positions
-        (None for longer rows).  Such a code has h + e <= 6, so every symbol
-        fits in a byte.  The residues are `_BYTE_SUM` read through
-        `_LOW_BITS[h]`, and the tail bits, disjoint from them, are OR-ed in
-        as one 256-byte int."""
+    def _byte_rows(self) -> Optional[_ByteRows]:
+        """The tables of rows of at most 8 positions, None for longer rows.
+        Such a row is a byte, and such a code has h + e <= 6 (h <= 4, e <= 3,
+        e = 0 at L = 8), so every outer symbol fits in a byte and is one
+        chunk of the outer code: `par` holds one row per systematic row.
+
+        - theta: entry v is theta of the row int v, so an array's symbols
+          are one `translate`: `_BYTE_SUM` read through `_LOW_BITS[h]`, the
+          tail bits OR-ed in as one 256-byte int.
+        - parity: entry [i][v] is the outer parity row of systematic row i
+          at theta(v), v < 2^L, so the parity is one XOR over the systematic
+          rows; at most 56 x 128 references to ints of `par` (TED(63,7,e=3)).
+        - codewords: `vt._encode_table(L)`, read once per parity row at its
+          data, tail and VT residue.
+        - gather: `arrays._cell_gather` of every position of the systematic
+          rows, then the first L - e - h data positions of each parity row,
+          so `message_of` reads each row as one tuple.
+        - repair: `vt._insert_table(L)`, read once per damaged row, the
+          re-attached tail's sum read from `_BYTE_SUM`; its sentinel for a
+          deficiency past L raises the CorruptInputError of `vt_insert`."""
         L, h, e = self.L, self.h, self.e
         if L > 8:
             return None
-        residues = _BYTE_SUM.translate(_LOW_BITS[h])
-        if not e:
-            return residues
-        tails = bytes((v >> (L - e)) << h for v in range(256))
-        return (int.from_bytes(residues, "little")
-                | int.from_bytes(tails, "little")).to_bytes(256, "little")
-
-    @cached_property
-    def _byte_parity(self) -> Optional[Tuple[Tuple[int, ...], ...]]:
-        """Entry [i][v]: the outer parity row of systematic row i read at
-        theta of the row int v, v < 2^L, for rows of at most 8 positions
-        (None for longer rows).  Such a code has h + e <= 6, one chunk per
-        symbol, so `par` holds one row per systematic row, and the table
-        holds references to its ints: at most 56 x 128 of them, for
-        TED(63,7,e=3)."""
-        theta = self._byte_theta
-        if theta is None:
-            return None
-        values = theta[:1 << self.L]
-        return tuple(tuple(map(row.__getitem__, values)) for row in self.outer._tables.par)
-
-    @cached_property
-    def _gather(self) -> Optional[List[Tuple[int, int, List[Tuple[int, ...]]]]]:
-        """`arrays._cell_gather` of the message cells, for rows of at most 8
-        positions (None for longer rows): every position of the systematic
-        rows, then the first L - e - h data positions of each parity row, so
-        each row is one table read; the systematic rows share one table and
-        the parity rows another."""
-        L = self.L
-        if L > 8:
-            return None
+        theta = _BYTE_SUM.translate(_LOW_BITS[h])
+        if e:
+            tails = bytes((v >> (L - e)) << h for v in range(256))
+            theta = (int.from_bytes(theta, "little")
+                     | int.from_bytes(tails, "little")).to_bytes(256, "little")
+        values = theta[:1 << L]
         k = self.n - self.R
         # position j + 1 is a VT power position exactly when j & (j + 1) == 0
-        data = [j for j in range(L) if j & (j + 1)][:L - self.e - self.h]
-        return _cell_gather(chain(range(k * L), (i * L + j for i in range(k, self.n)
-                                                 for j in data)), L)
-
-    @cached_property
-    def _repair(self) -> Optional[Tuple[Optional[int], ...]]:
-        """`vt._insert_table(L)`, the single-deletion repair of every row
-        at every deficiency, for rows of at most 8 positions (None for
-        longer rows, which call `vt_insert`)."""
-        return _insert_table(self.L) if self.L <= 8 else None
+        data = [j for j in range(L) if j & (j + 1)][:L - e - h]
+        cells = chain(range(k * L), (i * L + j for i in range(k, self.n) for j in data))
+        return _ByteRows(
+            theta=theta,
+            parity=tuple(tuple(map(row.__getitem__, values)) for row in self.outer._tables.par),
+            codewords=_encode_table(L), gather=_cell_gather(cells, L), repair=_insert_table(L))
 
     def _symbols(self, rows: Sequence[int]) -> List[int]:
         """theta of each full-length row int, a new list: one `translate`
-        through `_byte_theta` up to 8 positions, and beyond, the VT residues
-        themselves when e = 0."""
-        table = self._byte_theta
-        if table is not None:
-            return list(bytes(rows).translate(table))
+        through the byte rows' theta up to 8 positions, and beyond, the VT
+        residues themselves when e = 0."""
+        byte_rows = self._byte_rows
+        if byte_rows is not None:
+            return list(bytes(rows).translate(byte_rows.theta))
         h, e = self.h, self.e
         residues = position_residues(rows, h)
         if not e:
@@ -227,11 +203,11 @@ class TedCode:
         m = _row_to_int(message)
         rows = _split_rows(m, k, L)
         outer = self.outer
-        table = self._byte_parity
-        if table is not None:
+        byte_rows = self._byte_rows
+        if byte_rows is not None:
             # one parity row per systematic row, read at the row's value
-            parity = outer._unpack(reduce(xor, map(getitem, table, rows), 0))
-            codewords = _encode_table(L)
+            parity = outer._unpack(reduce(xor, map(getitem, byte_rows.parity, rows), 0))
+            codewords = byte_rows.codewords
         else:
             parity = outer._parity(self._symbols(rows))
             codewords = None
@@ -259,11 +235,11 @@ class TedCode:
 
     def message_of(self, x: BitArray) -> List[int]:
         _check_bit_array(x, self.n, self.L)
-        gather = self._gather
-        if gather is not None:
+        byte_rows = self._byte_rows
+        if byte_rows is not None:
             rows = x.rows
             message: List[int] = []
-            for i, shift, table in gather:
+            for i, shift, table in byte_rows.gather:
                 message += table[rows[i] >> shift & 255]
             return message
         L, k = self.L, self.n - self.R
@@ -303,11 +279,12 @@ class TedCode:
             syndrome = outer._fill_erasures(word, damaged)
         except NotACodewordError as exc:
             raise CorruptInputError("intact rows disagree with the outer code") from exc
-        # The membership re-check runs in the repair loop: a symbol of one
-        # chunk (h + e <= 8) indexes its position's syndrome row.
-        tables = outer._tables
-        syn = tables.syn if len(tables.shifts) == 1 else None
-        theta, repair = self._byte_theta, self._repair
+        # The membership re-check runs in the repair loop: on the outer
+        # code's byte lanes (h + e <= 8) a symbol indexes its position's
+        # syndrome row.
+        syn = outer._tables.syn if outer._tables.byte_lanes else None
+        byte_rows = self._byte_rows
+        theta, repair = (None, None) if byte_rows is None else (byte_rows.theta, byte_rows.repair)
         rows = list(received.rows)
         repaired = []     # theta of each repaired row, on wider fields only
         hmask = (1 << h) - 1

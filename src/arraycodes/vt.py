@@ -20,8 +20,8 @@ row's sum is sum_k S(b_k) + 8k * popcount(b_k) over its bytes b_k, S the
 position sum of a byte value; each row is an 8-byte word with an empty
 high half, and two multiplies add its translated bytes into one byte of
 the word.  Longer rows are summed one at a time.  For rows of at most 8
-positions `TedCode` builds a byte table of its symbols from `_BYTE_SUM`,
-the position sums of all 256 byte values, and `_LOW_BITS`.
+positions the symbol table of `TedCode._byte_rows` is read from
+`_BYTE_SUM`, the position sums of all 256 byte values, and `_LOW_BITS`.
 
 `vt_insert` is the single-deletion repair for a given deficiency D, the
 residue the reinserted bit must add; `vt_decode_int` computes D from the
@@ -33,7 +33,7 @@ bytes by their popcounts and reads the index from `_SELECT8`, and it ends
 because 0 <= D <= L keeps k within that row's ones.  For rows of at most
 8 positions `_insert_table(L)`, built once per L from `vt_insert`, holds
 the repair of every received row at every D < 2^h, None where D > L, for
-`TedCode.decode`; longer rows call `vt_insert`.
+`TedCode._byte_rows`; longer rows call `vt_insert`.
 
 The systematic encoder's data bits sit on the non-power positions.  The
 11 of positions 1..16 are gathered by one read of `_DATA16`, a table of
@@ -43,7 +43,7 @@ rest with one shift, and only longer rows walk the runs of data positions
 past position 16.  Every table depends on bit positions alone.  Rows of
 at most 8 positions are bytes, so `_encode_table(L)`, built once per L from
 `vt_encode_int`, holds every codeword of such a row at its data and
-residue, for `TedCode.encode`.
+residue, for `TedCode._byte_rows`.
 
 `vt_decode` and `vt_codewords` are the list forms left, for callers that
 hold rows as bit lists.

@@ -19,6 +19,16 @@ _spec.loader.exec_module(ab)
 BETTER = {"decode_p50_us": "lower", "trials_per_s": "higher"}
 
 
+def stub_git_tree(repo):
+    """A git repository at `repo` whose one file is this repository's
+    BENCHMARK.json, untracked: `copy_worktree` copies that file alone, and
+    needs no git checkout of this repository."""
+    repo.mkdir()
+    (repo / "BENCHMARK.json").write_bytes((ab.ROOT / "BENCHMARK.json").read_bytes())
+    subprocess.run(["git", "init", "-q", str(repo)], check=True, capture_output=True)
+    return repo
+
+
 def pairs_of(parent, change, name="decode_p50_us"):
     return [({name: p}, {name: c}) for p, c in zip(parent, change)]
 
@@ -100,6 +110,7 @@ def test_pairs_run_consecutive_seeds_from_the_first(monkeypatch, capsys, tmp_pat
         calls.append(("parent" if tree == tmp_path else "change", seed))
         return {"decode_p50_us": 1.0}
 
+    monkeypatch.setattr(ab, "ROOT", stub_git_tree(tmp_path / "repo"))
     monkeypatch.setattr(ab, "export", lambda rev, into: tmp_path)
     monkeypatch.setattr(ab, "run_once", fake_run)
     assert ab.main(["--workload", "ted-exhaustive", "--pairs", "3", *argv]) == 0
@@ -179,6 +190,7 @@ def test_a_failed_run_says_why(monkeypatch, capsys, tmp_path):
         return run_once(tree, workload, seed, seconds) if tree == broken \
             else {"decode_p50_us": 1.0}
 
+    monkeypatch.setattr(ab, "ROOT", stub_git_tree(tmp_path / "repo"))
     monkeypatch.setattr(ab, "export", lambda rev, into: broken)
     monkeypatch.setattr(ab, "run_once", fake_run)
     assert ab.main(["--workload", "w", "--pairs", "2", "--first-seed", "5"]) == 1

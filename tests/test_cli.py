@@ -1100,6 +1100,7 @@ BAD_CODE_FILES = [
     ("zero L blob", _tepc(L=0), "L=0"),
     ("short body", _tepc(cut=1), "body has 11 bytes"),
     ("non-UTF-8 provenance", _tepc(provenance=b"\xff\xfe"), "utf-8"),
+    ("overlong provenance", _tepc(cut=14), "provenance of 5 bytes runs past the end"),
     ("n alone", _descriptor(_DC, L=None, t=None), "integer 'L'"),
     ("str t of ted", _descriptor(_TED, t="2"), "integer 't'"),
     ("bool t", _descriptor(_DC, t=True), "integer 't'"),

@@ -57,12 +57,29 @@ def _slow_power(f: Gf2m, a: int, e: int) -> int:
 def test_every_primitive_polynomial_gives_alpha_full_order(m):
     """alpha^(2^m - 1) = 1 and alpha^((2^m - 1)/p) != 1 for each prime p
     dividing 2^m - 1, on every field up to m = 31, past the log-table
-    fields that `field_make` checks when it builds them."""
+    fields that `Gf2m` checks when it builds their tables."""
     f = Gf2m(m, PRIMITIVE_POLYS[m])
     units = f.order - 1
     assert _slow_power(f, f.alpha, units) == 1
     for p in _prime_factors(units):
         assert _slow_power(f, f.alpha, units // p) != 1, f"alpha order divides {units // p}"
+
+
+def test_log_tables_exactly_up_to_m_16():
+    """Every field of m <= 16, GF(2) included, carries log tables; none
+    past it does."""
+    for m in PRIMITIVE_POLYS:
+        assert (Gf2m(m, PRIMITIVE_POLYS[m])._log is None) == (m > 16), m
+
+
+@pytest.mark.parametrize("poly", [0b11111, 0b10001])
+def test_a_polynomial_that_is_not_primitive_is_rejected(poly):
+    """x^4+x^3+x^2+x+1 is irreducible, but alpha has order 5 under it, and
+    x^4+1 = (x+1)^4 is reducible: under either, tables built from the
+    powers of alpha would multiply wrongly (3 * 5 would read 0, not 15,
+    under the first)."""
+    with pytest.raises(ValueError, match="not primitive"):
+        Gf2m(4, poly)
 
 
 def test_out_of_range_degree():
@@ -87,8 +104,8 @@ def test_char_two_and_inverses():
 
 @pytest.mark.parametrize("m", [1, 2, 5, 16, 17])
 def test_inverse_matches_fermat_power(m):
-    """a^-1 == a^(2^m - 2), through the log tables (2 <= m <= 16) and
-    without them (m = 1, m = 17)."""
+    """a^-1 == a^(2^m - 2), through the log tables (m <= 16) and without
+    them (m = 17)."""
     f = field_make(m)
     rng = random.Random(m)
     elements = [1, f.order - 1] + [rng.randrange(1, f.order) for _ in range(50)]
@@ -153,7 +170,7 @@ def check_against_slow(f, pairs):
             assert f._mul_slow(a, f.inv(a)) == 1
 
 
-@pytest.mark.parametrize("m", range(2, 9))
+@pytest.mark.parametrize("m", range(1, 9))
 def test_table_arithmetic_matches_slow_on_every_pair(m):
     f = field_make(m)
     check_against_slow(f, [(a, b) for a in range(f.order) for b in range(f.order)])

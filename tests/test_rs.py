@@ -399,15 +399,15 @@ def test_fill_core_matches_the_mul_inv_form(m, n, k):
     """Same filled word, or same exception and message, as the mul/inv
     form, for every erasure count up to one past capacity, on codewords and
     on random (mostly inconsistent) survivors.  m = 2 .. 8 at full length
-    n = 2^m - 1 are the byte-lane fields; m = 8 | 9 straddles the byte
-    lanes and the one-chunk boundary of the tables, 16 | 17 the last field
-    with log tables; (10, 60, 44) and (13, 40, 24) pack 2r + 2 = 34 wide
+    n = 2^m - 1 are byte-lane fields; m = 8 | 9 straddles the byte lanes,
+    which are exactly the fields of one chunk per symbol, 16 | 17 the last
+    field with log tables; (10, 60, 44) and (13, 40, 24) pack 2r + 2 = 34 wide
     lanes into the fill's int; the fill also returns the survivors' packed
     syndrome."""
     f = field_make(m)
     rs = ReedSolomon(f, n, k)
     assert (f._log is None) == (m > 16)
-    assert bool(rs._tables.times) == (2 <= m <= 8)
+    assert rs._tables.byte_lanes == (m <= 8) == (len(rs._tables.shifts) == 1)
     rng = random.Random(31 * m + n)
     seen = set()
     for trial in range(40):
@@ -432,7 +432,7 @@ def test_ted_round_trips_over_a_field_without_log_tables():
     """TED(6, 8191, t=1, e=4): h + e = 17, so the outer code's fill takes the
     mul/inv branch inside a full decode."""
     code = TedCode(6, 8191, t=1, e=4)
-    assert code.outer.field.m == 17 and code.outer._tables.log is None
+    assert code.outer.field.m == 17 and code.outer.field._log is None
     spec = ChannelSpec("ted", t=1, s=1, e=4)
     rng = random.Random(17)
     damaged = 0

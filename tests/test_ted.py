@@ -69,14 +69,29 @@ def test_byte_table_matches_theta_symbol_on_every_row():
     assert len(BYTE_CODES) == 15
     for L, e in BYTE_CODES:
         code = TedCode(e + 1, L, 0, e)
-        table = code._byte_theta
+        table = code._byte_rows.theta
         assert len(table) == 256
         want = [theta_symbol([(x >> j) & 1 for j in range(L)], e, code.h)
                 for x in range(1 << L)]
         assert list(table[:1 << L]) == want, (L, e)
         assert code._symbols(list(range(1 << L))) == want, (L, e)
-    assert TedCode(5, 9, 2, 1)._byte_theta is None
-    assert TedCode(16, 31, 3, 0)._byte_theta is None
+    assert TedCode(5, 9, 2, 1)._byte_rows is None
+    assert TedCode(16, 31, 3, 0)._byte_rows is None
+
+
+def test_the_one_row_code_runs_over_gf2():
+    """TedCode(1,1,0,0) is the code of GF(2), whose outer code has byte
+    lanes like every field of m <= 8: both messages encode, pass
+    membership and come back from the array and its decode, and a damaged
+    row exceeds the capacity of 0."""
+    code = TedCode(1, 1, 0, 0)
+    assert code.outer.field.m == 1 and code.outer._tables.byte_lanes
+    for bit in (0, 1):
+        x = code.encode([bit])
+        assert x.rows == (bit,) and code.membership(x) and code.message_of(x) == [bit]
+        assert code.decode(RaggedArray(1, 1, x.rows, (0,))) == x
+    with pytest.raises(CapacityExceededError):
+        code.decode(RaggedArray(1, 1, (0,), (1,)))
 
 
 @pytest.mark.parametrize("L,e", BYTE_CODES)
@@ -295,7 +310,7 @@ ENCODE_ORACLE_CODES = [DcCode(7, 5, 2), TedCode(5, 7, 2, 1), TedCode(9, 6, 2, 2)
 def test_encode_matches_row_by_row_oracle(code):
     """The same array as the reference encoder on 200 seeded messages, and
     `message_of` gives each message back."""
-    assert (code._byte_parity is None) == (code.L > 8)
+    assert (code._byte_rows is None) == (code.L > 8)
     rng = random.Random(repr(code))
     for _ in range(200):
         message = [rng.randrange(2) for _ in range(code.message_bits)]
@@ -324,7 +339,7 @@ def test_message_of_matches_the_int_path_oracle(code):
     """The same message as the int path on 200 seeded arrays of the code's
     shape, codewords or not, and a gather exactly for rows of at most 8
     positions."""
-    assert (code._gather is None) == (code.L > 8)
+    assert (code._byte_rows is None) == (code.L > 8)
     rng = random.Random(repr(code))
     for _ in range(200):
         x = BitArray(code.n, code.L, tuple(rng.getrandbits(code.L) for _ in range(code.n)))
