@@ -10,10 +10,13 @@ packs them back, both in O(n L log n) bit operations, where one shift of
 the whole int per row costs O(n^2 L); up to 8 rows, where that is cheaper,
 they still shift once per row.  The rows move into lanes of W bits,
 W the smallest of 8, 16, 32 and 64 that holds L (8 * ceil(L / 8) for
-longer rows), in ceil(log2 n) masked shifts (Warren, Hacker's Delight,
-7-4 and 7-5), and then one little-endian struct reads the lanes, or one
-`int.from_bytes` per lane past 64 bits.  The masks are built by doubling
-a block, one per step, and kept for the last few shapes.
+longer rows), in ceil(log2 n) masked shifts (`_to_lanes`; Warren,
+Hacker's Delight, 7-4 and 7-5), and then one little-endian struct reads
+the lanes, or one `int.from_bytes` per lane past 64 bits (`_read_lanes`).
+The masks are built by doubling a block, one per step, and kept for the
+last few shapes.  The moves are linear over GF(2), so the TE encoder
+moves its generator images into lanes once and reads each codeword,
+the XOR of moved images, with `_read_lanes` alone.
 
 Every channel applies an instance as a check, `_check_instance`, which
 raises or returns nothing, and then the erase and delete arithmetic,
@@ -95,10 +98,10 @@ def _cell_gather(cells: Iterable[int], L: int) -> List[Tuple[int, int, List[Tupl
     return gather
 
 
-def _check_shape_types(n, L) -> None:
-    """TypeError naming n or L for a dimension that is no int, a bool or a
-    float included, as `TedCode` checks its own."""
-    for name, v in (("n", n), ("L", L)):
+def _check_int_fields(**fields) -> None:
+    """TypeError naming the first of the fields, in order, that is no int,
+    a bool or a float included, as `TedCode` checks its own."""
+    for name, v in fields.items():
         if type(v) is not int:
             raise TypeError(f"{name} must be an int, got {type(v).__name__}")
 
@@ -112,7 +115,7 @@ class BitArray:
     rows: Tuple[int, ...]
 
     def __post_init__(self):
-        _check_shape_types(self.n, self.L)
+        _check_int_fields(n=self.n, L=self.L)
         # Any sequence of ints is kept as a tuple of ints, so that equal
         # arrays compare and hash alike; an entry that is no int raises
         # TypeError.
@@ -175,7 +178,7 @@ class RaggedArray:
     lost: Tuple[int, ...]
 
     def __post_init__(self):
-        _check_shape_types(self.n, self.L)
+        _check_int_fields(n=self.n, L=self.L)
         # tuples of ints, as `BitArray` keeps its rows
         object.__setattr__(self, "rows", tuple(map(operator.index, self.rows)))
         object.__setattr__(self, "lost", tuple(map(operator.index, self.lost)))
@@ -236,8 +239,12 @@ def _repeat(block: int, stride: int, count: int) -> int:
 _PLANS = 8
 
 
+# A row-split plan, (size, words, low, steps): see `_lanes`.
+_Plan = Tuple[int, Struct, int, Tuple[Tuple[int, int], ...]]
+
+
 @lru_cache(maxsize=_PLANS)
-def _lanes(n: int, L: int) -> Tuple[int, Struct, int, Tuple[Tuple[int, int], ...]]:
+def _lanes(n: int, L: int) -> _Plan:
     """(size, words, low, steps), the plan of the row split of n rows of L
     bits into lanes of W bits, W the smallest of 8, 16, 32 and 64 that
     holds L, else 8 * ceil(L / 8): size = W / 8, the bytes of a lane;
@@ -265,25 +272,42 @@ def _lanes(n: int, L: int) -> Tuple[int, Struct, int, Tuple[Tuple[int, int], ...
 _FEW_ROWS = 8
 
 
+def _to_lanes(flat: int, plan: _Plan) -> int:
+    """The n rows of L bits packed in `flat` at stride L, moved into the
+    lanes of `plan = _lanes(n, L)`: row i at bit W i.  Bits above n*L are
+    ignored.  It is linear over GF(2), so it moves an XOR of flat ints to
+    the XOR of their lane layouts."""
+    _, _, low, steps = plan
+    flat &= low
+    for mask, shift in steps:
+        moved = flat & mask
+        flat ^= moved ^ moved << shift
+    return flat
+
+
+def _read_lanes(lanes: int, plan: _Plan) -> Tuple[int, ...]:
+    """The rows of a lane layout of `plan = _lanes(n, L)`, as a tuple: one
+    `to_bytes` and one struct unpack, with one `from_bytes` per lane past
+    64 bits."""
+    size, words, _, _ = plan
+    rows = words.unpack(lanes.to_bytes(words.size, "little"))
+    return tuple(map(int.from_bytes, rows, repeat("little"))) if size > 8 else rows
+
+
 def _split_rows(flat: int, n: int, L: int) -> Tuple[int, ...]:
     """The n rows of L bits packed in `flat` at stride L, row 0 lowest, as
-    a tuple; bits above n*L are ignored.  Past `_FEW_ROWS` rows,
-    ceil(log2 n) masked shifts move the rows into lanes of W bits
-    (`_lanes`; Warren, Hacker's Delight, 7-5), and one `to_bytes` and one
-    struct unpack read them, with one `from_bytes` per lane past 64 bits."""
+    a tuple; bits above n*L are ignored.  Past `_FEW_ROWS` rows the rows
+    move into lanes (`_to_lanes`) and are read from there (`_read_lanes`)."""
     if n <= _FEW_ROWS:
+        if not L:
+            return (0,) * n
         full = (1 << L) - 1
         rows = []
         for shift in range(0, n * L, L):
             rows.append(flat >> shift & full)
         return tuple(rows)
-    size, words, low, steps = _lanes(n, L)
-    flat &= low
-    for mask, shift in steps:
-        moved = flat & mask
-        flat ^= moved ^ moved << shift
-    lanes = words.unpack(flat.to_bytes(words.size, "little"))
-    return tuple(map(int.from_bytes, lanes, repeat("little"))) if size > 8 else lanes
+    plan = _lanes(n, L)
+    return _read_lanes(_to_lanes(flat, plan), plan)
 
 
 def _join_rows(rows: Sequence[int], L: int) -> int:

@@ -25,7 +25,8 @@ from operator import or_
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .arrays import (BitArray, RaggedArray, _bit_array, _cell_gather, _check_bit_array,
-                     _check_received, _row_to_int, _split_rows)
+                     _check_int_fields, _check_received, _lanes, _read_lanes, _row_to_int,
+                     _to_lanes)
 from .basecodes import (ParityColumns, bch_degree, bch_generator, bch_pcm, claim5_base_pcm,
                         cyclic_pcm, extended_hamming_pcm, hamming_pcm)
 from .errors import AmbiguousErasureError, NotACodewordError
@@ -45,6 +46,11 @@ class TeParityCheck:
     field_m: Optional[int] = None
 
     def __post_init__(self):
+        sizes = {"n": self.n, "L": self.L, "r": self.r}
+        _check_int_fields(**sizes)
+        for name, v in sizes.items():
+            if v < 0:
+                raise ValueError(f"{name} must be non-negative, got {v}")
         cols = self.cols
         if len(cols) != self.n or any(len(row) != self.L for row in cols):
             raise ValueError("column grid does not match declared shape")
@@ -430,8 +436,12 @@ class TeCodec:
     the other message cells clear.  So every output satisfies the
     membership rule, and the message reads back from its own cells.
     Encoding is linear, so it XORs one generator-table entry per 8 message
-    bits, the flat codeword image of those bits, and cuts the flat
-    codeword into its rows with the row-split kernel `arrays._split_rows`.
+    bits.  The images are moved once, here, into the lane layout of the
+    row-split kernel (`arrays._to_lanes`), so an entry is the codeword of
+    those bits already in lanes, and the XOR of the entries is read into
+    rows with one `arrays._read_lanes`.  A lane of W >= L bits holds a
+    row (`arrays._lanes`), so the tables hold W / L times the bits of flat
+    images: 2x at L = 4, 8x at L = 1.
     Decoding is `te_decode`.
     """
 
@@ -441,6 +451,8 @@ class TeCodec:
         images = gf2_relations(H.all_columns())
         self.message_cells = [image.bit_length() - 1 for image in images]
         self.k = self.message_bits = len(images)
+        self._plan = plan = _lanes(H.n, H.L)
+        images = [_to_lanes(image, plan) for image in images]
         self._tables = [xor_table(images[b:b + 8]) for b in range(0, self.k, 8)]
         self._gather = _cell_gather(self.message_cells, H.L)
 
@@ -451,12 +463,11 @@ class TeCodec:
 
     def _encode_int(self, message: int) -> BitArray:
         """`encode` of the message packed into an int, bit 0 first."""
-        flat = 0
+        lanes = 0
         chunks = message.to_bytes(len(self._tables), "little")
         for table, chunk in zip(self._tables, chunks):
-            flat ^= table[chunk]
-        n, L = self.n, self.L
-        return _bit_array(n, L, _split_rows(flat, n, L))
+            lanes ^= table[chunk]
+        return _bit_array(self.n, self.L, _read_lanes(lanes, self._plan))
 
     def message_of(self, x: BitArray) -> List[int]:
         _check_bit_array(x, self.n, self.L)

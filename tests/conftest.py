@@ -30,6 +30,17 @@ def transpose(vectors, width: int):
     return out
 
 
+def te_oracle_rows(images, message: int, n: int, L: int) -> tuple:
+    """The rows of a TE codeword from the generator images of
+    `gf2_relations(H.all_columns())`: the flat XOR of the images of the
+    message's set bits, cut into n rows of L bits one shift per row."""
+    flat = 0
+    for b, image in enumerate(images):
+        if message >> b & 1:
+            flat ^= image
+    return tuple(flat >> (i * L) & ((1 << L) - 1) for i in range(n))
+
+
 def unbudgeted(kind: str, x: BitArray) -> ChannelSpec:
     """The `kind` channel spec whose budgets hold every instance on x: all
     n*L positions erased, all n rows with deletions, all L positions each."""

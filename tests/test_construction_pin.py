@@ -7,11 +7,12 @@ import random
 
 from arraycodes.basecodes import (bch_pcm, claim5_base_pcm, cyclic_pcm,
                                   extended_hamming_pcm, hamming_pcm)
+from arraycodes.gf2 import gf2_relations
 from arraycodes.tables import table_i_construct
 from arraycodes.te import (TeEncoder, construct_1, construct_claim5,
                            construct_claim7, construct_even, construct_hasse,
                            construct_hasse_raw, construct_parity)
-from conftest import transpose
+from conftest import te_oracle_rows, transpose
 
 PINNED = "25414152b9b4fcd15b810054d116639022156b38fd0e06a20999fd99a187e2ac"
 
@@ -88,21 +89,21 @@ def test_constructions_match_pinned_digest():
 
 
 def test_encode_int_matches_the_per_row_split():
-    """`TeCodec._encode_int` splits its flat codeword with the row-split
-    kernel; on every TE construction of the pinned grid, the rows are the
-    per-row shifts of the same flat codeword, for the zero and all-ones
-    messages and three random ones."""
+    """`TeCodec._encode_int` reads its codeword from lane-layout tables;
+    on every TE construction of the pinned grid, the rows are the per-row
+    shifts of the flat codeword that XORs the generator images of
+    `gf2_relations`, for the zero and all-ones messages and three random
+    ones."""
     rng = random.Random(40)
     for rows_in_grid in range(1, 40):
         for label, build in _builds(rows_in_grid):
             try:
-                enc = TeEncoder(build())
+                H = build()
             except ValueError:
                 continue
+            enc = TeEncoder(H)
+            images = gf2_relations(H.all_columns())
             n, L, k = enc.n, enc.L, enc.k
             for message in (0, (1 << k) - 1, *(rng.getrandbits(k) for _ in range(3))):
-                flat = 0
-                for table, chunk in zip(enc._tables, message.to_bytes(len(enc._tables), "little")):
-                    flat ^= table[chunk]
-                rows = tuple(flat >> (i * L) & ((1 << L) - 1) for i in range(n))
+                rows = te_oracle_rows(images, message, n, L)
                 assert enc._encode_int(message).rows == rows, (label, message)

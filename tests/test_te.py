@@ -12,13 +12,13 @@ from arraycodes.basecodes import (bch_generator, bch_pcm, cyclic_pcm,
 from arraycodes.errors import (AmbiguousErasureError, ArrayCodeError,
                                NotACodewordError)
 from arraycodes.field import field_make
-from arraycodes.gf2 import gf2_rank
+from arraycodes.gf2 import gf2_rank, gf2_relations
 from arraycodes.te import (MinDistanceResult, TeCodec, TeEncoder,
                            TeParityCheck, _build_from_field_rows, construct_1,
                            construct_claim5, construct_claim7, construct_even,
                            construct_hasse, construct_hasse_raw, construct_interleaved,
                            construct_parity, te_decode, verify_min_distance)
-from conftest import transpose
+from conftest import te_oracle_rows, transpose
 
 
 def ceil_log2(x):
@@ -448,6 +448,64 @@ def test_parity_check_rejects_columns_outside_r_bits(cols):
     # OverflowError from to_bytes, instead of failing at construction.
     with pytest.raises(ValueError, match="wider than r = 1 bits"):
         TeParityCheck(2, 2, 1, cols)
+
+
+@pytest.mark.parametrize("n, L, r, cols, error, message", [
+    (1.0, 1, 1, ((1,),), TypeError, "n must be an int, got float"),
+    (1, 1.0, 1, ((1,),), TypeError, "L must be an int, got float"),
+    (1, 1, 1.0, ((1,),), TypeError, "r must be an int, got float"),
+    (True, 1, 1, ((1,),), TypeError, "n must be an int, got bool"),
+    (1, 1, False, ((0,),), TypeError, "r must be an int, got bool"),
+    (1, "1", 1, ((1,),), TypeError, "L must be an int, got str"),
+    (1, 1, None, ((0,),), TypeError, "r must be an int, got NoneType"),
+    (-1, 1, 1, (), ValueError, "n must be non-negative, got -1"),
+    (1, -1, 1, ((),), ValueError, "L must be non-negative, got -1"),
+    (1, 1, -1, ((0,),), ValueError, "r must be non-negative, got -1"),
+])
+def test_parity_check_rejects_bad_sizes(n, L, r, cols, error, message):
+    """A float n once built a parity check, and a negative r failed with
+    "negative shift count"; the sizes are checked as `TedCode` and
+    `BitArray` check theirs, each error naming its field."""
+    with pytest.raises(error, match=f"^{message}$"):
+        TeParityCheck(n, L, r, cols)
+
+
+@pytest.mark.parametrize("n", [2, 9])
+def test_rows_of_no_cells_round_trip(n):
+    """An n x 0 code has one codeword, the empty rows, on both sides of the
+    row-split kernel's few-rows path; encoding it once failed at n <= 8."""
+    codec = TeCodec(TeParityCheck(n, 0, 0, ((),) * n))
+    x = codec.encode([])
+    assert x == BitArray(n, 0, (0,) * n)
+    assert codec.message_of(x) == []
+    assert codec.decode(apply_te_pattern(x, (0,) * n)) == x
+    assert list(codec.codewords()) == [x]
+
+
+@pytest.mark.parametrize("L", [1, 8, 9, 17, 33, 65])
+@pytest.mark.parametrize("n", [3, 8, 9, 12])
+def test_encode_on_every_lane_kind(n, L):
+    """Codes whose rows fill byte, 16-, 32- and 64-bit lanes and lanes of
+    whole bytes past 64 bits, at n on both sides of the kernel's few-rows
+    path: the rows are the per-row shifts of the flat XOR of the generator
+    images, members of the code that give their message back and decode
+    from tail erasures."""
+    H = construct_hasse(n, L, 3)
+    codec = TeCodec(H)
+    images = gf2_relations(H.all_columns())
+    rng = random.Random(n * 100 + L)
+    for message in (0, (1 << codec.k) - 1, rng.getrandbits(codec.k)):
+        x = codec._encode_int(message)
+        assert x.rows == te_oracle_rows(images, message, n, L)
+        assert H.contains(x)
+        bits = [message >> b & 1 for b in range(codec.k)]
+        assert codec.message_of(x) == bits
+        for _ in range(3):
+            pattern = [0] * n
+            for _ in range(3):
+                pattern[rng.randrange(n)] += 1
+            pattern = [min(p, L) for p in pattern]
+            assert codec.decode(apply_te_pattern(x, pattern)) == x
 
 
 @pytest.mark.parametrize("field_name", ["r", "n", "L"])
