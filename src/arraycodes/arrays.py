@@ -16,11 +16,14 @@ the lanes, or one `int.from_bytes` per lane past 64 bits (`_read_lanes`).
 The masks are built by doubling a block, one per step, and kept for the
 last few shapes.  The moves are linear over GF(2), so the TE encoder
 moves its generator images into lanes once and reads each codeword,
-the XOR of moved images, with `_read_lanes` alone.
+the XOR of moved images, with `_read_lanes` alone.  The TED/DC encoder
+of rows of 9 to 31 positions asks `_lanes` for 64-bit lanes instead, the
+words its SWAR residue kernel reads.
 
 Every channel applies an instance as a check, `_check_instance`, which
 raises or returns nothing, and then the erase and delete arithmetic,
-`_cut`, which checks nothing.  `_damage` is the two in a row.
+`_cut`, which checks nothing and masks only the rows a pattern erases.
+`_damage` is the two in a row.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ import operator
 from array import array
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import groupby, repeat
+from itertools import compress, groupby, repeat
 from struct import Struct
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -244,10 +247,11 @@ _Plan = Tuple[int, Struct, int, Tuple[Tuple[int, int], ...]]
 
 
 @lru_cache(maxsize=_PLANS)
-def _lanes(n: int, L: int) -> _Plan:
+def _lanes(n: int, L: int, W: Optional[int] = None) -> _Plan:
     """(size, words, low, steps), the plan of the row split of n rows of L
-    bits into lanes of W bits, W the smallest of 8, 16, 32 and 64 that
-    holds L, else 8 * ceil(L / 8): size = W / 8, the bytes of a lane;
+    bits into lanes of W bits, by default the smallest of 8, 16, 32 and 64
+    that holds L, else 8 * ceil(L / 8); a caller may name a wider W of
+    those, as the TED/DC encoder names 64: size = W / 8, the bytes of a lane;
     words the little-endian struct of n lanes, as ints up to 64 bits and
     as byte strings past them; low the mask of the n*L bits; and one
     (mask, shift) per step k, from the highest bit k of a row index down.
@@ -255,7 +259,8 @@ def _lanes(n: int, L: int) -> _Plan:
     from a lane boundary, and the step moves those with bit k set, the
     mask, up by shift = 2^k (W - L) bits.  Each mask is a block doubled
     into its copies."""
-    W = next((w for w in (8, 16, 32, 64) if L <= w), -(-L // 8) * 8)
+    if W is None:
+        W = next((w for w in (8, 16, 32, 64) if L <= w), -(-L // 8) * 8)
     size = W >> 3
     words = Struct(f"<{n}{'BHIQ'[size.bit_length() - 1]}" if W <= 64 else f"{size}s" * n)
     steps = []
@@ -404,11 +409,14 @@ def _cut(x: BitArray, lost, deletions) -> RaggedArray:
     the truncated rows.  It checks nothing: `lost` holds plain ints, and
     the instance is one that `_check_instance` passes for x's shape."""
     L = x.L
+    rows = list(x.rows)
     if lost is _NO_ERASURES:
-        rows, lost = list(x.rows), [0] * x.n
+        lost = [0] * x.n
     else:
+        # only the rows the pattern damages
         masks = _prefix_masks(L)
-        rows = [r & masks[p] for r, p in zip(x.rows, lost)]
+        for i in compress(range(x.n), lost):
+            rows[i] &= masks[lost[i]]
         if deletions:
             lost = list(lost)
     for row, positions in deletions:

@@ -51,6 +51,20 @@ class TeParityCheck:
         for name, v in sizes.items():
             if v < 0:
                 raise ValueError(f"{name} must be non-negative, got {v}")
+        # `to_bytes` writes the provenance as utf-8 and field_m as an int32,
+        # -1 for None, so `from_bytes` gives back exactly these values.
+        if not isinstance(self.provenance, str):
+            raise TypeError(f"provenance must be a str, got {type(self.provenance).__name__}")
+        try:
+            if len(self.provenance.encode()) > 0xFFFF:
+                raise ValueError("provenance must take at most 65535 bytes of utf-8")
+        except UnicodeEncodeError:
+            raise ValueError("provenance must encode as utf-8") from None
+        if self.field_m is not None:
+            _check_int_fields(field_m=self.field_m)
+            if not 1 <= self.field_m < 1 << 31:
+                raise ValueError(f"field_m must be None or an int from 1 to 2^31 - 1, "
+                                 f"got {self.field_m}")
         cols = self.cols
         if len(cols) != self.n or any(len(row) != self.L for row in cols):
             raise ValueError("column grid does not match declared shape")
@@ -143,6 +157,9 @@ class TeParityCheck:
         if not (r and n and L):
             raise ValueError(f"parity-check header declares r={r}, n={n}, L={L}; "
                              f"each must be at least 1")
+        if fm == 0 or fm < -1:
+            raise ValueError(f"parity-check header declares field_m={fm}; "
+                             f"it must be -1 (none) or at least 1")
         if head + plen > len(blob):
             raise ValueError(f"parity-check provenance of {plen} bytes runs past the "
                              f"end of the {len(blob)}-byte blob")
@@ -159,7 +176,7 @@ class TeParityCheck:
         flat = [int.from_bytes(body[k * nbytes:(k + 1) * nbytes], "little")
                 for k in range(n * L)]
         cols = tuple(tuple(flat[i * L:(i + 1) * L]) for i in range(n))
-        return cls(n, L, r, cols, prov, None if fm < 0 else fm)
+        return cls(n, L, r, cols, prov, None if fm == -1 else fm)
 
     def dump_text(self) -> str:
         lines = [f"te-parity-check r={self.r} n={self.n} L={self.L} "

@@ -15,17 +15,34 @@ With e = 0 the symbol is the VT syndrome alone: that is the (t,1)
 deletion-correcting code, `arraycodes.dc.DcCode`.  Rows stay bitset ints
 from the message to the decoded array.
 
-One width rule splits each path of the codec: a row of at most 8
-positions is a byte, and reads the tables of `TedCode._byte_rows`, built
-once per code.  Longer rows go through their symbols, `ReedSolomon._parity`
-and `vt_encode_int` to encode, and `vt_insert` to repair.  The row-split
-kernel, `arrays._split_rows`, cuts the systematic rows of both.  A gather
-for longer rows would take a tuple per byte of the row, which measured
-slower than the int path they keep: each parity row's data, read back with
-`vt_data_int`, is gathered in the loop that reads it, the systematic rows
-are packed below it by `arrays._join_rows`, the inverse of the split, and
-one unpack gives the message.  Encoding likewise cuts each parity row's
-data from the message in the loop that writes the row.
+Row width splits each path of the codec.  A row of at most 8 positions is
+a byte, and reads the tables of `TedCode._byte_rows`, built once per code.
+Longer rows go through their symbols and `ReedSolomon._parity`, and repair
+by `vt_insert`.  Encoding knows three widths:
+
+- up to 8 positions, the byte tables: one parity row per systematic row,
+  one `vt._encode_table(L)` read per parity row;
+- 9 to 31 positions on an outer code of byte lanes (h + e <= 8), 64-bit
+  lanes (`TedCode._lane_rows`): `arrays._to_lanes` moves every row of the
+  array into a lane of its own, and a fixed number of whole-array passes
+  give the systematic rows' symbols, scatter the parity rows' data, sum
+  them and place their VT redundancy, with one struct read for the
+  array.  The residues come from the SWAR kernel of
+  `vt.position_residues`, `vt._word_sums`, which needs 2^h <= 32 and
+  empty high halves in its 8-byte words, so the lanes stop at 31
+  positions (h <= 5); wider symbols would not fit the byte lanes of the
+  outer parity;
+- any other row, one row at a time: the row-split kernel
+  `arrays._split_rows` cuts the systematic rows, and each parity row's data
+  is cut from the message and encoded by `vt_encode_int` in the loop that
+  writes the row.
+
+`message_of` has two of them.  A gather for longer rows would take a tuple
+per byte of the row, which measured slower than the int path they keep:
+each parity row's data, read back with `vt_data_int`, is gathered in the
+loop that reads it, the systematic rows are packed below it by
+`arrays._join_rows`, the inverse of the split, and one unpack gives the
+message.
 
 Every symbol is below 2^(h+e) by construction, so the codec calls the outer
 code's private kernels, `ReedSolomon._parity` and the fill
@@ -51,17 +68,19 @@ from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import chain, compress
 from operator import getitem, xor
-from typing import List, Optional, Sequence
+from struct import Struct
+from typing import List, Optional, Sequence, Tuple
 
 from .arrays import (BitArray, RaggedArray, _bit_array, _cell_gather, _check_bit_array,
-                     _check_received, _int_to_row, _join_rows, _row_to_int, _split_rows)
+                     _check_received, _int_to_row, _join_rows, _lanes, _repeat, _row_to_int,
+                     _split_rows, _to_lanes)
 from .errors import (CapacityExceededError, ChannelContractError,
                      CorruptInputError, NotACodewordError)
 from .field import PRIMITIVE_POLYS, field_make
 from .rs import ReedSolomon
-from .vt import (_BYTE_SUM, _LOW_BITS, _NO_INSERTION, _encode_table, _insert_table,
-                 position_residues, position_sum, vt_data_int, vt_encode_int, vt_insert,
-                 vt_modulus_exponent)
+from .vt import (_BYTE_SUM, _LANE_POWERS, _LANE_SCATTER, _LOW_BITS, _NO_INSERTION,
+                 _encode_table, _insert_table, _word_sums, position_residues, position_sum,
+                 vt_data_int, vt_encode_int, vt_insert, vt_modulus_exponent)
 
 # The largest extension degree m that `field_make` builds GF(2^m) for.
 _WIDEST_FIELD = max(PRIMITIVE_POLYS)
@@ -69,6 +88,10 @@ _WIDEST_FIELD = max(PRIMITIVE_POLYS)
 
 # `TedCode._byte_rows`: the tables of rows of at most 8 positions.
 _ByteRows = namedtuple("_ByteRows", "theta parity codewords gather repair")
+
+# `TedCode._lane_rows`: the plans and lane masks of the encoder of rows of 9
+# to 31 positions.
+_LaneRows = namedtuple("_LaneRows", "rows data words residue tail top scatter powers above")
 
 
 def theta_symbol(row_bits: Sequence[int], e: int, h: int) -> int:
@@ -176,6 +199,79 @@ class TedCode:
             parity=tuple(tuple(map(row.__getitem__, values)) for row in self.outer._tables.par),
             codewords=_encode_table(L), gather=_cell_gather(cells, L), repair=_insert_table(L))
 
+    @cached_property
+    def _lane_rows(self) -> Optional[_LaneRows]:
+        """The plans and masks of the encoder of rows of 9 to 31 positions
+        on an outer code of byte lanes (h + e <= 8), None for any other
+        code.  Every row sits in a 64-bit lane, as the SWAR residue kernel
+        `vt._word_sums` reads it; each mask is one lane's, repeated in every
+        lane of the array.
+
+        - rows, data: the plans (`arrays._lanes` at W = 64) of the k
+          systematic rows and of the R parity rows' data, L - e - h bits each.
+        - words: the struct of the n lanes of the codeword.
+        - residue, tail: the low h bits and the low e bits of each lane.
+        - top: bit h of each of the R parity lanes, which keeps their
+          bytewise subtraction from borrowing.
+        - scatter, powers: `vt._LANE_SCATTER` and `vt._LANE_POWERS`.
+        - above: the bits from L - e up of each lane, where a parity row
+          must hold its symbol's tail and nothing else."""
+        n, L, R, h, e = self.n, self.L, self.R, self.h, self.e
+        if not 8 < L <= 31 or h + e > 8:
+            return None
+
+        def spread(block: int) -> int:
+            return _repeat(block, 64, n)
+
+        return _LaneRows(
+            rows=_lanes(n - R, L, 64), data=_lanes(R, L - e - h, 64), words=Struct(f"<{n}Q"),
+            residue=spread((1 << h) - 1), tail=spread((1 << e) - 1), top=_repeat(1 << h, 64, R),
+            scatter=tuple((spread(mask), shift) for mask, shift in _LANE_SCATTER),
+            powers=tuple((spread(mask), shift) for mask, shift in _LANE_POWERS),
+            above=spread((1 << 64) - (1 << (L - e))))
+
+    def _lane_encode(self, m: int, lanes: _LaneRows) -> Tuple[int, ...]:
+        """The n rows of the codeword of the message int m, every row in a
+        64-bit lane (`_lane_rows`), in a fixed number of whole-array passes:
+        the systematic rows' symbols by the SWAR kernel and a shift, the
+        outer parity by one XOR over the systematic rows, and the parity
+        rows' data scattered, summed and completed by the VT redundancy
+        with a few masked shifts each."""
+        n, L, R, h, e = self.n, self.L, self.R, self.h, self.e
+        k = n - R
+        residue, tail = lanes.residue, lanes.tail
+        systematic = _to_lanes(m, lanes.rows)
+        packed = systematic.to_bytes(8 * k, "little")
+        # theta of each systematic row in the low byte of its lane
+        symbols = _word_sums(packed) >> 24 & residue
+        if e:
+            symbols |= (systematic >> (L - e) & tail) << h
+        parity = reduce(xor, map(getitem, self.outer._tables.par,
+                                 symbols.to_bytes(8 * k, "little")[::8]), 0)
+        # the R parity symbols, one byte each, moved to the low bytes of lanes
+        lane_bytes = bytearray(8 * R)
+        lane_bytes[::8] = parity.to_bytes(R, "little")
+        parity = int.from_bytes(lane_bytes, "little")
+        # The data bits, then the tail above them: the feasibility
+        # precondition keeps the last e positions out of the power positions,
+        # so the scatter lands the tail bits exactly at positions L-e+1 .. L.
+        data = _to_lanes(m >> k * L, lanes.data)
+        tails = parity >> h & tail
+        if e:
+            data |= tails << (L - e - h)
+        row = 0
+        for mask, shift in lanes.scatter:
+            row |= (data & mask) << shift
+        # (a - s) mod 2^h of each lane, bit h set above a so that no lane
+        # borrows from the next
+        sums = _word_sums(row.to_bytes(8 * R, "little")) >> 24 & residue
+        deficiency = ((parity & residue | lanes.top) - sums) & residue
+        for mask, shift in lanes.powers:
+            row |= (deficiency & mask) << shift
+        if row & lanes.above != tails << (L - e):
+            raise AssertionError("tail placement violated; encoder bug")
+        return lanes.words.unpack(packed + row.to_bytes(8 * R, "little"))
+
     def _symbols(self, rows: Sequence[int]) -> List[int]:
         """theta of each full-length row int, a new list: one `translate`
         through the byte rows' theta up to 8 positions, and beyond, the VT
@@ -201,6 +297,9 @@ class TedCode:
         n, L, R, h, e = self.n, self.L, self.R, self.h, self.e
         k = n - R
         m = _row_to_int(message)
+        lane_rows = self._lane_rows
+        if lane_rows is not None:
+            return _bit_array(n, L, self._lane_encode(m, lane_rows))
         rows = _split_rows(m, k, L)
         outer = self.outer
         byte_rows = self._byte_rows

@@ -19,9 +19,13 @@ translated at once and summed inside big ints, SWAR style (Lamport,
 row's sum is sum_k S(b_k) + 8k * popcount(b_k) over its bytes b_k, S the
 position sum of a byte value; each row is an 8-byte word with an empty
 high half, and two multiplies add its translated bytes into one byte of
-the word.  Longer rows are summed one at a time.  For rows of at most 8
-positions the symbol table of `TedCode._byte_rows` is read from
-`_BYTE_SUM`, the position sums of all 256 byte values, and `_LOW_BITS`.
+the word.  Longer rows are summed one at a time.  That kernel is
+`_word_sums`, on the packed words; its callers are `position_residues`,
+which `TedCode` calls for the symbols of received and intact rows, and
+the lane encoder of `TedCode`, which sums its systematic and its parity
+rows in 64-bit lanes with it.  For rows of at most 8 positions the symbol
+table of `TedCode._byte_rows` is read from `_BYTE_SUM`, the position sums
+of all 256 byte values, and `_LOW_BITS`.
 
 `vt_insert` is the single-deletion repair for a given deficiency D, the
 residue the reinserted bit must add; `vt_decode_int` computes D from the
@@ -43,7 +47,10 @@ rest with one shift, and only longer rows walk the runs of data positions
 past position 16.  Every table depends on bit positions alone.  Rows of
 at most 8 positions are bytes, so `_encode_table(L)`, built once per L from
 `vt_encode_int`, holds every codeword of such a row at its data and
-residue, for `TedCode._byte_rows`.
+residue, for `TedCode._byte_rows`.  Rows of 9 to 31 positions encode in
+64-bit lanes, where four masked shifts (`_LANE_SCATTER`) place the data
+and four more (`_LANE_POWERS`) the redundancy, the same placement as
+`_SCATTER11` and `_POWER_BITS`, in every lane at once.
 
 `vt_decode` and `vt_codewords` are the list forms left, for callers that
 hold rows as bit lists.
@@ -130,6 +137,18 @@ def position_sum(x: int, h: int) -> int:
     return s
 
 
+def _word_sums(packed: bytes) -> int:
+    """The SWAR residue kernel: `packed` holds little-endian 8-byte words,
+    each a row of at most 31 positions (its high half zero), and byte 3 of
+    each word of the int returned is congruent to that row's position sum
+    mod 32, so mod 2^h for every h <= 5.  Its bits 0..23 and 32..63 hold
+    partial sums, masked off by the caller; `position_residues` explains
+    the two translates and two multiplies."""
+    return (int.from_bytes(packed.translate(_BYTE_SUM), "little") * 0x01010101
+            + (int.from_bytes(packed.translate(_POPCOUNT_MOD4), "little")
+               * 0x00010203 << 3))
+
+
 def position_residues(rows: Sequence[int], h: int) -> List[int]:
     """`position_sum` of every row mod 2^h, in a fixed number of C-level
     passes up to 31 positions (h <= 5), and one row at a time beyond.
@@ -151,10 +170,8 @@ def position_residues(rows: Sequence[int], h: int) -> List[int]:
         if _BIG_ENDIAN:
             words.byteswap()
         packed = words.tobytes()
-        total = (int.from_bytes(packed.translate(_BYTE_SUM), "little") * 0x01010101
-                 + (int.from_bytes(packed.translate(_POPCOUNT_MOD4), "little")
-                    * 0x00010203 << 3))
-        return list(total.to_bytes(8 * len(rows), "little")[3::8].translate(_LOW_BITS[h]))
+        return list(_word_sums(packed).to_bytes(len(packed), "little")[3::8]
+                    .translate(_LOW_BITS[h]))
     mask = (1 << h) - 1
     return [position_sum(x, h) & mask for x in rows]
 
@@ -214,6 +231,15 @@ def _select8() -> bytes:
 _DATA16 = _gather16()
 _SCATTER11 = _scatter11()
 _SELECT8 = _select8()
+
+# The systematic encoder on the 64-bit lanes of `TedCode._lane_rows`, rows of
+# 9 to 31 positions, as (mask, shift) pairs on one lane, which that bundle
+# repeats in every lane.  Scatter: the data positions 2^i + 1 .. 2^(i+1) - 1
+# of run i = 1..4 hold the data bits from 2^i - i - 1 on, i + 1 below their
+# bits.  Powers: deficiency bit i goes to position 2^i, bit 2^i - 1; bits 0
+# and 1 stay where they are.
+_LANE_SCATTER = tuple(((1 << (1 << i) - 1) - 1 << (1 << i) - i - 1, i + 1) for i in range(1, 5))
+_LANE_POWERS = ((3, 0),) + tuple((1 << i, (1 << i) - 1 - i) for i in range(2, 5))
 
 
 @lru_cache(maxsize=None)

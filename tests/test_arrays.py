@@ -9,8 +9,8 @@ import pytest
 
 from arraycodes.arrays import (INF, BitArray, RaggedArray, _bit_array,
                                _PLANS, _block_width, _fll_rows, _int_to_row,
-                               _join_rows, _lanes, _ragged_array, _row_to_int,
-                               _split_rows,
+                               _join_rows, _lanes, _ragged_array, _read_lanes,
+                               _row_to_int, _split_rows, _to_lanes,
                                apply_te_pattern, count_patterns,
                                d1_dc_distance, d_sdc_distance,
                                enumerate_patterns, fll_distance,
@@ -95,6 +95,22 @@ def test_split_and_join_rows_match_per_row_shifts(L):
         assert _split_rows(flat | stray, n, L) == rows
         assert _join_rows(rows, L) == flat
         assert _join_rows(list(rows), L) == flat
+
+
+@pytest.mark.parametrize("L", range(9, 32))
+def test_64_bit_plan_splits_and_joins_back(L):
+    """The plan the TED/DC encoder names, 64-bit lanes for rows of 9 to 31
+    bits, at n = 1..70: row i lands at bit 64 i, `_read_lanes` gives the
+    rows, and `_join_rows` packs them back into the flat int."""
+    rng = random.Random(L)
+    for n in range(1, 71):
+        plan = _lanes(n, L, 64)
+        flat = rng.getrandbits(n * L)
+        rows = per_row_split(flat, n, L)
+        lanes = _to_lanes(flat | rng.getrandbits(40) << n * L, plan)
+        assert lanes == sum(row << 64 * i for i, row in enumerate(rows))
+        assert _read_lanes(lanes, plan) == rows
+        assert _join_rows(rows, L) == flat
 
 
 def test_split_and_join_rows_at_storage_scale():

@@ -470,6 +470,44 @@ def test_parity_check_rejects_bad_sizes(n, L, r, cols, error, message):
         TeParityCheck(n, L, r, cols)
 
 
+@pytest.mark.parametrize("fields, error, message", [
+    ({"provenance": 5}, TypeError, "provenance must be a str, got int"),
+    ({"provenance": "\udc80"}, ValueError, "provenance must encode as utf-8"),
+    ({"provenance": "x" * 0x10000}, ValueError,
+     "provenance must take at most 65535 bytes of utf-8"),
+    ({"field_m": 2.5}, TypeError, "field_m must be an int, got float"),
+    ({"field_m": True}, TypeError, "field_m must be an int, got bool"),
+    ({"field_m": -3}, ValueError, r"field_m must be None or an int from 1 to 2\^31 - 1, got -3"),
+    ({"field_m": 0}, ValueError, r"field_m must be None or an int from 1 to 2\^31 - 1, got 0"),
+    ({"field_m": 1 << 31}, ValueError,
+     r"field_m must be None or an int from 1 to 2\^31 - 1, got 2147483648"),
+])
+def test_parity_check_rejects_fields_that_do_not_round_trip(fields, error, message):
+    """provenance=5 built a parity check whose `to_bytes` raised
+    AttributeError, field_m=2.5 one whose `to_bytes` raised struct.error,
+    and field_m=-3 one that came back from its bytes with field_m None;
+    each is now refused at construction, naming its field."""
+    with pytest.raises(error, match=f"^{message}$"):
+        TeParityCheck(1, 1, 1, ((1,),), **fields)
+
+
+@pytest.mark.parametrize("provenance, field_m", [("", None), ("h\u00e4sse", 1),
+                                                 ("x" * 0xFFFF, (1 << 31) - 1)])
+def test_accepted_provenance_and_field_m_round_trip(provenance, field_m):
+    H = TeParityCheck(1, 1, 1, ((1,),), provenance, field_m)
+    assert TeParityCheck.from_bytes(H.to_bytes()) == H
+
+
+@pytest.mark.parametrize("fm", [0, -2, -(1 << 31)])
+def test_from_bytes_rejects_header_field_m(fm):
+    """A header field_m of -1 reads as None and one of at least 1 as
+    itself; -3 once read as None, so the blob did not round-trip."""
+    blob = bytearray(_hamming_blob())
+    blob[18:22] = struct.pack(">i", fm)
+    with pytest.raises(ValueError, match=f"declares field_m={fm}; it must be -1"):
+        TeParityCheck.from_bytes(bytes(blob))
+
+
 @pytest.mark.parametrize("n", [2, 9])
 def test_rows_of_no_cells_round_trip(n):
     """An n x 0 code has one codeword, the empty rows, on both sides of the

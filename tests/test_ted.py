@@ -297,20 +297,52 @@ def oracle_encode(code, message):
 # tables: the benchmark's TED(5,7), the top of the VT table at L = 8, the
 # widest outer field of such rows (h + e = 6), and for each L from 1 to 8
 # one shape at the largest e it admits (L = 1 admits only TedCode(1,1,0,0),
-# which has no parity rows); TED(9,11) is a row past the tables.
+# which has no parity rows).  Then the codes of rows of 9 to 31 positions
+# that encode in 64-bit lanes: TED(9,11), the benchmark's DC(31,31,8), the
+# first lane shape L = 9, 255 lanes, h + e = 8 and no parity rows.  Past
+# the lanes' rule: 32 positions, and h + e = 9.
 ENCODE_ORACLE_CODES = [DcCode(7, 5, 2), TedCode(5, 7, 2, 1), TedCode(9, 6, 2, 2),
                        DcCode(15, 8, 3), TedCode(63, 7, 4, 3),
                        TedCode(1, 1, 0, 0), TedCode(3, 2, 1, 0), TedCode(7, 3, 2, 1),
                        TedCode(7, 4, 3, 0), TedCode(9, 5, 4, 1), TedCode(9, 6, 3, 2),
-                       TedCode(9, 7, 2, 3), TedCode(9, 8, 4, 0), TedCode(9, 11, 2, 2)]
+                       TedCode(9, 7, 2, 3), TedCode(9, 8, 4, 0), TedCode(9, 11, 2, 2),
+                       DcCode(31, 31, 8), TedCode(31, 31, 4, 2), TedCode(255, 31, 2, 3),
+                       TedCode(15, 15, 1, 4), TedCode(7, 9, 2, 1), TedCode(16, 31, 3, 0),
+                       TedCode(4, 20, 0, 0),
+                       DcCode(9, 32, 3), TedCode(31, 31, 2, 4)]
+
+
+def in_lanes(code):
+    """Whether the code encodes in 64-bit lanes: rows of 9 to 31 positions
+    on an outer code of byte lanes."""
+    return 8 < code.L <= 31 and code.h + code.e <= 8
+
+
+def test_lane_rows_exactly_inside_their_rule():
+    """`_lane_rows` is None exactly outside 8 < L <= 31 with h + e <= 8, on
+    the oracle codes, which reach both sides, and at each bound."""
+    assert {in_lanes(c) for c in ENCODE_ORACLE_CODES} == {True, False}
+    for code in ENCODE_ORACLE_CODES:
+        assert (code._lane_rows is not None) == in_lanes(code), code
+    for code, lanes in [(TedCode(3, 8, 1, 0), False), (TedCode(3, 9, 1, 0), True),
+                        (TedCode(7, 31, 1, 3), True), (TedCode(7, 31, 1, 4), False),
+                        (TedCode(3, 32, 1, 0), False), (TedCode(3, 63, 1, 0), False)]:
+        assert (code._lane_rows is not None) == lanes, code
+        assert not lanes or code.outer._tables.byte_lanes
 
 
 @pytest.mark.parametrize("code", ENCODE_ORACLE_CODES,
                          ids=lambda c: f"{c.n}x{c.L}-t{c.t}-e{c.e}")
 def test_encode_matches_row_by_row_oracle(code):
     """The same array as the reference encoder on 200 seeded messages, and
-    `message_of` gives each message back."""
+    `message_of` gives each message back; also the all-zero and all-one
+    messages."""
     assert (code._byte_rows is None) == (code.L > 8)
+    assert (code._lane_rows is None) != in_lanes(code)
+    for message in ([0] * code.message_bits, [1] * code.message_bits):
+        x = code.encode(message)
+        assert x == oracle_encode(code, message)
+        assert code.message_of(x) == message
     rng = random.Random(repr(code))
     for _ in range(200):
         message = [rng.randrange(2) for _ in range(code.message_bits)]

@@ -6,8 +6,9 @@ from itertools import combinations
 import pytest
 
 from arraycodes.errors import CorruptInputError
-from arraycodes.vt import (_DATA16, _NO_INSERTION, _SCATTER11, _SUM16, _encode_table,
-                           _insert_table, position_residues,
+from arraycodes.vt import (_DATA16, _LANE_POWERS, _LANE_SCATTER, _NO_INSERTION, _POWER_BITS,
+                           _SCATTER11, _SUM16, _encode_table, _insert_table, _word_sums,
+                           position_residues,
                            position_sum, vt_codewords, vt_data_int, vt_decode,
                            vt_decode_int, vt_encode_int, vt_insert,
                            vt_modulus_exponent)
@@ -286,6 +287,37 @@ def test_array_residues_match_popcount_oracle(L):
                 for _ in range(n)]
         assert position_residues(rows, h) == [oracle_position_sum(x, h) % (1 << h)
                                               for x in rows], (L, n)
+
+
+def test_word_sums_kernel_matches_position_sum():
+    """The SWAR kernel on its own, as `TedCode`'s lane encoder calls it:
+    byte 3 of each 8-byte word is congruent to the word's position sum mod
+    32, on random words of up to 31 bits and on the empty, the lowest and
+    the full ones."""
+    rng = random.Random(31)
+    words = [rng.getrandbits(rng.randrange(32)) for _ in range(1000)]
+    words += [0, 1, 1 << 30, (1 << 31) - 1]
+    packed = b"".join(w.to_bytes(8, "little") for w in words)
+    sums = _word_sums(packed).to_bytes(len(packed), "little")[3::8]
+    assert [s % 32 for s in sums] == [position_sum(w, 5) % 32 for w in words]
+
+
+def test_lane_masks_place_what_the_tables_place():
+    """On one lane the masked shifts of `_LANE_SCATTER` put data on the
+    non-power positions as `_SCATTER11` and the shift past position 16 do,
+    and those of `_LANE_POWERS` put a deficiency on the power positions as
+    `_POWER_BITS` does, for rows of up to 31 positions."""
+    rng = random.Random(26)
+    for data in [0, (1 << 26) - 1] + [rng.getrandbits(26) for _ in range(2000)]:
+        placed = 0
+        for mask, shift in _LANE_SCATTER:
+            placed |= (data & mask) << shift
+        assert placed == _SCATTER11[data & 0x7FF] | data >> 11 << 16
+    for deficiency in range(32):
+        placed = 0
+        for mask, shift in _LANE_POWERS:
+            placed |= (deficiency & mask) << shift
+        assert placed == _POWER_BITS[deficiency]
 
 
 def definitional_position_sum(x, L):
