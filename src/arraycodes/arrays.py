@@ -243,18 +243,21 @@ _PLANS = 8
 
 
 # A row-split plan, (size, words, low, steps): see `_lanes`.
-_Plan = Tuple[int, Struct, int, Tuple[Tuple[int, int], ...]]
+_Plan = Tuple[int, Optional[Struct], int, Tuple[Tuple[int, int], ...]]
 
 
 @lru_cache(maxsize=_PLANS)
 def _lanes(n: int, L: int, W: Optional[int] = None) -> _Plan:
     """(size, words, low, steps), the plan of the row split of n rows of L
     bits into lanes of W bits, by default the smallest of 8, 16, 32 and 64
-    that holds L, else 8 * ceil(L / 8); a caller may name a wider W of
-    those, as the TED/DC encoder names 64: size = W / 8, the bytes of a lane;
-    words the little-endian struct of n lanes, as ints up to 64 bits and
-    as byte strings past them; low the mask of the n*L bits; and one
-    (mask, shift) per step k, from the highest bit k of a row index down.
+    that holds L, else 8 * ceil(L / 8).  A caller may name any W >= L, as
+    the TED/DC encoder names 64 and `TedCode.message_of` the parity rows'
+    stride.  size = W / 8, the bytes of a lane; words the little-endian
+    struct of n lanes, as ints up to 64 bits and as byte strings past them,
+    None where a lane is neither such an int nor whole bytes past 64 bits
+    (`_to_lanes` and `_from_lanes` need only low and the steps); low the
+    mask of the n*L bits; and one (mask, shift) per step k, from the
+    highest bit k of a row index down.
     Before step k the rows of each group of 2^(k+1) rows sit at stride L
     from a lane boundary, and the step moves those with bit k set, the
     mask, up by shift = 2^k (W - L) bits.  Each mask is a block doubled
@@ -262,7 +265,9 @@ def _lanes(n: int, L: int, W: Optional[int] = None) -> _Plan:
     if W is None:
         W = next((w for w in (8, 16, 32, 64) if L <= w), -(-L // 8) * 8)
     size = W >> 3
-    words = Struct(f"<{n}{'BHIQ'[size.bit_length() - 1]}" if W <= 64 else f"{size}s" * n)
+    words = None
+    if W in (8, 16, 32, 64) or W > 64 and not W & 7:
+        words = Struct(f"<{n}{'BHIQ'[size.bit_length() - 1]}" if W <= 64 else f"{size}s" * n)
     steps = []
     if W > L and n > 1:
         for k in reversed(range((n - 1).bit_length())):
@@ -288,6 +293,16 @@ def _to_lanes(flat: int, plan: _Plan) -> int:
         moved = flat & mask
         flat ^= moved ^ moved << shift
     return flat
+
+
+def _from_lanes(lanes: int, plan: _Plan) -> int:
+    """The inverse of `_to_lanes`: the rows in the lanes of `plan`, each
+    below 2^L and nothing else in its lane, packed at stride L, row 0
+    lowest; the steps undone from the lowest."""
+    for mask, shift in reversed(plan[3]):
+        moved = lanes >> shift & mask
+        lanes ^= moved ^ moved << shift
+    return lanes
 
 
 def _read_lanes(lanes: int, plan: _Plan) -> Tuple[int, ...]:
@@ -317,21 +332,18 @@ def _split_rows(flat: int, n: int, L: int) -> Tuple[int, ...]:
 
 def _join_rows(rows: Sequence[int], L: int) -> int:
     """The rows, each below 2^L, packed at stride L, row 0 lowest: the
-    inverse of `_split_rows`, its steps undone from the lowest."""
+    inverse of `_split_rows`, one struct pack into lanes and `_from_lanes`."""
     n = len(rows)
     if n <= _FEW_ROWS:
         flat = 0
         for row in reversed(rows):
             flat = flat << L | row
         return flat
-    size, words, _, steps = _lanes(n, L)
+    plan = _lanes(n, L)
+    size, words, _, _ = plan
     if size > 8:
         rows = [row.to_bytes(size, "little") for row in rows]
-    flat = int.from_bytes(words.pack(*rows), "little")
-    for mask, shift in reversed(steps):
-        moved = flat >> shift & mask
-        flat ^= moved ^ moved << shift
-    return flat
+    return _from_lanes(int.from_bytes(words.pack(*rows), "little"), plan)
 
 
 @lru_cache(maxsize=None)

@@ -34,6 +34,12 @@ from .field import Gf2m, field_make
 from .gf2 import gf2_rank, gf2_relations, xor_table
 
 
+# The most rows and cells, n * (L + 1), `TeParityCheck.from_bytes` builds
+# for a blob whose body is empty, which its size cannot bound: a 255 x 255
+# grid of r = 0 fits.
+_EMPTY_BODY_GRID = 1 << 16
+
+
 @dataclass(frozen=True)
 class TeParityCheck:
     """Parity columns h_{i,j}; cols[i][j] is an r-bit int (0-based indices)."""
@@ -152,11 +158,6 @@ class TeParityCheck:
             raise ValueError("not a parity-check blob")
         if version != cls.VERSION:
             raise ValueError(f"unsupported version {version}")
-        # With r, n, L >= 1 the exact body-length check below bounds the
-        # work by the blob's size.
-        if not (r and n and L):
-            raise ValueError(f"parity-check header declares r={r}, n={n}, L={L}; "
-                             f"each must be at least 1")
         if fm == 0 or fm < -1:
             raise ValueError(f"parity-check header declares field_m={fm}; "
                              f"it must be -1 (none) or at least 1")
@@ -173,6 +174,12 @@ class TeParityCheck:
         if len(body) != n * L * nbytes:
             raise ValueError(f"parity-check body has {len(body)} bytes; "
                              f"n*L*ceil(r/8) = {n * L * nbytes} expected")
+        # The work below is one step per row and per cell: a body bounds it
+        # by the blob's size, and an empty one (n, L or r of 0) by a cap.
+        if not body and n * (L + 1) > _EMPTY_BODY_GRID:
+            raise ValueError(f"parity-check header declares r={r}, n={n}, L={L} with an "
+                             f"empty body: n * (L + 1) = {n * (L + 1)} rows and cells, more "
+                             f"than the {_EMPTY_BODY_GRID} an empty body may declare")
         flat = [int.from_bytes(body[k * nbytes:(k + 1) * nbytes], "little")
                 for k in range(n * L)]
         cols = tuple(tuple(flat[i * L:(i + 1) * L]) for i in range(n))

@@ -39,18 +39,17 @@ because 0 <= D <= L keeps k within that row's ones.  For rows of at most
 the repair of every received row at every D < 2^h, None where D > L, for
 `TedCode._byte_rows`; longer rows call `vt_insert`.
 
-The systematic encoder's data bits sit on the non-power positions.  The
-11 of positions 1..16 are gathered by one read of `_DATA16`, a table of
-all 16-bit values, and scattered by one read of its inverse `_SCATTER11`;
-positions 17..31 hold data only, so rows of at most 31 positions move the
-rest with one shift, and only longer rows walk the runs of data positions
-past position 16.  Every table depends on bit positions alone.  Rows of
-at most 8 positions are bytes, so `_encode_table(L)`, built once per L from
-`vt_encode_int`, holds every codeword of such a row at its data and
-residue, for `TedCode._byte_rows`.  Rows of 9 to 31 positions encode in
-64-bit lanes, where four masked shifts (`_LANE_SCATTER`) place the data
-and four more (`_LANE_POWERS`) the redundancy, the same placement as
-`_SCATTER11` and `_POWER_BITS`, in every lane at once.
+The systematic encoder's data bits sit on the non-power positions, in
+runs 2^i + 1 .. 2^(i+1) - 1 between the powers, and its redundancy on the
+powers.  `_placement(h)` states that rule once, for every h, as a few
+(mask, shift) pairs: a run of data bits moves up by one shift onto its
+positions and back down by the same shift, and each deficiency bit moves
+up onto its power.  `vt_encode_int` applies them to one row; `TedCode`
+spreads them over whole arrays, to place the data and redundancy of every
+parity row in its 64-bit lanes at once, and to gather every parity row's
+data back in `message_of`.  Rows of at most 8 positions are bytes, so
+`_encode_table(L)`, built once per L from `vt_encode_int`, holds every
+codeword of such a row at its data and residue, for `TedCode._byte_rows`.
 
 `vt_decode` and `vt_codewords` are the list forms left, for callers that
 hold rows as bit lists.
@@ -60,6 +59,7 @@ from __future__ import annotations
 
 import sys
 from array import array
+from collections import namedtuple
 from functools import lru_cache
 from typing import List, Optional, Sequence, Tuple
 
@@ -176,43 +176,6 @@ def position_residues(rows: Sequence[int], h: int) -> List[int]:
     return [position_sum(x, h) & mask for x in rows]
 
 
-def _low_power_bits() -> Tuple[int, ...]:
-    """Entry d < 256: the row int with bit i of d at position 2^i, i < 8."""
-    table = [0]
-    for i in range(8):
-        # the entries with bit i set are those without it plus position 2^i
-        table += [p | 1 << ((1 << i) - 1) for p in table]
-    return tuple(table)
-
-
-# A table over all 2^h deficiencies would hold 2^h ints of up to 2^(h-1)
-# bits, so this one stops at 8 bits and longer rows place the rest one at a
-# time.
-_POWER_BITS = _low_power_bits()
-
-
-def _gather16() -> array:
-    """Entry v: the 11 data bits of the 16-bit row v, at positions 3, 5..7
-    and 9..15, packed low.  The low byte holds 4 of them and the high byte
-    its low 7, so each high byte adds one offset to the 256 low-byte
-    entries, built a row of 256 at a time; bit 15 is position 16, a power,
-    so the upper half of the table repeats the lower."""
-    low = [(b >> 2 & 1) | (b >> 3 & 0xE) for b in range(256)]
-    table = array("H")
-    for hi in range(128):
-        offset = hi << 4
-        table.extend([d | offset for d in low])
-    table *= 2
-    return table
-
-
-def _scatter11() -> array:
-    """Entry d < 2^11: the row int with the bits of d at the data positions
-    3, 5..7 and 9..15, lowest first (the inverse of `_DATA16`)."""
-    low = [(d & 1) << 2 | (d & 0xE) << 3 for d in range(16)]
-    return array("H", [low[d & 0xF] | d >> 4 << 8 for d in range(1 << 11)])
-
-
 def _select8() -> bytes:
     """Entry k << 8 | b, k <= 8: the index just above the k-th lowest one
     of the byte b, the bit length of its k lowest ones; 0 at k = 0 and
@@ -226,29 +189,30 @@ def _select8() -> bytes:
     return bytes(table)
 
 
-# The data bits of positions 1..16, their inverse, and the select within a
-# byte: 128 KiB, 4 KiB and 2.25 KiB, built once at import.
-_DATA16 = _gather16()
-_SCATTER11 = _scatter11()
+# The select within a byte, 2.25 KiB, built once at import.
 _SELECT8 = _select8()
 
-# The systematic encoder on the 64-bit lanes of `TedCode._lane_rows`, rows of
-# 9 to 31 positions, as (mask, shift) pairs on one lane, which that bundle
-# repeats in every lane.  Scatter: the data positions 2^i + 1 .. 2^(i+1) - 1
-# of run i = 1..4 hold the data bits from 2^i - i - 1 on, i + 1 below their
-# bits.  Powers: deficiency bit i goes to position 2^i, bit 2^i - 1; bits 0
-# and 1 stay where they are.
-_LANE_SCATTER = tuple(((1 << (1 << i) - 1) - 1 << (1 << i) - i - 1, i + 1) for i in range(1, 5))
-_LANE_POWERS = ((3, 0),) + tuple((1 << i, (1 << i) - 1 - i) for i in range(2, 5))
+# `_placement(h)`: where the systematic encoder puts its bits.
+_Placement = namedtuple("_Placement", "runs powers")
 
 
 @lru_cache(maxsize=None)
-def _runs_past_16(L: int) -> Tuple[Tuple[int, int], ...]:
-    """(first bit, width) of each run 2^i+1 .. min(2^(i+1)-1, L) of data
-    positions past position 16, i >= 4; bit 2^i holds position 2^i + 1.
-    Only rows of 32 or more positions walk them."""
-    return tuple((1 << i, min((1 << i) - 1, L - (1 << i)))
-                 for i in range(4, L.bit_length()))
+def _placement(h: int) -> _Placement:
+    """The systematic encoder's bit placement in rows of at most 2^h - 1
+    positions, as (mask, shift) pairs, one rule at every h.
+
+    - runs: the data positions 2^i + 1 .. 2^(i+1) - 1 of run i = 1..h-1
+      hold the data bits from 2^i - i - 1 on, i + 1 below their bits.  The
+      scatter of data d is the OR of (d & mask) << shift, the gather of a
+      row x the OR of x >> shift & mask.  The last run's mask reaches
+      position 2^h - 1 whatever the row's length, so a gather over rows
+      packed at stride L cuts each mask to the row (`TedCode._parity_gather`).
+    - powers: deficiency bit i goes to position 2^i, bit 2^i - 1; bits 0
+      and 1 stay where they are."""
+    runs = tuple(((1 << (1 << i) - 1) - 1 << (1 << i) - i - 1, i + 1) for i in range(1, h))
+    powers = (((1 << min(h, 2)) - 1, 0),) + tuple((1 << i, (1 << i) - 1 - i)
+                                                   for i in range(2, h))
+    return _Placement(runs, powers)
 
 
 def vt_insert(y: int, deficiency: int, L: int) -> int:
@@ -331,24 +295,16 @@ def vt_encode_int(data: int, a: int, L: int) -> int:
     The power positions start at 0 and then position 2^i receives bit i of
     the deficiency (a - partial syndrome) mod 2^h; the weights 1, 2, ...,
     2^(h-1) represent every residue exactly once, so one pass suffices.
-    The low 11 data bits are placed by one `_SCATTER11` entry, the rest by
-    one shift up to 31 positions and by the runs past position 16 beyond.
-    The low 8 redundancy bits are placed by one `_POWER_BITS` entry, which
-    is all of them for rows of at most 255 positions.
+    Both steps are the masked shifts of `_placement(h)`.
     """
     h = L.bit_length()
-    x = _SCATTER11[data & 0x7FF]
-    if h <= 5:
-        x |= data >> 11 << 16
-        return x | _POWER_BITS[(a - position_sum(x, h)) & ((1 << h) - 1)]
-    data >>= 11
-    for first, width in _runs_past_16(L):
-        x |= (data & ((1 << width) - 1)) << first
-        data >>= width
-    deficiency = (a - position_sum(x, h)) % (1 << h)
-    x |= _POWER_BITS[deficiency & 0xFF]
-    for i in range(8, h):
-        x |= (deficiency >> i & 1) << ((1 << i) - 1)
+    runs, powers = _placement(h)
+    x = 0
+    for mask, shift in runs:
+        x |= (data & mask) << shift
+    deficiency = (a - position_sum(x, h)) & ((1 << h) - 1)
+    for mask, shift in powers:
+        x |= (deficiency & mask) << shift
     return x
 
 
@@ -360,20 +316,6 @@ def _encode_table(L: int) -> bytes:
     h = L.bit_length()
     low = (1 << h) - 1
     return bytes(vt_encode_int(v >> h, v & low, L) for v in range(1 << L))
-
-
-def vt_data_int(x: int, L: int) -> int:
-    """The data bits of a row int x < 2^L, in data-position order (inverse
-    of the scatter in `vt_encode_int`): one `_DATA16` read and one shift up
-    to 31 positions, and the runs past position 16 beyond."""
-    data = _DATA16[x & 0xFFFF]
-    if L < 32:
-        return data | x >> 16 << 11
-    shift = 11
-    for first, width in _runs_past_16(L):
-        data |= (x >> first & ((1 << width) - 1)) << shift
-        shift += width
-    return data
 
 
 def vt_codewords(L: int, a: int):

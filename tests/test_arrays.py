@@ -8,8 +8,8 @@ from math import comb
 import pytest
 
 from arraycodes.arrays import (INF, BitArray, RaggedArray, _bit_array,
-                               _PLANS, _block_width, _fll_rows, _int_to_row,
-                               _join_rows, _lanes, _ragged_array, _read_lanes,
+                               _PLANS, _block_width, _fll_rows, _from_lanes,
+                               _int_to_row, _join_rows, _lanes, _ragged_array, _read_lanes,
                                _row_to_int, _split_rows, _to_lanes,
                                apply_te_pattern, count_patterns,
                                d1_dc_distance, d_sdc_distance,
@@ -111,6 +111,25 @@ def test_64_bit_plan_splits_and_joins_back(L):
         assert lanes == sum(row << 64 * i for i, row in enumerate(rows))
         assert _read_lanes(lanes, plan) == rows
         assert _join_rows(rows, L) == flat
+
+
+@pytest.mark.parametrize("W", [4, 9, 11, 16, 24, 31, 64, 72, 100, 255])
+def test_any_lane_width_moves_rows_and_back(W):
+    """A plan at any lane width W >= L, as `TedCode.message_of` names the
+    parity rows' stride: row i lands at bit W i, `_from_lanes` packs the
+    rows back at stride L, and the plan holds a struct only for lanes of
+    8, 16, 32 or 64 bits or of whole bytes past 64."""
+    rng = random.Random(W)
+    whole = W in (8, 16, 32, 64) or W > 64 and W % 8 == 0
+    for L in {1, W // 2, W - 1, W}:
+        for n in range(0, 20):
+            plan = _lanes(n, L, W)
+            assert (plan[1] is None) != whole
+            flat = rng.getrandbits(n * L)
+            rows = per_row_split(flat, n, L)
+            lanes = _to_lanes(flat | rng.getrandbits(40) << n * L, plan)
+            assert lanes == sum(row << W * i for i, row in enumerate(rows))
+            assert _from_lanes(lanes, plan) == flat
 
 
 def test_split_and_join_rows_at_storage_scale():

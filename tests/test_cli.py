@@ -545,7 +545,8 @@ USAGE_ERRORS = {
     ],
     "test_zero_size_code_header_exits_2": [
         (None, "verify --code-file '{header only}' --d 3",
-         "parity-check header declares r=0, n=1000, L=1000; each must be at least 1"),
+         "parity-check header declares r=0, n=1000, L=1000 with an empty body: "
+         "n * (L + 1) = 1001000 rows and cells, more than the 65536 an empty body may declare"),
     ],
     "test_descriptor_without_outer_field_exits_2": [
         (f"desc{i}", f"encode --code-file '{{no outer field {kind}}}'",
@@ -1095,9 +1096,9 @@ BAD_CODE_FILES = [
     ("short header", _tepc()[:20], "shorter than its 24-byte header"),
     ("wrong magic", _tepc(magic=b"TEPX"), "neither"),
     ("bad version", _tepc(version=2), "unsupported version 2"),
-    ("zero r", _tepc(r=0), "r=0"),
-    ("zero n", _tepc(n=0), "n=0"),
-    ("zero L blob", _tepc(L=0), "L=0"),
+    ("zero r", _tepc(r=0, n=2**32 - 1, L=2**32 - 1), "r=0"),
+    ("zero n", _tepc(n=0) + b"\x00", "n*L*ceil(r/8) = 0 expected"),
+    ("zero L blob", _tepc(n=2**32 - 1, L=0), "L=0"),
     ("short body", _tepc(cut=1), "body has 11 bytes"),
     ("non-UTF-8 provenance", _tepc(provenance=b"\xff\xfe"), "utf-8"),
     ("overlong provenance", _tepc(cut=14), "provenance of 5 bytes runs past the end"),

@@ -21,9 +21,13 @@ from arraycodes.te import (TeCodec, TeParityCheck, construct_1,
                            construct_hasse, te_decode)
 from arraycodes.ted import TedCode
 
+# Past the benchmark's widths: 255 positions on GF(2^9), a truncated last
+# run of data positions (33..40 of 33..63), and 31 positions on GF(2^9),
+# which encode one row at a time.
 CODES = [DcCode(5, 7, 2), DcCode(9, 15, 3), TedCode(4, 5, 1, 0),
          TedCode(5, 7, 2, 1), TedCode(7, 9, 2, 1), TedCode(6, 10, 1, 2),
-         TedCode(12, 20, 2, 2)]
+         TedCode(12, 20, 2, 2),
+         TedCode(12, 255, 2, 1), DcCode(40, 40, 3), TedCode(20, 31, 3, 4)]
 
 
 def _ragged(L, rows):

@@ -548,15 +548,39 @@ def test_encode_on_every_lane_kind(n, L):
 
 @pytest.mark.parametrize("field_name", ["r", "n", "L"])
 def test_from_bytes_rejects_zero_size_header(field_name):
-    # A zero r would make the body-length check vacuous: n*L*0 = 0 bytes
-    # for any n and L.
+    # A zero r, n or L declares an empty body, so a blob with one is refused;
+    # without one, a zero r would make the body-length check vacuous (n*L*0
+    # = 0 bytes for any n and L), so a fixed cap bounds the grid.
     blob = bytearray(_hamming_blob())
     offset = {"r": 6, "n": 10, "L": 14}[field_name]
     blob[offset:offset + 4] = struct.pack(">I", 0)
-    with pytest.raises(ValueError, match="at least 1"):
+    with pytest.raises(ValueError, match="= 0 expected"):
         TeParityCheck.from_bytes(bytes(blob))
     header = struct.pack(">4sHIIIiH", b"TEPC", 1, 0, 1000, 1000, -1, 0)
-    with pytest.raises(ValueError, match="at least 1"):
+    with pytest.raises(ValueError, match="empty body"):
+        TeParityCheck.from_bytes(header)
+
+
+@pytest.mark.parametrize("shape", [(2, 0, 0, ((), ())), (0, 3, 1, ()), (1, 1, 0, ((0,),)),
+                                   (0, 0, 0, ()), (3, 0, 9, ((), (), ())),
+                                   (256, 255, 0, ((0,) * 255,) * 256)],
+                         ids=lambda shape: "x".join(map(str, shape[:3])))
+def test_zero_size_parity_checks_round_trip(shape):
+    """Every shape the constructor accepts survives `to_bytes`/`from_bytes`,
+    an n, L or r of 0 too, up to the cap of a blob with an empty body, n *
+    (L + 1) = 2^16 rows and cells (the 256 x 255 grid)."""
+    H = TeParityCheck(*shape)
+    assert TeParityCheck.from_bytes(H.to_bytes()) == H
+
+
+@pytest.mark.parametrize("r, n, L", [(0, 2**32 - 1, 2**32 - 1), (5, 2**32 - 1, 0),
+                                     (0, 257, 255), (0, 1, 2**16)])
+def test_from_bytes_bounds_a_header_with_an_empty_body(r, n, L):
+    """A header declaring more than 2^16 rows and cells with an empty body
+    is refused before any row is built, the largest sizes a header holds
+    too."""
+    header = struct.pack(">4sHIIIiH", b"TEPC", 1, r, n, L, -1, 0)
+    with pytest.raises(ValueError, match=rf"n \* \(L \+ 1\) = {n * (L + 1)} rows and cells"):
         TeParityCheck.from_bytes(header)
 
 

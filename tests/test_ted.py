@@ -14,11 +14,12 @@ from arraycodes.errors import (ArrayCodeError, CapacityExceededError,
 from arraycodes import ted as ted_module
 from arraycodes.rs import ReedSolomon
 from arraycodes.ted import TedCode, theta_symbol
-from arraycodes.vt import (_NO_INSERTION, _insert_table, position_residues, vt_data_int,
-                           vt_decode_int, vt_encode_int, vt_insert)
+from arraycodes.vt import (_NO_INSERTION, _insert_table, position_residues, vt_decode_int,
+                           vt_encode_int, vt_insert)
 from conftest import ragged, unbudgeted
 from test_fuzz import _damage, _ragged
 from test_rs import _oracle_decode
+from test_vt import oracle_gather
 
 
 def test_theta_packing():
@@ -300,7 +301,9 @@ def oracle_encode(code, message):
 # which has no parity rows).  Then the codes of rows of 9 to 31 positions
 # that encode in 64-bit lanes: TED(9,11), the benchmark's DC(31,31,8), the
 # first lane shape L = 9, 255 lanes, h + e = 8 and no parity rows.  Past
-# the lanes' rule: 32 positions, and h + e = 9.
+# the lanes' rule: 32 positions, and h + e = 9.  Past the benchmark's
+# widths: 255 positions on GF(2^9), a truncated last run of data positions
+# (33..40 of 33..63), and 31 positions on GF(2^9).
 ENCODE_ORACLE_CODES = [DcCode(7, 5, 2), TedCode(5, 7, 2, 1), TedCode(9, 6, 2, 2),
                        DcCode(15, 8, 3), TedCode(63, 7, 4, 3),
                        TedCode(1, 1, 0, 0), TedCode(3, 2, 1, 0), TedCode(7, 3, 2, 1),
@@ -309,7 +312,8 @@ ENCODE_ORACLE_CODES = [DcCode(7, 5, 2), TedCode(5, 7, 2, 1), TedCode(9, 6, 2, 2)
                        DcCode(31, 31, 8), TedCode(31, 31, 4, 2), TedCode(255, 31, 2, 3),
                        TedCode(15, 15, 1, 4), TedCode(7, 9, 2, 1), TedCode(16, 31, 3, 0),
                        TedCode(4, 20, 0, 0),
-                       DcCode(9, 32, 3), TedCode(31, 31, 2, 4)]
+                       DcCode(9, 32, 3), TedCode(31, 31, 2, 4),
+                       TedCode(12, 255, 2, 1), DcCode(40, 40, 3), TedCode(20, 31, 3, 4)]
 
 
 def in_lanes(code):
@@ -352,14 +356,14 @@ def test_encode_matches_row_by_row_oracle(code):
 
 
 def oracle_message_of(code, x):
-    """The int path: a Horner over the rows, the parity rows' data by
-    `vt_data_int`, then one unpack."""
+    """The int path: a Horner over the rows, the parity rows' data by the
+    run-walking `oracle_gather`, then one unpack."""
     L, k = code.L, code.n - code.R
     per_row = L - code.e - code.h
     mask = (1 << per_row) - 1
     m = 0
     for row in reversed(x.rows[k:]):
-        m = m << per_row | vt_data_int(row, L) & mask
+        m = m << per_row | oracle_gather(row, L) & mask
     for row in reversed(x.rows[:k]):
         m = m << L | row
     return _int_to_row(m, k * L + code.R * per_row)
@@ -454,7 +458,9 @@ def _outcome(decode, code, received):
 
 
 @pytest.mark.parametrize("code", [TedCode(5, 7, 2, 1), TedCode(31, 31, 4, 2),
-                                  DcCode(31, 31, 8), DcCode(15, 8, 3), TedCode(7, 6, 1, 2)],
+                                  DcCode(31, 31, 8), DcCode(15, 8, 3), TedCode(7, 6, 1, 2),
+                                  TedCode(12, 255, 2, 1), DcCode(40, 40, 3),
+                                  TedCode(20, 31, 3, 4)],
                          ids=lambda c: f"{c.n}x{c.L}-t{c.t}-e{c.e}")
 def test_decode_matches_row_by_row_oracle(code):
     """Same array, or same exception class and message, as the reference.

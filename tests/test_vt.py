@@ -6,11 +6,9 @@ from itertools import combinations
 import pytest
 
 from arraycodes.errors import CorruptInputError
-from arraycodes.vt import (_DATA16, _LANE_POWERS, _LANE_SCATTER, _NO_INSERTION, _POWER_BITS,
-                           _SCATTER11, _SUM16, _encode_table, _insert_table, _word_sums,
-                           position_residues,
-                           position_sum, vt_codewords, vt_data_int, vt_decode,
-                           vt_decode_int, vt_encode_int, vt_insert,
+from arraycodes.vt import (_NO_INSERTION, _SUM16, _encode_table, _insert_table, _placement,
+                           _word_sums, position_residues, position_sum, vt_codewords,
+                           vt_decode, vt_decode_int, vt_encode_int, vt_insert,
                            vt_modulus_exponent)
 
 
@@ -81,7 +79,7 @@ def test_systematic_encoder_roundtrip(L):
             x = vt_encode_int(d, a, L)
             assert position_sum(x, h) % q == a
             assert [x >> (p - 1) & 1 for p in slots] == to_bits(d, L - h)
-            assert vt_data_int(x, L) == d
+            assert placed_data(x, L) == d
             for pos in range(L):
                 y = (x & ((1 << pos) - 1)) | ((x >> (pos + 1)) << pos)
                 assert vt_decode_int(y, a, L) == x
@@ -195,7 +193,7 @@ def check_encode(value, a, L):
     want = oracle_encode(data, a, L)
     row = vt_encode_int(value, a, L)
     assert row == to_int(want), (L, a, data)
-    assert vt_data_int(row, L) == value
+    assert placed_data(row, L) == value
 
 
 @pytest.mark.parametrize("L", range(1, 11))
@@ -302,24 +300,6 @@ def test_word_sums_kernel_matches_position_sum():
     assert [s % 32 for s in sums] == [position_sum(w, 5) % 32 for w in words]
 
 
-def test_lane_masks_place_what_the_tables_place():
-    """On one lane the masked shifts of `_LANE_SCATTER` put data on the
-    non-power positions as `_SCATTER11` and the shift past position 16 do,
-    and those of `_LANE_POWERS` put a deficiency on the power positions as
-    `_POWER_BITS` does, for rows of up to 31 positions."""
-    rng = random.Random(26)
-    for data in [0, (1 << 26) - 1] + [rng.getrandbits(26) for _ in range(2000)]:
-        placed = 0
-        for mask, shift in _LANE_SCATTER:
-            placed |= (data & mask) << shift
-        assert placed == _SCATTER11[data & 0x7FF] | data >> 11 << 16
-    for deficiency in range(32):
-        placed = 0
-        for mask, shift in _LANE_POWERS:
-            placed |= (deficiency & mask) << shift
-        assert placed == _POWER_BITS[deficiency]
-
-
 def definitional_position_sum(x, L):
     return sum(j for j in range(1, L + 1) if x >> (j - 1) & 1)
 
@@ -362,8 +342,8 @@ def test_position_sum_at_table_chunk_boundaries(L):
 @pytest.mark.parametrize("L", (31, 63, 255, 256, 300))
 def test_vt_encode_int_matches_oracle_for_every_deficiency(L):
     """Every target a against a fixed data word runs every deficiency
-    residue, so every `_POWER_BITS` entry (and, past L = 255, the bits
-    placed one at a time) is checked against the list encoder."""
+    residue, so every placement of the redundancy bits on the power
+    positions is checked against the list encoder."""
     h = vt_modulus_exponent(L)
     rng = random.Random(3000 + L)
     for value in (0, (1 << (L - h)) - 1, rng.getrandbits(L - h)):
@@ -371,12 +351,11 @@ def test_vt_encode_int_matches_oracle_for_every_deficiency(L):
             check_encode(value, a, L)
 
 
-# --- table-driven gather, scatter and select against the loop bodies ---------
+# --- masked-shift gather, scatter and table select against the loop bodies ---
 #
-# The run-walking gather and scatter and the clear-lowest-bit select that
-# the tables replaced, kept as the oracles.  The tables cover positions
-# 1..16 (data bits 3, 5..7, 9..15) and rows up to 31 positions; rows of 32
-# or more also walk the runs past position 16.
+# The run-walking gather and scatter and the clear-lowest-bit select, kept
+# as the oracles of the masked shifts of `_placement(h)` and of the select
+# table.
 
 def oracle_data_runs(L):
     """(first bit, width) of each run 2^i+1 .. min(2^(i+1)-1, L) of data
@@ -407,16 +386,84 @@ def oracle_kth_lowest_one(v, k):
     return (v & -v).bit_length() - 1
 
 
+def oracle_powers(deficiency):
+    """Bit i of the deficiency at position 2^i, bit 2^i - 1."""
+    return sum((deficiency >> i & 1) << (1 << i) - 1 for i in range(deficiency.bit_length()))
+
+
+def placed(value, pairs):
+    """The OR of (value & mask) << shift over (mask, shift) pairs."""
+    out = 0
+    for mask, shift in pairs:
+        out |= (value & mask) << shift
+    return out
+
+
+def placed_data(x, L):
+    """The data bits of a row int x < 2^L, by the gather of `_placement`."""
+    data = 0
+    for mask, shift in _placement(L.bit_length()).runs:
+        data |= x >> shift & mask
+    return data
+
+
+def test_placement_matches_the_run_oracles():
+    """For h = 1..10 the masked shifts of `_placement(h)` scatter data as
+    `oracle_scatter` does, gather it as `oracle_gather` does, and put every
+    deficiency on the power positions, at the shortest and the longest row
+    of that h: every value up to 2^12, seeded ones beyond."""
+    rng = random.Random(10)
+
+    def values(bits):
+        if bits <= 12:
+            return range(1 << bits)
+        return [0, (1 << bits) - 1] + [rng.getrandbits(bits) for _ in range(500)]
+
+    for h in range(1, 11):
+        runs, powers = _placement(h)
+        for L in (1 << (h - 1), (1 << h) - 1):
+            for data in values(L - h):
+                assert placed(data, runs) == oracle_scatter(data, L), (L, data)
+            for x in values(L):
+                assert placed_data(x, L) == oracle_gather(x, L), (L, x)
+        for deficiency in range(1 << h):
+            assert placed(deficiency, powers) == oracle_powers(deficiency), h
+
+
+def test_lane_masks_place_what_the_tables_place():
+    """For rows of at most 8 positions, every entry d << h | a of the byte
+    table `_encode_table(L)` is the data d on the run masks of `_placement`
+    and the deficiency on its power masks, both as the oracles place them."""
+    for L in range(1, 9):
+        h = vt_modulus_exponent(L)
+        runs, powers = _placement(h)
+        data_mask = placed((1 << (L - h)) - 1, runs)
+        assert data_mask == oracle_scatter((1 << (L - h)) - 1, L)
+        assert placed((1 << h) - 1, powers) == oracle_powers((1 << h) - 1)
+        table = _encode_table(L)
+        for v in range(1 << L):
+            d, a = v >> h, v & ((1 << h) - 1)
+            scattered = placed(d, runs)
+            assert scattered == oracle_scatter(d, L), (L, v)
+            deficiency = (a - position_sum(scattered, h)) % (1 << h)
+            assert table[v] & data_mask == scattered, (L, v)
+            assert table[v] == scattered | oracle_powers(deficiency), (L, v)
+
+
 def test_data16_gathers_every_16_bit_row():
-    assert len(_DATA16) == 1 << 16
-    assert [vt_data_int(x, 16) for x in range(1 << 16)] == \
-        [oracle_gather(x, 16) for x in range(1 << 16)]
+    """The gather of `_placement(5)` on every row of 16 positions, power
+    positions set or not, is the run oracle's."""
+    assert all(placed_data(x, 16) == oracle_gather(x, 16) for x in range(1 << 16))
 
 
 def test_scatter11_is_the_inverse_of_data16():
-    assert len(_SCATTER11) == 1 << 11
-    assert list(_SCATTER11) == [oracle_scatter(d, 16) for d in range(1 << 11)]
-    assert all(_DATA16[_SCATTER11[d]] == d for d in range(1 << 11))
+    """The scatter of `_placement(5)` puts every 11-bit data word of a row
+    of 16 positions where the run oracle does, and the gather takes it back."""
+    runs = _placement(5).runs
+    for d in range(1 << 11):
+        x = placed(d, runs)
+        assert x == oracle_scatter(d, 16), d
+        assert placed_data(x, 16) == d, d
 
 
 @pytest.mark.parametrize("L", range(1, 9))
@@ -434,13 +481,13 @@ def check_gather_scatter(data, a, L):
     row = vt_encode_int(data, a, L)
     assert row & oracle_scatter((1 << (L - h)) - 1, L) == oracle_scatter(data, L)
     assert position_sum(row, h) % (1 << h) == a
-    assert vt_data_int(row, L) == oracle_gather(row, L) == data
+    assert placed_data(row, L) == oracle_gather(row, L) == data
 
 
 @pytest.mark.parametrize("L", (15, 16, 17, 31, 32, 33, 63, 300, 1023))
 def test_gather_and_scatter_match_the_run_oracle(L):
-    """Round trips either side of the 16-bit table (15, 16, 17), of the
-    one-shift path (31, 32, 33), and on the runs past position 16."""
+    """Round trips either side of each power of two from 16 to 32, and on
+    long rows with many runs."""
     h = vt_modulus_exponent(L)
     rng = random.Random(4000 + L)
     k = L - h
@@ -451,7 +498,7 @@ def test_gather_and_scatter_match_the_run_oracle(L):
     # rows with power positions set as well: the gather must skip them
     for _ in range(300):
         x = rng.getrandbits(L)
-        assert vt_data_int(x, L) == oracle_gather(x, L)
+        assert placed_data(x, L) == oracle_gather(x, L)
 
 
 def oracle_insert(y, deficiency, L):
