@@ -262,8 +262,10 @@ class ReedSolomon:
 
     def is_codeword(self, word: Sequence[int]) -> bool:
         """Whether `word` is a codeword: n symbols in [0, 2^m) whose
-        syndromes vanish.  Any other word is no codeword, not an error."""
-        if len(word) != self.n or not self._in_range(word):
+        syndromes vanish.  Any other word is no codeword, not an error: a
+        word holding a symbol that is no int (0.0, None) included."""
+        if (len(word) != self.n or not all(isinstance(v, int) for v in word)
+                or not self._in_range(word)):
             return False
         return not self._lookup(self._tables.syn, word)
 

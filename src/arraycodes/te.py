@@ -20,8 +20,8 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass, field as dataclass_field
 from functools import cached_property, reduce
-from itertools import compress
-from operator import or_
+from itertools import chain, compress
+from operator import index, or_
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .arrays import (BitArray, RaggedArray, _bit_array, _cell_gather, _check_bit_array,
@@ -71,13 +71,17 @@ class TeParityCheck:
             if not 1 <= self.field_m < 1 << 31:
                 raise ValueError(f"field_m must be None or an int from 1 to 2^31 - 1, "
                                  f"got {self.field_m}")
-        cols = self.cols
-        if len(cols) != self.n or any(len(row) != self.L for row in cols):
+        n, L, cols = self.n, self.L, self.cols
+        if len(cols) != n or not {L}.issuperset(map(len, cols)):
             raise ValueError("column grid does not match declared shape")
-        # A grid with no cell has no column to check.
-        if self.n and self.L and (min(map(min, cols)) < 0
-                                  or max(map(max, cols)) >> self.r):
+        # Any grid of int sequences is kept as a tuple of tuples of ints, so
+        # that equal checks compare, hash and serialise alike; an entry that
+        # is no int raises TypeError.  One pass reads the cells for both.
+        cells = tuple(map(index, chain.from_iterable(cols)))
+        if cells and (min(cells) < 0 or max(cells) >> self.r):
             raise ValueError(f"parity-check column wider than r = {self.r} bits")
+        object.__setattr__(self, "cols", tuple(cells[i:i + L] for i in range(0, n * L, L))
+                           if L else ((),) * n)
 
     def column(self, i: int, j: int) -> int:
         """Column of row i, position j (1-indexed)."""

@@ -101,8 +101,12 @@ _LaneRows = namedtuple("_LaneRows", "rows data words residue tail top scatter po
 def theta_symbol(row_bits: Sequence[int], e: int, h: int) -> int:
     """Pack a row's (VT syndrome mod 2^h, last e bits) into one element of
     GF(2^(h+e)): syndrome in the low h bits, tail above it (earliest tail
-    bit lowest)."""
+    bit lowest).  ValueError unless 0 <= e <= len(row_bits) and h >= 0."""
     L = len(row_bits)
+    if not 0 <= e <= L:
+        raise ValueError(f"e must be from 0 to the row length {L}, got {e}")
+    if h < 0:
+        raise ValueError(f"h must be non-negative, got {h}")
     row = _row_to_int(row_bits)
     s = position_sum(row, L.bit_length()) & ((1 << h) - 1)
     return s | (row >> (L - e)) << h

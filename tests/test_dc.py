@@ -10,7 +10,7 @@ from arraycodes.dc import DcCode
 from arraycodes.ted import TedCode, theta_symbol
 from arraycodes.errors import (ArrayCodeError, CapacityExceededError,
                                ChannelContractError, CorruptInputError)
-from conftest import ragged, unbudgeted
+from conftest import one_per_cell, ragged, random_message, unbudgeted
 
 
 def test_flagship_parameters():
@@ -158,7 +158,8 @@ def outcome(fn, *args):
         return type(exc)
 
 
-@pytest.mark.parametrize("n, L, t", ((7, 5, 2), (5, 4, 1), (6, 6, 3), (31, 31, 8)))
+@pytest.mark.parametrize("n, L, t", [(code.n, code.L, code.t) for code in
+                                     one_per_cell("dc", lambda code: code.e == 0 < code.t)])
 def test_dc_equals_ted_without_tail(n, L, t):
     """DcCode(n, L, t) is TedCode(n, L, t, 0): same codewords, messages and
     decode results (including which error is raised) on a seeded sample."""
@@ -167,7 +168,7 @@ def test_dc_equals_ted_without_tail(n, L, t):
     rng = random.Random(n * L + t)
     spec = ChannelSpec("del", t=t + 1, s=2)
     for _ in range(20):
-        msg = [rng.randrange(2) for _ in range(dc.message_bits)]
+        msg = random_message(rng, dc)
         x = dc.encode(msg)
         assert x == ted.encode(msg)
         assert dc.message_of(x) == ted.message_of(x) == msg

@@ -12,82 +12,22 @@ import pytest
 
 from arraycodes.arrays import BitArray, RaggedArray
 from arraycodes.basecodes import extended_hamming_pcm, hamming_pcm
-from arraycodes.channel import (ChannelSpec, apply_channel,
-                                enumerate_channel_instances, random_instance)
+from arraycodes.channel import ChannelSpec, apply_channel, enumerate_channel_instances
 from arraycodes.dc import DcCode
 from arraycodes.errors import ArrayCodeError, InvalidInputError
 from arraycodes.te import (TeCodec, TeParityCheck, construct_1,
                            construct_claim5, construct_claim7, construct_even,
                            construct_hasse, te_decode)
 from arraycodes.ted import TedCode
-
-# Past the benchmark's widths: 255 positions on GF(2^9), a truncated last
-# run of data positions (33..40 of 33..63), and 31 positions on GF(2^9),
-# which encode one row at a time.
-CODES = [DcCode(5, 7, 2), DcCode(9, 15, 3), TedCode(4, 5, 1, 0),
-         TedCode(5, 7, 2, 1), TedCode(7, 9, 2, 1), TedCode(6, 10, 1, 2),
-         TedCode(12, 20, 2, 2),
-         TedCode(12, 255, 2, 1), DcCode(40, 40, 3), TedCode(20, 31, 3, 4)]
+from conftest import code_id, damaged_inputs, has_parity, ragged_rows, ted_codes
 
 
-def _ragged(L, rows):
-    """The RaggedArray of (bits, length) rows of full length L."""
-    return RaggedArray(len(rows), L, tuple(bits for bits, _ in rows),
-                       tuple(L - length for _, length in rows))
-
-
-def _damage(rng, rows, nrows, lost):
-    """Delete a random number of bits in the range `lost` from each of
-    `nrows` random rows."""
-    rows = list(rows)
-    for i in rng.sample(range(len(rows)), nrows):
-        bits, length = rows[i]
-        for _ in range(min(rng.randint(*lost), length)):
-            pos = rng.randrange(length)
-            bits = (bits & ((1 << pos) - 1)) | ((bits >> (pos + 1)) << pos)
-            length -= 1
-        rows[i] = (bits, length)
-    return rows
-
-
-def _flip_intact(rng, rows, L):
-    """Flip random bits in one to three full-length rows, if any."""
-    rows = list(rows)
-    intact = [i for i, (_, length) in enumerate(rows) if length == L]
-    for i in rng.sample(intact, min(len(intact), rng.randint(1, 3))):
-        bits, length = rows[i]
-        for _ in range(rng.randint(1, 3)):
-            bits ^= 1 << rng.randrange(L)
-        rows[i] = (bits, length)
-    return rows
-
-
-def _inputs(rng, code):
-    """One received array of each kind for a fresh codeword."""
-    n, L, e = code.n, code.L, code.e
-    x = code.encode([rng.randrange(2) for _ in range(code.message_bits)])
-    spec = ChannelSpec("ted", t=code.t, s=1, e=e)
-    valid = apply_channel(x, spec, random_instance(spec, n, L, rng))
-    full = [(r, L) for r in x.rows]
-    yield "valid", x, valid
-    yield "over capacity", x, _damage(rng, full, min(n, code.R + 1), (1, e + 1))
-    yield "out of contract", x, _damage(rng, full, rng.randint(1, code.R), (e + 2, e + 4))
-    yield "flipped intact rows", x, _flip_intact(
-        rng, _damage(rng, full, rng.randint(0, code.R), (1, 1)), L)
-    yield "flipped, no damage", x, _flip_intact(rng, full, L)
-    yield "random", x, [(rng.getrandbits(length), length)
-                        for length in (rng.randint(max(0, L - e - 2), L)
-                                       for _ in range(n))]
-
-
-@pytest.mark.parametrize("code", CODES, ids=lambda c: f"{c.n}x{c.L}-t{c.t}-e{c.e}")
+@pytest.mark.parametrize("code", ted_codes(has_parity), ids=code_id)
 def test_decode_returns_member_or_array_code_error(code):
     rng = random.Random(repr(code.descriptor()))
     outcomes = set()
     for _ in range(150):
-        for kind, x, received in _inputs(rng, code):
-            if not isinstance(received, RaggedArray):
-                received = _ragged(code.L, received)
+        for kind, x, received in damaged_inputs(rng, code):
             try:
                 out = code.decode(received)
             except ArrayCodeError:
@@ -104,7 +44,7 @@ def test_decode_returns_member_or_array_code_error(code):
                 assert lost or bits == row
     # Every kind of input was tried, and the damaged kinds were caught.
     assert {("valid", "decoded"), ("over capacity", "raised"),
-            ("out of contract", "raised"), ("flipped intact rows", "raised"),
+            ("out of contract", "raised"), ("flipped intact", "raised"),
             ("flipped, no damage", "raised"), ("random", "raised")} <= outcomes
 
 
@@ -242,7 +182,7 @@ def test_decoders_are_total_on_every_tiny_input(name):
     cells = [(v, k) for k in lengths for v in range(1 << k)]
     inputs = set()
     for rows in itertools.product(cells, repeat=n):
-        inputs.add(_ragged(L, rows))
+        inputs.add(ragged_rows(L, rows))
     assert len(inputs) == len(cells) ** n
     members = 0
     for received in inputs:

@@ -1,7 +1,9 @@
 """The library, the benchmark, `tools/` and the tests import the standard
 library only, with `pytest` for the tests: CI installs nothing else, and
-the benchmark runs on interpreters that have nothing else.  Each module is
-parsed, not imported, so an import inside a function counts too."""
+the benchmark runs on interpreters that have nothing else.  A test module
+imports no other test module: what tests share lives in `conftest`.  Each
+module is parsed, not imported, so an import inside a function counts
+too."""
 
 import ast
 import sys
@@ -37,3 +39,11 @@ def test_imports_only_the_standard_library(path):
                *(sibling.stem for sibling in path.parent.glob("*.py"))}
     foreign = [(line, name) for line, name in imported_names(path) if name not in allowed]
     assert not foreign, f"{path.relative_to(ROOT)} imports {foreign}"
+
+
+def test_test_modules_share_code_through_conftest_only():
+    tests = ROOT / "tests"
+    others = {path.stem for path in tests.glob("*.py")} - {"conftest"}
+    shared = [(path.name, line, name) for path in MODULES if path.parent == tests
+              for line, name in imported_names(path) if name in others]
+    assert not shared, f"test modules import other test modules: {shared}"

@@ -8,63 +8,18 @@ from arraycodes.errors import CapacityExceededError, NotACodewordError
 from arraycodes.field import field_make
 from arraycodes.rs import ReedSolomon
 from arraycodes.ted import TedCode
+from conftest import lagrange_interpolate, poly_eval, rs_oracle_decode
 
 
 # --- reference oracle: the code by evaluation and Lagrange interpolation ----
-
-def _lagrange_interpolate(f, points):
-    """Coefficients (low first) of the unique poly of degree < len(points)
-    through the given (x, y) pairs with distinct x."""
-    k = len(points)
-    coeffs = [0] * k
-    for i, (xi, yi) in enumerate(points):
-        if yi == 0:
-            continue
-        # basis poly prod_{j != i} (x - xj) / (xi - xj)
-        basis = [1]
-        denom = 1
-        for j, (xj, _) in enumerate(points):
-            if j == i:
-                continue
-            # multiply basis by (x + xj)  (char 2)
-            nxt = [0] * (len(basis) + 1)
-            for d, c in enumerate(basis):
-                nxt[d + 1] ^= c
-                nxt[d] ^= f.mul(c, xj)
-            basis = nxt
-            denom = f.mul(denom, xi ^ xj)
-        scale = f.mul(yi, f.inv(denom))
-        for d, c in enumerate(basis):
-            coeffs[d] ^= f.mul(scale, c)
-    return coeffs
-
-
-def _poly_eval(f, coeffs, x):
-    acc = 0
-    for c in reversed(coeffs):
-        acc = f.mul(acc, x) ^ c
-    return acc
-
+#
+# `conftest.rs_oracle_decode` is its decoder.
 
 def _oracle_encode(rs, message):
     f = rs.field
     pts = [f.alpha_pow(i) for i in range(rs.n)]
-    coeffs = _lagrange_interpolate(f, list(zip(pts[: rs.k], message)))
-    return list(message) + [_poly_eval(f, coeffs, x) for x in pts[rs.k:]]
-
-
-def _oracle_decode(rs, received):
-    """Interpolate k survivors, then check every survivor."""
-    f = rs.field
-    pts = [f.alpha_pow(i) for i in range(rs.n)]
-    known = [(pts[i], v) for i, v in enumerate(received) if v is not None]
-    if rs.n - len(known) > rs.n - rs.k:
-        raise CapacityExceededError("oracle: too many erasures")
-    coeffs = _lagrange_interpolate(f, known[: rs.k])
-    codeword = [_poly_eval(f, coeffs, x) for x in pts]
-    if any(v is not None and v != c for v, c in zip(received, codeword)):
-        raise NotACodewordError("oracle: survivors are inconsistent")
-    return codeword
+    coeffs = lagrange_interpolate(f, list(zip(pts[: rs.k], message)))
+    return list(message) + [poly_eval(f, coeffs, x) for x in pts[rs.k:]]
 
 
 def _oracle_is_codeword(rs, word):
@@ -234,7 +189,7 @@ def test_parity_check_form_matches_lagrange_oracle(m, n, k):
         for eps in range(n - k + 2):
             erased = set(rng.sample(range(n), eps))
             received = [None if i in erased else c for i, c in enumerate(cw)]
-            expected = _outcome(_oracle_decode, rs, received)
+            expected = _outcome(rs_oracle_decode, rs, received)
             assert _outcome(_erasure_decode, rs, received) == expected
             if eps > n - k:
                 assert expected is CapacityExceededError
@@ -243,7 +198,7 @@ def test_parity_check_form_matches_lagrange_oracle(m, n, k):
             if eps < n - k:
                 pos = rng.choice([i for i in range(n) if i not in erased])
                 received[pos] ^= rng.randrange(1, f.order)
-                assert _outcome(_oracle_decode, rs, received) is NotACodewordError
+                assert _outcome(rs_oracle_decode, rs, received) is NotACodewordError
                 assert _outcome(_erasure_decode, rs, received) is NotACodewordError
         for pos in rng.sample(range(n), 5):
             word = list(cw)
@@ -306,7 +261,7 @@ def test_packed_kernels_match_entrywise_products(m, n, k):
         packed = rs._lookup(tables.ev, coeffs)
         for j, xj in enumerate(pts):
             value = packed >> (tables.stride * j) & (f.order - 1)
-            assert value == _poly_eval(f, coeffs, f.inv(xj))
+            assert value == poly_eval(f, coeffs, f.inv(xj))
 
 
 def test_byte_lanes_carry_all_8_bits_at_m_8():
@@ -344,6 +299,21 @@ def test_symbols_out_of_range_rejected(m, n, k):
     assert not ReedSolomon(field_make(3), 7, 5).is_codeword([8, 0, 0, 0, 0, 0, 0])
 
 
+@pytest.mark.parametrize("m,n,k", [(3, 7, 5), (12, 20, 12)])
+def test_symbols_that_are_no_ints_rejected(m, n, k):
+    """A word holding a symbol that is no int is no codeword, not a
+    TypeError, on byte lanes and on wide ones: 0.0 where the codeword holds
+    0, its own value as a float, None, a str.  A bool is an int."""
+    rs = ReedSolomon(field_make(m), n, k)
+    zero = [0] * n
+    cw = _encode(rs, [1] * k)
+    for bad in (0.0, None, "0"):
+        assert not rs.is_codeword([bad] + zero[1:])
+        assert not rs.is_codeword(zero[:-1] + [bad])
+    assert not rs.is_codeword([float(cw[0])] + cw[1:])
+    assert rs.is_codeword([False] + zero[1:])
+
+
 # --- the erasure fill core against its mul/inv form ----------------------------
 
 def _mul_inv_fill(rs, word, erased):
@@ -378,8 +348,8 @@ def _mul_inv_fill(rs, word, erased):
         for i, xi in enumerate(pts):
             if i != j:
                 scale = mul(scale, pts[j] ^ xi)
-        word[j] = mul(mul(_poly_eval(f, modified[:eps], z), scale),
-                      f.inv(_poly_eval(f, derivative, z)))
+        word[j] = mul(mul(poly_eval(f, modified[:eps], z), scale),
+                      f.inv(poly_eval(f, derivative, z)))
 
 
 def _fill_outcome(fill, rs, word, erased):

@@ -491,6 +491,26 @@ def test_parity_check_rejects_fields_that_do_not_round_trip(fields, error, messa
         TeParityCheck(1, 1, 1, ((1,),), **fields)
 
 
+def test_parity_check_keeps_its_grid_as_tuples_of_ints():
+    """A grid of lists, or of any int sequences, is kept as tuples of ints:
+    it hashes, and equals its own round trip and the tuple grid.  It once
+    stayed as passed, unhashable and unequal to `from_bytes(to_bytes(H))`."""
+    H = TeParityCheck(2, 2, 2, [[1, 2], [3, 1]])
+    same = TeParityCheck(2, 2, 2, ((1, 2), (3, 1)))
+    assert H.cols == ((1, 2), (3, 1)) and H == same and hash(H) == hash(same)
+    assert TeParityCheck.from_bytes(H.to_bytes()) == H
+    assert TeParityCheck(1, 2, 1, (range(2),)).cols == ((0, 1),)
+
+
+@pytest.mark.parametrize("cols", [((1.0, 2), (3, 1)), ((1, 2), (3, None)),
+                                  ((1, 2), (3, "1"))])
+def test_parity_check_rejects_entries_that_are_no_ints(cols):
+    """A float entry once built a parity check whose `to_bytes` raised
+    AttributeError; an entry that is no int is a TypeError at construction."""
+    with pytest.raises(TypeError):
+        TeParityCheck(2, 2, 2, cols)
+
+
 @pytest.mark.parametrize("provenance, field_m", [("", None), ("h\u00e4sse", 1),
                                                  ("x" * 0xFFFF, (1 << 31) - 1)])
 def test_accepted_provenance_and_field_m_round_trip(provenance, field_m):

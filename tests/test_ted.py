@@ -16,10 +16,9 @@ from arraycodes.rs import ReedSolomon
 from arraycodes.ted import TedCode, theta_symbol
 from arraycodes.vt import (_NO_INSERTION, _insert_table, position_residues, vt_decode_int,
                            vt_encode_int, vt_insert)
-from conftest import ragged, unbudgeted
-from test_fuzz import _damage, _ragged
-from test_rs import _oracle_decode
-from test_vt import oracle_gather
+from conftest import (ADMISSIBLE_REGIMES, code_id, damaged_inputs, has_parity, one_per_cell,
+                      oracle_gather, ragged, random_message, regime, rs_oracle_decode,
+                      ted_codes, unbudgeted)
 
 
 def test_theta_packing():
@@ -42,6 +41,20 @@ def test_theta_injective_on_tuple_domain():
             assert seen[key] == sym
         seen[key] = sym
     assert len(set(seen.values())) == len(seen)
+
+
+def test_theta_symbol_checks_e_and_h():
+    """e = -1 once gave the wrong symbol 0 and e past the row a "negative
+    shift count"; each is a ValueError naming e, and h < 0 one naming h.
+    Both ends of 0 <= e <= len(row_bits) are accepted."""
+    for e in (-1, 4, 5):
+        with pytest.raises(ValueError, match=f"^e must be from 0 to the row length 3, got {e}$"):
+            theta_symbol([1, 0, 1], e, 2)
+    with pytest.raises(ValueError, match="^h must be non-negative, got -1$"):
+        theta_symbol([1, 0, 1], 1, -1)
+    assert theta_symbol([1, 0, 1], 0, 2) == 0
+    assert theta_symbol([1, 0, 1], 3, 2) == 0b10100
+    assert theta_symbol([1, 0, 1], 1, 0) == 1
 
 
 @pytest.mark.parametrize("h,e", [(h, e) for h in range(1, 7) for e in range(4)
@@ -294,40 +307,20 @@ def oracle_encode(code, message):
     return BitArray(n, L, tuple(rows))
 
 
-# The codes of rows of at most 8 positions that encode through the byte
-# tables: the benchmark's TED(5,7), the top of the VT table at L = 8, the
-# widest outer field of such rows (h + e = 6), and for each L from 1 to 8
-# one shape at the largest e it admits (L = 1 admits only TedCode(1,1,0,0),
-# which has no parity rows).  Then the codes of rows of 9 to 31 positions
-# that encode in 64-bit lanes: TED(9,11), the benchmark's DC(31,31,8), the
-# first lane shape L = 9, 255 lanes, h + e = 8 and no parity rows.  Past
-# the lanes' rule: 32 positions, and h + e = 9.  Past the benchmark's
-# widths: 255 positions on GF(2^9), a truncated last run of data positions
-# (33..40 of 33..63), and 31 positions on GF(2^9).
-ENCODE_ORACLE_CODES = [DcCode(7, 5, 2), TedCode(5, 7, 2, 1), TedCode(9, 6, 2, 2),
-                       DcCode(15, 8, 3), TedCode(63, 7, 4, 3),
-                       TedCode(1, 1, 0, 0), TedCode(3, 2, 1, 0), TedCode(7, 3, 2, 1),
-                       TedCode(7, 4, 3, 0), TedCode(9, 5, 4, 1), TedCode(9, 6, 3, 2),
-                       TedCode(9, 7, 2, 3), TedCode(9, 8, 4, 0), TedCode(9, 11, 2, 2),
-                       DcCode(31, 31, 8), TedCode(31, 31, 4, 2), TedCode(255, 31, 2, 3),
-                       TedCode(15, 15, 1, 4), TedCode(7, 9, 2, 1), TedCode(16, 31, 3, 0),
-                       TedCode(4, 20, 0, 0),
-                       DcCode(9, 32, 3), TedCode(31, 31, 2, 4),
-                       TedCode(12, 255, 2, 1), DcCode(40, 40, 3), TedCode(20, 31, 3, 4)]
-
-
-def in_lanes(code):
-    """Whether the code encodes in 64-bit lanes: rows of 9 to 31 positions
-    on an outer code of byte lanes."""
-    return 8 < code.L <= 31 and code.h + code.e <= 8
-
-
-def test_lane_rows_exactly_inside_their_rule():
-    """`_lane_rows` is None exactly outside 8 < L <= 31 with h + e <= 8, on
-    the oracle codes, which reach both sides, and at each bound."""
-    assert {in_lanes(c) for c in ENCODE_ORACLE_CODES} == {True, False}
-    for code in ENCODE_ORACLE_CODES:
-        assert (code._lane_rows is not None) == in_lanes(code), code
+def test_regime_table_fills_every_cell_and_both_sides_of_each_bound():
+    """Every regime cell the codec's rules admit holds a code of the table,
+    no code lies outside them, and each side of L = 8|9 (byte rows), L =
+    31|32 (lanes) and h + e = 8|9 (byte lanes of the outer code) holds one
+    too.  And `_lane_rows` is None exactly outside 8 < L <= 31 with h + e <=
+    8, at each bound of that rule."""
+    codes = ted_codes()
+    assert len(set(map(code_id, codes))) == len(codes)
+    regimes = set(map(regime, codes))
+    empty, outside = ADMISSIBLE_REGIMES - regimes, regimes - ADMISSIBLE_REGIMES
+    assert not empty, f"no code in {empty}"
+    assert not outside, f"codes outside the rules: {outside}"
+    assert {8, 9, 31, 32} <= {code.L for code in codes}
+    assert {8, 9} <= {code.h + code.e for code in codes}
     for code, lanes in [(TedCode(3, 8, 1, 0), False), (TedCode(3, 9, 1, 0), True),
                         (TedCode(7, 31, 1, 3), True), (TedCode(7, 31, 1, 4), False),
                         (TedCode(3, 32, 1, 0), False), (TedCode(3, 63, 1, 0), False)]:
@@ -335,21 +328,19 @@ def test_lane_rows_exactly_inside_their_rule():
         assert not lanes or code.outer._tables.byte_lanes
 
 
-@pytest.mark.parametrize("code", ENCODE_ORACLE_CODES,
-                         ids=lambda c: f"{c.n}x{c.L}-t{c.t}-e{c.e}")
+@pytest.mark.parametrize("code", ted_codes(), ids=code_id)
 def test_encode_matches_row_by_row_oracle(code):
     """The same array as the reference encoder on 200 seeded messages, and
     `message_of` gives each message back; also the all-zero and all-one
     messages."""
     assert (code._byte_rows is None) == (code.L > 8)
-    assert (code._lane_rows is None) != in_lanes(code)
     for message in ([0] * code.message_bits, [1] * code.message_bits):
         x = code.encode(message)
         assert x == oracle_encode(code, message)
         assert code.message_of(x) == message
     rng = random.Random(repr(code))
     for _ in range(200):
-        message = [rng.randrange(2) for _ in range(code.message_bits)]
+        message = random_message(rng, code)
         x = code.encode(message)
         assert x == oracle_encode(code, message)
         assert code.message_of(x) == message
@@ -369,8 +360,7 @@ def oracle_message_of(code, x):
     return _int_to_row(m, k * L + code.R * per_row)
 
 
-@pytest.mark.parametrize("code", ENCODE_ORACLE_CODES,
-                         ids=lambda c: f"{c.n}x{c.L}-t{c.t}-e{c.e}")
+@pytest.mark.parametrize("code", ted_codes(), ids=code_id)
 def test_message_of_matches_the_int_path_oracle(code):
     """The same message as the int path on 200 seeded arrays of the code's
     shape, codewords or not, and a gather exactly for rows of at most 8
@@ -402,7 +392,7 @@ def oracle_decode(code, received):
         raise CapacityExceededError(
             f"{damaged} damaged rows exceed capacity t+e = {code.R}")
     try:
-        codeword = _oracle_decode(code.outer, symbols)
+        codeword = rs_oracle_decode(code.outer, symbols)
     except NotACodewordError as exc:
         raise CorruptInputError("intact rows disagree with the outer code") from exc
     rows = []
@@ -425,31 +415,6 @@ def oracle_decode(code, received):
     return BitArray(code.n, L, tuple(rows))
 
 
-def _flip(rng, rows, pick):
-    """Flip one bit in one or two of the rows whose length passes `pick`."""
-    rows = list(rows)
-    chosen = [i for i, (_, length) in enumerate(rows) if length and pick(length)]
-    for i in rng.sample(chosen, min(len(chosen), rng.randint(1, 2))):
-        bits, length = rows[i]
-        rows[i] = (bits ^ 1 << rng.randrange(length), length)
-    return rows
-
-
-def _oracle_inputs(rng, code):
-    n, L, e, R = code.n, code.L, code.e, code.R
-    x = code.encode([rng.randrange(2) for _ in range(code.message_bits)])
-    spec = ChannelSpec("ted", t=code.t, s=1, e=e)
-    full = [(r, L) for r in x.rows]
-    yield "valid", apply_channel(x, spec, random_instance(spec, n, L, rng))
-    yield "over capacity", _ragged(L, _damage(rng, full, min(n, R + 1 + rng.randrange(2)),
-                                              (1, e + 1)))
-    out = _damage(rng, full, rng.randint(0, R - 1), (1, e + 1))
-    yield "out of contract", _ragged(L, _damage(rng, out, 2, (e + 2, e + 4)))
-    damaged = _damage(rng, full, rng.randint(1, R), (1, e + 1))
-    yield "flipped intact", _ragged(L, _flip(rng, damaged, lambda length: length == L))
-    yield "flipped damaged", _ragged(L, _flip(rng, damaged, lambda length: length < L))
-
-
 def _outcome(decode, code, received):
     try:
         return decode(code, received)
@@ -457,11 +422,14 @@ def _outcome(decode, code, received):
         return type(exc), str(exc)
 
 
-@pytest.mark.parametrize("code", [TedCode(5, 7, 2, 1), TedCode(31, 31, 4, 2),
-                                  DcCode(31, 31, 8), DcCode(15, 8, 3), TedCode(7, 6, 1, 2),
-                                  TedCode(12, 255, 2, 1), DcCode(40, 40, 3),
-                                  TedCode(20, 31, 3, 4)],
-                         ids=lambda c: f"{c.n}x{c.L}-t{c.t}-e{c.e}")
+def decode_oracle_rule(code):
+    """Rows can be damaged, and k = n - R <= 40: the reference interpolates
+    k survivors by Lagrange, O(k^3) per call, so DC(40,40,3) (k = 37) is the
+    costliest code run, and TED(255,31,e=3) (k = 250) would take minutes."""
+    return has_parity(code) and code.n - code.R <= 40
+
+
+@pytest.mark.parametrize("code", ted_codes(decode_oracle_rule), ids=code_id)
 def test_decode_matches_row_by_row_oracle(code):
     """Same array, or same exception class and message, as the reference.
     Rows of at most 8 positions repair through `vt._insert_table`: at
@@ -470,7 +438,7 @@ def test_decode_matches_row_by_row_oracle(code):
     rng = random.Random(code.n * 1000 + code.L * 10 + code.e)
     seen, messages = set(), set()
     for _ in range(80):
-        for kind, received in _oracle_inputs(rng, code):
+        for kind, _, received in damaged_inputs(rng, code):
             want = _outcome(oracle_decode, code, received)
             got = _outcome(TedCode.decode, code, received)
             assert got == want, (kind, received)
@@ -489,10 +457,7 @@ def test_decode_matches_row_by_row_oracle(code):
 
 
 @pytest.mark.parametrize("fault", ["fill", "repair"])
-@pytest.mark.parametrize("code", [TedCode(5, 7, 2, 1), TedCode(31, 31, 4, 2),
-                                  DcCode(7, 5, 2), DcCode(31, 31, 8),
-                                  TedCode(12, 255, t=2, e=1)],
-                         ids=lambda c: f"{c.n}x{c.L}-t{c.t}-e{c.e}")
+@pytest.mark.parametrize("code", one_per_cell("recheck", has_parity), ids=code_id)
 def test_membership_recheck_catches_a_wrong_repair(code, fault, monkeypatch):
     """Every decode of a damaged array raises CorruptInputError when one
     filled symbol is off by 1 ("fill"), or when the VT repair returns its
@@ -534,7 +499,7 @@ def test_membership_recheck_catches_a_wrong_repair(code, fault, monkeypatch):
     messages = set()
     row_losses = set()
     for _ in range(60):
-        x = code.encode([rng.randrange(2) for _ in range(code.message_bits)])
+        x = code.encode(random_message(rng, code))
         received = apply_channel(x, spec, random_instance(spec, code.n, code.L, rng))
         if not any(received.lost):
             assert code.decode(received) == x
@@ -550,16 +515,14 @@ def test_membership_recheck_catches_a_wrong_repair(code, fault, monkeypatch):
         assert messages == {"decoded array fails the membership rule"}
 
 
-@pytest.mark.parametrize("code", [TedCode(5, 7, 2, 1), TedCode(9, 11, 2, 2),
-                                  DcCode(31, 31, t=8)],
-                         ids=lambda c: f"{c.n}x{c.L}-t{c.t}-e{c.e}")
+@pytest.mark.parametrize("code", one_per_cell("rebuild"), ids=code_id)
 def test_codec_outputs_rebuild_through_the_public_constructor(code):
     """encode and decode build their BitArray without re-checking the rows;
     the checked constructor accepts every one of them unchanged."""
     rng = random.Random(repr(code.descriptor()))
     spec = ChannelSpec("ted", t=code.t, s=1, e=code.e)
     for _ in range(100):
-        x = code.encode([rng.randrange(2) for _ in range(code.message_bits)])
+        x = code.encode(random_message(rng, code))
         assert BitArray(x.n, x.L, x.rows) == x and type(x.rows) is tuple
         decoded = code.decode(apply_channel(x, spec, random_instance(spec, code.n, code.L, rng)))
         assert BitArray(decoded.n, decoded.L, decoded.rows) == decoded == x

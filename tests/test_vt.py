@@ -10,6 +10,7 @@ from arraycodes.vt import (_NO_INSERTION, _SUM16, _encode_table, _insert_table, 
                            _word_sums, position_residues, position_sum, vt_codewords,
                            vt_decode, vt_decode_int, vt_encode_int, vt_insert,
                            vt_modulus_exponent)
+from conftest import oracle_data_runs, oracle_gather
 
 
 def deletions(word):
@@ -356,21 +357,6 @@ def test_vt_encode_int_matches_oracle_for_every_deficiency(L):
 # The run-walking gather and scatter and the clear-lowest-bit select, kept
 # as the oracles of the masked shifts of `_placement(h)` and of the select
 # table.
-
-def oracle_data_runs(L):
-    """(first bit, width) of each run 2^i+1 .. min(2^(i+1)-1, L) of data
-    positions; bit 2^i holds position 2^i + 1."""
-    h = vt_modulus_exponent(L)
-    return tuple((1 << i, min((1 << i) - 1, L - (1 << i))) for i in range(1, h))
-
-
-def oracle_gather(x, L):
-    data = shift = 0
-    for first, width in oracle_data_runs(L):
-        data |= ((x >> first) & ((1 << width) - 1)) << shift
-        shift += width
-    return data
-
 
 def oracle_scatter(data, L):
     x = 0
